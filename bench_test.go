@@ -6,9 +6,9 @@
 //
 //	BenchmarkFig6Uniform/sprinklers/load-0.9    ...  720 delay-slots
 //
-// The full-horizon, full-grid renderers live in cmd/delaycurves, cmd/table1
-// and cmd/fig5; the benchmarks use a reduced horizon so the whole suite
-// completes in minutes.
+// The full-horizon, full-grid renderer is `sweep -builtin fig6|fig7|fig5|
+// table1`; the benchmarks use a reduced horizon so the whole suite completes
+// in minutes.
 package sprinklers_test
 
 import (

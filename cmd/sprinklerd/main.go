@@ -217,10 +217,7 @@ func main() {
 		if self == "" {
 			self = "http://" + *listen
 		}
-		joinLogf := func(format string, args ...any) {
-			lg.Warn(fmt.Sprintf(format, args...))
-		}
-		go srv.JoinCluster(ctx, strings.TrimSuffix(*join, "/"), self, *heartbeat, joinLogf)
+		go srv.JoinCluster(ctx, strings.TrimSuffix(*join, "/"), self, *heartbeat)
 	}
 
 	if *pprofListen != "" {

@@ -1,7 +1,7 @@
 // Command sprinklersim runs a single switch simulation with full control
 // over the architecture, traffic pattern, load, burstiness and horizon, and
 // reports delay, throughput and reordering statistics. It is the
-// general-purpose driver; the table1 / fig5 / delaycurves commands wrap the
+// general-purpose driver; `sweep -builtin fig5|table1|fig6|fig7` runs the
 // specific experiments of the paper.
 //
 // Usage:
@@ -22,7 +22,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -198,9 +197,9 @@ func runScenario(ctx context.Context, alg string, aopts map[string]any, trafficK
 		Windows:         windows,
 		Seed:            seed,
 		Parallelism:     par,
-		Cancel:          ctx.Done(),
+		Context:         ctx,
 	})
-	if errors.Is(err, scenario.ErrCanceled) {
+	if experiment.IsCancellation(err) {
 		fmt.Fprintln(os.Stderr, "sprinklersim: scenario replay canceled before completion")
 		os.Exit(2)
 	}

@@ -101,7 +101,7 @@ func main() {
 	} else {
 		fmt.Printf("Theorem 2 Chernoff bound   : %.2e (log %.2f)\n", math.Exp(lp), lp)
 		fmt.Println("\n(The bound is loose at small N; it tightens dramatically as N grows —")
-		fmt.Println(" see cmd/table1 for the N >= 1024 regime of the paper's Table 1.)")
+		fmt.Println(" see `sweep -builtin table1` for the N >= 1024 regime of the paper's Table 1.)")
 	}
 }
 

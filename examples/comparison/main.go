@@ -1,6 +1,6 @@
 // Comparison: a fast version of the paper's Figure 6 — average delay versus
 // load for all five switch architectures under uniform traffic at N=32.
-// Run `go run ./cmd/delaycurves` for the full-horizon version.
+// Run `go run ./cmd/sweep -builtin fig6` for the full-horizon version.
 package main
 
 import (

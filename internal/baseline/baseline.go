@@ -13,30 +13,27 @@
 package baseline
 
 import (
+	"sprinklers/internal/midstage"
 	"sprinklers/internal/queue"
 	"sprinklers/internal/sim"
 )
 
 // Switch is a baseline load-balanced switch. Create one with New.
 type Switch struct {
-	n       int
-	t       sim.Slot
-	inputs  []queue.FIFO[sim.Packet]
-	mid     [][]queue.FIFO[sim.Packet] // mid[l][j]: packets at intermediate l for output j
-	backlog int
+	n      int
+	t      sim.Slot
+	inputs []queue.FIFO[sim.Packet]
+	mid    *midstage.Stage
+	inBuf  int // packets at the input side
 }
 
 // New builds an n-port baseline load-balanced switch.
 func New(n int) *Switch {
-	s := &Switch{
+	return &Switch{
 		n:      n,
 		inputs: make([]queue.FIFO[sim.Packet], n),
-		mid:    make([][]queue.FIFO[sim.Packet], n),
+		mid:    midstage.New(n),
 	}
-	for l := range s.mid {
-		s.mid[l] = make([]queue.FIFO[sim.Packet], n)
-	}
-	return s
 }
 
 // N implements sim.Switch.
@@ -46,12 +43,12 @@ func (s *Switch) N() int { return s.n }
 func (s *Switch) Now() sim.Slot { return s.t }
 
 // Backlog implements sim.Switch.
-func (s *Switch) Backlog() int { return s.backlog }
+func (s *Switch) Backlog() int { return s.inBuf + s.mid.Backlog() }
 
 // Arrive implements sim.Switch.
 func (s *Switch) Arrive(p sim.Packet) {
 	s.inputs[p.In].Push(p)
-	s.backlog++
+	s.inBuf++
 }
 
 // Step implements sim.Switch: it executes one slot of both fabrics. The
@@ -59,23 +56,12 @@ func (s *Switch) Arrive(p sim.Packet) {
 // slot at an intermediate port.
 func (s *Switch) Step(deliver sim.DeliverFunc) {
 	t := s.t
-	// Second fabric: intermediate l -> output SecondStage(l, t).
-	for l := 0; l < s.n; l++ {
-		j := sim.SecondStage(l, t, s.n)
-		if q := &s.mid[l][j]; !q.Empty() {
-			p := q.Pop()
-			s.backlog--
-			if deliver != nil {
-				deliver(sim.Delivery{Packet: p, Depart: t})
-			}
-		}
-	}
+	s.mid.Step(t, deliver)
 	// First fabric: input i -> intermediate FirstStage(i, t).
 	for i := 0; i < s.n; i++ {
 		if q := &s.inputs[i]; !q.Empty() {
-			p := q.Pop()
-			l := sim.FirstStage(i, t, s.n)
-			s.mid[l][p.Out].Push(p)
+			s.inBuf--
+			s.mid.Enqueue(sim.FirstStage(i, t, s.n), q.Pop())
 		}
 	}
 	s.t++

@@ -139,12 +139,8 @@ type Options struct {
 	// allocates a private set).
 	Counters *experiment.Counters
 	// Logger receives structured cluster events (worker lifecycle,
-	// re-dispatch, stealing, speculation, slow jobs). Takes precedence
-	// over Logf.
+	// re-dispatch, stealing, speculation, slow jobs); nil discards them.
 	Logger *slog.Logger
-	// Logf, when set (and Logger is not), receives one line per notable
-	// cluster event — the printf-era hook, kept for existing callers.
-	Logf func(format string, args ...any)
 	// DispatchHist, when set, observes the latency of every successful
 	// job dispatch (send to response decode).
 	DispatchHist *stats.Histogram
@@ -330,12 +326,8 @@ func New(opts Options) *Coordinator {
 	if c.counters == nil {
 		c.counters = &experiment.Counters{}
 	}
-	switch {
-	case opts.Logger != nil:
-		c.log = opts.Logger
-	case opts.Logf != nil:
-		c.log = trace.LogfLogger(opts.Logf)
-	default:
+	c.log = opts.Logger
+	if c.log == nil {
 		c.log = slog.New(slog.DiscardHandler)
 	}
 	for _, u := range opts.Workers {

@@ -195,8 +195,15 @@ func TestWorkerCrashMidReplicaFailsOver(t *testing.T) {
 	if got := replicasComputedAcross(coordinator, w1, w2); got != want {
 		t.Errorf("computed %d replicas across the cluster, want exactly %d (no duplicate simulation)", got, want)
 	}
-	if s := coord.Snapshot(); s.WorkersHealthy != 1 {
-		t.Errorf("healthy workers = %d, want 1 after the crash", s.WorkersHealthy)
+	// SuspectAfter is 2: the failed dispatch counted once, and the second
+	// failure comes from the health loop's next probe tick, which may land
+	// after the study has already finished on the surviving worker.
+	deadline := time.Now().Add(10 * time.Second)
+	for coord.Snapshot().WorkersHealthy != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("healthy workers = %d, want 1 after the crash", coord.Snapshot().WorkersHealthy)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -475,11 +482,11 @@ func TestIdleHeartbeatStealsFromDeepWorker(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	go slow.srv.JoinCluster(ctx, coordinator.url(), slow.url(), 10*time.Millisecond, nil)
+	go slow.srv.JoinCluster(ctx, coordinator.url(), slow.url(), 10*time.Millisecond)
 	go func() {
 		// The idle worker joins once the slow worker's queue has formed.
 		time.Sleep(200 * time.Millisecond)
-		fast.srv.JoinCluster(ctx, coordinator.url(), fast.url(), 10*time.Millisecond, nil)
+		fast.srv.JoinCluster(ctx, coordinator.url(), fast.url(), 10*time.Millisecond)
 	}()
 
 	spec := wideSpec("cluster-steal")
@@ -517,7 +524,7 @@ func TestStragglerSpeculativeTail(t *testing.T) {
 		return copts
 	}
 	join := func(n *node, coordinator *node) {
-		go n.srv.JoinCluster(ctx, coordinator.url(), n.url(), 10*time.Millisecond, nil)
+		go n.srv.JoinCluster(ctx, coordinator.url(), n.url(), 10*time.Millisecond)
 	}
 
 	// Healthy baseline: same topology, no straggler.

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -138,20 +138,15 @@ func TestTraceEndToEndTwoWorkers(t *testing.T) {
 // outstanding past the observed dispatch-latency percentile still
 // produces a structured warning carrying the study's trace id.
 func TestSlowJobWarningWithoutSpeculation(t *testing.T) {
-	var mu sync.Mutex
-	var buf bytes.Buffer
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		fmt.Fprintf(&buf, format+"\n", args...)
-		mu.Unlock()
-	}
+	var buf lockedBuffer
+	logger := slog.New(slog.NewTextHandler(&buf, nil))
 
 	wFast := newNode(t, service.Options{Node: "fast"})
 	wSlow := newNode(t, service.Options{Node: "slow", JobDelay: 150 * time.Millisecond})
 	// SpeculatePct stays zero: no backups, but the latency percentile
 	// still drives slow-job warnings.
 	coordinator, coord := newCoordinator(t, fastOptions(wFast.url()),
-		service.Options{Node: "coord", Logf: logf})
+		service.Options{Node: "coord", Logger: logger})
 
 	// Train the percentile on fast dispatches (8 jobs = the estimator's
 	// minimum sample count).
@@ -168,9 +163,7 @@ func TestSlowJobWarningWithoutSpeculation(t *testing.T) {
 	slowSpec.Seed = 42
 	runRemote(t, coordinator, slowSpec)
 
-	mu.Lock()
 	out := buf.String()
-	mu.Unlock()
 	if !strings.Contains(out, "job outstanding past dispatch-latency percentile") {
 		t.Fatalf("no slow-job warning in logs:\n%s", out)
 	}
@@ -180,4 +173,23 @@ func TestSlowJobWarningWithoutSpeculation(t *testing.T) {
 	if strings.Contains(out, "speculative backup launched") {
 		t.Errorf("speculation fired despite SpeculatePct=0:\n%s", out)
 	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for the daemon's goroutines to log
+// into while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

@@ -11,7 +11,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -207,27 +206,12 @@ type Config struct {
 	// for fault-injection harnesses that need to act at an exact slot
 	// (e.g. crash a cluster worker at slot N); leave it nil on hot paths.
 	OnSlot func(sim.Slot)
-	// Cancel, when non-nil, aborts an in-flight point early (typically a
-	// context's Done channel). RunPoint then returns context.Canceled
-	// instead of a partial measurement. RunStudy wires its context's Done
-	// channel here, which is what makes a long replica — minutes at large
-	// N — stop within milliseconds of a cancellation instead of running to
-	// its horizon.
-	Cancel <-chan struct{}
-}
-
-// canceled reports whether a receive from ch (typically a context's Done
-// channel) succeeds without blocking.
-func canceled(ch <-chan struct{}) bool {
-	if ch == nil {
-		return false
-	}
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
+	// Context, when non-nil, aborts an in-flight point early once it is
+	// done. RunPoint then returns its Err instead of a partial
+	// measurement. RunStudy passes its own context here, which is what
+	// makes a long replica — minutes at large N — stop within milliseconds
+	// of a cancellation instead of running to its horizon.
+	Context context.Context
 }
 
 func (c Config) withDefaults() Config {
@@ -239,6 +223,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
+	}
+	if c.Context == nil {
+		c.Context = context.Background()
 	}
 	return c
 }
@@ -271,17 +258,14 @@ func RunPoint(alg Algorithm, cfg Config, load float64) (Point, error) {
 	reorder := stats.NewReorder(cfg.N)
 	runOpts := []sim.Option{
 		sim.WithWarmup(cfg.Warmup), sim.WithSlots(cfg.Slots),
-		sim.WithParallelism(cfg.PointParallelism),
+		sim.WithParallelism(cfg.PointParallelism), sim.WithContext(cfg.Context),
 	}
 	if cfg.OnSlot != nil {
 		runOpts = append(runOpts, sim.WithSlotHook(cfg.OnSlot))
 	}
-	if cfg.Cancel != nil {
-		runOpts = append(runOpts, sim.WithCancel(cfg.Cancel))
-	}
 	offered, delivered := sim.Run(sw, src, stats.Multi{delay, reorder}, runOpts...)
-	if canceled(cfg.Cancel) {
-		return Point{}, context.Canceled
+	if err := cfg.Context.Err(); err != nil {
+		return Point{}, err
 	}
 	p := Point{
 		Algorithm: alg,
@@ -319,11 +303,8 @@ func runScenarioPoint(alg Algorithm, cfg Config, load float64) (Point, error) {
 		Seed:            cfg.Seed,
 		Parallelism:     cfg.PointParallelism,
 		OnSlot:          cfg.OnSlot,
-		Cancel:          cfg.Cancel,
+		Context:         cfg.Context,
 	})
-	if errors.Is(err, scenario.ErrCanceled) {
-		return Point{}, context.Canceled
-	}
 	if err != nil {
 		return Point{}, err
 	}

@@ -1,0 +1,82 @@
+package experiment
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"testing"
+)
+
+// pinnedDigests are SHA-256 digests of the JSON-marshalled Point that
+// RunPoint returns at load 0.9, seed 1, 4000 slots (+800 warm-up), keyed
+// "algorithm/traffic/N". They were recorded before the baselines' center
+// stages moved onto queue.Bank (PR 12) and pin every simulated number of
+// every registered architecture: a queueing-substrate refactor must leave
+// them untouched, and an intended model change must update them in the
+// same commit (the failure message prints the new value).
+var pinnedDigests = map[string]string{
+	"load-balanced/uniform/8":      "49d4644dc741d00ab25e22c405c2ec88d4da0f4f4dd9ade24c35ac3be9c01055",
+	"load-balanced/diagonal/8":     "99528e6e50e6dd12373b2dac8da3871adaa1b7a8b7a05de42e0e80a1c34e9e7e",
+	"ufs/uniform/8":                "a53c46b0b1d65a196f9e08c9f4e2165dce76ea3c35df33514c83edd963cfaa79",
+	"ufs/diagonal/8":               "413a52d8f5b4bec844f79e99f02c337649a89465af5f691ce2ba4f718a0d36f1",
+	"foff/uniform/8":               "67f5224ef758df2dd283144ddc7f5039e5e383b536dbec44e3a185b78de0442f",
+	"foff/diagonal/8":              "57c851067ab43368e68b64a11570919f13e80980545243d289836f27017b7bc7",
+	"pf/uniform/8":                 "f7dab69e49fd7ac0c88872f6e96be103eefb8280f313c53b845ec7ca7899389b",
+	"pf/diagonal/8":                "10ec7c21cea3bc7057c7d5f62bd97e47069f1e0581bbe59a20fca22124de872a",
+	"sprinklers/uniform/8":         "2e2cea02736f54997af804323d1a11fd237f6340848cea5043f7f29c59f11c87",
+	"sprinklers/diagonal/8":        "57216267c364d0c3ab0aef766aadc07051f587f43c34cd55f92e005c6cf9aff4",
+	"sprinklers-greedy/uniform/8":  "950e4b22423ef6392a4fbd90fc9d43ee56dee9680320bc91c2ba1a82e6036f54",
+	"sprinklers-greedy/diagonal/8": "7768a6d7b9b3f4380b625e1f0a52771683eaa567a2fb87b72a662fd5b7cc0d0a",
+	"tcp-hashing/uniform/8":        "8852fc5268dbebc6ce224caf49537f2907f77f1b928fea586423e70f56c96e40",
+	"tcp-hashing/diagonal/8":       "d2a6b26445a05977e307567b6b9884936724f24ffec94a1d9c17fc1e1347cdda",
+	"cms/uniform/8":                "b6adf92daf98026f667c8c4ebf9318231b57e3991cdd3afbdd1bbcd0142ad4a1",
+	"cms/diagonal/8":               "9a044ef5a30bc0c861cefed394de5ae01cc9f2c6dc73c4ede6cd957877015d5d",
+	"load-balanced/uniform/32":     "d045f559e2258761e99129d77436cf4e72a8d7e912f45ae4ded1d6d2a6975db0",
+	"load-balanced/diagonal/32":    "6533ef02c3fe28ea0b1d117b04761216a8bc8057ffaf426d84fbe8f82994f5bd",
+	"ufs/uniform/32":               "e2b275ed19b968b776c8b6c481dd4c7bd416d41549fc94440d8390a9986d9e38",
+	"ufs/diagonal/32":              "432ddaf94982ff113998021b9303716908f11169e51ebfd488cac340fc4e3a75",
+	"foff/uniform/32":              "21442523976fae1d134fab1aadd56dd51d8c5f07f0de80133801990a6fe8bb3c",
+	"foff/diagonal/32":             "d1e02a2a18247c33036b847aeee90342c2476f0dfcff5cc6243fe82d0fad461d",
+	"pf/uniform/32":                "4a672db706f142558e7a686f0f7e0ec0bf6bbde4d31770807313acc77bfc8ee1",
+	"pf/diagonal/32":               "916d14b220b9e19d24460a0d9b80d4c1fd88a487925406cddf52552b20f6d75c",
+	"sprinklers/uniform/32":        "53d883f412ea43fa64fe8013695235c9df107bdb148eccd3f3e4f211bc9d5b0a",
+	"sprinklers/diagonal/32":       "8f3a8cdb31bb6f154eb614e6a18967f87c2e2e35ff37f631b2d490bb2e3d6bc5",
+}
+
+func TestPinnedPointDigests(t *testing.T) {
+	type size struct {
+		n    int
+		algs []Algorithm
+	}
+	seen := 0
+	for _, sz := range []size{{8, AllAlgorithms()}, {32, Fig6Algorithms}} {
+		for _, alg := range sz.algs {
+			for _, tr := range []TrafficKind{UniformTraffic, DiagonalTraffic} {
+				key := fmt.Sprintf("%s/%s/%d", alg, tr, sz.n)
+				p, err := RunPoint(alg, Config{N: sz.n, Traffic: tr, Slots: 4000, Seed: 1}, 0.9)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				raw, err := json.Marshal(p)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				sum := sha256.Sum256(raw)
+				got := hex.EncodeToString(sum[:])
+				want, ok := pinnedDigests[key]
+				if !ok {
+					t.Errorf("%q: %q, // not pinned", key, got)
+					continue
+				}
+				seen++
+				if got != want {
+					t.Errorf("%s: simulated statistics changed: digest %s, pinned %s\npoint: %s", key, got, want, raw)
+				}
+			}
+		}
+	}
+	if seen != len(pinnedDigests) {
+		t.Errorf("%d pinned digests, %d checked: a pinned architecture is no longer registered", len(pinnedDigests), seen)
+	}
+}

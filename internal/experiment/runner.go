@@ -175,7 +175,7 @@ func runReplica(ctx context.Context, spec Spec, fp uint64, key PointKey, rep, pa
 		Parallelism:      1, // one point per goroutine; the pool parallelizes across points
 		PointParallelism: par,
 		OnSlot:           onSlot,
-		Cancel:           ctx.Done(),
+		Context:          ctx,
 	}
 	if key.Scenario != "" {
 		sc := spec.scenarioEntry(key.Scenario)

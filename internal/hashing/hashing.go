@@ -13,18 +13,19 @@ package hashing
 import (
 	"math/rand"
 
+	"sprinklers/internal/midstage"
 	"sprinklers/internal/queue"
 	"sprinklers/internal/sim"
 )
 
 // Switch is a TCP-hashing (AFBR) load-balanced switch.
 type Switch struct {
-	n       int
-	t       sim.Slot
-	hash    [][]int                    // hash[i][j]: intermediate port for VOQ (i,j)
-	inputs  [][]queue.FIFO[sim.Packet] // inputs[i][l]: packets at input i bound for intermediate l
-	mid     [][]queue.FIFO[sim.Packet] // mid[l][j]
-	backlog int
+	n      int
+	t      sim.Slot
+	hash   [][]int                    // hash[i][j]: intermediate port for VOQ (i,j)
+	inputs [][]queue.FIFO[sim.Packet] // inputs[i][l]: packets at input i bound for intermediate l
+	mid    *midstage.Stage
+	inBuf  int // packets at the input side
 }
 
 // New builds an n-port hashing switch. The per-VOQ intermediate port choices
@@ -35,7 +36,7 @@ func New(n int, rng *rand.Rand) *Switch {
 		n:      n,
 		hash:   make([][]int, n),
 		inputs: make([][]queue.FIFO[sim.Packet], n),
-		mid:    make([][]queue.FIFO[sim.Packet], n),
+		mid:    midstage.New(n),
 	}
 	for i := 0; i < n; i++ {
 		s.hash[i] = make([]int, n)
@@ -43,7 +44,6 @@ func New(n int, rng *rand.Rand) *Switch {
 			s.hash[i][j] = rng.Intn(n)
 		}
 		s.inputs[i] = make([]queue.FIFO[sim.Packet], n)
-		s.mid[i] = make([]queue.FIFO[sim.Packet], n)
 	}
 	return s
 }
@@ -59,33 +59,23 @@ func (s *Switch) N() int { return s.n }
 func (s *Switch) Now() sim.Slot { return s.t }
 
 // Backlog implements sim.Switch.
-func (s *Switch) Backlog() int { return s.backlog }
+func (s *Switch) Backlog() int { return s.inBuf + s.mid.Backlog() }
 
 // Arrive implements sim.Switch.
 func (s *Switch) Arrive(p sim.Packet) {
-	l := s.hash[p.In][p.Out]
-	s.inputs[p.In][l].Push(p)
-	s.backlog++
+	s.inputs[p.In][s.hash[p.In][p.Out]].Push(p)
+	s.inBuf++
 }
 
 // Step implements sim.Switch.
 func (s *Switch) Step(deliver sim.DeliverFunc) {
 	t := s.t
-	for l := 0; l < s.n; l++ {
-		j := sim.SecondStage(l, t, s.n)
-		if q := &s.mid[l][j]; !q.Empty() {
-			p := q.Pop()
-			s.backlog--
-			if deliver != nil {
-				deliver(sim.Delivery{Packet: p, Depart: t})
-			}
-		}
-	}
+	s.mid.Step(t, deliver)
 	for i := 0; i < s.n; i++ {
 		l := sim.FirstStage(i, t, s.n)
 		if q := &s.inputs[i][l]; !q.Empty() {
-			p := q.Pop()
-			s.mid[l][p.Out].Push(p)
+			s.inBuf--
+			s.mid.Enqueue(l, q.Pop())
 		}
 	}
 	s.t++

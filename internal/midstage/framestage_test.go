@@ -1,7 +1,8 @@
-package framegrid
+package midstage
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sprinklers/internal/sim"
@@ -10,7 +11,7 @@ import (
 // insertFrame spreads a synthetic frame of n cells starting at intermediate
 // port start, one port per slot beginning at slot t0, the way an input port
 // would. It returns the slot after the last insertion.
-func insertFrame(s *Stage, n int, in, out int, frameID, flowSeq uint64, start int, t0 sim.Slot, seqBase uint64) sim.Slot {
+func insertFrame(s *FrameStage, n int, in, out int, frameID, flowSeq uint64, start int, t0 sim.Slot, seqBase uint64) sim.Slot {
 	for u := 0; u < n; u++ {
 		s.Enqueue((start+u)%n, Cell{
 			Pkt:     sim.Packet{In: int32(in), Out: int32(out), Seq: seqBase + uint64(u), Arrival: t0},
@@ -23,7 +24,7 @@ func insertFrame(s *Stage, n int, in, out int, frameID, flowSeq uint64, start in
 	return t0 + sim.Slot(n)
 }
 
-func drain(s *Stage, n int, from sim.Slot, slots int) []sim.Delivery {
+func drain(s *FrameStage, n int, from sim.Slot, slots int) []sim.Delivery {
 	var out []sim.Delivery
 	for tt := from; tt < from+sim.Slot(slots); tt++ {
 		s.Step(tt, func(d sim.Delivery) { out = append(out, d) })
@@ -33,7 +34,7 @@ func drain(s *Stage, n int, from sim.Slot, slots int) []sim.Delivery {
 
 func TestSingleFrameDeliveredInOrderAndBurst(t *testing.T) {
 	const n = 8
-	s := New(n)
+	s := NewFrameStage(n)
 	insertFrame(s, n, 0, 3, 1, 0, 5, 0, 0)
 	got := drain(s, n, 1, 5*n)
 	if len(got) != n {
@@ -56,7 +57,7 @@ func TestSingleFrameDeliveredInOrderAndBurst(t *testing.T) {
 // start port would be swept first must still wait for the earlier frame.
 func TestSameFlowFramesCannotInvert(t *testing.T) {
 	const n = 4
-	s := New(n)
+	s := NewFrameStage(n)
 	// Frame 0 starts at port 3, frame 1 at port 0. For output 0, port 0
 	// is swept before port 3 in each round, so without the FlowSeq gate
 	// frame 1 would start first.
@@ -78,7 +79,7 @@ func TestSameFlowFramesCannotInvert(t *testing.T) {
 // order.
 func TestCompetingFlowsEachStayOrdered(t *testing.T) {
 	const n = 8
-	s := New(n)
+	s := NewFrameStage(n)
 	rng := rand.New(rand.NewSource(3))
 	type flow struct {
 		in, out int
@@ -128,7 +129,7 @@ func TestCompetingFlowsEachStayOrdered(t *testing.T) {
 
 func TestFakesConsumedSilently(t *testing.T) {
 	const n = 4
-	s := New(n)
+	s := NewFrameStage(n)
 	for u := 0; u < n; u++ {
 		fake := u >= 2
 		s.Enqueue(u, Cell{
@@ -150,10 +151,46 @@ func TestFakesConsumedSilently(t *testing.T) {
 	}
 }
 
-func TestQueueLen(t *testing.T) {
-	s := New(4)
+func TestFrameStageQueueLen(t *testing.T) {
+	s := NewFrameStage(4)
 	s.Enqueue(2, Cell{Pkt: sim.Packet{Out: 3}, FrameID: 1, Index: 0, Size: 4})
 	if s.QueueLen(2, 3) != 1 || s.QueueLen(2, 0) != 0 {
 		t.Fatal("QueueLen wrong")
 	}
+}
+
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one containing %q", msg, want)
+		}
+	}()
+	f()
+}
+
+// TestMissingPacketPanics: a frame that started must find its next packet
+// at the next port; a frame spread short of its declared size is a bug in
+// the input side and must not be served silently out of burst.
+func TestMissingPacketPanics(t *testing.T) {
+	const n = 4
+	s := NewFrameStage(n)
+	// Output 1's sweep is at port 1 in slot 0; only the first cell exists.
+	s.Enqueue(1, Cell{Pkt: sim.Packet{Out: 1}, FrameID: 7, Index: 0, Size: n})
+	if got := drain(s, n, 0, 1); len(got) != 1 {
+		t.Fatalf("first cell not served: %d deliveries", len(got))
+	}
+	mustPanic(t, "missing packet of frame 7", func() { s.Step(1, nil) })
+}
+
+// TestLostLockstepPanics: the stage must be stepped every slot while a
+// frame is in service, or the output's sweep leaves the frame's row.
+func TestLostLockstepPanics(t *testing.T) {
+	const n = 4
+	s := NewFrameStage(n)
+	insertFrame(s, n, 0, 1, 7, 0, 1, 0, 0)
+	s.Step(0, nil)
+	mustPanic(t, "lost lockstep", func() { s.Step(2, nil) })
 }

@@ -1,8 +1,19 @@
-// Package midstage implements the center stage shared by the frame-based
-// load-balanced switches (UFS, FOFF, PF): every intermediate port keeps one
-// FIFO per output, and during slot t intermediate port l forwards the head
-// of the FIFO for output SecondStage(l, t). Padding cells (Packet.Fake) are
-// consumed silently at the output, as in the Padded Frames scheme.
+// Package midstage implements the center stage of every load-balanced
+// switch in this repository other than Sprinklers itself: N intermediate
+// ports, each holding one queue per output, all on one slab-backed
+// queue.Bank indexed l*N+j (the substrate internal/core uses for its stripe
+// FIFOs). Two service disciplines share it:
+//
+//   - Stage serves each (port, output) queue in plain FIFO order: during
+//     slot t intermediate port l forwards the head of its queue for output
+//     SecondStage(l, t). The baseline, TCP-hashing, FOFF and CMS switches
+//     use it.
+//   - FrameStage serves frames atomically, for the full-frame switches (UFS
+//     and Padded Frames), whose input side is the Spreader.
+//
+// Padding cells (Packet.Fake) occupy queue slots and second-fabric
+// connections but are consumed silently at the output, as in the Padded
+// Frames scheme.
 package midstage
 
 import (
@@ -10,25 +21,21 @@ import (
 	"sprinklers/internal/sim"
 )
 
-// Stage is the bank of N x N per-(intermediate, output) FIFOs.
+// Stage is the FIFO-service center stage.
 type Stage struct {
 	n    int
-	q    [][]queue.FIFO[sim.Packet]
-	real int // non-fake packets buffered
+	q    *queue.Bank[sim.Packet] // queue l*n+j: packets at port l for output j
+	real int                     // non-fake packets buffered
 }
 
 // New builds the center stage for an n-port switch.
 func New(n int) *Stage {
-	s := &Stage{n: n, q: make([][]queue.FIFO[sim.Packet], n)}
-	for l := range s.q {
-		s.q[l] = make([]queue.FIFO[sim.Packet], n)
-	}
-	return s
+	return &Stage{n: n, q: queue.NewBank[sim.Packet](n * n)}
 }
 
 // Enqueue buffers p at intermediate port l.
 func (s *Stage) Enqueue(l int, p sim.Packet) {
-	s.q[l][p.Out].Push(p)
+	s.q.Push(l*s.n+int(p.Out), p)
 	if !p.Fake {
 		s.real++
 	}
@@ -40,12 +47,11 @@ func (s *Stage) Enqueue(l int, p sim.Packet) {
 func (s *Stage) Step(t sim.Slot, deliver sim.DeliverFunc) int {
 	removed := 0
 	for l := 0; l < s.n; l++ {
-		j := sim.SecondStage(l, t, s.n)
-		q := &s.q[l][j]
-		if q.Empty() {
+		q := l*s.n + sim.SecondStage(l, t, s.n)
+		if s.q.Empty(q) {
 			continue
 		}
-		p := q.Pop()
+		p := s.q.Pop(q)
 		if p.Fake {
 			continue
 		}
@@ -61,6 +67,7 @@ func (s *Stage) Step(t sim.Slot, deliver sim.DeliverFunc) int {
 // Backlog returns the number of real packets buffered in the stage.
 func (s *Stage) Backlog() int { return s.real }
 
-// QueueLen returns the FIFO length (including fakes) at intermediate port l
-// for output j; exported for the equal-length invariant tests.
-func (s *Stage) QueueLen(l, j int) int { return s.q[l][j].Len() }
+// QueueLen returns the queue length (including fakes) at intermediate port
+// l for output j. It walks the queue; it exists for the equal-length
+// invariant tests.
+func (s *Stage) QueueLen(l, j int) int { return s.q.QueueLen(l*s.n + j) }

@@ -1,0 +1,141 @@
+package midstage
+
+import (
+	"sprinklers/internal/queue"
+	"sprinklers/internal/sim"
+)
+
+// Spreader is the input side the full-frame switches share, in front of
+// its own FrameStage: per-input VOQs, and per input one frame at a time
+// being spread over N consecutive slots, one cell to each intermediate
+// port. An idle input picks, round-robin over its VOQs, one that holds a
+// full frame of N packets. What an input does when no VOQ holds one is the
+// only thing UFS and Padded Frames disagree on, so Step takes it as a
+// policy: UFS idles, PF names a VOQ to pad with fake cells.
+type Spreader struct {
+	n        int
+	voq      []queue.FIFO[sim.Packet] // VOQ i*n+j
+	inputs   []spreadInput
+	frameSeq []uint64 // per-VOQ frame counter (orders frames of a flow)
+	nextID   uint64   // global frame identity
+	mid      *FrameStage
+	inBuf    int   // real packets at the input side
+	padded   int64 // fake cells injected
+}
+
+type spreadInput struct {
+	// frame is the input's one reusable N-packet buffer; cells [pos, n)
+	// are still to be sent, so pos == n means the input is idle.
+	frame   []sim.Packet
+	pos     int
+	frameID uint64
+	flowSeq uint64
+	rr      int // round-robin pointer over VOQs for frame selection
+}
+
+// NewSpreader builds the full-frame input side and center stage of an
+// n-port switch.
+func NewSpreader(n int) *Spreader {
+	sp := &Spreader{
+		n:        n,
+		voq:      make([]queue.FIFO[sim.Packet], n*n),
+		inputs:   make([]spreadInput, n),
+		frameSeq: make([]uint64, n*n),
+		mid:      NewFrameStage(n),
+	}
+	frames := make([]sim.Packet, n*n)
+	for i := range sp.inputs {
+		sp.inputs[i].frame = frames[i*n : (i+1)*n : (i+1)*n]
+		sp.inputs[i].pos = n
+	}
+	return sp
+}
+
+// Arrive buffers p in its VOQ.
+func (sp *Spreader) Arrive(p sim.Packet) {
+	sp.voq[int(p.In)*sp.n+int(p.Out)].Push(p)
+	sp.inBuf++
+}
+
+// Backlog returns the number of real packets buffered at the inputs and
+// in the center stage.
+func (sp *Spreader) Backlog() int { return sp.inBuf + sp.mid.Backlog() }
+
+// VOQLen returns the number of packets waiting in VOQ (i, j), not counting
+// a frame already being spread.
+func (sp *Spreader) VOQLen(i, j int) int { return sp.voq[i*sp.n+j].Len() }
+
+// PaddingInjected returns the number of fake cells spread so far.
+func (sp *Spreader) PaddingInjected() int64 { return sp.padded }
+
+// Step executes slot t: the second fabric drains the center stage, then
+// every input sends the next cell of its frame over the first fabric. When
+// an idle input has no full frame, pad (nil for never) is asked which of
+// its VOQs to pad to a full frame; a negative answer leaves the input idle.
+func (sp *Spreader) Step(t sim.Slot, deliver sim.DeliverFunc, pad func(i int) int) {
+	sp.mid.Step(t, deliver)
+	for i := range sp.inputs {
+		in := &sp.inputs[i]
+		if in.pos == sp.n && !sp.startFull(i) {
+			if pad == nil {
+				continue
+			}
+			j := pad(i)
+			if j < 0 {
+				continue
+			}
+			sp.startPadded(i, j, t)
+		}
+		c := Cell{
+			Pkt:     in.frame[in.pos],
+			FrameID: in.frameID,
+			FlowSeq: in.flowSeq,
+			Index:   in.pos,
+			Size:    sp.n,
+		}
+		in.pos++
+		if !c.Pkt.Fake {
+			sp.inBuf--
+		}
+		sp.mid.Enqueue(sim.FirstStage(i, t, sp.n), c)
+	}
+}
+
+// startFull scans input i's VOQs round-robin for one holding a full frame
+// and, if found, moves the frame into the input's buffer for spreading.
+func (sp *Spreader) startFull(i int) bool {
+	in := &sp.inputs[i]
+	for k := 0; k < sp.n; k++ {
+		j := (in.rr + k) % sp.n
+		if q := &sp.voq[i*sp.n+j]; q.Len() >= sp.n {
+			q.PopInto(in.frame)
+			sp.startFrame(i, j)
+			return true
+		}
+	}
+	return false
+}
+
+// startPadded moves all of VOQ (i, j) into input i's buffer and fills the
+// rest of the frame with fake cells.
+func (sp *Spreader) startPadded(i, j int, t sim.Slot) {
+	in := &sp.inputs[i]
+	k := sp.voq[i*sp.n+j].PopInto(in.frame)
+	for u := k; u < sp.n; u++ {
+		in.frame[u] = sim.Packet{In: int32(i), Out: int32(j), Fake: true, Arrival: t}
+	}
+	sp.padded += int64(sp.n - k)
+	sp.startFrame(i, j)
+}
+
+// startFrame begins spreading the frame in input i's buffer and assigns its
+// frame identity and per-flow sequence number.
+func (sp *Spreader) startFrame(i, j int) {
+	in := &sp.inputs[i]
+	in.pos = 0
+	in.frameID = sp.nextID
+	sp.nextID++
+	in.flowSeq = sp.frameSeq[i*sp.n+j]
+	sp.frameSeq[i*sp.n+j]++
+	in.rr = (j + 1) % sp.n
+}

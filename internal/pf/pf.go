@@ -16,8 +16,7 @@
 package pf
 
 import (
-	"sprinklers/internal/framegrid"
-	"sprinklers/internal/queue"
+	"sprinklers/internal/midstage"
 	"sprinklers/internal/sim"
 )
 
@@ -40,7 +39,8 @@ func DefaultThreshold(n int) int {
 	return t
 }
 
-// Switch is a Padded Frames switch.
+// Switch is a Padded Frames switch: the shared full-frame spreader plus
+// the padding policy.
 type Switch struct {
 	n         int
 	threshold int // 0 = adaptive
@@ -48,21 +48,7 @@ type Switch struct {
 	// Adaptive-threshold state: per-input arrival counts and EWMA load.
 	arrivals []int64
 	loadEst  []float64
-	voq      [][]queue.FIFO[sim.Packet]
-	inputs   []inputState
-	mid      *framegrid.Stage
-	inBuf    int
-	padded   int64      // fake cells injected, for the waste ablation
-	frameSeq [][]uint64 // per-VOQ frame counter
-	nextID   uint64     // global frame identity
-}
-
-type inputState struct {
-	frame   []sim.Packet
-	pos     int
-	frameID uint64
-	flowSeq uint64
-	rr      int
+	sp       *midstage.Spreader
 }
 
 // New builds an n-port Padded Frames switch. threshold in [1, N] fixes the
@@ -72,21 +58,13 @@ func New(n, threshold int) *Switch {
 	if threshold < 0 || threshold > n {
 		panic("pf: threshold must be AdaptiveThreshold or in [1, N]")
 	}
-	s := &Switch{
+	return &Switch{
 		n:         n,
 		threshold: threshold,
-		voq:       make([][]queue.FIFO[sim.Packet], n),
-		inputs:    make([]inputState, n),
-		mid:       framegrid.New(n),
-		frameSeq:  make([][]uint64, n),
+		sp:        midstage.NewSpreader(n),
 		arrivals:  make([]int64, n),
 		loadEst:   make([]float64, n),
 	}
-	for i := range s.voq {
-		s.voq[i] = make([]queue.FIFO[sim.Packet], n)
-		s.frameSeq[i] = make([]uint64, n)
-	}
-	return s
 }
 
 // N implements sim.Switch.
@@ -96,27 +74,22 @@ func (s *Switch) N() int { return s.n }
 func (s *Switch) Now() sim.Slot { return s.t }
 
 // Backlog implements sim.Switch (real packets only).
-func (s *Switch) Backlog() int { return s.inBuf + s.mid.Backlog() }
+func (s *Switch) Backlog() int { return s.sp.Backlog() }
 
 // PaddingInjected returns the number of fake cells spread so far.
-func (s *Switch) PaddingInjected() int64 { return s.padded }
+func (s *Switch) PaddingInjected() int64 { return s.sp.PaddingInjected() }
 
 // Arrive implements sim.Switch.
 func (s *Switch) Arrive(p sim.Packet) {
-	s.voq[p.In][p.Out].Push(p)
-	s.inBuf++
+	s.sp.Arrive(p)
 	s.arrivals[p.In]++
 }
 
 // Step implements sim.Switch.
 func (s *Switch) Step(deliver sim.DeliverFunc) {
-	t := s.t
-	s.mid.Step(t, deliver)
-	for i := 0; i < s.n; i++ {
-		s.stepInput(i, t)
-	}
+	s.sp.Step(s.t, deliver, s.padTarget)
 	if s.threshold == AdaptiveThreshold {
-		s.updateLoadEstimates(t)
+		s.updateLoadEstimates(s.t)
 	}
 	s.t++
 }
@@ -154,77 +127,17 @@ func (s *Switch) thresholdFor(i int) int {
 	return t
 }
 
-func (s *Switch) stepInput(i int, t sim.Slot) {
-	in := &s.inputs[i]
-	if in.frame == nil {
-		s.selectFrame(i, t)
-	}
-	if in.frame == nil {
-		return
-	}
-	c := framegrid.Cell{
-		Pkt:     in.frame[in.pos],
-		FrameID: in.frameID,
-		FlowSeq: in.flowSeq,
-		Index:   in.pos,
-		Size:    len(in.frame),
-	}
-	in.pos++
-	if in.pos == len(in.frame) {
-		in.frame = nil
-	}
-	if !c.Pkt.Fake {
-		s.inBuf--
-	}
-	s.mid.Enqueue(sim.FirstStage(i, t, s.n), c)
-}
-
-func (s *Switch) selectFrame(i int, t sim.Slot) {
-	in := &s.inputs[i]
-	// Full ordered frames first, round-robin among them.
-	for k := 0; k < s.n; k++ {
-		j := (in.rr + k) % s.n
-		q := &s.voq[i][j]
-		if q.Len() < s.n {
-			continue
-		}
-		frame := make([]sim.Packet, s.n)
-		for u := range frame {
-			frame[u] = q.Pop()
-		}
-		in.startFrame(s, i, j, frame)
-		return
-	}
-	// No full frame: pad the longest VOQ if it crossed the threshold.
+// padTarget is the padding policy, asked when input i is idle and holds no
+// full frame: pad the longest VOQ if it crossed the threshold.
+func (s *Switch) padTarget(i int) int {
 	longest, best := -1, 0
 	for j := 0; j < s.n; j++ {
-		if l := s.voq[i][j].Len(); l > best {
+		if l := s.sp.VOQLen(i, j); l > best {
 			best, longest = l, j
 		}
 	}
-	if longest < 0 || best < s.thresholdFor(i) {
-		return
+	if best < s.thresholdFor(i) {
+		return -1
 	}
-	q := &s.voq[i][longest]
-	frame := make([]sim.Packet, 0, s.n)
-	for !q.Empty() {
-		frame = append(frame, q.Pop())
-	}
-	for len(frame) < s.n {
-		frame = append(frame, sim.Packet{In: int32(i), Out: int32(longest), Fake: true, Arrival: t})
-		s.padded++
-	}
-	in.startFrame(s, i, longest, frame)
-}
-
-// startFrame installs a full (possibly padded) frame for spreading and
-// assigns its frame identity and per-flow sequence number.
-func (in *inputState) startFrame(s *Switch, i, j int, frame []sim.Packet) {
-	in.frame = frame
-	in.pos = 0
-	in.frameID = s.nextID
-	s.nextID++
-	in.flowSeq = s.frameSeq[i][j]
-	s.frameSeq[i][j]++
-	in.rr = (j + 1) % s.n
+	return longest
 }

@@ -107,6 +107,38 @@ func (b *Bank[T]) Peek(q int) T {
 	return b.nodes[idx].v
 }
 
+// RemoveFirst unlinks and returns the first element of queue q, in FIFO
+// order, for which match reports true; ok is false when none does. Later
+// elements keep their order. It is O(position of the match) and exists for
+// the frame-atomic center stage, which must extract a specific frame's
+// packet from behind packets of frames that have not started yet.
+func (b *Bank[T]) RemoveFirst(q int, match func(*T) bool) (v T, ok bool) {
+	r := &b.refs[q]
+	prev := int32(-1)
+	for idx := r.head; idx >= 0; prev, idx = idx, b.nodes[idx].next {
+		nd := &b.nodes[idx]
+		if !match(&nd.v) {
+			continue
+		}
+		if prev >= 0 {
+			b.nodes[prev].next = nd.next
+		} else {
+			r.head = nd.next
+		}
+		if nd.next < 0 {
+			r.tail = prev
+		}
+		v = nd.v
+		var zero T
+		nd.v = zero // release references for GC
+		nd.next = b.free
+		b.free = idx
+		b.n--
+		return v, true
+	}
+	return v, false
+}
+
 // QueueLen walks queue q and returns its length. It is O(len) and exists
 // for tests and diagnostics; hot paths track occupancy via bitmaps.
 func (b *Bank[T]) QueueLen(q int) int {

@@ -82,6 +82,84 @@ func TestBankModel(t *testing.T) {
 	}
 }
 
+// TestBankRemoveFirstModel drives RemoveFirst against a slice-of-slices
+// oracle through head, middle and tail hits and a miss, then checks what a
+// removal must leave intact: Push after a tail removal appends behind the
+// new tail, the freed node is reused, and Len follows.
+func TestBankRemoveFirstModel(t *testing.T) {
+	const queues = 3
+	b := NewBank[int](queues)
+	model := make([][]int, queues)
+	push := func(q, v int) {
+		b.Push(q, v)
+		model[q] = append(model[q], v)
+	}
+	remove := func(q, v int) {
+		t.Helper()
+		want, wantOK := 0, false
+		for i, x := range model[q] {
+			if x == v {
+				want, wantOK = x, true
+				model[q] = append(model[q][:i:i], model[q][i+1:]...)
+				break
+			}
+		}
+		got, ok := b.RemoveFirst(q, func(x *int) bool { return *x == v })
+		if got != want || ok != wantOK {
+			t.Fatalf("RemoveFirst(%d, ==%d) = %d, %v; want %d, %v", q, v, got, ok, want, wantOK)
+		}
+	}
+	check := func() {
+		t.Helper()
+		total := 0
+		for q := range model {
+			total += len(model[q])
+			if b.QueueLen(q) != len(model[q]) || b.Empty(q) != (len(model[q]) == 0) {
+				t.Fatalf("queue %d: QueueLen %d Empty %v, model %v", q, b.QueueLen(q), b.Empty(q), model[q])
+			}
+		}
+		if b.Len() != total {
+			t.Fatalf("Len = %d, want %d", b.Len(), total)
+		}
+	}
+	for v := 0; v < 15; v++ {
+		push(v%queues, v) // queue 1 holds 1 4 7 10 13
+	}
+	for _, v := range []int{1, 7, 13, 99} { // head, middle, tail, miss
+		remove(1, v)
+		check()
+	}
+	push(1, 16) // behind the new tail, on the node the tail removal freed
+	slab := len(b.nodes)
+	push(1, 19)
+	push(1, 22)
+	if len(b.nodes) != slab {
+		t.Fatalf("slab grew to %d nodes with %d on the free list", len(b.nodes), 2)
+	}
+	check()
+	remove(1, 4)
+	remove(1, 4) // already gone
+	remove(0, 0)
+	check()
+	// The survivors leave in FIFO order, and a queue emptied by
+	// RemoveFirst alone accepts pushes again.
+	for q := range model {
+		for _, want := range model[q] {
+			if got := b.Pop(q); got != want {
+				t.Fatalf("queue %d: Pop = %d, want %d", q, got, want)
+			}
+		}
+		model[q] = nil
+	}
+	push(2, 7)
+	remove(2, 7)
+	push(2, 8)
+	check()
+	if b.Pop(2) != 8 || b.Len() != 0 {
+		t.Fatal("queue emptied by RemoveFirst did not restart cleanly")
+	}
+}
+
 // TestBankNodeReuse: after draining, the slab must recycle nodes rather
 // than grow — steady-state churn at or below the high-water mark is
 // allocation-free.

@@ -33,25 +33,6 @@ func (q *FIFO[T]) Push(v T) {
 	q.n++
 }
 
-// PushSlice appends every element of vs to the tail of the queue in order.
-// It reserves capacity once and copies in at most two chunks, so a bulk
-// enqueue avoids per-element call overhead. It is the enqueue-side
-// counterpart of PopInto (which the stripe-formation hot path uses); it
-// exists so callers moving packet runs in either direction get the same
-// two-copy cost.
-func (q *FIFO[T]) PushSlice(vs []T) {
-	if len(vs) == 0 {
-		return
-	}
-	if q.n+len(vs) > len(q.buf) {
-		q.grow(q.n + len(vs))
-	}
-	tail := (q.head + q.n) & (len(q.buf) - 1)
-	k := copy(q.buf[tail:], vs)
-	copy(q.buf, vs[k:])
-	q.n += len(vs)
-}
-
 // Pop removes and returns the head of the queue. It panics on an empty
 // queue; callers check Empty or Len first.
 func (q *FIFO[T]) Pop() T {
@@ -99,35 +80,6 @@ func (q *FIFO[T]) Peek() T {
 		panic("queue: Peek on empty FIFO")
 	}
 	return q.buf[q.head]
-}
-
-// PeekAt returns the i-th element from the head (0 = head) without removing
-// it. It panics if i is out of range.
-func (q *FIFO[T]) PeekAt(i int) T {
-	if i < 0 || i >= q.n {
-		panic("queue: PeekAt out of range")
-	}
-	return q.buf[(q.head+i)&(len(q.buf)-1)]
-}
-
-// RemoveAt removes and returns the i-th element from the head (0 = head),
-// shifting later elements forward. It is O(n) and exists for the frame-grid
-// center stage, which must extract a specific frame's packet from the middle
-// of a port queue. It panics if i is out of range.
-func (q *FIFO[T]) RemoveAt(i int) T {
-	if i < 0 || i >= q.n {
-		panic("queue: RemoveAt out of range")
-	}
-	mask := len(q.buf) - 1
-	v := q.buf[(q.head+i)&mask]
-	for k := i; k > 0; k-- {
-		q.buf[(q.head+k)&mask] = q.buf[(q.head+k-1)&mask]
-	}
-	var zero T
-	q.buf[q.head] = zero
-	q.head = (q.head + 1) & mask
-	q.n--
-	return v
 }
 
 // Grow ensures the queue can hold at least capacity elements without

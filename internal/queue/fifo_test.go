@@ -68,81 +68,26 @@ func TestFIFOModel(t *testing.T) {
 			if q.Len() != len(model) {
 				return false
 			}
-			for i := range model {
-				if q.PeekAt(i) != model[i] {
-					return false
-				}
+			if len(model) > 0 && q.Peek() != model[0] {
+				return false
 			}
 		}
-		return true
+		for _, want := range model {
+			if q.Pop() != want {
+				return false
+			}
+		}
+		return q.Empty()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestFIFORemoveAt(t *testing.T) {
-	f := func(vals []uint8, removeIdx uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		var q FIFO[uint8]
-		for _, v := range vals {
-			q.Push(v)
-		}
-		i := int(removeIdx) % len(vals)
-		got := q.RemoveAt(i)
-		if got != vals[i] {
-			return false
-		}
-		rest := append(append([]uint8(nil), vals[:i]...), vals[i+1:]...)
-		if q.Len() != len(rest) {
-			return false
-		}
-		for k, want := range rest {
-			if q.PeekAt(k) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFIFORemoveAtWrapped(t *testing.T) {
-	// Force the ring to wrap, then remove from the middle.
-	var q FIFO[int]
-	for i := 0; i < 8; i++ {
-		q.Push(i)
-	}
-	for i := 0; i < 6; i++ {
-		q.Pop()
-	}
-	for i := 8; i < 14; i++ {
-		q.Push(i)
-	}
-	// Queue: 6 7 8 9 10 11 12 13
-	if got := q.RemoveAt(3); got != 9 {
-		t.Fatalf("RemoveAt(3) = %d, want 9", got)
-	}
-	want := []int{6, 7, 8, 10, 11, 12, 13}
-	for _, w := range want {
-		if got := q.Pop(); got != w {
-			t.Fatalf("Pop = %d, want %d", got, w)
-		}
-	}
-}
-
 func TestFIFOPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"Pop empty":        func() { var q FIFO[int]; q.Pop() },
-		"Peek empty":       func() { var q FIFO[int]; q.Peek() },
-		"PeekAt range":     func() { var q FIFO[int]; q.Push(1); q.PeekAt(1) },
-		"RemoveAt range":   func() { var q FIFO[int]; q.RemoveAt(0) },
-		"PeekAt negative":  func() { var q FIFO[int]; q.Push(1); q.PeekAt(-1) },
-		"RemoveAt neg idx": func() { var q FIFO[int]; q.Push(1); q.RemoveAt(-1) },
+		"Pop empty":  func() { var q FIFO[int]; q.Pop() },
+		"Peek empty": func() { var q FIFO[int]; q.Peek() },
 	} {
 		func() {
 			defer func() {
@@ -174,53 +119,9 @@ func wrappedFIFO(offset, vals int) (*FIFO[int], []int) {
 	return q, model
 }
 
-// TestFIFOPeekAtWrapAndGrowth checks PeekAt at every index for queues whose
-// head sits at every possible ring offset, across sizes that straddle the
-// power-of-two growth boundaries (7..9, 15..17, ...).
-func TestFIFOPeekAtWrapAndGrowth(t *testing.T) {
-	for _, vals := range []int{1, 7, 8, 9, 15, 16, 17, 31, 32, 33} {
-		for offset := 0; offset <= 40; offset++ {
-			q, model := wrappedFIFO(offset, vals)
-			for i, want := range model {
-				if got := q.PeekAt(i); got != want {
-					t.Fatalf("offset=%d vals=%d: PeekAt(%d) = %d, want %d",
-						offset, vals, i, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestFIFORemoveAtWrapAndGrowth removes every possible index from wrapped
-// queues of boundary-straddling sizes and checks the survivors pop in order.
-func TestFIFORemoveAtWrapAndGrowth(t *testing.T) {
-	for _, vals := range []int{1, 7, 8, 9, 16, 17} {
-		for offset := 0; offset <= 20; offset++ {
-			for idx := 0; idx < vals; idx++ {
-				q, model := wrappedFIFO(offset, vals)
-				if got := q.RemoveAt(idx); got != model[idx] {
-					t.Fatalf("offset=%d vals=%d: RemoveAt(%d) = %d, want %d",
-						offset, vals, idx, got, model[idx])
-				}
-				rest := append(append([]int(nil), model[:idx]...), model[idx+1:]...)
-				if q.Len() != len(rest) {
-					t.Fatalf("offset=%d vals=%d idx=%d: Len = %d, want %d",
-						offset, vals, idx, q.Len(), len(rest))
-				}
-				for _, want := range rest {
-					if got := q.Pop(); got != want {
-						t.Fatalf("offset=%d vals=%d idx=%d: Pop = %d, want %d",
-							offset, vals, idx, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestFIFOBulkModel drives PushSlice/PopInto and a plain-slice model with the
+// TestFIFOBulkModel drives Push/PopInto and a plain-slice model with the
 // same random operation sequence and requires identical observable behavior,
-// so the two-chunk copy paths are exercised across wrap and growth.
+// so PopInto's two-chunk copy path is exercised across wrap and growth.
 func TestFIFOBulkModel(t *testing.T) {
 	f := func(ops []uint8) bool {
 		var q FIFO[uint8]
@@ -228,14 +129,12 @@ func TestFIFOBulkModel(t *testing.T) {
 		var next uint8
 		for _, op := range ops {
 			switch op % 4 {
-			case 0, 1: // PushSlice of op%7 elements
-				chunk := make([]uint8, int(op)%7)
-				for i := range chunk {
-					chunk[i] = next
+			case 0, 1: // a run of op%7 pushes
+				for i := 0; i < int(op)%7; i++ {
+					q.Push(next)
+					model = append(model, next)
 					next++
 				}
-				q.PushSlice(chunk)
-				model = append(model, chunk...)
 			case 2: // PopInto a buffer possibly larger than the queue
 				dst := make([]uint8, int(op)%9)
 				got := q.PopInto(dst)
@@ -264,39 +163,19 @@ func TestFIFOBulkModel(t *testing.T) {
 			if q.Len() != len(model) {
 				return false
 			}
-			for i := range model {
-				if q.PeekAt(i) != model[i] {
-					return false
-				}
+			if len(model) > 0 && q.Peek() != model[0] {
+				return false
 			}
 		}
-		return true
+		for _, want := range model {
+			if q.Pop() != want {
+				return false
+			}
+		}
+		return q.Empty()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestFIFOPushSliceAliasesSafely pushes a slice that wraps the ring and then
-// pops element-wise; order and values must match.
-func TestFIFOPushSliceWrapped(t *testing.T) {
-	q, model := wrappedFIFO(5, 3)
-	extra := []int{100, 101, 102, 103, 104, 105}
-	q.PushSlice(extra)
-	model = append(model, extra...)
-	dst := make([]int, 4)
-	if got := q.PopInto(dst); got != 4 {
-		t.Fatalf("PopInto = %d, want 4", got)
-	}
-	for i, want := range model[:4] {
-		if dst[i] != want {
-			t.Fatalf("dst[%d] = %d, want %d", i, dst[i], want)
-		}
-	}
-	for _, want := range model[4:] {
-		if got := q.Pop(); got != want {
-			t.Fatalf("Pop = %d, want %d", got, want)
-		}
 	}
 }
 
@@ -309,11 +188,8 @@ func TestFIFOPopIntoReleasesReferences(t *testing.T) {
 	}
 	dst := make([]*int, 6)
 	q.PopInto(dst)
-	for i := 0; i < 6; i++ {
-		q.Push(nil)
-	}
-	for i := 0; i < 6; i++ {
-		if q.PeekAt(i) != nil {
+	for i, p := range q.buf {
+		if p != nil {
 			t.Fatalf("slot %d not zeroed by PopInto", i)
 		}
 	}

@@ -15,7 +15,7 @@
 package scenario
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -64,14 +64,11 @@ type Config struct {
 	// collector's own bookkeeping — the hook fault-injection harnesses use
 	// to abort a replay at an exact slot.
 	OnSlot func(sim.Slot)
-	// Cancel, when non-nil, aborts the replay early (sim.WithCancel
-	// semantics). Run then returns ErrCanceled instead of a partial,
-	// misleading Result.
-	Cancel <-chan struct{}
+	// Context, when non-nil, aborts the replay early once it is done
+	// (sim.WithContext semantics). Run then returns its Err instead of a
+	// partial, misleading Result.
+	Context context.Context
 }
-
-// ErrCanceled is returned by Run when Config.Cancel fired mid-replay.
-var ErrCanceled = errors.New("scenario: replay canceled")
 
 // Result is one replay's outcome: the windowed trajectory plus the usual
 // whole-run aggregates.
@@ -114,6 +111,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
+	if cfg.Context == nil {
+		cfg.Context = context.Background()
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rates, err := registry.WorkloadRates(cfg.Traffic, cfg.N, cfg.Load, rng, cfg.TrafficOptions)
 	if err != nil {
@@ -154,18 +154,12 @@ func Run(cfg Config) (*Result, error) {
 	runOpts := []sim.Option{
 		sim.WithWarmup(cfg.Warmup), sim.WithSlots(cfg.Slots),
 		sim.WithParallelism(cfg.Parallelism), sim.WithSlotHook(onSlot),
-	}
-	if cfg.Cancel != nil {
-		runOpts = append(runOpts, sim.WithCancel(cfg.Cancel))
+		sim.WithContext(cfg.Context),
 	}
 	offered, delivered := sim.Run(sw, windowed.WrapSource(src),
 		stats.Multi{delay, windowed}, runOpts...)
-	if cfg.Cancel != nil {
-		select {
-		case <-cfg.Cancel:
-			return nil, ErrCanceled
-		default:
-		}
+	if err := cfg.Context.Err(); err != nil {
+		return nil, err
 	}
 	return &Result{
 		Windows:   windowed.Points(),

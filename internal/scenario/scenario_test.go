@@ -1,6 +1,8 @@
 package scenario_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -275,6 +277,21 @@ func TestRunRejections(t *testing.T) {
 		if _, err := scenario.Run(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// TestRunCanceled: a replay whose context is done returns the context's
+// error and no partial Result, so callers need only the usual cancellation
+// check (experiment.IsCancellation).
+func TestRunCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := scenario.Run(scenario.Config{
+		Algorithm: "sprinklers", Traffic: "uniform", Scenario: "flashcrowd",
+		N: 8, Load: 0.5, Slots: 1000, Windows: 4, Seed: 1, Context: ctx,
+	})
+	if res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled replay returned (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 }
 

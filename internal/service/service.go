@@ -95,12 +95,8 @@ type Options struct {
 	// simulating — a deterministic chaos knob that turns this daemon into a
 	// straggler for scheduler tests (`sprinklerd -chaos-job-delay`).
 	JobDelay time.Duration
-	// Logf, when set, receives one line per notable server event. Superseded
-	// by Logger when both are set; kept so older embedders and tests keep
-	// their plain-text lines.
-	Logf func(format string, args ...any)
 	// Logger, when set, receives structured events (study/job/worker ids as
-	// attributes). Precedence: Logger, then Logf (wrapped), then discard.
+	// attributes); nil discards them.
 	Logger *slog.Logger
 	// Node names this daemon in trace spans and log lines so merged
 	// cluster timelines attribute work to the right process; empty defaults
@@ -264,12 +260,8 @@ func New(opts Options) (*Server, error) {
 		baseCancel:  cancel,
 		studies:     map[string]*study{},
 	}
-	switch {
-	case opts.Logger != nil:
-		s.log = opts.Logger
-	case opts.Logf != nil:
-		s.log = trace.LogfLogger(opts.Logf)
-	default:
+	s.log = opts.Logger
+	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
 	}
 	s.log = s.log.With("node", node)

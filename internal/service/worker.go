@@ -405,12 +405,9 @@ func (s *Server) handleClusterRegister(w http.ResponseWriter, r *http.Request) {
 // worker's current load report. Failures are logged and retried on the
 // next tick: a worker that outlives a coordinator restart re-registers
 // itself the moment the coordinator is back.
-func (s *Server) JoinCluster(ctx context.Context, coordinatorURL, selfURL string, interval time.Duration, logf func(string, ...any)) {
+func (s *Server) JoinCluster(ctx context.Context, coordinatorURL, selfURL string, interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
-	}
-	if logf == nil {
-		logf = func(string, ...any) {}
 	}
 	beat := func() {
 		load := s.LoadReport()
@@ -420,13 +417,13 @@ func (s *Server) JoinCluster(ctx context.Context, coordinatorURL, selfURL string
 		req, err := http.NewRequestWithContext(bctx, http.MethodPost,
 			coordinatorURL+"/api/v1/cluster/heartbeat", bytes.NewReader(body))
 		if err != nil {
-			logf("cluster join: %v", err)
+			s.log.Warn("cluster join failed", "coordinator", coordinatorURL, "err", err)
 			return
 		}
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			logf("cluster join: heartbeat to %s: %v", coordinatorURL, err)
+			s.log.Warn("cluster join: heartbeat failed", "coordinator", coordinatorURL, "err", err)
 			return
 		}
 		resp.Body.Close()

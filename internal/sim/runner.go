@@ -84,11 +84,6 @@ func WithContext(ctx context.Context) Option {
 	return func(o *runOptions) { o.cancel = ctx.Done() }
 }
 
-// WithCancel is WithContext for callers that hold a raw channel instead of
-// a context: a successful receive (e.g. from a closed channel) stops the
-// run at the next poll.
-func WithCancel(c <-chan struct{}) Option { return func(o *runOptions) { o.cancel = c } }
-
 // WithParallelism shards the switch's slot execution across p worker
 // goroutines for the duration of the run, when the switch supports it
 // (implements Parallelizable); on any other switch the option is a no-op,
@@ -98,7 +93,7 @@ func WithCancel(c <-chan struct{}) Option { return func(o *runOptions) { o.cance
 // configuration without touching result identity.
 func WithParallelism(p int) Option { return func(o *runOptions) { o.parallelism = p } }
 
-// cancelCheckSlots is how often Run polls the cancel channel. At ~1µs/slot
+// cancelCheckSlots is how often Run polls the context's Done channel. At ~1µs/slot
 // for a large switch this bounds cancellation latency to a few
 // milliseconds while costing one predictable branch per slot.
 const cancelCheckSlots = 1024
@@ -168,38 +163,4 @@ func Run(sw Switch, src Source, obs Observer, opts ...Option) (offered, delivere
 		}
 	}
 	return offered, delivered
-}
-
-// RunConfig is the previous generation's run configuration.
-//
-// Deprecated: use the Run options (WithWarmup, WithSlots, WithSlotHook,
-// WithContext/WithCancel, WithParallelism) instead; RunConfig predates
-// them and cannot express parallel execution. It is kept for one release
-// so external callers migrate at their own pace.
-type RunConfig struct {
-	// Warmup is the number of initial slots whose deliveries are filtered
-	// from the observer and the returned counts.
-	Warmup Slot
-	// Slots is the number of measured slots executed after the warmup.
-	Slots Slot
-	// OnSlot, when non-nil, is invoked once per slot after the switch's
-	// Step completes (warmup slots included).
-	OnSlot func(t Slot)
-	// Cancel, when non-nil, makes the run return early once a receive
-	// from it succeeds.
-	Cancel <-chan struct{}
-}
-
-// RunWithConfig drives sw under a legacy RunConfig.
-//
-// Deprecated: call Run with options; this shim just translates the config.
-func RunWithConfig(sw Switch, src Source, cfg RunConfig, obs Observer) (offered, delivered int64) {
-	opts := []Option{WithWarmup(cfg.Warmup), WithSlots(cfg.Slots)}
-	if cfg.OnSlot != nil {
-		opts = append(opts, WithSlotHook(cfg.OnSlot))
-	}
-	if cfg.Cancel != nil {
-		opts = append(opts, WithCancel(cfg.Cancel))
-	}
-	return Run(sw, src, obs, opts...)
 }

@@ -213,18 +213,6 @@ func TestRunOnSlotHook(t *testing.T) {
 	}
 }
 
-// TestRunWithConfigShim: the deprecated RunConfig surface stays equivalent
-// to the options it translates to.
-func TestRunWithConfigShim(t *testing.T) {
-	hooks := 0
-	offered, delivered := RunWithConfig(newFakeSwitch(4, 3), scriptSource{4},
-		RunConfig{Warmup: 10, Slots: 20, OnSlot: func(Slot) { hooks++ }}, nil)
-	if offered != 20 || delivered != 17 || hooks != 30 {
-		t.Fatalf("shim run: offered=%d delivered=%d hooks=%d, want 20/17/30",
-			offered, delivered, hooks)
-	}
-}
-
 // TestRunWithContextCancel: a done context stops the run at the next poll
 // with the counts accumulated so far.
 func TestRunWithContextCancel(t *testing.T) {

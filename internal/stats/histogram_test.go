@@ -15,9 +15,9 @@ func TestHistBucketIndex(t *testing.T) {
 	}{
 		{0, 0},
 		{1, 0},
-		{1024, 0},        // exactly 2^10 -> first bucket
-		{1025, 1},        // just over -> second
-		{2048, 1},        // 2^11 upper bound inclusive
+		{1024, 0}, // exactly 2^10 -> first bucket
+		{1025, 1}, // just over -> second
+		{2048, 1}, // 2^11 upper bound inclusive
 		{2049, 2},
 		{1 << 36, histBuckets - 2}, // largest finite bound
 		{1<<36 + 1, histBuckets - 1},

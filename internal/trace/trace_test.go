@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 )
@@ -205,35 +204,4 @@ func TestWriteChromeTrace(t *testing.T) {
 	if len(pids) != 2 {
 		t.Fatalf("complete events span %d pids, want 2 (coordinator + worker)", len(pids))
 	}
-}
-
-func TestLogfLogger(t *testing.T) {
-	var lines []string
-	lg := LogfLogger(func(format string, args ...any) {
-		var b strings.Builder
-		b.WriteString(format)
-		lines = append(lines, strings.TrimSpace(strings.ReplaceAll(b.String(), "%s", "")+join(args)))
-	})
-	lg.Info("hello", "study", "abc")
-	lg.Warn("slow", "job", "k1")
-	lg.Debug("hidden")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2 (Debug dropped)", len(lines))
-	}
-	if !strings.Contains(lines[0], "study=abc") {
-		t.Fatalf("attrs not rendered: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "WARN") {
-		t.Fatalf("warn level not rendered: %q", lines[1])
-	}
-}
-
-func join(args []any) string {
-	var b strings.Builder
-	for _, a := range args {
-		if s, ok := a.(string); ok {
-			b.WriteString(s)
-		}
-	}
-	return b.String()
 }

@@ -12,45 +12,21 @@
 package ufs
 
 import (
-	"sprinklers/internal/framegrid"
-	"sprinklers/internal/queue"
+	"sprinklers/internal/midstage"
 	"sprinklers/internal/sim"
 )
 
-// Switch is a Uniform Frame Spreading switch.
+// Switch is a Uniform Frame Spreading switch: the shared full-frame
+// spreader with no padding policy, so an input idles until a frame fills.
 type Switch struct {
-	n        int
-	t        sim.Slot
-	voq      [][]queue.FIFO[sim.Packet] // voq[i][j]
-	inputs   []inputState
-	mid      *framegrid.Stage
-	inBuf    int        // real packets at input side
-	frameSeq [][]uint64 // per-VOQ frame counter (orders frames of a flow)
-	nextID   uint64     // global frame identity
-}
-
-type inputState struct {
-	frame   []sim.Packet // frame being spread; nil when idle
-	pos     int
-	frameID uint64
-	flowSeq uint64
-	rr      int // round-robin pointer over VOQs for frame selection
+	n  int
+	t  sim.Slot
+	sp *midstage.Spreader
 }
 
 // New builds an n-port UFS switch.
 func New(n int) *Switch {
-	s := &Switch{
-		n:        n,
-		voq:      make([][]queue.FIFO[sim.Packet], n),
-		inputs:   make([]inputState, n),
-		mid:      framegrid.New(n),
-		frameSeq: make([][]uint64, n),
-	}
-	for i := range s.voq {
-		s.voq[i] = make([]queue.FIFO[sim.Packet], n)
-		s.frameSeq[i] = make([]uint64, n)
-	}
-	return s
+	return &Switch{n: n, sp: midstage.NewSpreader(n)}
 }
 
 // N implements sim.Switch.
@@ -60,70 +36,15 @@ func (s *Switch) N() int { return s.n }
 func (s *Switch) Now() sim.Slot { return s.t }
 
 // Backlog implements sim.Switch.
-func (s *Switch) Backlog() int { return s.inBuf + s.mid.Backlog() }
+func (s *Switch) Backlog() int { return s.sp.Backlog() }
 
 // Arrive implements sim.Switch.
-func (s *Switch) Arrive(p sim.Packet) {
-	s.voq[p.In][p.Out].Push(p)
-	s.inBuf++
-}
+func (s *Switch) Arrive(p sim.Packet) { s.sp.Arrive(p) }
 
 // Step implements sim.Switch.
 func (s *Switch) Step(deliver sim.DeliverFunc) {
-	t := s.t
-	s.mid.Step(t, deliver)
-	for i := 0; i < s.n; i++ {
-		s.stepInput(i, t)
-	}
+	s.sp.Step(s.t, deliver, nil)
 	s.t++
-}
-
-func (s *Switch) stepInput(i int, t sim.Slot) {
-	in := &s.inputs[i]
-	if in.frame == nil {
-		s.selectFrame(i)
-	}
-	if in.frame == nil {
-		return // nothing eligible: UFS idles until a frame fills
-	}
-	c := framegrid.Cell{
-		Pkt:     in.frame[in.pos],
-		FrameID: in.frameID,
-		FlowSeq: in.flowSeq,
-		Index:   in.pos,
-		Size:    len(in.frame),
-	}
-	in.pos++
-	if in.pos == len(in.frame) {
-		in.frame = nil
-	}
-	s.inBuf--
-	s.mid.Enqueue(sim.FirstStage(i, t, s.n), c)
-}
-
-// selectFrame scans the VOQs round-robin for one holding a full frame and,
-// if found, extracts the frame for spreading.
-func (s *Switch) selectFrame(i int) {
-	in := &s.inputs[i]
-	for k := 0; k < s.n; k++ {
-		j := (in.rr + k) % s.n
-		q := &s.voq[i][j]
-		if q.Len() < s.n {
-			continue
-		}
-		frame := make([]sim.Packet, s.n)
-		for u := range frame {
-			frame[u] = q.Pop()
-		}
-		in.frame = frame
-		in.pos = 0
-		in.frameID = s.nextID
-		s.nextID++
-		in.flowSeq = s.frameSeq[i][j]
-		s.frameSeq[i][j]++
-		in.rr = (j + 1) % s.n
-		return
-	}
 }
 
 // PendingFrames reports, for tests, how many full frames are currently
@@ -131,7 +52,7 @@ func (s *Switch) selectFrame(i int) {
 func (s *Switch) PendingFrames(i int) int {
 	c := 0
 	for j := 0; j < s.n; j++ {
-		c += s.voq[i][j].Len() / s.n
+		c += s.sp.VOQLen(i, j) / s.n
 	}
 	return c
 }

@@ -57,13 +57,6 @@ type (
 	Observer = sim.Observer
 	// Option configures a Run (see WithWarmup and friends).
 	Option = sim.Option
-
-	// RunConfig is the previous generation's run configuration.
-	//
-	// Deprecated: use Run options (WithWarmup, WithSlots, WithSlotHook,
-	// WithContext/WithCancel, WithParallelism); RunConfig cannot express
-	// parallel execution. RunWithConfig still accepts it.
-	RunConfig = sim.RunConfig
 )
 
 // Run options, re-exported from the engine.
@@ -76,8 +69,6 @@ var (
 	WithSlotHook = sim.WithSlotHook
 	// WithContext stops the run early once the context is done.
 	WithContext = sim.WithContext
-	// WithCancel is WithContext for raw channels.
-	WithCancel = sim.WithCancel
 	// WithParallelism shards slot execution across p workers on switches
 	// that support it (trace-identical for every p; a no-op elsewhere).
 	WithParallelism = sim.WithParallelism
@@ -136,11 +127,8 @@ type (
 )
 
 // Run drives a switch with a source under functional options; re-exported
-// from the engine. RunWithConfig is the deprecated RunConfig-based shim.
-var (
-	Run           = sim.Run
-	RunWithConfig = sim.RunWithConfig
-)
+// from the engine.
+var Run = sim.Run
 
 // Architectures returns the name of every registered switch architecture
 // in canonical (paper legend) order: the seven built-in schemes plus
