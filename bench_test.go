@@ -374,6 +374,33 @@ func BenchmarkSizeSweepStep(b *testing.B) {
 	}
 }
 
+// BenchmarkBaselineSizeSweepStep is the size sweep for the baselines whose
+// input side picks among N VOQs: per-slot cost of FOFF, UFS and PF at
+// uniform load 0.9 across N, so an O(N)-per-input scan creeping back into a
+// scheduler (O(N^2) per slot) shows up as a curve that bends instead of a
+// profile someone has to think of taking. After 12N slots of warm-up UFS at
+// N >= 128 is still accumulating its first frames (they fill after ~N^2
+// slots), which is the regime where every input is idle and asks for a pick
+// every slot. N-512 holds N^2 = 262144 VOQ rings and UFS grows them by
+// ~1 GB per 50000 measured slots: run it with a fixed -benchtime such as
+// 5000x. CI runs the N-32 and N-128 cases.
+func BenchmarkBaselineSizeSweepStep(b *testing.B) {
+	for _, alg := range []experiment.Algorithm{experiment.FOFF, experiment.UFS, experiment.PF} {
+		for _, n := range []int{32, 128, 512} {
+			b.Run(fmt.Sprintf("%s/N-%d", alg, n), func(b *testing.B) {
+				stepLoop(b, steadySwitch(b, fmt.Sprintf("%s-%d", alg, n), 12*n, func() (sim.Switch, sim.Source) {
+					m := traffic.Uniform(n, 0.9)
+					sw, err := experiment.NewSwitch(alg, m, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					return sw, traffic.NewBernoulli(m, rand.New(rand.NewSource(1)))
+				}))
+			})
+		}
+	}
+}
+
 // BenchmarkParallelStep measures the sharded parallel slot engine: per-slot
 // stepping cost at N=4096 under P shard workers versus the sequential path
 // (P-1). The trace is identical for every P — see core's parallel engine —

@@ -10,11 +10,11 @@ import (
 
 // pinnedDigests are SHA-256 digests of the JSON-marshalled Point that
 // RunPoint returns at load 0.9, seed 1, 4000 slots (+800 warm-up), keyed
-// "algorithm/traffic/N". They were recorded before the baselines' center
-// stages moved onto queue.Bank (PR 12) and pin every simulated number of
-// every registered architecture: a queueing-substrate refactor must leave
-// them untouched, and an intended model change must update them in the
-// same commit (the failure message prints the new value).
+// "algorithm/traffic/N". Those up to N = 32 were recorded before the
+// baselines' center stages moved onto queue.Bank (PR 12) and pin every
+// simulated number of every registered architecture: a queueing-substrate
+// refactor must leave them untouched, and an intended model change must
+// update them in the same commit (the failure message prints the new value).
 var pinnedDigests = map[string]string{
 	"load-balanced/uniform/8":      "49d4644dc741d00ab25e22c405c2ec88d4da0f4f4dd9ade24c35ac3be9c01055",
 	"load-balanced/diagonal/8":     "99528e6e50e6dd12373b2dac8da3871adaa1b7a8b7a05de42e0e80a1c34e9e7e",
@@ -42,6 +42,21 @@ var pinnedDigests = map[string]string{
 	"pf/diagonal/32":               "916d14b220b9e19d24460a0d9b80d4c1fd88a487925406cddf52552b20f6d75c",
 	"sprinklers/uniform/32":        "53d883f412ea43fa64fe8013695235c9df107bdb148eccd3f3e4f211bc9d5b0a",
 	"sprinklers/diagonal/32":       "8f3a8cdb31bb6f154eb614e6a18967f87c2e2e35ff37f631b2d490bb2e3d6bc5",
+	// N = 70 and 130 (two and three bitmap words, neither a power of two)
+	// were recorded before PR 13 replaced the FOFF, UFS and PF input-side
+	// VOQ scans with occupancy bitmaps.
+	"foff/uniform/70":   "89042bc39e5d94c8487cb30fa80f11012b7ef16685e80b1ab78c5098a5e37b18",
+	"foff/diagonal/70":  "3f490133ed859fc68a2db3bb8bf29f3b0c55188f1dc302498a1678bd15dad627",
+	"ufs/uniform/70":    "ad91c3863dd1b236f74c1b31f84c7baebed3c6ff76216c6bd988bf63eb008bfc",
+	"ufs/diagonal/70":   "e28684a557aeeab803341aa43547b9f0717ad8903153bb129055166b9a6b4d86",
+	"pf/uniform/70":     "98a1c6bba6e6b3673e42c4436b51f40475d7d60f42922b7c7afb7a4f4623de05",
+	"pf/diagonal/70":    "d2bedf0a6512aa73c58bf24568c6716309d42795dd5710c89601aad80f697161",
+	"foff/uniform/130":  "cd4fd3131eb4d4daee8f1d39b0ee208ac9f33345a65f203ce8bfeabad3d03808",
+	"foff/diagonal/130": "2e8f9088c703ae1a0fa93edcdbf13211d9ec36911dc0f2d091411af9c5a15ee0",
+	"ufs/uniform/130":   "447b30c990f8d05294f08783a092122a5d9954618edbcc7fb343d80020ad4536",
+	"ufs/diagonal/130":  "ff67ffa0c453b6556302ed1157614e0943d77a9d34ed2420c6cd13d6a049ce0e",
+	"pf/uniform/130":    "d5f9baedd284ca4b8fbdb4df27ae1e09b1bc34cefe2c7065b53395ca64de6487",
+	"pf/diagonal/130":   "58cf64d525da2121d3d3d51fa7d40ef2d30bad2931e09885a80aec06f41d6bb7",
 }
 
 func TestPinnedPointDigests(t *testing.T) {
@@ -50,7 +65,8 @@ func TestPinnedPointDigests(t *testing.T) {
 		algs []Algorithm
 	}
 	seen := 0
-	for _, sz := range []size{{8, AllAlgorithms()}, {32, Fig6Algorithms}} {
+	multiWord := []Algorithm{FOFF, UFS, PF}
+	for _, sz := range []size{{8, AllAlgorithms()}, {32, Fig6Algorithms}, {70, multiWord}, {130, multiWord}} {
 		for _, alg := range sz.algs {
 			for _, tr := range []TrafficKind{UniformTraffic, DiagonalTraffic} {
 				key := fmt.Sprintf("%s/%s/%d", alg, tr, sz.n)

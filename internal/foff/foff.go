@@ -26,13 +26,49 @@ import (
 )
 
 // Switch is a Full Ordered Frames First switch.
+//
+// The input scheduler never walks the VOQs. Every VOQ eligible at input i in
+// slot t has next port l = FirstStage(i, t), so all of them are at a frame
+// boundary exactly when l == 0, and the paper's three service classes reduce
+// to one preferred set per slot: "can start a full frame" when l == 0,
+// "inside a full frame" otherwise. Each input therefore keeps three bit sets
+// over its VOQs, updated on Arrive and on service,
+//
+//   - nonEmpty: bit j set ⇔ VOQ (i, j) holds a packet,
+//   - ready:    bit j set ⇔ VOQ (i, j) holds at least N packets,
+//   - inFull:   bit j set ⇔ VOQ (i, j) began its current frame with all N
+//     packets present and has not finished it (never set at a boundary),
+//
+// plus nextAt, one bit set per (input, port): bit j of nextAt[i][l] is set
+// ⇔ VOQ (i, j)'s next packet must traverse intermediate port l. A served
+// VOQ moves from set l to set l+1, so every VOQ is in exactly one of an
+// input's N sets. The slot's choice is the first bit at or cyclically after
+// the round-robin pointer in nextAt[i][l] & nonEmpty & preferred, falling
+// back to nextAt[i][l] & nonEmpty: a few words per input per slot instead
+// of N queue inspections.
+//
+// The three per-input sets cost 3N²/8 bytes together; nextAt costs N³/8
+// bytes — 4 KB at N = 32, 256 KB at N = 128, 16 MB at N = 512, 134 MB at
+// N = 1024, where it is the largest thing in the switch (the VOQ ring headers
+// and the resequencer's per-flow records are 42 MB each; an empty switch
+// measures 0.06, 1.7, 40 and 227 MB at those four sizes). That is the price
+// of a selection that is one AND and one find-first-set per word. An O(N²)
+// list of VOQs per (input, port) would scale further but makes the pick a
+// list walk again, and no study or benchmark here runs FOFF past N = 512.
 type Switch struct {
-	n     int
-	t     sim.Slot
-	voq   [][]queue.FIFO[sim.Packet]
-	sent  [][]uint64 // packets sent per VOQ; next port = sent % n
-	full  [][]bool   // VOQ is inside a full ordered frame
-	rr    []int      // per-input round-robin tie-break pointer
+	n   int
+	w   int // words per bit set: queue.BitWords(n)
+	t   sim.Slot
+	voq []queue.FIFO[sim.Packet] // VOQ i*n+j
+
+	nonEmpty []uint64 // input i's set at [i*w, (i+1)*w)
+	ready    []uint64
+	inFull   []uint64
+	nextAt   []uint64 // set (i, l) at [(i*n+l)*w, (i*n+l+1)*w)
+	elig     []uint64 // scratch: this slot's eligible VOQs
+	pref     []uint64 // scratch: the preferred ones among them
+
+	rr    []int // per-input round-robin tie-break pointer
 	mid   *midstage.Stage
 	inBuf int
 	reseq *stats.Resequencer
@@ -41,21 +77,29 @@ type Switch struct {
 
 // New builds an n-port FOFF switch.
 func New(n int) *Switch {
+	w := queue.BitWords(n)
 	s := &Switch{
-		n:    n,
-		voq:  make([][]queue.FIFO[sim.Packet], n),
-		sent: make([][]uint64, n),
-		full: make([][]bool, n),
-		rr:   make([]int, n),
-		mid:  midstage.New(n),
+		n:        n,
+		w:        w,
+		voq:      make([]queue.FIFO[sim.Packet], n*n),
+		nonEmpty: make([]uint64, n*w),
+		ready:    make([]uint64, n*w),
+		inFull:   make([]uint64, n*w),
+		nextAt:   make([]uint64, n*n*w),
+		elig:     make([]uint64, w),
+		pref:     make([]uint64, w),
+		rr:       make([]int, n),
+		mid:      midstage.New(n),
 	}
-	for i := range s.voq {
-		s.voq[i] = make([]queue.FIFO[sim.Packet], n)
-		s.sent[i] = make([]uint64, n)
-		s.full[i] = make([]bool, n)
+	// No VOQ has sent anything: every next port is 0.
+	for i := 0; i < n; i++ {
+		at := s.nextAt[i*n*w:][:w]
+		for j := 0; j < n; j++ {
+			queue.SetBit(at, j)
+		}
 	}
 	s.pacer = stats.NewPacer(n)
-	s.reseq = stats.NewResequencer(s.pacer)
+	s.reseq = stats.NewResequencer(n, s.pacer)
 	return s
 }
 
@@ -77,7 +121,15 @@ func (s *Switch) MaxResequencerOccupancy() int { return s.reseq.MaxHeld() }
 
 // Arrive implements sim.Switch.
 func (s *Switch) Arrive(p sim.Packet) {
-	s.voq[p.In][p.Out].Push(p)
+	i, j := int(p.In), int(p.Out)
+	q := &s.voq[i*s.n+j]
+	q.Push(p)
+	if q.Len() == 1 {
+		queue.SetBit(s.nonEmpty[i*s.w:], j)
+	}
+	if q.Len() == s.n {
+		queue.SetBit(s.ready[i*s.w:], j)
+	}
 	s.inBuf++
 }
 
@@ -90,59 +142,61 @@ func (s *Switch) Step(deliver sim.DeliverFunc) {
 	s.mid.Step(t, func(d sim.Delivery) { s.reseq.Observe(d) })
 	s.pacer.Drain(t, deliver)
 	for i := 0; i < s.n; i++ {
-		s.stepInput(i, t)
+		l := sim.FirstStage(i, t, s.n)
+		if j := s.pick(i, l); j >= 0 {
+			s.serve(i, j, l)
+		}
 	}
 	s.t++
 }
 
-// stepInput serves one slot at input i: among the VOQs whose next port is
-// the currently connected intermediate port, full ordered frames win, with
-// round-robin tie-breaking inside each class.
-func (s *Switch) stepInput(i int, t sim.Slot) {
-	l := sim.FirstStage(i, t, s.n)
-	pick := -1
-	pickClass := -1
-	for k := 0; k < s.n; k++ {
-		j := (s.rr[i] + k) % s.n
-		if s.voq[i][j].Empty() || int(s.sent[i][j]%uint64(s.n)) != l {
-			continue
-		}
-		class := s.classOf(i, j)
-		if class > pickClass {
-			pick, pickClass = j, class
-			if class == 2 {
-				break
-			}
-		}
+// pick chooses the VOQ input i serves while connected to intermediate port
+// l, or -1: among the non-empty VOQs whose next port is l, full ordered
+// frames win, with round-robin tie-breaking inside each class.
+func (s *Switch) pick(i, l int) int {
+	at := s.nextAt[(i*s.n+l)*s.w:][:s.w]
+	nonEmpty := s.nonEmpty[i*s.w:][:s.w]
+	preferred := s.inFull[i*s.w:][:s.w]
+	if l == 0 {
+		// Frame boundary: a VOQ with a whole frame waiting starts it now.
+		preferred = s.ready[i*s.w:][:s.w]
 	}
-	if pick < 0 {
-		return
+	for k := range at {
+		s.elig[k] = at[k] & nonEmpty[k]
+		s.pref[k] = s.elig[k] & preferred[k]
 	}
-	j := pick
-	if s.sent[i][j]%uint64(s.n) == 0 {
-		// Frame boundary: record whether this frame starts full.
-		s.full[i][j] = s.voq[i][j].Len() >= s.n
+	if j := queue.NextSet(s.pref, s.rr[i]); j >= 0 {
+		return j
 	}
-	p := s.voq[i][j].Pop()
-	s.sent[i][j]++
-	if s.sent[i][j]%uint64(s.n) == 0 {
-		s.full[i][j] = false // frame completed
-	}
-	s.inBuf--
-	s.rr[i] = (j + 1) % s.n
-	s.mid.Enqueue(l, p)
+	return queue.NextSet(s.elig, s.rr[i])
 }
 
-// classOf ranks a VOQ for service priority: 2 = inside a full ordered
-// frame, 1 = can start a full ordered frame now, 0 = incomplete frame.
-func (s *Switch) classOf(i, j int) int {
-	atBoundary := s.sent[i][j]%uint64(s.n) == 0
-	switch {
-	case !atBoundary && s.full[i][j]:
-		return 2
-	case atBoundary && s.voq[i][j].Len() >= s.n:
-		return 1
-	default:
-		return 0
+// serve sends the head of VOQ (i, j) to intermediate port l, the VOQ's
+// next port, and moves the VOQ on to port l+1.
+func (s *Switch) serve(i, j, l int) {
+	q := &s.voq[i*s.n+j]
+	inFull := s.inFull[i*s.w:]
+	if l == 0 && q.Len() >= s.n {
+		queue.SetBit(inFull, j) // this frame starts full
 	}
+	p := q.Pop()
+	if q.Len() == s.n-1 {
+		queue.ClearBit(s.ready[i*s.w:], j)
+	}
+	if q.Empty() {
+		queue.ClearBit(s.nonEmpty[i*s.w:], j)
+	}
+	next := l + 1
+	if next == s.n {
+		next = 0
+		queue.ClearBit(inFull, j) // frame completed
+	}
+	queue.ClearBit(s.nextAt[(i*s.n+l)*s.w:], j)
+	queue.SetBit(s.nextAt[(i*s.n+next)*s.w:], j)
+	s.inBuf--
+	s.rr[i] = j + 1
+	if s.rr[i] == s.n {
+		s.rr[i] = 0
+	}
+	s.mid.Enqueue(l, p)
 }

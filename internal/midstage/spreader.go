@@ -12,9 +12,17 @@ import (
 // full frame of N packets. What an input does when no VOQ holds one is the
 // only thing UFS and Padded Frames disagree on, so Step takes it as a
 // policy: UFS idles, PF names a VOQ to pad with fake cells.
+//
+// The round-robin pick does not walk the VOQs: each input keeps a bit set
+// over them in which bit j is set ⇔ VOQ (i, j) holds at least N packets,
+// maintained where a VOQ grows (Arrive) and where it is drained (the start
+// of a frame), so the pick is the first set bit at or cyclically after the
+// pointer. The sets cost N²/8 bytes in all.
 type Spreader struct {
 	n        int
+	w        int                      // words per input in ready
 	voq      []queue.FIFO[sim.Packet] // VOQ i*n+j
+	ready    []uint64                 // input i's full-frame-ready set at [i*w, (i+1)*w)
 	inputs   []spreadInput
 	frameSeq []uint64 // per-VOQ frame counter (orders frames of a flow)
 	nextID   uint64   // global frame identity
@@ -36,9 +44,12 @@ type spreadInput struct {
 // NewSpreader builds the full-frame input side and center stage of an
 // n-port switch.
 func NewSpreader(n int) *Spreader {
+	w := queue.BitWords(n)
 	sp := &Spreader{
 		n:        n,
+		w:        w,
 		voq:      make([]queue.FIFO[sim.Packet], n*n),
+		ready:    make([]uint64, n*w),
 		inputs:   make([]spreadInput, n),
 		frameSeq: make([]uint64, n*n),
 		mid:      NewFrameStage(n),
@@ -53,7 +64,12 @@ func NewSpreader(n int) *Spreader {
 
 // Arrive buffers p in its VOQ.
 func (sp *Spreader) Arrive(p sim.Packet) {
-	sp.voq[int(p.In)*sp.n+int(p.Out)].Push(p)
+	i, j := int(p.In), int(p.Out)
+	q := &sp.voq[i*sp.n+j]
+	q.Push(p)
+	if q.Len() == sp.n {
+		queue.SetBit(sp.ready[i*sp.w:], j)
+	}
 	sp.inBuf++
 }
 
@@ -101,31 +117,40 @@ func (sp *Spreader) Step(t sim.Slot, deliver sim.DeliverFunc, pad func(i int) in
 	}
 }
 
-// startFull scans input i's VOQs round-robin for one holding a full frame
-// and, if found, moves the frame into the input's buffer for spreading.
+// startFull picks, round-robin from input i's pointer, a VOQ holding a full
+// frame and, if there is one, moves the frame into the input's buffer for
+// spreading.
 func (sp *Spreader) startFull(i int) bool {
-	in := &sp.inputs[i]
-	for k := 0; k < sp.n; k++ {
-		j := (in.rr + k) % sp.n
-		if q := &sp.voq[i*sp.n+j]; q.Len() >= sp.n {
-			q.PopInto(in.frame)
-			sp.startFrame(i, j)
-			return true
-		}
+	j := queue.NextSet(sp.ready[i*sp.w:][:sp.w], sp.inputs[i].rr)
+	if j < 0 {
+		return false
 	}
-	return false
+	sp.fillFrame(i, j)
+	sp.startFrame(i, j)
+	return true
 }
 
 // startPadded moves all of VOQ (i, j) into input i's buffer and fills the
 // rest of the frame with fake cells.
 func (sp *Spreader) startPadded(i, j int, t sim.Slot) {
 	in := &sp.inputs[i]
-	k := sp.voq[i*sp.n+j].PopInto(in.frame)
+	k := sp.fillFrame(i, j)
 	for u := k; u < sp.n; u++ {
 		in.frame[u] = sim.Packet{In: int32(i), Out: int32(j), Fake: true, Arrival: t}
 	}
 	sp.padded += int64(sp.n - k)
 	sp.startFrame(i, j)
+}
+
+// fillFrame moves up to a frame of packets from VOQ (i, j) into input i's
+// buffer and returns how many it moved. It is the only place a VOQ shrinks.
+func (sp *Spreader) fillFrame(i, j int) int {
+	q := &sp.voq[i*sp.n+j]
+	k := q.PopInto(sp.inputs[i].frame)
+	if q.Len() < sp.n {
+		queue.ClearBit(sp.ready[i*sp.w:], j)
+	}
+	return k
 }
 
 // startFrame begins spreading the frame in input i's buffer and assigns its

@@ -1,7 +1,8 @@
 // Package queue provides the queueing primitives used throughout the switch
-// implementations: an amortized O(1) ring-buffer FIFO, and the
+// implementations: an amortized O(1) ring-buffer FIFO, the
 // N x (log2 N + 1) stripe-FIFO bank with per-row bitmaps described in
-// Sec. 3.4.2 of the paper.
+// Sec. 3.4.2 of the paper, and multi-word bit sets with a cyclic
+// find-first-set for round-robin queue selection.
 package queue
 
 // FIFO is a growable ring-buffer first-in first-out queue. The zero value is

@@ -5,6 +5,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"sprinklers/internal/sim"
@@ -68,13 +69,9 @@ func (d *Delay) P99() float64 {
 	return d.p99.Value()
 }
 
-func bucketOf(delay sim.Slot) int {
-	k := 0
-	for v := delay; v > 0; v >>= 1 {
-		k++
-	}
-	return k // delay 0 -> bucket 0, 1 -> 1, 2..3 -> 2, 4..7 -> 3, ...
-}
+// bucketOf maps delay 0 -> bucket 0, 1 -> 1, 2..3 -> 2, 4..7 -> 3, ...: the
+// bit length of the delay. Add has already rejected negative delays.
+func bucketOf(delay sim.Slot) int { return bits.Len64(uint64(delay)) }
 
 // Count returns the number of samples.
 func (d *Delay) Count() int64 { return d.count }
@@ -141,7 +138,7 @@ func (d *Delay) Percentile(p float64) sim.Slot {
 // spurious TCP fast retransmits.
 type Reorder struct {
 	n         int
-	maxSeen   [][]int64 // highest Seq delivered per flow, -1 if none
+	maxSeen   []int64 // highest Seq delivered on flow in*n+out, -1 if none
 	reordered int64
 	total     int64
 	maxGap    int64 // largest (maxSeen - Seq) over reordered packets
@@ -149,12 +146,9 @@ type Reorder struct {
 
 // NewReorder builds a detector for an n-port switch.
 func NewReorder(n int) *Reorder {
-	r := &Reorder{n: n, maxSeen: make([][]int64, n)}
-	for i := range r.maxSeen {
-		r.maxSeen[i] = make([]int64, n)
-		for j := range r.maxSeen[i] {
-			r.maxSeen[i][j] = -1
-		}
+	r := &Reorder{n: n, maxSeen: make([]int64, n*n)}
+	for k := range r.maxSeen {
+		r.maxSeen[k] = -1
 	}
 	return r
 }
@@ -166,15 +160,15 @@ func (r *Reorder) Observe(dv sim.Delivery) { r.Add(dv.Packet) }
 func (r *Reorder) Add(p sim.Packet) {
 	r.total++
 	seq := int64(p.Seq)
-	m := r.maxSeen[p.In][p.Out]
-	if seq < m {
+	m := &r.maxSeen[int(p.In)*r.n+int(p.Out)]
+	if seq < *m {
 		r.reordered++
-		if gap := m - seq; gap > r.maxGap {
+		if gap := *m - seq; gap > r.maxGap {
 			r.maxGap = gap
 		}
 		return
 	}
-	r.maxSeen[p.In][p.Out] = seq
+	*m = seq
 }
 
 // Total returns the number of deliveries observed.
@@ -205,62 +199,77 @@ func (m Multi) Observe(d sim.Delivery) {
 	}
 }
 
-// flowKey identifies an (input, output) flow in the resequencer.
-type flowKey struct{ in, out int }
-
 // Resequencer restores per-flow packet order at the switch outputs. FOFF
 // delivers packets up to O(N^2) positions out of order; the resequencer
 // holds early packets until all predecessors have been released, exactly
 // like the per-output reordering buffers of Sec. 2.2. Delay is charged up to
 // the release slot, so resequencing latency is part of the measured delay.
+//
+// State is one flat slice over the N² flows (40 bytes each, allocated up
+// front) and, for a flow that has ever run ahead of itself, a ring window
+// that grows to the flow's largest displacement and is then reused, so a
+// warmed-up resequencer allocates nothing.
 type Resequencer struct {
-	next    map[flowKey]uint64
-	pending map[flowKey]map[uint64]sim.Delivery
+	n       int
+	flows   []reseqFlow // flow in*n+out
 	out     sim.Observer
 	maxHold int
 	held    int
 }
 
-// NewResequencer wraps out so that it sees every flow's packets in sequence
-// order, each stamped with the slot at which the resequencer released it.
-func NewResequencer(out sim.Observer) *Resequencer {
-	return &Resequencer{
-		next:    make(map[flowKey]uint64),
-		pending: make(map[flowKey]map[uint64]sim.Delivery),
-		out:     out,
-	}
+// reseqFlow is one flow's reordering buffer. A held packet with sequence
+// number s sits at win[s & (len(win)-1)]; every held s lies in
+// (next, next+len(win)), so distinct held packets never share a slot.
+type reseqFlow struct {
+	next uint64 // sequence number to release next
+	held int    // occupied slots of win
+	win  []reseqSlot
+}
+
+type reseqSlot struct {
+	d  sim.Delivery
+	ok bool
+}
+
+// NewResequencer wraps out so that it sees every flow's packets of an
+// n-port switch in sequence order, each stamped with the slot at which the
+// resequencer released it.
+func NewResequencer(n int, out sim.Observer) *Resequencer {
+	return &Resequencer{n: n, flows: make([]reseqFlow, n*n), out: out}
 }
 
 // Observe implements sim.Observer.
 func (r *Resequencer) Observe(d sim.Delivery) {
-	k := flowKey{int(d.Packet.In), int(d.Packet.Out)}
-	want := r.next[k]
+	f := &r.flows[int(d.Packet.In)*r.n+int(d.Packet.Out)]
+	seq := d.Packet.Seq
 	switch {
-	case d.Packet.Seq == want:
+	case seq == f.next:
 		r.out.Observe(d)
-		want++
+		f.next++
 		// Release any buffered successors; they depart at the slot the
 		// blocking packet arrived (they were already at the output).
-		pend := r.pending[k]
-		for {
-			buf, ok := pend[want]
-			if !ok {
+		for f.held > 0 {
+			h := &f.win[f.next&uint64(len(f.win)-1)]
+			if !h.ok {
 				break
 			}
-			delete(pend, want)
+			h.ok = false
+			f.held--
 			r.held--
-			buf.Depart = d.Depart
-			r.out.Observe(buf)
-			want++
+			h.d.Depart = d.Depart
+			r.out.Observe(h.d)
+			f.next++
 		}
-		r.next[k] = want
-	case d.Packet.Seq > want:
-		pend := r.pending[k]
-		if pend == nil {
-			pend = make(map[uint64]sim.Delivery)
-			r.pending[k] = pend
+	case seq > f.next:
+		if seq-f.next >= uint64(len(f.win)) {
+			f.grow(seq - f.next)
 		}
-		pend[d.Packet.Seq] = d
+		h := &f.win[seq&uint64(len(f.win)-1)]
+		if h.ok {
+			panic("stats: resequencer saw a duplicate sequence number")
+		}
+		h.d, h.ok = d, true
+		f.held++
 		r.held++
 		if r.held > r.maxHold {
 			r.maxHold = r.held
@@ -270,6 +279,22 @@ func (r *Resequencer) Observe(d sim.Delivery) {
 		// switches in this repository.
 		panic("stats: resequencer saw a duplicate sequence number")
 	}
+}
+
+// grow reallocates the window to a power of two above ahead, the distance
+// of the packet about to be held from f.next, and re-files what it holds.
+func (f *reseqFlow) grow(ahead uint64) {
+	size := uint64(8)
+	for size <= ahead {
+		size *= 2
+	}
+	win := make([]reseqSlot, size)
+	for _, h := range f.win {
+		if h.ok {
+			win[h.d.Packet.Seq&(size-1)] = h
+		}
+	}
+	f.win = win
 }
 
 // Held returns the number of packets currently buffered.

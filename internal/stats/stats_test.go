@@ -125,7 +125,7 @@ func TestResequencerRestoresOrder(t *testing.T) {
 		perm := rand.New(rand.NewSource(permSeed)).Perm(k)
 		var got []uint64
 		var lastDepart sim.Slot
-		rs := NewResequencer(sim.ObserverFunc(func(d sim.Delivery) {
+		rs := NewResequencer(2, sim.ObserverFunc(func(d sim.Delivery) {
 			got = append(got, d.Packet.Seq)
 			if d.Depart < lastDepart {
 				return // release times must be monotone; flag via length check below
@@ -155,7 +155,7 @@ func TestResequencerRestoresOrder(t *testing.T) {
 
 func TestResequencerChargesWaitToDelay(t *testing.T) {
 	var releases []sim.Delivery
-	rs := NewResequencer(sim.ObserverFunc(func(d sim.Delivery) {
+	rs := NewResequencer(2, sim.ObserverFunc(func(d sim.Delivery) {
 		releases = append(releases, d)
 	}))
 	// Seq 1 arrives at slot 10, seq 0 at slot 50: seq 1 must be released
@@ -178,7 +178,7 @@ func TestResequencerChargesWaitToDelay(t *testing.T) {
 
 func TestResequencerIndependentFlows(t *testing.T) {
 	var count int
-	rs := NewResequencer(sim.ObserverFunc(func(sim.Delivery) { count++ }))
+	rs := NewResequencer(2, sim.ObserverFunc(func(sim.Delivery) { count++ }))
 	// Flow (0,0) is blocked on seq 0, but flow (1,1) flows through.
 	rs.Observe(sim.Delivery{Packet: sim.Packet{In: 0, Out: 0, Seq: 1}, Depart: 1})
 	rs.Observe(sim.Delivery{Packet: sim.Packet{In: 1, Out: 1, Seq: 0}, Depart: 2})
@@ -188,7 +188,7 @@ func TestResequencerIndependentFlows(t *testing.T) {
 }
 
 func TestResequencerDuplicatePanics(t *testing.T) {
-	rs := NewResequencer(sim.ObserverFunc(func(sim.Delivery) {}))
+	rs := NewResequencer(2, sim.ObserverFunc(func(sim.Delivery) {}))
 	rs.Observe(sim.Delivery{Packet: sim.Packet{Seq: 0}})
 	defer func() {
 		if recover() == nil {
@@ -196,6 +196,80 @@ func TestResequencerDuplicatePanics(t *testing.T) {
 		}
 	}()
 	rs.Observe(sim.Delivery{Packet: sim.Packet{Seq: 0}})
+}
+
+// TestResequencerFlowsAndReuse interleaves every flow of a 3-port switch,
+// each delivering blocks of 12 packets in its own scrambled order: flows
+// (i, j) and (j, i) must not share state, every flow must come out in
+// sequence, and once each flow's window has grown to its displacement,
+// further blocks allocate nothing.
+func TestResequencerFlowsAndReuse(t *testing.T) {
+	const n, block = 3, 12
+	var next [n][n]uint64
+	rs := NewResequencer(n, sim.ObserverFunc(func(d sim.Delivery) {
+		in, out := d.Packet.In, d.Packet.Out
+		if d.Packet.Seq != next[in][out] {
+			t.Fatalf("flow (%d,%d) released seq %d, want %d", in, out, d.Packet.Seq, next[in][out])
+		}
+		next[in][out]++
+	}))
+	rng := rand.New(rand.NewSource(5))
+	var perm [n][n][]int
+	for i := range perm {
+		for j := range perm[i] {
+			perm[i][j] = rng.Perm(block)
+		}
+	}
+	var base uint64
+	var now sim.Slot
+	feedBlock := func() {
+		for k := 0; k < block; k++ {
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					rs.Observe(sim.Delivery{
+						Packet: sim.Packet{In: int32(i), Out: int32(j), Seq: base + uint64(perm[i][j][k])},
+						Depart: now,
+					})
+				}
+			}
+			now++
+		}
+		base += block
+	}
+	feedBlock()
+	if rs.Held() != 0 || rs.MaxHeld() == 0 || next[0][1] != block || next[1][0] != block {
+		t.Fatalf("after one block: held %d, max held %d, released %v", rs.Held(), rs.MaxHeld(), next)
+	}
+	if allocs := testing.AllocsPerRun(10, feedBlock); allocs != 0 {
+		t.Fatalf("warmed-up resequencer allocated %v times per block", allocs)
+	}
+}
+
+// TestBucketOfMatchesShiftLoop: the bit-length form of bucketOf names the
+// same bucket as the shift loop it replaced, for every small delay and
+// around every power of two.
+func TestBucketOfMatchesShiftLoop(t *testing.T) {
+	loop := func(delay sim.Slot) int {
+		k := 0
+		for v := delay; v > 0; v >>= 1 {
+			k++
+		}
+		return k
+	}
+	check := func(d sim.Slot) {
+		if got, want := bucketOf(d), loop(d); got != want {
+			t.Fatalf("bucketOf(%d) = %d, shift loop says %d", d, got, want)
+		}
+	}
+	for d := sim.Slot(0); d <= 1<<16; d++ {
+		check(d)
+	}
+	for e := uint(0); e <= 62; e++ {
+		p := sim.Slot(1) << e
+		check(p - 1)
+		check(p)
+		check(p + 1)
+	}
 }
 
 func TestMultiFansOut(t *testing.T) {
