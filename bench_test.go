@@ -275,8 +275,8 @@ type steppedSwitch struct {
 var stepBenchCache = map[string]steppedSwitch{}
 
 // steadySwitch builds the switch/source pair with build and steps it through
-// warmup slots, so ring buffers have grown to their working-set capacities
-// and stripe pools are populated before measurement starts.
+// warmup slots, so ring buffers, slab banks and chunk pools have grown to
+// their working-set capacities before measurement starts.
 func steadySwitch(b *testing.B, key string, warmup int, build func() (sim.Switch, sim.Source)) steppedSwitch {
 	b.Helper()
 	if s, ok := stepBenchCache[key]; ok {
@@ -299,11 +299,12 @@ func steadySwitch(b *testing.B, key string, warmup int, build func() (sim.Switch
 // assigns every VOQ a stripe of size N, whose accumulation working set is
 // ~0.45*N^2 packets reached only after ~N^2/2 slots — at N=1024 that is
 // tens of gigabytes and a million-slot transient, so a benchmark horizon
-// only ever measures ready-ring growth, not switching. Size-1 stripes give
-// the same per-slot machinery (fabric sweeps, LSF scans, center-stage
-// arena, stripe pool) a steady state that is reached within ~10N slots and
-// must then be allocation-free. The full Eq. 1 accumulation regime is
-// covered by BenchmarkSwitchStep at N=32, where it converges.
+// only ever measures VOQ growth, not switching. Size-1 stripes give the
+// same per-slot machinery (fabric sweeps, LSF scans, center-stage arena) a
+// steady state that is reached within ~10N slots and must then be
+// allocation-free. The full Eq. 1 accumulation regime is covered by
+// BenchmarkSwitchStep at N=32, where it converges, and by
+// BenchmarkStripedSwitchStep at N=128.
 func largeSprinklers(n int) (sim.Switch, sim.Source) {
 	sw := core.MustNew(core.Config{
 		N:                 n,
@@ -328,21 +329,27 @@ func stepLoop(b *testing.B, s steppedSwitch) {
 	}
 }
 
+// uniformPoint returns a steadySwitch builder for alg at n ports under
+// uniform Bernoulli traffic at load 0.9, sized the way a study sizes it
+// (Eq. 1 stripes for the Sprinklers variants).
+func uniformPoint(b *testing.B, alg experiment.Algorithm, n int) func() (sim.Switch, sim.Source) {
+	return func() (sim.Switch, sim.Source) {
+		m := traffic.Uniform(n, 0.9)
+		sw, err := experiment.NewSwitch(alg, m, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sw, traffic.NewBernoulli(m, rand.New(rand.NewSource(1)))
+	}
+}
+
 // BenchmarkSwitchStep measures raw simulation speed: slots per second for
 // each architecture at N=32, load 0.9 (the cost of one Step includes both
 // fabrics and all ports).
 func BenchmarkSwitchStep(b *testing.B) {
 	for _, alg := range experiment.AllAlgorithms() {
 		b.Run(string(alg), func(b *testing.B) {
-			s := steadySwitch(b, string(alg), 4096, func() (sim.Switch, sim.Source) {
-				m := traffic.Uniform(benchN, 0.9)
-				sw, err := experiment.NewSwitch(alg, m, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return sw, traffic.NewBernoulli(m, rand.New(rand.NewSource(1)))
-			})
-			stepLoop(b, s)
+			stepLoop(b, steadySwitch(b, string(alg), 4096, uniformPoint(b, alg, benchN)))
 		})
 	}
 }
@@ -355,6 +362,18 @@ func BenchmarkLargeSwitchStep(b *testing.B) {
 	stepLoop(b, steadySwitch(b, "large-1024", 12*n, func() (sim.Switch, sim.Source) {
 		return largeSprinklers(n)
 	}))
+}
+
+// BenchmarkStripedSwitchStep is the step cost in the regime the
+// sprinklers-n128 benchmark workload runs and no other step benchmark above
+// N=32 reaches: Eq. 1 sizing at uniform load 0.9 gives all N^2 VOQs stripes
+// of size N, so every packet is buffered in its VOQ's chunk queue, waits
+// there for N-1 companions and is served through a stripe descriptor. The
+// 20 000-slot warm-up is the workload's own: just past the first
+// accumulation cycle (N^2/0.9 = 18 204 slots), where the chunk pools and the
+// center-stage slab reach their high-water marks.
+func BenchmarkStripedSwitchStep(b *testing.B) {
+	stepLoop(b, steadySwitch(b, "striped-128", 20_000, uniformPoint(b, experiment.Sprinklers, 128)))
 }
 
 // BenchmarkSizeSweepStep tracks per-slot stepping cost and allocation count
@@ -388,14 +407,7 @@ func BenchmarkBaselineSizeSweepStep(b *testing.B) {
 	for _, alg := range []experiment.Algorithm{experiment.FOFF, experiment.UFS, experiment.PF} {
 		for _, n := range []int{32, 128, 512} {
 			b.Run(fmt.Sprintf("%s/N-%d", alg, n), func(b *testing.B) {
-				stepLoop(b, steadySwitch(b, fmt.Sprintf("%s-%d", alg, n), 12*n, func() (sim.Switch, sim.Source) {
-					m := traffic.Uniform(n, 0.9)
-					sw, err := experiment.NewSwitch(alg, m, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					return sw, traffic.NewBernoulli(m, rand.New(rand.NewSource(1)))
-				}))
+				stepLoop(b, steadySwitch(b, fmt.Sprintf("%s-%d", alg, n), 12*n, uniformPoint(b, alg, n)))
 			})
 		}
 	}

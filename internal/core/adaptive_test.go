@@ -112,8 +112,8 @@ func TestClearancePhaseSuspendsFormation(t *testing.T) {
 	if v.committed != 0 {
 		t.Fatalf("committed %d during drain", v.committed)
 	}
-	if v.ready.Len() != 6 {
-		t.Fatalf("ready %d, want 6", v.ready.Len())
+	if v.ready != 6 {
+		t.Fatalf("ready %d, want 6", v.ready)
 	}
 	// Completing the clearance must adopt the pending size and form the
 	// one full stripe that fits.
@@ -121,8 +121,8 @@ func TestClearancePhaseSuspendsFormation(t *testing.T) {
 	if v.size != 4 || v.draining {
 		t.Fatalf("resize not finalized: size=%d draining=%v", v.size, v.draining)
 	}
-	if v.committed != 4 || v.ready.Len() != 2 {
-		t.Fatalf("after resize: committed=%d ready=%d, want 4 and 2", v.committed, v.ready.Len())
+	if v.committed != 4 || v.ready != 2 {
+		t.Fatalf("after resize: committed=%d ready=%d, want 4 and 2", v.committed, v.ready)
 	}
 }
 
@@ -186,5 +186,83 @@ func TestStripeSizeHistogram(t *testing.T) {
 	h = sw.StripeSizeHistogram()
 	if h[1] == n*n {
 		t.Fatal("histogram unchanged after a hot flow should have resized")
+	}
+}
+
+// TestResizeRecut: when a clearance phase ends with k packets waiting, the
+// re-cut forms floor(k/f') stripes of the new size f', leaves k mod f'
+// ready, commits exactly the cut packets, and the switch then delivers every
+// packet once under the new stripe-size header — in sequence for the gated
+// scheduler (the greedy one may reorder within a stripe by design).
+func TestResizeRecut(t *testing.T) {
+	const n = 16
+	for _, sched := range []Scheduler{GatedLSF, GreedyLSF} {
+		for _, tc := range []struct{ old, size, k int }{
+			{old: 2, size: 8, k: 0},   // nothing waiting
+			{old: 2, size: 8, k: 7},   // grow, short of one stripe
+			{old: 2, size: 8, k: 8},   // grow, exactly one
+			{old: 1, size: 16, k: 50}, // grow from the fast path, k > new size
+			{old: 16, size: 4, k: 15}, // shrink, k below the old size
+			{old: 8, size: 2, k: 21},  // shrink, k well above both
+			{old: 4, size: 1, k: 9},   // new size 1: every packet a single
+			{old: 4, size: 4, k: 11},  // same size re-adopted
+		} {
+			sw := MustNew(Config{N: n, Scheduler: sched, Rand: rand.New(rand.NewSource(87)),
+				Adaptive: &AdaptiveConfig{}})
+			in := sw.inputs[2]
+			v := &in.voqs[5]
+			v.setSize(tc.old)
+			v.draining, v.pending = true, tc.size
+			in.refreshFast(v)
+			for seq := 0; seq < tc.k; seq++ {
+				sw.Arrive(packet{ID: uint64(100 + seq), In: 2, Out: 5, Seq: uint64(seq), Arrival: sw.Now()})
+			}
+			if v.ready != tc.k || v.committed != 0 {
+				t.Fatalf("%v %+v: draining VOQ has ready=%d committed=%d", sched, tc, v.ready, v.committed)
+			}
+			sw.maybeFinishResize(in, v)
+
+			cut := tc.k / tc.size
+			if v.size != tc.size || v.draining || v.ready != tc.k%tc.size || v.committed != cut*tc.size {
+				t.Fatalf("%v %+v: after re-cut size=%d draining=%v ready=%d committed=%d",
+					sched, tc, v.size, v.draining, v.ready, v.committed)
+			}
+			if sched == GatedLSF {
+				if got := in.queuedStripes(v.iv); got != cut {
+					t.Fatalf("%+v: %d stripes queued for %v, want %d", tc, got, v.iv, cut)
+				}
+			} else if got := in.rows.Len(); got != cut*tc.size {
+				t.Fatalf("%+v: %d cells in the greedy rows, want %d", tc, got, cut*tc.size)
+			}
+			if in.buffered != tc.k {
+				t.Fatalf("%v %+v: input holds %d packets, want %d", sched, tc, in.buffered, tc.k)
+			}
+
+			// Top the remainder up to one more stripe, then drain.
+			total := tc.k
+			for ; total%tc.size != 0; total++ {
+				sw.Arrive(packet{ID: uint64(100 + total), In: 2, Out: 5, Seq: uint64(total), Arrival: sw.Now()})
+			}
+			seen := make([]bool, total)
+			delivered := 0
+			for tt := 0; tt < 8*n*n && delivered < total; tt++ {
+				sw.Step(func(d delivery) {
+					seq := int(d.Packet.Seq)
+					if sched == GatedLSF {
+						seq = delivered
+					}
+					want := packet{ID: uint64(100 + seq), In: 2, Out: 5, Seq: uint64(seq), StripeSize: int32(tc.size)}
+					if d.Packet != want || seen[seq] {
+						t.Fatalf("%v %+v: delivery %d is %+v, want %+v once", sched, tc, delivered, d.Packet, want)
+					}
+					seen[seq] = true
+					delivered++
+				})
+			}
+			if delivered != total || sw.Backlog() != 0 || v.committed != 0 || v.q.n != 0 {
+				t.Fatalf("%v %+v: delivered %d of %d, backlog %d, committed %d, %d records left",
+					sched, tc, delivered, total, sw.Backlog(), v.committed, v.q.n)
+			}
+		}
 	}
 }

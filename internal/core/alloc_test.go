@@ -18,14 +18,15 @@ func driveSlots(sw *Switch, src sim.Source, arrive func(sim.Packet), n int) {
 
 // TestGatedStepZeroAllocSteadyState is the allocation regression guard for
 // the simulation hot path: after a warmup long enough to exercise stripe
-// formation, the stripe pools, and every queue's growth to its working-set
-// high-water mark, a steady-state slot — arrivals, stripe formation, both
-// fabric permutations, LSF service and delivery — must not allocate at all.
+// formation and to take the chunk pools and every queue to their
+// working-set high-water marks, a steady-state slot — arrivals, stripe
+// formation, both fabric permutations, LSF service and delivery — must not
+// allocate at all.
 //
 // The workload mixes stripe sizes (a Zipf rate matrix spans F=1 up to
 // multi-packet stripes at N=32) so both the size-1 direct path and the
-// pooled multi-packet stripe path are on the measured hot path. The run is
-// single-goroutine and seeded, so the measurement is deterministic.
+// chunk-queued multi-packet stripe path are on the measured hot path. The
+// run is single-goroutine and seeded, so the measurement is deterministic.
 func TestGatedStepZeroAllocSteadyState(t *testing.T) {
 	const n = 32
 	m := traffic.Zipf(n, 0.85, 1.2)
@@ -45,9 +46,8 @@ func TestGatedStepZeroAllocSteadyState(t *testing.T) {
 	}
 	src := traffic.NewBernoulli(m, rand.New(rand.NewSource(42)))
 	arrive := sw.Arrive
-	// Warm past every transient: ready rings grow to their stripe sizes,
-	// the interval FIFOs and slab banks reach their occupancy high-water
-	// marks, and the stripe pools fill.
+	// Warm past every transient: each input's chunk pool, the interval
+	// FIFOs and the slab banks reach their occupancy high-water marks.
 	driveSlots(sw, src, arrive, 60_000)
 
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -79,5 +79,32 @@ func TestGreedyStepZeroAllocSteadyState(t *testing.T) {
 		sw.Step(nil)
 	}); allocs != 0 {
 		t.Fatalf("steady-state greedy Step allocated %v times per slot, want 0", allocs)
+	}
+}
+
+// TestStripedStepZeroAllocSteadyState is the same guard in the regime the
+// sprinklers-n128 benchmark workload runs, in miniature: uniform traffic at
+// load 0.9 gives every VOQ a stripe of size N, so every packet goes through
+// a chunk queue and every input cycles through accumulate-and-burst. One
+// accumulation cycle is N^2/0.9 slots (1 138 at N = 32); the warm-up spans
+// some fifty of them.
+func TestStripedStepZeroAllocSteadyState(t *testing.T) {
+	const n = 32
+	m := traffic.Uniform(n, 0.9)
+	for _, sched := range []Scheduler{GatedLSF, GreedyLSF} {
+		sw := newSwitch(t, n, m, sched, 45)
+		if h := sw.StripeSizeHistogram(); h[n] != n*n {
+			t.Fatalf("workload degenerate: stripe sizes %v, want all %d", h, n)
+		}
+		src := traffic.NewBernoulli(m, rand.New(rand.NewSource(46)))
+		arrive := sw.Arrive
+		driveSlots(sw, src, arrive, 60_000)
+
+		if allocs := testing.AllocsPerRun(2000, func() {
+			src.Next(sw.Now(), arrive)
+			sw.Step(nil)
+		}); allocs != 0 {
+			t.Fatalf("%v: steady-state Step allocated %v times per slot, want 0", sched, allocs)
+		}
 	}
 }

@@ -28,8 +28,9 @@
 // # Layout
 //
 //	core.go      configuration and top-level Switch
-//	stripegen.go stripe interval generation (OLS placement + Eq. 1 sizing)
-//	input.go     input ports: ready queues, stripe FIFO bank, LSF service
+//	stripegen.go per-VOQ state: Eq. 1 sizing around the OLS-placed primary port,
+//	             the chunked packet queue, and the stripe descriptor
+//	input.go     input ports: arrival, stripe cutting, stripe FIFO bank, LSF service
 //	mid.go       intermediate ports and the per-output virtual schedule grids
 //	adaptive.go  measured-rate stripe resizing with the Sec. 5 clearance phase
 package core

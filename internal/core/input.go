@@ -18,21 +18,23 @@ type cell struct {
 	formed   sim.Slot // slot the packet's stripe was completed
 }
 
-// inputPort holds one input port's VOQs, ready queues and the LSF stripe
-// scheduler state.
+// inputPort holds one input port's VOQs, the chunk pool their packets are
+// buffered in, and the LSF stripe scheduler state.
 //
-// For the gated scheduler the storage is one stripe FIFO per dyadic
-// interval: 2N-1 FIFOs, the collapsed form of the N x (log2 N + 1) bank
-// noted at the end of Sec. 3.4.2. Size-1 stripes — the overwhelmingly
-// common case at large N — are a single packet each, so they skip the
-// stripe-object machinery entirely and live as bare cells in a slab-backed
-// queue bank keyed by interval start. For the greedy scheduler the storage
-// is the full per-(row, size) packet FIFO bank with one nonempty-bitmap
-// word per row, exactly the structure of Fig. 4.
+// For the gated scheduler the storage is one FIFO of stripe descriptors per
+// dyadic interval: 2N-1 FIFOs, the collapsed form of the N x (log2 N + 1)
+// bank noted at the end of Sec. 3.4.2. A descriptor's packets stay in their
+// VOQ's chunk queue until the fabric takes them. Size-1 stripes — the
+// overwhelmingly common case at large N — are a single packet each, so they
+// skip the descriptor and live as bare cells in a slab-backed queue bank
+// keyed by interval start. For the greedy scheduler the storage is the full
+// per-(row, size) packet FIFO bank with one nonempty-bitmap word per row,
+// exactly the structure of Fig. 4.
 type inputPort struct {
 	sw       *Switch
 	i        int
 	voqs     []voqState // one contiguous array, not N scattered allocations
+	chunks   chunkPool  // backs every voqs[j].q
 	buffered int        // packets at this input (ready + scheduled)
 
 	// nextStripeID allocates stripe identities from a per-input space
@@ -56,12 +58,10 @@ type inputPort struct {
 	// stripe is queued for the interval starting at port l, so the LSF
 	// scan is one bit operation instead of up to log2(N)+1 FIFO probes.
 	// Bit 0 tracks the singles bank, bits >= 1 the stripe FIFOs.
-	stripes []queue.FIFO[*stripe] // sizes >= 2, indexed by dyadic.Index
-	singles *queue.Bank[cell]     // size-1 stripes, keyed by interval start
+	stripes []queue.FIFO[stripe] // sizes >= 2, indexed by dyadic.Index
+	singles *queue.Bank[cell]    // size-1 stripes, keyed by interval start
 	gatedBM []uint64
-	serving bool
-	cur     *stripe
-	curNext int
+	cur     stripe // the stripe in service while cur.served > 0
 
 	// Greedy scheduler state: rows queue q=l*levels+k holds packets for
 	// intermediate port l from size-2^k stripes. One slab-backed bank per
@@ -69,12 +69,6 @@ type inputPort struct {
 	// pointer dereferences through nested slices.
 	rows   *queue.Bank[cell]
 	bitmap []uint64 // bit k set iff rows queue l*levels+k is nonempty
-
-	// free recycles multi-packet stripe objects together with their pkts
-	// backing arrays: formStripes pops from it and the schedulers push
-	// exhausted stripes back, so steady-state stripe formation allocates
-	// nothing.
-	free []*stripe
 }
 
 func newInputPort(sw *Switch, i int) *inputPort {
@@ -94,7 +88,7 @@ func newInputPort(sw *Switch, i int) *inputPort {
 	}
 	switch sw.cfg.Scheduler {
 	case GatedLSF:
-		in.stripes = make([]queue.FIFO[*stripe], 2*sw.n-1)
+		in.stripes = make([]queue.FIFO[stripe], 2*sw.n-1)
 		in.singles = queue.NewBank[cell](sw.n)
 		in.gatedBM = make([]uint64, sw.n)
 	case GreedyLSF:
@@ -104,50 +98,27 @@ func newInputPort(sw *Switch, i int) *inputPort {
 	return in
 }
 
-// newStripe returns a stripe with a pkts slice of length f, reusing a
-// recycled object when one is available.
-func (in *inputPort) newStripe(f int) *stripe {
-	if n := len(in.free); n > 0 {
-		st := in.free[n-1]
-		in.free[n-1] = nil
-		in.free = in.free[:n-1]
-		if cap(st.pkts) < f {
-			st.pkts = make([]sim.Packet, f)
-		} else {
-			st.pkts = st.pkts[:f]
-		}
-		return st
-	}
-	return &stripe{pkts: make([]sim.Packet, f)}
-}
-
-// releaseStripe returns an exhausted stripe to the free list for reuse.
-func (in *inputPort) releaseStripe(st *stripe) {
-	st.pkts = st.pkts[:0]
-	in.free = append(in.free, st)
-}
-
 // refreshFast recomputes v's fastSingle entry from the ground truth. It
 // must be called after any change to the VOQ's size, draining flag, or
-// ready-queue emptiness.
+// ready count.
 func (in *inputPort) refreshFast(v *voqState) {
-	if v.size == 1 && !v.draining && v.ready.Empty() {
+	if v.size == 1 && !v.draining && v.ready == 0 {
 		in.fastSingle[v.out] = int32(v.iv.Start)
 	} else {
 		in.fastSingle[v.out] = -1
 	}
 }
 
-// arrive buffers p in its VOQ's ready queue and forms a stripe if the queue
+// arrive buffers p in its VOQ's queue and cuts a stripe if the ready count
 // reached the VOQ's stripe size.
 func (in *inputPort) arrive(p sim.Packet) {
 	in.buffered++
 	if l := int(in.fastSingle[p.Out]); l >= 0 {
 		// Size-1 stripes need no accumulation, so the packet becomes a
-		// one-cell stripe directly, skipping the ready ring, the stripe
-		// object machinery and the voqState line itself. At large N nearly
-		// every VOQ stripes at size 1, which makes this the hottest branch
-		// in the simulator.
+		// one-cell stripe directly, skipping the chunk queue, the stripe
+		// descriptor and the voqState line itself. At large N nearly every
+		// VOQ stripes at size 1, which makes this the hottest branch in the
+		// simulator.
 		p.StripeSize = 1
 		c := cell{pkt: p, stripeID: in.nextStripeID, formed: in.sw.t}
 		in.nextStripeID++
@@ -164,78 +135,59 @@ func (in *inputPort) arrive(p sim.Packet) {
 		return
 	}
 	v := &in.voqs[p.Out]
-	v.ready.Push(p)
+	v.q.push(&in.chunks, record{id: p.ID, seq: p.Seq, arrival: p.Arrival})
+	v.ready++
 	in.formStripes(v)
 	in.refreshFast(v)
 }
 
-// formStripes moves as many full stripes as possible from the ready queue
-// into the scheduler storage. Formation is suspended while the VOQ is in an
-// adaptive clearance phase. Multi-packet stripes are bulk-copied straight
-// out of the ready ring into a pooled pkts array — one copy, no shift of
-// the remaining ready packets.
+// formStripes cuts as many full stripes as the ready packets allow; it is
+// also the whole of an adaptive resize's re-cut. Formation is suspended
+// while the VOQ is in an adaptive clearance phase. Cutting moves no packet:
+// the ready count drops by the stripe size and a descriptor is scheduled.
 func (in *inputPort) formStripes(v *voqState) {
-	for !v.draining && v.ready.Len() >= v.size {
-		f := v.size
-		if f == 1 {
-			p := v.ready.Pop()
-			p.StripeSize = 1
-			in.scheduleSingle(v, p)
-			continue
-		}
-		st := in.newStripe(f)
-		v.ready.PopInto(st.pkts)
-		for u := range st.pkts {
-			st.pkts[u].StripeSize = int32(f)
-		}
-		st.id = in.nextStripeID
-		st.in = in.i
-		st.out = v.out
-		st.iv = v.iv
-		st.formed = in.sw.t
-		in.nextStripeID++
+	for !v.draining && v.ready >= v.size {
+		v.ready -= v.size
 		if in.sw.adaptive != nil {
-			v.committed += f
+			v.committed += v.size
 		}
-		in.schedule(st)
+		in.schedule(v, stripe{id: in.nextStripeID, out: int32(v.out), iv: v.iv, formed: in.sw.t})
+		in.nextStripeID++
 	}
 }
 
-// scheduleSingle places a completed size-1 stripe — one cell — into the
-// scheduler storage.
-func (in *inputPort) scheduleSingle(v *voqState, p sim.Packet) {
-	c := cell{pkt: p, stripeID: in.nextStripeID, formed: in.sw.t}
-	in.nextStripeID++
-	if in.sw.adaptive != nil {
-		v.committed++
-	}
-	l := v.iv.Start
-	if in.sw.cfg.Scheduler == GatedLSF {
-		in.singles.Push(l, c)
-		in.gatedBM[l] |= 1
-	} else {
-		in.rows.Push(l*in.sw.levels, c)
-		in.bitmap[l] |= 1
-	}
-}
-
-// schedule places a completed multi-packet stripe into the scheduler
-// storage.
-func (in *inputPort) schedule(st *stripe) {
-	switch in.sw.cfg.Scheduler {
-	case GatedLSF:
-		in.stripes[dyadic.Index(st.iv, in.sw.n)].Push(st)
-		in.gatedBM[st.iv.Start] |= 1 << uint(dyadic.Log2(st.iv.Size))
-	case GreedyLSF:
-		k := dyadic.Log2(st.iv.Size)
-		for u := range st.pkts {
-			l := st.iv.Start + u
-			in.rows.Push(l*in.sw.levels+k, cell{pkt: st.pkts[u], stripeID: st.id, formed: st.formed})
+// schedule places a freshly cut stripe of v into the scheduler storage. Only
+// a gated multi-packet stripe stays a descriptor. A greedy stripe's packets
+// go to per-port rows and a single cell to the singles bank, so those are
+// popped here, and they are at the head of the queue: the greedy scheduler
+// leaves no cut stripe in it, and a gated VOQ only cuts singles once the
+// clearance phase has seen every larger stripe out of the switch.
+func (in *inputPort) schedule(v *voqState, st stripe) {
+	k := dyadic.Log2(st.iv.Size)
+	if in.sw.cfg.Scheduler == GreedyLSF {
+		for l := st.iv.Start; l < st.iv.Start+st.iv.Size; l++ {
+			in.rows.Push(l*in.sw.levels+k, in.pop(v, &st))
 			in.bitmap[l] |= 1 << uint(k)
 		}
-		// The greedy bank copies the packets out, so the stripe object is
-		// done the moment it is scheduled.
-		in.releaseStripe(st)
+		return
+	}
+	if k == 0 {
+		in.singles.Push(st.iv.Start, in.pop(v, &st))
+	} else {
+		in.stripes[dyadic.Index(st.iv, in.sw.n)].Push(st)
+	}
+	in.gatedBM[st.iv.Start] |= 1 << uint(k)
+}
+
+// pop takes the packet at the head of v's queue and rebuilds it as the next
+// cell of stripe st.
+func (in *inputPort) pop(v *voqState, st *stripe) cell {
+	r := v.q.pop(&in.chunks)
+	return cell{
+		pkt: sim.Packet{ID: r.id, Seq: r.seq, Arrival: r.arrival,
+			In: int32(in.i), Out: st.out, StripeSize: int32(st.iv.Size)},
+		stripeID: st.id,
+		formed:   st.formed,
 	}
 }
 
@@ -253,18 +205,14 @@ func (in *inputPort) serve(t sim.Slot) (cell, bool) {
 }
 
 func (in *inputPort) serveGated(l int) (cell, bool) {
-	if in.serving {
-		st := in.cur
-		if st.iv.Start+in.curNext != l {
+	if st := &in.cur; st.served > 0 {
+		if st.iv.Start+int(st.served) != l {
 			panic(fmt.Sprintf("core: input %d gated service lost lockstep: stripe %v next %d, connection %d",
-				in.i, st.iv, in.curNext, l))
+				in.i, st.iv, st.served, l))
 		}
-		c := cell{pkt: st.pkts[in.curNext], stripeID: st.id, formed: st.formed}
-		in.curNext++
-		if in.curNext == len(st.pkts) {
-			in.serving = false
-			in.cur = nil
-			in.releaseStripe(st)
+		c := in.pop(&in.voqs[st.out], st)
+		if st.served++; int(st.served) == st.iv.Size {
+			st.served = 0
 		}
 		in.buffered--
 		return c, true
@@ -286,16 +234,13 @@ func (in *inputPort) serveGated(l int) (cell, bool) {
 		return c, true
 	}
 	q := &in.stripes[dyadic.Index(dyadic.Interval{Start: l, Size: 1 << uint(k)}, in.sw.n)]
-	st := q.Pop()
+	in.cur = q.Pop()
 	if q.Empty() {
 		in.gatedBM[l] &^= 1 << uint(k)
 	}
-	c := cell{pkt: st.pkts[0], stripeID: st.id, formed: st.formed}
-	in.serving = true
-	in.cur = st
-	in.curNext = 1
+	in.cur.served = 1
 	in.buffered--
-	return c, true
+	return in.pop(&in.voqs[in.cur.out], &in.cur), true
 }
 
 func (in *inputPort) serveGreedy(l int) (cell, bool) {

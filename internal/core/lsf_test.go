@@ -29,15 +29,15 @@ func TestStripeFormationAndQueueing(t *testing.T) {
 	if got := sw.inputs[0].queuedStripes(iv); got != 0 {
 		t.Fatalf("stripe formed early: %d", got)
 	}
-	if v.ready.Len() != 3 {
-		t.Fatalf("ready %d", v.ready.Len())
+	if v.ready != 3 {
+		t.Fatalf("ready %d", v.ready)
 	}
 	sw.Arrive(packet{In: 0, Out: 3, Seq: 3})
 	if got := sw.inputs[0].queuedStripes(iv); got != 1 {
 		t.Fatalf("stripes queued %d, want 1", got)
 	}
-	if v.ready.Len() != 0 || v.committed != 4 {
-		t.Fatalf("ready %d committed %d", v.ready.Len(), v.committed)
+	if v.ready != 0 || v.committed != 4 {
+		t.Fatalf("ready %d committed %d", v.ready, v.committed)
 	}
 }
 

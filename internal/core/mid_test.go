@@ -66,10 +66,13 @@ func TestMidQueuesDrainAfterStop(t *testing.T) {
 		in := sw.inputs[i]
 		ready := 0
 		for _, v := range in.voqs {
-			ready += v.ready.Len()
-			if v.ready.Len() >= v.size {
+			ready += v.ready
+			if v.ready >= v.size {
 				t.Fatalf("full stripe sitting unformed in ready queue (%d >= %d)",
-					v.ready.Len(), v.size)
+					v.ready, v.size)
+			}
+			if int(v.q.n) != v.ready {
+				t.Fatalf("VOQ queue holds %d records for %d ready packets", v.q.n, v.ready)
 			}
 		}
 		if in.buffered != ready {

@@ -62,7 +62,12 @@ func (b *Bank[T]) Push(q int, v T) {
 		b.free = b.nodes[idx].next
 	} else {
 		idx = int32(len(b.nodes))
-		b.nodes = append(b.nodes, node[T]{})
+		if int(idx) == cap(b.nodes) {
+			// Doubling bounds the bytes ever allocated at twice the final
+			// slab; append's 1.25x steps re-copy a large slab ~5 times over.
+			b.Grow(max(1, 2*cap(b.nodes)))
+		}
+		b.nodes = b.nodes[:idx+1]
 	}
 	b.nodes[idx] = node[T]{v: v, next: -1}
 	r := &b.refs[q]

@@ -1,8 +1,10 @@
 package queue
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestBankBasics(t *testing.T) {
@@ -217,6 +219,52 @@ func TestBankGrow(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("pushes within Grow capacity allocated %v times", allocs)
+	}
+}
+
+// TestBankGrowthDoubles pushes 1<<16 elements through a bank whose free
+// list is in use the whole way (bursts of pops between the pushes, so every
+// growth happens with previously freed and reused node indices live in the
+// queues), and checks order and contents against the push sequence and that
+// the slab cost at most twice its final size in allocated bytes.
+func TestBankGrowthDoubles(t *testing.T) {
+	const queues, total = 4, 1 << 16
+	b := NewBank[int](queues)
+	var next [queues]int // next value each queue must pop
+	for q := range next {
+		next[q] = q
+	}
+	popCheck := func(q int) {
+		if got := b.Pop(q); got != next[q] {
+			t.Fatalf("queue %d: Pop = %d, want %d", q, got, next[q])
+		}
+		next[q] += queues
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < total; i++ {
+		b.Push(i%queues, i)
+		if i%1000 == 999 {
+			for k := 0; k < 300; k++ {
+				popCheck(k % queues)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	slab := uint64(cap(b.nodes)) * uint64(unsafe.Sizeof(b.nodes[0]))
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*slab {
+		t.Fatalf("growing to a %d-byte slab allocated %d bytes, want at most %d", slab, got, 2*slab)
+	}
+	if want := total - total/1000*300; b.Len() != want {
+		t.Fatalf("Len = %d, want %d", b.Len(), want)
+	}
+	for q := 0; q < queues; q++ {
+		for !b.Empty(q) {
+			popCheck(q)
+		}
+		if next[q] != total+q {
+			t.Fatalf("queue %d drained up to %d, want %d", q, next[q]-queues, total+q-queues)
+		}
 	}
 }
 

@@ -83,15 +83,6 @@ func (q *FIFO[T]) Peek() T {
 	return q.buf[q.head]
 }
 
-// Grow ensures the queue can hold at least capacity elements without
-// further allocation, so callers with a known working set can pre-size the
-// ring and keep the steady state allocation-free.
-func (q *FIFO[T]) Grow(capacity int) {
-	if capacity > len(q.buf) {
-		q.grow(capacity)
-	}
-}
-
 // grow reallocates the ring to a power-of-two capacity of at least min
 // (and at least double the current capacity, preserving amortized O(1)).
 func (q *FIFO[T]) grow(min int) {
