@@ -400,9 +400,12 @@ func BenchmarkSizeSweepStep(b *testing.B) {
 // profile someone has to think of taking. After 12N slots of warm-up UFS at
 // N >= 128 is still accumulating its first frames (they fill after ~N^2
 // slots), which is the regime where every input is idle and asks for a pick
-// every slot. N-512 holds N^2 = 262144 VOQ rings and UFS grows them by
-// ~1 GB per 50000 measured slots: run it with a fixed -benchtime such as
-// 5000x. CI runs the N-32 and N-128 cases.
+// every slot, and where N-512 buffers every arrival for the length of the
+// run: give it a fixed -benchtime such as 5000x. CI's "Benchmark smoke"
+// step runs the N-32 and N-128 cases with its regex unchanged; stepLoop
+// calls b.ReportAllocs, so B/op — the inputs' record chunks, the
+// center-stage slab and FOFF's resequencer windows still finding their
+// high-water marks this soon after warm-up — is printed beside ns/op.
 func BenchmarkBaselineSizeSweepStep(b *testing.B) {
 	for _, alg := range []experiment.Algorithm{experiment.FOFF, experiment.UFS, experiment.PF} {
 		for _, n := range []int{32, 128, 512} {

@@ -20,8 +20,11 @@ import (
 
 // Switch is a baseline load-balanced switch. Create one with New.
 type Switch struct {
-	n      int
-	t      sim.Slot
+	n int
+	t sim.Slot
+	// One queue per input, outputs mixed: the queue's index does not say
+	// where a packet is going, so it holds whole packets rather than the
+	// queue.RecordFIFO records of the per-(input, output) VOQs elsewhere.
 	inputs []queue.FIFO[sim.Packet]
 	mid    *midstage.Stage
 	inBuf  int // packets at the input side

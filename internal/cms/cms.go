@@ -43,7 +43,8 @@ type Switch struct {
 	n int
 	t sim.Slot
 
-	voq [][]queue.FIFO[sim.Packet] // voq[i][j]
+	voq    [][]queue.RecordFIFO // voq[i][j], on chunks[i]
+	chunks []queue.RecordPool   // one pool per input
 
 	// tokenRR[i][j]: the intermediate port receiving VOQ (i,j)'s next
 	// token, so demand spreads evenly over the ports.
@@ -85,7 +86,8 @@ type grantRec struct {
 func New(n int) *Switch {
 	s := &Switch{
 		n:         n,
-		voq:       make([][]queue.FIFO[sim.Packet], n),
+		voq:       make([][]queue.RecordFIFO, n),
+		chunks:    make([]queue.RecordPool, n),
 		tokenRR:   make([][]int, n),
 		tokens:    make([][][]int, n),
 		pending:   make([][]sim.Packet, n),
@@ -94,7 +96,7 @@ func New(n int) *Switch {
 		mid:       midstage.New(n),
 	}
 	for i := 0; i < n; i++ {
-		s.voq[i] = make([]queue.FIFO[sim.Packet], n)
+		s.voq[i] = make([]queue.RecordFIFO, n)
 		s.tokenRR[i] = make([]int, n)
 		for j := 0; j < n; j++ {
 			// Stagger starting ports so token load is even from the
@@ -131,7 +133,7 @@ func (s *Switch) Backlog() int { return s.inBuf + s.inHold + s.mid.Backlog() }
 // Arrive implements sim.Switch: buffer the packet and load-balance a
 // request token to the VOQ's next round-robin intermediate port.
 func (s *Switch) Arrive(p sim.Packet) {
-	s.voq[p.In][p.Out].Push(p)
+	s.voq[p.In][p.Out].Push(&s.chunks[p.In], queue.RecordOf(p))
 	s.inBuf++
 	m := s.tokenRR[p.In][p.Out]
 	s.tokenRR[p.In][p.Out] = (m + 1) % s.n
@@ -222,10 +224,12 @@ func (s *Switch) computeMatchings() {
 		return a.pos < b.pos
 	})
 	for _, g := range s.grants {
-		if s.voq[g.in][g.out].Empty() {
+		q := &s.voq[g.in][g.out]
+		if q.Len() == 0 {
 			panic("cms: grant without a packet")
 		}
-		s.pending[g.m][g.in] = s.voq[g.in][g.out].Pop()
+		// The only place a VOQ shrinks: its record becomes a packet again.
+		s.pending[g.m][g.in] = q.Pop(&s.chunks[g.in]).Packet(g.in, g.out)
 		s.pendingOK[g.m][g.in] = true
 		s.inBuf--
 		s.inHold++

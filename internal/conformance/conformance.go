@@ -6,8 +6,10 @@
 //     fabric's speed);
 //   - at most N departures per slot in total;
 //   - departures are stamped with the current slot;
-//   - every delivered packet was previously offered via Arrive, and is
-//     delivered exactly once;
+//   - every delivered packet was previously offered via Arrive, is
+//     delivered exactly once, and is the packet that was offered, field for
+//     field (a switch may queue less than a whole sim.Packet and rebuild it;
+//     only the stripe-size header is the switch's to write);
 //   - the backlog reported by the switch equals offered minus delivered.
 //
 // Violating any of these means a switch implementation is cheating the
@@ -29,13 +31,13 @@ type Checker struct {
 
 	offered   int64
 	delivered int64
-	inFlight  map[uint64]bool // IDs inside the switch (real packets only)
+	inFlight  map[uint64]sim.Packet // packets inside the switch, as offered (real ones only)
 	violation string
 }
 
 // Wrap builds a Checker around sw.
 func Wrap(sw sim.Switch) *Checker {
-	return &Checker{inner: sw, inFlight: make(map[uint64]bool)}
+	return &Checker{inner: sw, inFlight: make(map[uint64]sim.Packet)}
 }
 
 // Violation returns a description of the first detected violation, or "".
@@ -65,10 +67,10 @@ func (c *Checker) Backlog() int { return c.inner.Backlog() }
 // Arrive implements sim.Switch.
 func (c *Checker) Arrive(p sim.Packet) {
 	if !p.Fake {
-		if c.inFlight[p.ID] {
+		if _, dup := c.inFlight[p.ID]; dup {
 			c.fail("packet %d offered twice", p.ID)
 		}
-		c.inFlight[p.ID] = true
+		c.inFlight[p.ID] = p
 		c.offered++
 	}
 	if p.Arrival != c.inner.Now() {
@@ -98,8 +100,12 @@ func (c *Checker) Step(deliver sim.DeliverFunc) {
 		if d.Packet.Fake {
 			c.fail("slot %d: fake packet delivered", now)
 		} else {
-			if !c.inFlight[d.Packet.ID] {
-				c.fail("slot %d: packet %d delivered but never offered (or twice)", now, d.Packet.ID)
+			got := d.Packet
+			got.StripeSize = 0
+			if want, ok := c.inFlight[got.ID]; !ok {
+				c.fail("slot %d: packet %d delivered but never offered (or twice)", now, got.ID)
+			} else if got != want {
+				c.fail("slot %d: delivered %+v, offered as %+v", now, got, want)
 			}
 			delete(c.inFlight, d.Packet.ID)
 			c.delivered++

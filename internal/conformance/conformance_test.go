@@ -88,13 +88,26 @@ func (s *cheat) Step(deliver sim.DeliverFunc) {
 	case "fake-escape":
 		deliver(sim.Delivery{Packet: sim.Packet{ID: 998, Out: 2, Fake: true}, Depart: s.t})
 		s.t++
+	case "wrong-input", "wrong-seq":
+		// A switch that rebuilds packets from less than it was given.
+		if len(s.pending) > 0 {
+			p := s.pending[0]
+			s.pending = s.pending[1:]
+			if s.mode == "wrong-input" {
+				p.In++
+			} else {
+				p.Seq++
+			}
+			deliver(sim.Delivery{Packet: p, Depart: s.t})
+		}
+		s.t++
 	default:
 		s.okSwitch.Step(deliver)
 	}
 }
 
 func TestViolationsDetected(t *testing.T) {
-	for _, mode := range []string{"duplicate-output", "wrong-slot", "phantom", "fake-escape"} {
+	for _, mode := range []string{"duplicate-output", "wrong-slot", "phantom", "fake-escape", "wrong-input", "wrong-seq"} {
 		c := Wrap(&cheat{okSwitch: &okSwitch{n: 4}, mode: mode})
 		c.Arrive(sim.Packet{ID: 1, In: 0, Out: 0, Arrival: 0})
 		for k := 0; k < 4; k++ {

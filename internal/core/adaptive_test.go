@@ -259,9 +259,9 @@ func TestResizeRecut(t *testing.T) {
 					delivered++
 				})
 			}
-			if delivered != total || sw.Backlog() != 0 || v.committed != 0 || v.q.n != 0 {
+			if delivered != total || sw.Backlog() != 0 || v.committed != 0 || v.q.Len() != 0 {
 				t.Fatalf("%v %+v: delivered %d of %d, backlog %d, committed %d, %d records left",
-					sched, tc, delivered, total, sw.Backlog(), v.committed, v.q.n)
+					sched, tc, delivered, total, sw.Backlog(), v.committed, v.q.Len())
 			}
 		}
 	}

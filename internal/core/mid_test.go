@@ -71,8 +71,8 @@ func TestMidQueuesDrainAfterStop(t *testing.T) {
 				t.Fatalf("full stripe sitting unformed in ready queue (%d >= %d)",
 					v.ready, v.size)
 			}
-			if int(v.q.n) != v.ready {
-				t.Fatalf("VOQ queue holds %d records for %d ready packets", v.q.n, v.ready)
+			if v.q.Len() != v.ready {
+				t.Fatalf("VOQ queue holds %d records for %d ready packets", v.q.Len(), v.ready)
 			}
 		}
 		if in.buffered != ready {

@@ -49,17 +49,21 @@ import (
 //
 // The three per-input sets cost 3N²/8 bytes together; nextAt costs N³/8
 // bytes — 4 KB at N = 32, 256 KB at N = 128, 16 MB at N = 512, 134 MB at
-// N = 1024, where it is the largest thing in the switch (the VOQ ring headers
-// and the resequencer's per-flow records are 42 MB each; an empty switch
-// measures 0.06, 1.7, 40 and 227 MB at those four sizes). That is the price
+// N = 1024, where it is the largest thing in the switch (the resequencer's
+// per-flow records are 42 MB and the 24-byte VOQ queue headers 25 MB; an
+// empty switch measures 0.09, 1.5, 36 and 210 MB at those four sizes). A VOQ
+// holds no buffer of its own: its packets are 24-byte records in 8-record
+// chunks from its input's pool, so what the inputs hold follows their
+// backlog, not N² private high-water marks. nextAt is the price
 // of a selection that is one AND and one find-first-set per word. An O(N²)
 // list of VOQs per (input, port) would scale further but makes the pick a
 // list walk again, and no study or benchmark here runs FOFF past N = 512.
 type Switch struct {
-	n   int
-	w   int // words per bit set: queue.BitWords(n)
-	t   sim.Slot
-	voq []queue.FIFO[sim.Packet] // VOQ i*n+j
+	n      int
+	w      int // words per bit set: queue.BitWords(n)
+	t      sim.Slot
+	voq    []queue.RecordFIFO // VOQ i*n+j, on chunks[i]
+	chunks []queue.RecordPool // one pool per input
 
 	nonEmpty []uint64 // input i's set at [i*w, (i+1)*w)
 	ready    []uint64
@@ -81,7 +85,8 @@ func New(n int) *Switch {
 	s := &Switch{
 		n:        n,
 		w:        w,
-		voq:      make([]queue.FIFO[sim.Packet], n*n),
+		voq:      make([]queue.RecordFIFO, n*n),
+		chunks:   make([]queue.RecordPool, n),
 		nonEmpty: make([]uint64, n*w),
 		ready:    make([]uint64, n*w),
 		inFull:   make([]uint64, n*w),
@@ -123,7 +128,7 @@ func (s *Switch) MaxResequencerOccupancy() int { return s.reseq.MaxHeld() }
 func (s *Switch) Arrive(p sim.Packet) {
 	i, j := int(p.In), int(p.Out)
 	q := &s.voq[i*s.n+j]
-	q.Push(p)
+	q.Push(&s.chunks[i], queue.RecordOf(p))
 	if q.Len() == 1 {
 		queue.SetBit(s.nonEmpty[i*s.w:], j)
 	}
@@ -172,18 +177,19 @@ func (s *Switch) pick(i, l int) int {
 }
 
 // serve sends the head of VOQ (i, j) to intermediate port l, the VOQ's
-// next port, and moves the VOQ on to port l+1.
+// next port, and moves the VOQ on to port l+1. It is the only place a VOQ
+// shrinks, so the head record becomes a packet again here.
 func (s *Switch) serve(i, j, l int) {
 	q := &s.voq[i*s.n+j]
 	inFull := s.inFull[i*s.w:]
 	if l == 0 && q.Len() >= s.n {
 		queue.SetBit(inFull, j) // this frame starts full
 	}
-	p := q.Pop()
+	p := q.Pop(&s.chunks[i]).Packet(i, j)
 	if q.Len() == s.n-1 {
 		queue.ClearBit(s.ready[i*s.w:], j)
 	}
-	if q.Empty() {
+	if q.Len() == 0 {
 		queue.ClearBit(s.nonEmpty[i*s.w:], j)
 	}
 	next := l + 1

@@ -20,10 +20,13 @@ import (
 
 // Switch is a TCP-hashing (AFBR) load-balanced switch.
 type Switch struct {
-	n      int
-	t      sim.Slot
-	hash   [][]int                    // hash[i][j]: intermediate port for VOQ (i,j)
-	inputs [][]queue.FIFO[sim.Packet] // inputs[i][l]: packets at input i bound for intermediate l
+	n    int
+	t    sim.Slot
+	hash [][]int // hash[i][j]: intermediate port for VOQ (i,j)
+	// inputs[i][l]: packets at input i bound for intermediate l. Several
+	// outputs hash to one port, so a queue's index does not give Out and the
+	// queue holds whole packets, not queue.RecordFIFO records.
+	inputs [][]queue.FIFO[sim.Packet]
 	mid    *midstage.Stage
 	inBuf  int // packets at the input side
 }

@@ -8,13 +8,14 @@ import (
 )
 
 // Cell is one packet of a full frame, annotated with the frame bookkeeping
-// the frame-atomic stage needs.
+// the frame-atomic stage needs. Every frame holds exactly N cells (padded
+// ones included), so a cell does not carry its frame's size; Index is 32 bits
+// to keep a bank node at 72 bytes.
 type Cell struct {
 	Pkt     sim.Packet
 	FrameID uint64 // globally unique frame identity
 	FlowSeq uint64 // per-(input, output-VOQ) frame counter
-	Index   int    // position of this packet inside its frame (0..N-1)
-	Size    int    // frame size (always N for full frames)
+	Index   int32  // position of this packet inside its frame (0..N-1)
 }
 
 // FrameStage is the frame-atomic center stage used by the full-frame
@@ -110,11 +111,11 @@ func (s *FrameStage) stepOutput(j int, t sim.Slot, deliver sim.DeliverFunc) {
 		return
 	}
 	s.next[s.flow(&c)] = c.FlowSeq + 1
-	if c.Size > 1 {
+	if s.n > 1 {
 		g.serving = true
 		g.frameID = c.FrameID
 		g.row = (m + 1) % s.n
-		g.left = c.Size - 1
+		g.left = s.n - 1
 	}
 	s.emit(c, t, deliver)
 }

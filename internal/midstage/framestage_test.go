@@ -17,8 +17,7 @@ func insertFrame(s *FrameStage, n int, in, out int, frameID, flowSeq uint64, sta
 			Pkt:     sim.Packet{In: int32(in), Out: int32(out), Seq: seqBase + uint64(u), Arrival: t0},
 			FrameID: frameID,
 			FlowSeq: flowSeq,
-			Index:   u,
-			Size:    n,
+			Index:   int32(u),
 		})
 	}
 	return t0 + sim.Slot(n)
@@ -101,8 +100,7 @@ func TestCompetingFlowsEachStayOrdered(t *testing.T) {
 				Pkt:     sim.Packet{In: int32(f.in), Out: int32(f.out), Seq: f.nextSeq, Arrival: tt},
 				FrameID: frameID,
 				FlowSeq: f.flowSeq,
-				Index:   u,
-				Size:    n,
+				Index:   int32(u),
 			})
 			f.nextSeq++
 			tt++
@@ -134,7 +132,7 @@ func TestFakesConsumedSilently(t *testing.T) {
 		fake := u >= 2
 		s.Enqueue(u, Cell{
 			Pkt:     sim.Packet{In: 0, Out: 1, Seq: uint64(u), Fake: fake},
-			FrameID: 1, FlowSeq: 0, Index: u, Size: n,
+			FrameID: 1, FlowSeq: 0, Index: int32(u),
 		})
 	}
 	if s.Backlog() != 2 {
@@ -153,7 +151,7 @@ func TestFakesConsumedSilently(t *testing.T) {
 
 func TestFrameStageQueueLen(t *testing.T) {
 	s := NewFrameStage(4)
-	s.Enqueue(2, Cell{Pkt: sim.Packet{Out: 3}, FrameID: 1, Index: 0, Size: 4})
+	s.Enqueue(2, Cell{Pkt: sim.Packet{Out: 3}, FrameID: 1, Index: 0})
 	if s.QueueLen(2, 3) != 1 || s.QueueLen(2, 0) != 0 {
 		t.Fatal("QueueLen wrong")
 	}
@@ -172,13 +170,13 @@ func mustPanic(t *testing.T, want string, f func()) {
 }
 
 // TestMissingPacketPanics: a frame that started must find its next packet
-// at the next port; a frame spread short of its declared size is a bug in
+// at the next port; a frame spread short of its N cells is a bug in
 // the input side and must not be served silently out of burst.
 func TestMissingPacketPanics(t *testing.T) {
 	const n = 4
 	s := NewFrameStage(n)
 	// Output 1's sweep is at port 1 in slot 0; only the first cell exists.
-	s.Enqueue(1, Cell{Pkt: sim.Packet{Out: 1}, FrameID: 7, Index: 0, Size: n})
+	s.Enqueue(1, Cell{Pkt: sim.Packet{Out: 1}, FrameID: 7, Index: 0})
 	if got := drain(s, n, 0, 1); len(got) != 1 {
 		t.Fatalf("first cell not served: %d deliveries", len(got))
 	}

@@ -9,7 +9,8 @@
 //     SecondStage(l, t). The baseline, TCP-hashing, FOFF and CMS switches
 //     use it.
 //   - FrameStage serves frames atomically, for the full-frame switches (UFS
-//     and Padded Frames), whose input side is the Spreader.
+//     and Padded Frames), whose input side is the Spreader: N² VOQs as
+//     queue.RecordFIFOs on one chunk pool per input.
 //
 // Padding cells (Packet.Fake) occupy queue slots and second-fabric
 // connections but are consumed silently at the output, as in the Padded

@@ -8,7 +8,10 @@ import (
 // Spreader is the input side the full-frame switches share, in front of
 // its own FrameStage: per-input VOQs, and per input one frame at a time
 // being spread over N consecutive slots, one cell to each intermediate
-// port. An idle input picks, round-robin over its VOQs, one that holds a
+// port. A VOQ is a queue.RecordFIFO on its input's chunk pool, so an input's
+// memory follows its backlog rather than N private high-water marks, and a
+// packet is a 24-byte record until fillFrame rebuilds it from the VOQ's
+// (i, j). An idle input picks, round-robin over its VOQs, one that holds a
 // full frame of N packets. What an input does when no VOQ holds one is the
 // only thing UFS and Padded Frames disagree on, so Step takes it as a
 // policy: UFS idles, PF names a VOQ to pad with fake cells.
@@ -20,9 +23,9 @@ import (
 // pointer. The sets cost N²/8 bytes in all.
 type Spreader struct {
 	n        int
-	w        int                      // words per input in ready
-	voq      []queue.FIFO[sim.Packet] // VOQ i*n+j
-	ready    []uint64                 // input i's full-frame-ready set at [i*w, (i+1)*w)
+	w        int                // words per input in ready
+	voq      []queue.RecordFIFO // VOQ i*n+j, on inputs[i].chunks
+	ready    []uint64           // input i's full-frame-ready set at [i*w, (i+1)*w)
 	inputs   []spreadInput
 	frameSeq []uint64 // per-VOQ frame counter (orders frames of a flow)
 	nextID   uint64   // global frame identity
@@ -38,7 +41,8 @@ type spreadInput struct {
 	pos     int
 	frameID uint64
 	flowSeq uint64
-	rr      int // round-robin pointer over VOQs for frame selection
+	rr      int              // round-robin pointer over VOQs for frame selection
+	chunks  queue.RecordPool // backs the input's n VOQs
 }
 
 // NewSpreader builds the full-frame input side and center stage of an
@@ -48,7 +52,7 @@ func NewSpreader(n int) *Spreader {
 	sp := &Spreader{
 		n:        n,
 		w:        w,
-		voq:      make([]queue.FIFO[sim.Packet], n*n),
+		voq:      make([]queue.RecordFIFO, n*n),
 		ready:    make([]uint64, n*w),
 		inputs:   make([]spreadInput, n),
 		frameSeq: make([]uint64, n*n),
@@ -66,7 +70,7 @@ func NewSpreader(n int) *Spreader {
 func (sp *Spreader) Arrive(p sim.Packet) {
 	i, j := int(p.In), int(p.Out)
 	q := &sp.voq[i*sp.n+j]
-	q.Push(p)
+	q.Push(&sp.inputs[i].chunks, queue.RecordOf(p))
 	if q.Len() == sp.n {
 		queue.SetBit(sp.ready[i*sp.w:], j)
 	}
@@ -106,8 +110,7 @@ func (sp *Spreader) Step(t sim.Slot, deliver sim.DeliverFunc, pad func(i int) in
 			Pkt:     in.frame[in.pos],
 			FrameID: in.frameID,
 			FlowSeq: in.flowSeq,
-			Index:   in.pos,
-			Size:    sp.n,
+			Index:   int32(in.pos),
 		}
 		in.pos++
 		if !c.Pkt.Fake {
@@ -143,10 +146,14 @@ func (sp *Spreader) startPadded(i, j int, t sim.Slot) {
 }
 
 // fillFrame moves up to a frame of packets from VOQ (i, j) into input i's
-// buffer and returns how many it moved. It is the only place a VOQ shrinks.
+// buffer and returns how many it moved. It is the only place a VOQ shrinks,
+// and so the only place its records become packets again.
 func (sp *Spreader) fillFrame(i, j int) int {
-	q := &sp.voq[i*sp.n+j]
-	k := q.PopInto(sp.inputs[i].frame)
+	q, in := &sp.voq[i*sp.n+j], &sp.inputs[i]
+	k := min(q.Len(), sp.n)
+	for u := range in.frame[:k] {
+		in.frame[u] = q.Pop(&in.chunks).Packet(i, j)
+	}
 	if q.Len() < sp.n {
 		queue.ClearBit(sp.ready[i*sp.w:], j)
 	}

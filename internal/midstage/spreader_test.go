@@ -120,7 +120,7 @@ func (r *refSpreader) step(sp *Spreader, t sim.Slot, deliver sim.DeliverFunc, pa
 				sp.startPadded(i, j, t)
 			}
 		}
-		c := Cell{Pkt: in.frame[in.pos], FrameID: in.frameID, FlowSeq: in.flowSeq, Index: in.pos, Size: sp.n}
+		c := Cell{Pkt: in.frame[in.pos], FrameID: in.frameID, FlowSeq: in.flowSeq, Index: int32(in.pos)}
 		in.pos++
 		if !c.Pkt.Fake {
 			sp.inBuf--

@@ -1,8 +1,9 @@
 // Package queue provides the queueing primitives used throughout the switch
 // implementations: an amortized O(1) ring-buffer FIFO, the
 // N x (log2 N + 1) stripe-FIFO bank with per-row bitmaps described in
-// Sec. 3.4.2 of the paper, and multi-word bit sets with a cyclic
-// find-first-set for round-robin queue selection.
+// Sec. 3.4.2 of the paper, the chunked record FIFO on a per-input chunk pool
+// that is every architecture's per-(input, output) VOQ, and multi-word bit
+// sets with a cyclic find-first-set for round-robin queue selection.
 package queue
 
 // FIFO is a growable ring-buffer first-in first-out queue. The zero value is
@@ -46,32 +47,6 @@ func (q *FIFO[T]) Pop() T {
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return v
-}
-
-// PopInto removes up to len(dst) elements from the head of the queue into
-// dst, preserving order, and returns how many were moved (min(len(dst),
-// Len)). Like Pop it zeroes the vacated slots so references are released.
-func (q *FIFO[T]) PopInto(dst []T) int {
-	k := len(dst)
-	if k > q.n {
-		k = q.n
-	}
-	if k == 0 {
-		return 0
-	}
-	first := k
-	if q.head+first > len(q.buf) {
-		first = len(q.buf) - q.head
-	}
-	copy(dst, q.buf[q.head:q.head+first])
-	clear(q.buf[q.head : q.head+first])
-	if first < k {
-		copy(dst[first:], q.buf[:k-first])
-		clear(q.buf[:k-first])
-	}
-	q.head = (q.head + k) & (len(q.buf) - 1)
-	q.n -= k
-	return k
 }
 
 // Peek returns the head of the queue without removing it. It panics on an

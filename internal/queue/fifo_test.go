@@ -119,9 +119,9 @@ func wrappedFIFO(offset, vals int) (*FIFO[int], []int) {
 	return q, model
 }
 
-// TestFIFOBulkModel drives Push/PopInto and a plain-slice model with the
-// same random operation sequence and requires identical observable behavior,
-// so PopInto's two-chunk copy path is exercised across wrap and growth.
+// TestFIFOBulkModel drives runs of pushes and runs of pops and a plain-slice
+// model with the same random operation sequence and requires identical
+// observable behavior, so bursts cross the ring's wrap point and its growth.
 func TestFIFOBulkModel(t *testing.T) {
 	f := func(ops []uint8) bool {
 		var q FIFO[uint8]
@@ -135,19 +135,13 @@ func TestFIFOBulkModel(t *testing.T) {
 					model = append(model, next)
 					next++
 				}
-			case 2: // PopInto a buffer possibly larger than the queue
-				dst := make([]uint8, int(op)%9)
-				got := q.PopInto(dst)
-				want := min(len(dst), len(model))
-				if got != want {
-					return false
-				}
-				for i := 0; i < got; i++ {
-					if dst[i] != model[i] {
+			case 2: // a run of up to op%9 pops, possibly emptying the queue
+				for i := min(int(op)%9, len(model)); i > 0; i-- {
+					if q.Pop() != model[0] {
 						return false
 					}
+					model = model[1:]
 				}
-				model = model[got:]
 			default: // single push/pop keeps the head offset odd
 				if len(model) > 0 && op%2 == 0 {
 					if q.Pop() != model[0] {
@@ -176,22 +170,6 @@ func TestFIFOBulkModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestFIFOPopIntoReleasesReferences: vacated slots must be zeroed so the
-// queue does not pin popped pointers.
-func TestFIFOPopIntoReleasesReferences(t *testing.T) {
-	var q FIFO[*int]
-	for i := 0; i < 6; i++ {
-		q.Push(new(int))
-	}
-	dst := make([]*int, 6)
-	q.PopInto(dst)
-	for i, p := range q.buf {
-		if p != nil {
-			t.Fatalf("slot %d not zeroed by PopInto", i)
-		}
 	}
 }
 

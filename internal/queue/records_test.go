@@ -1,4 +1,4 @@
-package core
+package queue
 
 import (
 	"math/rand"
@@ -7,27 +7,27 @@ import (
 	"sprinklers/internal/sim"
 )
 
-// queueModel pairs voqQueues sharing one chunkPool — one input port's VOQs —
+// queueModel pairs RecordFIFOs sharing one RecordPool — one input port's VOQs —
 // with plain-slice models, and checks every pop and the pool's accounting.
 type queueModel struct {
 	t      *testing.T
-	pool   chunkPool
-	qs     []voqQueue
-	model  [][]record
+	pool   RecordPool
+	qs     []RecordFIFO
+	model  [][]Record
 	serial uint64
 	peak   int // high-water mark of chunks in use at once
 }
 
 func newQueueModel(t *testing.T, voqs int) *queueModel {
-	return &queueModel{t: t, qs: make([]voqQueue, voqs), model: make([][]record, voqs)}
+	return &queueModel{t: t, qs: make([]RecordFIFO, voqs), model: make([][]Record, voqs)}
 }
 
 func (m *queueModel) push(v, count int) {
 	m.t.Helper()
 	for ; count > 0; count-- {
 		m.serial++
-		r := record{id: m.serial, seq: uint64(len(m.model[v])), arrival: sim.Slot(m.serial * 3)}
-		m.qs[v].push(&m.pool, r)
+		r := Record{ID: m.serial, Seq: uint64(len(m.model[v])), Arrival: sim.Slot(m.serial * 3)}
+		m.qs[v].Push(&m.pool, r)
 		m.model[v] = append(m.model[v], r)
 		m.check()
 	}
@@ -36,7 +36,7 @@ func (m *queueModel) push(v, count int) {
 func (m *queueModel) pop(v, count int) {
 	m.t.Helper()
 	for ; count > 0; count-- {
-		if got, want := m.qs[v].pop(&m.pool), m.model[v][0]; got != want {
+		if got, want := m.qs[v].Pop(&m.pool), m.model[v][0]; got != want {
 			m.t.Fatalf("voq %d: pop = %+v, want %+v", v, got, want)
 		}
 		m.model[v] = m.model[v][1:]

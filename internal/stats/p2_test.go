@@ -94,3 +94,30 @@ func TestP2Validation(t *testing.T) {
 		}()
 	}
 }
+
+// TestDelayStreamingQuantiles: the median and the 99th percentile of a
+// stream of 50 000 integer delays.
+func TestDelayStreamingQuantiles(t *testing.T) {
+	p50, p99 := NewP2(0.50), NewP2(0.99)
+	if p50.Value() != 0 || p99.Value() != 0 {
+		t.Fatal("empty streaming quantiles should be 0")
+	}
+	rng := rand.New(rand.NewSource(31))
+	var raw []float64
+	for k := 0; k < 50000; k++ {
+		v := float64(rng.Intn(1000))
+		raw = append(raw, v)
+		p50.Add(v)
+		p99.Add(v)
+	}
+	for _, c := range []struct {
+		name string
+		est  *P2
+		p    float64
+	}{{"Median", p50, 0.50}, {"P99", p99, 0.99}} {
+		exact := exactQuantile(raw, c.p)
+		if math.Abs(c.est.Value()-exact) > 0.05*exact+5 {
+			t.Fatalf("%s %v vs exact %v", c.name, c.est.Value(), exact)
+		}
+	}
+}

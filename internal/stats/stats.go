@@ -21,8 +21,6 @@ type Delay struct {
 	min     sim.Slot
 	max     sim.Slot
 	buckets [64]int64 // bucket k counts delays in [2^(k-1), 2^k)
-	p50     *P2
-	p99     *P2
 }
 
 // Observe implements sim.Observer.
@@ -44,29 +42,6 @@ func (d *Delay) Add(delay sim.Slot) {
 	d.sum += f
 	d.sumSq += f * f
 	d.buckets[bucketOf(delay)]++
-	if d.p50 == nil {
-		d.p50 = NewP2(0.50)
-		d.p99 = NewP2(0.99)
-	}
-	d.p50.Add(f)
-	d.p99.Add(f)
-}
-
-// Median returns a precise streaming estimate of the median delay (P^2
-// algorithm), in contrast to Percentile's factor-of-two histogram bound.
-func (d *Delay) Median() float64 {
-	if d.p50 == nil {
-		return 0
-	}
-	return d.p50.Value()
-}
-
-// P99 returns a precise streaming estimate of the 99th-percentile delay.
-func (d *Delay) P99() float64 {
-	if d.p99 == nil {
-		return 0
-	}
-	return d.p99.Value()
 }
 
 // bucketOf maps delay 0 -> bucket 0, 1 -> 1, 2..3 -> 2, 4..7 -> 3, ...: the

@@ -297,26 +297,3 @@ func TestQuantiles(t *testing.T) {
 		t.Fatal("empty quantiles should be zero")
 	}
 }
-
-func TestDelayStreamingQuantiles(t *testing.T) {
-	var d Delay
-	if d.Median() != 0 || d.P99() != 0 {
-		t.Fatal("empty streaming quantiles should be 0")
-	}
-	rng := rand.New(rand.NewSource(31))
-	var raw []int
-	for k := 0; k < 50000; k++ {
-		v := rng.Intn(1000)
-		raw = append(raw, v)
-		d.Add(sim.Slot(v))
-	}
-	sort.Ints(raw)
-	med := float64(raw[len(raw)/2])
-	p99 := float64(raw[int(0.99*float64(len(raw)))])
-	if math.Abs(d.Median()-med) > 0.05*med+5 {
-		t.Fatalf("Median %v vs exact %v", d.Median(), med)
-	}
-	if math.Abs(d.P99()-p99) > 0.05*p99+5 {
-		t.Fatalf("P99 %v vs exact %v", d.P99(), p99)
-	}
-}
