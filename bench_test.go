@@ -333,8 +333,12 @@ func stepLoop(b *testing.B, s steppedSwitch) {
 // uniform Bernoulli traffic at load 0.9, sized the way a study sizes it
 // (Eq. 1 stripes for the Sprinklers variants).
 func uniformPoint(b *testing.B, alg experiment.Algorithm, n int) func() (sim.Switch, sim.Source) {
+	return matrixPoint(b, alg, traffic.Uniform(n, 0.9))
+}
+
+// matrixPoint is uniformPoint for any rate matrix.
+func matrixPoint(b *testing.B, alg experiment.Algorithm, m *traffic.Matrix) func() (sim.Switch, sim.Source) {
 	return func() (sim.Switch, sim.Source) {
-		m := traffic.Uniform(n, 0.9)
 		sw, err := experiment.NewSwitch(alg, m, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -366,14 +370,30 @@ func BenchmarkLargeSwitchStep(b *testing.B) {
 
 // BenchmarkStripedSwitchStep is the step cost in the regime the
 // sprinklers-n128 benchmark workload runs and no other step benchmark above
-// N=32 reaches: Eq. 1 sizing at uniform load 0.9 gives all N^2 VOQs stripes
-// of size N, so every packet is buffered in its VOQ's chunk queue, waits
-// there for N-1 companions and is served through a stripe descriptor. The
-// 20 000-slot warm-up is the workload's own: just past the first
-// accumulation cycle (N^2/0.9 = 18 204 slots), where the chunk pools and the
-// center-stage slab reach their high-water marks.
+// N=32 reaches, on the workload's two matrices. Uniform: Eq. 1 sizing at
+// load 0.9 gives all N^2 VOQs stripes of size N, so every packet is buffered
+// in its VOQ's chunk queue, waits there for N-1 companions, is served
+// through a stripe descriptor and crosses the center stage in a block of N
+// records. Diagonal: the N diagonal VOQs carry half the load in stripes of
+// N, the other N^2-N share the rest in stripes of N/2 (58 packets per N^2
+// slots each; Eq. 1 gives a single only below one), so every output's grid
+// interleaves blocks of two sizes from two free lists and a whole-row stripe
+// must wait for the half-row stripes that started before it. The 20 000-slot
+// warm-up is the workload's own: just past the first accumulation cycle
+// (N^2/0.9 = 18 204 slots), where the chunk pools and the center-stage slabs
+// reach their high-water marks.
 func BenchmarkStripedSwitchStep(b *testing.B) {
-	stepLoop(b, steadySwitch(b, "striped-128", 20_000, uniformPoint(b, experiment.Sprinklers, 128)))
+	for _, m := range []struct {
+		name string
+		m    *traffic.Matrix
+	}{
+		{"uniform", traffic.Uniform(128, 0.9)},
+		{"diagonal", traffic.Diagonal(128, 0.9)},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			stepLoop(b, steadySwitch(b, "striped-128-"+m.name, 20_000, matrixPoint(b, experiment.Sprinklers, m.m)))
+		})
+	}
 }
 
 // BenchmarkSizeSweepStep tracks per-slot stepping cost and allocation count

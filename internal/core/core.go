@@ -31,7 +31,11 @@
 //	stripegen.go per-VOQ state: Eq. 1 sizing around the OLS-placed primary port,
 //	             the chunked packet queue, and the stripe descriptor
 //	input.go     input ports: arrival, stripe cutting, stripe FIFO bank, LSF service
-//	mid.go       intermediate ports and the per-output virtual schedule grids
+//	mid.go       intermediate ports and the per-output virtual schedule grids:
+//	             per-interval stripe queues over blocks (gated), the per-row
+//	             cell bank (greedy, and every size-1 stripe)
+//	blocks.go    the center-stage block pool: 2^k records per stripe, per-size
+//	             free lists over one slab
 //	adaptive.go  measured-rate stripe resizing with the Sec. 5 clearance phase
 package core
 
@@ -295,9 +299,7 @@ func (s *Switch) Step(deliver sim.DeliverFunc) {
 	t := s.t
 	s.mid.step(t, deliver)
 	for i := 0; i < s.n; i++ {
-		if p, ok := s.inputs[i].serve(t); ok {
-			s.mid.enqueue(s.firstStage(i, t), p)
-		}
+		s.inputs[i].transmit(t, s.mid)
 	}
 	if s.adaptive != nil {
 		s.adaptive.onSlotEnd(t)

@@ -11,7 +11,12 @@ import (
 
 // cell is a packet annotated with the identity of the stripe it belongs to.
 // The stripe id exists only inside the switch; it powers the lockstep
-// assertions that prove the gated scheduler never interleaves stripes.
+// assertions that prove the gated scheduler never interleaves stripes. Cells
+// are what the greedy scheduler and every size-1 stripe queue, at the inputs
+// and in the center stage. A packet of a gated multi-packet stripe is a cell
+// only where it leaves the switch (midShard.take) and on the parallel
+// engine's handoff: in between it is a 24-byte record in its VOQ's chunk and
+// then in its stripe's center-stage block, and the stripe knows the rest.
 type cell struct {
 	pkt      sim.Packet
 	stripeID uint64
@@ -182,7 +187,8 @@ func (in *inputPort) schedule(v *voqState, st stripe) {
 // pop takes the packet at the head of v's queue and rebuilds it as the next
 // cell of stripe st. The packet is one literal, stripe-size header included:
 // Record.Packet followed by a store of the header copies the packet once
-// more, which BenchmarkStripedSwitchStep showed as 5 % of a slot.
+// more, which BenchmarkStripedSwitchStep showed as 5 % of a slot when every
+// gated packet still came through here.
 func (in *inputPort) pop(v *voqState, st *stripe) cell {
 	r := v.q.Pop(&in.chunks)
 	return cell{
@@ -195,7 +201,9 @@ func (in *inputPort) pop(v *voqState, st *stripe) cell {
 
 // serve executes one first-fabric slot for this input port: it returns the
 // packet (if any) to transmit to the intermediate port the fabric currently
-// connects the input to.
+// connects the input to. The parallel engine serves this way, because the
+// shard that owns the input is not the one that owns the packet's output;
+// the sequential step uses transmit.
 func (in *inputPort) serve(t sim.Slot) (cell, bool) {
 	l := in.sw.firstStage(in.i, t)
 	switch in.sw.cfg.Scheduler {
@@ -206,43 +214,97 @@ func (in *inputPort) serve(t sim.Slot) (cell, bool) {
 	}
 }
 
-func (in *inputPort) serveGated(l int) (cell, bool) {
+// transmit is serve sending straight into the center stage. What it saves is
+// the gated multi-packet stripe's cell: the packet goes from its VOQ's chunk
+// to its slot of the stripe's block as the 24-byte record it is, and no cell
+// is built until the output takes it.
+func (in *inputPort) transmit(t sim.Slot, ms *midStage) {
+	l := in.sw.firstStage(in.i, t)
+	if in.sw.cfg.Scheduler != GatedLSF {
+		if c, ok := in.serveGreedy(l); ok {
+			ms.enqueue(l, c)
+		}
+		return
+	}
+	switch in.pick(l) {
+	case sendSingle:
+		ms.enqueue(l, in.takeSingle(l))
+	case sendStriped:
+		ms.write(in.i, &in.cur, in.voqs[in.cur.out].q.Pop(&in.chunks))
+		in.advance()
+	}
+}
+
+// sendKind says what a gated input puts on the first fabric in one slot.
+type sendKind int
+
+const (
+	sendNothing sendKind = iota
+	sendSingle           // the oldest size-1 stripe queued for the connected port
+	sendStriped          // packet cur.served of the stripe in service, cur
+)
+
+// pick is Algorithm 1 for the slot that connects the input to intermediate
+// port l. It decides what is sent and, when that starts a stripe, makes the
+// stripe cur; taking the packet is the caller's, by takeSingle or by popping
+// cur's VOQ and calling advance.
+func (in *inputPort) pick(l int) sendKind {
 	if st := &in.cur; st.served > 0 {
 		if st.iv.Start+int(st.served) != l {
 			panic(fmt.Sprintf("core: input %d gated service lost lockstep: stripe %v next %d, connection %d",
 				in.i, st.iv, st.served, l))
 		}
-		c := in.pop(&in.voqs[st.out], st)
-		if st.served++; int(st.served) == st.iv.Size {
-			st.served = 0
-		}
-		in.buffered--
-		return c, true
+		return sendStriped
 	}
 	// Largest Stripe First among the stripes whose dyadic interval starts
 	// at the connected port (Algorithm 1): the highest set bitmap bit is
 	// the largest nonempty interval size.
 	bm := in.gatedBM[l]
 	if bm == 0 {
-		return cell{}, false
+		return sendNothing
 	}
 	k := bits.Len64(bm) - 1
 	if k == 0 {
-		c := in.singles.Pop(l)
-		if in.singles.Empty(l) {
-			in.gatedBM[l] &^= 1
-		}
-		in.buffered--
-		return c, true
+		return sendSingle
 	}
 	q := &in.stripes[dyadic.Index(dyadic.Interval{Start: l, Size: 1 << uint(k)}, in.sw.n)]
 	in.cur = q.Pop()
 	if q.Empty() {
 		in.gatedBM[l] &^= 1 << uint(k)
 	}
-	in.cur.served = 1
+	return sendStriped
+}
+
+func (in *inputPort) takeSingle(l int) cell {
+	c := in.singles.Pop(l)
+	if in.singles.Empty(l) {
+		in.gatedBM[l] &^= 1
+	}
 	in.buffered--
-	return in.pop(&in.voqs[in.cur.out], &in.cur), true
+	return c
+}
+
+// advance accounts for one packet of cur having been sent.
+func (in *inputPort) advance() {
+	st := &in.cur
+	if st.served++; int(st.served) == st.iv.Size {
+		st.served = 0
+	}
+	in.buffered--
+}
+
+// serveGated returns what pick chose as a cell. The parallel engine carries
+// it to the shard that owns its output.
+func (in *inputPort) serveGated(l int) (cell, bool) {
+	switch in.pick(l) {
+	case sendSingle:
+		return in.takeSingle(l), true
+	case sendStriped:
+		c := in.pop(&in.voqs[in.cur.out], &in.cur)
+		in.advance()
+		return c, true
+	}
+	return cell{}, false
 }
 
 func (in *inputPort) serveGreedy(l int) (cell, bool) {

@@ -19,32 +19,75 @@ import (
 // internal header, exactly the log2 log2 N bits the paper budgets; the
 // stripe id is carried alongside purely to power runtime assertions.
 //
-// The N x N x (log2 N + 1) FIFO bank is slab-backed queue.Bank storage
-// indexed (j*N + m)*levels + k output-major, with one nonempty-bitmap word
-// per (j, m) pair. The nested [][][]FIFO layout it replaces carried over a
-// million slice headers at N=1024 and required two pointer dereferences per
-// access; the bank makes an access one multiply-add into a contiguous
-// index arena, shares queued cells in a node slab whose free list caps
-// memory at the backlog high-water mark, and therefore stops allocating
-// once the workload reaches steady state.
+// # Gated: a stripe is a block
+//
+// Under GatedLSF those N x N x (log2 N + 1) FIFOs are not stored. A stripe
+// starts only at the first port of its dyadic interval and then advances one
+// port per slot, on the first fabric and on the second alike. So of two
+// stripes for one (output, interval), the one whose first packet reached the
+// interval's first row earlier reaches every later row earlier by the same
+// number of slots, and the grid, having started it first, takes it first at
+// every row: the FIFOs of the 2^k rows of an interval are 2^k copies of one
+// queue of stripes, each offset by its row. The stage keeps that one queue —
+// N-1 queues per output in a queue.Bank of block handles, the mirror of
+// inputPort.stripes — and a stripe's packets sit in one block of 2^k
+// consecutive 24-byte records (blocks.go), packet u in slot u. The input's
+// u-th transmission writes slot u, finding the block through the per-input
+// sending handle (a gated input sends one stripe at a time); the grid pops
+// the handle when it starts the stripe and reads slots 0 .. 2^k-1 in the
+// next 2^k slots. What the packets of a stripe share — input, output, size,
+// stripe id, formation slot — is in the block's header once and goes back
+// into the cell where the output takes it (midShard.take), as inputPort.pop
+// does on the other side. A size-1 stripe is its cell and stays one, in a
+// queue.Bank[cell] of N queues per output.
+//
+// The block is the simulator's bookkeeping, not state the ports share: slot
+// u holds exactly what port iv.Start+u's FIFO would, and the stripe-id and
+// fill-count assertions in write and take fail if the stage is ever asked
+// for a packet those FIFOs could not have produced in that slot.
+//
+// The paper's FIFOs survive as refMidStage in midref_test.go, which
+// TestCenterStageMatchesReference runs against this stage slot by slot.
+//
+// # Greedy: the per-row bank
+//
+// GreedyLSF cannot share this. Its row scan sends and serves whatever is
+// largest at the connected row, so a larger stripe that turns up mid-service
+// holds a stripe's packets back at the rows still ahead and not at those
+// already passed. Two stripes of one (output, interval) can then stand in
+// one order at one row and in the other at the next: no per-interval order
+// exists, which is also why greedy reorders. It keeps the full bank of
+// cells, indexed ((j*N + m)*levels + k) output-major, one nonempty-bitmap
+// word per (j, m).
+//
+// # Storage
+//
+// Everything is slab-backed: a queue.Bank shares its queued elements in one
+// node slab whose free list caps memory at the backlog high-water mark, the
+// blocks come from per-size free lists over one record slab, and both stop
+// allocating once the workload reaches steady state.
 //
 // The storage is partitioned into shards by output port: shard s owns the
-// contiguous output range [jLo, jHi) and holds those outputs' rows in its
-// own private Bank (its own slab, free list and high-water mark), so the
+// contiguous output range [jLo, jHi) and holds those outputs' queues and
+// blocks in private slabs (own free lists and high-water marks), so the
 // parallel engine can run one worker per shard with no shared mutable hot
-// state and the zero-alloc guarantee holds per shard. With one shard
-// (the default) the layout degenerates to PR 1's single flat bank. The
-// output index is the major axis because the gated grid sweep advances m
-// by one per slot for each output, which then walks each shard's index
-// arena and the bitmap sequentially.
+// state and the zero-alloc guarantee holds per shard. With one shard (the
+// default) the layout degenerates to a single flat bank. The output index
+// is the major axis because the gated grid sweep advances m by one per slot
+// for each output, which then walks the bitmap sequentially.
 type midStage struct {
 	sw         *Switch
 	n          int
-	levels     int
+	gated      bool
+	cellLevels int // cell queues per (output, port): log2(N)+1 greedy, 1 gated
 	shards     []midShard
-	shardShift uint     // shard owning output j is shards[j>>shardShift]
-	bitmap     []uint64 // j*n + m: bit k set iff the (m,j,k) queue is nonempty
-	grids      []outputGrid
+	shardShift uint // shard owning output j is shards[j>>shardShift]
+	// bitmap[j*n+m] bit k: greedy, the (m,j,k) cell queue is nonempty. Gated,
+	// bit 0 says the same of port m's singles and bit k >= 1 that a size-2^k
+	// stripe is queued for the interval starting at m.
+	bitmap  []uint64
+	grids   []outputGrid
+	sending []int32 // gated: block of the multi-packet stripe input i is sending
 }
 
 // midShard is one output-range partition of the intermediate stage. The
@@ -52,7 +95,9 @@ type midStage struct {
 // buffered concurrently every pop/enqueue and must not false-share.
 type midShard struct {
 	jLo, jHi int
-	bank     *queue.Bank[cell] // queue ((j-jLo)*n + m)*levels + k
+	bank     *queue.Bank[cell]  // queue ((j-jLo)*n + m)*cellLevels + k
+	stripes  *queue.Bank[int32] // gated: block handles, queue stripeQueue(j, iv)
+	blocks   stripeBlocks       // gated: the stripes' packets
 	buffered int
 	_        [64]byte
 }
@@ -63,6 +108,7 @@ type midShard struct {
 // makes its packets arrive at the output in one burst.
 type outputGrid struct {
 	serving bool
+	block   int32 // the stripe's block
 	iv      dyadic.Interval
 	next    int
 	id      uint64
@@ -70,11 +116,16 @@ type outputGrid struct {
 
 func newMidStage(sw *Switch) *midStage {
 	ms := &midStage{
-		sw:     sw,
-		n:      sw.n,
-		levels: sw.levels,
-		bitmap: make([]uint64, sw.n*sw.n),
-		grids:  make([]outputGrid, sw.n),
+		sw:         sw,
+		n:          sw.n,
+		gated:      sw.cfg.Scheduler == GatedLSF,
+		cellLevels: sw.levels,
+		bitmap:     make([]uint64, sw.n*sw.n),
+		grids:      make([]outputGrid, sw.n),
+	}
+	if ms.gated {
+		ms.cellLevels = 1
+		ms.sending = make([]int32, sw.n)
 	}
 	ms.reshape(1)
 	return ms
@@ -91,8 +142,20 @@ func (ms *midStage) reshape(shardCount int) {
 		sh := &ms.shards[s]
 		sh.jLo = s * span
 		sh.jHi = sh.jLo + span
-		sh.bank = queue.NewBank[cell](span * ms.n * ms.levels)
+		sh.bank = queue.NewBank[cell](span * ms.n * ms.cellLevels)
+		if ms.gated {
+			// Intervals of size >= 2 are dyadic indices 0 .. n-2.
+			sh.stripes = queue.NewBank[int32](span * (ms.n - 1))
+			sh.stripes.Grow(span) // as the blocks: one per output to begin with
+			sh.blocks = newStripeBlocks(ms.sw.levels, span)
+		}
 	}
+}
+
+// stripeQueue is the index, in sh.stripes, of the queue of stripes for output
+// j whose interval is iv.
+func (ms *midStage) stripeQueue(sh *midShard, j int, iv dyadic.Interval) int {
+	return (j-sh.jLo)*(ms.n-1) + dyadic.Index(iv, ms.n)
 }
 
 // bufferedTotal sums the per-shard packet counts.
@@ -108,10 +171,47 @@ func (ms *midStage) bufferedTotal() int {
 // fabric. Safe to call concurrently for cells destined to different shards.
 func (ms *midStage) enqueue(l int, c cell) {
 	k := dyadic.Log2(int(c.pkt.StripeSize))
+	if k > 0 && ms.gated {
+		// The inverse of inputPort.pop: the cell taken apart again into its
+		// stripe and its record.
+		iv := dyadic.Containing(l, 1<<uint(k))
+		st := stripe{id: c.stripeID, iv: iv, formed: c.formed, out: c.pkt.Out, served: int32(l - iv.Start)}
+		ms.write(int(c.pkt.In), &st, queue.RecordOf(c.pkt))
+		return
+	}
 	j := int(c.pkt.Out)
 	sh := &ms.shards[j>>ms.shardShift]
-	sh.bank.Push(((j-sh.jLo)*ms.n+l)*ms.levels+k, c)
+	sh.bank.Push(((j-sh.jLo)*ms.n+l)*ms.cellLevels+k, c)
 	ms.bitmap[j*ms.n+l] |= 1 << uint(k)
+	sh.buffered++
+}
+
+// write buffers packet st.served of the gated multi-packet stripe st, sent
+// by input in, at intermediate port st.iv.Start+st.served. The first packet
+// opens a block and queues it for the output; the rest find the block
+// through their input, which sends one stripe at a time. Like enqueue it may
+// run concurrently for stripes destined to different shards: sending[in] is
+// only touched by the shard that owns the output of the stripe in is sending.
+func (ms *midStage) write(in int, st *stripe, r queue.Record) {
+	j := int(st.out)
+	sh := &ms.shards[j>>ms.shardShift]
+	u := int(st.served)
+	if u == 0 {
+		k := dyadic.Log2(st.iv.Size)
+		b := sh.blocks.alloc(k)
+		h := &sh.blocks.hdr[b]
+		h.id, h.formed, h.in = st.id, st.formed, int32(in)
+		sh.stripes.Push(ms.stripeQueue(sh, j, st.iv), b)
+		ms.bitmap[j*ms.n+st.iv.Start] |= 1 << uint(k)
+		ms.sending[in] = b
+	}
+	h := &sh.blocks.hdr[ms.sending[in]]
+	if h.id != st.id || int(h.arrived) != u {
+		panic(fmt.Sprintf("core: input %d sent packet %d of stripe %d into the block of stripe %d, which holds %d",
+			in, u, st.id, h.id, h.arrived))
+	}
+	sh.blocks.recs[int(h.off)+u] = r
+	h.arrived++
 	sh.buffered++
 }
 
@@ -121,7 +221,7 @@ func (ms *midStage) enqueue(l int, c cell) {
 // replays the emissions in this exact order, so the two are
 // trace-identical.
 func (ms *midStage) step(t sim.Slot, deliver sim.DeliverFunc) {
-	if ms.sw.cfg.Scheduler == GatedLSF {
+	if ms.gated {
 		for j := 0; j < ms.n; j++ {
 			if c, ok := ms.popOutputGated(j, t); ok {
 				ms.sw.emit(c, t, deliver)
@@ -144,42 +244,64 @@ func (ms *midStage) step(t sim.Slot, deliver sim.DeliverFunc) {
 func (ms *midStage) popOutputGated(j int, t sim.Slot) (cell, bool) {
 	g := &ms.grids[j]
 	m := ms.sw.intermediateFor(j, t)
-	if g.serving {
-		if g.iv.Start+g.next != m {
-			panic(fmt.Sprintf("core: output %d grid lost lockstep: stripe %v next %d, connection %d",
-				j, g.iv, g.next, m))
+	sh := &ms.shards[j>>ms.shardShift]
+	if !g.serving {
+		// Start the oldest of the largest stripes that can start here. Bit
+		// k >= 1 of a row's word is set by a stripe's first packet, at the
+		// first row of the stripe's interval — a row 2^k divides — and
+		// cleared when the last such stripe has been started, so the highest
+		// set bit is the answer and the scan is one bit operation.
+		bm := ms.bitmap[j*ms.n+m]
+		if bm == 0 {
+			return cell{}, false
 		}
-		c := ms.pop(m, j, dyadic.Log2(g.iv.Size))
-		if c.stripeID != g.id {
-			panic(fmt.Sprintf("core: output %d grid served stripe %d while %d was in service",
-				j, c.stripeID, g.id))
+		k := bits.Len64(bm) - 1
+		if k == 0 {
+			return ms.pop(m, j, 0), true
 		}
-		g.next++
-		if g.next == g.iv.Size {
-			g.serving = false
+		iv := dyadic.Interval{Start: m, Size: 1 << uint(k)}
+		q := ms.stripeQueue(sh, j, iv)
+		b := sh.stripes.Pop(q) // panics on an empty queue, guarding the bitmap
+		if sh.stripes.Empty(q) {
+			ms.bitmap[j*ms.n+m] &^= 1 << uint(k)
 		}
-		return c, true
+		*g = outputGrid{serving: true, block: b, iv: iv, id: sh.blocks.hdr[b].id}
 	}
-	// Start the largest stripe whose interval begins at row m and whose
-	// head packet has reached this port. Every size-2^k packet queued at a
-	// row divisible by 2^k is the first packet of its stripe, so popping
-	// the FIFO head is exactly "start the oldest largest stripe". Masking
-	// the bitmap to the sizes whose interval can start at m (those dividing
-	// m) turns the largest-first scan into one bit operation; higher bits,
-	// if set, are mid-stripe packets that only the serving branch drains.
-	bm := ms.bitmap[j*ms.n+m] & (uint64(2*dyadic.MaxSizeStartingAt(m, ms.n)) - 1)
-	if bm == 0 {
-		return cell{}, false
+	if g.iv.Start+g.next != m {
+		panic(fmt.Sprintf("core: output %d grid lost lockstep: stripe %v next %d, connection %d",
+			j, g.iv, g.next, m))
 	}
-	k := bits.Len64(bm) - 1
-	c := ms.pop(m, j, k)
-	if k > 0 {
-		g.serving = true
-		g.iv = dyadic.Interval{Start: m, Size: 1 << uint(k)}
-		g.next = 1
-		g.id = c.stripeID
+	c := sh.take(g, j)
+	if g.next++; g.next == g.iv.Size {
+		g.serving = false
+		sh.blocks.release(g.block, dyadic.Log2(g.iv.Size))
 	}
 	return c, true
+}
+
+// take removes packet g.next of the stripe output j's grid is serving from
+// the stripe's block and rebuilds its cell: the record is what the packets
+// of a stripe do not share, the header what they do. The block must still be
+// that stripe's, and the first fabric must have delivered the packet — it
+// runs at least one slot ahead of the grid on every row of the interval.
+func (sh *midShard) take(g *outputGrid, j int) cell {
+	h := &sh.blocks.hdr[g.block]
+	if h.id != g.id {
+		panic(fmt.Sprintf("core: output %d grid served stripe %d while %d was in service",
+			j, h.id, g.id))
+	}
+	if int(h.arrived) <= g.next {
+		panic(fmt.Sprintf("core: output %d grid reached packet %d of stripe %d with %d arrived",
+			j, g.next, g.id, h.arrived))
+	}
+	r := &sh.blocks.recs[int(h.off)+g.next]
+	sh.buffered--
+	return cell{
+		pkt: sim.Packet{ID: r.ID, Seq: r.Seq, Arrival: r.Arrival,
+			In: h.in, Out: int32(j), StripeSize: int32(g.iv.Size)},
+		stripeID: h.id,
+		formed:   h.formed,
+	}
 }
 
 // popPortGreedy is the stripe-oblivious variant: intermediate port m scans
@@ -198,7 +320,7 @@ func (ms *midStage) popPortGreedy(m int, t sim.Slot) (cell, bool) {
 
 func (ms *midStage) pop(m, j, k int) cell {
 	sh := &ms.shards[j>>ms.shardShift]
-	q := ((j-sh.jLo)*ms.n+m)*ms.levels + k
+	q := ((j-sh.jLo)*ms.n+m)*ms.cellLevels + k
 	c := sh.bank.Pop(q) // panics on an empty queue, guarding the bitmap
 	if sh.bank.Empty(q) {
 		ms.bitmap[j*ms.n+m] &^= 1 << uint(k)
@@ -208,12 +330,30 @@ func (ms *midStage) pop(m, j, k int) cell {
 }
 
 // queueLen reports, for tests, the number of packets buffered at
-// intermediate port m for output j across all stripe sizes.
+// intermediate port m for output j across all stripe sizes, wherever they
+// sit: in the cell bank, in the block of a queued stripe whose interval
+// covers m, or in the block of the stripe in service.
 func (ms *midStage) queueLen(m, j int) int {
 	sh := &ms.shards[j>>ms.shardShift]
 	total := 0
-	for k := 0; k < ms.levels; k++ {
-		total += sh.bank.QueueLen(((j-sh.jLo)*ms.n+m)*ms.levels + k)
+	for k := 0; k < ms.cellLevels; k++ {
+		total += sh.bank.QueueLen(((j-sh.jLo)*ms.n+m)*ms.cellLevels + k)
+	}
+	if !ms.gated {
+		return total
+	}
+	for size := 2; size <= ms.n; size *= 2 {
+		iv := dyadic.Containing(m, size)
+		sh.stripes.Each(ms.stripeQueue(sh, j, iv), func(b int32) {
+			if int(sh.blocks.hdr[b].arrived) > m-iv.Start {
+				total++
+			}
+		})
+	}
+	if g := &ms.grids[j]; g.serving && g.iv.Contains(m) {
+		if u := m - g.iv.Start; u >= g.next && int(sh.blocks.hdr[g.block].arrived) > u {
+			total++
+		}
 	}
 	return total
 }

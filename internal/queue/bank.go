@@ -164,3 +164,11 @@ func (b *Bank[T]) Grow(capacity int) {
 	copy(next, b.nodes)
 	b.nodes = next
 }
+
+// Each calls f on every element of queue q, head first. Like QueueLen it
+// exists for tests and diagnostics.
+func (b *Bank[T]) Each(q int, f func(T)) {
+	for idx := b.refs[q].head; idx >= 0; idx = b.nodes[idx].next {
+		f(b.nodes[idx].v)
+	}
+}

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -70,6 +71,11 @@ func TestBankModel(t *testing.T) {
 					return false
 				}
 				if b.QueueLen(q) != len(model[q]) {
+					return false
+				}
+				var walked []uint16
+				b.Each(q, func(v uint16) { walked = append(walked, v) })
+				if !slices.Equal(walked, model[q]) {
 					return false
 				}
 			}
