@@ -1,9 +1,7 @@
 package resultcache
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"sort"
 	"time"
@@ -62,67 +60,113 @@ type SweepStats struct {
 }
 
 // Sweep brings the store under maxBytes by evicting entries in the
-// policy's order until the remaining live bytes fit. Every entry is
+// policy's order until the remaining live bytes fit; an evicted entry gets
+// a tombstone, so it stays gone across restarts. Every entry is
 // recomputable from its identity, so eviction is always safe — the cost of
-// a wrong policy choice is extra simulation, never wrong results. A sweep
-// under concurrent writers is best-effort: entries written mid-sweep are
-// not re-measured, so a busy cache may briefly overshoot until the next
-// sweep. maxBytes <= 0 disables eviction and just reports the totals.
+// a wrong policy choice is extra simulation, never wrong results. Once the
+// dead bytes on disk (overwritten, evicted and quarantined records,
+// tombstones, torn tails) exceed the live record bytes, the sweep rewrites
+// the live records into a fresh segment and deletes the old ones, so the
+// segments never hold more than twice what is live after a sweep.
+// maxBytes <= 0 disables eviction and leaves only that compaction.
 func (s *Store) Sweep(policy Policy, maxBytes int64) (SweepStats, error) {
 	if policy.index() < 0 {
 		return SweepStats{}, fmt.Errorf("resultcache: unknown eviction policy %q", policy)
 	}
-	ents, err := s.entries()
-	if err != nil {
-		return SweepStats{}, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return SweepStats{}, errClosed
 	}
-	st := SweepStats{Entries: len(ents)}
-	for _, e := range ents {
-		st.Bytes += e.size
+	st := SweepStats{Entries: len(s.index), Bytes: s.live}
+	if maxBytes > 0 && st.Bytes > maxBytes {
+		err := s.evict(policy, st.Bytes-maxBytes, &st)
+		s.evictions[policy.index()].Add(int64(st.Evicted))
+		if err != nil {
+			return st, err
+		}
 	}
-	if maxBytes <= 0 || st.Bytes <= maxBytes {
-		return st, nil
+	return st, s.compactIfSparse()
+}
+
+// evict tombstones entries in the policy's order until over bytes are
+// gone. Call with s.mu held.
+func (s *Store) evict(policy Policy, over int64, st *SweepStats) error {
+	type candidate struct {
+		key string
+		entry
 	}
+	ents := make([]candidate, 0, len(s.index))
+	for k, e := range s.index {
+		ents = append(ents, candidate{k, e})
+	}
+	// Key order breaks the policy's ties, so which entries a sweep evicts
+	// never depends on map iteration order.
+	sort.Slice(ents, func(i, j int) bool { return ents[i].key < ents[j].key })
 	switch policy {
 	case LRU:
-		// Decorate with recency once, then sort: lastAccess takes the
-		// access-map lock, and n log n lock acquisitions under a concurrent
-		// study is a sweep stall for nothing.
-		when := make([]time.Time, len(ents))
-		for i, e := range ents {
-			when[i] = s.lastAccess(e.key, e.mtime)
-		}
-		sort.SliceStable(ents, func(i, j int) bool { return when[i].Before(when[j]) })
+		sort.SliceStable(ents, func(i, j int) bool { return ents[i].recency() < ents[j].recency() })
 	case FIFO:
-		sort.SliceStable(ents, func(i, j int) bool { return ents[i].mtime.Before(ents[j].mtime) })
+		sort.SliceStable(ents, func(i, j int) bool { return ents[i].written < ents[j].written })
 	case LargeFirst:
 		sort.SliceStable(ents, func(i, j int) bool { return ents[i].size > ents[j].size })
 	}
-	over := st.Bytes - maxBytes
 	for _, e := range ents {
 		if over <= 0 {
 			break
 		}
 		if err := s.remove(e.key); err != nil {
-			return st, err
+			return err
 		}
 		over -= e.size
 		st.Evicted++
 		st.EvictedBytes += e.size
 	}
-	s.evictions[policy.index()].Add(int64(st.Evicted))
-	return st, nil
+	return nil
 }
 
-// remove deletes one entry (eviction, not quarantine). A concurrent
-// evict/quarantine losing the race is fine: the entry is gone either way.
-func (s *Store) remove(key string) error {
-	err := os.Remove(s.path(key))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+// recency orders entries for LRU: the last read in this process, or the
+// write time when that is later or there was no read.
+func (e entry) recency() int64 { return max(e.read, e.written) }
+
+// compactIfSparse rewrites the live records into a fresh segment and
+// deletes every older one once dead bytes outweigh live ones. Old segments
+// go oldest first, so a crash part-way leaves a suffix of them, whose
+// replay under the new segment still yields the live set. Call with s.mu
+// held.
+func (s *Store) compactIfSparse() error {
+	if s.disk-s.liveRc <= s.liveRc {
+		return nil
+	}
+	old := s.segs
+	if err := s.addSegment(); err != nil {
 		return err
 	}
-	s.forget(key)
-	return nil
+	g := s.active()
+	next := make(map[string]entry, len(s.index))
+	for key, e := range s.index {
+		val, err := s.read(e)
+		if err == nil {
+			e.off, err = s.appendRecord(g, kindPut, key, val, e.written)
+		}
+		if err != nil {
+			s.segs, s.disk = old, s.disk-g.size
+			g.f.Close()
+			os.Remove(g.f.Name())
+			return err
+		}
+		e.seg = g
+		next[key] = e
+	}
+	s.index, s.segs, s.disk = next, []*segment{g}, g.size
+	var first error
+	for _, o := range old {
+		o.f.Close()
+		if err := os.Remove(o.f.Name()); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Evictions reports how many entries each policy has evicted since Open,

@@ -15,16 +15,15 @@ func keyN(n int) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("entry-%d", n))))
 }
 
-// putSized stores an entry of exactly size bytes under keyN(n) and backdates
-// its mtime by age so the policies have distinct write times to order by.
+// putSized stores an entry of exactly size bytes under keyN(n), written age
+// ago, so the policies have distinct write times to order by.
 func putSized(t *testing.T, s *Store, n, size int, age time.Duration) string {
 	t.Helper()
 	k := keyN(n)
-	if err := s.Put(k, []byte(strings.Repeat("x", size))); err != nil {
-		t.Fatal(err)
-	}
 	when := time.Now().Add(-age)
-	if err := os.Chtimes(s.path(k), when, when); err != nil {
+	s.now = func() time.Time { return when }
+	defer func() { s.now = time.Now }()
+	if err := s.Put(k, []byte(strings.Repeat("x", size))); err != nil {
 		t.Fatal(err)
 	}
 	return k

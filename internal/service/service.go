@@ -510,7 +510,8 @@ func (s *Server) RunningStudies() int {
 // Shutdown drains the server: new submissions are refused, every running
 // study's context is canceled — each flushes its JSONL checkpoint and
 // finishes as canceled, resumable by resubmission — and Shutdown returns
-// when all studies have stopped or ctx expires.
+// when all studies have stopped or ctx expires. A completed drain closes
+// the result cache, releasing its directory for the next daemon.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -526,8 +527,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		return nil
+		return s.cache.Close()
 	case <-ctx.Done():
+		// The cache stays open: a study still running may yet write to it,
+		// and the process is exiting anyway.
 		return fmt.Errorf("service: shutdown grace period expired: %w", ctx.Err())
 	}
 }
