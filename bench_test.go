@@ -14,7 +14,6 @@ package sprinklers_test
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 
 	"sprinklers/internal/bound"
@@ -433,58 +432,6 @@ func BenchmarkBaselineSizeSweepStep(b *testing.B) {
 				stepLoop(b, steadySwitch(b, fmt.Sprintf("%s-%d", alg, n), 12*n, uniformPoint(b, alg, n)))
 			})
 		}
-	}
-}
-
-// BenchmarkParallelStep measures the sharded parallel slot engine: per-slot
-// stepping cost at N=4096 under P shard workers versus the sequential path
-// (P-1). The trace is identical for every P — see core's parallel engine —
-// so any delta is pure execution cost. P must be set before the warmup:
-// reshaping the center stage requires an empty switch, so the cache key
-// includes P and each parallelism level warms its own switch. On a
-// single-CPU machine the parallel points measure coordination overhead
-// only; the speedup comparison belongs on a multi-core runner (see the CI
-// benchmark job and BENCH_9.json).
-func BenchmarkParallelStep(b *testing.B) {
-	const n = 4096
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("N-%d/P-%d", n, p), func(b *testing.B) {
-			p := p
-			stepLoop(b, steadySwitch(b, fmt.Sprintf("par-%d-%d", n, p), 12*n, func() (sim.Switch, sim.Source) {
-				sw, src := largeSprinklers(n)
-				if p > 1 {
-					if err := sw.(sim.Parallelizable).SetParallelism(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				return sw, src
-			}))
-		})
-	}
-}
-
-// BenchmarkHugeSwitchStep is the first N=16384 point: the center-stage
-// shard banks and occupancy bitmap alone reach tens of gigabytes at this
-// size, so the benchmark is opt-in via SPRINKLERS_BENCH_HUGE=1 and skipped
-// everywhere else (CI runners and laptops would OOM, not measure).
-func BenchmarkHugeSwitchStep(b *testing.B) {
-	if os.Getenv("SPRINKLERS_BENCH_HUGE") == "" {
-		b.Skip("N=16384 needs ~100 GB of center-stage state; set SPRINKLERS_BENCH_HUGE=1 to run")
-	}
-	const n = 16384
-	for _, p := range []int{1, 8} {
-		b.Run(fmt.Sprintf("N-%d/P-%d", n, p), func(b *testing.B) {
-			p := p
-			stepLoop(b, steadySwitch(b, fmt.Sprintf("huge-%d-%d", n, p), 12*n, func() (sim.Switch, sim.Source) {
-				sw, src := largeSprinklers(n)
-				if p > 1 {
-					if err := sw.(sim.Parallelizable).SetParallelism(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				return sw, src
-			}))
-		})
 	}
 }
 

@@ -1,14 +1,14 @@
 // Command benchsnap measures the canonical slot-stepping benchmarks and
-// writes (or checks) the machine-readable snapshot BENCH_9.json.
+// writes (or checks) the machine-readable snapshot BENCH_10.json.
 //
 // Usage:
 //
-//	benchsnap -out BENCH_9.json [-sizes 256,1024,4096] [-pars 1,2,4,8]
-//	benchsnap -check -against BENCH_9.json [-tolerance 0.10] [-out fresh.json]
+//	benchsnap -out BENCH_10.json [-sizes 256,1024,4096]
+//	benchsnap -check -against BENCH_10.json [-tolerance 0.10] [-out fresh.json]
 //
 // Without -check it measures and writes the snapshot. With -check it
 // measures, optionally writes the fresh snapshot (for CI artifacts), and
-// exits 1 if any sequential point regressed beyond the tolerance versus
+// exits 1 if any step or source point regressed beyond the tolerance versus
 // the committed baseline, or if any point's steady-state allocations grew.
 // Cross-machine ns/op comparisons are noise: check against baselines
 // produced on comparable hardware and widen -tolerance on shared runners.
@@ -18,10 +18,6 @@
 // end, with the slots it simulated versus the dense-grid equivalent — the
 // measured work saving of adaptive refinement plus early stopping. The
 // point is never timing-gated (Parallelism 0).
-//
-// When the machine has fewer CPUs than the widest requested parallelism
-// the snapshot is marked "degraded": parallel points then measure
-// oversubscription, and the file should not be committed as a baseline.
 package main
 
 import (
@@ -35,30 +31,23 @@ import (
 )
 
 func main() {
-	out := flag.String("out", "BENCH_9.json", "snapshot file to write (empty = do not write)")
+	out := flag.String("out", "BENCH_10.json", "snapshot file to write (empty = do not write)")
 	check := flag.Bool("check", false, "compare the fresh measurement against -against and fail on regression")
-	against := flag.String("against", "BENCH_9.json", "committed baseline snapshot for -check")
-	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional ns/op regression for sequential points")
+	against := flag.String("against", "BENCH_10.json", "committed baseline snapshot for -check")
+	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional ns/op regression for step and source points")
 	sizes := flag.String("sizes", "256,1024,4096", "comma-separated switch sizes")
-	pars := flag.String("pars", "1,2,4,8", "comma-separated parallelism levels, applied to the largest size")
 	warmup := flag.Int("warmup", 0, "warmup slots per point (0 = 12*N)")
 	study := flag.Bool("study", true, "also measure the adaptive-vs-dense study point (adaptive-smoke end to end)")
 	flag.Parse()
 
 	cfg := benchsnap.Config{
 		Sizes:  ints(*sizes),
-		Pars:   ints(*pars),
 		Warmup: *warmup,
 		Study:  *study,
 	}
 	fresh, err := benchsnap.Collect(cfg)
 	if err != nil {
 		fatal(err)
-	}
-	if fresh.Degraded {
-		fmt.Fprintf(os.Stderr, "benchsnap: WARNING: machine has %d cpus, fewer than the widest parallel point (%s);"+
-			" parallel timings measure oversubscription — snapshot marked \"degraded\", do not commit it as a baseline\n",
-			fresh.CPUs, *pars)
 	}
 	for _, pt := range fresh.Points {
 		fmt.Printf("%-20s %12.0f ns/op %8d allocs/op %12.0f slots/sec\n",

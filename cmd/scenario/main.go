@@ -68,7 +68,6 @@ func main() {
 	replicas := flag.Int("replicas", 3, "independently-seeded replicas, aggregated per window")
 	burst := flag.Float64("burst", 0, "mean on/off burst length; 0 = Bernoulli arrivals")
 	seed := flag.Int64("seed", 1, "study base seed")
-	parPoint := flag.Int("par-point", 1, "shard each replica's slot execution across this many workers when the architecture supports it (trace-identical; node-local execution policy)")
 	timeout := flag.Duration("timeout", 0, "cancel the replay after this duration (0 = no limit)")
 	out := flag.String("out", "", "JSONL checkpoint file; resumed if it exists")
 	csvOut := flag.Bool("csv", false, "emit the trajectory as CSV instead of text tables")
@@ -133,7 +132,7 @@ func main() {
 		defer cancel()
 	}
 
-	cfg := experiment.StudyConfig{ResultsPath: *out, PointParallelism: *parPoint}
+	cfg := experiment.StudyConfig{ResultsPath: *out}
 	if !*quiet {
 		cfg.Progress = func(done, total int, r experiment.PointResult) {
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s  mean-delay %.1f\n", done, total, r.PointKey, r.MeanDelay)

@@ -17,7 +17,7 @@
 //	           [-cache-max-bytes N] [-evict-policy lru|fifo|large_first]
 //	           [-sweep-interval 1m]
 //	           [-log-level info] [-log-format text|json] [-node NAME]
-//	           [-trace-spans N] [-pprof-listen ADDR] [-shard-stats]
+//	           [-trace-spans N] [-pprof-listen ADDR]
 //
 // Cluster mode (see the README's Cluster section): with -coordinator the
 // daemon shards each study's replica jobs across the -workers fleet under
@@ -44,8 +44,7 @@
 // verbosity. Every job dispatched for a study is traced end to end and
 // served at GET /api/v1/trace/{study} (-trace-spans bounds the journal;
 // negative disables). -pprof-listen serves net/http/pprof on a separate
-// listener, and -shard-stats arms per-shard busy/wait profiling in the
-// parallel slot engine (visible in /api/v1/perf).
+// listener.
 //
 // Endpoints (see README for the full API):
 //
@@ -84,7 +83,6 @@ import (
 	"time"
 
 	"sprinklers/internal/cluster"
-	"sprinklers/internal/core"
 	"sprinklers/internal/resultcache"
 	"sprinklers/internal/service"
 )
@@ -120,7 +118,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:8356", "HTTP listen address")
 	cacheDir := flag.String("cache", "sprinklerd-cache", "content-addressed result cache directory (also holds per-study checkpoints)")
 	par := flag.Int("par", 0, "per-study worker parallelism (default GOMAXPROCS)")
-	parPoint := flag.Int("par-point", 1, "shard each point's slot execution across this many workers when the architecture supports it (trace-identical; node-local, never part of job identity)")
 	grace := flag.Duration("grace", 30*time.Second, "shutdown grace period for draining studies")
 	coordinator := flag.Bool("coordinator", false, "run as a cluster coordinator, dispatching replica jobs to -workers")
 	workers := flag.String("workers", "", "comma-separated worker base URLs (implies -coordinator)")
@@ -142,7 +139,6 @@ func main() {
 	nodeName := flag.String("node", "", "node name stamped on trace spans and log lines (default: the role)")
 	traceSpans := flag.Int("trace-spans", 0, "bound the in-memory trace journal (ring; default 16384 spans, negative disables tracing)")
 	pprofListen := flag.String("pprof-listen", "", "serve net/http/pprof on this extra address (empty disables)")
-	shardStats := flag.Bool("shard-stats", false, "record per-shard busy/handoff-wait time in the parallel slot engine (served by /api/v1/perf)")
 	flag.Parse()
 
 	lg, err := newLogger(*logLevel, *logFormat)
@@ -190,23 +186,20 @@ func main() {
 		coord.Start(ctx)
 	}
 
-	core.SetShardStats(*shardStats)
-
 	srv, err := service.New(service.Options{
-		CacheDir:         *cacheDir,
-		Parallelism:      *par,
-		PointParallelism: *parPoint,
-		JobSlots:         *jobSlots,
-		JobDelay:         *chaosJobDelay,
-		Logger:           lg,
-		Node:             *nodeName,
-		Role:             mode,
-		TraceSpans:       *traceSpans,
-		Cluster:          coord,
-		CacheMaxBytes:    *cacheMax,
-		EvictPolicy:      policy,
-		SweepInterval:    *sweepInterval,
-		BenchDir:         *benchDir,
+		CacheDir:      *cacheDir,
+		Parallelism:   *par,
+		JobSlots:      *jobSlots,
+		JobDelay:      *chaosJobDelay,
+		Logger:        lg,
+		Node:          *nodeName,
+		Role:          mode,
+		TraceSpans:    *traceSpans,
+		Cluster:       coord,
+		CacheMaxBytes: *cacheMax,
+		EvictPolicy:   policy,
+		SweepInterval: *sweepInterval,
+		BenchDir:      *benchDir,
 	})
 	if err != nil {
 		fatal(err)

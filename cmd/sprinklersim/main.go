@@ -58,7 +58,6 @@ func main() {
 	aopts := registry.OptionFlag{}
 	flag.Var(aopts, "aopt", "architecture option, repeatable key=value (e.g. adaptive=true); see -list for schemas")
 	windows := flag.Int("windows", 10, "time-series windows for -scenario runs")
-	par := flag.Int("par", 1, "shard slot execution across this many workers when the architecture supports it (trace-identical for any value)")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no limit)")
 	list := flag.Bool("list", false, "list registered architectures, workloads and scenarios with their options, then exit")
 	flag.Parse()
@@ -112,7 +111,7 @@ func main() {
 
 	if *scenarioName != "" {
 		runScenario(ctx, string(algorithm), aopts, *trafficKind, *scenarioName, sopts,
-			*n, *load, *burst, *slots, *warmup, *windows, *par, *seed)
+			*n, *load, *burst, *slots, *warmup, *windows, *seed)
 		return
 	}
 
@@ -142,8 +141,7 @@ func main() {
 	offered, delivered := sim.Run(sw, src, stats.Multi{delay, reorder},
 		sim.WithWarmup(w), sim.WithSlots(sim.Slot(*slots)),
 		sim.WithSlotHook(func(t sim.Slot) { executed = t + 1 }),
-		sim.WithContext(ctx),
-		sim.WithParallelism(*par))
+		sim.WithContext(ctx))
 	partial := ctx.Err() != nil
 
 	fmt.Printf("architecture : %s\n", algorithm)
@@ -182,7 +180,7 @@ func main() {
 // runScenario replays a dynamic scenario over a single seeded run and
 // prints the per-window recovery trajectory with the usual aggregates.
 func runScenario(ctx context.Context, alg string, aopts map[string]any, trafficKind, scenarioName string, sopts map[string]any,
-	n int, load, burst float64, slots, warmup int64, windows, par int, seed int64) {
+	n int, load, burst float64, slots, warmup int64, windows int, seed int64) {
 	res, err := scenario.Run(scenario.Config{
 		Algorithm:       alg,
 		AlgOptions:      aopts,
@@ -196,7 +194,6 @@ func runScenario(ctx context.Context, alg string, aopts map[string]any, trafficK
 		Warmup:          sim.Slot(warmup),
 		Windows:         windows,
 		Seed:            seed,
-		Parallelism:     par,
 		Context:         ctx,
 	})
 	if experiment.IsCancellation(err) {

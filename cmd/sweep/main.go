@@ -80,7 +80,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "study base seed (overrides spec when set)")
 	out := flag.String("out", "", "JSONL checkpoint file; appended as points finish, resumed if it exists")
 	par := flag.Int("par", 0, "worker parallelism (default GOMAXPROCS)")
-	parPoint := flag.Int("par-point", 1, "shard each point's slot execution across this many workers when the architecture supports it (trace-identical; node-local execution policy)")
 	remote := flag.String("remote", "", "sprinklerd base URL; submit the spec there instead of running locally")
 	timeout := flag.Duration("timeout", 0, "cancel the study after this duration (0 = no limit)")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of the text tables")
@@ -157,10 +156,9 @@ func main() {
 		}
 	} else {
 		cfg := experiment.StudyConfig{
-			Parallelism:      *par,
-			PointParallelism: *parPoint,
-			ResultsPath:      *out,
-			HaltAfterPoints:  *haltAfter,
+			Parallelism:     *par,
+			ResultsPath:     *out,
+			HaltAfterPoints: *haltAfter,
 		}
 		if !*quiet {
 			cfg.Progress = printProgress

@@ -1,16 +1,12 @@
 // Package benchsnap measures the canonical per-slot stepping benchmarks
 // with testing.Benchmark and serializes them as a machine-readable
-// snapshot, so performance is a reviewable artifact (BENCH_9.json) and a
+// snapshot, so performance is a reviewable artifact (BENCH_10.json) and a
 // CI gate instead of a claim in a commit message.
 //
-// The snapshot records, per (switch size, parallelism) point, the ns/op of
-// one slot step, the steady-state allocations per slot, and the derived
-// slots/sec. Sequential points (P=1) are the regression surface: Compare
-// flags any sequential point whose ns/op regressed beyond a tolerance
-// versus a committed baseline. Parallel points are recorded for the
-// scaling story but never gated — their ratio to the sequential point only
-// means something on a machine with that many free cores, which the
-// snapshot documents via the CPUs field.
+// The snapshot records, per switch size, the ns/op of one slot step, the
+// steady-state allocations per slot, and the derived slots/sec. Compare
+// flags any step or source point whose ns/op regressed beyond a tolerance
+// versus a committed baseline.
 package benchsnap
 
 import (
@@ -34,8 +30,10 @@ import (
 type Point struct {
 	// Name identifies the point, e.g. "step/N-1024/P-1".
 	Name string `json:"name"`
-	// N is the switch size, Parallelism the shard worker count (1 =
-	// sequential engine).
+	// N is the switch size. Parallelism is 1 on the timing-gated step and
+	// source points and 0 on the ungated study point; the name's "P-1"
+	// suffix and the field stay so committed snapshots keep loading and
+	// matching by name.
 	N           int `json:"n"`
 	Parallelism int `json:"parallelism"`
 	// NsPerOp is the wall time of one slot step (arrivals + Step).
@@ -59,25 +57,16 @@ type Snapshot struct {
 	// Schema versions the JSON layout.
 	Schema int `json:"schema"`
 	// GoVersion and CPUs document the measuring machine: comparisons
-	// across different machines are noise, and parallel speedups are only
-	// meaningful when CPUs covers the worker count.
-	GoVersion string `json:"go_version"`
-	CPUs      int    `json:"cpus"`
-	// Degraded records that the measuring machine had fewer CPUs than the
-	// widest parallel point, so the parallel timings measure oversubscription,
-	// not scaling; such a snapshot should not be committed as a baseline.
-	Degraded bool    `json:"degraded,omitempty"`
-	Points   []Point `json:"points"`
+	// across different machines are noise.
+	GoVersion string  `json:"go_version"`
+	CPUs      int     `json:"cpus"`
+	Points    []Point `json:"points"`
 }
 
 // Config selects what Collect measures.
 type Config struct {
 	// Sizes is the switch-size axis.
 	Sizes []int
-	// Pars is the parallelism axis applied to the largest size only (the
-	// small sizes step too fast for sharding to matter and would measure
-	// pure coordination overhead).
-	Pars []int
 	// Warmup overrides the default warmup of 12*N slots when positive.
 	Warmup int
 	// Study adds the adaptive-vs-dense study point: the adaptive-smoke
@@ -93,31 +82,17 @@ func Collect(cfg Config) (*Snapshot, error) {
 	if len(cfg.Sizes) == 0 {
 		cfg.Sizes = []int{256, 1024, 4096}
 	}
-	if len(cfg.Pars) == 0 {
-		cfg.Pars = []int{1, 2, 4, 8}
-	}
 	sort.Ints(cfg.Sizes)
 	snap := &Snapshot{
 		Schema:    1,
 		GoVersion: runtime.Version(),
 		CPUs:      runtime.NumCPU(),
 	}
-	largest := cfg.Sizes[len(cfg.Sizes)-1]
 	for _, n := range cfg.Sizes {
-		pars := []int{1}
-		if n == largest {
-			pars = cfg.Pars
-		}
-		for _, p := range pars {
-			pt, err := measure(n, p, cfg.Warmup)
-			if err != nil {
-				return nil, err
-			}
-			snap.Points = append(snap.Points, pt)
-			// Each point holds a multi-gigabyte center stage at large N;
-			// release it before building the next one.
-			runtime.GC()
-		}
+		snap.Points = append(snap.Points, measure(n, cfg.Warmup))
+		// Each point holds a multi-gigabyte center stage at large N;
+		// release it before building the next one.
+		runtime.GC()
 	}
 	snap.Points = append(snap.Points, measureSource(1024))
 	if cfg.Study {
@@ -127,19 +102,7 @@ func Collect(cfg Config) (*Snapshot, error) {
 		}
 		snap.Points = append(snap.Points, pt)
 	}
-	snap.Degraded = degraded(snap.CPUs, cfg.Pars)
 	return snap, nil
-}
-
-// degraded reports whether a machine with the given CPU count can honestly
-// measure the given parallelism axis.
-func degraded(cpus int, pars []int) bool {
-	for _, p := range pars {
-		if p > cpus {
-			return true
-		}
-	}
-	return false
 }
 
 // measureStudy runs the adaptive-smoke builtin end to end and derives a
@@ -202,23 +165,17 @@ func measureSource(n int) Point {
 	}
 }
 
-// measure builds a warmed n-port gated Sprinklers switch with p shard
-// workers and times one slot per benchmark iteration. The build mirrors
-// the repo's BenchmarkSizeSweepStep: uniform Bernoulli load 0.9 with
-// explicit size-1 stripes, so the steady state arrives within ~12N slots
-// (Eq. 1 sizing at this load would need an O(N^2) transient).
-func measure(n, p, warmup int) (Point, error) {
+// measure builds a warmed n-port gated Sprinklers switch and times one slot
+// per benchmark iteration. The build mirrors the repo's
+// BenchmarkSizeSweepStep: uniform Bernoulli load 0.9 with explicit size-1
+// stripes, so the steady state arrives within ~12N slots (Eq. 1 sizing at
+// this load would need an O(N^2) transient).
+func measure(n, warmup int) Point {
 	sw := core.MustNew(core.Config{
 		N:                 n,
 		DefaultStripeSize: 1,
 		Rand:              rand.New(rand.NewSource(1)),
 	})
-	if p > 1 {
-		if err := sw.SetParallelism(p); err != nil {
-			return Point{}, err
-		}
-		defer sw.StopWorkers()
-	}
 	m := traffic.Uniform(n, 0.9)
 	src := traffic.NewBernoulli(m, rand.New(rand.NewSource(1)))
 	arrive := sw.Arrive
@@ -238,13 +195,13 @@ func measure(n, p, warmup int) (Point, error) {
 	})
 	ns := float64(res.T.Nanoseconds()) / float64(res.N)
 	return Point{
-		Name:        fmt.Sprintf("step/N-%d/P-%d", n, p),
+		Name:        fmt.Sprintf("step/N-%d/P-1", n),
 		N:           n,
-		Parallelism: p,
+		Parallelism: 1,
 		NsPerOp:     ns,
 		AllocsPerOp: res.AllocsPerOp(),
 		SlotsPerSec: 1e9 / ns,
-	}, nil
+	}
 }
 
 // Load reads a snapshot file.
@@ -271,10 +228,9 @@ func (s *Snapshot) Save(path string) error {
 }
 
 // Compare checks fresh against a committed baseline and returns one
-// message per violation. Only sequential points gate ns/op — parallel
-// timing depends on free cores, which CI runners do not promise — but a
-// steady-state allocation regression fails at any parallelism, because
-// the zero-allocs contract is machine-independent.
+// message per violation. Only points with Parallelism 1 gate ns/op, but a
+// steady-state allocation regression fails on every point, because the
+// zero-allocs contract is machine-independent.
 func Compare(baseline, fresh *Snapshot, tolerance float64) []string {
 	base := map[string]Point{}
 	for _, pt := range baseline.Points {

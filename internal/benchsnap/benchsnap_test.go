@@ -63,24 +63,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDegraded(t *testing.T) {
-	cases := []struct {
-		cpus int
-		pars []int
-		want bool
-	}{
-		{8, []int{1, 2, 4, 8}, false},
-		{4, []int{1, 2, 4, 8}, true},
-		{1, []int{1}, false},
-		{1, nil, false},
-	}
-	for _, c := range cases {
-		if got := degraded(c.cpus, c.pars); got != c.want {
-			t.Errorf("degraded(%d, %v) = %v, want %v", c.cpus, c.pars, got, c.want)
-		}
-	}
-}
-
 // TestMeasureStudyPoint: the study point records a real work saving — the
 // adaptive-smoke builtin simulates strictly fewer slots than its dense
 // equivalent — and stays ungated (Parallelism 0, zero allocs recorded).
@@ -104,19 +86,19 @@ func TestMeasureStudyPoint(t *testing.T) {
 }
 
 // TestCollectSmall exercises the full measurement path at a tiny size so
-// the harness itself (warmup, parallel worker lifecycle, JSON fields) is
-// covered without benchmark-scale runtime.
+// the harness itself (warmup, JSON fields) is covered without
+// benchmark-scale runtime.
 func TestCollectSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures real benchmarks")
 	}
-	s, err := Collect(Config{Sizes: []int{16}, Pars: []int{1, 2}, Warmup: 200})
+	s, err := Collect(Config{Sizes: []int{16}, Warmup: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 16/P-1, 16/P-2, plus the source point.
-	if len(s.Points) != 3 {
-		t.Fatalf("got %d points, want 3: %+v", len(s.Points), s.Points)
+	// 16/P-1 plus the source point.
+	if len(s.Points) != 2 {
+		t.Fatalf("got %d points, want 2: %+v", len(s.Points), s.Points)
 	}
 	for _, pt := range s.Points {
 		if pt.NsPerOp <= 0 || pt.SlotsPerSec <= 0 {

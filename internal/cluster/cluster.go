@@ -113,11 +113,6 @@ type Options struct {
 	// Transport overrides the dispatch HTTP transport — the fault-
 	// injection hook (default http.DefaultTransport).
 	Transport http.RoundTripper
-	// PointParallelism shards a local-fallback replica's slot execution
-	// across this many goroutines (sim.WithParallelism semantics; pure
-	// execution policy). Jobs dispatched to workers use each worker's own
-	// setting — parallelism is node-local and never on the wire.
-	PointParallelism int
 	// Steal lets an idle worker's push heartbeat trigger work stealing: the
 	// deepest peer with a fresh queue report is asked to shed half its
 	// queued (not yet executing) jobs, which re-enter the retry loop and
@@ -643,7 +638,7 @@ func (c *Coordinator) RunReplica(ctx context.Context, spec experiment.Spec, key 
 	c.counters.LocalFallbacks.Add(1)
 	tc.Event("local-fallback", "job", key.String())
 	dsp.Attr("source", "local-fallback")
-	return experiment.RunReplicaJob(ctx, spec, key, rep, c.opts.PointParallelism, c.counters, nil)
+	return experiment.RunReplicaJob(ctx, spec, key, rep, 0, c.counters, nil)
 }
 
 // dispatch POSTs one job to a worker under the lease and decodes the

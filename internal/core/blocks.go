@@ -5,8 +5,8 @@ import (
 	"sprinklers/internal/sim"
 )
 
-// stripeBlocks stores the multi-packet stripes crossing one shard of the
-// gated center stage. A stripe of 2^k packets owns one block: a header and
+// stripeBlocks stores the multi-packet stripes crossing the gated center
+// stage. A stripe of 2^k packets owns one block: a header and
 // 2^k consecutive records of one shared slab, slot u holding the packet that
 // crosses intermediate port iv.Start+u. A block keeps its records for life
 // and returns to the free list of its own size when the stripe has left, so
@@ -25,7 +25,7 @@ type stripeBlocks struct {
 	hdr     []blockHeader
 	recs    []queue.Record
 	free    []int32 // free[k]: the last block of 2^k records freed, -1 if none
-	outputs int     // outputs the shard serves
+	outputs int     // outputs the stage serves
 }
 
 // blockHeader is what a stripe's packets share — kept once, not per packet —
@@ -39,7 +39,7 @@ type blockHeader struct {
 	next    int32    // free-list link
 }
 
-// newStripeBlocks returns an empty pool for a shard of the given number of
+// newStripeBlocks returns an empty pool for a stage of the given number of
 // outputs. A loaded switch has a stripe in service at every output, so the
 // slabs start with room for one block each — the headers now, the records
 // when the first stripe says how long a block is — rather than doubling their

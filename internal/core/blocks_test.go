@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sprinklers/internal/dyadic"
+	"sprinklers/internal/queue"
 	"sprinklers/internal/sim"
 )
 
@@ -86,7 +87,12 @@ func (m *blockModel) send(i, out, k int, rng *rand.Rand) bool {
 		formed:   st.formed,
 	}
 	l := st.iv.Start + st.sent
-	m.sw.mid.enqueue(l, c)
+	if st.iv.Size > 1 {
+		m.sw.mid.write(i, &stripe{id: st.id, iv: st.iv, formed: st.formed, out: int32(st.out), served: int32(st.sent)},
+			queue.RecordOf(c.pkt))
+	} else {
+		m.sw.mid.enqueue(l, c)
+	}
 	m.ref.enqueue(l, c)
 	if st.sent == 0 && st.iv.Size > 1 {
 		b := m.sw.mid.sending[i]
@@ -132,7 +138,7 @@ func (m *blockModel) pop(j int) bool {
 // the stage — so a request met by a block of another size, a block lost, or
 // one allocated while a free one of its size existed all fail here.
 func (m *blockModel) check() {
-	p := &m.sw.mid.shards[0].blocks
+	p := &m.sw.mid.blocks
 	blocks, records := 0, 0
 	for k := range m.peak {
 		free := 0
@@ -152,7 +158,7 @@ func (m *blockModel) check() {
 		m.t.Fatalf("%d blocks over %d records allocated, high-water marks need %d over %d",
 			len(p.hdr), len(p.recs), blocks, records)
 	}
-	if got, want := m.sw.mid.bufferedTotal(), m.ref.buffered; got != want {
+	if got, want := m.sw.mid.buffered, m.ref.buffered; got != want {
 		m.t.Fatalf("stage holds %d packets, reference %d", got, want)
 	}
 }

@@ -169,7 +169,6 @@ type Switch struct {
 	inputs []*inputPort
 	mid    *midStage
 
-	par       *parState // sharded execution state; nil until SetParallelism
 	adaptive  *adaptiveState
 	breakdown breakdown
 }
@@ -226,14 +225,9 @@ func (s *Switch) Now() sim.Slot { return s.t }
 
 // Backlog implements sim.Switch.
 func (s *Switch) Backlog() int {
-	total := s.mid.bufferedTotal()
+	total := s.mid.buffered
 	for _, in := range s.inputs {
 		total += in.buffered
-	}
-	if s.par != nil {
-		for _, q := range s.par.pend {
-			total += len(q)
-		}
 	}
 	return total
 }
@@ -261,26 +255,11 @@ func (s *Switch) firstStage(i int, t sim.Slot) int      { return (i + int(t)) & 
 func (s *Switch) secondStage(l int, t sim.Slot) int     { return (l - int(t)) & (s.n - 1) }
 func (s *Switch) intermediateFor(j int, t sim.Slot) int { return (j + int(t)) & (s.n - 1) }
 
-// Arrive implements sim.Switch. While shard workers are running the packet
-// is only buffered here; the worker owning the input port applies it at the
-// start of the next Step, in arrival order, which is indistinguishable from
-// the sequential immediate application (arrivals at distinct inputs touch
-// disjoint state).
+// Arrive implements sim.Switch.
 func (s *Switch) Arrive(p sim.Packet) {
 	if int(p.In) < 0 || int(p.In) >= s.n || int(p.Out) < 0 || int(p.Out) >= s.n {
 		panic(fmt.Sprintf("core: packet ports (%d,%d) out of range for N=%d", p.In, p.Out, s.n))
 	}
-	if s.par != nil && s.par.running {
-		w := int(p.In) >> s.par.inputShift
-		s.par.pend[w] = append(s.par.pend[w], p)
-		return
-	}
-	s.applyArrival(p)
-}
-
-// applyArrival is the actual arrival path, run either inline (sequential)
-// or by the owning shard worker (parallel).
-func (s *Switch) applyArrival(p sim.Packet) {
 	if s.adaptive != nil {
 		s.adaptive.onArrival(p)
 	}
@@ -292,10 +271,6 @@ func (s *Switch) applyArrival(p sim.Packet) {
 // which is also what makes the intermediate-stage lockstep argument of the
 // gated scheduler sound.
 func (s *Switch) Step(deliver sim.DeliverFunc) {
-	if s.par != nil && s.par.running {
-		s.stepParallel(deliver)
-		return
-	}
 	t := s.t
 	s.mid.step(t, deliver)
 	for i := 0; i < s.n; i++ {
@@ -309,8 +284,7 @@ func (s *Switch) Step(deliver sim.DeliverFunc) {
 
 // emit completes the departure of a cell popped from the intermediate
 // stage: delay accounting, adaptive clearance bookkeeping, and the caller's
-// delivery callback. The sharded engine calls it only from the coordinator
-// goroutine, in the exact order the sequential step would.
+// delivery callback.
 func (s *Switch) emit(c cell, t sim.Slot, deliver sim.DeliverFunc) {
 	s.breakdown.record(c, t)
 	s.onDelivered(c.pkt)

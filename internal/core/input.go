@@ -14,9 +14,9 @@ import (
 // assertions that prove the gated scheduler never interleaves stripes. Cells
 // are what the greedy scheduler and every size-1 stripe queue, at the inputs
 // and in the center stage. A packet of a gated multi-packet stripe is a cell
-// only where it leaves the switch (midShard.take) and on the parallel
-// engine's handoff: in between it is a 24-byte record in its VOQ's chunk and
-// then in its stripe's center-stage block, and the stripe knows the rest.
+// only where it leaves the switch (midStage.take): before that it is a
+// 24-byte record in its VOQ's chunk and then in its stripe's center-stage
+// block, and the stripe knows the rest.
 type cell struct {
 	pkt      sim.Packet
 	stripeID uint64
@@ -43,9 +43,7 @@ type inputPort struct {
 	buffered int              // packets at this input (ready + scheduled)
 
 	// nextStripeID allocates stripe identities from a per-input space
-	// (input i owns IDs [i<<40, (i+1)<<40)), so stripe formation at
-	// different inputs shares no mutable state — the parallel engine's
-	// shard workers form stripes concurrently. The IDs never leave the
+	// (input i owns IDs [i<<40, (i+1)<<40)). The IDs never leave the
 	// switch; the lockstep assertions only compare them for equality, so
 	// the numbering scheme is trace-invisible.
 	nextStripeID uint64
@@ -199,25 +197,11 @@ func (in *inputPort) pop(v *voqState, st *stripe) cell {
 	}
 }
 
-// serve executes one first-fabric slot for this input port: it returns the
-// packet (if any) to transmit to the intermediate port the fabric currently
-// connects the input to. The parallel engine serves this way, because the
-// shard that owns the input is not the one that owns the packet's output;
-// the sequential step uses transmit.
-func (in *inputPort) serve(t sim.Slot) (cell, bool) {
-	l := in.sw.firstStage(in.i, t)
-	switch in.sw.cfg.Scheduler {
-	case GatedLSF:
-		return in.serveGated(l)
-	default:
-		return in.serveGreedy(l)
-	}
-}
-
-// transmit is serve sending straight into the center stage. What it saves is
-// the gated multi-packet stripe's cell: the packet goes from its VOQ's chunk
-// to its slot of the stripe's block as the 24-byte record it is, and no cell
-// is built until the output takes it.
+// transmit executes one first-fabric slot for this input port: it sends the
+// packet (if any) due at the intermediate port the fabric currently connects
+// the input to straight into the center stage. A gated multi-packet stripe's
+// packet goes from its VOQ's chunk to its slot of the stripe's block as the
+// 24-byte record it is, and no cell is built until the output takes it.
 func (in *inputPort) transmit(t sim.Slot, ms *midStage) {
 	l := in.sw.firstStage(in.i, t)
 	if in.sw.cfg.Scheduler != GatedLSF {
@@ -291,20 +275,6 @@ func (in *inputPort) advance() {
 		st.served = 0
 	}
 	in.buffered--
-}
-
-// serveGated returns what pick chose as a cell. The parallel engine carries
-// it to the shard that owns its output.
-func (in *inputPort) serveGated(l int) (cell, bool) {
-	switch in.pick(l) {
-	case sendSingle:
-		return in.takeSingle(l), true
-	case sendStriped:
-		c := in.pop(&in.voqs[in.cur.out], &in.cur)
-		in.advance()
-		return c, true
-	}
-	return cell{}, false
 }
 
 func (in *inputPort) serveGreedy(l int) (cell, bool) {

@@ -37,7 +37,7 @@ import (
 // the handle when it starts the stripe and reads slots 0 .. 2^k-1 in the
 // next 2^k slots. What the packets of a stripe share — input, output, size,
 // stripe id, formation slot — is in the block's header once and goes back
-// into the cell where the output takes it (midShard.take), as inputPort.pop
+// into the cell where the output takes it (midStage.take), as inputPort.pop
 // does on the other side. A size-1 stripe is its cell and stays one, in a
 // queue.Bank[cell] of N queues per output.
 //
@@ -65,41 +65,24 @@ import (
 // Everything is slab-backed: a queue.Bank shares its queued elements in one
 // node slab whose free list caps memory at the backlog high-water mark, the
 // blocks come from per-size free lists over one record slab, and both stop
-// allocating once the workload reaches steady state.
-//
-// The storage is partitioned into shards by output port: shard s owns the
-// contiguous output range [jLo, jHi) and holds those outputs' queues and
-// blocks in private slabs (own free lists and high-water marks), so the
-// parallel engine can run one worker per shard with no shared mutable hot
-// state and the zero-alloc guarantee holds per shard. With one shard (the
-// default) the layout degenerates to a single flat bank. The output index
-// is the major axis because the gated grid sweep advances m by one per slot
-// for each output, which then walks the bitmap sequentially.
+// allocating once the workload reaches steady state. The output index is the
+// major axis because the gated grid sweep advances m by one per slot for
+// each output, which then walks the bitmap sequentially.
 type midStage struct {
 	sw         *Switch
 	n          int
 	gated      bool
-	cellLevels int // cell queues per (output, port): log2(N)+1 greedy, 1 gated
-	shards     []midShard
-	shardShift uint // shard owning output j is shards[j>>shardShift]
+	cellLevels int                // cell queues per (output, port): log2(N)+1 greedy, 1 gated
+	bank       *queue.Bank[cell]  // queue (j*n + m)*cellLevels + k
+	stripes    *queue.Bank[int32] // gated: block handles, queue stripeQueue(j, iv)
+	blocks     stripeBlocks       // gated: the stripes' packets
+	buffered   int                // packets in the stage
 	// bitmap[j*n+m] bit k: greedy, the (m,j,k) cell queue is nonempty. Gated,
 	// bit 0 says the same of port m's singles and bit k >= 1 that a size-2^k
 	// stripe is queued for the interval starting at m.
 	bitmap  []uint64
 	grids   []outputGrid
 	sending []int32 // gated: block of the multi-packet stripe input i is sending
-}
-
-// midShard is one output-range partition of the intermediate stage. The
-// struct is padded to a cache line: workers on different shards update
-// buffered concurrently every pop/enqueue and must not false-share.
-type midShard struct {
-	jLo, jHi int
-	bank     *queue.Bank[cell]  // queue ((j-jLo)*n + m)*cellLevels + k
-	stripes  *queue.Bank[int32] // gated: block handles, queue stripeQueue(j, iv)
-	blocks   stripeBlocks       // gated: the stripes' packets
-	buffered int
-	_        [64]byte
 }
 
 // outputGrid is the service state of one output's virtual schedule grid: at
@@ -125,101 +108,61 @@ func newMidStage(sw *Switch) *midStage {
 	}
 	if ms.gated {
 		ms.cellLevels = 1
+		// Intervals of size >= 2 are dyadic indices 0 .. n-2.
+		ms.stripes = queue.NewBank[int32](sw.n * (sw.n - 1))
+		ms.stripes.Grow(sw.n) // as the blocks: one per output to begin with
+		ms.blocks = newStripeBlocks(sw.levels, sw.n)
 		ms.sending = make([]int32, sw.n)
 	}
-	ms.reshape(1)
+	ms.bank = queue.NewBank[cell](sw.n * sw.n * ms.cellLevels)
 	return ms
 }
 
-// reshape repartitions the outputs into shardCount contiguous shards with
-// fresh (empty) banks. shardCount must be a power of two dividing n, and
-// the stage must be empty — the caller (SetParallelism) checks.
-func (ms *midStage) reshape(shardCount int) {
-	span := ms.n / shardCount
-	ms.shardShift = uint(bits.TrailingZeros(uint(span)))
-	ms.shards = make([]midShard, shardCount)
-	for s := range ms.shards {
-		sh := &ms.shards[s]
-		sh.jLo = s * span
-		sh.jHi = sh.jLo + span
-		sh.bank = queue.NewBank[cell](span * ms.n * ms.cellLevels)
-		if ms.gated {
-			// Intervals of size >= 2 are dyadic indices 0 .. n-2.
-			sh.stripes = queue.NewBank[int32](span * (ms.n - 1))
-			sh.stripes.Grow(span) // as the blocks: one per output to begin with
-			sh.blocks = newStripeBlocks(ms.sw.levels, span)
-		}
-	}
-}
-
-// stripeQueue is the index, in sh.stripes, of the queue of stripes for output
+// stripeQueue is the index, in ms.stripes, of the queue of stripes for output
 // j whose interval is iv.
-func (ms *midStage) stripeQueue(sh *midShard, j int, iv dyadic.Interval) int {
-	return (j-sh.jLo)*(ms.n-1) + dyadic.Index(iv, ms.n)
-}
-
-// bufferedTotal sums the per-shard packet counts.
-func (ms *midStage) bufferedTotal() int {
-	total := 0
-	for s := range ms.shards {
-		total += ms.shards[s].buffered
-	}
-	return total
+func (ms *midStage) stripeQueue(j int, iv dyadic.Interval) int {
+	return j*(ms.n-1) + dyadic.Index(iv, ms.n)
 }
 
 // enqueue buffers a cell arriving at intermediate port l over the first
-// fabric. Safe to call concurrently for cells destined to different shards.
+// fabric: a greedy cell, or a gated size-1 stripe. A gated multi-packet
+// stripe's packets go through write.
 func (ms *midStage) enqueue(l int, c cell) {
 	k := dyadic.Log2(int(c.pkt.StripeSize))
-	if k > 0 && ms.gated {
-		// The inverse of inputPort.pop: the cell taken apart again into its
-		// stripe and its record.
-		iv := dyadic.Containing(l, 1<<uint(k))
-		st := stripe{id: c.stripeID, iv: iv, formed: c.formed, out: c.pkt.Out, served: int32(l - iv.Start)}
-		ms.write(int(c.pkt.In), &st, queue.RecordOf(c.pkt))
-		return
-	}
 	j := int(c.pkt.Out)
-	sh := &ms.shards[j>>ms.shardShift]
-	sh.bank.Push(((j-sh.jLo)*ms.n+l)*ms.cellLevels+k, c)
+	ms.bank.Push((j*ms.n+l)*ms.cellLevels+k, c)
 	ms.bitmap[j*ms.n+l] |= 1 << uint(k)
-	sh.buffered++
+	ms.buffered++
 }
 
 // write buffers packet st.served of the gated multi-packet stripe st, sent
 // by input in, at intermediate port st.iv.Start+st.served. The first packet
 // opens a block and queues it for the output; the rest find the block
-// through their input, which sends one stripe at a time. Like enqueue it may
-// run concurrently for stripes destined to different shards: sending[in] is
-// only touched by the shard that owns the output of the stripe in is sending.
+// through their input, which sends one stripe at a time.
 func (ms *midStage) write(in int, st *stripe, r queue.Record) {
 	j := int(st.out)
-	sh := &ms.shards[j>>ms.shardShift]
 	u := int(st.served)
 	if u == 0 {
 		k := dyadic.Log2(st.iv.Size)
-		b := sh.blocks.alloc(k)
-		h := &sh.blocks.hdr[b]
+		b := ms.blocks.alloc(k)
+		h := &ms.blocks.hdr[b]
 		h.id, h.formed, h.in = st.id, st.formed, int32(in)
-		sh.stripes.Push(ms.stripeQueue(sh, j, st.iv), b)
+		ms.stripes.Push(ms.stripeQueue(j, st.iv), b)
 		ms.bitmap[j*ms.n+st.iv.Start] |= 1 << uint(k)
 		ms.sending[in] = b
 	}
-	h := &sh.blocks.hdr[ms.sending[in]]
+	h := &ms.blocks.hdr[ms.sending[in]]
 	if h.id != st.id || int(h.arrived) != u {
 		panic(fmt.Sprintf("core: input %d sent packet %d of stripe %d into the block of stripe %d, which holds %d",
 			in, u, st.id, h.id, h.arrived))
 	}
-	sh.blocks.recs[int(h.off)+u] = r
+	ms.blocks.recs[int(h.off)+u] = r
 	h.arrived++
-	sh.buffered++
+	ms.buffered++
 }
 
-// step executes one second-fabric slot sequentially: every popped cell is
-// emitted immediately, in output order (gated) or intermediate-port order
-// (greedy). The parallel engine runs the same pops shard-by-shard and
-// replays the emissions in this exact order, so the two are
-// trace-identical.
+// step executes one second-fabric slot: every popped cell is emitted
+// immediately, in output order (gated) or intermediate-port order (greedy).
 func (ms *midStage) step(t sim.Slot, deliver sim.DeliverFunc) {
 	if ms.gated {
 		for j := 0; j < ms.n; j++ {
@@ -239,12 +182,10 @@ func (ms *midStage) step(t sim.Slot, deliver sim.DeliverFunc) {
 // popOutputGated advances output j's virtual grid by one slot and returns
 // the cell (if any) that departs. The fabric connects output j to
 // intermediate port m = (j + t) mod N, i.e. the service sweeps the grid
-// rows top to bottom, one per slot. It touches only output j's shard
-// state, so distinct shards may pop concurrently.
+// rows top to bottom, one per slot.
 func (ms *midStage) popOutputGated(j int, t sim.Slot) (cell, bool) {
 	g := &ms.grids[j]
 	m := ms.sw.intermediateFor(j, t)
-	sh := &ms.shards[j>>ms.shardShift]
 	if !g.serving {
 		// Start the oldest of the largest stripes that can start here. Bit
 		// k >= 1 of a row's word is set by a stripe's first packet, at the
@@ -260,21 +201,21 @@ func (ms *midStage) popOutputGated(j int, t sim.Slot) (cell, bool) {
 			return ms.pop(m, j, 0), true
 		}
 		iv := dyadic.Interval{Start: m, Size: 1 << uint(k)}
-		q := ms.stripeQueue(sh, j, iv)
-		b := sh.stripes.Pop(q) // panics on an empty queue, guarding the bitmap
-		if sh.stripes.Empty(q) {
+		q := ms.stripeQueue(j, iv)
+		b := ms.stripes.Pop(q) // panics on an empty queue, guarding the bitmap
+		if ms.stripes.Empty(q) {
 			ms.bitmap[j*ms.n+m] &^= 1 << uint(k)
 		}
-		*g = outputGrid{serving: true, block: b, iv: iv, id: sh.blocks.hdr[b].id}
+		*g = outputGrid{serving: true, block: b, iv: iv, id: ms.blocks.hdr[b].id}
 	}
 	if g.iv.Start+g.next != m {
 		panic(fmt.Sprintf("core: output %d grid lost lockstep: stripe %v next %d, connection %d",
 			j, g.iv, g.next, m))
 	}
-	c := sh.take(g, j)
+	c := ms.take(g, j)
 	if g.next++; g.next == g.iv.Size {
 		g.serving = false
-		sh.blocks.release(g.block, dyadic.Log2(g.iv.Size))
+		ms.blocks.release(g.block, dyadic.Log2(g.iv.Size))
 	}
 	return c, true
 }
@@ -284,8 +225,8 @@ func (ms *midStage) popOutputGated(j int, t sim.Slot) (cell, bool) {
 // of a stripe do not share, the header what they do. The block must still be
 // that stripe's, and the first fabric must have delivered the packet — it
 // runs at least one slot ahead of the grid on every row of the interval.
-func (sh *midShard) take(g *outputGrid, j int) cell {
-	h := &sh.blocks.hdr[g.block]
+func (ms *midStage) take(g *outputGrid, j int) cell {
+	h := &ms.blocks.hdr[g.block]
 	if h.id != g.id {
 		panic(fmt.Sprintf("core: output %d grid served stripe %d while %d was in service",
 			j, h.id, g.id))
@@ -294,8 +235,8 @@ func (sh *midShard) take(g *outputGrid, j int) cell {
 		panic(fmt.Sprintf("core: output %d grid reached packet %d of stripe %d with %d arrived",
 			j, g.next, g.id, h.arrived))
 	}
-	r := &sh.blocks.recs[int(h.off)+g.next]
-	sh.buffered--
+	r := &ms.blocks.recs[int(h.off)+g.next]
+	ms.buffered--
 	return cell{
 		pkt: sim.Packet{ID: r.ID, Seq: r.Seq, Arrival: r.Arrival,
 			In: h.in, Out: int32(j), StripeSize: int32(g.iv.Size)},
@@ -305,9 +246,9 @@ func (sh *midShard) take(g *outputGrid, j int) cell {
 }
 
 // popPortGreedy is the stripe-oblivious variant: intermediate port m scans
-// its own row of the connected output's grid from largest stripe size to
-// smallest and returns the first head-of-line packet found. The connected
-// output j = secondStage(m, t) determines the owning shard.
+// its own row of the connected output's grid, j = secondStage(m, t), from
+// largest stripe size to smallest and returns the first head-of-line packet
+// found.
 func (ms *midStage) popPortGreedy(m int, t sim.Slot) (cell, bool) {
 	j := ms.sw.secondStage(m, t)
 	bm := ms.bitmap[j*ms.n+m]
@@ -319,13 +260,12 @@ func (ms *midStage) popPortGreedy(m int, t sim.Slot) (cell, bool) {
 }
 
 func (ms *midStage) pop(m, j, k int) cell {
-	sh := &ms.shards[j>>ms.shardShift]
-	q := ((j-sh.jLo)*ms.n+m)*ms.cellLevels + k
-	c := sh.bank.Pop(q) // panics on an empty queue, guarding the bitmap
-	if sh.bank.Empty(q) {
+	q := (j*ms.n+m)*ms.cellLevels + k
+	c := ms.bank.Pop(q) // panics on an empty queue, guarding the bitmap
+	if ms.bank.Empty(q) {
 		ms.bitmap[j*ms.n+m] &^= 1 << uint(k)
 	}
-	sh.buffered--
+	ms.buffered--
 	return c
 }
 
@@ -334,24 +274,23 @@ func (ms *midStage) pop(m, j, k int) cell {
 // sit: in the cell bank, in the block of a queued stripe whose interval
 // covers m, or in the block of the stripe in service.
 func (ms *midStage) queueLen(m, j int) int {
-	sh := &ms.shards[j>>ms.shardShift]
 	total := 0
 	for k := 0; k < ms.cellLevels; k++ {
-		total += sh.bank.QueueLen(((j-sh.jLo)*ms.n+m)*ms.cellLevels + k)
+		total += ms.bank.QueueLen((j*ms.n+m)*ms.cellLevels + k)
 	}
 	if !ms.gated {
 		return total
 	}
 	for size := 2; size <= ms.n; size *= 2 {
 		iv := dyadic.Containing(m, size)
-		sh.stripes.Each(ms.stripeQueue(sh, j, iv), func(b int32) {
-			if int(sh.blocks.hdr[b].arrived) > m-iv.Start {
+		ms.stripes.Each(ms.stripeQueue(j, iv), func(b int32) {
+			if int(ms.blocks.hdr[b].arrived) > m-iv.Start {
 				total++
 			}
 		})
 	}
 	if g := &ms.grids[j]; g.serving && g.iv.Contains(m) {
-		if u := m - g.iv.Start; u >= g.next && int(sh.blocks.hdr[g.block].arrived) > u {
+		if u := m - g.iv.Start; u >= g.next && int(ms.blocks.hdr[g.block].arrived) > u {
 			total++
 		}
 	}

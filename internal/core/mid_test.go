@@ -31,8 +31,8 @@ func TestMidQueuesBounded(t *testing.T) {
 			}
 		}
 	}
-	if total != sw.mid.bufferedTotal() {
-		t.Fatalf("queue lengths sum to %d, stage says %d", total, sw.mid.bufferedTotal())
+	if total != sw.mid.buffered {
+		t.Fatalf("queue lengths sum to %d, stage says %d", total, sw.mid.buffered)
 	}
 	// A single (port, output) queue is served once per N slots at arrival
 	// rate below 1/N; its stationary length is small. Hundreds would mean
@@ -58,8 +58,8 @@ func TestMidQueuesDrainAfterStop(t *testing.T) {
 	for k := 0; k < 200000; k++ {
 		sw.Step(nil)
 	}
-	if sw.mid.bufferedTotal() != 0 {
-		t.Fatalf("%d packets stranded at the center stage", sw.mid.bufferedTotal())
+	if sw.mid.buffered != 0 {
+		t.Fatalf("%d packets stranded at the center stage", sw.mid.buffered)
 	}
 	// Everything left must be partial stripes in ready queues.
 	for i := 0; i < n; i++ {

@@ -108,9 +108,11 @@ func (r *refMidStage) queueLen(m, j int) int {
 	return total
 }
 
-// refStep is Switch.Step's sequential body with the center stage swapped
-// for the reference: sw keeps its input ports, its delay accounting and its
-// adaptive state, and its own midStage stays empty.
+// refStep is Switch.Step's body with the center stage swapped for the
+// reference: sw keeps its input ports, its delay accounting and its adaptive
+// state, and its own midStage stays empty. The inputs hand the reference
+// every packet as a cell (refServe), not through transmit, so the reference
+// shares no input path with midStage.
 func refStep(sw *Switch, ref *refMidStage, deliver sim.DeliverFunc) {
 	t := sw.t
 	for j := 0; j < sw.n; j++ {
@@ -119,14 +121,29 @@ func refStep(sw *Switch, ref *refMidStage, deliver sim.DeliverFunc) {
 		}
 	}
 	for i := 0; i < sw.n; i++ {
-		if c, ok := sw.inputs[i].serve(t); ok {
-			ref.enqueue(sw.firstStage(i, t), c)
+		l := sw.firstStage(i, t)
+		if c, ok := refServe(sw.inputs[i], l); ok {
+			ref.enqueue(l, c)
 		}
 	}
 	if sw.adaptive != nil {
 		sw.adaptive.onSlotEnd(t)
 	}
 	sw.t++
+}
+
+// refServe is one gated first-fabric slot of input in, connected to port l:
+// what pick chose, as the cell the reference stage queues.
+func refServe(in *inputPort, l int) (cell, bool) {
+	switch in.pick(l) {
+	case sendSingle:
+		return in.takeSingle(l), true
+	case sendStriped:
+		c := in.pop(&in.voqs[in.cur.out], &in.cur)
+		in.advance()
+		return c, true
+	}
+	return cell{}, false
 }
 
 // centerStageCase is one workload of TestCenterStageMatchesReference.
@@ -154,7 +171,7 @@ type centerStageCase struct {
 //
 // Four one-line faults were put into mid.go by hand; each fails this test:
 //
-//   - enqueue writes slot u+1 instead of u: index out of range at the last
+//   - write stores slot u+1 instead of u: index out of range at the last
 //     packet of the first stripe (its block ends the slab), and with the
 //     index wrapped inside the block the first delivery of a stripe differs
 //     (uniform/N-2, slot 3: packet 0 where the reference has packet 2);
@@ -163,7 +180,7 @@ type centerStageCase struct {
 //     of two never meets the condition and leaks instead, which the count
 //     of held blocks catches at N = 2 (and TestStripeBlocksModel's
 //     accounting, in its first trial);
-//   - enqueue queues the descriptor on the stripe's last packet instead of
+//   - write queues the descriptor on the stripe's last packet instead of
 //     its first: nothing departs in the first slot a stripe could have
 //     started (uniform/N-2, slot 3: 0 deliveries, reference 1);
 //   - two inputs share one sending handle (sending[in>>1]): "input 1 sent
@@ -202,43 +219,29 @@ func TestCenterStageMatchesReference(t *testing.T) {
 		})
 	}
 	for _, tc := range cases {
-		for _, par := range []int{1, 2, 4} {
-			if par > tc.n {
-				continue
-			}
-			t.Run(fmt.Sprintf("%s/P-%d", tc.name, par), func(t *testing.T) {
-				runAgainstReference(t, tc, par)
-			})
-		}
+		t.Run(tc.name, func(t *testing.T) { runAgainstReference(t, tc) })
 	}
 }
 
 // liveBlocks counts the blocks that are on no free list.
 func liveBlocks(ms *midStage) int {
-	live := 0
-	for s := range ms.shards {
-		p := &ms.shards[s].blocks
-		live += len(p.hdr)
-		for _, b := range p.free {
-			for ; b >= 0; b = p.hdr[b].next {
-				live--
-			}
+	p := &ms.blocks
+	live := len(p.hdr)
+	for _, b := range p.free {
+		for ; b >= 0; b = p.hdr[b].next {
+			live--
 		}
 	}
 	return live
 }
 
-func runAgainstReference(t *testing.T, tc centerStageCase, par int) {
+func runAgainstReference(t *testing.T, tc centerStageCase) {
 	build := func() *Switch {
 		return MustNew(Config{N: tc.n, Rates: rowsOf(tc.rates), Adaptive: tc.adaptive,
 			Rand: rand.New(rand.NewSource(301))})
 	}
 	sw, twin := build(), build()
 	ref := newRefMidStage(tc.n)
-	if err := sw.SetParallelism(par); err != nil {
-		t.Fatal(err)
-	}
-	defer sw.StopWorkers()
 	src := tc.source(rand.New(rand.NewSource(302)))
 
 	var got, want []delivery
@@ -259,8 +262,8 @@ func runAgainstReference(t *testing.T, tc centerStageCase, par int) {
 		if slot%61 != 0 && slot != tc.slots-1 {
 			continue
 		}
-		if sw.mid.bufferedTotal() != ref.buffered {
-			t.Fatalf("slot %d: center stage holds %d, reference %d", slot, sw.mid.bufferedTotal(), ref.buffered)
+		if sw.mid.buffered != ref.buffered {
+			t.Fatalf("slot %d: center stage holds %d, reference %d", slot, sw.mid.buffered, ref.buffered)
 		}
 		if got := liveBlocks(sw.mid); got != ref.stripes {
 			t.Fatalf("slot %d: %d blocks held, %d stripes in the reference stage", slot, got, ref.stripes)

@@ -398,7 +398,7 @@ func (r *adaptiveRun) runBatch(ctx context.Context, batch []PointKey, round int)
 // executePoint simulates one point's replicas in index order, stopping
 // early once the batch-means CI relative half-width is within the spec's
 // tolerance. The sequence of replica results depends only on the spec and
-// the point (never on Parallelism or PointParallelism), so the stopping
+// the point (never on Parallelism), so the stopping
 // decision — and therefore the recorded bytes — is deterministic.
 func (r *adaptiveRun) executePoint(ctx context.Context, key PointKey, fp uint64) (PointResult, error) {
 	reps := make([]Point, 0, r.spec.Replicas)
@@ -412,7 +412,7 @@ func (r *adaptiveRun) executePoint(ctx context.Context, key PointKey, fp uint64)
 		if r.cfg.ReplicaRunner != nil {
 			p, err = r.cfg.ReplicaRunner(ctx, r.spec, key, rep)
 		} else {
-			p, err = runReplica(ctx, r.spec, fp, key, rep, r.cfg.PointParallelism, r.cfg.Counters, nil)
+			p, err = runReplica(ctx, r.spec, fp, key, rep, r.cfg.Counters, nil)
 		}
 		if err != nil {
 			return PointResult{}, err

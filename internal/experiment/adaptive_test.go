@@ -143,15 +143,14 @@ func TestAdaptiveBeatsDenseWithinTolerance(t *testing.T) {
 }
 
 // TestAdaptiveDeterministicAcrossParallelism: the checkpoint bytes must not
-// depend on worker parallelism or point-sharding — replicas within a point
-// always run in index order, so the early-stopping decisions are identical.
+// depend on worker parallelism — replicas within a point always run in
+// index order, so the early-stopping decisions are identical.
 func TestAdaptiveDeterministicAcrossParallelism(t *testing.T) {
 	dir := t.TempDir()
 	var want []byte
 	for i, cfg := range []StudyConfig{
 		{Parallelism: 1},
 		{Parallelism: 4},
-		{Parallelism: 2, PointParallelism: 4},
 	} {
 		path := filepath.Join(dir, "out.jsonl")
 		if err := os.RemoveAll(path); err != nil {

@@ -194,14 +194,6 @@ type Config struct {
 	Windows int
 	// Parallelism bounds concurrent points; 0 means GOMAXPROCS.
 	Parallelism int
-	// PointParallelism shards each point's slot execution across this many
-	// worker goroutines when the switch supports it (sim.Parallelizable);
-	// <= 1 runs each point on one goroutine. It is pure execution policy:
-	// the packet trace — and therefore every result, cache key and
-	// checkpoint byte — is identical for any value, so it never enters
-	// point identities or fingerprints. Use it for huge-N points where
-	// across-point parallelism cannot fill the machine.
-	PointParallelism int
 	// OnSlot, when non-nil, is invoked once per simulated slot. It exists
 	// for fault-injection harnesses that need to act at an exact slot
 	// (e.g. crash a cluster worker at slot N); leave it nil on hot paths.
@@ -257,8 +249,7 @@ func RunPoint(alg Algorithm, cfg Config, load float64) (Point, error) {
 	delay := &stats.Delay{}
 	reorder := stats.NewReorder(cfg.N)
 	runOpts := []sim.Option{
-		sim.WithWarmup(cfg.Warmup), sim.WithSlots(cfg.Slots),
-		sim.WithParallelism(cfg.PointParallelism), sim.WithContext(cfg.Context),
+		sim.WithWarmup(cfg.Warmup), sim.WithSlots(cfg.Slots), sim.WithContext(cfg.Context),
 	}
 	if cfg.OnSlot != nil {
 		runOpts = append(runOpts, sim.WithSlotHook(cfg.OnSlot))
@@ -301,7 +292,6 @@ func runScenarioPoint(alg Algorithm, cfg Config, load float64) (Point, error) {
 		Warmup:          cfg.Warmup,
 		Windows:         cfg.Windows,
 		Seed:            cfg.Seed,
-		Parallelism:     cfg.PointParallelism,
 		OnSlot:          cfg.OnSlot,
 		Context:         cfg.Context,
 	})

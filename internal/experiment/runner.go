@@ -70,13 +70,6 @@ var ErrHalted = errors.New("experiment: study halted at checkpoint limit")
 type StudyConfig struct {
 	// Parallelism bounds concurrent replica simulations; 0 = GOMAXPROCS.
 	Parallelism int
-	// PointParallelism shards each replica's slot execution across this
-	// many workers when the architecture supports it (sim.WithParallelism
-	// semantics). Execution policy only — results and checkpoint bytes are
-	// identical for any value. Best left at 0 (sequential) unless single
-	// huge-N points leave cores idle; total goroutines scale with
-	// Parallelism x PointParallelism.
-	PointParallelism int
 	// ResultsPath, when non-empty, is the JSONL checkpoint file. Finished
 	// points are appended in canonical grid order as they complete; if the
 	// file already holds a prefix of this spec's points, those points are
@@ -139,12 +132,11 @@ func replicaSeed(base int64, fp uint64, rep int) int64 {
 // of a coordinator. The replica seed derives from the point's content
 // fingerprint, so the same job computes the same Point on any node.
 // onSlot, when non-nil, is invoked once per simulated slot (fault
-// injection's crash-at-slot hook). par shards the replica's slot execution
-// across that many workers (sim.WithParallelism semantics) — node-local
-// execution policy, deliberately outside the spec and the job wire format,
-// so it never touches replica seeds or cache keys. Completed replicas are
-// counted on ctr; aborted ones are not.
-func RunReplicaJob(ctx context.Context, spec Spec, key PointKey, rep, par int, ctr *Counters, onSlot func(sim.Slot)) (Point, error) {
+// injection's crash-at-slot hook). Completed replicas are counted on ctr;
+// aborted ones are not. The unnamed int is ignored; it stays until the
+// benchmark change that deletes the core.p2_speedup pass, whose traced
+// replicas pass it.
+func RunReplicaJob(ctx context.Context, spec Spec, key PointKey, rep, _ int, ctr *Counters, onSlot func(sim.Slot)) (Point, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return Point{}, err
@@ -153,29 +145,28 @@ func RunReplicaJob(ctx context.Context, spec Spec, key PointKey, rep, par int, c
 		return Point{}, fmt.Errorf("experiment: replica jobs are sim-only, got kind %q", spec.Kind)
 	}
 	fp := spec.PointIdentity(key).SeedFingerprint()
-	return runReplica(ctx, spec, fp, key, rep, par, ctr, onSlot)
+	return runReplica(ctx, spec, fp, key, rep, ctr, onSlot)
 }
 
 // runReplica executes one (point, replica) simulation job. The point key
 // carries series labels; the spec entries resolve them back to registered
 // names and option assignments. ctx aborts the slot loop mid-replica.
-func runReplica(ctx context.Context, spec Spec, fp uint64, key PointKey, rep, par int, ctr *Counters, onSlot func(sim.Slot)) (Point, error) {
+func runReplica(ctx context.Context, spec Spec, fp uint64, key PointKey, rep int, ctr *Counters, onSlot func(sim.Slot)) (Point, error) {
 	alg := spec.algEntry(key.Algorithm)
 	tk := spec.trafficEntry(key.Traffic)
 	cfg := Config{
-		N:                key.N,
-		Traffic:          tk.Name,
-		Slots:            spec.Slots,
-		Warmup:           spec.Warmup,
-		Burst:            key.Burst,
-		Seed:             replicaSeed(spec.Seed, fp, rep),
-		AlgOptions:       alg.Options,
-		TrafficOptions:   tk.Options,
-		Windows:          spec.Windows,
-		Parallelism:      1, // one point per goroutine; the pool parallelizes across points
-		PointParallelism: par,
-		OnSlot:           onSlot,
-		Context:          ctx,
+		N:              key.N,
+		Traffic:        tk.Name,
+		Slots:          spec.Slots,
+		Warmup:         spec.Warmup,
+		Burst:          key.Burst,
+		Seed:           replicaSeed(spec.Seed, fp, rep),
+		AlgOptions:     alg.Options,
+		TrafficOptions: tk.Options,
+		Windows:        spec.Windows,
+		Parallelism:    1, // one point per goroutine; the pool parallelizes across points
+		OnSlot:         onSlot,
+		Context:        ctx,
 	}
 	if key.Scenario != "" {
 		sc := spec.scenarioEntry(key.Scenario)
@@ -481,7 +472,7 @@ func RunStudy(ctx context.Context, spec Spec, cfg StudyConfig) ([]PointResult, e
 				case spec.Kind == SimStudy && cfg.ReplicaRunner != nil:
 					ro.p, ro.err = cfg.ReplicaRunner(ctx, spec, keys[jb.pi], jb.rep)
 				case spec.Kind == SimStudy:
-					ro.p, ro.err = runReplica(ctx, spec, fps[jb.pi], keys[jb.pi], jb.rep, cfg.PointParallelism, cfg.Counters, nil)
+					ro.p, ro.err = runReplica(ctx, spec, fps[jb.pi], keys[jb.pi], jb.rep, cfg.Counters, nil)
 				default:
 					ro.rec = analyticPoint(spec.Kind, keys[jb.pi])
 				}

@@ -56,10 +56,6 @@ type Config struct {
 	// Seed makes the whole replay — workload, scenario randomness, switch,
 	// arrival process — deterministic.
 	Seed int64
-	// Parallelism shards the switch's slot execution across this many
-	// workers when the architecture supports it (sim.WithParallelism
-	// semantics: a no-op otherwise, and trace-identical for any value).
-	Parallelism int
 	// OnSlot, when non-nil, is invoked once per slot after the windowed
 	// collector's own bookkeeping — the hook fault-injection harnesses use
 	// to abort a replay at an exact slot.
@@ -153,8 +149,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	runOpts := []sim.Option{
 		sim.WithWarmup(cfg.Warmup), sim.WithSlots(cfg.Slots),
-		sim.WithParallelism(cfg.Parallelism), sim.WithSlotHook(onSlot),
-		sim.WithContext(cfg.Context),
+		sim.WithSlotHook(onSlot), sim.WithContext(cfg.Context),
 	}
 	offered, delivered := sim.Run(sw, windowed.WrapSource(src),
 		stats.Multi{delay, windowed}, runOpts...)

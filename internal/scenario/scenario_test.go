@@ -111,45 +111,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminismFlashcrowd: a flash-crowd replay with sharded
-// slot execution must reproduce the sequential replay exactly — every
-// window point and every aggregate — including on the adaptive switch,
-// whose resize machinery runs inside the parallel slot protocol. This is
-// the scenario-level leg of the engine's trace-identity guarantee, and the
-// race detector's view of the worker handoffs (CI runs it under -race).
-func TestParallelDeterminismFlashcrowd(t *testing.T) {
-	for _, aopts := range []map[string]any{nil, {"adaptive": true}} {
-		cfg := scenario.Config{
-			Algorithm: "sprinklers", AlgOptions: aopts,
-			Traffic: "uniform", Scenario: "flashcrowd",
-			N: 16, Load: 0.8, Slots: 6000, Windows: 6, Seed: 9,
-		}
-		seq, err := scenario.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Parallelism = 4
-		par, err := scenario.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Offered != seq.Offered || par.Delivered != seq.Delivered {
-			t.Fatalf("aopts %v: parallel offered/delivered %d/%d, sequential %d/%d",
-				aopts, par.Offered, par.Delivered, seq.Offered, seq.Delivered)
-		}
-		if par.Delay.Mean() != seq.Delay.Mean() || par.Delay.Max() != seq.Delay.Max() {
-			t.Fatalf("aopts %v: parallel delay (mean %v, max %d) differs from sequential (mean %v, max %d)",
-				aopts, par.Delay.Mean(), par.Delay.Max(), seq.Delay.Mean(), seq.Delay.Max())
-		}
-		for i := range seq.Windows {
-			if par.Windows[i] != seq.Windows[i] {
-				t.Fatalf("aopts %v: window %d differs: parallel %+v vs sequential %+v",
-					aopts, i, par.Windows[i], seq.Windows[i])
-			}
-		}
-	}
-}
-
 // TestFlashcrowdStaysAdmissible: every matrix a flash crowd emits must keep
 // all row and column sums at or below 1, or the crowd window would be
 // unconditionally unstable instead of a tracking problem.

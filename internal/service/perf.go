@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"sprinklers/internal/core"
 	"sprinklers/internal/experiment"
 )
 
@@ -36,20 +35,15 @@ type PerfResponse struct {
 	Counters experiment.CounterSnapshot `json:"counters"`
 	Studies  []PerfStudy                `json:"studies"`
 	Bench    []PerfBench                `json:"bench"`
-	// ShardStats reports per-shard busy and handoff-wait nanoseconds from
-	// the parallel slot engine; present only when -shard-stats profiling
-	// is enabled (zero overhead otherwise).
-	ShardStats []core.ShardStat `json:"shard_stats,omitempty"`
 }
 
 // Perf assembles the perf view: daemon-wide counters, every known study
 // with its private counters, and the BENCH_*.json snapshots on disk.
 func (s *Server) Perf() PerfResponse {
 	resp := PerfResponse{
-		Counters:   s.TotalCounters(),
-		Studies:    []PerfStudy{},
-		Bench:      []PerfBench{},
-		ShardStats: core.ShardStats(),
+		Counters: s.TotalCounters(),
+		Studies:  []PerfStudy{},
+		Bench:    []PerfBench{},
 	}
 
 	s.mu.Lock()

@@ -81,12 +81,6 @@ type Options struct {
 	CacheDir string
 	// Parallelism bounds each study's worker pool; 0 = GOMAXPROCS.
 	Parallelism int
-	// PointParallelism shards each replica's slot execution across this
-	// many goroutines on this node (sim.WithParallelism semantics) —
-	// execution policy that never enters cache keys or replica seeds, so
-	// nodes in one cluster may disagree on it and still produce identical
-	// bytes. 0/1 = sequential.
-	PointParallelism int
 	// JobSlots bounds how many cluster jobs this daemon simulates at once;
 	// arrivals beyond the bound queue in their handlers (visible as
 	// queue_depth in heartbeat load reports, and stealable). 0 = GOMAXPROCS.
@@ -142,12 +136,11 @@ type Options struct {
 // and the table of known studies. Create one with New, expose it with
 // Handler, stop it with Shutdown.
 type Server struct {
-	cache    *resultcache.Store
-	par      int
-	pointPar int
-	log      *slog.Logger
-	node     string
-	role     string
+	cache *resultcache.Store
+	par   int
+	log   *slog.Logger
+	node  string
+	role  string
 
 	// journal is the bounded ring of trace spans behind /api/v1/trace;
 	// nil when tracing is disabled (every producer is nil-safe).
@@ -239,7 +232,6 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		cache:       store,
 		par:         opts.Parallelism,
-		pointPar:    opts.PointParallelism,
 		node:        node,
 		role:        opts.Role,
 		journal:     trace.NewJournal(spans),
@@ -403,11 +395,10 @@ func (s *Server) run(ctx context.Context, st *study) {
 	defer st.cancel()
 	ckpt := filepath.Join(s.cache.Dir(), "studies", st.id+".jsonl")
 	cfg := experiment.StudyConfig{
-		Parallelism:      s.par,
-		PointParallelism: s.pointPar,
-		Cache:            timedCache{s.cache, s.hCacheGet, s.hCachePut},
-		Counters:         &st.counters,
-		ResultsPath:      ckpt,
+		Parallelism: s.par,
+		Cache:       timedCache{s.cache, s.hCacheGet, s.hCachePut},
+		Counters:    &st.counters,
+		ResultsPath: ckpt,
 		Progress: func(done, total int, r experiment.PointResult) {
 			st.progress(done, total, r)
 		},

@@ -236,7 +236,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	simStart := time.Now()
-	p, err := experiment.RunReplicaJob(ctx, spec, req.Point, req.Rep, s.pointPar, &s.counters, onSlot)
+	p, err := experiment.RunReplicaJob(ctx, spec, req.Point, req.Rep, 0, &s.counters, onSlot)
 	if err == nil {
 		s.observeSimRate(int64(spec.Slots+spec.Warmup), time.Since(simStart))
 		s.hJobExec.Observe(time.Since(simStart))

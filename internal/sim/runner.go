@@ -26,25 +26,10 @@ type ObserverFunc func(Delivery)
 // Observe implements Observer.
 func (f ObserverFunc) Observe(d Delivery) { f(d) }
 
-// Parallelizable is implemented by switches whose slot execution can be
-// sharded across worker goroutines (currently the Sprinklers core switch).
-// Parallel execution must be trace-identical to sequential execution —
-// the same deliveries in the same order — so parallelism is pure execution
-// policy: it never changes results, cache identities or checkpoint bytes.
+// Parallelizable has no implementer; it stays until the benchmark change
+// that deletes timedParallelSwitch, which embeds it.
 type Parallelizable interface {
-	// SetParallelism reshapes the switch for p shard workers and starts
-	// them. Implementations may clamp p (the core switch rounds down to a
-	// power of two within [1, N]) and must refuse — with an error — any
-	// reshape that would have to migrate buffered packets.
-	SetParallelism(p int) error
-	// Parallelism reports the number of workers currently running (1 when
-	// execution is sequential).
 	Parallelism() int
-	// StopWorkers parks the shard workers; execution falls back to the
-	// (trace-identical) sequential path and SetParallelism may restart
-	// them. Callers that started workers must stop them, or the worker
-	// goroutines pin the switch forever; Run handles this itself.
-	StopWorkers()
 }
 
 // Option configures a Run. The zero configuration runs zero slots, so
@@ -52,11 +37,10 @@ type Parallelizable interface {
 type Option func(*runOptions)
 
 type runOptions struct {
-	warmup      Slot
-	slots       Slot
-	hook        func(Slot)
-	cancel      <-chan struct{}
-	parallelism int
+	warmup Slot
+	slots  Slot
+	hook   func(Slot)
+	cancel <-chan struct{}
 }
 
 // WithWarmup discards the deliveries of packets that arrived during the
@@ -84,14 +68,9 @@ func WithContext(ctx context.Context) Option {
 	return func(o *runOptions) { o.cancel = ctx.Done() }
 }
 
-// WithParallelism shards the switch's slot execution across p worker
-// goroutines for the duration of the run, when the switch supports it
-// (implements Parallelizable); on any other switch the option is a no-op,
-// so callers can thread one knob through heterogeneous studies. p <= 1
-// also is a no-op. The trace is identical for every p — see
-// Parallelizable — so this is safe to set from execution-policy
-// configuration without touching result identity.
-func WithParallelism(p int) Option { return func(o *runOptions) { o.parallelism = p } }
+// WithParallelism sets nothing; it stays until the benchmark change that
+// deletes the core.p2_speedup pass, which passes it.
+func WithParallelism(int) Option { return func(*runOptions) {} }
 
 // cancelCheckSlots is how often Run polls the context's Done channel. At ~1µs/slot
 // for a large switch this bounds cancellation latency to a few
@@ -110,14 +89,6 @@ func Run(sw Switch, src Source, obs Observer, opts ...Option) (offered, delivere
 	}
 	if sw.N() != src.N() {
 		panic("sim: switch and source port counts differ")
-	}
-	if o.parallelism > 1 {
-		if ps, ok := sw.(Parallelizable); ok {
-			if err := ps.SetParallelism(o.parallelism); err != nil {
-				panic("sim: " + err.Error())
-			}
-			defer ps.StopWorkers()
-		}
 	}
 	total := o.warmup + o.slots
 	// Both per-slot callbacks are constructed once, outside the slot loop,

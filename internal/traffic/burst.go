@@ -13,11 +13,16 @@ import (
 // drawn from the rate matrix's conditional row distribution, so the matrix
 // fixes per-VOQ rates while OnOff controls burstiness. It stresses the
 // schedulers far harder than the Bernoulli process at the same load.
+//
+// An OFF period lasts at least one slot, so a mean burst b leaves room for
+// a load rho only while b >= rho/(1-rho). Above that the input's burst is
+// lengthened instead: OFF lasts exactly one slot and the mean burst is
+// rho/(1-rho), so the offered load is still rho (see onOffProbs).
 type OnOff struct {
 	n      int
 	rng    rng
 	on     []bool
-	pOnOff float64 // P(ON -> OFF) per slot
+	pOnOff []float64 // P(ON -> OFF) per slot
 	pOffOn []float64
 	alias  []aliasTable
 	seq    [][]uint64
@@ -35,7 +40,7 @@ func NewOnOff(m *Matrix, meanBurst float64, rng *rand.Rand) *OnOff {
 		n:      n,
 		rng:    newRNG(rng.Uint64()),
 		on:     make([]bool, n),
-		pOnOff: 1 / meanBurst,
+		pOnOff: make([]float64, n),
 		pOffOn: make([]float64, n),
 		alias:  make([]aliasTable, n),
 		seq:    make([][]uint64, n),
@@ -45,17 +50,28 @@ func NewOnOff(m *Matrix, meanBurst float64, rng *rand.Rand) *OnOff {
 		if load >= 1 {
 			load = 1 - 1e-9
 		}
-		// Solve meanOn/(meanOn+meanOff) = load with meanOn = meanBurst:
-		// meanOff = meanBurst*(1-load)/load.
 		if load > 0 {
-			meanOff := meanBurst * (1 - load) / load
-			src.pOffOn[i] = 1 / meanOff
+			src.pOnOff[i], src.pOffOn[i] = onOffProbs(meanBurst, load)
 		}
 		row := m.Row(i)
 		src.alias[i] = newAliasTable(row)
 		src.seq[i] = make([]uint64, n)
 	}
 	return src
+}
+
+// onOffProbs returns P(ON -> OFF) and P(OFF -> ON) per slot for an input
+// with mean burst b at load in (0, 1). The chain's stationary P(ON) is
+// q/(p+q), so p = 1/b and q = 1/meanOff with meanOff = b(1-load)/load give
+// the load. An OFF period cannot be shorter than one slot, so once meanOff
+// < 1 OFF lasts exactly one slot (q = 1) and p = (1-load)/load: the mean
+// burst grows to load/(1-load) >= b and the load is still exact.
+func onOffProbs(b, load float64) (p, q float64) {
+	meanOff := b * (1 - load) / load
+	if meanOff < 1 {
+		return (1 - load) / load, 1
+	}
+	return 1 / b, 1 / meanOff
 }
 
 // N implements sim.Source.
@@ -65,7 +81,7 @@ func (o *OnOff) N() int { return o.n }
 func (o *OnOff) Next(t sim.Slot, emit func(sim.Packet)) {
 	for i := 0; i < o.n; i++ {
 		if o.on[i] {
-			if o.rng.Float64() < o.pOnOff {
+			if o.rng.Float64() < o.pOnOff[i] {
 				o.on[i] = false
 			}
 		} else if o.pOffOn[i] > 0 && o.rng.Float64() < o.pOffOn[i] {

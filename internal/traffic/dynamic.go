@@ -18,8 +18,8 @@ import (
 // scales one input's effective arrival probability by its capacity factor
 // (0 = failed ingress link, no cell can enter; 1 = full capacity). With a
 // mean burst length >= 1 the source runs the same two-state on/off chain as
-// OnOff, with the off->on probability re-solved after every event so the
-// duty cycle keeps tracking the current matrix row sums.
+// OnOff, with both transition probabilities re-solved after every event so
+// the duty cycle keeps tracking the current matrix row sums.
 type Dynamic struct {
 	n      int
 	rng    rng
@@ -39,7 +39,7 @@ type Dynamic struct {
 	burst  float64
 	on     []bool
 	alias  []aliasTable
-	pOnOff float64
+	pOnOff []float64
 	pOffOn []float64
 
 	nextID uint64
@@ -73,7 +73,7 @@ func NewDynamic(base *Matrix, events []registry.Event, meanBurst float64, rng *r
 	if meanBurst >= 1 {
 		d.on = make([]bool, n)
 		d.alias = make([]aliasTable, n)
-		d.pOnOff = 1 / meanBurst
+		d.pOnOff = make([]float64, n)
 		d.pOffOn = make([]float64, n)
 	}
 	d.applyRates(base)
@@ -128,8 +128,7 @@ func (d *Dynamic) refresh(i int) {
 			load = 1 - 1e-9
 		}
 		if load > 0 {
-			meanOff := d.burst * (1 - load) / load
-			d.pOffOn[i] = 1 / meanOff
+			d.pOnOff[i], d.pOffOn[i] = onOffProbs(d.burst, load)
 		} else {
 			d.pOffOn[i] = 0
 			d.on[i] = false
@@ -166,7 +165,7 @@ func (d *Dynamic) Next(t sim.Slot, emit func(sim.Packet)) {
 			// Bursty mode: advance the on/off chain, then emit inside ON
 			// bursts with probability equal to the link factor.
 			if d.on[i] {
-				if d.rng.Float64() < d.pOnOff {
+				if d.rng.Float64() < d.pOnOff[i] {
 					d.on[i] = false
 				}
 			} else if d.pOffOn[i] > 0 && d.rng.Float64() < d.pOffOn[i] {

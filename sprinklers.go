@@ -69,9 +69,6 @@ var (
 	WithSlotHook = sim.WithSlotHook
 	// WithContext stops the run early once the context is done.
 	WithContext = sim.WithContext
-	// WithParallelism shards slot execution across p workers on switches
-	// that support it (trace-identical for every p; a no-op elsewhere).
-	WithParallelism = sim.WithParallelism
 )
 
 // Sprinklers switch configuration, re-exported from the core.
@@ -166,7 +163,7 @@ func ConfigFromMatrix(m *TrafficMatrix, seed int64) Config {
 // RunBernoulli runs sw under Bernoulli arrivals drawn from m for the given
 // number of measured slots (with a warmup of slots/5, overridable via opts)
 // and returns the delay statistics. Extra options are appended after the
-// defaults, so e.g. WithWarmup or WithParallelism take effect. It panics if
+// defaults, so e.g. WithWarmup takes effect. It panics if
 // the switch reorders any packet — callers running the non-order-preserving
 // variants should assemble the run themselves.
 func RunBernoulli(sw Switch, m *TrafficMatrix, slots Slot, seed int64, opts ...Option) *DelayStats {
