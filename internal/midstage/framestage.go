@@ -3,136 +3,86 @@ package midstage
 import (
 	"fmt"
 
-	"sprinklers/internal/queue"
 	"sprinklers/internal/sim"
 )
 
-// Cell is one packet of a full frame, annotated with the frame bookkeeping
-// the frame-atomic stage needs. Every frame holds exactly N cells (padded
-// ones included), so a cell does not carry its frame's size; Index is 32 bits
-// to keep a bank node at 72 bytes.
-type Cell struct {
-	Pkt     sim.Packet
-	FrameID uint64 // globally unique frame identity
-	FlowSeq uint64 // per-(input, output-VOQ) frame counter
-	Index   int32  // position of this packet inside its frame (0..N-1)
-}
-
-// FrameStage is the frame-atomic center stage used by the full-frame
-// switches (UFS and Padded Frames).
+// The frame-atomic center stage of the full-frame switches (UFS and Padded
+// Frames).
 //
-// A full frame's N packets are inserted at the N intermediate ports over N
+// A full frame's N cells are inserted at the N intermediate ports over N
 // consecutive slots, so the per-output queue depths seen by one frame's
-// packets can differ by one around the wrap point of competing insertion
-// waves. Plain FIFO service at the second fabric then lets a one-round
+// cells can differ by one around the wrap point of competing insertion
+// waves. Plain FIFO service at the second fabric would then let a one-round
 // depth difference swap the departure order of adjacent packets of a frame.
-// FrameStage removes that hazard the same way the Sprinklers virtual grid
-// of Sec. 3.4.3 does for stripes: an output serves frames atomically. A
-// frame may begin departing only when the output's cyclic sweep reaches the
-// intermediate port holding the frame's first packet, and it then drains
-// from consecutive ports in consecutive slots, so the frame arrives at the
-// output "in one burst" and per-flow order is preserved.
+// The stage removes that hazard the same way the Sprinklers virtual grid of
+// Sec. 3.4.3 does for stripes: an output serves frames atomically. A frame
+// may begin departing only when the output's cyclic sweep reaches the
+// intermediate port holding the frame's first cell, and it then drains from
+// consecutive ports in consecutive slots, so the frame arrives at the output
+// "in one burst" and per-flow order is preserved. Frames of the same flow
+// are additionally gated by their per-flow sequence number, so that a later
+// frame can never begin before an earlier one, even when the two were spread
+// starting at different ports.
 //
-// Frames of the same flow are additionally gated by a per-flow frame
-// sequence number so that a later frame can never start before an earlier
-// one, even when the two frames were spread starting at different ports.
-type FrameStage struct {
-	n     int
-	q     *queue.Bank[Cell] // queue m*n+j: cells at port m for output j
-	grids []gridState       // per-output frame service state
-	next  []uint64          // next FlowSeq allowed to start, per flow in*n+out
-	real  int
+// # Storage
+//
+// A frame crosses the stage as one block: a frame descriptor, queued at the
+// (port, output) pair that holds its first cell, in the order first cells
+// arrived there. That is the whole of what the output's start decision
+// reads, and it is all the stage stores. Where the frame's other cells are
+// follows from the clock: the cell at position k of a frame started in slot
+// t0 at port m reaches port m+k (mod N) in slot t0+k, and an output begins
+// the frame in a slot ts > t0 (outputs step before inputs), so it takes the
+// cell from that port in slot ts+k, after it arrived. Their packets never
+// leave the VOQ (see flowVOQ).
+
+// frame is a frame's descriptor at the center stage.
+type frame struct {
+	seq  uint32 // the frame's place among its flow's frames
+	in   int32  // the flow's input; its output is the queue's
+	real int32  // cells [0, real) carry packets, the rest are padding
 }
 
-type gridState struct {
-	serving bool
-	frameID uint64
-	row     int // intermediate port the next packet will be taken from
-	left    int // packets remaining in the frame
+// outputState is an output's frame service: the frame it is draining, if
+// any.
+type outputState struct {
+	in   int32 // input of the frame in service
+	left int32 // cells of the frame still to depart; 0 when idle
+	real int32 // packets among them: the first real of the left cells
+	row  int32 // intermediate port the next cell departs from
 }
 
-// NewFrameStage builds the frame-atomic stage for an n-port switch.
-func NewFrameStage(n int) *FrameStage {
-	return &FrameStage{
-		n:     n,
-		q:     queue.NewBank[Cell](n * n),
-		grids: make([]gridState, n),
-		next:  make([]uint64, n*n),
-	}
-}
-
-// Enqueue buffers c, which arrived at intermediate port m over the first
-// fabric.
-func (s *FrameStage) Enqueue(m int, c Cell) {
-	s.q.Push(m*s.n+int(c.Pkt.Out), c)
-	if !c.Pkt.Fake {
-		s.real++
-	}
-}
-
-// Backlog returns the number of real packets buffered.
-func (s *FrameStage) Backlog() int { return s.real }
-
-// Step executes one second-fabric slot for every output.
-func (s *FrameStage) Step(t sim.Slot, deliver sim.DeliverFunc) {
-	for j := 0; j < s.n; j++ {
-		s.stepOutput(j, t, deliver)
-	}
-}
-
-func (s *FrameStage) stepOutput(j int, t sim.Slot, deliver sim.DeliverFunc) {
-	g := &s.grids[j]
-	m := sim.IntermediateFor(j, t, s.n)
-	q := m*s.n + j
-	if g.serving {
-		if g.row != m {
-			panic(fmt.Sprintf("midstage: output %d lost lockstep: want row %d, sweep at %d", j, g.row, m))
+// depart executes one second-fabric slot for every output. Real cells are
+// handed to deliver; padding vanishes.
+func (sp *Spreader) depart(t sim.Slot, deliver sim.DeliverFunc) {
+	for j := range sp.outs {
+		o := &sp.outs[j]
+		m := sim.IntermediateFor(j, t, sp.n)
+		if o.left == 0 {
+			// Begin the first frame (in arrival order at this port) whose
+			// flow allows it to begin.
+			f, ok := sp.heads.RemoveFirst(m*sp.n+j, func(f *frame) bool {
+				return sp.flows[int(f.in)*sp.n+j].begun == f.seq
+			})
+			if !ok {
+				continue
+			}
+			sp.flows[int(f.in)*sp.n+j].begun++
+			*o = outputState{in: f.in, left: int32(sp.n), real: f.real, row: int32(m)}
+		} else if int(o.row) != m {
+			panic(fmt.Sprintf("midstage: output %d lost lockstep: want row %d, sweep at %d", j, o.row, m))
 		}
-		// The in-service frame's packet may sit behind packets of
-		// not-yet-started frames; extract it wherever it is.
-		c, ok := s.q.RemoveFirst(q, func(c *Cell) bool { return c.FrameID == g.frameID })
-		if !ok {
-			panic(fmt.Sprintf("midstage: output %d missing packet of frame %d at port %d", j, g.frameID, m))
+		o.left--
+		o.row = int32((m + 1) % sp.n)
+		if o.real == 0 {
+			continue
 		}
-		g.left--
-		g.row = (g.row + 1) % s.n
-		if g.left == 0 {
-			g.serving = false
+		o.real--
+		i := int(o.in)
+		r := sp.flows[i*sp.n+j].q.Pop(&sp.inputs[i].chunks)
+		sp.buffered--
+		if deliver != nil {
+			deliver(sim.Delivery{Packet: r.Packet(i, j), Depart: t})
 		}
-		s.emit(c, t, deliver)
-		return
-	}
-	// Not serving: start the first frame (in arrival order at this port)
-	// whose first packet is here and whose flow allows it to start.
-	c, ok := s.q.RemoveFirst(q, func(c *Cell) bool {
-		return c.Index == 0 && s.next[s.flow(c)] == c.FlowSeq
-	})
-	if !ok {
-		return
-	}
-	s.next[s.flow(&c)] = c.FlowSeq + 1
-	if s.n > 1 {
-		g.serving = true
-		g.frameID = c.FrameID
-		g.row = (m + 1) % s.n
-		g.left = s.n - 1
-	}
-	s.emit(c, t, deliver)
-}
-
-// flow indexes the per-flow state of c's (input, output) pair.
-func (s *FrameStage) flow(c *Cell) int { return int(c.Pkt.In)*s.n + int(c.Pkt.Out) }
-
-func (s *FrameStage) emit(c Cell, t sim.Slot, deliver sim.DeliverFunc) {
-	if c.Pkt.Fake {
-		return
-	}
-	s.real--
-	if deliver != nil {
-		deliver(sim.Delivery{Packet: c.Pkt, Depart: t})
 	}
 }
-
-// QueueLen reports the queue length (including fakes) at intermediate port m
-// for output j. It walks the queue; it exists for invariant tests.
-func (s *FrameStage) QueueLen(m, j int) int { return s.q.QueueLen(m*s.n + j) }

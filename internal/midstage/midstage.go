@@ -8,13 +8,15 @@
 //     slot t intermediate port l forwards the head of its queue for output
 //     SecondStage(l, t). The baseline, TCP-hashing, FOFF and CMS switches
 //     use it.
-//   - FrameStage serves frames atomically, for the full-frame switches (UFS
-//     and Padded Frames), whose input side is the Spreader: N² VOQs as
-//     queue.RecordFIFOs on one chunk pool per input.
+//   - The Spreader, the full-frame switches' (UFS and Padded Frames) core,
+//     serves frames atomically: it queues one descriptor per frame, and a
+//     frame's packets stay in their VOQ, a queue.RecordFIFO on its input's
+//     chunk pool, until they depart. The descriptors are on the bank,
+//     queued at the (port, output) pair of the frame's first cell.
 //
-// Padding cells (Packet.Fake) occupy queue slots and second-fabric
-// connections but are consumed silently at the output, as in the Padded
-// Frames scheme.
+// Padding cells (Packet.Fake in Stage, a frame's cells past its packets in
+// the Spreader) occupy queue slots and second-fabric connections but are
+// consumed silently at the output, as in the Padded Frames scheme.
 package midstage
 
 import (

@@ -5,169 +5,135 @@ import (
 	"sprinklers/internal/sim"
 )
 
-// Spreader is the input side the full-frame switches share, in front of
-// its own FrameStage: per-input VOQs, and per input one frame at a time
-// being spread over N consecutive slots, one cell to each intermediate
-// port. A VOQ is a queue.RecordFIFO on its input's chunk pool, so an input's
-// memory follows its backlog rather than N private high-water marks, and a
-// packet is a 24-byte record until fillFrame rebuilds it from the VOQ's
-// (i, j). An idle input picks, round-robin over its VOQs, one that holds a
-// full frame of N packets. What an input does when no VOQ holds one is the
-// only thing UFS and Padded Frames disagree on, so Step takes it as a
-// policy: UFS idles, PF names a VOQ to pad with fake cells.
+// Spreader is the switch core UFS and Padded Frames share: per-input VOQs,
+// per input one frame at a time being spread over N consecutive slots, one
+// cell to each intermediate port, and the frame-atomic center stage behind
+// them (framestage.go). A VOQ is a queue.RecordFIFO on its input's chunk
+// pool, so an input's memory follows its backlog rather than N private
+// high-water marks, and a packet is a 24-byte record until the output it
+// departs from rebuilds it from the VOQ's (i, j). An idle input picks,
+// round-robin over its VOQs, one that holds a full frame of N packets. What
+// an input does when no VOQ holds one is the only thing UFS and Padded
+// Frames disagree on, so Step takes it as a policy: UFS idles, PF names a
+// VOQ to pad with fake cells.
 //
 // The round-robin pick does not walk the VOQs: each input keeps a bit set
-// over them in which bit j is set ⇔ VOQ (i, j) holds at least N packets,
-// maintained where a VOQ grows (Arrive) and where it is drained (the start
-// of a frame), so the pick is the first set bit at or cyclically after the
-// pointer. The sets cost N²/8 bytes in all.
+// over them in which bit j is set ⇔ VOQ (i, j) has at least N packets
+// waiting, maintained where a VOQ grows (Arrive) and where it is framed (the
+// start of a frame), so the pick is the first set bit at or cyclically after
+// the pointer. The sets cost N²/8 bytes in all.
 type Spreader struct {
 	n        int
-	w        int                // words per input in ready
-	voq      []queue.RecordFIFO // VOQ i*n+j, on inputs[i].chunks
-	ready    []uint64           // input i's full-frame-ready set at [i*w, (i+1)*w)
+	w        int       // words per input in ready
+	flows    []flowVOQ // VOQ i*n+j, on inputs[i].chunks
+	ready    []uint64  // input i's full-frame-ready set at [i*w, (i+1)*w)
 	inputs   []spreadInput
-	frameSeq []uint64 // per-VOQ frame counter (orders frames of a flow)
-	nextID   uint64   // global frame identity
-	mid      *FrameStage
-	inBuf    int   // real packets at the input side
+	heads    *queue.Bank[frame] // queue m*n+j: frames for output j whose first cell is at port m
+	outs     []outputState
+	buffered int   // real packets in the switch
 	padded   int64 // fake cells injected
 }
 
+// flowVOQ is one (input, output) flow: its VOQ and its frame counters.
+//
+// A frame's packets stay in the VOQ until they depart. The frames of a flow
+// leave their output in the order the input started them (the center stage
+// gates on seq), one at a time, so the packets an output takes from a VOQ
+// are always its head: the started frames' packets in frame order, then the
+// waiting ones. The frame counters may wrap: the gate compares them for
+// equality, which stays exact while fewer than 2^32 frames of one flow are
+// in the switch.
+type flowVOQ struct {
+	q       queue.RecordFIFO
+	waiting int32  // packets not yet in a started frame
+	started uint32 // frames started at the input; the next one's seq
+	begun   uint32 // frames begun at the output; the seq allowed to begin next
+}
+
 type spreadInput struct {
-	// frame is the input's one reusable N-packet buffer; cells [pos, n)
-	// are still to be sent, so pos == n means the input is idle.
-	frame   []sim.Packet
-	pos     int
-	frameID uint64
-	flowSeq uint64
-	rr      int              // round-robin pointer over VOQs for frame selection
-	chunks  queue.RecordPool // backs the input's n VOQs
+	// idleAt is the first slot the input is free to start a frame: a frame
+	// started in slot t sends its N cells in slots t … t+N−1.
+	idleAt sim.Slot
+	rr     int              // round-robin pointer over VOQs for frame selection
+	chunks queue.RecordPool // backs the input's n VOQs
 }
 
 // NewSpreader builds the full-frame input side and center stage of an
 // n-port switch.
 func NewSpreader(n int) *Spreader {
 	w := queue.BitWords(n)
-	sp := &Spreader{
-		n:        n,
-		w:        w,
-		voq:      make([]queue.RecordFIFO, n*n),
-		ready:    make([]uint64, n*w),
-		inputs:   make([]spreadInput, n),
-		frameSeq: make([]uint64, n*n),
-		mid:      NewFrameStage(n),
+	return &Spreader{
+		n:      n,
+		w:      w,
+		flows:  make([]flowVOQ, n*n),
+		ready:  make([]uint64, n*w),
+		inputs: make([]spreadInput, n),
+		heads:  queue.NewBank[frame](n * n),
+		outs:   make([]outputState, n),
 	}
-	frames := make([]sim.Packet, n*n)
-	for i := range sp.inputs {
-		sp.inputs[i].frame = frames[i*n : (i+1)*n : (i+1)*n]
-		sp.inputs[i].pos = n
-	}
-	return sp
 }
 
 // Arrive buffers p in its VOQ.
 func (sp *Spreader) Arrive(p sim.Packet) {
 	i, j := int(p.In), int(p.Out)
-	q := &sp.voq[i*sp.n+j]
-	q.Push(&sp.inputs[i].chunks, queue.RecordOf(p))
-	if q.Len() == sp.n {
+	f := &sp.flows[i*sp.n+j]
+	f.q.Push(&sp.inputs[i].chunks, queue.RecordOf(p))
+	f.waiting++
+	if int(f.waiting) == sp.n {
 		queue.SetBit(sp.ready[i*sp.w:], j)
 	}
-	sp.inBuf++
+	sp.buffered++
 }
 
 // Backlog returns the number of real packets buffered at the inputs and
 // in the center stage.
-func (sp *Spreader) Backlog() int { return sp.inBuf + sp.mid.Backlog() }
+func (sp *Spreader) Backlog() int { return sp.buffered }
 
 // VOQLen returns the number of packets waiting in VOQ (i, j), not counting
-// a frame already being spread.
-func (sp *Spreader) VOQLen(i, j int) int { return sp.voq[i*sp.n+j].Len() }
+// those of frames already started.
+func (sp *Spreader) VOQLen(i, j int) int { return int(sp.flows[i*sp.n+j].waiting) }
 
 // PaddingInjected returns the number of fake cells spread so far.
 func (sp *Spreader) PaddingInjected() int64 { return sp.padded }
 
 // Step executes slot t: the second fabric drains the center stage, then
-// every input sends the next cell of its frame over the first fabric. When
-// an idle input has no full frame, pad (nil for never) is asked which of
-// its VOQs to pad to a full frame; a negative answer leaves the input idle.
+// every idle input starts spreading its next frame. When an idle input has
+// no full frame, pad (nil for never) is asked which of its VOQs to pad to a
+// full frame; a negative answer leaves the input idle.
 func (sp *Spreader) Step(t sim.Slot, deliver sim.DeliverFunc, pad func(i int) int) {
-	sp.mid.Step(t, deliver)
+	sp.depart(t, deliver)
 	for i := range sp.inputs {
 		in := &sp.inputs[i]
-		if in.pos == sp.n && !sp.startFull(i) {
+		if t < in.idleAt {
+			continue
+		}
+		j := queue.NextSet(sp.ready[i*sp.w:][:sp.w], in.rr)
+		if j < 0 {
 			if pad == nil {
 				continue
 			}
-			j := pad(i)
-			if j < 0 {
+			if j = pad(i); j < 0 {
 				continue
 			}
-			sp.startPadded(i, j, t)
 		}
-		c := Cell{
-			Pkt:     in.frame[in.pos],
-			FrameID: in.frameID,
-			FlowSeq: in.flowSeq,
-			Index:   int32(in.pos),
-		}
-		in.pos++
-		if !c.Pkt.Fake {
-			sp.inBuf--
-		}
-		sp.mid.Enqueue(sim.FirstStage(i, t, sp.n), c)
+		sp.start(i, j, t)
 	}
 }
 
-// startFull picks, round-robin from input i's pointer, a VOQ holding a full
-// frame and, if there is one, moves the frame into the input's buffer for
-// spreading.
-func (sp *Spreader) startFull(i int) bool {
-	j := queue.NextSet(sp.ready[i*sp.w:][:sp.w], sp.inputs[i].rr)
-	if j < 0 {
-		return false
-	}
-	sp.fillFrame(i, j)
-	sp.startFrame(i, j)
-	return true
-}
-
-// startPadded moves all of VOQ (i, j) into input i's buffer and fills the
-// rest of the frame with fake cells.
-func (sp *Spreader) startPadded(i, j int, t sim.Slot) {
-	in := &sp.inputs[i]
-	k := sp.fillFrame(i, j)
-	for u := k; u < sp.n; u++ {
-		in.frame[u] = sim.Packet{In: int32(i), Out: int32(j), Fake: true, Arrival: t}
-	}
-	sp.padded += int64(sp.n - k)
-	sp.startFrame(i, j)
-}
-
-// fillFrame moves up to a frame of packets from VOQ (i, j) into input i's
-// buffer and returns how many it moved. It is the only place a VOQ shrinks,
-// and so the only place its records become packets again.
-func (sp *Spreader) fillFrame(i, j int) int {
-	q, in := &sp.voq[i*sp.n+j], &sp.inputs[i]
-	k := min(q.Len(), sp.n)
-	for u := range in.frame[:k] {
-		in.frame[u] = q.Pop(&in.chunks).Packet(i, j)
-	}
-	if q.Len() < sp.n {
+// start begins spreading a frame of VOQ (i, j) in slot t: up to N of its
+// waiting packets, padded with fake cells to N. The frame's first cell
+// reaches intermediate port FirstStage(i, t) in this slot, and that is
+// where the center stage queues the frame.
+func (sp *Spreader) start(i, j int, t sim.Slot) {
+	f, in := &sp.flows[i*sp.n+j], &sp.inputs[i]
+	k := min(int(f.waiting), sp.n)
+	f.waiting -= int32(k)
+	if int(f.waiting) < sp.n {
 		queue.ClearBit(sp.ready[i*sp.w:], j)
 	}
-	return k
-}
-
-// startFrame begins spreading the frame in input i's buffer and assigns its
-// frame identity and per-flow sequence number.
-func (sp *Spreader) startFrame(i, j int) {
-	in := &sp.inputs[i]
-	in.pos = 0
-	in.frameID = sp.nextID
-	sp.nextID++
-	in.flowSeq = sp.frameSeq[i*sp.n+j]
-	sp.frameSeq[i*sp.n+j]++
+	sp.padded += int64(sp.n - k)
+	sp.heads.Push(sim.FirstStage(i, t, sp.n)*sp.n+j, frame{seq: f.started, in: int32(i), real: int32(k)})
+	f.started++
 	in.rr = (j + 1) % sp.n
+	in.idleAt = t + sim.Slot(sp.n)
 }

@@ -8,13 +8,13 @@ import (
 	"sprinklers/internal/sim"
 )
 
-// padLongest is a PF-style idle policy: pad input i's longest VOQ if it
-// holds more than min packets.
-func padLongest(sp *Spreader, min int) func(i int) int {
+// padLongest is a PF-style idle policy over an n-port switch's VOQ
+// lengths: pad input i's longest VOQ if it holds more than min packets.
+func padLongest(voqLen func(i, j int) int, n, min int) func(i int) int {
 	return func(i int) int {
 		longest, best := -1, min
-		for j := 0; j < sp.n; j++ {
-			if l := sp.VOQLen(i, j); l > best {
+		for j := 0; j < n; j++ {
+			if l := voqLen(i, j); l > best {
 				best, longest = l, j
 			}
 		}
@@ -30,7 +30,7 @@ func TestSpreaderSteadyState(t *testing.T) {
 	const n = 8
 	for name, policy := range map[string]func(*Spreader) func(int) int{
 		"ufs-idle": func(*Spreader) func(int) int { return nil },
-		"pf-pad":   func(sp *Spreader) func(int) int { return padLongest(sp, 0) },
+		"pf-pad":   func(sp *Spreader) func(int) int { return padLongest(sp.VOQLen, n, 0) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			sp := NewSpreader(n)
@@ -79,18 +79,108 @@ func TestSpreaderSteadyState(t *testing.T) {
 	}
 }
 
-// refSpreader schedules a Spreader with the O(N) round-robin walk over the
-// VOQs that the ready sets replaced; it is the oracle for startFull and
-// reads queue lengths only.
+// refSpreader is the full-frame switch as it was first written, and the
+// oracle for Spreader. Packets wait in per-VOQ slices; an idle input scans
+// its VOQs round-robin for a full frame, copies the frame into a buffer and
+// sends one cell a slot; every cell is queued at its (port, output) pair
+// with its frame's identity, and an output extracts the cells of the frame
+// it serves from wherever they sit in those queues. It shares no code with
+// Spreader beyond sim.
+//
+// Five faults, each applied to Spreader by hand, make
+// TestStartFullMatchesReferenceScan fail: no per-flow sequence gate; a
+// frame queued one port late; padding departing before the frame's
+// packets; a ready bit left set after a frame drains the VOQ below N; an
+// input free to start a frame one slot early.
 type refSpreader struct {
+	n         int
+	voq       [][]sim.Packet // VOQ i*n+j
+	inputs    []refInput
+	cells     [][]refCell // queue m*n+j: cells at port m for output j
+	grids     []refGrid   // per-output frame service
+	frameSeq  []uint64    // per flow: frames started
+	next      []uint64    // per flow: the frame sequence number allowed to begin
+	nextID    uint64
+	backlog   int
+	padded    int64
 	contested int // picks made with more than one VOQ holding a full frame
 }
 
-func (r *refSpreader) pickFull(sp *Spreader, i int) int {
+type refInput struct {
+	frame            []sim.Packet // cells [pos, n) still to send
+	pos              int
+	frameID, flowSeq uint64
+	rr               int
+}
+
+type refCell struct {
+	pkt              sim.Packet
+	frameID, flowSeq uint64
+	index            int
+}
+
+type refGrid struct {
+	serving bool
+	frameID uint64
+	row     int
+	left    int
+}
+
+func newRefSpreader(n int) *refSpreader {
+	r := &refSpreader{
+		n:        n,
+		voq:      make([][]sim.Packet, n*n),
+		inputs:   make([]refInput, n),
+		cells:    make([][]refCell, n*n),
+		grids:    make([]refGrid, n),
+		frameSeq: make([]uint64, n*n),
+		next:     make([]uint64, n*n),
+	}
+	for i := range r.inputs {
+		r.inputs[i] = refInput{frame: make([]sim.Packet, n), pos: n}
+	}
+	return r
+}
+
+func (r *refSpreader) arrive(p sim.Packet) {
+	v := int(p.In)*r.n + int(p.Out)
+	r.voq[v] = append(r.voq[v], p)
+	r.backlog++
+}
+
+func (r *refSpreader) voqLen(i, j int) int { return len(r.voq[i*r.n+j]) }
+
+func (r *refSpreader) step(t sim.Slot, deliver sim.DeliverFunc, pad func(i int) int) {
+	for j := 0; j < r.n; j++ {
+		r.stepOutput(j, t, deliver)
+	}
+	for i := range r.inputs {
+		in := &r.inputs[i]
+		if in.pos == r.n {
+			j := r.pickFull(i)
+			if j < 0 && pad != nil {
+				j = pad(i)
+			}
+			if j < 0 {
+				continue
+			}
+			r.startFrame(i, j, t)
+		}
+		c := refCell{pkt: in.frame[in.pos], frameID: in.frameID, flowSeq: in.flowSeq, index: in.pos}
+		in.pos++
+		m := (i + int(t)) % r.n
+		q := m*r.n + int(c.pkt.Out)
+		r.cells[q] = append(r.cells[q], c)
+	}
+}
+
+// pickFull scans input i's VOQs round-robin from its pointer for one
+// holding a full frame.
+func (r *refSpreader) pickFull(i int) int {
 	pick := -1
-	for k := 0; k < sp.n; k++ {
-		j := (sp.inputs[i].rr + k) % sp.n
-		if sp.voq[i*sp.n+j].Len() >= sp.n {
+	for k := 0; k < r.n; k++ {
+		j := (r.inputs[i].rr + k) % r.n
+		if len(r.voq[i*r.n+j]) >= r.n {
 			if pick >= 0 {
 				r.contested++
 				break
@@ -101,31 +191,57 @@ func (r *refSpreader) pickFull(sp *Spreader, i int) int {
 	return pick
 }
 
-// step is Spreader.Step with pickFull in place of the ready-set lookup.
-func (r *refSpreader) step(sp *Spreader, t sim.Slot, deliver sim.DeliverFunc, pad func(i int) int) {
-	sp.mid.Step(t, deliver)
-	for i := range sp.inputs {
-		in := &sp.inputs[i]
-		if in.pos == sp.n {
-			if j := r.pickFull(sp, i); j >= 0 {
-				sp.fillFrame(i, j)
-				sp.startFrame(i, j)
-			} else {
-				if pad == nil {
-					continue
-				}
-				if j = pad(i); j < 0 {
-					continue
-				}
-				sp.startPadded(i, j, t)
-			}
+// startFrame moves up to N packets of VOQ (i, j) into input i's frame
+// buffer, pads the rest, and numbers the frame.
+func (r *refSpreader) startFrame(i, j int, t sim.Slot) {
+	in, v := &r.inputs[i], i*r.n+j
+	k := copy(in.frame, r.voq[v])
+	r.voq[v] = r.voq[v][k:]
+	for u := k; u < r.n; u++ {
+		in.frame[u] = sim.Packet{In: int32(i), Out: int32(j), Fake: true, Arrival: t}
+	}
+	r.padded += int64(r.n - k)
+	in.pos = 0
+	in.frameID = r.nextID
+	r.nextID++
+	in.flowSeq = r.frameSeq[v]
+	r.frameSeq[v]++
+	in.rr = (j + 1) % r.n
+}
+
+func (r *refSpreader) stepOutput(j int, t sim.Slot, deliver sim.DeliverFunc) {
+	g := &r.grids[j]
+	m := (j + int(t)) % r.n
+	q := m*r.n + j
+	match := func(c refCell) bool { return c.index == 0 && r.next[int(c.pkt.In)*r.n+j] == c.flowSeq }
+	if g.serving {
+		match = func(c refCell) bool { return c.frameID == g.frameID }
+	}
+	k := 0
+	for k < len(r.cells[q]) && !match(r.cells[q][k]) {
+		k++
+	}
+	if k == len(r.cells[q]) {
+		if g.serving {
+			panic("reference: in-service frame's cell missing")
 		}
-		c := Cell{Pkt: in.frame[in.pos], FrameID: in.frameID, FlowSeq: in.flowSeq, Index: int32(in.pos)}
-		in.pos++
-		if !c.Pkt.Fake {
-			sp.inBuf--
-		}
-		sp.mid.Enqueue(sim.FirstStage(i, t, sp.n), c)
+		return
+	}
+	c := r.cells[q][k]
+	r.cells[q] = append(r.cells[q][:k], r.cells[q][k+1:]...)
+	if g.serving {
+		g.left--
+		g.serving = g.left > 0
+	} else {
+		r.next[int(c.pkt.In)*r.n+j]++
+		*g = refGrid{serving: r.n > 1, frameID: c.frameID, left: r.n - 1}
+	}
+	if c.pkt.Fake {
+		return
+	}
+	r.backlog--
+	if deliver != nil {
+		deliver(sim.Delivery{Packet: c.pkt, Depart: t})
 	}
 }
 
@@ -167,10 +283,12 @@ func skewedArrivals(n int, load, meanBurst float64, seed int64) func(t sim.Slot,
 }
 
 // TestStartFullMatchesReferenceScan drives identical seeded arrivals
-// through a reference-scheduled and a ready-set-scheduled Spreader, under
-// the UFS and the PF idle policies, at sizes on both sides of the one- and
-// two-word boundaries: both must deliver the same packets in the same
-// slots.
+// through refSpreader and Spreader, under the UFS and the PF idle policies,
+// at sizes on both sides of the one- and two-word ready-set boundaries: both
+// must deliver the same packets in the same slots and agree on backlog and
+// padding every slot. The reference's VOQ scan replaces Spreader's ready
+// sets, and its per-cell queues replace the frame descriptors, so a fault in
+// either shows here.
 func TestStartFullMatchesReferenceScan(t *testing.T) {
 	type delivered struct {
 		id     uint64
@@ -181,32 +299,26 @@ func TestStartFullMatchesReferenceScan(t *testing.T) {
 			for _, policy := range []string{"ufs-idle", "pf-pad"} {
 				t.Run(fmt.Sprintf("burst-%v/%s/N-%d", burst, policy, n), func(t *testing.T) {
 					slots := sim.Slot(max(4000, 50*n))
-					run := func(ref *refSpreader) []delivered {
-						sp := NewSpreader(n)
-						next := skewedArrivals(n, 0.9, burst, int64(n))
-						var pad func(int) int
-						if policy == "pf-pad" {
-							// Pad only a frame one packet short, so that
-							// VOQs still fill up and contend.
-							pad = padLongest(sp, sp.n-2)
-						}
-						var trace []delivered
-						deliver := func(d sim.Delivery) {
-							trace = append(trace, delivered{d.Packet.ID, d.Depart})
-						}
-						for now := sim.Slot(0); now < slots; now++ {
-							next(now, sp.Arrive)
-							if ref != nil {
-								ref.step(sp, now, deliver, pad)
-							} else {
-								sp.Step(now, deliver, pad)
-							}
-						}
-						return trace
+					var pad, refPad func(int) int
+					sp, ref := NewSpreader(n), newRefSpreader(n)
+					if policy == "pf-pad" {
+						// Pad only a frame one packet short, so that VOQs
+						// still fill up and contend.
+						pad = padLongest(sp.VOQLen, n, n-2)
+						refPad = padLongest(ref.voqLen, n, n-2)
 					}
-					ref := &refSpreader{}
-					want := run(ref)
-					got := run(nil)
+					next, refNext := skewedArrivals(n, 0.9, burst, int64(n)), skewedArrivals(n, 0.9, burst, int64(n))
+					var got, want []delivered
+					for now := sim.Slot(0); now < slots; now++ {
+						next(now, sp.Arrive)
+						refNext(now, ref.arrive)
+						sp.Step(now, func(d sim.Delivery) { got = append(got, delivered{d.Packet.ID, d.Depart}) }, pad)
+						ref.step(now, func(d sim.Delivery) { want = append(want, delivered{d.Packet.ID, d.Depart}) }, refPad)
+						if sp.Backlog() != ref.backlog || sp.PaddingInjected() != ref.padded {
+							t.Fatalf("slot %d: backlog %d, padding %d; reference %d, %d",
+								now, sp.Backlog(), sp.PaddingInjected(), ref.backlog, ref.padded)
+						}
+					}
 					if len(want) == 0 || ref.contested == 0 {
 						t.Fatalf("reference delivered %d packets with %d contested picks: the workload does not exercise the pointer", len(want), ref.contested)
 					}
@@ -219,7 +331,7 @@ func TestStartFullMatchesReferenceScan(t *testing.T) {
 								k, got[k].id, got[k].depart, want[k].id, want[k].depart)
 						}
 					}
-					t.Logf("%d deliveries, %d contested picks", len(want), ref.contested)
+					t.Logf("%d deliveries, %d contested picks, %d padding cells", len(want), ref.contested, ref.padded)
 				})
 			}
 		}

@@ -115,8 +115,8 @@ func (b *Bank[T]) Peek(q int) T {
 // RemoveFirst unlinks and returns the first element of queue q, in FIFO
 // order, for which match reports true; ok is false when none does. Later
 // elements keep their order. It is O(position of the match) and exists for
-// the frame-atomic center stage, which must extract a specific frame's
-// packet from behind packets of frames that have not started yet.
+// the frame-atomic center stage, whose output begins the first frame at a
+// port that its flow allows to begin, which need not be the head.
 func (b *Bank[T]) RemoveFirst(q int, match func(*T) bool) (v T, ok bool) {
 	r := &b.refs[q]
 	prev := int32(-1)
