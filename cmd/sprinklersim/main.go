@@ -160,7 +160,7 @@ func main() {
 	fmt.Printf("delivered    : %d packets (throughput %.4f)\n", delivered,
 		float64(delivered)/float64(max64(offered, 1)))
 	fmt.Printf("backlog      : %d packets left in switch\n", sw.Backlog())
-	fmt.Printf("delay        : mean %.1f  p50 %d  p99 %d  max %d slots\n",
+	fmt.Printf("delay        : mean %.1f  p50≤%d  p99≤%d  max %d slots\n",
 		delay.Mean(), delay.Percentile(50), delay.Percentile(99), delay.Max())
 	fmt.Printf("reordered    : %d packets (%.5f%%), max seq gap %d\n",
 		reorder.Reordered(), 100*reorder.Fraction(), reorder.MaxGap())
@@ -214,7 +214,7 @@ func runScenario(ctx context.Context, alg string, aopts map[string]any, trafficK
 	fmt.Printf("delivered    : %d packets (throughput %.4f)\n", res.Delivered,
 		float64(res.Delivered)/float64(max64(res.Offered, 1)))
 	fmt.Printf("backlog      : %d packets left in switch\n", res.Switch.Backlog())
-	fmt.Printf("delay        : mean %.1f  p50 %d  p99 %d  max %d slots\n",
+	fmt.Printf("delay        : mean %.1f  p50≤%d  p99≤%d  max %d slots\n",
 		res.Delay.Mean(), res.Delay.Percentile(50), res.Delay.Percentile(99), res.Delay.Max())
 	fmt.Printf("reordered    : %d packets (%.5f%%), max seq gap %d\n",
 		res.Reorder.Reordered(), 100*res.Reorder.Fraction(), res.Reorder.MaxGap())
@@ -224,10 +224,10 @@ func runScenario(ctx context.Context, alg string, aopts map[string]any, trafficK
 		}
 		fmt.Printf("stripes      : %s\n", formatHistogram(cs.StripeSizeHistogram()))
 	}
-	fmt.Printf("\n%-6s %-16s %10s %10s %10s %10s %10s\n",
-		"window", "slots", "mean-delay", "p99-delay", "thruput", "backlog", "reordered")
+	fmt.Printf("\n%-6s %-16s %10s %12s %10s %10s %10s\n",
+		"window", "slots", "mean-delay", "p99-delay(≤)", "thruput", "backlog", "reordered")
 	for _, w := range res.Windows {
-		fmt.Printf("%-6d %-16s %10.1f %10.0f %10.4f %10.0f %10d\n",
+		fmt.Printf("%-6d %-16s %10.1f %12.0f %10.4f %10.0f %10d\n",
 			w.Window, fmt.Sprintf("[%d,%d)", w.Start, w.End),
 			w.MeanDelay, w.P99Delay, w.Throughput, w.Backlog, w.Reordered)
 	}

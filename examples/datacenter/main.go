@@ -46,7 +46,7 @@ func main() {
 		reorder := stats.NewReorder(n)
 		offered, delivered := sprinklers.Run(sw, src, stats.Multi{delay, reorder},
 			sprinklers.WithWarmup(slots/5), sprinklers.WithSlots(slots))
-		fmt.Printf("%-12s mean delay %8.1f  p99 %7d  throughput %.4f  backlog %7d  reordered %d\n",
+		fmt.Printf("%-12s mean delay %8.1f  p99≤%7d  throughput %.4f  backlog %7d  reordered %d\n",
 			name, delay.Mean(), delay.Percentile(99),
 			float64(delivered)/float64(offered), sw.Backlog(), reorder.Reordered())
 	}

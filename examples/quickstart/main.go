@@ -39,6 +39,6 @@ func main() {
 	delay := sprinklers.RunBernoulli(sw, m, 200_000, seed)
 
 	fmt.Printf("\n%d packets delivered, all in order\n", delay.Count())
-	fmt.Printf("delay: mean %.1f  p50 %d  p99 %d  max %d slots\n",
+	fmt.Printf("delay: mean %.1f  p50≤%d  p99≤%d  max %d slots\n",
 		delay.Mean(), delay.Percentile(50), delay.Percentile(99), delay.Max())
 }

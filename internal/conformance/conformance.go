@@ -31,7 +31,7 @@ type Checker struct {
 
 	offered   int64
 	delivered int64
-	inFlight  map[uint64]sim.Packet // packets inside the switch, as offered (real ones only)
+	inFlight  map[uint64]sim.Packet // packets inside the switch, as offered
 	violation string
 }
 
@@ -43,10 +43,10 @@ func Wrap(sw sim.Switch) *Checker {
 // Violation returns a description of the first detected violation, or "".
 func (c *Checker) Violation() string { return c.violation }
 
-// Offered returns the number of real packets offered so far.
+// Offered returns the number of packets offered so far.
 func (c *Checker) Offered() int64 { return c.offered }
 
-// Delivered returns the number of real packets delivered so far.
+// Delivered returns the number of packets delivered so far.
 func (c *Checker) Delivered() int64 { return c.delivered }
 
 func (c *Checker) fail(format string, args ...any) {
@@ -66,13 +66,11 @@ func (c *Checker) Backlog() int { return c.inner.Backlog() }
 
 // Arrive implements sim.Switch.
 func (c *Checker) Arrive(p sim.Packet) {
-	if !p.Fake {
-		if _, dup := c.inFlight[p.ID]; dup {
-			c.fail("packet %d offered twice", p.ID)
-		}
-		c.inFlight[p.ID] = p
-		c.offered++
+	if _, dup := c.inFlight[p.ID]; dup {
+		c.fail("packet %d offered twice", p.ID)
 	}
+	c.inFlight[p.ID] = p
+	c.offered++
 	if p.Arrival != c.inner.Now() {
 		c.fail("packet %d arrives stamped %d at slot %d", p.ID, p.Arrival, c.inner.Now())
 	}
@@ -97,19 +95,15 @@ func (c *Checker) Step(deliver sim.DeliverFunc) {
 			c.fail("slot %d: output %d used twice", now, d.Packet.Out)
 		}
 		outputsUsed[int(d.Packet.Out)] = true
-		if d.Packet.Fake {
-			c.fail("slot %d: fake packet delivered", now)
-		} else {
-			got := d.Packet
-			got.StripeSize = 0
-			if want, ok := c.inFlight[got.ID]; !ok {
-				c.fail("slot %d: packet %d delivered but never offered (or twice)", now, got.ID)
-			} else if got != want {
-				c.fail("slot %d: delivered %+v, offered as %+v", now, got, want)
-			}
-			delete(c.inFlight, d.Packet.ID)
-			c.delivered++
+		got := d.Packet
+		got.StripeSize = 0
+		if want, ok := c.inFlight[got.ID]; !ok {
+			c.fail("slot %d: packet %d delivered but never offered (or twice)", now, got.ID)
+		} else if got != want {
+			c.fail("slot %d: delivered %+v, offered as %+v", now, got, want)
 		}
+		delete(c.inFlight, got.ID)
+		c.delivered++
 		if deliver != nil {
 			deliver(d)
 		}

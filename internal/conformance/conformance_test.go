@@ -85,9 +85,6 @@ func (s *cheat) Step(deliver sim.DeliverFunc) {
 	case "phantom":
 		deliver(sim.Delivery{Packet: sim.Packet{ID: 999, Out: 1}, Depart: s.t})
 		s.t++
-	case "fake-escape":
-		deliver(sim.Delivery{Packet: sim.Packet{ID: 998, Out: 2, Fake: true}, Depart: s.t})
-		s.t++
 	case "wrong-input", "wrong-seq":
 		// A switch that rebuilds packets from less than it was given.
 		if len(s.pending) > 0 {
@@ -107,7 +104,7 @@ func (s *cheat) Step(deliver sim.DeliverFunc) {
 }
 
 func TestViolationsDetected(t *testing.T) {
-	for _, mode := range []string{"duplicate-output", "wrong-slot", "phantom", "fake-escape", "wrong-input", "wrong-seq"} {
+	for _, mode := range []string{"duplicate-output", "wrong-slot", "phantom", "wrong-input", "wrong-seq"} {
 		c := Wrap(&cheat{okSwitch: &okSwitch{n: 4}, mode: mode})
 		c.Arrive(sim.Packet{ID: 1, In: 0, Out: 0, Arrival: 0})
 		for k := 0; k < 4; k++ {

@@ -109,6 +109,7 @@ func TestClearancePhaseSuspendsFormation(t *testing.T) {
 	for k := 0; k < 6; k++ {
 		sw.Arrive(packet{In: 0, Out: 3, Seq: uint64(k)})
 	}
+	sw.applyArrivals()
 	if v.committed != 0 {
 		t.Fatalf("committed %d during drain", v.committed)
 	}
@@ -217,6 +218,7 @@ func TestResizeRecut(t *testing.T) {
 			for seq := 0; seq < tc.k; seq++ {
 				sw.Arrive(packet{ID: uint64(100 + seq), In: 2, Out: 5, Seq: uint64(seq), Arrival: sw.Now()})
 			}
+			sw.applyArrivals()
 			if v.ready != tc.k || v.committed != 0 {
 				t.Fatalf("%v %+v: draining VOQ has ready=%d committed=%d", sched, tc, v.ready, v.committed)
 			}

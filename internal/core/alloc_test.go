@@ -108,3 +108,39 @@ func TestStripedStepZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// TestArrivalsWaitForStep: Arrive checks the ports and holds the packet
+// until Step applies it. In between, the packet is in Backlog but at no
+// input; an out-of-range port panics inside Arrive, not later in Step; and
+// the pending slice keeps the capacity of N it was built with through a
+// saturated run, so, as the zero-allocation guards above also show, holding
+// a slot's arrivals never reallocates.
+func TestArrivalsWaitForStep(t *testing.T) {
+	const n = 8
+	sw := newSwitch(t, n, traffic.Uniform(n, 1), GatedLSF, 47)
+	sw.Arrive(packet{ID: 1, In: 2, Out: 5})
+	if got := sw.Backlog(); got != 1 {
+		t.Fatalf("backlog %d between Arrive and Step, want 1", got)
+	}
+	if got := sw.inputs[2].buffered; got != 0 {
+		t.Fatalf("input 2 holds %d packets before Step, want 0", got)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Arrive accepted output port N")
+			}
+		}()
+		sw.Arrive(packet{ID: 2, In: 0, Out: n})
+	}()
+	sw.Step(nil)
+	if got := sw.Backlog(); got != 1 || len(sw.pending) != 0 {
+		t.Fatalf("after Step: backlog %d with %d pending, want 1 and 0", got, len(sw.pending))
+	}
+
+	src := traffic.NewBernoulli(traffic.Uniform(n, 1), rand.New(rand.NewSource(48)))
+	driveSlots(sw, src, sw.Arrive, 20*n*n)
+	if got := cap(sw.pending); got != n {
+		t.Fatalf("pending slice has capacity %d after a saturated run, want %d", got, n)
+	}
+}

@@ -169,6 +169,10 @@ type Switch struct {
 	inputs []*inputPort
 	mid    *midStage
 
+	// pending holds the current slot's arrivals, in arrival order, until
+	// Step applies them to the input ports in one pass.
+	pending []sim.Packet
+
 	adaptive  *adaptiveState
 	breakdown breakdown
 }
@@ -183,9 +187,10 @@ func New(cfg Config) (*Switch, error) {
 		rng = rand.New(rand.NewSource(1))
 	}
 	s := &Switch{
-		cfg:    cfg,
-		n:      cfg.N,
-		levels: dyadic.Levels(cfg.N),
+		cfg:     cfg,
+		n:       cfg.N,
+		levels:  dyadic.Levels(cfg.N),
+		pending: make([]sim.Packet, 0, cfg.N),
 	}
 	switch cfg.Placement {
 	case PlacementOLS:
@@ -225,7 +230,7 @@ func (s *Switch) Now() sim.Slot { return s.t }
 
 // Backlog implements sim.Switch.
 func (s *Switch) Backlog() int {
-	total := s.mid.buffered
+	total := s.mid.buffered + len(s.pending)
 	for _, in := range s.inputs {
 		total += in.buffered
 	}
@@ -255,22 +260,35 @@ func (s *Switch) firstStage(i int, t sim.Slot) int      { return (i + int(t)) & 
 func (s *Switch) secondStage(l int, t sim.Slot) int     { return (l - int(t)) & (s.n - 1) }
 func (s *Switch) intermediateFor(j int, t sim.Slot) int { return (j + int(t)) & (s.n - 1) }
 
-// Arrive implements sim.Switch.
+// Arrive implements sim.Switch. It checks the ports and holds the packet
+// until Step, which applies the slot's arrivals in one pass: at large N
+// every arrival lands on a cold VOQ line, and those misses are cheaper paid
+// back to back than one at a time inside the traffic source's draw loop.
 func (s *Switch) Arrive(p sim.Packet) {
 	if int(p.In) < 0 || int(p.In) >= s.n || int(p.Out) < 0 || int(p.Out) >= s.n {
 		panic(fmt.Sprintf("core: packet ports (%d,%d) out of range for N=%d", p.In, p.Out, s.n))
 	}
-	if s.adaptive != nil {
-		s.adaptive.onArrival(p)
-	}
-	s.inputs[p.In].arrive(p)
+	s.pending = append(s.pending, p)
 }
 
-// Step implements sim.Switch. The second fabric runs before the first so
-// that a packet spends at least one full slot at an intermediate port,
-// which is also what makes the intermediate-stage lockstep argument of the
-// gated scheduler sound.
+// applyArrivals buffers the pending packets at their input ports, in
+// arrival order, and empties the pending slice.
+func (s *Switch) applyArrivals() {
+	for _, p := range s.pending {
+		if s.adaptive != nil {
+			s.adaptive.onArrival(p)
+		}
+		s.inputs[p.In].arrive(p)
+	}
+	s.pending = s.pending[:0]
+}
+
+// Step implements sim.Switch. It first applies the slot's arrivals. The
+// second fabric runs before the first so that a packet spends at least one
+// full slot at an intermediate port, which is also what makes the
+// intermediate-stage lockstep argument of the gated scheduler sound.
 func (s *Switch) Step(deliver sim.DeliverFunc) {
+	s.applyArrivals()
 	t := s.t
 	s.mid.step(t, deliver)
 	for i := 0; i < s.n; i++ {

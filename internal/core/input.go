@@ -113,7 +113,8 @@ func (in *inputPort) refreshFast(v *voqState) {
 }
 
 // arrive buffers p in its VOQ's queue and cuts a stripe if the ready count
-// reached the VOQ's stripe size.
+// reached the VOQ's stripe size. Switch.applyArrivals calls it for each of a
+// slot's arrivals at the start of Step.
 func (in *inputPort) arrive(p sim.Packet) {
 	in.buffered++
 	if l := int(in.fastSingle[p.Out]); l >= 0 {

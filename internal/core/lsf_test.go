@@ -26,6 +26,7 @@ func TestStripeFormationAndQueueing(t *testing.T) {
 	for k := 0; k < 3; k++ {
 		sw.Arrive(packet{In: 0, Out: 3, Seq: uint64(k)})
 	}
+	sw.applyArrivals()
 	if got := sw.inputs[0].queuedStripes(iv); got != 0 {
 		t.Fatalf("stripe formed early: %d", got)
 	}
@@ -33,6 +34,7 @@ func TestStripeFormationAndQueueing(t *testing.T) {
 		t.Fatalf("ready %d", v.ready)
 	}
 	sw.Arrive(packet{In: 0, Out: 3, Seq: 3})
+	sw.applyArrivals()
 	if got := sw.inputs[0].queuedStripes(iv); got != 1 {
 		t.Fatalf("stripes queued %d, want 1", got)
 	}

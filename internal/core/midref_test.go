@@ -108,12 +108,13 @@ func (r *refMidStage) queueLen(m, j int) int {
 	return total
 }
 
-// refStep is Switch.Step's body with the center stage swapped for the
-// reference: sw keeps its input ports, its delay accounting and its adaptive
+// refStep is Switch.Step's body, the slot's arrivals applied first, with the
+// center stage swapped for the reference: sw keeps its input ports, its delay accounting and its adaptive
 // state, and its own midStage stays empty. The inputs hand the reference
 // every packet as a cell (refServe), not through transmit, so the reference
 // shares no input path with midStage.
 func refStep(sw *Switch, ref *refMidStage, deliver sim.DeliverFunc) {
+	sw.applyArrivals()
 	t := sw.t
 	for j := 0; j < sw.n; j++ {
 		if c, ok := ref.pop(j, sw.intermediateFor(j, t)); ok {

@@ -14,9 +14,9 @@
 //     chunk pool, until they depart. The descriptors are on the bank,
 //     queued at the (port, output) pair of the frame's first cell.
 //
-// Padding cells (Packet.Fake in Stage, a frame's cells past its packets in
-// the Spreader) occupy queue slots and second-fabric connections but are
-// consumed silently at the output, as in the Padded Frames scheme.
+// A frame's cells past its packets are the Spreader's padding: they occupy
+// the second-fabric connections of their frame but are never queued or
+// delivered, as in the Padded Frames scheme.
 package midstage
 
 import (
@@ -26,9 +26,8 @@ import (
 
 // Stage is the FIFO-service center stage.
 type Stage struct {
-	n    int
-	q    *queue.Bank[sim.Packet] // queue l*n+j: packets at port l for output j
-	real int                     // non-fake packets buffered
+	n int
+	q *queue.Bank[sim.Packet] // queue l*n+j: packets at port l for output j
 }
 
 // New builds the center stage for an n-port switch.
@@ -39,14 +38,11 @@ func New(n int) *Stage {
 // Enqueue buffers p at intermediate port l.
 func (s *Stage) Enqueue(l int, p sim.Packet) {
 	s.q.Push(l*s.n+int(p.Out), p)
-	if !p.Fake {
-		s.real++
-	}
 }
 
 // Step executes one slot of the second fabric: each intermediate port
-// forwards to its currently connected output. Real packets are handed to
-// deliver; fake ones vanish. It returns the number of real packets removed.
+// forwards the head of its queue for the currently connected output to
+// deliver. It returns the number of packets removed.
 func (s *Stage) Step(t sim.Slot, deliver sim.DeliverFunc) int {
 	removed := 0
 	for l := 0; l < s.n; l++ {
@@ -55,10 +51,6 @@ func (s *Stage) Step(t sim.Slot, deliver sim.DeliverFunc) int {
 			continue
 		}
 		p := s.q.Pop(q)
-		if p.Fake {
-			continue
-		}
-		s.real--
 		removed++
 		if deliver != nil {
 			deliver(sim.Delivery{Packet: p, Depart: t})
@@ -67,10 +59,9 @@ func (s *Stage) Step(t sim.Slot, deliver sim.DeliverFunc) int {
 	return removed
 }
 
-// Backlog returns the number of real packets buffered in the stage.
-func (s *Stage) Backlog() int { return s.real }
+// Backlog returns the number of packets buffered in the stage.
+func (s *Stage) Backlog() int { return s.q.Len() }
 
-// QueueLen returns the queue length (including fakes) at intermediate port
-// l for output j. It walks the queue; it exists for the equal-length
-// invariant tests.
+// QueueLen returns the queue length at intermediate port l for output j.
+// It walks the queue; it exists for the equal-length invariant tests.
 func (s *Stage) QueueLen(l, j int) int { return s.q.QueueLen(l*s.n + j) }

@@ -33,34 +33,12 @@ func TestFIFOPerOutputService(t *testing.T) {
 	}
 }
 
-func TestFakesDropped(t *testing.T) {
-	const n = 4
-	s := New(n)
-	s.Enqueue(2, sim.Packet{Out: 0, Fake: true})
-	s.Enqueue(2, sim.Packet{Out: 0})
-	if s.Backlog() != 1 {
-		t.Fatalf("Backlog = %d (fakes must not count)", s.Backlog())
-	}
-	delivered := 0
-	for tt := sim.Slot(0); tt < 3*n; tt++ {
-		s.Step(tt, func(d sim.Delivery) {
-			if d.Packet.Fake {
-				t.Fatal("fake delivered")
-			}
-			delivered++
-		})
-	}
-	if delivered != 1 || s.Backlog() != 0 {
-		t.Fatalf("delivered=%d backlog=%d", delivered, s.Backlog())
-	}
-}
-
 func TestQueueLen(t *testing.T) {
 	s := New(4)
 	s.Enqueue(1, sim.Packet{Out: 2})
-	s.Enqueue(1, sim.Packet{Out: 2, Fake: true})
+	s.Enqueue(1, sim.Packet{Out: 2, Seq: 1})
 	if s.QueueLen(1, 2) != 2 {
-		t.Fatalf("QueueLen = %d, want 2 including fakes", s.QueueLen(1, 2))
+		t.Fatalf("QueueLen = %d, want 2", s.QueueLen(1, 2))
 	}
 }
 

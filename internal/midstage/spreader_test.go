@@ -40,8 +40,8 @@ func TestSpreaderSteadyState(t *testing.T) {
 			var offered, delivered int
 			deliver := func(d sim.Delivery) {
 				in, out := d.Packet.In, d.Packet.Out
-				if d.Packet.Fake || d.Packet.Seq != next[in][out] {
-					t.Fatalf("flow (%d,%d) delivered seq %d fake=%v, want seq %d", in, out, d.Packet.Seq, d.Packet.Fake, next[in][out])
+				if d.Packet.Seq != next[in][out] {
+					t.Fatalf("flow (%d,%d) delivered seq %d, want seq %d", in, out, d.Packet.Seq, next[in][out])
 				}
 				next[in][out]++
 				delivered++
@@ -109,6 +109,7 @@ type refSpreader struct {
 type refInput struct {
 	frame            []sim.Packet // cells [pos, n) still to send
 	pos              int
+	real             int // cells [real, n) are padding
 	frameID, flowSeq uint64
 	rr               int
 }
@@ -117,6 +118,7 @@ type refCell struct {
 	pkt              sim.Packet
 	frameID, flowSeq uint64
 	index            int
+	pad              bool
 }
 
 type refGrid struct {
@@ -166,7 +168,7 @@ func (r *refSpreader) step(t sim.Slot, deliver sim.DeliverFunc, pad func(i int) 
 			}
 			r.startFrame(i, j, t)
 		}
-		c := refCell{pkt: in.frame[in.pos], frameID: in.frameID, flowSeq: in.flowSeq, index: in.pos}
+		c := refCell{pkt: in.frame[in.pos], frameID: in.frameID, flowSeq: in.flowSeq, index: in.pos, pad: in.pos >= in.real}
 		in.pos++
 		m := (i + int(t)) % r.n
 		q := m*r.n + int(c.pkt.Out)
@@ -198,10 +200,10 @@ func (r *refSpreader) startFrame(i, j int, t sim.Slot) {
 	k := copy(in.frame, r.voq[v])
 	r.voq[v] = r.voq[v][k:]
 	for u := k; u < r.n; u++ {
-		in.frame[u] = sim.Packet{In: int32(i), Out: int32(j), Fake: true, Arrival: t}
+		in.frame[u] = sim.Packet{In: int32(i), Out: int32(j), Arrival: t}
 	}
 	r.padded += int64(r.n - k)
-	in.pos = 0
+	in.pos, in.real = 0, k
 	in.frameID = r.nextID
 	r.nextID++
 	in.flowSeq = r.frameSeq[v]
@@ -236,7 +238,7 @@ func (r *refSpreader) stepOutput(j int, t sim.Slot, deliver sim.DeliverFunc) {
 		r.next[int(c.pkt.In)*r.n+j]++
 		*g = refGrid{serving: r.n > 1, frameID: c.frameID, left: r.n - 1}
 	}
-	if c.pkt.Fake {
+	if c.pad {
 		return
 	}
 	r.backlog--

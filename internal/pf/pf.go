@@ -4,9 +4,8 @@
 // indefinitely for a frame to fill: when no full frame exists and the
 // longest VOQ has reached a threshold T, that VOQ's packets are padded with
 // fake cells up to a full frame of N and spread anyway. Fake cells consume
-// switch capacity (they occupy center-stage queue slots and second-fabric
-// connections) but are discarded before the output, exactly as in the
-// original scheme.
+// switch capacity (their frame's first- and second-fabric connections) but
+// are never delivered, exactly as in the original scheme.
 //
 // The threshold trades accumulation delay against wasted capacity; the
 // paper leaves its value unspecified. The constructor therefore accepts

@@ -99,7 +99,7 @@ func Run(sw Switch, src Source, obs Observer, opts ...Option) (offered, delivere
 	var deliver DeliverFunc
 	if obs != nil {
 		deliver = func(d Delivery) {
-			if d.Packet.Arrival < o.warmup || d.Packet.Fake {
+			if d.Packet.Arrival < o.warmup {
 				return
 			}
 			delivered++
@@ -107,7 +107,7 @@ func Run(sw Switch, src Source, obs Observer, opts ...Option) (offered, delivere
 		}
 	} else {
 		deliver = func(d Delivery) {
-			if d.Packet.Arrival < o.warmup || d.Packet.Fake {
+			if d.Packet.Arrival < o.warmup {
 				return
 			}
 			delivered++

@@ -39,9 +39,6 @@ type Packet struct {
 	// log2 log2 N-bit field carried across the first fabric). Zero for
 	// architectures that do not use striping.
 	StripeSize int32
-	// Fake marks a padding cell (Padded Frames). Fake cells occupy switch
-	// capacity but are discarded at the output and never delivered.
-	Fake bool
 }
 
 // Delivery records a packet leaving the switch through its output port.
@@ -74,13 +71,15 @@ type Switch interface {
 	// Now returns the slot the next Step call will execute.
 	Now() Slot
 	// Arrive offers a packet to input port p.In during the current slot.
-	// The packet's Arrival field must equal Now().
+	// The packet's Arrival field must equal Now(). A switch may hold the
+	// packets passed to Arrive and apply them at the start of the next Step.
 	Arrive(p Packet)
 	// Step executes one time slot and invokes deliver once per packet
 	// that departs an output port during the slot. deliver may be nil.
 	Step(deliver DeliverFunc)
-	// Backlog reports the number of real (non-fake) packets currently
-	// buffered anywhere inside the switch. Used by conservation tests.
+	// Backlog reports the number of packets currently buffered anywhere
+	// inside the switch, those passed to Arrive and not yet applied by Step
+	// included. Used by conservation tests.
 	Backlog() int
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // TestFabricPermutations: in every slot, each fabric realizes a permutation
@@ -90,6 +91,14 @@ func TestOutputSweepIncreasing(t *testing.T) {
 	}
 }
 
+// TestPacketSize: a Packet is 40 bytes, so the banks that queue whole
+// packets keep one beside its annotations in a cache line.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 40 {
+		t.Fatalf("sizeof(Packet) = %d, want 40", got)
+	}
+}
+
 func TestDeliveryDelay(t *testing.T) {
 	d := Delivery{Packet: Packet{Arrival: 10}, Depart: 25}
 	if d.Delay() != 15 {
@@ -164,24 +173,6 @@ func TestRunRejectsMismatchedSizes(t *testing.T) {
 		}
 	}()
 	Run(newFakeSwitch(4, 0), scriptSource{8}, nil, WithSlots(1))
-}
-
-func TestRunSkipsFakeDeliveries(t *testing.T) {
-	sw := newFakeSwitch(4, 0)
-	count := 0
-	obs := ObserverFunc(func(Delivery) { count++ })
-	fsrc := fakeSource{n: 4}
-	_, delivered := Run(sw, fsrc, obs, WithSlots(5))
-	if delivered != 0 || count != 0 {
-		t.Fatalf("fake packets were counted: delivered=%d observed=%d", delivered, count)
-	}
-}
-
-type fakeSource struct{ n int }
-
-func (f fakeSource) N() int { return f.n }
-func (f fakeSource) Next(t Slot, emit func(Packet)) {
-	emit(Packet{In: 0, Out: 0, Arrival: t, Fake: true})
 }
 
 // TestRunOnSlotHook: the per-slot hook fires exactly once per slot, after
