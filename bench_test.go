@@ -1,5 +1,5 @@
-// Benchmarks that regenerate every table and figure of the paper plus the
-// ablation studies listed in DESIGN.md. Each figure benchmark runs the
+// Benchmarks that regenerate every table and figure of the paper plus
+// ablation and extension studies. Each figure benchmark runs the
 // corresponding simulation at a fixed horizon and reports the figure's
 // y-value (mean packet delay in slots) via ReportMetric, so `go test
 // -bench=.` prints the same series the paper plots:
@@ -202,9 +202,9 @@ func BenchmarkAblationPlacement(b *testing.B) {
 }
 
 // BenchmarkExtensionSizeSweep measures how Sprinklers' delay scales with
-// switch size at fixed load — the extension experiment of DESIGN.md (the
-// paper's simulations fix N=32; Sec. 5 predicts O(N) scaling of the
-// cycle-bound delay components).
+// switch size at fixed load, an extension of the paper's evaluation (its
+// simulations fix N=32; Sec. 5 predicts O(N) scaling of the cycle-bound
+// delay components).
 func BenchmarkExtensionSizeSweep(b *testing.B) {
 	for _, n := range []int{16, 32, 64, 128} {
 		b.Run(fmt.Sprintf("N-%d", n), func(b *testing.B) {

@@ -138,7 +138,7 @@ func (r *adaptiveRun) initGroups(seed []PointKey) {
 		}
 		r.gindex[gk] = len(r.groups)
 		r.groups = append(r.groups, gk)
-		alg := r.spec.algEntry(k.Algorithm)
+		alg := entry(r.spec.Algorithms, k.Algorithm)
 		model, maxStable := twin.Model(string(alg.Name))
 		r.model = append(r.model, model)
 		r.maxStab = append(r.maxStab, maxStable)

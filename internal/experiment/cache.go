@@ -204,14 +204,14 @@ func (s Spec) PointIdentity(key PointKey) resultcache.Identity {
 			id.MinReplicas = s.Adaptive.MinReplicas
 		}
 	}
-	alg := s.algEntry(key.Algorithm)
+	alg := entry(s.Algorithms, key.Algorithm)
 	id.Algorithm = string(alg.Name)
 	id.AlgOptions = alg.Options
-	tk := s.trafficEntry(key.Traffic)
+	tk := entry(s.Traffic, key.Traffic)
 	id.Traffic = string(tk.Name)
 	id.TrafficOptions = tk.Options
 	if key.Scenario != "" {
-		sc := s.scenarioEntry(key.Scenario)
+		sc := entry(s.Scenarios, key.Scenario)
 		id.Scenario = string(sc.Name)
 		id.ScenarioOptions = sc.Options
 	}

@@ -23,16 +23,6 @@ func TestDriftAllAlgorithmsMatchRegistry(t *testing.T) {
 			t.Errorf("position %d: AllAlgorithms %q, registry %q", i, algs[i], a.Name)
 		}
 	}
-	kinds := AllTraffic()
-	wls := registry.Workloads()
-	if len(kinds) != len(wls) {
-		t.Fatalf("AllTraffic has %d entries, registry has %d", len(kinds), len(wls))
-	}
-	for i, w := range wls {
-		if string(kinds[i]) != w.Name {
-			t.Errorf("position %d: AllTraffic %q, registry %q", i, kinds[i], w.Name)
-		}
-	}
 }
 
 func TestDriftPaperConstantsAreRegistered(t *testing.T) {

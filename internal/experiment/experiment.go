@@ -1,7 +1,11 @@
-// Package experiment is the benchmark harness for the paper's simulation
-// study (Sec. 6): it constructs any of the compared switch architectures,
-// drives it with the paper's workloads, and produces the delay-versus-load
-// series of Figures 6 and 7 plus the ablation sweeps described in DESIGN.md.
+// Package experiment runs the paper's simulation study (Sec. 6). A Spec
+// declares a study as data: architecture, workload and scenario series
+// crossed with loads, switch sizes and burstiness, with independently
+// seeded replicas per point. RunStudy runs it, with a resumable checkpoint,
+// an optional result cache and a hook for cluster dispatch, and the Render*
+// functions print its results: the delay-versus-load tables of Figures 6
+// and 7 (BuiltinSpec "fig6", "fig7"), windowed trajectories, and the Fig. 5
+// and Table 1 analytic tables. RunPoint measures one simulated point.
 //
 // Architectures and workloads are resolved through internal/registry, so
 // anything registered there — including architectures registered by
@@ -12,8 +16,6 @@ package experiment
 import (
 	"context"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	_ "sprinklers/internal/arch" // link every built-in architecture and workload
 	"sprinklers/internal/registry"
@@ -99,16 +101,6 @@ const (
 	PermutationTraffic TrafficKind = "permutation"
 )
 
-// AllTraffic lists every registered workload in canonical order.
-func AllTraffic() []TrafficKind {
-	names := registry.WorkloadNames()
-	out := make([]TrafficKind, len(names))
-	for i, n := range names {
-		out[i] = TrafficKind(n)
-	}
-	return out
-}
-
 // ScenarioKind selects one of the registered dynamic scenarios.
 type ScenarioKind string
 
@@ -121,16 +113,6 @@ const (
 	LinkFail     ScenarioKind = "linkfail"
 	LoadStep     ScenarioKind = "loadstep"
 )
-
-// AllScenarios lists every registered scenario in canonical order.
-func AllScenarios() []ScenarioKind {
-	names := registry.ScenarioNames()
-	out := make([]ScenarioKind, len(names))
-	for i, n := range names {
-		out[i] = ScenarioKind(n)
-	}
-	return out
-}
 
 // Pattern builds the rate matrix for the named workload at the given load
 // with every option at its schema default.
@@ -166,11 +148,10 @@ type Point struct {
 	Windows []stats.WindowPoint
 }
 
-// Config parameterizes a sweep.
+// Config parameterizes one simulated point (RunPoint).
 type Config struct {
 	N       int
 	Traffic TrafficKind
-	Loads   []float64
 	// Slots is the measured horizon per point; Warmup defaults to
 	// Slots/5.
 	Slots  sim.Slot
@@ -192,8 +173,6 @@ type Config struct {
 	// time-series windows recorded on the resulting Point. Scenario
 	// points default to 10 windows.
 	Windows int
-	// Parallelism bounds concurrent points; 0 means GOMAXPROCS.
-	Parallelism int
 	// OnSlot, when non-nil, is invoked once per simulated slot. It exists
 	// for fault-injection harnesses that need to act at an exact slot
 	// (e.g. crash a cluster worker at slot N); leave it nil on hot paths.
@@ -209,9 +188,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Warmup == 0 {
 		c.Warmup = c.Slots / 5
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -317,56 +293,7 @@ func runScenarioPoint(alg Algorithm, cfg Config, load float64) (Point, error) {
 	return p, nil
 }
 
-// Sweep measures delay-versus-load curves for every algorithm over every
-// load in cfg, running points concurrently. Results are ordered by
-// algorithm (in the given order) then load.
-func Sweep(algs []Algorithm, cfg Config) ([]Point, error) {
-	cfg = cfg.withDefaults()
-	type job struct{ ai, li int }
-	jobs := make(chan job)
-	points := make([]Point, len(algs)*len(cfg.Loads))
-	errs := make([]error, len(points))
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				idx := jb.ai*len(cfg.Loads) + jb.li
-				points[idx], errs[idx] = RunPoint(algs[jb.ai], cfg, cfg.Loads[jb.li])
-			}
-		}()
-	}
-	for ai := range algs {
-		for li := range cfg.Loads {
-			jobs <- job{ai, li}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return points, nil
-}
-
 // PaperLoads is the load grid of Figures 6 and 7 (the top point is pulled
 // to 0.98 because several schemes saturate at 1.0 and their delay would be
 // unbounded in any finite simulation).
 var PaperLoads = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98}
-
-// Fig6 regenerates Figure 6 (uniform traffic, N=32).
-func Fig6(slots sim.Slot, seed int64) ([]Point, error) {
-	return Sweep(Fig6Algorithms, Config{
-		N: 32, Traffic: UniformTraffic, Loads: PaperLoads, Slots: slots, Seed: seed,
-	})
-}
-
-// Fig7 regenerates Figure 7 (diagonal traffic, N=32).
-func Fig7(slots sim.Slot, seed int64) ([]Point, error) {
-	return Sweep(Fig6Algorithms, Config{
-		N: 32, Traffic: DiagonalTraffic, Loads: PaperLoads, Slots: slots, Seed: seed,
-	})
-}

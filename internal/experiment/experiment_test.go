@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"context"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
+
+	"sprinklers/internal/registry"
 )
 
 func TestNewSwitchAllAlgorithms(t *testing.T) {
@@ -28,7 +30,8 @@ func TestNewSwitchAllAlgorithms(t *testing.T) {
 
 func TestPatternKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, kind := range AllTraffic() {
+	for _, name := range registry.WorkloadNames() {
+		kind := TrafficKind(name)
 		m, err := Pattern(kind, 16, 0.8, rng)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -64,87 +67,71 @@ func TestRunPointOrderingMatchesContract(t *testing.T) {
 	}
 }
 
-func TestSweepDeterministic(t *testing.T) {
-	cfg := Config{
-		N: 8, Traffic: DiagonalTraffic,
-		Loads: []float64{0.3, 0.7}, Slots: 20000, Seed: 5, Parallelism: 4,
-	}
-	a, err := Sweep([]Algorithm{Sprinklers, FOFF}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Sweep([]Algorithm{Sprinklers, FOFF}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 4 || len(b) != 4 {
-		t.Fatalf("sweep sizes %d/%d", len(a), len(b))
-	}
-	for i := range a {
-		if !reflect.DeepEqual(a[i], b[i]) {
-			t.Fatalf("sweep not deterministic at point %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestSweepOrdering(t *testing.T) {
-	cfg := Config{N: 8, Traffic: UniformTraffic, Loads: []float64{0.2, 0.6}, Slots: 10000, Seed: 7}
-	pts, err := Sweep([]Algorithm{UFS, PF}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Results ordered by algorithm then load.
-	if pts[0].Algorithm != UFS || pts[0].Load != 0.2 || pts[3].Algorithm != PF || pts[3].Load != 0.6 {
-		t.Fatalf("sweep order wrong: %+v", pts)
-	}
-}
-
+// TestRenderers: the study renderers over a real study's results, and
+// no panic on empty input.
 func TestRenderers(t *testing.T) {
-	cfg := Config{N: 8, Traffic: UniformTraffic, Loads: []float64{0.5}, Slots: 10000, Seed: 9}
-	pts, err := Sweep([]Algorithm{Sprinklers}, cfg)
+	rs, err := RunStudy(context.Background(), Spec{
+		Algorithms: Algs(Sprinklers), Traffic: Traffics(UniformTraffic),
+		Loads: []float64{0.5}, Sizes: []int{8}, Slots: 10000, Seed: 9,
+	}, StudyConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var curves, detail strings.Builder
-	RenderCurves(&curves, pts)
-	RenderDetail(&detail, pts)
+	RenderStudyCurves(&curves, rs)
+	RenderStudyDetail(&detail, rs)
 	if !strings.Contains(curves.String(), "sprinklers") || !strings.Contains(curves.String(), "0.50") {
 		t.Fatalf("curves output missing fields:\n%s", curves.String())
 	}
 	if !strings.Contains(detail.String(), "uniform") {
 		t.Fatalf("detail output missing fields:\n%s", detail.String())
 	}
-	RenderCurves(&curves, nil) // must not panic on empty input
+	RenderStudyCurves(&curves, nil) // must not panic on empty input
+	RenderStudyDetail(&detail, nil)
 }
 
-// TestFig6Fig7Wrappers exercises the figure entry points at a tiny horizon.
+// TestFig6Fig7Wrappers runs the Figure 6 and 7 built-in studies at a tiny
+// horizon with only Loads and Slots overridden, as examples/comparison
+// does: one point per paper curve, in the paper's legend order.
 func TestFig6Fig7Wrappers(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	pts, err := Sweep(Fig6Algorithms, Config{
-		N: 16, Traffic: UniformTraffic, Loads: []float64{0.5}, Slots: 20000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(Fig6Algorithms) {
-		t.Fatalf("%d points", len(pts))
+	for _, name := range []string{"fig6", "fig7"} {
+		spec, err := BuiltinSpec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Loads, spec.Slots = []float64{0.5}, 10_000
+		rs, err := RunStudy(context.Background(), spec, StudyConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs) != len(Fig6Algorithms) {
+			t.Fatalf("%s: %d points", name, len(rs))
+		}
+		for i, r := range rs {
+			if r.Algorithm != Fig6Algorithms[i] || r.Delivered == 0 {
+				t.Errorf("%s: point %d is %s with %d delivered", name, i, r.Algorithm, r.Delivered)
+			}
+		}
 	}
 }
 
+// TestSizeSweep: at a fixed load Sprinklers' delay grows with N (frame and
+// cycle lengths scale with N), and no size reorders.
 func TestSizeSweep(t *testing.T) {
-	pts, err := SizeSweep(Sprinklers, Config{
-		Traffic: UniformTraffic, Loads: []float64{0.8}, Slots: 30000, Seed: 11,
-	}, []int{8, 16, 32})
+	pts, err := RunStudy(context.Background(), Spec{
+		Algorithms: Algs(Sprinklers), Traffic: Traffics(UniformTraffic),
+		Loads: []float64{0.8}, Sizes: []int{8, 16, 32}, Slots: 30000, Seed: 11,
+	}, StudyConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 3 {
 		t.Fatalf("%d points", len(pts))
 	}
-	// Delay must grow with N (frame/cycle lengths scale with N).
 	if !(pts[0].MeanDelay < pts[1].MeanDelay && pts[1].MeanDelay < pts[2].MeanDelay) {
 		t.Fatalf("delay not increasing in N: %+v", pts)
 	}
@@ -156,23 +143,23 @@ func TestSizeSweep(t *testing.T) {
 }
 
 func TestRenderCSV(t *testing.T) {
-	pts := []Point{{
-		Algorithm: Sprinklers, Traffic: UniformTraffic, N: 8, Load: 0.5,
-		MeanDelay: 12.5, P99Delay: 31, MaxDelay: 60, Throughput: 0.999,
-		Reordered: 0, Delivered: 1000,
+	rs := []PointResult{{
+		PointKey: PointKey{Algorithm: Sprinklers, Traffic: UniformTraffic, N: 8, Load: 0.5},
+		Replicas: 1, MeanDelay: 12.5, P99Delay: 31, MaxDelay: 60, Throughput: 0.999,
+		Delivered: 1000,
 	}}
 	var buf strings.Builder
-	if err := RenderCSV(&buf, pts); err != nil {
+	if err := RenderStudyCSV(&buf, rs); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("CSV lines: %v", lines)
 	}
-	if !strings.HasPrefix(lines[0], "algorithm,traffic,n,load") {
+	if !strings.HasPrefix(lines[0], "algorithm,traffic,scenario,n,load") {
 		t.Fatalf("header: %s", lines[0])
 	}
-	if !strings.Contains(lines[1], "sprinklers,uniform,8,0.5000,12.500") {
+	if !strings.HasPrefix(lines[1], "sprinklers,uniform,,8,0.5000,0.00,1,12.500") {
 		t.Fatalf("row: %s", lines[1])
 	}
 }

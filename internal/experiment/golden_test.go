@@ -171,38 +171,3 @@ func TestGoldenBoundTable(t *testing.T) {
 	RenderBoundTable(&b, rs, true)
 	checkGolden(t, "bound", b.Bytes())
 }
-
-// The single-replica []Point renderers (the older Sweep API) get golden
-// coverage too.
-func goldenPoints() []Point {
-	return []Point{
-		{Algorithm: Sprinklers, Traffic: UniformTraffic, N: 32, Load: 0.5,
-			MeanDelay: 40.125, P99Delay: 95, MaxDelay: 207, Throughput: 0.9984, Delivered: 16000},
-		{Algorithm: Sprinklers, Traffic: UniformTraffic, N: 32, Load: 0.9,
-			MeanDelay: 130.5, P99Delay: 410, MaxDelay: 1250, Throughput: 0.9871, Delivered: 29000},
-		{Algorithm: FOFF, Traffic: UniformTraffic, N: 32, Load: 0.5,
-			MeanDelay: 55.25, P99Delay: 140, MaxDelay: 360, Throughput: 0.9991, Delivered: 16000},
-		{Algorithm: FOFF, Traffic: UniformTraffic, N: 32, Load: 0.9,
-			MeanDelay: 190.75, P99Delay: 602, MaxDelay: 1800, Throughput: 0.9902, Reordered: 0, Delivered: 29000},
-	}
-}
-
-func TestGoldenPointCurves(t *testing.T) {
-	var b bytes.Buffer
-	RenderCurves(&b, goldenPoints())
-	checkGolden(t, "points_curves", b.Bytes())
-}
-
-func TestGoldenPointCSV(t *testing.T) {
-	var b bytes.Buffer
-	if err := RenderCSV(&b, goldenPoints()); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "points_csv", b.Bytes())
-}
-
-func TestGoldenPointDetail(t *testing.T) {
-	var b bytes.Buffer
-	RenderDetail(&b, goldenPoints())
-	checkGolden(t, "points_detail", b.Bytes())
-}

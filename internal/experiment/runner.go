@@ -152,8 +152,8 @@ func RunReplicaJob(ctx context.Context, spec Spec, key PointKey, rep, _ int, ctr
 // carries series labels; the spec entries resolve them back to registered
 // names and option assignments. ctx aborts the slot loop mid-replica.
 func runReplica(ctx context.Context, spec Spec, fp uint64, key PointKey, rep int, ctr *Counters, onSlot func(sim.Slot)) (Point, error) {
-	alg := spec.algEntry(key.Algorithm)
-	tk := spec.trafficEntry(key.Traffic)
+	alg := entry(spec.Algorithms, key.Algorithm)
+	tk := entry(spec.Traffic, key.Traffic)
 	cfg := Config{
 		N:              key.N,
 		Traffic:        tk.Name,
@@ -164,12 +164,11 @@ func runReplica(ctx context.Context, spec Spec, fp uint64, key PointKey, rep int
 		AlgOptions:     alg.Options,
 		TrafficOptions: tk.Options,
 		Windows:        spec.Windows,
-		Parallelism:    1, // one point per goroutine; the pool parallelizes across points
 		OnSlot:         onSlot,
 		Context:        ctx,
 	}
 	if key.Scenario != "" {
-		sc := spec.scenarioEntry(key.Scenario)
+		sc := entry(spec.Scenarios, key.Scenario)
 		cfg.Scenario = sc.Name
 		cfg.ScenarioOptions = sc.Options
 	}

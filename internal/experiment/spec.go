@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -69,194 +70,200 @@ type AdaptiveSpec struct {
 	MinLoadGap float64 `json:"min_load_gap,omitempty"`
 }
 
-// AlgorithmSpec selects one architecture series of a study: a registered
-// architecture name, an optional per-series option assignment validated
-// against the architecture's registered schema, and an optional display
-// label. In JSON an entry is either a bare name string ("pf") or an object
-// ({"algorithm": "pf", "options": {"threshold": 64}}); the object form with
-// an "as" label lets one study sweep the same architecture under several
-// option assignments (e.g. a PF threshold sweep) as distinct series.
-type AlgorithmSpec struct {
-	// Name is the registered architecture name.
-	Name Algorithm `json:"algorithm"`
+// Series selects one series of a study: a registered name (an
+// architecture, a workload or a scenario), an optional per-series option
+// assignment validated against that name's registered schema, and an
+// optional display label. In JSON an entry is either a bare name string
+// ("pf") or an object keyed by its kind ({"algorithm": "pf", "options":
+// {"threshold": 64}}); the object form with an "as" label lets one study
+// sweep the same name under several option assignments (e.g. a PF threshold
+// sweep) as distinct series.
+type Series[K seriesName] struct {
+	// Name is the registered name.
+	Name K
 	// As relabels the series in results and renderings; it defaults to
 	// Name and must be unique within a spec.
-	As string `json:"as,omitempty"`
-	// Options parameterizes the architecture; WithDefaults fills the
-	// registered schema's defaults in.
-	Options registry.Options `json:"options,omitempty"`
+	As string
+	// Options parameterizes the series; WithDefaults fills the registered
+	// schema's defaults in.
+	Options registry.Options
 }
 
-// Label returns the series label: As when set, else the architecture name.
-func (a AlgorithmSpec) Label() Algorithm {
-	if a.As != "" {
-		return Algorithm(a.As)
+// AlgorithmSpec selects one architecture series ({"algorithm": ...}).
+type AlgorithmSpec = Series[Algorithm]
+
+// TrafficSpec selects one workload series ({"traffic": ...}).
+type TrafficSpec = Series[TrafficKind]
+
+// ScenarioSpec selects one dynamic-scenario series ({"scenario": ...}). A
+// study with scenarios runs every grid point under each scenario's event
+// timeline — the workload supplies the base rate matrix the scenario
+// perturbs — and collects the windowed time series alongside the point
+// aggregates.
+type ScenarioSpec = Series[ScenarioKind]
+
+// seriesName constrains a series' name type to the three kinds a spec
+// takes; each knows its JSON key and its registry.
+type seriesName interface {
+	~string
+	kind() *seriesKind
+}
+
+// seriesKind describes one kind of series.
+type seriesKind struct {
+	key  string // the object form's name key, and the noun of its errors
+	noun string // the noun of the unknown-name error
+	// wire is Series' object form with key as the name's JSON key, ahead
+	// of "as" and "options"; a Series converts to it field for field.
+	wire   reflect.Type
+	schema func(name string) (registry.Schema, bool)
+	names  func() []string
+}
+
+func newSeriesKind[K seriesName](key, noun string, schema func(string) (registry.Schema, bool), names func() []string) seriesKind {
+	return seriesKind{key: key, noun: noun, schema: schema, names: names, wire: reflect.StructOf([]reflect.StructField{
+		{Name: "Name", Type: reflect.TypeFor[K](), Tag: reflect.StructTag(`json:"` + key + `"`)},
+		{Name: "As", Type: reflect.TypeFor[string](), Tag: `json:"as,omitempty"`},
+		{Name: "Options", Type: reflect.TypeFor[registry.Options](), Tag: `json:"options,omitempty"`},
+	})}
+}
+
+var (
+	algorithmKind = newSeriesKind[Algorithm]("algorithm", "algorithm", func(n string) (registry.Schema, bool) {
+		a, ok := registry.LookupArchitecture(n)
+		return a.Options, ok
+	}, registry.ArchitectureNames)
+	trafficKind = newSeriesKind[TrafficKind]("traffic", "traffic kind", func(n string) (registry.Schema, bool) {
+		w, ok := registry.LookupWorkload(n)
+		return w.Options, ok
+	}, registry.WorkloadNames)
+	scenarioKind = newSeriesKind[ScenarioKind]("scenario", "scenario", func(n string) (registry.Schema, bool) {
+		sc, ok := registry.LookupScenario(n)
+		return sc.Options, ok
+	}, registry.ScenarioNames)
+)
+
+func (Algorithm) kind() *seriesKind    { return &algorithmKind }
+func (TrafficKind) kind() *seriesKind  { return &trafficKind }
+func (ScenarioKind) kind() *seriesKind { return &scenarioKind }
+
+// Label returns the series label: As when set, else the name.
+func (e Series[K]) Label() K {
+	if e.As != "" {
+		return K(e.As)
 	}
-	return a.Name
+	return e.Name
 }
 
 // MarshalJSON renders option-free, unrelabeled entries as bare name
-// strings. Note that after WithDefaults an architecture with a non-empty
-// schema always carries its full normalized options, so only optionless
-// architectures keep the compact form in normalized specs (and checkpoint
-// headers) — deliberately: the header must record the exact assignment
-// each point ran with, so a resume under drifted options or changed
-// schema defaults is rejected.
-func (a AlgorithmSpec) MarshalJSON() ([]byte, error) {
-	if len(a.Options) == 0 && a.As == "" {
-		return json.Marshal(string(a.Name))
+// strings. Note that after WithDefaults a name with a non-empty schema
+// always carries its full normalized options, so only optionless names keep
+// the compact form in normalized specs (and checkpoint headers) —
+// deliberately: the header must record the exact assignment each point ran
+// with, so a resume under drifted options or changed schema defaults is
+// rejected.
+func (e Series[K]) MarshalJSON() ([]byte, error) {
+	if len(e.Options) == 0 && e.As == "" {
+		return json.Marshal(string(e.Name))
 	}
-	type raw AlgorithmSpec // shed the method set to avoid recursion
-	return json.Marshal(raw(a))
+	return json.Marshal(reflect.ValueOf(e).Convert(e.Name.kind().wire).Interface())
 }
 
 // UnmarshalJSON accepts a bare name string or the object form, rejecting
 // unknown object fields like the surrounding spec decoder does.
-func (a *AlgorithmSpec) UnmarshalJSON(b []byte) error {
+func (e *Series[K]) UnmarshalJSON(b []byte) error {
 	if len(b) > 0 && b[0] == '"' {
-		return json.Unmarshal(b, &a.Name)
+		return json.Unmarshal(b, &e.Name)
 	}
-	type raw AlgorithmSpec
+	k := e.Name.kind()
+	w := reflect.New(k.wire)
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
-	var r raw
-	if err := dec.Decode(&r); err != nil {
+	if err := dec.Decode(w.Interface()); err != nil {
 		return err
 	}
+	r := w.Elem().Convert(reflect.TypeFor[Series[K]]()).Interface().(Series[K])
 	if r.Name == "" {
-		return fmt.Errorf("algorithm entry %s missing its \"algorithm\" name", b)
+		return fmt.Errorf("%s entry %s missing its %q name", k.key, b, k.key)
 	}
-	*a = AlgorithmSpec(r)
+	*e = r
 	return nil
 }
 
-// TrafficSpec selects one workload series of a study, with the same JSON
-// forms and labeling rules as AlgorithmSpec (e.g. {"traffic": "hotspot",
-// "options": {"fraction": 0.75}, "as": "hotspot-75"}).
-type TrafficSpec struct {
-	// Name is the registered workload name.
-	Name TrafficKind `json:"traffic"`
-	// As relabels the series; it defaults to Name and must be unique
-	// within a spec.
-	As string `json:"as,omitempty"`
-	// Options parameterizes the workload; WithDefaults fills the
-	// registered schema's defaults in.
-	Options registry.Options `json:"options,omitempty"`
+// normalizeSeries returns a copy of the series with every entry's options
+// normalized against its registered schema, and nil for an empty list.
+// Entries that do not normalize (unknown name, bad option) are left
+// untouched for Validate to report.
+func normalizeSeries[K seriesName](series []Series[K]) []Series[K] {
+	if len(series) == 0 {
+		return nil
+	}
+	out := make([]Series[K], len(series))
+	for i, e := range series {
+		out[i] = e
+		if schema, ok := e.Name.kind().schema(string(e.Name)); ok {
+			if norm, err := schema.Normalize(e.Options); err == nil {
+				out[i].Options = norm
+			}
+		}
+	}
+	return out
 }
 
-// Label returns the series label: As when set, else the workload name.
-func (t TrafficSpec) Label() TrafficKind {
-	if t.As != "" {
-		return TrafficKind(t.As)
+// validateSeries checks that every entry names a registered K whose schema
+// accepts its options, then runs check (when non-nil) on the entry and its
+// normalized options, then checks that labels are unique.
+func validateSeries[K seriesName](series []Series[K], check func(Series[K], registry.Options) error) error {
+	seen := map[K]bool{}
+	for _, e := range series {
+		k := e.Name.kind()
+		schema, ok := k.schema(string(e.Name))
+		if !ok {
+			return fmt.Errorf("experiment: unknown %s %q (registered: %s)",
+				k.noun, e.Name, strings.Join(k.names(), ", "))
+		}
+		norm, err := schema.Normalize(e.Options)
+		if err != nil {
+			return fmt.Errorf("experiment: %s %q: %v", k.key, e.Label(), err)
+		}
+		if check != nil {
+			if err := check(e, norm); err != nil {
+				return err
+			}
+		}
+		if seen[e.Label()] {
+			return fmt.Errorf("experiment: %s series %q appears twice; relabel one with \"as\"", k.key, e.Label())
+		}
+		seen[e.Label()] = true
 	}
-	return t.Name
-}
-
-// MarshalJSON matches AlgorithmSpec.MarshalJSON.
-func (t TrafficSpec) MarshalJSON() ([]byte, error) {
-	if len(t.Options) == 0 && t.As == "" {
-		return json.Marshal(string(t.Name))
-	}
-	type raw TrafficSpec
-	return json.Marshal(raw(t))
-}
-
-// UnmarshalJSON matches AlgorithmSpec.UnmarshalJSON.
-func (t *TrafficSpec) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		return json.Unmarshal(b, &t.Name)
-	}
-	type raw TrafficSpec
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	var r raw
-	if err := dec.Decode(&r); err != nil {
-		return err
-	}
-	if r.Name == "" {
-		return fmt.Errorf("traffic entry %s missing its \"traffic\" name", b)
-	}
-	*t = TrafficSpec(r)
 	return nil
 }
 
-// ScenarioSpec selects one dynamic-scenario series of a study, with the
-// same JSON forms and labeling rules as AlgorithmSpec (e.g. {"scenario":
-// "flashcrowd", "options": {"surge": 0.95}, "as": "crowd-95"}). A study
-// with scenarios runs every grid point under each scenario's event
-// timeline — the workload supplies the base rate matrix the scenario
-// perturbs — and collects the windowed time series alongside the point
-// aggregates.
-type ScenarioSpec struct {
-	// Name is the registered scenario name.
-	Name ScenarioKind `json:"scenario"`
-	// As relabels the series; it defaults to Name and must be unique
-	// within a spec.
-	As string `json:"as,omitempty"`
-	// Options parameterizes the scenario; WithDefaults fills the
-	// registered schema's defaults in.
-	Options registry.Options `json:"options,omitempty"`
-}
-
-// Label returns the series label: As when set, else the scenario name.
-func (s ScenarioSpec) Label() ScenarioKind {
-	if s.As != "" {
-		return ScenarioKind(s.As)
+// entry resolves a point's label back to its spec entry (the registered
+// name plus the option assignment the series runs with). Labels are unique
+// per Validate, so the first match is the match.
+func entry[K seriesName](series []Series[K], label K) Series[K] {
+	for _, e := range series {
+		if e.Label() == label {
+			return e
+		}
 	}
-	return s.Name
-}
-
-// MarshalJSON matches AlgorithmSpec.MarshalJSON.
-func (s ScenarioSpec) MarshalJSON() ([]byte, error) {
-	if len(s.Options) == 0 && s.As == "" {
-		return json.Marshal(string(s.Name))
-	}
-	type raw ScenarioSpec
-	return json.Marshal(raw(s))
-}
-
-// UnmarshalJSON matches AlgorithmSpec.UnmarshalJSON.
-func (s *ScenarioSpec) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		return json.Unmarshal(b, &s.Name)
-	}
-	type raw ScenarioSpec
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	var r raw
-	if err := dec.Decode(&r); err != nil {
-		return err
-	}
-	if r.Name == "" {
-		return fmt.Errorf("scenario entry %s missing its \"scenario\" name", b)
-	}
-	*s = ScenarioSpec(r)
-	return nil
+	return Series[K]{Name: label}
 }
 
 // Algs wraps plain architecture names as option-free spec entries.
-func Algs(names ...Algorithm) []AlgorithmSpec {
-	out := make([]AlgorithmSpec, len(names))
-	for i, n := range names {
-		out[i] = AlgorithmSpec{Name: n}
-	}
-	return out
-}
+func Algs(names ...Algorithm) []AlgorithmSpec { return bare(names) }
 
 // Traffics wraps plain workload names as option-free spec entries.
-func Traffics(kinds ...TrafficKind) []TrafficSpec {
-	out := make([]TrafficSpec, len(kinds))
-	for i, k := range kinds {
-		out[i] = TrafficSpec{Name: k}
-	}
-	return out
-}
+func Traffics(kinds ...TrafficKind) []TrafficSpec { return bare(kinds) }
 
 // Scenarios wraps plain scenario names as option-free spec entries.
-func Scenarios(kinds ...ScenarioKind) []ScenarioSpec {
-	out := make([]ScenarioSpec, len(kinds))
-	for i, k := range kinds {
-		out[i] = ScenarioSpec{Name: k}
+func Scenarios(kinds ...ScenarioKind) []ScenarioSpec { return bare(kinds) }
+
+func bare[K seriesName](names []K) []Series[K] {
+	out := make([]Series[K], len(names))
+	for i, n := range names {
+		out[i] = Series[K]{Name: n}
 	}
 	return out
 }
@@ -347,14 +354,11 @@ func (s Spec) WithDefaults() Spec {
 	// reflect.DeepEqual, and omitempty erases the distinction on marshal —
 	// an empty-but-non-nil slice here would make a study refuse to resume
 	// its own checkpoint. (Found by FuzzSpecJSON.)
-	if len(s.Algorithms) == 0 {
-		s.Algorithms = nil
-	}
-	if len(s.Traffic) == 0 {
-		s.Traffic = nil
-	}
-	if len(s.Scenarios) == 0 {
-		s.Scenarios = nil
+	s.Algorithms = normalizeSeries(s.Algorithms)
+	s.Traffic = normalizeSeries(s.Traffic)
+	s.Scenarios = normalizeSeries(s.Scenarios)
+	if len(s.Scenarios) > 0 && s.Windows == 0 {
+		s.Windows = 10
 	}
 	if len(s.Bursts) == 0 {
 		s.Bursts = nil
@@ -370,45 +374,6 @@ func (s Spec) WithDefaults() Spec {
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
-	}
-	if len(s.Algorithms) > 0 {
-		algs := make([]AlgorithmSpec, len(s.Algorithms))
-		for i, a := range s.Algorithms {
-			algs[i] = a
-			if arch, ok := registry.LookupArchitecture(string(a.Name)); ok {
-				if norm, err := arch.Options.Normalize(a.Options); err == nil {
-					algs[i].Options = norm
-				}
-			}
-		}
-		s.Algorithms = algs
-	}
-	if len(s.Traffic) > 0 {
-		tks := make([]TrafficSpec, len(s.Traffic))
-		for i, tk := range s.Traffic {
-			tks[i] = tk
-			if wl, ok := registry.LookupWorkload(string(tk.Name)); ok {
-				if norm, err := wl.Options.Normalize(tk.Options); err == nil {
-					tks[i].Options = norm
-				}
-			}
-		}
-		s.Traffic = tks
-	}
-	if len(s.Scenarios) > 0 {
-		if s.Windows == 0 {
-			s.Windows = 10
-		}
-		scs := make([]ScenarioSpec, len(s.Scenarios))
-		for i, sc := range s.Scenarios {
-			scs[i] = sc
-			if reg, ok := registry.LookupScenario(string(sc.Name)); ok {
-				if norm, err := reg.Options.Normalize(sc.Options); err == nil {
-					scs[i].Options = norm
-				}
-			}
-		}
-		s.Scenarios = scs
 	}
 	if s.Kind == AdaptiveStudy {
 		// Copy before filling: Spec is a value but Adaptive is a pointer,
@@ -494,63 +459,30 @@ func (s Spec) Validate() error {
 	if len(s.Algorithms) == 0 {
 		return fmt.Errorf("experiment: %s spec has no algorithms", s.Kind)
 	}
-	seenAlg := map[Algorithm]bool{}
-	for _, a := range s.Algorithms {
-		arch, ok := registry.LookupArchitecture(string(a.Name))
-		if !ok {
-			return fmt.Errorf("experiment: unknown algorithm %q (registered: %s)",
-				a.Name, strings.Join(registry.ArchitectureNames(), ", "))
+	if err := validateSeries(s.Algorithms, func(a AlgorithmSpec, norm registry.Options) error {
+		// Size-coupled constraints (e.g. pf's threshold <= N) are checked
+		// against every grid size now, not mid-study.
+		arch, _ := registry.LookupArchitecture(string(a.Name))
+		if arch.ValidateFor == nil {
+			return nil
 		}
-		norm, err := arch.Options.Normalize(a.Options)
-		if err != nil {
-			return fmt.Errorf("experiment: algorithm %q: %v", a.Label(), err)
-		}
-		if arch.ValidateFor != nil {
-			// Size-coupled constraints (e.g. pf's threshold <= N) are
-			// checked against every grid size now, not mid-study.
-			for _, n := range s.Sizes {
-				if err := arch.ValidateFor(n, norm); err != nil {
-					return fmt.Errorf("experiment: algorithm %q: %v", a.Label(), err)
-				}
+		for _, n := range s.Sizes {
+			if err := arch.ValidateFor(n, norm); err != nil {
+				return fmt.Errorf("experiment: algorithm %q: %v", a.Label(), err)
 			}
 		}
-		if seenAlg[a.Label()] {
-			return fmt.Errorf("experiment: algorithm series %q appears twice; relabel one with \"as\"", a.Label())
-		}
-		seenAlg[a.Label()] = true
+		return nil
+	}); err != nil {
+		return err
 	}
 	if len(s.Traffic) == 0 {
 		return fmt.Errorf("experiment: %s spec has no traffic kinds", s.Kind)
 	}
-	seenT := map[TrafficKind]bool{}
-	for _, k := range s.Traffic {
-		wl, ok := registry.LookupWorkload(string(k.Name))
-		if !ok {
-			return fmt.Errorf("experiment: unknown traffic kind %q (registered: %s)",
-				k.Name, strings.Join(registry.WorkloadNames(), ", "))
-		}
-		if _, err := wl.Options.Normalize(k.Options); err != nil {
-			return fmt.Errorf("experiment: traffic %q: %v", k.Label(), err)
-		}
-		if seenT[k.Label()] {
-			return fmt.Errorf("experiment: traffic series %q appears twice; relabel one with \"as\"", k.Label())
-		}
-		seenT[k.Label()] = true
+	if err := validateSeries(s.Traffic, nil); err != nil {
+		return err
 	}
-	seenSc := map[ScenarioKind]bool{}
-	for _, sc := range s.Scenarios {
-		reg, ok := registry.LookupScenario(string(sc.Name))
-		if !ok {
-			return fmt.Errorf("experiment: unknown scenario %q (registered: %s)",
-				sc.Name, strings.Join(registry.ScenarioNames(), ", "))
-		}
-		if _, err := reg.Options.Normalize(sc.Options); err != nil {
-			return fmt.Errorf("experiment: scenario %q: %v", sc.Label(), err)
-		}
-		if seenSc[sc.Label()] {
-			return fmt.Errorf("experiment: scenario series %q appears twice; relabel one with \"as\"", sc.Label())
-		}
-		seenSc[sc.Label()] = true
+	if err := validateSeries(s.Scenarios, nil); err != nil {
+		return err
 	}
 	for _, b := range s.Bursts {
 		if b != 0 && b < 1 {
@@ -678,38 +610,6 @@ func (s Spec) Points() []PointKey {
 		}
 	}
 	return out
-}
-
-// algEntry resolves a point's algorithm label back to its spec entry (the
-// registered name plus the option assignment the series runs with). Labels
-// are unique per Validate, so the first match is the match.
-func (s Spec) algEntry(label Algorithm) AlgorithmSpec {
-	for _, a := range s.Algorithms {
-		if a.Label() == label {
-			return a
-		}
-	}
-	return AlgorithmSpec{Name: label}
-}
-
-// trafficEntry resolves a point's traffic label back to its spec entry.
-func (s Spec) trafficEntry(label TrafficKind) TrafficSpec {
-	for _, t := range s.Traffic {
-		if t.Label() == label {
-			return t
-		}
-	}
-	return TrafficSpec{Name: label}
-}
-
-// scenarioEntry resolves a point's scenario label back to its spec entry.
-func (s Spec) scenarioEntry(label ScenarioKind) ScenarioSpec {
-	for _, sc := range s.Scenarios {
-		if sc.Label() == label {
-			return sc
-		}
-	}
-	return ScenarioSpec{Name: label}
 }
 
 // NumPoints returns the size of the study grid.

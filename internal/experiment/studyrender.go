@@ -13,8 +13,7 @@ import (
 	"sprinklers/internal/scenario"
 )
 
-// Renderers for study results (PointResult). The older []Point renderers in
-// render.go remain for the single-replica Sweep API.
+// Renderers for study results (PointResult).
 
 // padLeft right-aligns s in a w-rune field ("±" is multibyte, so byte-width
 // fmt padding would misalign confidence-interval cells).

@@ -26,8 +26,15 @@ import (
 // SchemaVersion is the identity schema version baked into every key. Bump
 // it whenever a change makes previously cached results non-reproducible
 // (e.g. a simulator behavior change): old entries then simply stop being
-// addressable instead of serving stale results.
-const SchemaVersion = 1
+// addressable instead of serving stale results. Version 2 retired the
+// bursty points above b/(b+1) that version 1 simulated under-offered.
+// Replica seeds do not follow the bump (see SeedFingerprint).
+const SchemaVersion = 2
+
+// seedVersion is the Version every SeedFingerprint hashes with. It stays
+// at 1 so that a SchemaVersion bump retires cached results without moving
+// a single replica seed, and with it every simulated number.
+const seedVersion = 1
 
 // Identity is the canonical description of one study point computation: if
 // two Identity values are equal, the runner is guaranteed to produce the
@@ -115,6 +122,7 @@ func (id Identity) ReplicaKey(rep int) string {
 // That property is what lets overlapping studies share cache entries.
 func (id Identity) SeedFingerprint() uint64 {
 	phys := id
+	phys.Version = seedVersion
 	phys.Slots, phys.Warmup, phys.Windows, phys.Replicas, phys.Seed = 0, 0, 0, 0, 0
 	// The early-stopping policy decides how many replicas run, never what
 	// any one replica simulates: an adaptive study's replica k is

@@ -83,6 +83,23 @@ func TestSeedFingerprintIgnoresMeasurementPolicy(t *testing.T) {
 	}
 }
 
+// TestSeedFingerprintOutlivesSchemaVersion: bumping SchemaVersion retires
+// every cached key but moves no replica seed. The fingerprint constant was
+// recorded when SchemaVersion was still 1.
+func TestSeedFingerprintOutlivesSchemaVersion(t *testing.T) {
+	v1, v2 := testIdentity(), testIdentity()
+	v1.Version, v2.Version = 1, 2
+	if v1.Key() == v2.Key() {
+		t.Error("version 1 and version 2 identities share a key; old entries would stay addressable")
+	}
+	const want = 0xe8b86133248c5cd4
+	for _, id := range []Identity{v1, v2, testIdentity()} {
+		if got := id.SeedFingerprint(); got != want {
+			t.Errorf("version %d: SeedFingerprint = %#x, want %#x", id.Version, got, uint64(want))
+		}
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
