@@ -46,9 +46,12 @@ const (
 	SourcePeer = "peer"
 )
 
-// JobRequest is one leased (point, replica) dispatch: the normalized spec,
-// the point, the replica index, the lease the worker must finish within,
-// and the sibling workers it may fill its cache from before simulating.
+// JobRequest is one leased (point, replica) dispatch: a normalized spec
+// that contains the point, the point, the replica index, the lease the
+// worker must finish within, and the sibling workers it may fill its cache
+// from before simulating. The coordinator sends the point's one-point spec
+// (Spec.Narrow); a worker serves any spec containing the point the same
+// way, since the point's identity and seeds do not depend on the rest.
 type JobRequest struct {
 	Spec    experiment.Spec     `json:"spec"`
 	Point   experiment.PointKey `json:"point"`
@@ -656,7 +659,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, spec experiment.S
 	jctx, cancel := context.WithTimeout(ctx, c.opts.Lease)
 	defer cancel()
 	body, err := json.Marshal(JobRequest{
-		Spec:    spec,
+		Spec:    spec.Narrow(key),
 		Point:   key,
 		Rep:     rep,
 		LeaseMS: c.opts.Lease.Milliseconds(),
@@ -688,8 +691,12 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, spec experiment.S
 		}
 		return experiment.Point{}, "", err
 	}
+	b, err := readCapped(resp.Body, maxPeerBodyBytes)
+	if err != nil {
+		return experiment.Point{}, "", fmt.Errorf("cluster: %s: reading job response: %w", w.url, err)
+	}
 	var jr JobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+	if err := json.Unmarshal(b, &jr); err != nil {
 		return experiment.Point{}, "", fmt.Errorf("cluster: %s: decoding job response: %w", w.url, err)
 	}
 	if tc.Enabled() {
@@ -715,8 +722,28 @@ func (c *Coordinator) peersOf(url string) []string {
 	return out
 }
 
+// maxPeerBodyBytes caps what the cluster reads from a peer: a CAS entry
+// (FetchCAS) or a job response (dispatch). Both are kilobytes — a windowed
+// point adds ≈ 200 B a window, a traced job a few hundred bytes a span — so
+// the cap only stops a broken or hostile peer from exhausting memory. A
+// body past it is a miss (CAS) or a transient failure (job), never a result.
+const maxPeerBodyBytes = 16 << 20
+
+// readCapped reads r to EOF, failing once more than limit bytes arrive.
+func readCapped(r io.Reader, limit int64) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(b)) > limit {
+		return nil, fmt.Errorf("cluster: peer body exceeds the %d-byte cap", limit)
+	}
+	return b, nil
+}
+
 // FetchCAS reads one raw cache entry from a node's CAS endpoint. A missing
-// key returns (nil, nil) — a miss, not an error.
+// key returns (nil, nil) — a miss, not an error. An entry larger than
+// maxPeerBodyBytes is an error, which every caller counts as a miss too.
 func FetchCAS(ctx context.Context, httpc *http.Client, baseURL, key string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		strings.TrimSuffix(baseURL, "/")+"/api/v1/cas/"+key, nil)
@@ -735,7 +762,7 @@ func FetchCAS(ctx context.Context, httpc *http.Client, baseURL, key string) ([]b
 	if resp.StatusCode/100 != 2 {
 		return nil, fmt.Errorf("cluster: cas %s: %s", baseURL, resp.Status)
 	}
-	return io.ReadAll(resp.Body)
+	return readCapped(resp.Body, maxPeerBodyBytes)
 }
 
 // casFillTimeout bounds one peer CAS probe during the coordinator's cache

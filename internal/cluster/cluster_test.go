@@ -18,7 +18,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -618,5 +620,101 @@ func TestClusterAdaptiveMatchesLocal(t *testing.T) {
 	total := coordinator.srv.TotalCounters()
 	if total.PointsRefined == 0 || total.ReplicasEarlyStopped == 0 {
 		t.Errorf("adaptive counters did not surface on the coordinator: %+v", total)
+	}
+}
+
+// jobCapture is a dispatch transport that records every job request the
+// coordinator sends before passing it on.
+type jobCapture struct {
+	mu   sync.Mutex
+	reqs []cluster.JobRequest
+}
+
+func (c *jobCapture) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(r.URL.Path, "/api/v1/jobs") {
+		b, err := io.ReadAll(r.Body)
+		r.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		var jr cluster.JobRequest
+		if err := json.Unmarshal(b, &jr); err != nil {
+			return nil, fmt.Errorf("captured job request %s: %w", b, err)
+		}
+		c.mu.Lock()
+		c.reqs = append(c.reqs, jr)
+		c.mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(b))
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// postJob sends one job request straight to a worker and decodes the reply.
+func postJob(t *testing.T, worker *node, req cluster.JobRequest) cluster.JobResponse {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(worker.url()+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("job %s rep %d: %s: %s", req.Point, req.Rep, resp.Status, msg)
+	}
+	var jr cluster.JobResponse
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		t.Fatal(err)
+	}
+	return jr
+}
+
+// TestJobsCarryOnePointSpecs: every job on the wire carries its point's
+// one-point spec (one algorithm, traffic kind, load and size), the study
+// still matches a local run byte for byte, and a worker serves a request
+// carrying the whole study spec, as a coordinator that does not narrow
+// sends it, under the same replica key: the one-point request for the same
+// replica is a cache hit.
+func TestJobsCarryOnePointSpecs(t *testing.T) {
+	w1 := newNode(t, service.Options{})
+	w2 := newNode(t, service.Options{})
+	capture := &jobCapture{}
+	copts := fastOptions(w1.url(), w2.url())
+	copts.Transport = capture
+	coordinator, _ := newCoordinator(t, copts, service.Options{})
+	spec := testSpec("cluster-one-point")
+
+	remote := runRemote(t, coordinator, spec)
+	if local := localReference(t, spec); !bytes.Equal(remote, local) {
+		t.Errorf("cluster results differ from local:\n%s\nvs\n%s", remote, local)
+	}
+	capture.mu.Lock()
+	reqs := capture.reqs
+	capture.mu.Unlock()
+	if int64(len(reqs)) < totalReplicas(spec) {
+		t.Fatalf("captured %d job requests, want >= %d", len(reqs), totalReplicas(spec))
+	}
+	for _, jr := range reqs {
+		s := jr.Spec
+		if len(s.Algorithms) != 1 || len(s.Traffic) != 1 || len(s.Loads) != 1 || len(s.Sizes) != 1 {
+			t.Errorf("job %s rep %d carries a %d x %d x %d x %d spec, want one point",
+				jr.Point, jr.Rep, len(s.Algorithms), len(s.Traffic), len(s.Loads), len(s.Sizes))
+		}
+	}
+
+	w3 := newNode(t, service.Options{})
+	full := spec.WithDefaults()
+	key, rep := full.Points()[full.NumPoints()-1], 1
+	old := postJob(t, w3, cluster.JobRequest{Spec: full, Point: key, Rep: rep})
+	want, err := experiment.RunReplicaJob(context.Background(), full, key, rep, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Source != cluster.SourceComputed || !reflect.DeepEqual(old.Point, want) {
+		t.Errorf("full-spec job = %+v from %q, want %+v computed", old.Point, old.Source, want)
+	}
+	narrow := postJob(t, w3, cluster.JobRequest{Spec: full.Narrow(key), Point: key, Rep: rep})
+	if narrow.Source != cluster.SourceCache || !reflect.DeepEqual(narrow.Point, want) {
+		t.Errorf("one-point job = %+v from %q, want the full-spec replica from the cache", narrow.Point, narrow.Source)
 	}
 }

@@ -615,6 +615,35 @@ func (s Spec) Points() []PointKey {
 // NumPoints returns the size of the study grid.
 func (s Spec) NumPoints() int { return len(s.Points()) }
 
+// Narrow returns the one-point spec of key: s cut down to the point's own
+// algorithm, traffic and scenario entries (labels and options kept), its
+// load, its size and its burst, with every other field unchanged. It is
+// what a cluster job carries instead of the whole study. Call it on a
+// WithDefaults-normalized spec; the result then normalizes to itself,
+// validates, enumerates key as its only point, and keeps the point's
+// content identity and replica seeds:
+//
+//	s.Narrow(k).PointIdentity(k) == s.PointIdentity(k)
+//
+// The key's load need not be in s.Loads (an adaptive study's refined
+// points are not).
+func (s Spec) Narrow(key PointKey) Spec {
+	s.Loads = []float64{key.Load}
+	s.Sizes = []int{key.N}
+	if !s.simLike() {
+		return s
+	}
+	s.Algorithms = []AlgorithmSpec{entry(s.Algorithms, key.Algorithm)}
+	s.Traffic = []TrafficSpec{entry(s.Traffic, key.Traffic)}
+	s.Bursts = []float64{key.Burst}
+	if key.Scenario == "" {
+		s.Scenarios = nil
+	} else {
+		s.Scenarios = []ScenarioSpec{entry(s.Scenarios, key.Scenario)}
+	}
+	return s
+}
+
 // ParseSpec decodes a JSON spec, rejecting unknown fields so typos in
 // hand-written studies fail loudly rather than silently running the default.
 func ParseSpec(r io.Reader) (Spec, error) {

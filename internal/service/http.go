@@ -93,9 +93,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the connection is the only failure mode
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the connection is the only failure mode
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

@@ -30,8 +30,9 @@ import (
 //	POST /api/v1/cluster/heartbeat  worker push heartbeat (implies register;
 //	                                body may carry a load report)
 
-// maxJobBytes bounds a job request body; a job carries one spec plus a
-// point key, so this is generous.
+// maxJobBytes bounds a job request body. The coordinator sends the job's
+// one-point spec, a few hundred bytes; the bound is the one a submitted
+// spec gets, so a request carrying a whole study spec is served too.
 const maxJobBytes = 4 << 20
 
 // peerFillTimeout bounds one peer CAS probe during a worker's replica
