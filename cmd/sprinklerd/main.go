@@ -59,7 +59,6 @@
 //	GET  /healthz, GET /metrics     liveness ("ok" or "degraded"),
 //	     Prometheus-style counters and latency histograms
 //	GET  /api/v1/perf               daemon-wide and per-study work counters
-//	     plus the committed BENCH_*.json snapshots under -bench-dir
 //	GET  /api/v1/trace/{study}      merged job trace timeline
 //	     (?format=chrome for Perfetto)
 //	GET  /api/v1/version            build identity (go version, VCS revision)
@@ -130,7 +129,6 @@ func main() {
 	speculateTail := flag.Int("speculate-tail", 4, "speculate only while at most this many jobs are in flight (study tail)")
 	jobSlots := flag.Int("job-slots", 0, "concurrent cluster-job simulations on this worker; surplus jobs queue and are stealable (default GOMAXPROCS)")
 	chaosJobDelay := flag.Duration("chaos-job-delay", 0, "stall every cluster job by this much before simulating (chaos: make this worker a straggler)")
-	benchDir := flag.String("bench-dir", ".", "directory scanned for committed BENCH_*.json snapshots served by /api/v1/perf")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "bound the result cache on disk; 0 = unbounded")
 	evictPolicy := flag.String("evict-policy", "lru", "cache eviction policy: lru, fifo, or large_first")
 	sweepInterval := flag.Duration("sweep-interval", time.Minute, "how often the cache sweeper enforces -cache-max-bytes")
@@ -199,7 +197,6 @@ func main() {
 		CacheMaxBytes: *cacheMax,
 		EvictPolicy:   policy,
 		SweepInterval: *sweepInterval,
-		BenchDir:      *benchDir,
 	})
 	if err != nil {
 		fatal(err)

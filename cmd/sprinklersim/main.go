@@ -90,6 +90,9 @@ func main() {
 	if *slots <= 0 {
 		fatal(fmt.Errorf("-slots %d <= 0", *slots))
 	}
+	if *warmup < 0 {
+		fatal(fmt.Errorf("-warmup %d < 0", *warmup))
+	}
 	// -scheduler selects between the gated LSF scheduler of Sec. 3.4 and the
 	// greedy ablation variant; it is only meaningful for the Sprinklers
 	// architecture, where it maps onto the two experiment algorithms.

@@ -109,6 +109,26 @@ func TestStripedStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestSizeOneStepZeroAllocSteadyState is the same guard at a size the N = 32
+// guards above do not reach: N = 256 with every stripe forced to size 1
+// (DefaultStripeSize: 1), uniform Bernoulli traffic at load 0.9. Size-1
+// stripes skip Eq. 1's O(N^2) accumulation transient, so 12·N warm-up slots
+// take every queue to its high-water mark even at this size.
+func TestSizeOneStepZeroAllocSteadyState(t *testing.T) {
+	const n = 256
+	sw := MustNew(Config{N: n, DefaultStripeSize: 1, Rand: rand.New(rand.NewSource(1))})
+	src := traffic.NewBernoulli(traffic.Uniform(n, 0.9), rand.New(rand.NewSource(1)))
+	arrive := sw.Arrive
+	driveSlots(sw, src, arrive, 12*n)
+
+	if allocs := testing.AllocsPerRun(200, func() {
+		src.Next(sw.Now(), arrive)
+		sw.Step(nil)
+	}); allocs != 0 {
+		t.Fatalf("steady-state Step at N = %d allocated %v times per slot, want 0", n, allocs)
+	}
+}
+
 // TestArrivalsWaitForStep: Arrive checks the ports and holds the packet
 // until Step applies it. In between, the packet is in Backlog but at no
 // input; an out-of-range port panics inside Arrive, not later in Step; and

@@ -115,6 +115,23 @@ func TestAdaptiveBeatsDenseWithinTolerance(t *testing.T) {
 		t.Errorf("dense run touched adaptive counters: %+v", d)
 	}
 
+	// The study is deterministic, so its work is pinned exactly. A dense run
+	// over the adaptive run's final 12 points would simulate points ×
+	// replicas × (slots + warmup) = 96 000 slots; the adaptive run
+	// simulates 74 400.
+	if got := len(adaptive); got != 12 {
+		t.Errorf("adaptive run produced %d points, want 12", got)
+	}
+	if a.SlotsSimulated != 74_400 {
+		t.Errorf("adaptive run simulated %d slots, want 74400", a.SlotsSimulated)
+	}
+	if a.PointsRefined != 4 {
+		t.Errorf("adaptive run refined %d points, want 4", a.PointsRefined)
+	}
+	if a.ReplicasEarlyStopped != 17 {
+		t.Errorf("adaptive run stopped %d replicas early, want 17", a.ReplicasEarlyStopped)
+	}
+
 	// Curve reproduction: the adaptive curve, linearly interpolated at every
 	// dense load, must agree with the dense measurement within a relative
 	// tolerance (floored at 5 slots — both sides are noisy 2000-slot sims).

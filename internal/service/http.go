@@ -21,9 +21,8 @@ import (
 //	                                    VCS revision, role, node)
 //	GET  /api/v1/trace/{study}          merged trace timeline for one study
 //	                                    (?format=chrome for Perfetto JSON)
-//	GET  /api/v1/perf                   daemon-wide work/cache counters,
-//	                                    per-study counters, and the committed
-//	                                    BENCH_*.json snapshots on disk
+//	GET  /api/v1/perf                   daemon-wide work/cache counters
+//	                                    and per-study counters
 //	GET  /api/v1/catalog                structured registry catalog
 //	                                    (?format=text for the -list form)
 //	POST /api/v1/studies                submit a Spec; 200 joins an existing

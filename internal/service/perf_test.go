@@ -1,12 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -24,20 +21,9 @@ func adaptiveTestSpec(t *testing.T) experiment.Spec {
 }
 
 // TestPerfEndpoint: /api/v1/perf serves the daemon-wide counters, one row
-// per study with that study's private counters, and the committed
-// BENCH_*.json snapshots found in the bench directory.
+// per study with that study's private counters, and nothing else.
 func TestPerfEndpoint(t *testing.T) {
-	benchDir := t.TempDir()
-	snap := []byte(`{"go_version":"test","points":[]}`)
-	if err := os.WriteFile(filepath.Join(benchDir, "BENCH_1.json"), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Invalid snapshots are skipped, not served and not fatal.
-	if err := os.WriteFile(filepath.Join(benchDir, "BENCH_broken.json"), []byte("{nope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	srv, err := New(Options{CacheDir: t.TempDir(), BenchDir: benchDir})
+	srv, err := New(Options{CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +41,18 @@ func TestPerfEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	body := []byte(httpGet(t, client, "/api/v1/perf"))
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatal(err)
+	}
+	_, hasCounters := keys["counters"]
+	_, hasStudies := keys["studies"]
+	if !hasCounters || !hasStudies || len(keys) != 2 {
+		t.Errorf("perf top-level keys = %v, want exactly counters and studies", keys)
+	}
 	var perf PerfResponse
-	if err := json.Unmarshal([]byte(httpGet(t, client, "/api/v1/perf")), &perf); err != nil {
+	if err := json.Unmarshal(body, &perf); err != nil {
 		t.Fatal(err)
 	}
 	if want := int64(spec.NumPoints()); perf.Counters.PointsComputed != want {
@@ -71,16 +67,6 @@ func TestPerfEndpoint(t *testing.T) {
 	}
 	if st.Counters.PointsComputed != int64(spec.NumPoints()) || st.Counters.SlotsSimulated == 0 {
 		t.Errorf("study counters = %+v, want the study's own work", st.Counters)
-	}
-	if len(perf.Bench) != 1 || perf.Bench[0].File != "BENCH_1.json" {
-		t.Fatalf("perf bench = %+v, want exactly BENCH_1.json", perf.Bench)
-	}
-	var got bytes.Buffer
-	if err := json.Compact(&got, perf.Bench[0].Snapshot); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != string(snap) {
-		t.Errorf("snapshot served as %s, want %s", got.String(), snap)
 	}
 }
 

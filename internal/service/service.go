@@ -125,11 +125,6 @@ type Options struct {
 	// PeerHTTP overrides the HTTP client used for worker→peer cache reads
 	// (tests inject fault transports here); nil means http.DefaultClient.
 	PeerHTTP *http.Client
-
-	// BenchDir is the directory scanned for committed BENCH_*.json
-	// benchmark snapshots, served by GET /api/v1/perf alongside the live
-	// counters; empty means the working directory.
-	BenchDir string
 }
 
 // Server owns the daemon state: the result cache, the lifetime counters,
@@ -160,7 +155,6 @@ type Server struct {
 	peerHTTP    *http.Client
 	evictPolicy resultcache.Policy
 	stopSweeper func()
-	benchDir    string
 
 	// counters holds the work that is not attributable to one study: jobs
 	// executed for remote coordinators, cluster dispatch accounting. Each
@@ -244,7 +238,6 @@ func New(opts Options) (*Server, error) {
 		fault:       opts.Fault,
 		peerHTTP:    opts.PeerHTTP,
 		evictPolicy: opts.EvictPolicy,
-		benchDir:    opts.BenchDir,
 		jobSlots:    make(chan struct{}, slots),
 		shedCh:      make(chan struct{}),
 		jobDelay:    opts.JobDelay,
@@ -259,9 +252,6 @@ func New(opts Options) (*Server, error) {
 	s.log = s.log.With("node", node)
 	if s.evictPolicy == "" {
 		s.evictPolicy = resultcache.LRU
-	}
-	if s.benchDir == "" {
-		s.benchDir = "."
 	}
 	if s.cluster != nil {
 		// The coordinator's dispatch/retry/fallback accounting lands on the
