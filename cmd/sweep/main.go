@@ -99,6 +99,13 @@ func main() {
 		return
 	}
 
+	if *par < 0 {
+		fatal(fmt.Errorf("-par %d < 0", *par))
+	}
+	if *haltAfter < 0 {
+		fatal(fmt.Errorf("-halt-after %d < 0", *haltAfter))
+	}
+
 	spec, err := experiment.BuildSpec(experiment.SpecArgs{
 		SpecPath: *specPath, Builtin: *builtin, Name: *name, Kind: *kind,
 		Algs: *algsFlag, Traffic: *trafficFlag, NS: *nsFlag, Loads: *loadsFlag,

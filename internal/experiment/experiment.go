@@ -2,10 +2,13 @@
 // declares a study as data: architecture, workload and scenario series
 // crossed with loads, switch sizes and burstiness, with independently
 // seeded replicas per point. RunStudy runs it, with a resumable checkpoint,
-// an optional result cache and a hook for cluster dispatch, and the Render*
-// functions print its results: the delay-versus-load tables of Figures 6
-// and 7 (BuiltinSpec "fig6", "fig7"), windowed trajectories, and the Fig. 5
-// and Table 1 analytic tables. RunPoint measures one simulated point.
+// an optional result cache and a hook for cluster dispatch, through one
+// executor for every kind: a dense or analytic study is one batch of points,
+// and an adaptive study (adaptive.go) adds refinement batches after its
+// seed grid. The Render* functions print its results: the delay-versus-load
+// tables of Figures 6 and 7 (BuiltinSpec "fig6", "fig7"), windowed
+// trajectories, and the Fig. 5 and Table 1 analytic tables. RunPoint
+// measures one simulated point.
 //
 // Architectures and workloads are resolved through internal/registry, so
 // anything registered there — including architectures registered by

@@ -63,18 +63,15 @@ func appendResult(w io.Writer, r PointResult) error {
 	return err
 }
 
-// loadResults reads the checkpoint at path and validates it against the
-// normalized spec and its grid. It returns the recorded prefix of points,
-// the byte offset where valid content ends (a partial trailing line from a
-// killed run lies beyond it and should be truncated), and whether the spec
-// header was present — when it is not (fresh, missing, or truncated-at-
-// header file), the caller truncates to offset 0 and writes one. A missing
-// file is an empty checkpoint.
-//
-// A nil keys slice loads the lines without grid validation — the adaptive
-// runner's mode, whose grid is not known up front: it replays the loaded
-// prefix against the frontier it recomputes and validates each point there.
-func loadResults(path string, spec Spec, keys []PointKey) (_ []PointResult, end int64, hasHeader bool, _ error) {
+// loadResults reads the checkpoint at path and validates its header against
+// the normalized spec. It returns the recorded prefix of points, the byte
+// offset where valid content ends (a partial trailing line from a killed run
+// lies beyond it and should be truncated), and whether the spec header was
+// present — when it is not (fresh, missing, or truncated-at-header file),
+// the caller truncates to offset 0 and writes one. A missing file is an
+// empty checkpoint. RunStudy validates the points themselves as it replays
+// them against the batches it recomputes.
+func loadResults(path string, spec Spec) (_ []PointResult, end int64, hasHeader bool, _ error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, 0, false, nil
@@ -114,15 +111,6 @@ func loadResults(path string, spec Spec, keys []PointKey) (_ []PointResult, end 
 		var rec PointResult
 		if jerr := json.Unmarshal(line, &rec); jerr != nil {
 			return nil, 0, false, fmt.Errorf("experiment: corrupt results file %s at byte %d: %v", path, off, jerr)
-		}
-		if keys != nil {
-			if len(out) >= len(keys) {
-				return nil, 0, false, fmt.Errorf("experiment: results file %s has more points than the spec", path)
-			}
-			if rec.PointKey != keys[len(out)] {
-				return nil, 0, false, fmt.Errorf("experiment: results file %s does not match the spec: point %d is %s, spec expects %s",
-					path, len(out), rec.PointKey, keys[len(out)])
-			}
 		}
 		out = append(out, rec)
 		off += nl + 1

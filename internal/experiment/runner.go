@@ -68,7 +68,10 @@ var ErrHalted = errors.New("experiment: study halted at checkpoint limit")
 // StudyConfig controls how a study executes (everything here is runtime
 // policy, deliberately outside the Spec: the same study can run anywhere).
 type StudyConfig struct {
-	// Parallelism bounds concurrent replica simulations; 0 = GOMAXPROCS.
+	// Parallelism is the number of pool workers, each running one job at a
+	// time; 0 = GOMAXPROCS. A job is one (point, replica) of a dense sim
+	// study, one whole point of an adaptive study (its replicas run in
+	// order) and one point of an analytic study.
 	Parallelism int
 	// ResultsPath, when non-empty, is the JSONL checkpoint file. Finished
 	// points are appended in canonical grid order as they complete; if the
@@ -86,8 +89,8 @@ type StudyConfig struct {
 	HaltAfterPoints int
 	// Cache, when non-nil, is the content-addressed result cache (sim
 	// studies only; analytic points cost less than a disk read). Every
-	// point is looked up by its PointIdentity key before any simulation is
-	// scheduled, and every freshly computed point is stored back — so
+	// point is looked up by its PointIdentity key before its batch schedules
+	// any simulation, and every freshly computed point is stored back — so
 	// overlapping studies share points and resubmitting a fully cached
 	// spec executes zero simulation slots.
 	Cache PointCache
@@ -265,9 +268,11 @@ func IsCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// RunStudy executes spec, sharding (point, replica) jobs across a worker
-// pool and aggregating each point's replicas into a PointResult. Results are
-// returned in canonical grid order.
+// RunStudy executes spec and returns its points in canonical grid order. A
+// dense or analytic study is one batch, its grid; an adaptive study runs its
+// seed grid as round 0 and then the refinement batches adaptive.go plans
+// from the recorded results. Each batch runs on a pool of Parallelism
+// workers, and each replicated point aggregates into one PointResult.
 //
 // With cfg.ResultsPath set, finished points are appended to the JSONL file
 // strictly in grid order; a later run with the same spec and file skips the
@@ -295,23 +300,17 @@ func RunStudy(ctx context.Context, spec Spec, cfg StudyConfig) ([]PointResult, e
 	if cfg.Counters != nil {
 		cfg.Counters.StudiesRun.Add(1)
 	}
+	batch := spec.Points()
+	r := &studyRun{spec: spec, cfg: cfg, tc: trace.FromContext(ctx), recorded: make([]PointResult, 0, len(batch))}
 	if spec.Kind == AdaptiveStudy {
-		// Adaptive studies grow their grid as results come in; the frontier
-		// executor owns checkpointing and ordering for the dynamic point set.
-		return runAdaptive(ctx, spec, cfg)
+		r.initGroups(batch)
 	}
-	keys := spec.Points()
-	total := len(keys)
-	results := make([]PointResult, total)
-
-	start := 0
-	var out *os.File
 	if cfg.ResultsPath != "" {
-		prior, end, hasHeader, err := loadResults(cfg.ResultsPath, spec, keys)
+		prior, end, hasHeader, err := loadResults(cfg.ResultsPath, spec)
 		if err != nil {
 			return nil, err
 		}
-		out, err = os.OpenFile(cfg.ResultsPath, os.O_CREATE|os.O_RDWR, 0o644)
+		out, err := os.OpenFile(cfg.ResultsPath, os.O_CREATE|os.O_RDWR, 0o644)
 		if err != nil {
 			return nil, err
 		}
@@ -328,254 +327,340 @@ func RunStudy(ctx context.Context, spec Spec, cfg StudyConfig) ([]PointResult, e
 				return nil, err
 			}
 		}
-		copy(results, prior)
-		start = len(prior)
-		if cfg.Progress != nil {
-			for i := 0; i < start; i++ {
-				cfg.Progress(i+1, total, results[i])
+		r.prior, r.out = prior, out
+	}
+
+	for round := 0; ; round++ {
+		if err := r.runBatch(ctx, batch, round); err != nil {
+			if errors.Is(err, ErrHalted) || IsCancellation(err) {
+				// Everything recorded so far is already flushed to the
+				// checkpoint; hand the prefix back so the caller can render
+				// or serve partial results.
+				return r.recorded, err
+			}
+			return nil, err
+		}
+		if spec.Kind != AdaptiveStudy || round >= spec.Adaptive.MaxRounds {
+			break
+		}
+		if round == 0 {
+			r.calibrate()
+		}
+		if batch = r.nextBatch(); len(batch) == 0 {
+			break
+		}
+	}
+	if r.cursor < len(r.prior) {
+		return nil, fmt.Errorf("experiment: results file %s holds %d points beyond the study's — it was written by a different study or build",
+			cfg.ResultsPath, len(r.prior)-r.cursor)
+	}
+	return r.recorded, nil
+}
+
+// studyRun is the mutable state of one RunStudy execution.
+type studyRun struct {
+	spec Spec
+	cfg  StudyConfig
+	tc   trace.SpanContext
+
+	recorded []PointResult // every recorded point, in checkpoint order
+	prior    []PointResult // checkpoint prefix from a previous run
+	cursor   int           // next prior line to replay
+	out      *os.File
+	newpts   int // NEW points recorded this run (HaltAfterPoints counts these)
+
+	// Adaptive studies only (adaptive.go): the curves in seed-grid order,
+	// each curve's twin model and stability cap, and its twin scale, fixed
+	// after round 0.
+	groups  []adaptiveGroup
+	gindex  map[adaptiveGroup]int
+	model   []string
+	maxStab []float64
+	scale   []float64
+}
+
+// batchPoint is one point of a batch that this run records anew.
+type batchPoint struct {
+	key  PointKey
+	fp   uint64 // sim kinds: replica seed fingerprint, set once the point must run
+	rec  PointResult
+	done bool    // rec is final: served from the cache or computed
+	reps []Point // dense sim: replica measurements received so far
+	got  int
+}
+
+// job is one unit of pool work: one (point, replica) of a dense sim study,
+// or one whole point (rep 0) of an adaptive or analytic one.
+type job struct{ pi, rep int }
+
+type jobOut struct {
+	job
+	p   Point       // dense sim: one replica's measurements
+	rec PointResult // adaptive and analytic kinds: the whole point
+	err error
+}
+
+// runBatch executes one batch: replays the checkpoint prefix over its
+// leading points, resolves the rest against the result cache, runs the
+// misses on the worker pool, and records points strictly in batch order.
+// Cache lookups and stores, counters and Progress all run on the calling
+// goroutine; workers only simulate.
+func (r *studyRun) runBatch(ctx context.Context, batch []PointKey, round int) error {
+	i := 0
+	for ; i < len(batch) && r.cursor < len(r.prior); i++ {
+		rec := r.prior[r.cursor]
+		if rec.PointKey != batch[i] {
+			return fmt.Errorf("experiment: results file %s does not match the study: point %d is %s, the study expects %s",
+				r.cfg.ResultsPath, r.cursor, rec.PointKey, batch[i])
+		}
+		r.cursor++
+		r.recorded = append(r.recorded, rec)
+		r.progress(rec, len(batch)-i-1)
+	}
+	if i == len(batch) {
+		return nil
+	}
+	pts := make([]batchPoint, len(batch)-i)
+	for pi := range pts {
+		pts[pi].key = batch[i+pi]
+	}
+	if r.cfg.Cache != nil && r.spec.simLike() {
+		if err := r.cachePrepass(pts, round); err != nil {
+			return err
+		}
+	}
+	next := 0 // next point of pts to record
+	record := func() error {
+		for ; next < len(pts) && pts[next].done; next++ {
+			if err := r.recordNew(pts[next].rec, len(pts)-next-1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := record(); err != nil {
+		return err
+	}
+
+	reps := 1
+	if r.spec.Kind == SimStudy {
+		reps = r.spec.Replicas
+	}
+	njobs := 0
+	for pi := next; pi < len(pts); pi++ {
+		if pt := &pts[pi]; !pt.done {
+			njobs += reps
+			if r.spec.simLike() {
+				pt.fp = r.spec.PointIdentity(pt.key).SeedFingerprint()
 			}
 		}
 	}
-	if start == total {
-		return results, nil
+	if njobs == 0 {
+		return nil // fully cached: no worker starts
 	}
-
-	// Content identities: the replica seeds derive from them, and the
-	// result cache keys on them.
-	var ids []resultcache.Identity
-	var fps []uint64
-	if spec.Kind == SimStudy {
-		ids = make([]resultcache.Identity, total)
-		fps = make([]uint64, total)
-		for pi, k := range keys {
-			ids[pi] = spec.PointIdentity(k)
-			fps[pi] = ids[pi].SeedFingerprint()
+	queue := make(chan job, njobs)
+	for pi := next; pi < len(pts); pi++ {
+		for rep := 0; rep < reps && !pts[pi].done; rep++ {
+			queue <- job{pi, rep}
 		}
 	}
-
-	// ready holds finished points awaiting their turn; record drains every
-	// consecutive finished point strictly in grid order, so the checkpoint
-	// file is always a prefix of the canonical sequence.
-	ready := make(map[int]PointResult)
-	next := start // next point index to record, in grid order
-	written := 0
-	record := func() (halted bool, _ error) {
-		for {
-			rec, ok := ready[next]
-			if !ok {
-				return false, nil
-			}
-			delete(ready, next)
-			if out != nil {
-				if err := appendResult(out, rec); err != nil {
-					return false, err
-				}
-			}
-			results[next] = rec
-			next++
-			written++
-			if cfg.Progress != nil {
-				cfg.Progress(next, total, rec)
-			}
-			if cfg.HaltAfterPoints > 0 && written >= cfg.HaltAfterPoints {
-				return true, nil
-			}
-		}
-	}
-
-	// Cache pre-pass: resolve every remaining point against the cache
-	// before scheduling any work. Hits skip simulation entirely; a fully
-	// cached resubmission never starts the worker pool.
-	cached := make([]bool, total)
-	tc := trace.FromContext(ctx)
-	if cfg.Cache != nil && spec.Kind == SimStudy {
-		psp := tc.Start("cache-prepass")
-		for pi := start; pi < total; pi++ {
-			b, ok, err := cfg.Cache.Get(ids[pi].Key())
-			if err != nil {
-				psp.End()
-				return nil, fmt.Errorf("experiment: result cache: %w", err)
-			}
-			if ok {
-				if rec, valid := decodeCachedPoint(b, ids[pi], keys[pi]); valid {
-					ready[pi] = rec
-					cached[pi] = true
-					tc.Event("cache-hit", "job", keys[pi].String())
-					if cfg.Counters != nil {
-						cfg.Counters.CacheHits.Add(1)
-					}
-					continue
-				}
-				// A present-but-invalid entry — a torn write surviving a
-				// kill -9, bit rot, a hash collision — is a miss, never a
-				// failed study: quarantine it for the post-mortem and
-				// recompute the point.
-				if q, canQuarantine := cfg.Cache.(Quarantiner); canQuarantine {
-					if qerr := q.Quarantine(ids[pi].Key()); qerr != nil {
-						psp.End()
-						return nil, fmt.Errorf("experiment: quarantining corrupt cache entry: %w", qerr)
-					}
-				}
-				if cfg.Counters != nil {
-					cfg.Counters.CacheCorrupt.Add(1)
-				}
-			}
-			if cfg.Counters != nil {
-				cfg.Counters.CacheMisses.Add(1)
-			}
-		}
-		psp.End()
-	}
-	if halted, err := record(); err != nil {
-		return nil, err
-	} else if halted {
-		return results[:next], ErrHalted
-	}
-	if next == total {
-		return results, nil
-	}
-
-	par := cfg.Parallelism
+	close(queue)
+	par := r.cfg.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	reps := spec.Replicas
-
-	type job struct{ pi, rep int }
-	type repOut struct {
-		pi, rep int
-		p       Point       // sim kinds: one replica's measurements
-		rec     PointResult // analytic kinds: the whole point, computed in the worker
-		err     error
-	}
-	jobs := make(chan job)
-	outs := make(chan repOut)
+	// Leaving early (error, halt, cancellation) cancels ictx, which aborts
+	// every in-flight simulation, and closes quit, which releases workers
+	// whose result no one will receive; both happen before the wait.
+	ictx, icancel := context.WithCancel(ctx)
+	outs := make(chan jobOut)
 	quit := make(chan struct{})
-	var once sync.Once
-	stop := func() { once.Do(func() { close(quit) }) }
-	defer stop()
-
 	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
+	defer func() {
+		icancel()
+		close(quit)
+		wg.Wait()
+	}()
+	for w := 0; w < min(par, njobs); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for jb := range jobs {
-				var ro repOut
-				ro.pi, ro.rep = jb.pi, jb.rep
-				switch {
-				case ctx.Err() != nil:
-					// A canceled study drains its queued jobs as errors
-					// instead of burning simulation time on them.
-					ro.err = ctx.Err()
-				case spec.Kind == SimStudy && cfg.ReplicaRunner != nil:
-					ro.p, ro.err = cfg.ReplicaRunner(ctx, spec, keys[jb.pi], jb.rep)
-				case spec.Kind == SimStudy:
-					ro.p, ro.err = runReplica(ctx, spec, fps[jb.pi], keys[jb.pi], jb.rep, cfg.Counters, nil)
-				default:
-					ro.rec = analyticPoint(spec.Kind, keys[jb.pi])
-				}
+			for jb := range queue {
+				o := r.runJob(ictx, &pts[jb.pi], jb)
 				select {
-				case outs <- ro:
+				case outs <- o:
 				case <-quit:
 					return
 				}
 			}
 		}()
 	}
-	remaining := 0
-	go func() {
-		defer close(jobs)
-		for pi := start; pi < total; pi++ {
-			if cached[pi] {
+	for received := 0; received < njobs; received++ {
+		o := <-outs
+		pt := &pts[o.pi]
+		if o.err != nil {
+			if IsCancellation(o.err) {
+				return o.err
+			}
+			return fmt.Errorf("%s: %w", pt.key, o.err)
+		}
+		if r.spec.Kind == SimStudy {
+			if pt.reps == nil {
+				pt.reps = make([]Point, reps)
+			}
+			pt.reps[o.rep] = o.p
+			if pt.got++; pt.got < reps {
 				continue
 			}
-			for rep := 0; rep < reps; rep++ {
-				select {
-				case jobs <- job{pi, rep}:
-				case <-quit:
-					return
-				}
-			}
+			o.rec = aggregate(pt.key, pt.reps)
 		}
-	}()
-	for pi := start; pi < total; pi++ {
-		if !cached[pi] {
-			remaining += reps
+		if err := r.complete(pt, o.rec, round); err != nil {
+			return err
+		}
+		if err := record(); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	pending := make(map[int][]Point) // point index -> replica measurements
-	counts := make(map[int]int)
-	var runErr error
-
-	for remaining > 0 {
-		ro := <-outs
-		remaining--
-		if ro.err != nil {
-			if IsCancellation(ro.err) {
-				runErr = ro.err
-			} else {
-				runErr = fmt.Errorf("%s: %w", keys[ro.pi], ro.err)
-			}
-			break
+// cachePrepass resolves a batch's points against the result cache before
+// any work is scheduled; hits skip simulation entirely. An adaptive point's
+// identity is the dense sim identity plus the early-stopping policy (see
+// PointIdentity); a dense study's full-replica aggregate of the same
+// physical point is strictly better than an early-stopped one, so the dense
+// key is consulted first.
+func (r *studyRun) cachePrepass(pts []batchPoint, round int) error {
+	psp := r.tc.Start("cache-prepass")
+	defer psp.End()
+	for pi := range pts {
+		pt := &pts[pi]
+		own := r.spec.PointIdentity(pt.key)
+		ids := []resultcache.Identity{own}
+		if own.CIRelTol != 0 || own.MinReplicas != 0 {
+			dense := own
+			dense.CIRelTol, dense.MinReplicas = 0, 0
+			ids = []resultcache.Identity{dense, own}
 		}
-		if spec.Kind != SimStudy {
-			if cfg.Counters != nil {
-				cfg.Counters.PointsComputed.Add(1)
+		for _, id := range ids {
+			b, ok, err := r.cfg.Cache.Get(id.Key())
+			if err != nil {
+				return fmt.Errorf("experiment: result cache: %w", err)
 			}
-			ready[ro.pi] = ro.rec
-		} else {
-			ps := pending[ro.pi]
-			if ps == nil {
-				ps = make([]Point, reps)
-				pending[ro.pi] = ps
-			}
-			ps[ro.rep] = ro.p
-			counts[ro.pi]++
-			if counts[ro.pi] < reps {
+			if !ok {
 				continue
 			}
-			rec := aggregate(keys[ro.pi], ps)
-			delete(pending, ro.pi)
-			delete(counts, ro.pi)
-			tc.Event("aggregate", "job", keys[ro.pi].String())
-			if cfg.Counters != nil {
-				cfg.Counters.PointsComputed.Add(1)
+			if rec, valid := decodeCachedPoint(b, id, pt.key); valid {
+				r.finalize(&rec, round)
+				pt.rec, pt.done = rec, true
+				r.tc.Event("cache-hit", "job", pt.key.String())
+				if r.cfg.Counters != nil {
+					r.cfg.Counters.CacheHits.Add(1)
+				}
+				break
 			}
-			if cfg.Cache != nil {
-				csp := tc.Start("cas-store")
-				csp.SetJob(keys[ro.pi].String(), -1)
-				err := cfg.Cache.Put(ids[ro.pi].Key(), encodeCachedPoint(ids[ro.pi], rec))
-				csp.End()
-				if err != nil {
-					runErr = fmt.Errorf("experiment: result cache: %w", err)
-					break
+			// A present-but-invalid entry — a torn write surviving a kill
+			// -9, bit rot, a hash collision — is a miss, never a failed
+			// study: quarantine it for the post-mortem and recompute.
+			if q, canQuarantine := r.cfg.Cache.(Quarantiner); canQuarantine {
+				if qerr := q.Quarantine(id.Key()); qerr != nil {
+					return fmt.Errorf("experiment: quarantining corrupt cache entry: %w", qerr)
 				}
 			}
-			ready[ro.pi] = rec
+			if r.cfg.Counters != nil {
+				r.cfg.Counters.CacheCorrupt.Add(1)
+			}
 		}
-		halted, err := record()
-		if err != nil {
-			runErr = err
-			break
-		}
-		if halted {
-			stop()
-			wg.Wait()
-			return results[:next], ErrHalted
+		if !pt.done && r.cfg.Counters != nil {
+			r.cfg.Counters.CacheMisses.Add(1)
 		}
 	}
-	stop()
-	wg.Wait()
-	if runErr != nil {
-		if IsCancellation(runErr) {
-			// Everything recorded so far is already flushed to the
-			// checkpoint; hand the prefix back so the caller can render or
-			// serve partial results.
-			return results[:next], runErr
-		}
-		return nil, runErr
+	return nil
+}
+
+// runJob executes one job on a pool worker.
+func (r *studyRun) runJob(ctx context.Context, pt *batchPoint, jb job) jobOut {
+	o := jobOut{job: jb}
+	switch {
+	case ctx.Err() != nil:
+		// A stopped batch drains its queued jobs as errors instead of
+		// burning simulation time on them.
+		o.err = ctx.Err()
+	case r.spec.Kind == SimStudy:
+		o.p, o.err = r.replica(ctx, pt, jb.rep)
+	case r.spec.Kind == AdaptiveStudy:
+		o.rec, o.err = r.sequentialPoint(ctx, pt)
+	default:
+		o.rec = analyticPoint(r.spec.Kind, pt.key)
 	}
-	return results, nil
+	return o
+}
+
+// replica simulates one replica of a sim point, through the cluster hook
+// when one is set.
+func (r *studyRun) replica(ctx context.Context, pt *batchPoint, rep int) (Point, error) {
+	if r.cfg.ReplicaRunner != nil {
+		return r.cfg.ReplicaRunner(ctx, r.spec, pt.key, rep)
+	}
+	return runReplica(ctx, r.spec, pt.fp, pt.key, rep, r.cfg.Counters, nil)
+}
+
+// complete takes in a freshly computed point: it is counted, an adaptive
+// point gets its twin fields, and a sim point is stored in the result cache
+// as soon as it completes.
+func (r *studyRun) complete(pt *batchPoint, rec PointResult, round int) error {
+	ctr := r.cfg.Counters
+	if ctr != nil {
+		ctr.PointsComputed.Add(1)
+	}
+	pt.rec, pt.done = rec, true
+	if !r.spec.simLike() {
+		return nil
+	}
+	r.tc.Event("aggregate", "job", pt.key.String())
+	if skipped := r.spec.Replicas - rec.Replicas; ctr != nil && skipped > 0 {
+		ctr.ReplicasEarlyStopped.Add(int64(skipped))
+		ctr.SlotsSavedEstimate.Add(int64(skipped) * int64(r.spec.Slots+r.spec.Warmup))
+	}
+	r.finalize(&pt.rec, round)
+	if r.cfg.Cache == nil {
+		return nil
+	}
+	id := r.spec.PointIdentity(pt.key)
+	csp := r.tc.Start("cas-store")
+	csp.SetJob(pt.key.String(), -1)
+	err := r.cfg.Cache.Put(id.Key(), encodeCachedPoint(id, pt.rec))
+	csp.End()
+	if err != nil {
+		return fmt.Errorf("experiment: result cache: %w", err)
+	}
+	return nil
+}
+
+// recordNew appends one newly produced point to the checkpoint and the
+// in-memory state. It returns ErrHalted when HaltAfterPoints is reached.
+func (r *studyRun) recordNew(rec PointResult, remaining int) error {
+	if r.out != nil {
+		if err := appendResult(r.out, rec); err != nil {
+			return err
+		}
+	}
+	r.recorded = append(r.recorded, rec)
+	r.newpts++
+	if rec.RefineRound > 0 && r.cfg.Counters != nil {
+		r.cfg.Counters.PointsRefined.Add(1)
+	}
+	r.progress(rec, remaining)
+	if r.cfg.HaltAfterPoints > 0 && r.newpts >= r.cfg.HaltAfterPoints {
+		return ErrHalted
+	}
+	return nil
+}
+
+// progress reports one recorded point; remaining counts the batch points
+// still ahead of it.
+func (r *studyRun) progress(rec PointResult, remaining int) {
+	if r.cfg.Progress != nil {
+		r.cfg.Progress(len(r.recorded), len(r.recorded)+remaining, rec)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"sprinklers/internal/bound"
 	"sprinklers/internal/markov"
@@ -90,6 +91,55 @@ func TestRunStudyDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("study not deterministic across parallelism:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestRunStudyStopsInFlightJobs: when a point fails or HaltAfterPoints
+// stops a study, RunStudy cancels the jobs still in flight instead of
+// waiting for them to finish. Point 0 fails (or completes) at once and
+// every other job blocks until its context is canceled, so a RunStudy that
+// only waits returns when the outer deadline fires.
+func TestRunStudyStopsInFlightJobs(t *testing.T) {
+	boom := errors.New("replica failed")
+	for _, kind := range []SpecKind{SimStudy, AdaptiveStudy} {
+		for _, fail := range []bool{true, false} {
+			name := string(kind) + "/halt"
+			if fail {
+				name = string(kind) + "/point-error"
+			}
+			t.Run(name, func(t *testing.T) {
+				spec := adaptiveSpec(t)
+				if kind == SimStudy {
+					spec.Kind, spec.Adaptive = SimStudy, nil
+				}
+				first := spec.WithDefaults().Points()[0]
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				cfg := StudyConfig{
+					Parallelism: 4,
+					ReplicaRunner: func(ctx context.Context, _ Spec, key PointKey, _ int) (Point, error) {
+						switch {
+						case key != first:
+							<-ctx.Done()
+							return Point{}, ctx.Err()
+						case fail:
+							return Point{}, boom
+						}
+						return Point{MeanDelay: 1, Throughput: 1}, nil
+					},
+				}
+				want := boom
+				if !fail {
+					cfg.HaltAfterPoints, want = 1, ErrHalted
+				}
+				if _, err := RunStudy(ctx, spec, cfg); !errors.Is(err, want) {
+					t.Fatalf("RunStudy: %v, want %v", err, want)
+				}
+				if err := ctx.Err(); err != nil {
+					t.Fatalf("RunStudy returned only after the outer context ended (%v): it waited for its in-flight jobs", err)
+				}
+			})
+		}
 	}
 }
 

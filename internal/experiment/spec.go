@@ -448,7 +448,7 @@ func (s Spec) Validate() error {
 		if len(s.Scenarios) != 0 || s.Windows != 0 {
 			return fmt.Errorf("experiment: %s studies take no scenarios or windows", s.Kind)
 		}
-		if s.Replicas > 1 {
+		if s.Replicas != 1 {
 			return fmt.Errorf("experiment: %s studies are deterministic; replicas must be 1", s.Kind)
 		}
 		if len(s.Bursts) != 0 {
@@ -573,8 +573,8 @@ func (k PointKey) String() string {
 // traffic, size, burst, then load (innermost), so curves fill progressively.
 // Checkpoint files record points in exactly this order, which is what makes
 // a resumed study byte-identical to an uninterrupted one. For adaptive
-// studies this is the seed grid only — the refinement frontier extends it
-// deterministically at run time (see runAdaptive).
+// studies this is the seed grid only — the refinement batches extend it
+// deterministically at run time (see nextBatch).
 func (s Spec) Points() []PointKey {
 	var out []PointKey
 	if !s.simLike() {

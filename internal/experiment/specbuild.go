@@ -95,9 +95,10 @@ type SpecArgs struct {
 	NS     string
 	Loads  string
 	Bursts string
-	// The scalar overrides: applied last, on top of whatever the spec or
-	// builtin carries, so "fig6 with error bars" is just
-	// `sweep -builtin fig6 -replicas 5`.
+	// The scalar overrides: applied last when non-zero, on top of whatever
+	// the spec or builtin carries, so "fig6 with error bars" is just
+	// `sweep -builtin fig6 -replicas 5`. A negative value is applied too,
+	// for Spec.Validate to reject.
 	Windows  int
 	Replicas int
 	Slots    int64
@@ -175,7 +176,7 @@ func BuildSpec(a SpecArgs) (Spec, error) {
 		}
 		spec.Scenarios = scs
 	}
-	if a.Windows > 0 {
+	if a.Windows != 0 {
 		spec.Windows = a.Windows
 	}
 	if a.Loads != "" {
@@ -185,13 +186,13 @@ func BuildSpec(a SpecArgs) (Spec, error) {
 		}
 		spec.Loads = ls
 	}
-	if a.Replicas > 0 {
+	if a.Replicas != 0 {
 		spec.Replicas = a.Replicas
 	}
-	if a.Slots > 0 {
+	if a.Slots != 0 {
 		spec.Slots = sim.Slot(a.Slots)
 	}
-	if a.Warmup > 0 {
+	if a.Warmup != 0 {
 		spec.Warmup = sim.Slot(a.Warmup)
 	}
 	if a.Seed != 0 {

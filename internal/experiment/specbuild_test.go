@@ -155,6 +155,24 @@ func TestBuildSpecPrecedence(t *testing.T) {
 	if _, err := BuildSpec(SpecArgs{NS: "8", Loads: "high"}); err == nil {
 		t.Error("bad load list accepted")
 	}
+
+	// A negative scalar override is applied, not skipped, so Validate
+	// rejects it instead of the study silently running the builtin's value.
+	for _, a := range []SpecArgs{
+		{Builtin: "smoke", Windows: -1},
+		{Builtin: "smoke", Replicas: -2},
+		{Builtin: "smoke", Slots: -5},
+		{Builtin: "smoke", Warmup: -9},
+		{Builtin: "fig5", Replicas: -2},
+	} {
+		spec, err := BuildSpec(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spec.WithDefaults().Validate(); err == nil {
+			t.Errorf("%+v: negative override accepted", a)
+		}
+	}
 }
 
 func TestFormatSeriesHelp(t *testing.T) {

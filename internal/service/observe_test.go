@@ -13,6 +13,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"sprinklers/internal/experiment"
 )
 
 // promFamily is one parsed metric family from the /metrics exposition.
@@ -231,13 +233,36 @@ func TestVersionEndpoint(t *testing.T) {
 
 // TestTraceEndpointLocalStudy: a standalone daemon traces its own study
 // executions — the timeline has the study root, one simulate span per
-// replica, and per-point aggregate events, all under the study's trace
-// id — and the chrome export is valid trace-event JSON.
+// replica, one cache pre-pass per batch and per-point aggregate events, all
+// under the study's trace id — and the chrome export is valid trace-event
+// JSON. A dense study is one batch; an adaptive one runs a batch per round
+// through the same executor and is traced the same way.
 func TestTraceEndpointLocalStudy(t *testing.T) {
-	_, client := newTestServer(t)
-	spec := testSpec("trace-local")
-	if _, err := client.Run(context.Background(), spec, nil); err != nil {
+	adaptive, err := experiment.BuiltinSpec("adaptive-smoke")
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec   experiment.Spec
+		points int
+	}{
+		{testSpec("trace-local"), 4},
+		{adaptive, 12},
+	} {
+		t.Run(tc.spec.Name, func(t *testing.T) {
+			traceLocalStudy(t, tc.spec, tc.points)
+		})
+	}
+}
+
+func traceLocalStudy(t *testing.T, spec experiment.Spec, points int) {
+	_, client := newTestServer(t)
+	rs, err := client.Run(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != points {
+		t.Fatalf("%d points recorded, want %d", len(rs), points)
 	}
 	id := StudyID(spec)
 
@@ -255,16 +280,28 @@ func TestTraceEndpointLocalStudy(t *testing.T) {
 			t.Fatalf("span %s has study %q, want %q", sp.ID, sp.Study, id)
 		}
 	}
-	norm := spec.WithDefaults()
-	wantSim := norm.NumPoints() * norm.Replicas
-	if byName["simulate"] != wantSim {
-		t.Errorf("simulate spans = %d, want %d (timeline: %v)", byName["simulate"], wantSim, byName)
+	// Against a fresh cache every point is computed: one simulate span per
+	// replica it ran, one aggregate event and one cas-store span per point,
+	// and one cache pre-pass per batch (round).
+	wantSim, rounds := 0, 1
+	for _, r := range rs {
+		wantSim += r.Replicas
+		rounds = max(rounds, r.RefineRound+1)
 	}
-	if byName["study"] != 1 {
-		t.Errorf("study spans = %d, want 1", byName["study"])
+	if norm := spec.WithDefaults(); norm.Kind == experiment.SimStudy && wantSim != norm.NumPoints()*norm.Replicas {
+		t.Errorf("dense study ran %d replicas, want %d", wantSim, norm.NumPoints()*norm.Replicas)
 	}
-	if byName["aggregate"] != norm.NumPoints() {
-		t.Errorf("aggregate events = %d, want %d", byName["aggregate"], norm.NumPoints())
+	for name, want := range map[string]int{
+		"simulate":      wantSim,
+		"study":         1,
+		"aggregate":     points,
+		"cas-store":     points,
+		"cache-prepass": rounds,
+		"cache-hit":     0,
+	} {
+		if byName[name] != want {
+			t.Errorf("%s spans = %d, want %d (timeline: %v)", name, byName[name], want, byName)
+		}
 	}
 
 	var buf bytes.Buffer
