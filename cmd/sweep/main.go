@@ -26,14 +26,24 @@
 //	sweep -algs sprinklers,foff -traffic uniform -ns 32 \
 //	      -loads 0.5,0.9 -replicas 3 -slots 200000 [-out ...]
 //	sweep -algs sprinklers -traffic uniform -scenarios flashcrowd -windows 12 ...
+//	sweep -algs sprinklers -ns 32 -loads 0.9 -slots 100000 -detail
+//	sweep -builtin flashcrowd -ns 16 -loads 0.8
 //	sweep -remote http://127.0.0.1:8356 -builtin smoke
 //	sweep -list
 //
+// sweep is the one command that simulates: a single point is a grid of
+// one (-algs, -traffic, -ns, -loads and -bursts each naming one value),
+// and -detail prints its delay, throughput and reordering row. The
+// -algs, -traffic, -ns, -loads, -bursts and -scenarios flags override a
+// -spec file or -builtin when set; -name and -kind only seed a flag-built
+// spec.
+//
 // Algorithm, traffic and scenario names resolve through the shared
-// registry (-list enumerates them), and every series flag accepts the
-// shared series syntax "name" or "name:key=value,..." (e.g. -algs
-// "pf:threshold=64,sprinklers"). In a spec file an entry may carry typed
-// options with an "as" label keeping two option variants distinct.
+// registry (-list enumerates them with their option schemas), and every
+// series flag accepts the shared series syntax "name" or
+// "name:key=value,..." (e.g. -algs "pf:threshold=64,sprinklers" or
+// -scenarios "flashcrowd:surge=0.95"). In a spec file an entry may carry
+// typed options with an "as" label keeping two option variants distinct.
 //
 // Ctrl-C (or -timeout expiry) stops the study cleanly: everything recorded
 // so far is already flushed to the -out checkpoint, the partial results are
@@ -66,10 +76,10 @@ func main() {
 	specPath := flag.String("spec", "", "path to a JSON study spec")
 	builtin := flag.String("builtin", "", "built-in study: fig6, fig7, fig5, table1, smoke, flashcrowd, adaptive-fig6, adaptive-smoke")
 	name := flag.String("name", "", "study name (flag-built specs)")
-	kind := flag.String("kind", "sim", "study kind: sim, adaptive, markov, bound (flag-built specs)")
-	algsFlag := flag.String("algs", "", experiment.FormatSeriesHelp("algorithm")+`, or "all"/"paper" (flag-built specs)`)
-	trafficFlag := flag.String("traffic", "uniform", experiment.FormatSeriesHelp("traffic")+" (flag-built specs)")
-	nsFlag := flag.String("ns", "32", "comma-separated switch sizes (flag-built specs)")
+	kind := flag.String("kind", "", "study kind: sim, adaptive, markov, bound (flag-built specs; default sim)")
+	algsFlag := flag.String("algs", "", experiment.FormatSeriesHelp("algorithm")+`, or "all"/"paper" (default paper for flag-built specs; overrides spec when set)`)
+	trafficFlag := flag.String("traffic", "", experiment.FormatSeriesHelp("traffic")+" (default uniform for flag-built specs; overrides spec when set)")
+	nsFlag := flag.String("ns", "", "comma-separated switch sizes (default 32 for flag-built specs; overrides spec when set)")
 	loadsFlag := flag.String("loads", "", "comma-separated loads (default: the paper's grid)")
 	burstsFlag := flag.String("bursts", "", "comma-separated mean burst lengths; 0 = Bernoulli (overrides spec when set)")
 	scenariosFlag := flag.String("scenarios", "", experiment.FormatSeriesHelp("scenario")+" (overrides spec when set)")
@@ -91,7 +101,7 @@ func main() {
 	countersOut := flag.String("counters-out", "", "write the run's work/cache counters as JSON to this file (local runs)")
 	traceOut := flag.String("trace-out", "", "write the study's trace as Chrome trace-event JSON (open in Perfetto or chrome://tracing); with -remote, fetched from the daemon")
 	switchwide := flag.Bool("switchwide", false, "bound studies: also print the switch-wide union bound")
-	list := flag.Bool("list", false, "list registered architectures and workloads with their options, then exit")
+	list := flag.Bool("list", false, "list registered architectures, workloads and scenarios with their options, then exit")
 	flag.Parse()
 
 	if *list {

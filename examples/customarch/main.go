@@ -6,7 +6,7 @@
 // spec validates the "latency" option against the schema, the runner
 // constructs the switch by name, and the renderer keeps the two variants
 // distinct through their "as" labels. The same registration would equally
-// make "toy-oq" available to cmd/sweep specs, sprinklersim -alg, and the
+// make "toy-oq" available to cmd/sweep specs and -algs, and to the
 // conformance suite.
 package main
 

@@ -41,4 +41,10 @@ func main() {
 	fmt.Printf("\n%d packets delivered, all in order\n", delay.Count())
 	fmt.Printf("delay: mean %.1f  p50≤%d  p99≤%d  max %d slots\n",
 		delay.Mean(), delay.Percentile(50), delay.Percentile(99), delay.Max())
+
+	// Where that delay goes: waiting for a stripe to fill (Eq. 1's target)
+	// versus crossing the switch once it has.
+	b := sw.DelayBreakdown()
+	fmt.Printf("breakdown: accumulation %.1f + transit %.1f slots (stripe fill vs switch)\n",
+		b.Accumulation, b.Transit)
 }

@@ -269,11 +269,11 @@ func bare[K seriesName](names []K) []Series[K] {
 }
 
 // AdaptiveSprinklers is the tuned adaptive-Sprinklers series the dynamic
-// comparisons share (the flashcrowd builtin, cmd/scenario's default
-// comparison, examples/flashcrowd). The default 4*N*N measurement window
-// is only 256 slots at N=8 — too noisy to hold a stripe size steady — so
-// the series pins a 1024-slot window with a one-window hold, which tracks
-// a crowd without thrashing at the small sizes these studies run at.
+// comparisons share (the flashcrowd builtin and examples/flashcrowd). The
+// default 4*N*N measurement window is only 256 slots at N=8 — too noisy to
+// hold a stripe size steady — so the series pins a 1024-slot window with a
+// one-window hold, which tracks a crowd without thrashing at the small
+// sizes these studies run at.
 func AdaptiveSprinklers() AlgorithmSpec {
 	return AlgorithmSpec{
 		Name: Sprinklers,
@@ -673,7 +673,7 @@ func LoadSpec(path string) (Spec, error) {
 }
 
 // ParseIntList parses a comma-separated integer list — the grid-flag syntax
-// shared by every cmd/ tool (e.g. "-ns 8,16,32").
+// of sweep (e.g. "-ns 8,16,32").
 func ParseIntList(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {

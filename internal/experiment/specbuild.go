@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -8,63 +9,26 @@ import (
 	"sprinklers/internal/sim"
 )
 
-// This file is the one place CLI flags become a Spec. cmd/sweep,
-// cmd/scenario and cmd/sprinklersim all accept the same series syntax —
-// a registered name, optionally followed by a colon and comma-separated
-// key=value options ("sprinklers:adaptive=true,adaptive-window=1024") —
-// and the same precedence rules (an explicit -spec file wins, then a
-// builtin, then flag-assembled grids, with scalar flags overriding
-// whatever the spec carries). Before this lived here, each tool carried
-// its own slightly-divergent copy.
+// This file is the one place CLI flags become a Spec. cmd/sweep's series
+// flags share one syntax — a registered name, optionally followed by a
+// colon and comma-separated key=value options
+// ("sprinklers:adaptive=true,adaptive-window=1024") — and one precedence
+// rule: an explicit -spec file wins, then a builtin, then a spec assembled
+// from the flags, and every grid or scalar flag that is set overrides
+// whatever the spec carries.
 
-// ParseAlgorithmSeries parses CLI series entries into algorithm spec
-// entries. Each entry is "name" or "name:key=value,..."; optioned entries
-// keep the full text as their series label so two option variants of one
-// architecture stay distinct within a study.
-func ParseAlgorithmSeries(entries []string) ([]AlgorithmSpec, error) {
-	var out []AlgorithmSpec
+// parseSeries parses CLI series entries into spec entries. Each entry is
+// "name" or "name:key=value,..."; optioned entries keep the full text as
+// their series label so two option variants of one name stay distinct
+// within a study.
+func parseSeries[K seriesName](entries []string) ([]Series[K], error) {
+	var out []Series[K]
 	for _, entry := range entries {
 		name, opts, err := registry.ParseSeriesEntry(entry)
 		if err != nil {
 			return nil, err
 		}
-		a := AlgorithmSpec{Name: Algorithm(name), Options: opts}
-		if len(opts) > 0 {
-			a.As = entry
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// ParseTrafficSeries parses CLI series entries into workload spec entries,
-// with the same syntax and labeling rules as ParseAlgorithmSeries.
-func ParseTrafficSeries(entries []string) ([]TrafficSpec, error) {
-	var out []TrafficSpec
-	for _, entry := range entries {
-		name, opts, err := registry.ParseSeriesEntry(entry)
-		if err != nil {
-			return nil, err
-		}
-		t := TrafficSpec{Name: TrafficKind(name), Options: opts}
-		if len(opts) > 0 {
-			t.As = entry
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// ParseScenarioSeries parses CLI series entries into scenario spec entries,
-// with the same syntax and labeling rules as ParseAlgorithmSeries.
-func ParseScenarioSeries(entries []string) ([]ScenarioSpec, error) {
-	var out []ScenarioSpec
-	for _, entry := range entries {
-		name, opts, err := registry.ParseSeriesEntry(entry)
-		if err != nil {
-			return nil, err
-		}
-		s := ScenarioSpec{Name: ScenarioKind(name), Options: opts}
+		s := Series[K]{Name: K(name), Options: opts}
 		if len(opts) > 0 {
 			s.As = entry
 		}
@@ -76,22 +40,23 @@ func ParseScenarioSeries(entries []string) ([]ScenarioSpec, error) {
 // SpecArgs is the flag surface shared by the study CLIs, in string form as
 // the flags deliver it. Zero values mean "not set".
 type SpecArgs struct {
-	// SpecPath loads a JSON spec file and wins over everything but the
-	// scalar overrides; Builtin resolves a named built-in study next.
+	// SpecPath loads a JSON spec file; Builtin resolves a named built-in
+	// study. With neither, the spec is assembled from the flags.
 	SpecPath string
 	Builtin  string
-	// Name and Kind seed a flag-assembled spec (Kind defaults to "sim").
+	// Name and Kind seed a flag-assembled spec (Kind defaults to "sim");
+	// either one is an error with SpecPath or Builtin.
 	Name string
 	Kind string
 	// Algs, Traffic and Scenarios are comma-separated series lists in the
-	// shared series syntax. Algs additionally accepts "" / "paper" (the
-	// Fig. 6 set) and "all" (every registered architecture). Scenarios
-	// overrides the spec when set.
+	// shared series syntax. Algs additionally accepts "paper" (the Fig. 6
+	// set) and "all" (every registered architecture). A flag-assembled
+	// sim-like spec defaults to the paper set under uniform traffic.
 	Algs      string
 	Traffic   string
 	Scenarios string
-	// NS, Loads and Bursts are comma-separated grids; Loads and Bursts
-	// override the spec when set.
+	// NS, Loads and Bursts are comma-separated grids. A flag-assembled
+	// spec defaults to N = 32 and the paper's loads.
 	NS     string
 	Loads  string
 	Bursts string
@@ -108,59 +73,70 @@ type SpecArgs struct {
 
 // BuildSpec resolves the study spec from the shared flag surface: an
 // explicit spec file wins, then a builtin, then a spec assembled from the
-// grid flags; the scalar overrides apply last in every case.
+// flags; every grid, series and scalar flag that is set overrides the
+// result.
 func BuildSpec(a SpecArgs) (Spec, error) {
 	var spec Spec
 	switch {
-	case a.SpecPath != "":
-		s, err := LoadSpec(a.SpecPath)
+	case a.SpecPath != "" || a.Builtin != "":
+		if a.Name != "" {
+			return spec, errors.New("-name only applies to flag-built specs, not with -spec or -builtin")
+		}
+		if a.Kind != "" {
+			return spec, errors.New("-kind only applies to flag-built specs, not with -spec or -builtin")
+		}
+		var err error
+		if a.SpecPath != "" {
+			spec, err = LoadSpec(a.SpecPath)
+		} else {
+			spec, err = BuiltinSpec(a.Builtin)
+		}
 		if err != nil {
 			return spec, err
 		}
-		spec = s
-	case a.Builtin != "":
-		s, err := BuiltinSpec(a.Builtin)
-		if err != nil {
-			return spec, err
-		}
-		spec = s
 	default:
-		spec = Spec{
-			Name: a.Name,
-			Kind: SpecKind(a.Kind),
-		}
+		spec = Spec{Name: a.Name, Kind: SpecKind(a.Kind), Loads: PaperLoads}
 		if spec.Kind == "" {
 			spec.Kind = SimStudy
 		}
-		if spec.simLike() {
-			switch a.Algs {
-			case "", "paper":
-				spec.Algorithms = Algs(Fig6Algorithms...)
-			case "all":
-				spec.Algorithms = Algs(AllAlgorithms()...)
-			default:
-				algs, err := ParseAlgorithmSeries(splitList(a.Algs))
-				if err != nil {
-					return spec, err
-				}
-				spec.Algorithms = algs
-			}
-			tr := a.Traffic
-			if tr == "" {
-				tr = string(UniformTraffic)
-			}
-			traffic, err := ParseTrafficSeries(splitList(tr))
-			if err != nil {
-				return spec, err
-			}
-			spec.Traffic = traffic
+		if a.NS == "" {
+			a.NS = "32"
 		}
+		if spec.simLike() {
+			if a.Algs == "" {
+				a.Algs = "paper"
+			}
+			if a.Traffic == "" {
+				a.Traffic = string(UniformTraffic)
+			}
+		}
+	}
+	switch a.Algs {
+	case "":
+	case "paper":
+		spec.Algorithms = Algs(Fig6Algorithms...)
+	case "all":
+		spec.Algorithms = Algs(AllAlgorithms()...)
+	default:
+		algs, err := parseSeries[Algorithm](splitList(a.Algs))
+		if err != nil {
+			return spec, err
+		}
+		spec.Algorithms = algs
+	}
+	if a.Traffic != "" {
+		traffic, err := parseSeries[TrafficKind](splitList(a.Traffic))
+		if err != nil {
+			return spec, err
+		}
+		spec.Traffic = traffic
+	}
+	if a.NS != "" {
 		ns, err := ParseIntList(a.NS)
 		if err != nil {
 			return spec, err
 		}
 		spec.Sizes = ns
-		spec.Loads = PaperLoads
 	}
 	if a.Bursts != "" {
 		bs, err := ParseFloatList(a.Bursts)
@@ -170,7 +146,7 @@ func BuildSpec(a SpecArgs) (Spec, error) {
 		spec.Bursts = bs
 	}
 	if a.Scenarios != "" {
-		scs, err := ParseScenarioSeries(splitList(a.Scenarios))
+		scs, err := parseSeries[ScenarioKind](splitList(a.Scenarios))
 		if err != nil {
 			return spec, err
 		}

@@ -4,13 +4,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sprinklers/internal/registry"
 )
 
 func TestParseSeries(t *testing.T) {
-	algs, err := ParseAlgorithmSeries([]string{
+	algs, err := parseSeries[Algorithm]([]string{
 		"sprinklers",
 		"sprinklers:adaptive=true,adaptive-window=1024",
 		"pf:threshold=16",
@@ -35,11 +36,11 @@ func TestParseSeries(t *testing.T) {
 		t.Error("optioned and plain variants of one architecture share a label")
 	}
 
-	if _, err := ParseAlgorithmSeries([]string{"pf:threshold"}); err == nil {
+	if _, err := parseSeries[Algorithm]([]string{"pf:threshold"}); err == nil {
 		t.Error("malformed option assignment accepted")
 	}
 
-	traffic, err := ParseTrafficSeries([]string{"hotspot:fraction=0.75"})
+	traffic, err := parseSeries[TrafficKind]([]string{"hotspot:fraction=0.75"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestParseSeries(t *testing.T) {
 		t.Errorf("traffic entry = %+v", traffic[0])
 	}
 
-	scs, err := ParseScenarioSeries([]string{"flashcrowd", "loadstep:factor=1.5"})
+	scs, err := parseSeries[ScenarioKind]([]string{"flashcrowd", "loadstep:factor=1.5"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestSplitListRespectsSeriesOptions(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("splitList = %q, want %q", got, want)
 	}
-	algs, err := ParseAlgorithmSeries(got)
+	algs, err := parseSeries[Algorithm](got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +144,52 @@ func TestBuildSpecPrecedence(t *testing.T) {
 	}
 	if len(spec.Algorithms) != len(AllAlgorithms()) {
 		t.Errorf("algs=all built %d series, registry has %d", len(spec.Algorithms), len(AllAlgorithms()))
+	}
+
+	// Series and size flags override a builtin, as the grid flags do.
+	spec, err = BuildSpec(SpecArgs{Builtin: "flashcrowd", NS: "16", Algs: "foff,sprinklers:adaptive=true", Traffic: "diagonal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(spec.Sizes, []int{16}) {
+		t.Errorf("builtin with -ns 16: sizes %v", spec.Sizes)
+	}
+	if len(spec.Algorithms) != 2 || spec.Algorithms[0].Name != FOFF || spec.Algorithms[1].Options["adaptive"] != true {
+		t.Errorf("builtin with -algs: algorithms %+v", spec.Algorithms)
+	}
+	if len(spec.Traffic) != 1 || spec.Traffic[0].Name != DiagonalTraffic {
+		t.Errorf("builtin with -traffic: traffic %+v", spec.Traffic)
+	}
+	if len(spec.Scenarios) != 1 || spec.Scenarios[0].Name != FlashCrowd {
+		t.Errorf("builtin's own scenarios lost: %+v", spec.Scenarios)
+	}
+
+	// -name and -kind only seed a flag-built spec; with a spec file or a
+	// builtin they are an error naming the flag, not silently dropped.
+	for _, c := range []struct {
+		flag string
+		args SpecArgs
+	}{
+		{"-kind", SpecArgs{Builtin: "smoke", Kind: "markov"}},
+		{"-name", SpecArgs{Builtin: "smoke", Name: "mine"}},
+		{"-kind", SpecArgs{SpecPath: path, Kind: "sim"}},
+	} {
+		_, err := BuildSpec(c.args)
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%+v: err %v, want one naming %s", c.args, err, c.flag)
+		}
+	}
+
+	// A flag-built spec with no -ns or -traffic gets N = 32 and uniform.
+	spec, err = BuildSpec(SpecArgs{Algs: "sprinklers"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(spec.Sizes, []int{32}) || len(spec.Traffic) != 1 || spec.Traffic[0].Name != UniformTraffic {
+		t.Errorf("flag-built defaults: sizes %v traffic %+v", spec.Sizes, spec.Traffic)
+	}
+	if spec.Kind != SimStudy || !reflect.DeepEqual(spec.Loads, PaperLoads) {
+		t.Errorf("flag-built defaults: kind %q loads %v", spec.Kind, spec.Loads)
 	}
 
 	// Unknown builtin and bad grids fail loudly.

@@ -259,7 +259,7 @@ func ParseOptionValue(s string) any {
 }
 
 // OptionFlag is a flag.Value collecting repeated key=value option
-// assignments — the -sopt/-topt style flags shared by the cmd tools.
+// assignments, such as stripestats' repeatable -topt flag.
 // Initialize with OptionFlag{} and register via flag.Var.
 type OptionFlag map[string]any
 
@@ -278,9 +278,8 @@ func (o OptionFlag) Set(s string) error {
 
 // ParseOptionPairs folds repeated "key=value" assignments through the same
 // value inference as OptionFlag, returning nil for an empty list so
-// optionless series keep their compact normalized form. It is the shared
-// backend of every tool's -sopt/-topt/-aopt style flags and of the
-// "name:key=value,..." series syntax parsed by ParseSeriesEntry.
+// optionless series keep their compact normalized form. It is the backend
+// of the "name:key=value,..." series syntax parsed by ParseSeriesEntry.
 func ParseOptionPairs(pairs []string) (Options, error) {
 	if len(pairs) == 0 {
 		return nil, nil
@@ -296,9 +295,9 @@ func ParseOptionPairs(pairs []string) (Options, error) {
 
 // ParseSeriesEntry parses the shared CLI series syntax "name" or
 // "name:key=value,key=value" into a registered name and an option
-// assignment (nil when no options are given). The cmd tools use it for
-// repeatable -alg style flags, where two optioned variants of one
-// architecture form two distinct study series.
+// assignment (nil when no options are given). sweep's series flags use
+// it, where two optioned variants of one architecture form two distinct
+// study series.
 func ParseSeriesEntry(entry string) (name string, opts Options, err error) {
 	head, rest, found := strings.Cut(entry, ":")
 	name = strings.TrimSpace(head)

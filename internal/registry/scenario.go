@@ -202,7 +202,7 @@ func BuildScenario(name string, cfg ScenarioConfig, opts map[string]any) ([]Even
 }
 
 // WriteScenarioCatalog renders every registered scenario with its option
-// schema in canonical order; it backs cmd/scenario's -list flag.
+// schema in canonical order; WriteCatalog prints it for sweep -list.
 func WriteScenarioCatalog(w io.Writer) {
 	fmt.Fprintln(w, "scenarios:")
 	for _, s := range Scenarios() {

@@ -9,9 +9,8 @@
 //
 // Scenarios self-register in internal/registry under typed option schemas,
 // like architectures and workloads, so experiment.Spec can name them and
-// cmd/scenario can catalog and replay them. The concrete builtins live in
-// builtin.go; the replay driver here backs both cmd/scenario and the
-// scenario path of experiment.RunPoint.
+// sweep -list can catalog them. The concrete builtins live in builtin.go;
+// the replay driver here backs the scenario path of experiment.RunPoint.
 package scenario
 
 import (

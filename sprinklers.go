@@ -139,7 +139,7 @@ func Architectures() []string { return registry.ArchitectureNames() }
 func Workloads() []string { return registry.WorkloadNames() }
 
 // Scenarios returns the name of every registered dynamic scenario in
-// canonical order, as accepted by experiment.Spec and cmd/scenario.
+// canonical order, as accepted by experiment.Spec and sweep -scenarios.
 func Scenarios() []string { return registry.ScenarioNames() }
 
 // New builds a Sprinklers switch.
