@@ -18,11 +18,11 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 
 	_ "sprinklers/internal/arch" // link every built-in architecture and workload
 	"sprinklers/internal/registry"
-	"sprinklers/internal/scenario"
 	"sprinklers/internal/sim"
 	"sprinklers/internal/stats"
 	"sprinklers/internal/traffic"
@@ -173,8 +173,8 @@ type Config struct {
 	Scenario        ScenarioKind
 	ScenarioOptions registry.Options
 	// Windows, when > 0, splits the measured horizon into that many
-	// time-series windows recorded on the resulting Point. Scenario
-	// points default to 10 windows.
+	// time-series windows recorded on the resulting Point; it must not
+	// exceed Slots. A point with a Scenario defaults to 10 windows.
 	Windows int
 	// OnSlot, when non-nil, is invoked once per simulated slot. It exists
 	// for fault-injection harnesses that need to act at an exact slot
@@ -195,86 +195,99 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	if c.Scenario != "" && c.Windows == 0 {
+		c.Windows = 10
+	}
 	if c.Context == nil {
 		c.Context = context.Background()
 	}
 	return c
 }
 
-// RunPoint measures one (algorithm, load) point. With a Scenario (or
-// Windows > 0) the point runs through the dynamic-scenario engine, which
-// uses the same seeding scheme, so a windowed static point reproduces the
-// plain path's packet trace exactly.
+// validate rejects a configuration no point can be measured under, naming
+// the offending field.
+func (c Config) validate() error {
+	switch {
+	case c.N < 2:
+		return fmt.Errorf("experiment: N = %d, want >= 2", c.N)
+	case c.Slots <= 0:
+		return fmt.Errorf("experiment: Slots = %d, want > 0", c.Slots)
+	case c.Windows < 0 || sim.Slot(c.Windows) > c.Slots:
+		return fmt.Errorf("experiment: Windows = %d, want 0 to Slots (%d)", c.Windows, c.Slots)
+	case c.Burst != 0 && c.Burst < 1:
+		return fmt.Errorf("experiment: Burst = %v, want 0 (Bernoulli) or >= 1", c.Burst)
+	}
+	return nil
+}
+
+// RunPoint measures one (algorithm, load) point. One seed generator builds
+// the workload matrix and then, with a Scenario, its event timeline; the
+// switch is provisioned from the base matrix, and the arrival process
+// (traffic.Dynamic) starts from it and applies the timeline as it comes
+// due. With Windows > 0 the measured horizon is also recorded as a time
+// series. Neither windows nor an empty timeline touch the packet trace, so
+// a windowed point reproduces the plain one exactly.
 func RunPoint(alg Algorithm, cfg Config, load float64) (Point, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Scenario != "" || cfg.Windows > 0 {
-		return runScenarioPoint(alg, cfg, load)
+	if err := cfg.validate(); err != nil {
+		return Point{}, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m, err := PatternOpts(cfg.Traffic, cfg.N, load, rng, cfg.TrafficOptions)
 	if err != nil {
 		return Point{}, err
 	}
+	var events []registry.Event
+	if cfg.Scenario != "" {
+		events, err = registry.BuildScenario(string(cfg.Scenario), registry.ScenarioConfig{
+			N: cfg.N, Load: load, Burst: cfg.Burst, Base: m.Rows(),
+			Warmup: cfg.Warmup, Slots: cfg.Slots, Rand: rng,
+		}, cfg.ScenarioOptions)
+		if err != nil {
+			return Point{}, err
+		}
+	}
+	// A static architecture keeps whatever stripe placement the pre-event
+	// rates imply, while an adaptive one re-measures and re-converges: the
+	// comparison a scenario exists to make.
 	sw, err := NewSwitchOpts(alg, m, cfg.Seed, cfg.AlgOptions)
 	if err != nil {
 		return Point{}, err
 	}
-	var src sim.Source
-	if cfg.Burst > 0 {
-		src = traffic.NewOnOff(m, cfg.Burst, rand.New(rand.NewSource(cfg.Seed+int64(load*1e6))))
-	} else {
-		src = traffic.NewBernoulli(m, rand.New(rand.NewSource(cfg.Seed+int64(load*1e6))))
-	}
+	var src sim.Source = traffic.NewDynamic(m, events, cfg.Burst,
+		rand.New(rand.NewSource(cfg.Seed+int64(load*1e6))))
 	delay := &stats.Delay{}
-	reorder := stats.NewReorder(cfg.N)
+	var reorder *stats.Reorder
+	var obs stats.Multi
+	onSlot := cfg.OnSlot
+	var windowed *stats.Windowed
+	if cfg.Windows > 0 {
+		windowed = stats.NewWindowed(cfg.N, cfg.Warmup, cfg.Slots, cfg.Windows)
+		src = windowed.WrapSource(src)
+		// The windowed collector already runs a whole-run reorder
+		// detector; reuse it instead of charging every delivery twice.
+		reorder = windowed.ReorderDetector()
+		obs = stats.Multi{delay, windowed}
+		// Backlog is only evaluated on window-closing slots.
+		backlog := sw.Backlog
+		onSlot = func(t sim.Slot) {
+			windowed.OnSlot(t, backlog)
+			if cfg.OnSlot != nil {
+				cfg.OnSlot(t)
+			}
+		}
+	} else {
+		reorder = stats.NewReorder(cfg.N)
+		obs = stats.Multi{delay, reorder}
+	}
 	runOpts := []sim.Option{
 		sim.WithWarmup(cfg.Warmup), sim.WithSlots(cfg.Slots), sim.WithContext(cfg.Context),
 	}
-	if cfg.OnSlot != nil {
-		runOpts = append(runOpts, sim.WithSlotHook(cfg.OnSlot))
+	if onSlot != nil {
+		runOpts = append(runOpts, sim.WithSlotHook(onSlot))
 	}
-	offered, delivered := sim.Run(sw, src, stats.Multi{delay, reorder}, runOpts...)
+	offered, delivered := sim.Run(sw, src, obs, runOpts...)
 	if err := cfg.Context.Err(); err != nil {
-		return Point{}, err
-	}
-	p := Point{
-		Algorithm: alg,
-		Traffic:   cfg.Traffic,
-		N:         cfg.N,
-		Load:      load,
-		MeanDelay: delay.Mean(),
-		P99Delay:  float64(delay.Percentile(99)),
-		MaxDelay:  float64(delay.Max()),
-		Reordered: reorder.Reordered(),
-		Delivered: delivered,
-	}
-	if offered > 0 {
-		p.Throughput = float64(delivered) / float64(offered)
-	}
-	return p, nil
-}
-
-// runScenarioPoint measures one point through the dynamic-scenario engine,
-// with windowed time-series collection.
-func runScenarioPoint(alg Algorithm, cfg Config, load float64) (Point, error) {
-	r, err := scenario.Run(scenario.Config{
-		Algorithm:       string(alg),
-		AlgOptions:      cfg.AlgOptions,
-		Traffic:         string(cfg.Traffic),
-		TrafficOptions:  cfg.TrafficOptions,
-		Scenario:        string(cfg.Scenario),
-		ScenarioOptions: cfg.ScenarioOptions,
-		N:               cfg.N,
-		Load:            load,
-		Burst:           cfg.Burst,
-		Slots:           cfg.Slots,
-		Warmup:          cfg.Warmup,
-		Windows:         cfg.Windows,
-		Seed:            cfg.Seed,
-		OnSlot:          cfg.OnSlot,
-		Context:         cfg.Context,
-	})
-	if err != nil {
 		return Point{}, err
 	}
 	p := Point{
@@ -283,15 +296,17 @@ func runScenarioPoint(alg Algorithm, cfg Config, load float64) (Point, error) {
 		Scenario:  cfg.Scenario,
 		N:         cfg.N,
 		Load:      load,
-		MeanDelay: r.Delay.Mean(),
-		P99Delay:  float64(r.Delay.Percentile(99)),
-		MaxDelay:  float64(r.Delay.Max()),
-		Reordered: r.Reorder.Reordered(),
-		Delivered: r.Delivered,
-		Windows:   r.Windows,
+		MeanDelay: delay.Mean(),
+		P99Delay:  float64(delay.Percentile(99)),
+		MaxDelay:  float64(delay.Max()),
+		Reordered: reorder.Reordered(),
+		Delivered: delivered,
 	}
-	if r.Offered > 0 {
-		p.Throughput = float64(r.Delivered) / float64(r.Offered)
+	if windowed != nil {
+		p.Windows = windowed.Points()
+	}
+	if offered > 0 {
+		p.Throughput = float64(delivered) / float64(offered)
 	}
 	return p, nil
 }

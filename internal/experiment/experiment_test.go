@@ -67,6 +67,50 @@ func TestRunPointOrderingMatchesContract(t *testing.T) {
 	}
 }
 
+// TestRunPointRejections: a configuration no point can be measured under
+// gets an error, never a panic or an empty point, and the same answer with
+// or without windows; where validation catches it, the error names the
+// field.
+func TestRunPointRejections(t *testing.T) {
+	cases := []struct {
+		name, field string
+		mutate      func(*Config, *Algorithm)
+	}{
+		{"unknown algorithm", "", func(_ *Config, a *Algorithm) { *a = "nope" }},
+		{"unknown traffic", "", func(c *Config, _ *Algorithm) { c.Traffic = "nope" }},
+		{"unknown scenario", "", func(c *Config, _ *Algorithm) { c.Scenario = "nope" }},
+		{"scenario option out of range", "", func(c *Config, _ *Algorithm) {
+			c.Scenario = FlashCrowd
+			c.ScenarioOptions = registry.Options{"surge": 2.0}
+		}},
+		{"more windows than slots", "Windows", func(c *Config, _ *Algorithm) { c.Windows = 2000 }},
+		{"negative windows", "Windows", func(c *Config, _ *Algorithm) { c.Windows = -1 }},
+		{"one port", "N", func(c *Config, _ *Algorithm) { c.N = 1 }},
+		{"no slots", "Slots", func(c *Config, _ *Algorithm) { c.Slots = 0 }},
+		{"no slots with a scenario", "Slots", func(c *Config, _ *Algorithm) {
+			c.Slots = 0
+			c.Scenario = FlashCrowd
+		}},
+		{"fractional burst", "Burst", func(c *Config, _ *Algorithm) { c.Burst = 0.5 }},
+		{"negative burst", "Burst", func(c *Config, _ *Algorithm) { c.Burst = -1 }},
+	}
+	for _, tc := range cases {
+		for _, windows := range []int{0, 4} {
+			cfg := Config{N: 8, Traffic: UniformTraffic, Slots: 1000, Windows: windows, Seed: 1}
+			alg := Sprinklers
+			tc.mutate(&cfg, &alg)
+			_, err := RunPoint(alg, cfg, 0.5)
+			if err == nil {
+				t.Errorf("%s (windows %d): accepted", tc.name, windows)
+				continue
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s (windows %d): error %q does not name %s", tc.name, windows, err, tc.field)
+			}
+		}
+	}
+}
+
 // TestRenderers: the study renderers over a real study's results, and
 // no panic on empty input.
 func TestRenderers(t *testing.T) {

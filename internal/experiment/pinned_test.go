@@ -96,3 +96,65 @@ func TestPinnedPointDigests(t *testing.T) {
 		t.Errorf("%d pinned digests, %d checked: a pinned architecture is no longer registered", len(pinnedDigests), seen)
 	}
 }
+
+// pinnedDynamicDigests pin the points TestPinnedPointDigests does not
+// reach: bursty, windowed and scenario points, which run the event-driven
+// arrival source and the windowed collector. Same settings (load 0.9,
+// seed 1, 4000 slots); recorded before static and scenario points shared
+// one RunPoint body and traffic.Dynamic sampled through Bernoulli/OnOff.
+var pinnedDynamicDigests = map[string]string{
+	"sprinklers/uniform/8/burst-8":                        "2d4f72a5a848eea702946cfad64ea16f3bc3c6a7034235447d752c9063da23e4",
+	"load-balanced/uniform/8/windows-5":                   "1f2ca745cc7435247ff5596ad984e2d7b693e26212f330bbafdca4ba9c0b0430",
+	"sprinklers/uniform/8/flashcrowd":                     "1b9096baba902c7198bd77a52458de9359ecd5bd3aefc6271c25b40882953b0d",
+	"sprinklers-adaptive/diagonal/16/flashcrowd/burst-16": "9dc5da00bdf6a04754aecfa51c497f50122719fece259c919aad5847d82da557",
+	"load-balanced/uniform/8/linkfail/burst-16":           "b9dd62f722e776ec96a59a32944222b71907ca4a8006ffd39d9e2c2092785794",
+	"load-balanced/uniform/8/linkfail":                    "50b8dfc2590aaa0a077da8260ac13b36fb7f3b7330c935ec292179dfa0cf8200",
+	"ufs/hotspot/8/ratedrift":                             "db51edcd151213648fa1eecbfaf524259770783b340e272ab0281cb20c5207e0",
+	"cms/uniform/8/loadstep":                              "03ca99044c45054c4b708c79035c6efd587209c48bbeab68c932b0633ed96376",
+	"foff/uniform/8/hotspotshift/burst-4":                 "246c81b645ab58e309b47d690dea6e1c5adcedaeb26f25d48348c766a856ff4f",
+}
+
+func TestPinnedDynamicPointDigests(t *testing.T) {
+	adaptive := map[string]any{"adaptive": true, "adaptive-window": 512, "adaptive-hold": 1}
+	points := []struct {
+		key string
+		alg Algorithm
+		cfg Config
+	}{
+		{"sprinklers/uniform/8/burst-8", Sprinklers, Config{N: 8, Traffic: UniformTraffic, Burst: 8}},
+		{"load-balanced/uniform/8/windows-5", LoadBalanced, Config{N: 8, Traffic: UniformTraffic, Windows: 5}},
+		{"sprinklers/uniform/8/flashcrowd", Sprinklers, Config{N: 8, Traffic: UniformTraffic, Scenario: FlashCrowd}},
+		{"sprinklers-adaptive/diagonal/16/flashcrowd/burst-16", Sprinklers,
+			Config{N: 16, Traffic: DiagonalTraffic, Scenario: FlashCrowd, Burst: 16, AlgOptions: adaptive}},
+		{"load-balanced/uniform/8/linkfail/burst-16", LoadBalanced, Config{N: 8, Traffic: UniformTraffic, Scenario: LinkFail, Burst: 16}},
+		{"load-balanced/uniform/8/linkfail", LoadBalanced, Config{N: 8, Traffic: UniformTraffic, Scenario: LinkFail}},
+		{"ufs/hotspot/8/ratedrift", UFS, Config{N: 8, Traffic: HotspotTraffic, Scenario: RateDrift}},
+		{"cms/uniform/8/loadstep", CMS, Config{N: 8, Traffic: UniformTraffic, Scenario: LoadStep}},
+		{"foff/uniform/8/hotspotshift/burst-4", FOFF, Config{N: 8, Traffic: UniformTraffic, Scenario: HotspotShift, Burst: 4}},
+	}
+	for _, pt := range points {
+		cfg := pt.cfg
+		cfg.Slots, cfg.Seed = 4000, 1
+		p, err := RunPoint(pt.alg, cfg, 0.9)
+		if err != nil {
+			t.Fatalf("%s: %v", pt.key, err)
+		}
+		raw, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("%s: %v", pt.key, err)
+		}
+		sum := sha256.Sum256(raw)
+		got := hex.EncodeToString(sum[:])
+		want, ok := pinnedDynamicDigests[pt.key]
+		if !ok {
+			t.Errorf("%q: %q, // not pinned", pt.key, got)
+			continue
+		}
+		if got != want {
+			t.Errorf("%s: simulated statistics changed: digest %s, pinned %s\npoint: %s", pt.key, got, want, raw)
+		}
+	}
+	if len(points) != len(pinnedDynamicDigests) {
+		t.Errorf("%d pinned digests, %d points", len(pinnedDynamicDigests), len(points))
+	}
+}

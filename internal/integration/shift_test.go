@@ -7,7 +7,6 @@ import (
 	"sprinklers/internal/conformance"
 	"sprinklers/internal/experiment"
 	"sprinklers/internal/registry"
-	"sprinklers/internal/scenario"
 	"sprinklers/internal/sim"
 	"sprinklers/internal/stats"
 	"sprinklers/internal/traffic"
@@ -78,32 +77,42 @@ func TestConformanceAcrossMatrixShift(t *testing.T) {
 // the adaptive machinery: adaptive Sprinklers must complete at least one
 // stripe resize when a sustained flash crowd rewrites the rate matrix.
 func TestAdaptiveResizesAcrossShift(t *testing.T) {
-	res, err := scenario.Run(scenario.Config{
-		Algorithm: "sprinklers",
-		AlgOptions: map[string]any{
-			"adaptive": true, "adaptive-window": 1024, "adaptive-hold": 1,
-		},
-		Traffic:         "uniform",
-		Scenario:        "flashcrowd",
-		ScenarioOptions: map[string]any{"surge": 0.95, "duration": 0.5},
-		N:               16,
-		Load:            0.8,
-		Slots:           30000,
-		Windows:         10,
-		Seed:            1,
+	const (
+		n     = 16
+		load  = 0.8
+		slots = 30000
+	)
+	rng := rand.New(rand.NewSource(1))
+	m, err := experiment.Pattern(experiment.UniformTraffic, n, load, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := registry.BuildScenario("flashcrowd", registry.ScenarioConfig{
+		N: n, Load: load, Base: m.Rows(),
+		Warmup: slots / 5, Slots: slots,
+		Rand: rng,
+	}, map[string]any{"surge": 0.95, "duration": 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := experiment.NewSwitchOpts(experiment.Sprinklers, m, 1, map[string]any{
+		"adaptive": true, "adaptive-window": 1024, "adaptive-hold": 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	src := traffic.NewDynamic(m, events, 0, rand.New(rand.NewSource(2)))
+	reorder := stats.NewReorder(n)
+	sim.Run(sw, src, reorder, sim.WithWarmup(slots/5), sim.WithSlots(slots))
 	type resizer interface{ Resizes() int64 }
-	cs, ok := res.Switch.(resizer)
+	cs, ok := sw.(resizer)
 	if !ok {
 		t.Fatal("sprinklers switch does not report resizes")
 	}
 	if cs.Resizes() == 0 {
 		t.Fatal("flash crowd triggered no stripe resizes — the adaptive path never engaged")
 	}
-	if res.Reorder.Reordered() != 0 {
-		t.Fatalf("adaptive sprinklers reordered %d packets during resizing", res.Reorder.Reordered())
+	if reorder.Reordered() != 0 {
+		t.Fatalf("adaptive sprinklers reordered %d packets during resizing", reorder.Reordered())
 	}
 }

@@ -5,9 +5,8 @@ import "sprinklers/internal/sim"
 // Record is what differs between the packets of one VOQ. In and Out are the
 // VOQ's own index and whatever header the architecture adds is the same for
 // the whole queue, so the switch that owns the VOQ rebuilds the sim.Packet
-// where it takes a record out. Seq is kept: Trace and Replayer sources need
-// not number a flow consecutively, so it cannot be derived from a per-VOQ
-// counter.
+// where it takes a record out. Seq is kept: a Trace source need not number
+// a flow consecutively, so it cannot be derived from a per-VOQ counter.
 type Record struct {
 	ID, Seq uint64
 	Arrival sim.Slot

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sprinklers/internal/experiment"
@@ -15,32 +16,28 @@ import (
 )
 
 // TestEveryRegisteredScenarioReplays: each scenario in the registry must
-// build a valid timeline and replay end-to-end, producing a contiguous
+// replay end-to-end through experiment.RunPoint, producing a contiguous
 // window series. Iterating the registry keeps a newly registered scenario
-// covered with no test changes.
+// covered with no test changes; TestScenarioEventsWithinHorizon checks that
+// each one builds a non-empty timeline.
 func TestEveryRegisteredScenarioReplays(t *testing.T) {
 	for _, sc := range registry.Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			res, err := scenario.Run(scenario.Config{
-				Algorithm: "sprinklers",
-				Traffic:   "uniform",
-				Scenario:  sc.Name,
-				N:         8,
-				Load:      0.7,
-				Slots:     3000,
-				Windows:   5,
-				Seed:      1,
-			})
+			res, err := experiment.RunPoint(experiment.Sprinklers, experiment.Config{
+				N:        8,
+				Traffic:  experiment.UniformTraffic,
+				Scenario: experiment.ScenarioKind(sc.Name),
+				Slots:    3000,
+				Windows:  5,
+				Seed:     1,
+			}, 0.7)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(res.Windows) != 5 {
 				t.Fatalf("got %d windows, want 5", len(res.Windows))
-			}
-			if len(res.Events) == 0 {
-				t.Fatal("scenario produced no events")
 			}
 			var delivered int64
 			prevEnd := res.Windows[0].Start
@@ -61,48 +58,44 @@ func TestEveryRegisteredScenarioReplays(t *testing.T) {
 	}
 }
 
-// TestStaticEquivalence: an empty scenario with windowed collection must
-// reproduce the static runner's numbers exactly — same arrivals, same
-// deliveries, same aggregates.
+// TestStaticEquivalence: windowed collection without a scenario must
+// reproduce the unwindowed point exactly — same arrivals, same deliveries,
+// same aggregates — and add only the time series.
 func TestStaticEquivalence(t *testing.T) {
-	res, err := scenario.Run(scenario.Config{
-		Algorithm: "sprinklers",
-		Traffic:   "uniform",
-		N:         8,
-		Load:      0.6,
-		Slots:     5000,
-		Windows:   5,
-		Seed:      3,
-	})
+	cfg := experiment.Config{N: 8, Traffic: experiment.UniformTraffic, Slots: 5000, Seed: 3}
+	p, err := experiment.RunPoint(experiment.Sprinklers, cfg, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := experiment.RunPoint(experiment.Sprinklers, experiment.Config{
-		N: 8, Traffic: experiment.UniformTraffic, Slots: 5000, Seed: 3,
-	}, 0.6)
+	cfg.Windows = 5
+	w, err := experiment.RunPoint(experiment.Sprinklers, cfg, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delay.Mean() != p.MeanDelay {
-		t.Errorf("mean delay %v vs static %v", res.Delay.Mean(), p.MeanDelay)
+	if len(w.Windows) != 5 {
+		t.Fatalf("got %d windows, want 5", len(w.Windows))
 	}
-	if res.Delivered != p.Delivered {
-		t.Errorf("delivered %d vs static %d", res.Delivered, p.Delivered)
+	w.Windows = nil
+	if !reflect.DeepEqual(w, p) {
+		t.Errorf("windowed point %+v differs from the plain point %+v", w, p)
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
-	cfg := scenario.Config{
-		Algorithm: "sprinklers", Traffic: "uniform", Scenario: "flashcrowd",
-		N: 8, Load: 0.8, Slots: 3000, Windows: 6, Seed: 5,
+	cfg := experiment.Config{
+		N: 8, Traffic: experiment.UniformTraffic, Scenario: experiment.FlashCrowd,
+		Slots: 3000, Windows: 6, Seed: 5,
 	}
-	a, err := scenario.Run(cfg)
+	a, err := experiment.RunPoint(experiment.Sprinklers, cfg, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := scenario.Run(cfg)
+	b, err := experiment.RunPoint(experiment.Sprinklers, cfg, 0.8)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(a.Windows) != 6 || len(b.Windows) != 6 {
+		t.Fatalf("got %d and %d windows, want 6", len(a.Windows), len(b.Windows))
 	}
 	for i := range a.Windows {
 		if a.Windows[i] != b.Windows[i] {
@@ -160,11 +153,11 @@ func TestFlashcrowdStaysAdmissible(t *testing.T) {
 // outage windows must see substantially fewer offered packets, and the
 // post-recovery windows must climb back.
 func TestLinkfailThinsArrivals(t *testing.T) {
-	res, err := scenario.Run(scenario.Config{
-		Algorithm: "load-balanced", Traffic: "uniform", Scenario: "linkfail",
+	res, err := experiment.RunPoint(experiment.LoadBalanced, experiment.Config{
+		N: 8, Traffic: experiment.UniformTraffic, Scenario: experiment.LinkFail,
 		ScenarioOptions: map[string]any{"at": 0.3, "duration": 0.3, "links": 4},
-		N:               8, Load: 0.8, Slots: 10000, Windows: 10, Seed: 7,
-	})
+		Slots:           10000, Seed: 7,
+	}, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,44 +208,18 @@ func TestAnalyzeRecovery(t *testing.T) {
 	}
 }
 
-func TestRunRejections(t *testing.T) {
-	base := scenario.Config{
-		Algorithm: "sprinklers", Traffic: "uniform",
-		N: 8, Load: 0.5, Slots: 1000, Windows: 4, Seed: 1,
-	}
-	cases := []func(*scenario.Config){
-		func(c *scenario.Config) { c.Algorithm = "nope" },
-		func(c *scenario.Config) { c.Traffic = "nope" },
-		func(c *scenario.Config) { c.Scenario = "nope" },
-		func(c *scenario.Config) { c.Windows = 2000 },
-		func(c *scenario.Config) { c.N = 1 },
-		func(c *scenario.Config) { c.Slots = 0 },
-		func(c *scenario.Config) {
-			c.Scenario = "flashcrowd"
-			c.ScenarioOptions = map[string]any{"surge": 2.0}
-		},
-	}
-	for i, mutate := range cases {
-		cfg := base
-		mutate(&cfg)
-		if _, err := scenario.Run(cfg); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
-	}
-}
-
 // TestRunCanceled: a replay whose context is done returns the context's
-// error and no partial Result, so callers need only the usual cancellation
+// error and no partial point, so callers need only the usual cancellation
 // check (experiment.IsCancellation).
 func TestRunCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := scenario.Run(scenario.Config{
-		Algorithm: "sprinklers", Traffic: "uniform", Scenario: "flashcrowd",
-		N: 8, Load: 0.5, Slots: 1000, Windows: 4, Seed: 1, Context: ctx,
-	})
-	if res != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled replay returned (%v, %v), want (nil, context.Canceled)", res, err)
+	res, err := experiment.RunPoint(experiment.Sprinklers, experiment.Config{
+		N: 8, Traffic: experiment.UniformTraffic, Scenario: experiment.FlashCrowd,
+		Slots: 1000, Windows: 4, Seed: 1, Context: ctx,
+	}, 0.5)
+	if !reflect.DeepEqual(res, experiment.Point{}) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled replay returned (%+v, %v), want (no point, context.Canceled)", res, err)
 	}
 }
 

@@ -21,9 +21,11 @@ import (
 type OnOff struct {
 	n      int
 	rng    rng
+	burst  float64
 	on     []bool
 	pOnOff []float64 // P(ON -> OFF) per slot
 	pOffOn []float64
+	factor []float64 // ingress-link capacity factor, thinning ON slots
 	alias  []aliasTable
 	seq    [][]uint64
 	nextID uint64
@@ -39,25 +41,40 @@ func NewOnOff(m *Matrix, meanBurst float64, rng *rand.Rand) *OnOff {
 	src := &OnOff{
 		n:      n,
 		rng:    newRNG(rng.Uint64()),
+		burst:  meanBurst,
 		on:     make([]bool, n),
 		pOnOff: make([]float64, n),
 		pOffOn: make([]float64, n),
+		factor: make([]float64, n),
 		alias:  make([]aliasTable, n),
-		seq:    make([][]uint64, n),
+		seq:    newSeq(n),
 	}
 	for i := 0; i < n; i++ {
-		load := m.RowSum(i)
-		if load >= 1 {
-			load = 1 - 1e-9
-		}
-		if load > 0 {
-			src.pOnOff[i], src.pOffOn[i] = onOffProbs(meanBurst, load)
-		}
-		row := m.Row(i)
-		src.alias[i] = newAliasTable(row)
-		src.seq[i] = make([]uint64, n)
+		src.setRow(m, i, 1)
 	}
 	return src
+}
+
+// setRow (re)builds input i's on/off chain and destination alias table
+// from row i of m, with the input's ingress link at capacity factor
+// linkFactor. The duty cycle tracks the row sum; the link factor gates
+// emission inside ON bursts instead (see Next), so a degraded link thins a
+// burst rather than stretching the off period. Per-flow sequence counters
+// carry over untouched.
+func (o *OnOff) setRow(m *Matrix, i int, linkFactor float64) {
+	load := m.RowSum(i)
+	if load >= 1 {
+		load = 1 - 1e-9
+	}
+	if load > 0 {
+		o.pOnOff[i], o.pOffOn[i] = onOffProbs(o.burst, load)
+	} else {
+		o.pOnOff[i], o.pOffOn[i] = 0, 0
+		o.on[i] = false
+	}
+	o.factor[i] = linkFactor
+	// The alias construction normalizes the row internally.
+	o.alias[i] = newAliasTable(m.Row(i))
 }
 
 // onOffProbs returns P(ON -> OFF) and P(OFF -> ON) per slot for an input
@@ -88,6 +105,9 @@ func (o *OnOff) Next(t sim.Slot, emit func(sim.Packet)) {
 			o.on[i] = true
 		}
 		if !o.on[i] {
+			continue
+		}
+		if f := o.factor[i]; f < 1 && o.rng.Float64() >= f {
 			continue
 		}
 		j := o.alias[i].draw(&o.rng)

@@ -2,7 +2,8 @@
 // traffic patterns used in the paper's evaluation (uniform and diagonal,
 // Sec. 6) plus additional admissible patterns (hotspot, permutation, Zipf)
 // used by the extended experiments, and slot-level arrival processes
-// (Bernoulli i.i.d., as in the paper, plus bursty on/off and trace replay).
+// (Bernoulli i.i.d., as in the paper, plus bursty on/off, either one driven
+// through a mid-run event timeline by Dynamic, and fixed test traces).
 package traffic
 
 import (

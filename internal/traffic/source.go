@@ -49,21 +49,34 @@ func NewBernoulli(m *Matrix, rng *rand.Rand) *Bernoulli {
 		dest:  make([]destEntry, n*n),
 	}
 	for i := 0; i < n; i++ {
-		if prob := m.RowSum(i); prob >= 1 {
-			src.arriv[i] = ^uint64(0)
-		} else {
-			src.arriv[i] = uint64(prob * 0x1p64)
-		}
-		t := newConditionalAliasTable(m, i)
-		for j := range t.prob {
-			thresh := t.prob[j] * (1 << 32)
-			if thresh > 0xffffffff {
-				thresh = 0xffffffff
-			}
-			src.dest[i*n+j] = destEntry{thresh: uint32(thresh), alias: int32(t.alias[j])}
-		}
+		src.setRow(m, i, 1)
 	}
 	return src
+}
+
+// setRow (re)builds input i's arrival threshold and destination alias
+// table from row i of m, with the input's ingress link at capacity factor
+// linkFactor (0 = failed, 1 = full): the link thins the row's arrival
+// probability. Per-flow sequence counters carry over untouched.
+func (b *Bernoulli) setRow(m *Matrix, i int, linkFactor float64) {
+	prob := m.RowSum(i)
+	if prob > 1 {
+		prob = 1
+	}
+	if prob *= linkFactor; prob >= 1 {
+		b.arriv[i] = ^uint64(0)
+	} else {
+		b.arriv[i] = uint64(prob * 0x1p64)
+	}
+	t := newConditionalAliasTable(m, i)
+	for j := range t.prob {
+		thresh := t.prob[j] * (1 << 32)
+		if thresh > 0xffffffff {
+			thresh = 0xffffffff
+		}
+		e := &b.dest[i*b.n+j]
+		e.thresh, e.alias = uint32(thresh), int32(t.alias[j])
+	}
 }
 
 // newConditionalAliasTable builds the alias table for input i's conditional
