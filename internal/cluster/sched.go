@@ -2,21 +2,13 @@
 // Workers report queue depth, in-flight jobs and an EWMA of slots/sec in
 // their push heartbeats; the coordinator places jobs by power-of-two-choices
 // over those reports (degrading to exact round-robin when loads are equal
-// or reports are stale), lets an idle worker's heartbeat steal queued jobs
-// from the deepest peer, and near the study tail races a slow job against a
-// speculative backup on another worker — first result wins, the loser is
-// deduplicated by the per-replica CAS key and only ever counted, never
-// aggregated.
+// or reports are stale), and races a slow job against a speculative backup
+// on an idle worker — first result wins, the loser is deduplicated by
+// the per-replica CAS key and only ever counted, never aggregated.
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"strings"
 	"time"
 
 	"sprinklers/internal/experiment"
@@ -87,76 +79,29 @@ func (c *Coordinator) pick(avoid *worker) *worker {
 	return first
 }
 
-// maybeSteal reacts to an idle worker's heartbeat: the deepest healthy peer
-// with a fresh queue report is asked to shed half its queued jobs. The shed
-// jobs bounce back to their waiting RunReplica calls, which re-pick — and
-// the idle worker is now the least-loaded choice. At most one steal per
-// victim is in flight at a time; a failed shed just waits for the next idle
-// heartbeat.
-func (c *Coordinator) maybeSteal(thief *worker) {
-	if !c.opts.Steal {
-		return
-	}
+// backupFor returns the worker a speculative backup of a job outstanding
+// on primary may launch on: another healthy worker that is idle — nothing
+// outstanding from this coordinator and, if its load report is fresh,
+// nothing queued or running. The primary carries at least the job itself,
+// so an idle worker is strictly less loaded than it: never a backup at
+// equal load, behind another job's queue, or on a single-worker fleet.
+// The scan starts at pick's round-robin cursor without advancing it, so
+// polling slow jobs leave placement order alone. nil means no backup now.
+func (c *Coordinator) backupFor(primary *worker) *worker {
 	stale := c.staleAfter()
-	var victim *worker
-	depth := 0
-	for _, w := range c.snapshotWorkers() {
-		if w == thief || !w.isHealthy() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.workers)
+	for i := 0; i < n; i++ {
+		w := c.workers[(c.rr+i)%n]
+		if w == primary || !w.isHealthy() {
 			continue
 		}
-		if d, fresh := w.queueDepth(stale); fresh && d > depth {
-			victim, depth = w, d
+		if l, _ := w.load(stale); l == 0 {
+			return w
 		}
 	}
-	if victim == nil || !victim.stealing.CompareAndSwap(false, true) {
-		return
-	}
-	n := (depth + 1) / 2
-	go func() {
-		defer victim.stealing.Store(false)
-		ctx, cancel := context.WithTimeout(context.Background(), c.opts.HeartbeatInterval)
-		defer cancel()
-		shed, err := c.shed(ctx, victim.url, n)
-		if err != nil {
-			c.log.Warn("cluster: steal failed", "victim", victim.url, "thief", thief.url, "err", err)
-			return
-		}
-		if shed > 0 {
-			c.log.Info("cluster: queued jobs shed to idle worker",
-				"thief", thief.url, "victim", victim.url, "shed", shed)
-		}
-	}()
-}
-
-// shed asks a worker to bounce up to n queued jobs back to the coordinator
-// and returns how many it actually shed.
-func (c *Coordinator) shed(ctx context.Context, url string, n int) (int, error) {
-	body, err := json.Marshal(map[string]int{"n": n})
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(url, "/")+"/api/v1/jobs/shed", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1024)) //nolint:errcheck
-		return 0, fmt.Errorf("cluster: shed %s: %s", url, resp.Status)
-	}
-	var out struct {
-		Shed int `json:"shed"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, err
-	}
-	return out.Shed, nil
+	return nil
 }
 
 // observeLatency feeds one successful dispatch latency into the
@@ -167,11 +112,13 @@ func (c *Coordinator) observeLatency(d time.Duration) {
 	c.specMu.Unlock()
 }
 
-// speculateMinSamples is how many dispatch latencies must be observed
+// latencyPct is the dispatch-latency percentile past which a job counts as
+// slow. speculateMinSamples is how many dispatch latencies must be observed
 // before the percentile is trusted; speculateFloor bounds the threshold
 // from below so a burst of cache-hit dispatches cannot make every job
 // "slow".
 const (
+	latencyPct          = 0.95
 	speculateMinSamples = 8
 	speculateFloor      = 5 * time.Millisecond
 )
@@ -214,9 +161,9 @@ type specResult struct {
 }
 
 // dispatchSpeculate runs one dispatch, racing it against a speculative
-// backup on another worker when the study is near its tail (at most
-// SpeculateTailK jobs in flight) and the primary has been outstanding
-// longer than the observed latency percentile. The first successful result
+// backup once the primary has been outstanding longer than the P95 of
+// observed dispatch latency and an idle worker exists (backupFor),
+// wherever in the study that happens. The first successful result
 // wins and is the only one returned to the study; the loser is reaped in
 // the background — it either deduplicates via the per-replica CAS key
 // (cache or peer read) or, having simulated anyway, is counted in
@@ -273,18 +220,18 @@ func (c *Coordinator) dispatchSpeculate(ctx context.Context, w *worker, spec exp
 						"job", key.String(), "rep", rep, "worker", w.url,
 						"elapsed_ms", time.Since(start).Milliseconds(),
 						"threshold_ms", th.Milliseconds(),
-						"pct", c.latPct, "trace", tc.Trace)
+						"pct", latencyPct, "trace", tc.Trace)
 					tc.Event("slow-job", "job", key.String(), "worker", w.url)
 				}
-				if c.speculate && !backup && c.active.Load() <= int64(c.opts.SpeculateTailK) {
-					if bw := c.pick(w); bw != nil && bw != w {
+				if c.opts.Speculate && !backup {
+					if bw := c.backupFor(w); bw != nil {
 						backup = true
 						inflight++
 						c.counters.SpeculativeLaunched.Add(1)
 						c.counters.JobsDispatched.Add(1)
 						c.log.Info("cluster: speculative backup launched",
 							"job", key.String(), "rep", rep, "backup", bw.url, "primary", w.url,
-							"pct", c.latPct, "trace", trace.FromContext(ctx).Trace)
+							"pct", latencyPct, "trace", trace.FromContext(ctx).Trace)
 						trace.FromContext(ctx).Event("speculate", "job", key.String(), "backup", bw.url, "primary", w.url)
 						go func() {
 							p, src, err := c.send(ctx, bw, spec, key, rep)

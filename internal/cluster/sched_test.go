@@ -1,7 +1,7 @@
 // White-box scheduler tests: pick fairness and load awareness, report
-// staleness, probe suppression, and churn under -race. The end-to-end
-// behavior (stealing, speculation, byte identity) lives in the black-box
-// chaos suite in cluster_test.go.
+// staleness, the speculative backup gate, probe suppression, and churn
+// under -race. The end-to-end behavior (speculation, byte identity) lives
+// in the black-box chaos suite in cluster_test.go.
 package cluster
 
 import (
@@ -102,6 +102,59 @@ func TestPickAvoidReturnsOtherWorker(t *testing.T) {
 	wb.fail(1)
 	if w := c.pick(wa); w != wa {
 		t.Errorf("pick(avoid=a) with b suspect = %v, want the avoided sole survivor a", w)
+	}
+}
+
+// TestBackupOnlyOntoIdleWorker: a speculative backup launches only onto a
+// different healthy worker with nothing outstanding, queued or running —
+// never at equal load, never behind a lighter peer's own work, never on a
+// single-worker fleet — and looking for one leaves pick's round-robin
+// cursor where it was.
+func TestBackupOnlyOntoIdleWorker(t *testing.T) {
+	c := New(Options{Workers: []string{"http://a", "http://b"}})
+	wa := c.register("http://a")
+	wb := c.register("http://b")
+	wa.addOutstanding(1) // the primary dispatch itself
+	wb.addOutstanding(1)
+	rr := c.rr
+	for i := 0; i < 4; i++ {
+		if bw := c.backupFor(wa); bw != nil {
+			t.Fatalf("backupFor(a) at equal load = %s, want none", bw.url)
+		}
+	}
+	// b is strictly lighter but still busy: a backup would queue behind it.
+	c.HeartbeatLoad("http://a", &LoadReport{QueueDepth: 1, Inflight: 1})
+	if bw := c.backupFor(wa); bw != nil {
+		t.Errorf("backupFor(a) with b lighter but busy = %s, want none", bw.url)
+	}
+	// A fresh report of work the coordinator did not send keeps b busy too.
+	wb.addOutstanding(-1)
+	c.HeartbeatLoad("http://b", &LoadReport{Inflight: 1})
+	if bw := c.backupFor(wa); bw != nil {
+		t.Errorf("backupFor(a) with b running a job = %s, want none", bw.url)
+	}
+	c.HeartbeatLoad("http://b", &LoadReport{})
+	if bw := c.backupFor(wa); bw != wb {
+		t.Errorf("backupFor(a) with b idle = %v, want b", bw)
+	}
+	if bw := c.backupFor(wb); bw != nil {
+		t.Errorf("backupFor(b) onto the busy a = %s, want none", bw.url)
+	}
+	if c.rr != rr {
+		t.Errorf("backupFor moved the round-robin cursor from %d to %d", rr, c.rr)
+	}
+	// An idle peer that is suspect is no candidate.
+	wb.fail(1)
+	if bw := c.backupFor(wa); bw != nil {
+		t.Errorf("backupFor(a) with b suspect = %s, want none", bw.url)
+	}
+
+	solo := New(Options{Workers: []string{"http://s"}})
+	ws := solo.register("http://s")
+	solo.HeartbeatLoad("http://s", &LoadReport{QueueDepth: 5, Inflight: 1})
+	ws.addOutstanding(6)
+	if bw := solo.backupFor(ws); bw != nil {
+		t.Errorf("backupFor on a single-worker fleet = %s, want none", bw.url)
 	}
 }
 
@@ -207,7 +260,7 @@ func TestProbeSuppressedAfterPushHeartbeat(t *testing.T) {
 // disarmed until enough latencies are observed, then answer with at least
 // the floor.
 func TestSpeculateThresholdArming(t *testing.T) {
-	c := New(Options{Workers: []string{"http://a"}, SpeculatePct: 0.9})
+	c := New(Options{Workers: []string{"http://a"}, Speculate: true})
 	if th := c.speculateThreshold(); th != 0 {
 		t.Fatalf("threshold with no samples = %v, want 0", th)
 	}

@@ -69,15 +69,14 @@ type Counters struct {
 	// LocalFallbacks counts replica jobs the coordinator ran in-process
 	// because no healthy worker was available (degraded mode).
 	LocalFallbacks atomic.Int64
-	// JobsStolen counts queued replica jobs a worker shed back to the
-	// coordinator so an idle peer could take them (work stealing). A stolen
-	// job was never executed by the victim, so stealing never duplicates
-	// work — the job simply re-dispatches.
+	// JobsStolen is always zero: the cluster no longer does work stealing.
+	// It stays only because the benchmark's traced metrics read it
+	// (cluster.jobs_stolen in benchmark/traced.go).
 	JobsStolen atomic.Int64
 	// SpeculativeLaunched counts backup dispatches raced against a slow
-	// primary near the study tail; SpeculativeWasted counts the losing
-	// branches that actually re-simulated the replica (losers that
-	// deduplicated through the per-replica cache key cost nothing). When
+	// primary; SpeculativeWasted counts the losing branches that actually
+	// re-simulated the replica (losers that deduplicated through the
+	// per-replica cache key cost nothing). When
 	// speculation fires, replicas computed across the fleet equals
 	// points x replicas + SpeculativeWasted.
 	SpeculativeLaunched atomic.Int64

@@ -85,27 +85,51 @@ func (p Profile) Imbalance() float64 {
 
 // Overloaded reports whether any queue's arrival rate reaches the 1/N
 // service rate.
-func (p Profile) Overloaded() bool { return p.Max() >= 1/float64(p.n) }
+func (p Profile) Overloaded() bool { return p.OverloadedQueues() > 0 }
 
-// MonteCarlo summarizes the distribution of the maximum per-port load over
-// random primary-port placements.
-type MonteCarlo struct {
-	Trials      int
-	Overloads   int     // trials with some X_l >= 1/N
-	MeanMax     float64 // mean of max_l X_l
-	MaxQuantile []float64
+// OverloadedQueues counts the queues whose arrival rate reaches the 1/N
+// service rate.
+func (p Profile) OverloadedQueues() int {
+	k := 0
+	for _, l := range p.loads {
+		if l >= 1/float64(p.n) {
+			k++
+		}
+	}
+	return k
 }
 
-// OverloadProbability returns MC.Overloads / MC.Trials.
+// MonteCarlo summarizes the distribution of the maximum per-port load over
+// random primary-port placements. Two overload events are counted: some
+// queue of the input overloaded (Overloads, one per trial), and one given
+// queue overloaded (QueueOverloads, one per trial and queue), the event
+// Theorem 2 bounds.
+type MonteCarlo struct {
+	Trials         int
+	N              int     // queues per trial
+	Overloads      int     // trials with some X_l >= 1/N
+	QueueOverloads int     // (trial, l) pairs with X_l >= 1/N
+	MeanMax        float64 // mean of max_l X_l
+	MaxQuantile    []float64
+}
+
+// OverloadProbability returns MC.Overloads / MC.Trials: the frequency of
+// any of the N queues being overloaded.
 func (mc MonteCarlo) OverloadProbability() float64 {
 	return float64(mc.Overloads) / float64(mc.Trials)
+}
+
+// QueueOverloadProbability returns MC.QueueOverloads / (MC.Trials * MC.N):
+// the per-queue overload frequency.
+func (mc MonteCarlo) QueueOverloadProbability() float64 {
+	return float64(mc.QueueOverloads) / (float64(mc.Trials) * float64(mc.N))
 }
 
 // Estimate runs trials random uniform placements of the given rate split
 // and summarizes the resulting max-load distribution. quantiles asks for
 // order statistics of max_l X_l (e.g. 0.5, 0.99).
 func Estimate(rates []float64, n, trials int, quantiles []float64, rng *rand.Rand) MonteCarlo {
-	mc := MonteCarlo{Trials: trials}
+	mc := MonteCarlo{Trials: trials, N: n}
 	maxes := make([]float64, trials)
 	var sum float64
 	for t := 0; t < trials; t++ {
@@ -114,8 +138,9 @@ func Estimate(rates []float64, n, trials int, quantiles []float64, rng *rand.Ran
 		m := p.Max()
 		maxes[t] = m
 		sum += m
-		if p.Overloaded() {
+		if k := p.OverloadedQueues(); k > 0 {
 			mc.Overloads++
+			mc.QueueOverloads += k
 		}
 	}
 	mc.MeanMax = sum / float64(trials)

@@ -86,6 +86,24 @@ func TestAdversarialOverloadsAboveThreshold(t *testing.T) {
 	}
 }
 
+// TestQueueOverloadsBracketOverloads: every overloaded placement has at
+// least one and at most N overloaded queues, so the per-queue count sits
+// between the any-of-N count and N times it.
+func TestQueueOverloadsBracketOverloads(t *testing.T) {
+	const n = 32
+	mc := Estimate(AdversarialSplit(n, 0.97), n, 2000, nil, rand.New(rand.NewSource(3)))
+	if mc.Overloads == 0 {
+		t.Fatal("no overloads in the adversarial regime; the bracket is vacuous")
+	}
+	if !(mc.Overloads <= mc.QueueOverloads && mc.QueueOverloads <= n*mc.Overloads) {
+		t.Fatalf("Overloads %d, QueueOverloads %d: want Overloads <= QueueOverloads <= %d*Overloads",
+			mc.Overloads, mc.QueueOverloads, n)
+	}
+	if q, a := mc.QueueOverloadProbability(), mc.OverloadProbability(); !(a/n <= q && q <= a) {
+		t.Fatalf("per-queue frequency %v outside [%v, %v]", q, a/n, a)
+	}
+}
+
 func TestAdversarialSplitShape(t *testing.T) {
 	const n = 32
 	split := AdversarialSplit(n, 0.8)

@@ -57,7 +57,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/v1/studies/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("DELETE /api/v1/studies/{id}", s.handleCancel)
 	mux.HandleFunc("POST /api/v1/jobs", s.handleJob)
-	mux.HandleFunc("POST /api/v1/jobs/shed", s.handleJobShed)
 	mux.HandleFunc("GET /api/v1/cas/{key}", s.handleCAS)
 	mux.HandleFunc("POST /api/v1/cluster/register", s.handleClusterRegister)
 	mux.HandleFunc("POST /api/v1/cluster/heartbeat", s.handleClusterRegister)

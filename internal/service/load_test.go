@@ -1,6 +1,5 @@
 // Worker-side load accounting tests: the job-slot admission queue, the
-// shed endpoint (work stealing's worker half), the heartbeat load report,
-// and the slots/sec EWMA.
+// heartbeat load report, and the slots/sec EWMA.
 package service
 
 import (
@@ -14,8 +13,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"sprinklers/internal/cluster"
 )
 
 func newLoadTestServer(t *testing.T, opts Options) (*Server, string) {
@@ -46,36 +43,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestShedWithEmptyQueue: shedding from a worker with nothing queued is a
-// clean zero, not an error or a stuck request.
-func TestShedWithEmptyQueue(t *testing.T) {
-	_, base := newLoadTestServer(t, Options{})
-	resp, err := http.Post(base+"/api/v1/jobs/shed", "application/json", strings.NewReader(`{"n":3}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shed status = %d, want 200", resp.StatusCode)
-	}
-	var out struct {
-		Shed int `json:"shed"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Shed != 0 {
-		t.Errorf("shed = %d with an empty queue, want 0", out.Shed)
-	}
-}
-
-// TestQueuedJobIsShedNotExecuted: with one execution slot occupied, a
-// second job queues; a shed request must bounce exactly that queued job
-// (503 + shed header, nothing simulated for it) while the in-slot job
-// completes normally — and the load report must track the whole episode.
-func TestQueuedJobIsShedNotExecuted(t *testing.T) {
+// TestQueuedJobLoadReport: with one execution slot occupied, a second job
+// queues, and the load report must track the whole episode — queue 1 and
+// inflight 1 while the slot is busy, all zero once both jobs finish.
+func TestQueuedJobLoadReport(t *testing.T) {
 	srv, base := newLoadTestServer(t, Options{JobSlots: 1, JobDelay: 300 * time.Millisecond})
-	spec := testSpec("shed-queued-job")
+	spec := testSpec("queued-job-load")
 
 	post := func(rep int) chan *http.Response {
 		ch := make(chan *http.Response, 1)
@@ -100,48 +73,18 @@ func TestQueuedJobIsShedNotExecuted(t *testing.T) {
 		t.Errorf("LoadReport = %+v, want queue 1 / inflight 1", lr)
 	}
 
-	resp, err := http.Post(base+"/api/v1/jobs/shed", "application/json", strings.NewReader(`{"n":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Shed int `json:"shed"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if out.Shed != 1 {
-		t.Fatalf("shed = %d, want 1", out.Shed)
+	for i, ch := range []chan *http.Response{ch1, ch2} {
+		r := <-ch
+		if r == nil {
+			t.Fatalf("job %d's request failed outright", i)
+		}
+		io.Copy(io.Discard, r.Body) //nolint:errcheck
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			t.Errorf("job %d answered %d, want 200", i, r.StatusCode)
+		}
 	}
 
-	r2 := <-ch2
-	if r2 == nil {
-		t.Fatal("queued job's request failed outright")
-	}
-	io.Copy(io.Discard, r2.Body) //nolint:errcheck
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusServiceUnavailable || r2.Header.Get(cluster.ShedHeader) == "" {
-		t.Errorf("shed job answered %d (shed header %q), want 503 with the shed header",
-			r2.StatusCode, r2.Header.Get(cluster.ShedHeader))
-	}
-
-	r1 := <-ch1
-	if r1 == nil {
-		t.Fatal("in-slot job's request failed")
-	}
-	io.Copy(io.Discard, r1.Body) //nolint:errcheck
-	r1.Body.Close()
-	if r1.StatusCode != http.StatusOK {
-		t.Errorf("in-slot job answered %d, want 200: shedding must not touch executing jobs", r1.StatusCode)
-	}
-
-	if got := srv.jobsShed.Load(); got != 1 {
-		t.Errorf("jobsShed = %d, want 1", got)
-	}
-	if got := srv.Counters().ReplicasComputed.Load(); got != 1 {
-		t.Errorf("ReplicasComputed = %d, want 1: the shed job must not have simulated", got)
-	}
 	if lr := srv.LoadReport(); lr.QueueDepth != 0 || lr.Inflight != 0 {
 		t.Errorf("LoadReport after drain = %+v, want all zero", lr)
 	}
@@ -184,10 +127,8 @@ func TestMetricsExposeSchedulerSeries(t *testing.T) {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	for _, name := range []string{
-		"sprinklerd_jobs_stolen_total",
 		"sprinklerd_speculative_launched_total",
 		"sprinklerd_speculative_wasted_total",
-		"sprinklerd_jobs_shed_total",
 		"sprinklerd_job_queue_depth",
 		"sprinklerd_jobs_inflight",
 		"sprinklerd_sim_slots_per_sec",

@@ -58,10 +58,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("sprinklerd_job_redispatch_total", "Job retries that moved to a different worker.", c.JobsRedispatched)
 	counter("sprinklerd_peer_cache_fill_total", "Results adopted from a sibling node's cache instead of simulation.", c.PeerCacheFills)
 	counter("sprinklerd_jobs_local_fallback_total", "Replica jobs run locally because no healthy worker was available.", c.LocalFallbacks)
-	counter("sprinklerd_jobs_stolen_total", "Queued jobs shed back to the coordinator for an idle peer (work stealing).", c.JobsStolen)
 	counter("sprinklerd_speculative_launched_total", "Speculative backup dispatches raced against slow primaries.", c.SpeculativeLaunched)
 	counter("sprinklerd_speculative_wasted_total", "Losing speculative branches that re-simulated a replica.", c.SpeculativeWasted)
-	counter("sprinklerd_jobs_shed_total", "Queued jobs this worker shed back to its coordinator.", s.jobsShed.Load())
 	gauge("sprinklerd_job_queue_depth", "Cluster jobs waiting for an execution slot on this worker.", s.queued.Load())
 	gauge("sprinklerd_jobs_inflight", "Cluster jobs currently simulating on this worker.", s.inflight.Load())
 	fmt.Fprintf(w, "# HELP sprinklerd_sim_slots_per_sec EWMA of simulated slots per second on this worker.\n# TYPE sprinklerd_sim_slots_per_sec gauge\nsprinklerd_sim_slots_per_sec %g\n",

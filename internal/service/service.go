@@ -83,7 +83,7 @@ type Options struct {
 	Parallelism int
 	// JobSlots bounds how many cluster jobs this daemon simulates at once;
 	// arrivals beyond the bound queue in their handlers (visible as
-	// queue_depth in heartbeat load reports, and stealable). 0 = GOMAXPROCS.
+	// queue_depth in heartbeat load reports). 0 = GOMAXPROCS.
 	JobSlots int
 	// JobDelay, when > 0, stalls every job execution by this much before
 	// simulating — a deterministic chaos knob that turns this daemon into a
@@ -170,16 +170,13 @@ type Server struct {
 	deduped    atomic.Int64
 	jobsServed atomic.Int64
 
-	// Worker-side load accounting for heartbeat reports and stealing:
-	// jobSlots is the execution-slot semaphore, shedCh hands shed requests
-	// to queued job handlers, queued/inflight are the gauges reported in
+	// Worker-side load accounting for heartbeat reports: jobSlots is the
+	// execution-slot semaphore, queued/inflight are the gauges reported in
 	// heartbeats, simRate is the EWMA of simulated slots/sec (float64 bits).
 	jobSlots chan struct{}
-	shedCh   chan struct{}
 	jobDelay time.Duration
 	queued   atomic.Int64
 	inflight atomic.Int64
-	jobsShed atomic.Int64
 	simRate  atomic.Uint64
 
 	mu       sync.Mutex
@@ -239,7 +236,6 @@ func New(opts Options) (*Server, error) {
 		peerHTTP:    opts.PeerHTTP,
 		evictPolicy: opts.EvictPolicy,
 		jobSlots:    make(chan struct{}, slots),
-		shedCh:      make(chan struct{}),
 		jobDelay:    opts.JobDelay,
 		baseCtx:     ctx,
 		baseCancel:  cancel,

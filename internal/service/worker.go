@@ -23,8 +23,6 @@ import (
 // so any node can be a peer-fill source.
 //
 //	POST /api/v1/jobs               execute one leased (point, replica) job
-//	POST /api/v1/jobs/shed          bounce up to n queued jobs back to the
-//	                                coordinator (work stealing)
 //	GET  /api/v1/cas/{key}          raw result-cache entry (peer cache fill)
 //	POST /api/v1/cluster/register   worker joins the coordinator's fleet
 //	POST /api/v1/cluster/heartbeat  worker push heartbeat (implies register;
@@ -193,9 +191,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// 3. Simulate — behind the job-slot semaphore, so a busy worker's
-	// surplus jobs queue here. A queued job is exactly the work stealing
-	// targets: it has not started, so shedding it back to the coordinator
-	// (503 + shed header) re-dispatches it with nothing lost or duplicated.
+	// surplus jobs queue here and show up in its load report.
 	qsp := jtc.Start("queue-wait")
 	qsp.SetJob(req.Point.String(), req.Rep)
 	queueStart := time.Now()
@@ -203,17 +199,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.jobSlots <- struct{}{}:
 		s.queued.Add(-1)
-	case <-s.shedCh:
-		s.queued.Add(-1)
-		s.jobsShed.Add(1)
-		qsp.Attr("outcome", "shed")
-		qsp.End()
-		jtc.Event("shed", "job", req.Point.String())
-		flushTrace()
-		w.Header().Set(cluster.ShedHeader, "1")
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("job %s rep %d shed for rebalancing", req.Point, req.Rep))
-		return
 	case <-ctx.Done():
 		s.queued.Add(-1)
 		qsp.Attr("outcome", "lease-expired")
@@ -310,36 +295,6 @@ func (s *Server) handleCAS(w http.ResponseWriter, r *http.Request) {
 	w.Write(b) //nolint:errcheck // the connection is the only failure mode
 }
 
-// handleJobShed bounces up to n queued (not yet executing) jobs back to
-// the coordinator: each shed job's handler answers 503 with the shed
-// header, and the coordinator re-dispatches it immediately — the worker
-// half of work stealing. Only handlers blocked in the admission queue can
-// be shed (the send below is non-blocking and shedCh is unbuffered), so a
-// job that has started simulating is never interrupted and no work is
-// lost or duplicated.
-func (s *Server) handleJobShed(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		N int `json:"n"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding shed request: %w", err))
-		return
-	}
-	if req.N <= 0 {
-		req.N = 1
-	}
-	shed := 0
-	for shed < req.N {
-		select {
-		case s.shedCh <- struct{}{}:
-			shed++
-		default:
-			req.N = shed // no handler is waiting; stop
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"shed": shed})
-}
-
 // observeSimRate folds one completed replica simulation into the EWMA of
 // simulated slots per second that heartbeats report.
 func (s *Server) observeSimRate(slots int64, elapsed time.Duration) {
@@ -381,7 +336,7 @@ type clusterJoinRequest struct {
 
 // handleClusterRegister admits a worker to the coordinator's fleet (also
 // the push-heartbeat endpoint: registration is idempotent and revives, and
-// a heartbeat's load report feeds load-aware placement and stealing).
+// a heartbeat's load report feeds load-aware placement and speculation).
 func (s *Server) handleClusterRegister(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("this daemon is not a coordinator"))

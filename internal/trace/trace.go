@@ -1,7 +1,7 @@
 // Package trace records job-lifecycle spans across the sprinklerd
 // cluster: study submit, point dispatch, lease attempts, peer-cache
 // checks, simulation, CAS stores, and aggregation, plus scheduling
-// events (steal, shed, speculate, redispatch).
+// events (speculate, redispatch, slow-job, local-fallback).
 //
 // The design is deliberately small and zero-dependency. Spans live in a
 // bounded ring journal per node; trace context travels through

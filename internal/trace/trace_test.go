@@ -121,7 +121,7 @@ func TestBufferCollectsAndMints(t *testing.T) {
 	sc := SpanContext{J: b, Trace: "t", Node: "w"}
 	sp := sc.Start("job")
 	sp.End()
-	sc.Event("shed")
+	sc.Event("cache-hit")
 	spans := b.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("buffer has %d spans, want 2", len(spans))
@@ -134,7 +134,7 @@ func TestBufferCollectsAndMints(t *testing.T) {
 func TestEventAttrs(t *testing.T) {
 	j := NewJournal(4)
 	sc := SpanContext{J: j, Trace: "t"}
-	sc.Event("steal", "from", "w1", "to", "w2")
+	sc.Event("redispatch", "from", "w1", "to", "w2")
 	sp := j.Snapshot()[0]
 	if !sp.Event || sp.Attrs["from"] != "w1" || sp.Attrs["to"] != "w2" {
 		t.Fatalf("event span malformed: %+v", sp)
@@ -154,7 +154,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	wsp := wk.Start("simulate")
 	wsp.SetJob("pt-0", 0)
 	wsp.End()
-	wk.Event("shed")
+	wk.Event("slow-job")
 
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, j.Snapshot()); err != nil {
