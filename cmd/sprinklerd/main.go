@@ -13,8 +13,7 @@
 //	           [-coordinator] [-workers URL,URL,...] [-lease 2m]
 //	           [-heartbeat 1s] [-join URL] [-advertise URL]
 //	           [-job-slots N] [-chaos-job-delay D]
-//	           [-cache-max-bytes N] [-evict-policy lru|fifo|large_first]
-//	           [-sweep-interval 1m]
+//	           [-cache-max-bytes N] [-sweep-interval 1m]
 //	           [-log-level info] [-log-format text|json] [-node NAME]
 //	           [-trace-spans N] [-pprof-listen ADDR]
 //
@@ -33,8 +32,8 @@
 // -chaos-job-delay stalls every job (straggler chaos testing).
 //
 // With -cache-max-bytes the result cache is bounded on disk: a background
-// sweeper evicts entries under -evict-policy every -sweep-interval until
-// the cache fits.
+// sweeper evicts the least recently used entries every -sweep-interval
+// until the cache fits.
 //
 // Observability (see the README's Observability section): logs are
 // structured (log/slog) with study/job/worker ids as attributes —
@@ -80,7 +79,6 @@ import (
 	"time"
 
 	"sprinklers/internal/cluster"
-	"sprinklers/internal/resultcache"
 	"sprinklers/internal/service"
 )
 
@@ -125,7 +123,6 @@ func main() {
 	jobSlots := flag.Int("job-slots", 0, "concurrent cluster-job simulations on this worker; surplus jobs queue (default GOMAXPROCS)")
 	chaosJobDelay := flag.Duration("chaos-job-delay", 0, "stall every cluster job by this much before simulating (chaos: make this worker a straggler)")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "bound the result cache on disk; 0 = unbounded")
-	evictPolicy := flag.String("evict-policy", "lru", "cache eviction policy: lru, fifo, or large_first")
 	sweepInterval := flag.Duration("sweep-interval", time.Minute, "how often the cache sweeper enforces -cache-max-bytes")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	logFormat := flag.String("log-format", "text", "log output format: text or json (one object per line)")
@@ -142,10 +139,6 @@ func main() {
 	fatal := func(err error) {
 		lg.Error("fatal", "err", err)
 		os.Exit(1)
-	}
-	policy, err := resultcache.ParsePolicy(*evictPolicy)
-	if err != nil {
-		fatal(err)
 	}
 
 	ctx, stopTasks := context.WithCancel(context.Background())
@@ -172,9 +165,7 @@ func main() {
 			Lease:             *lease,
 			HeartbeatInterval: *heartbeat,
 			Speculate:         true,
-			Logger:            lg,
 		})
-		coord.Start(ctx)
 	}
 
 	srv, err := service.New(service.Options{
@@ -188,11 +179,15 @@ func main() {
 		TraceSpans:    *traceSpans,
 		Cluster:       coord,
 		CacheMaxBytes: *cacheMax,
-		EvictPolicy:   policy,
 		SweepInterval: *sweepInterval,
 	})
 	if err != nil {
 		fatal(err)
+	}
+	if coord != nil {
+		// Started after service.New has installed the daemon's logger,
+		// counters and dispatch histogram on it.
+		coord.Start(ctx)
 	}
 
 	if *join != "" {

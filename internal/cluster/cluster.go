@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"sprinklers/internal/experiment"
-	"sprinklers/internal/resultcache"
 	"sprinklers/internal/stats"
 	"sprinklers/internal/trace"
 )
@@ -114,15 +113,6 @@ type Options struct {
 	// The loser is deduplicated by the per-replica CAS key; a loser that
 	// simulated anyway is counted in SpeculativeWasted, never aggregated.
 	Speculate bool
-	// Counters receives job-level accounting (required for metrics; nil
-	// allocates a private set).
-	Counters *experiment.Counters
-	// Logger receives structured cluster events (worker lifecycle,
-	// re-dispatch, speculation, slow jobs); nil discards them.
-	Logger *slog.Logger
-	// DispatchHist, when set, observes the latency of every successful
-	// job dispatch (send to response decode).
-	DispatchHist *stats.Histogram
 }
 
 // worker is one tracked worker daemon.
@@ -239,6 +229,8 @@ type Coordinator struct {
 
 // New returns a coordinator for the given workers. Workers start healthy;
 // the first heartbeat round corrects optimism within HeartbeatInterval.
+// Its counters are private and its log discarded until UseCounters,
+// UseDispatchHist and UseLogger redirect them, as service.New does.
 func New(opts Options) *Coordinator {
 	if opts.Lease <= 0 {
 		opts.Lease = 2 * time.Minute
@@ -263,22 +255,15 @@ func New(opts Options) *Coordinator {
 		seed = 1
 	}
 	c := &Coordinator{
-		opts:         opts,
-		httpc:        &http.Client{Transport: opts.Transport},
-		counters:     opts.Counters,
-		dispatchHist: opts.DispatchHist,
-		rng:          rand.New(rand.NewSource(seed)),
+		opts:     opts,
+		httpc:    &http.Client{Transport: opts.Transport},
+		counters: &experiment.Counters{},
+		log:      slog.New(slog.DiscardHandler),
+		rng:      rand.New(rand.NewSource(seed)),
 		// The latency percentile is tracked whether or not speculation is
 		// armed: slow-job warnings need it on every deployment, including
 		// single-worker ones where speculation would be pointless.
 		specLat: stats.NewP2(latencyPct),
-	}
-	if c.counters == nil {
-		c.counters = &experiment.Counters{}
-	}
-	c.log = opts.Logger
-	if c.log == nil {
-		c.log = slog.New(slog.DiscardHandler)
 	}
 	for _, u := range opts.Workers {
 		c.Register(u)
@@ -288,7 +273,8 @@ func New(opts Options) *Coordinator {
 
 // UseCounters redirects the coordinator's job accounting onto ctr —
 // typically the serving daemon's process-lifetime counters, so /metrics
-// shows dispatch/retry/fallback totals. Call before the first dispatch.
+// shows dispatch/retry/fallback totals. Call before Start and the first
+// dispatch.
 func (c *Coordinator) UseCounters(ctr *experiment.Counters) {
 	if ctr != nil {
 		c.counters = ctr
@@ -305,7 +291,7 @@ func (c *Coordinator) UseDispatchHist(h *stats.Histogram) {
 }
 
 // UseLogger redirects the coordinator's structured log output. Call
-// before the first dispatch.
+// before Start and the first dispatch.
 func (c *Coordinator) UseLogger(lg *slog.Logger) {
 	if lg != nil {
 		c.log = lg
@@ -544,9 +530,6 @@ func (c *Coordinator) RunReplica(ctx context.Context, spec experiment.Spec, key 
 		p, src, winner, err := c.dispatchSpeculate(ctx, w, spec, key, rep)
 		if err == nil {
 			winner.ok()
-			if src == SourcePeer {
-				c.counters.PeerCacheFills.Add(1)
-			}
 			dsp.Attr("worker", winner.url)
 			dsp.Attr("source", src)
 			return p, nil
@@ -687,48 +670,3 @@ func FetchCAS(ctx context.Context, httpc *http.Client, baseURL, key string) ([]b
 	}
 	return readCapped(resp.Body, maxPeerBodyBytes)
 }
-
-// casFillTimeout bounds one peer CAS probe during the coordinator's cache
-// pre-pass: a dead sibling must cost milliseconds-to-seconds, not a hang.
-const casFillTimeout = 3 * time.Second
-
-// WrapCache layers peer cache fill over the coordinator's local store:
-// a point missing locally is fetched from healthy siblings' CAS before the
-// study schedules any simulation, then stored locally (validation — and
-// quarantine of a corrupt fill — happens in the experiment layer's decode
-// path, same as any local entry).
-func (c *Coordinator) WrapCache(local *resultcache.Store) experiment.PointCache {
-	return &peerCache{c: c, local: local}
-}
-
-type peerCache struct {
-	c     *Coordinator
-	local *resultcache.Store
-}
-
-func (p *peerCache) Get(key string) ([]byte, bool, error) {
-	b, ok, err := p.local.Get(key)
-	if ok || err != nil {
-		return b, ok, err
-	}
-	for _, url := range p.c.healthyURLs() {
-		ctx, cancel := context.WithTimeout(context.Background(), casFillTimeout)
-		b, err := FetchCAS(ctx, p.c.httpc, url, key)
-		cancel()
-		if err != nil || b == nil {
-			continue // a sick peer is a miss, not a failed study
-		}
-		if err := p.local.Put(key, b); err != nil {
-			return nil, false, err
-		}
-		p.c.counters.PeerCacheFills.Add(1)
-		return b, true, nil
-	}
-	return nil, false, nil
-}
-
-func (p *peerCache) Put(key string, val []byte) error { return p.local.Put(key, val) }
-
-// Quarantine forwards to the local store, so a corrupt entry (locally
-// written or peer-filled) is set aside exactly like in single-node mode.
-func (p *peerCache) Quarantine(key string) error { return p.local.Quarantine(key) }

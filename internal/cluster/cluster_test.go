@@ -339,6 +339,43 @@ func TestCoordinatorRestartMidStudyResumesWithoutRecompute(t *testing.T) {
 	}
 }
 
+// TestWorkersAreThePeerFillTier: a coordinator whose own store is empty —
+// a replacement for one whose disk was lost — runs a study whose replicas
+// worker w1 already holds. The coordinator reads only its own store, so
+// every replica is dispatched: w1 serves its share from its own store and
+// w2 fills its share from w1's. The study matches a local run byte for
+// byte, nothing is simulated, and each peer fill is counted once across
+// the fleet, on the worker that adopted the replica.
+func TestWorkersAreThePeerFillTier(t *testing.T) {
+	w1 := newNode(t, service.Options{})
+	w2 := newNode(t, service.Options{})
+	spec := testSpec("cluster-worker-fill")
+	norm := spec.WithDefaults()
+	for _, key := range norm.Points() {
+		for rep := 0; rep < norm.Replicas; rep++ {
+			postJob(t, w1, cluster.JobRequest{Spec: norm.Narrow(key), Point: key, Rep: rep})
+		}
+	}
+	before := replicasComputedAcross(w1)
+
+	coordinator, _ := newCoordinator(t, fastOptions(w1.url(), w2.url()), service.Options{})
+	remote := runRemote(t, coordinator, spec)
+	if local := localReference(t, spec); !bytes.Equal(remote, local) {
+		t.Errorf("cluster results differ from local:\n%s\nvs\n%s", remote, local)
+	}
+	if got := replicasComputedAcross(coordinator, w1, w2) - before; got != 0 {
+		t.Errorf("computed %d new replicas, want 0: every replica was in w1's store", got)
+	}
+	fills := func(n *node) int64 { return n.srv.TotalCounters().PeerCacheFills }
+	own := fills(w2)
+	if own == 0 {
+		t.Fatal("w2 filled no replica from w1; the test needs jobs on both workers")
+	}
+	if fleet := fills(coordinator) + fills(w1) + fills(w2); fleet != own {
+		t.Errorf("fleet PeerCacheFills = %d, want w2's own %d: a fill is counted once", fleet, own)
+	}
+}
+
 // TestWorkerRejoinsAfterRegister: a worker marked suspect is revived by
 // push registration (the -join flow), and new studies use it again.
 func TestWorkerRejoinsAfterRegister(t *testing.T) {

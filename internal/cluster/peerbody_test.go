@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"sprinklers/internal/experiment"
-	"sprinklers/internal/resultcache"
 )
 
 // oversizedPeer serves maxPeerBodyBytes + 1 bytes with a 200 on every path.
@@ -27,8 +26,8 @@ func oversizedPeer(t *testing.T) *httptest.Server {
 }
 
 // TestOversizedCASBodyIsAMiss: a peer CAS entry one byte past the cap is
-// refused by FetchCAS, and the coordinator's peer-filled cache counts it as
-// a miss without storing anything.
+// refused by FetchCAS. A worker's peer fill counts that refusal as a miss
+// (TestJobPeerFillOversizedBodyIsAMiss in internal/service).
 func TestOversizedCASBodyIsAMiss(t *testing.T) {
 	ts := oversizedPeer(t)
 	key := strings.Repeat("ab", 32)
@@ -37,22 +36,6 @@ func TestOversizedCASBodyIsAMiss(t *testing.T) {
 		t.Fatalf("FetchCAS of a %d-byte body = %d bytes, err %v; want nil and an error", maxPeerBodyBytes+1, len(b), err)
 	}
 
-	store, err := resultcache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	c := New(Options{Workers: []string{ts.URL}})
-	got, ok, err := c.WrapCache(store).Get(key)
-	if err != nil || ok || got != nil {
-		t.Fatalf("peer cache Get = %d bytes, %v, %v; want a miss", len(got), ok, err)
-	}
-	if _, ok, _ := store.Get(key); ok {
-		t.Error("the oversized body was stored locally")
-	}
-	if n := c.counters.PeerCacheFills.Load(); n != 0 {
-		t.Errorf("PeerCacheFills = %d, want 0", n)
-	}
 }
 
 // TestOversizedJobResponseIsTransient: a 200 job response one byte past the

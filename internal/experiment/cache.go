@@ -62,9 +62,9 @@ type Counters struct {
 	JobsDispatched   atomic.Int64
 	JobsRetried      atomic.Int64
 	JobsRedispatched atomic.Int64
-	// PeerCacheFills counts results obtained from a sibling node's cache
-	// instead of simulation (point-level fills by the coordinator plus
-	// replica-level fills reported by workers).
+	// PeerCacheFills counts replicas obtained from a sibling node's cache
+	// instead of simulation. A fill is counted once, on the worker that
+	// adopted the replica.
 	PeerCacheFills atomic.Int64
 	// LocalFallbacks counts replica jobs the coordinator ran in-process
 	// because no healthy worker was available (degraded mode).

@@ -16,7 +16,7 @@ func keyN(n int) string {
 }
 
 // putSized stores an entry of exactly size bytes under keyN(n), written age
-// ago, so the policies have distinct write times to order by.
+// ago, so entries have distinct write times to order by.
 func putSized(t *testing.T, s *Store, n, size int, age time.Duration) string {
 	t.Helper()
 	k := keyN(n)
@@ -44,7 +44,7 @@ func TestSweepUnderBudgetEvictsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	putSized(t, s, 0, 100, time.Hour)
-	st, err := s.Sweep(FIFO, 1000)
+	st, err := s.Sweep(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,9 @@ func TestSweepUnderBudgetEvictsNothing(t *testing.T) {
 	}
 }
 
-func TestSweepFIFOEvictsOldestWritten(t *testing.T) {
+// TestSweepLRUWithoutReadsEvictsOldestWritten: an entry never read since
+// Open counts from its write time, so without reads LRU is write order.
+func TestSweepLRUWithoutReadsEvictsOldestWritten(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +64,7 @@ func TestSweepFIFOEvictsOldestWritten(t *testing.T) {
 	mid := putSized(t, s, 1, 100, 2*time.Hour)
 	newest := putSized(t, s, 2, 100, time.Hour)
 
-	st, err := s.Sweep(FIFO, 250)
+	st, err := s.Sweep(250)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +72,13 @@ func TestSweepFIFOEvictsOldestWritten(t *testing.T) {
 		t.Fatalf("evicted %d entries, want 1", st.Evicted)
 	}
 	if present(t, s, oldest) {
-		t.Fatal("FIFO kept the oldest entry")
+		t.Fatal("LRU kept the oldest unread entry")
 	}
 	if !present(t, s, mid) || !present(t, s, newest) {
-		t.Fatal("FIFO evicted a newer entry")
+		t.Fatal("LRU evicted a newer entry")
 	}
-	if got := s.Evictions()[FIFO]; got != 1 {
-		t.Fatalf("Evictions()[FIFO] = %d, want 1", got)
+	if got := s.Evictions(); got != 1 {
+		t.Fatalf("Evictions() = %d, want 1", got)
 	}
 }
 
@@ -93,7 +95,7 @@ func TestSweepLRUKeepsRecentlyRead(t *testing.T) {
 		t.Fatal("setup: entry missing")
 	}
 
-	st, err := s.Sweep(LRU, 250)
+	st, err := s.Sweep(250)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,33 +110,6 @@ func TestSweepLRUKeepsRecentlyRead(t *testing.T) {
 	}
 }
 
-func TestSweepLargeFirstEvictsBiggest(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := putSized(t, s, 0, 1000, time.Hour)
-	small1 := putSized(t, s, 1, 50, 3*time.Hour)
-	small2 := putSized(t, s, 2, 50, 2*time.Hour)
-
-	st, err := s.Sweep(LargeFirst, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if present(t, s, big) {
-		t.Fatal("LARGE_FIRST kept the biggest entry")
-	}
-	if !present(t, s, small1) || !present(t, s, small2) {
-		t.Fatal("LARGE_FIRST evicted a small entry it did not need to")
-	}
-	if st.EvictedBytes != 1000 {
-		t.Fatalf("evicted %d bytes, want 1000", st.EvictedBytes)
-	}
-	if size, err := s.Size(); err != nil || size != 100 {
-		t.Fatalf("Size() = %d, %v; want 100", size, err)
-	}
-}
-
 func TestSweepBoundsDiskUsage(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -144,7 +119,7 @@ func TestSweepBoundsDiskUsage(t *testing.T) {
 		putSized(t, s, i, 100, time.Duration(i)*time.Minute)
 	}
 	const bound = 512
-	if _, err := s.Sweep(LRU, bound); err != nil {
+	if _, err := s.Sweep(bound); err != nil {
 		t.Fatal(err)
 	}
 	size, err := s.Size()
@@ -175,7 +150,7 @@ func TestSweepIgnoresCorruptAndStudiesDirs(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "studies", "abc.jsonl"), []byte(strings.Repeat("y", 500)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Sweep(FIFO, 1)
+	st, err := s.Sweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,18 +190,6 @@ func TestQuarantineCountsAndMisses(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, p := range Policies {
-		got, err := ParsePolicy(string(p))
-		if err != nil || got != p {
-			t.Fatalf("ParsePolicy(%q) = %q, %v", p, got, err)
-		}
-	}
-	if _, err := ParsePolicy("mru"); err == nil {
-		t.Fatal("ParsePolicy accepted an unknown policy")
-	}
-}
-
 func TestStartSweeperBoundsInBackground(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -235,7 +198,7 @@ func TestStartSweeperBoundsInBackground(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		putSized(t, s, i, 100, time.Duration(i)*time.Minute)
 	}
-	stop := s.StartSweeper(5*time.Millisecond, FIFO, 300, nil)
+	stop := s.StartSweeper(5*time.Millisecond, 300, nil)
 	defer stop()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {

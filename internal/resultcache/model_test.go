@@ -43,20 +43,16 @@ func (c *cacheModel) open() {
 	}
 }
 
-// evictionOrder is the model's statement of the policies: key order, then
-// a stable sort by the policy's criterion.
-func (c *cacheModel) evictionOrder(p Policy) []string {
+// evictionOrder is the model's statement of LRU: key order, then a stable
+// sort by the later of last read and write.
+func (c *cacheModel) evictionOrder() []string {
 	keys := make([]string, 0, len(c.m))
 	for k := range c.m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	by := map[Policy]func(a, b *modelEntry) bool{
-		LRU:        func(a, b *modelEntry) bool { return max(a.read, a.written) < max(b.read, b.written) },
-		FIFO:       func(a, b *modelEntry) bool { return a.written < b.written },
-		LargeFirst: func(a, b *modelEntry) bool { return len(a.val) > len(b.val) },
-	}[p]
-	sort.SliceStable(keys, func(i, j int) bool { return by(c.m[keys[i]], c.m[keys[j]]) })
+	recency := func(k string) int64 { return max(c.m[k].read, c.m[k].written) }
+	sort.SliceStable(keys, func(i, j int) bool { return recency(keys[i]) < recency(keys[j]) })
 	return keys
 }
 
@@ -111,7 +107,7 @@ func (c *cacheModel) segmentBytes() int64 {
 }
 
 // TestStoreMatchesModel runs random interleavings of Put, Get, Quarantine,
-// Sweep (every policy, random budgets) and close-and-reopen against a map.
+// Sweep (random budgets) and close-and-reopen against a map.
 // Contents must match exactly, evicted and quarantined keys must stay
 // misses across reopen, and after every Sweep the segment files on disk
 // must hold at most twice the live record bytes plus one record.
@@ -160,24 +156,23 @@ func TestStoreMatchesModel(t *testing.T) {
 					delete(c.m, key)
 				}
 			case op < 18:
-				p := Policies[rng.Intn(len(Policies))]
 				vals, _ := c.liveBytes()
 				budget := rng.Int63n(vals + 2)
 				var evicted []string
 				over := vals - budget
-				for _, k := range c.evictionOrder(p) {
+				for _, k := range c.evictionOrder() {
 					if budget <= 0 || over <= 0 {
 						break
 					}
 					evicted = append(evicted, k)
 					over -= int64(len(c.m[k].val))
 				}
-				st, err := c.s.Sweep(p, budget)
+				st, err := c.s.Sweep(budget)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if st.Evicted != len(evicted) {
-					t.Fatalf("seed %d step %d: %s sweep to %d evicted %d, model %d", seed, step, p, budget, st.Evicted, len(evicted))
+					t.Fatalf("seed %d step %d: sweep to %d evicted %d, model %d", seed, step, budget, st.Evicted, len(evicted))
 				}
 				for _, k := range evicted {
 					delete(c.m, k)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // These tests are written against the segment format: they damage a closed
@@ -192,7 +193,7 @@ func TestCloseThenOpenSeesEverything(t *testing.T) {
 	}
 	want := map[string][]byte{}
 	for i := 0; i < 6; i++ {
-		k := putSized(t, s, i, 10*(i+1), 0)
+		k := putSized(t, s, i, 10*(i+1), time.Duration(6-i)*time.Minute)
 		want[k] = bytes.Repeat([]byte("x"), 10*(i+1))
 	}
 	over := []byte(`{"overwritten":true}`)
@@ -204,10 +205,12 @@ func TestCloseThenOpenSeesEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(want, keyN(1))
-	if st, err := s.Sweep(LargeFirst, s.live-1); err != nil || st.Evicted != 1 {
+	// keyN(0) was rewritten just now and keyN(1) is quarantined, so keyN(2)
+	// is the least recently used.
+	if st, err := s.Sweep(s.live - 1); err != nil || st.Evicted != 1 {
 		t.Fatalf("sweep = %+v, %v; want one eviction", st, err)
 	}
-	delete(want, keyN(5))
+	delete(want, keyN(2))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +222,7 @@ func TestCloseThenOpenSeesEverything(t *testing.T) {
 		"Quarantine": s.Quarantine(keyN(0)),
 	}
 	_, _, closedOps["Get"] = s.Get(keyN(0))
-	_, closedOps["Sweep"] = s.Sweep(LRU, 1)
+	_, closedOps["Sweep"] = s.Sweep(1)
 	_, closedOps["Size"] = s.Size()
 	_, closedOps["Len"] = s.Len()
 	for op, err := range closedOps {
@@ -316,8 +319,5 @@ func TestOpenSkipsForeignFiles(t *testing.T) {
 	}
 	if _, err := Open(legacy); err == nil {
 		t.Fatal("Open accepted a regular file as its directory")
-	}
-	if _, err := s.Sweep("mru", 1); err == nil {
-		t.Fatal("Sweep accepted an unknown policy")
 	}
 }

@@ -47,7 +47,8 @@ type Store struct {
 	// corrupts counts entries quarantined since Open (cache_corrupt_total).
 	corrupts atomic.Int64
 
-	evictions [numPolicies]atomic.Int64
+	// evictions counts entries evicted by sweeps since Open.
+	evictions atomic.Int64
 
 	// mu serializes appends and guards everything below.
 	mu     sync.Mutex
@@ -73,7 +74,7 @@ type entry struct {
 	off     int64 // of the value
 	size    int64
 	written int64 // unix ns
-	// read is this process's last read (unix ns), feeding the LRU policy.
+	// read is this process's last read (unix ns), feeding LRU eviction.
 	// Entries never read since Open order by their write time, which orders
 	// them correctly relative to each other and pessimistically relative
 	// to read entries.

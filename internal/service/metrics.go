@@ -3,8 +3,6 @@ package service
 import (
 	"fmt"
 	"net/http"
-
-	"sprinklers/internal/resultcache"
 )
 
 // handleMetrics renders the daemon's counters in the Prometheus text
@@ -38,14 +36,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("sprinklerd_cache_corrupt_total", "Cache entries that failed validation on read and were quarantined.", c.CacheCorrupt+s.cache.Corrupts())
 	gauge("sprinklerd_studies_running", "Studies currently executing.", int64(s.RunningStudies()))
 
-	// Eviction accounting. The per-policy counters are labeled samples of
-	// one metric; the byte gauge lets an operator (and the CI e2e job)
-	// assert the configured disk bound holds.
-	fmt.Fprintf(w, "# HELP sprinklerd_cache_evictions_total Cache entries evicted by the size-bound sweeper.\n# TYPE sprinklerd_cache_evictions_total counter\n")
-	ev := s.cache.Evictions()
-	for _, pol := range resultcache.Policies {
-		fmt.Fprintf(w, "sprinklerd_cache_evictions_total{policy=%q} %d\n", pol, ev[pol])
-	}
+	// Eviction accounting: the byte gauge lets an operator (and the CI e2e
+	// job) assert the configured disk bound holds.
+	counter("sprinklerd_cache_evictions_total", "Cache entries evicted by the size-bound sweeper.", s.cache.Evictions())
 	if size, err := s.cache.Size(); err == nil {
 		gauge("sprinklerd_cache_bytes", "Bytes currently held by the result cache (quarantine and checkpoints excluded).", size)
 	}
@@ -56,7 +49,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("sprinklerd_jobs_dispatched_total", "Replica jobs dispatched to cluster workers.", c.JobsDispatched)
 	counter("sprinklerd_jobs_retried_total", "Job dispatches retried after a transient failure.", c.JobsRetried)
 	counter("sprinklerd_job_redispatch_total", "Job retries that moved to a different worker.", c.JobsRedispatched)
-	counter("sprinklerd_peer_cache_fill_total", "Results adopted from a sibling node's cache instead of simulation.", c.PeerCacheFills)
+	counter("sprinklerd_peer_cache_fill_total", "Replicas this worker adopted from a sibling node's cache instead of simulating.", c.PeerCacheFills)
 	counter("sprinklerd_jobs_local_fallback_total", "Replica jobs run locally because no healthy worker was available.", c.LocalFallbacks)
 	counter("sprinklerd_speculative_launched_total", "Speculative backup dispatches raced against slow primaries.", c.SpeculativeLaunched)
 	counter("sprinklerd_speculative_wasted_total", "Losing speculative branches that re-simulated a replica.", c.SpeculativeWasted)

@@ -105,9 +105,9 @@ type Options struct {
 	TraceSpans int
 
 	// Cluster, when set, makes this daemon a coordinator: every study's
-	// replica jobs are dispatched to the cluster's workers (with this
-	// server's cache wrapped for peer fill) instead of simulated in the
-	// study's own pool. The caller owns the coordinator's health loop
+	// replica jobs are dispatched to the cluster's workers instead of
+	// simulated in the study's own pool; the study reads only this
+	// server's cache. The caller owns the coordinator's health loop
 	// (cluster.Coordinator.Start).
 	Cluster *cluster.Coordinator
 	// Fault, when set, arms this daemon's chaos hooks: scheduled worker
@@ -116,10 +116,9 @@ type Options struct {
 	// suite drives.
 	Fault *faultinject.Plan
 	// CacheMaxBytes, when > 0, bounds the result cache on disk: a
-	// background sweeper evicts under EvictPolicy (default LRU) every
+	// background sweeper evicts the least recently used entries every
 	// SweepInterval (default 1m) whenever the bound is exceeded.
 	CacheMaxBytes int64
-	EvictPolicy   resultcache.Policy
 	SweepInterval time.Duration
 
 	// PeerHTTP overrides the HTTP client used for worker→peer cache reads
@@ -153,7 +152,6 @@ type Server struct {
 	cluster     *cluster.Coordinator
 	fault       *faultinject.Plan
 	peerHTTP    *http.Client
-	evictPolicy resultcache.Policy
 	stopSweeper func()
 
 	// counters holds the work that is not attributable to one study: jobs
@@ -221,34 +219,30 @@ func New(opts Options) (*Server, error) {
 		spans = 16384
 	}
 	s := &Server{
-		cache:       store,
-		par:         opts.Parallelism,
-		node:        node,
-		role:        opts.Role,
-		journal:     trace.NewJournal(spans),
-		hDispatch:   stats.NewHistogram("sprinklerd_dispatch_latency_seconds", "Latency of successful cluster job dispatches (lease to decoded response)."),
-		hJobExec:    stats.NewHistogram("sprinklerd_job_exec_seconds", "Wall time of replica simulations executed for cluster jobs."),
-		hQueueWait:  stats.NewHistogram("sprinklerd_job_queue_wait_seconds", "Time cluster jobs wait for an execution slot before simulating."),
-		hCacheGet:   stats.NewHistogram("sprinklerd_cache_get_seconds", "Latency of result-cache reads on the study and job paths."),
-		hCachePut:   stats.NewHistogram("sprinklerd_cache_put_seconds", "Latency of result-cache writes (CAS stores)."),
-		cluster:     opts.Cluster,
-		fault:       opts.Fault,
-		peerHTTP:    opts.PeerHTTP,
-		evictPolicy: opts.EvictPolicy,
-		jobSlots:    make(chan struct{}, slots),
-		jobDelay:    opts.JobDelay,
-		baseCtx:     ctx,
-		baseCancel:  cancel,
-		studies:     map[string]*study{},
+		cache:      store,
+		par:        opts.Parallelism,
+		node:       node,
+		role:       opts.Role,
+		journal:    trace.NewJournal(spans),
+		hDispatch:  stats.NewHistogram("sprinklerd_dispatch_latency_seconds", "Latency of successful cluster job dispatches (lease to decoded response)."),
+		hJobExec:   stats.NewHistogram("sprinklerd_job_exec_seconds", "Wall time of replica simulations executed for cluster jobs."),
+		hQueueWait: stats.NewHistogram("sprinklerd_job_queue_wait_seconds", "Time cluster jobs wait for an execution slot before simulating."),
+		hCacheGet:  stats.NewHistogram("sprinklerd_cache_get_seconds", "Latency of result-cache reads on the study and job paths."),
+		hCachePut:  stats.NewHistogram("sprinklerd_cache_put_seconds", "Latency of result-cache writes (CAS stores)."),
+		cluster:    opts.Cluster,
+		fault:      opts.Fault,
+		peerHTTP:   opts.PeerHTTP,
+		jobSlots:   make(chan struct{}, slots),
+		jobDelay:   opts.JobDelay,
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		studies:    map[string]*study{},
 	}
 	s.log = opts.Logger
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
 	}
 	s.log = s.log.With("node", node)
-	if s.evictPolicy == "" {
-		s.evictPolicy = resultcache.LRU
-	}
 	if s.cluster != nil {
 		// The coordinator's dispatch/retry/fallback accounting lands on the
 		// daemon's lifetime counters and histograms, so /metrics tells the
@@ -258,9 +252,9 @@ func New(opts Options) (*Server, error) {
 		s.cluster.UseLogger(s.log)
 	}
 	if opts.CacheMaxBytes > 0 {
-		s.stopSweeper = store.StartSweeper(opts.SweepInterval, s.evictPolicy, opts.CacheMaxBytes,
+		s.stopSweeper = store.StartSweeper(opts.SweepInterval, opts.CacheMaxBytes,
 			func(err error) { s.log.Warn("cache sweep failed", "err", err) })
-		s.log.Info("cache bound armed", "max_bytes", opts.CacheMaxBytes, "policy", string(s.evictPolicy))
+		s.log.Info("cache bound armed", "max_bytes", opts.CacheMaxBytes)
 	}
 	return s, nil
 }
@@ -391,12 +385,12 @@ func (s *Server) run(ctx context.Context, st *study) {
 	}
 	if s.cluster != nil {
 		// Coordinator mode: replicas run on workers (falling back locally
-		// when the fleet is gone), and the cache pre-pass consults healthy
-		// peers before scheduling any simulation. Grid ordering,
-		// checkpointing, and aggregation are untouched — which is exactly
-		// why a cluster run is byte-identical to a single-node run.
+		// when the fleet is gone), each worker reusing a replica from its
+		// own store or a sibling's before it simulates. The study reads
+		// only this server's store. Grid ordering, checkpointing, and
+		// aggregation are untouched — which is exactly why a cluster run is
+		// byte-identical to a single-node run.
 		cfg.ReplicaRunner = s.cluster.RunReplica
-		cfg.Cache = timedCache{s.cluster.WrapCache(s.cache), s.hCacheGet, s.hCachePut}
 	}
 	// The study root span: every dispatch, simulation and store of this
 	// run parents back to it, across nodes.

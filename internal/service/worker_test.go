@@ -102,6 +102,48 @@ func TestJobEndpointPeerFill(t *testing.T) {
 	}
 }
 
+// TestJobPeerFillOversizedBodyIsAMiss: a peer whose CAS entry is one byte
+// past cluster's 16 MiB body cap is a miss. The body is a valid replica
+// envelope padded with JSON whitespace, so only the cap keeps the worker
+// from adopting it: the job computes, stores the replica it computed, and
+// counts no peer fill.
+func TestJobPeerFillOversizedBodyIsAMiss(t *testing.T) {
+	const peerBodyCap = 16 << 20
+	helper, helperClient := newTestServer(t)
+	fresh, freshClient := newTestServer(t)
+	spec := testSpec("job-peer-oversized")
+	job := jobFor(spec, 1, 0)
+	if _, resp := postJob(t, helperClient.BaseURL, job); resp.StatusCode != http.StatusOK {
+		t.Fatalf("seeding the envelope: status %d", resp.StatusCode)
+	}
+	rkey := spec.WithDefaults().PointIdentity(job.Point).ReplicaKey(job.Rep)
+	env, ok, err := helper.Cache().Get(rkey)
+	if err != nil || !ok {
+		t.Fatalf("seeded envelope missing: %v", err)
+	}
+	body := append(env, bytes.Repeat([]byte(" "), peerBodyCap+1-len(env))...)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body) //nolint:errcheck
+	}))
+	t.Cleanup(peer.Close)
+
+	got, resp := postJob(t, freshClient.BaseURL, jobFor(spec, 1, 0, peer.URL))
+	if resp.StatusCode != http.StatusOK || got.Source != cluster.SourceComputed {
+		t.Fatalf("status %d source %q, want 200 %q", resp.StatusCode, got.Source, cluster.SourceComputed)
+	}
+	if n := fresh.Counters().PeerCacheFills.Load(); n != 0 {
+		t.Errorf("PeerCacheFills = %d, want 0", n)
+	}
+	stored, ok, err := fresh.Cache().Get(rkey)
+	if err != nil || !ok {
+		t.Fatalf("computed envelope not stored: %v", err)
+	}
+	if len(stored) > peerBodyCap {
+		t.Errorf("stored a %d-byte entry: the oversized peer body was adopted", len(stored))
+	}
+}
+
 // TestJobEndpointRejectsBadRequests: malformed and invalid jobs are 400
 // (permanent — the coordinator must not retry them).
 func TestJobEndpointRejectsBadRequests(t *testing.T) {
