@@ -47,10 +47,10 @@
 //
 //	POST /api/v1/studies            submit a spec
 //	GET  /api/v1/studies/{id}       status; /events streams progress (SSE);
-//	     /results and /render serve the output; /cancel stops it
+//	     /results and /render serve the output; POST /cancel stops it
 //	POST /api/v1/jobs               execute one leased (point, replica) job
 //	GET  /api/v1/cas/{key}          raw cache entry (peer cache fill)
-//	POST /api/v1/cluster/register   worker registration (also /heartbeat)
+//	POST /api/v1/cluster/register   worker registration
 //	GET  /api/v1/catalog            registered architectures/workloads/
 //	     scenarios with their option schemas
 //	GET  /healthz, GET /metrics     liveness ("ok" or "degraded"),
@@ -117,8 +117,8 @@ func main() {
 	coordinator := flag.Bool("coordinator", false, "run as a cluster coordinator, dispatching replica jobs to -workers")
 	workers := flag.String("workers", "", "comma-separated worker base URLs (implies -coordinator)")
 	lease := flag.Duration("lease", 2*time.Minute, "per-job lease: a worker must finish a replica within it")
-	heartbeat := flag.Duration("heartbeat", time.Second, "worker heartbeat/probe interval")
-	join := flag.String("join", "", "coordinator URL to register with and heartbeat to (worker mode)")
+	heartbeat := flag.Duration("heartbeat", time.Second, "worker probe and re-registration interval")
+	join := flag.String("join", "", "coordinator URL to register with every -heartbeat (worker mode)")
 	advertise := flag.String("advertise", "", "base URL this worker advertises to the coordinator (default http://<listen>)")
 	jobSlots := flag.Int("job-slots", 0, "concurrent cluster-job simulations on this worker; surplus jobs queue (default GOMAXPROCS)")
 	chaosJobDelay := flag.Duration("chaos-job-delay", 0, "stall every cluster job by this much before simulating (chaos: make this worker a straggler)")
@@ -141,6 +141,22 @@ func main() {
 		os.Exit(1)
 	}
 
+	var urls []string
+	for _, u := range strings.Split(*workers, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, u)
+		}
+	}
+	for _, u := range append(urls, *join, *advertise) {
+		if u == "" {
+			continue
+		}
+		if err := cluster.CheckURL(u); err != nil {
+			fmt.Fprintln(os.Stderr, "sprinklerd:", err)
+			os.Exit(2)
+		}
+	}
+
 	ctx, stopTasks := context.WithCancel(context.Background())
 	defer stopTasks()
 
@@ -154,12 +170,6 @@ func main() {
 
 	var coord *cluster.Coordinator
 	if *coordinator || *workers != "" {
-		var urls []string
-		for _, u := range strings.Split(*workers, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, u)
-			}
-		}
 		coord = cluster.New(cluster.Options{
 			Workers:           urls,
 			Lease:             *lease,
@@ -226,7 +236,7 @@ func main() {
 	}
 
 	lg.Info("shutting down: draining studies", "grace", grace.String())
-	stopTasks() // heartbeats and cluster membership stop with the studies
+	stopTasks() // probes and re-registration stop with the studies
 	shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	drainErr := srv.Shutdown(shutCtx)

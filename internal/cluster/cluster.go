@@ -25,6 +25,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,13 +124,9 @@ type worker struct {
 	healthy bool
 	fails   int // consecutive failures
 	// lastContact is the last time this worker answered anything — a probe,
-	// a dispatch, or a push heartbeat. The probe loop skips workers heard
+	// a dispatch, or a registration. The probe loop skips workers heard
 	// from within the heartbeat interval.
 	lastContact time.Time
-	// report is the worker's last pushed load report and when it arrived
-	// (zero reportTime = never). Stale reports fall out of placement.
-	report      LoadReport
-	reportTime  time.Time
 	outstanding int // dispatches the coordinator currently has in flight here
 }
 
@@ -179,25 +176,20 @@ func (w *worker) heardWithin(d time.Duration) bool {
 }
 
 // addOutstanding tracks the coordinator's own in-flight dispatches to this
-// worker — load signal that needs no report at all.
+// worker.
 func (w *worker) addOutstanding(n int) {
 	w.mu.Lock()
 	w.outstanding += n
 	w.mu.Unlock()
 }
 
-// load returns the worker's effective load for placement: the coordinator's
-// own outstanding dispatches, plus the worker's reported queue depth and
-// in-flight jobs when the report is fresher than staleAfter. fresh reports
-// whether a report backed the value.
-func (w *worker) load(staleAfter time.Duration) (depth int, fresh bool) {
+// load is the worker's load for placement and speculation: the
+// coordinator's own outstanding dispatches there, the cluster's only load
+// signal.
+func (w *worker) load() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	depth = w.outstanding
-	if !w.reportTime.IsZero() && time.Since(w.reportTime) < staleAfter {
-		return depth + w.report.QueueDepth + w.report.Inflight, true
-	}
-	return depth, false
+	return w.outstanding
 }
 
 // Coordinator shards replica jobs across worker daemons and survives their
@@ -228,7 +220,9 @@ type Coordinator struct {
 }
 
 // New returns a coordinator for the given workers. Workers start healthy;
-// the first heartbeat round corrects optimism within HeartbeatInterval.
+// the first heartbeat round corrects optimism within HeartbeatInterval. A
+// worker URL Register would reject is skipped; check untrusted URLs with
+// CheckURL first, as sprinklerd does.
 // Its counters are private and its log discarded until UseCounters,
 // UseDispatchHist and UseLogger redirect them, as service.New does.
 func New(opts Options) *Coordinator {
@@ -266,7 +260,7 @@ func New(opts Options) *Coordinator {
 		specLat: stats.NewP2(latencyPct),
 	}
 	for _, u := range opts.Workers {
-		c.Register(u)
+		c.Register(u) //nolint:errcheck // documented: a bad URL is skipped
 	}
 	return c
 }
@@ -298,16 +292,36 @@ func (c *Coordinator) UseLogger(lg *slog.Logger) {
 	}
 }
 
-// Register adds a worker by base URL (idempotent). A re-registering
-// worker — e.g. one that restarted — is revived immediately.
-func (c *Coordinator) Register(url string) { c.register(url) }
+// CheckURL reports whether raw is a base URL the cluster can dial: an
+// absolute http or https URL with a host (an empty hostname, as in
+// http://:9001, means the local machine).
+func CheckURL(raw string) error {
+	u, err := url.Parse(raw)
+	if err != nil {
+		return fmt.Errorf("cluster: bad url: %w", err)
+	}
+	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return fmt.Errorf("cluster: bad url %q: want an absolute http or https url with a host", raw)
+	}
+	return nil
+}
 
-// register adds (or revives) a worker and returns its table entry.
+// Register adds a worker by base URL, or revives it if already known — e.g.
+// one that restarted. It is the cluster's one membership call: a joined
+// worker repeats it every heartbeat interval. A URL CheckURL rejects is an
+// error and leaves the table alone.
+func (c *Coordinator) Register(u string) error {
+	if err := CheckURL(u); err != nil {
+		return err
+	}
+	c.register(u)
+	return nil
+}
+
+// register adds (or revives) a worker by a checked URL and returns its
+// table entry.
 func (c *Coordinator) register(url string) *worker {
 	url = strings.TrimSuffix(url, "/")
-	if url == "" {
-		return nil
-	}
 	c.mu.Lock()
 	for _, w := range c.workers {
 		if w.url == url {
@@ -323,24 +337,6 @@ func (c *Coordinator) register(url string) *worker {
 	c.mu.Unlock()
 	c.log.Info("cluster: worker registered", "worker", url, "total", n)
 	return w
-}
-
-// Heartbeat records a push heartbeat from a worker (the /cluster/heartbeat
-// endpoint), registering it if unknown.
-func (c *Coordinator) Heartbeat(url string) { c.HeartbeatLoad(url, nil) }
-
-// HeartbeatLoad records a push heartbeat carrying the worker's load report
-// (nil = a bare registration). Contact time is recorded so the probe loop
-// stops re-probing workers that just pushed.
-func (c *Coordinator) HeartbeatLoad(url string, load *LoadReport) {
-	w := c.register(url)
-	if w == nil || load == nil {
-		return
-	}
-	w.mu.Lock()
-	w.report = *load
-	w.reportTime = time.Now()
-	w.mu.Unlock()
 }
 
 // Start runs the health-probe loop until ctx is done: every interval each
@@ -368,7 +364,7 @@ const probeTimeoutFloor = time.Second
 func (c *Coordinator) probeAll(ctx context.Context) {
 	for _, w := range c.snapshotWorkers() {
 		if w.heardWithin(c.opts.HeartbeatInterval) {
-			// A push heartbeat (or successful dispatch) just came in; a
+			// A registration (or successful dispatch) just came in; a
 			// probe would only add load. Suspect workers never match —
 			// probing is how they revive.
 			continue

@@ -153,7 +153,9 @@ func TestSlowJobWarningWithoutSpeculation(t *testing.T) {
 	runRemote(t, coordinator, testSpec("warn-train"))
 
 	// Swap the fleet: the straggler joins, the fast worker dies.
-	coord.HeartbeatLoad(wSlow.url(), nil)
+	if err := coord.Register(wSlow.url()); err != nil {
+		t.Fatal(err)
+	}
 	wFast.ts.Close()
 	time.Sleep(150 * time.Millisecond) // let the health loop suspect the dead worker
 

@@ -1,10 +1,10 @@
 // Load-aware scheduling: the fast half of the fault-tolerant cluster.
-// Workers report queue depth, in-flight jobs and an EWMA of slots/sec in
-// their push heartbeats; the coordinator places jobs by power-of-two-choices
-// over those reports (degrading to exact round-robin when loads are equal
-// or reports are stale), and races a slow job against a speculative backup
-// on an idle worker — first result wins, the loser is deduplicated by
-// the per-replica CAS key and only ever counted, never aggregated.
+// The coordinator's own count of outstanding dispatches per worker is the
+// only load signal — workers report nothing back. Placement is
+// power-of-two-choices over that count (exact round-robin when counts are
+// equal), and a slow job is raced against a speculative backup on an idle
+// worker — first result wins, the loser is deduplicated by the per-replica
+// CAS key and only ever counted, never aggregated.
 package cluster
 
 import (
@@ -15,30 +15,12 @@ import (
 	"sprinklers/internal/trace"
 )
 
-// LoadReport is the load a worker pushes with its heartbeats: jobs waiting
-// for an execution slot, jobs currently simulating, and an exponentially
-// weighted moving average of simulated slots per second.
-type LoadReport struct {
-	QueueDepth  int     `json:"queue_depth"`
-	Inflight    int     `json:"inflight"`
-	SlotsPerSec float64 `json:"slots_per_sec,omitempty"`
-}
-
-// staleAfter is how long a pushed load report stays placement-relevant:
-// past three heartbeat intervals the worker has missed beats (or never
-// pushed at all) and placement falls back to round-robin.
-func (c *Coordinator) staleAfter() time.Duration {
-	return 3 * c.opts.HeartbeatInterval
-}
-
 // pick chooses the worker for one dispatch: power-of-two-choices over the
-// first two healthy candidates in round-robin order, by effective load
-// (the coordinator's own outstanding dispatches plus the worker's fresh
-// queue/inflight report). Ties go to round-robin order, so equal loads —
-// including the no-reports case — degrade to exact round-robin. A worker
-// equal to avoid is only returned when it is the sole healthy one (a
-// failed job should move, not hammer the same suspect). nil means no
-// healthy worker.
+// first two healthy candidates in round-robin order, by the coordinator's
+// outstanding dispatches on each. Ties go to round-robin order, so equal
+// loads degrade to exact round-robin. A worker equal to avoid is only
+// returned when it is the sole healthy one (a failed job should move, not
+// hammer the same suspect). nil means no healthy worker.
 func (c *Coordinator) pick(avoid *worker) *worker {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -70,25 +52,21 @@ func (c *Coordinator) pick(avoid *worker) *worker {
 	if second == nil {
 		return first
 	}
-	stale := c.staleAfter()
-	l1, _ := first.load(stale)
-	l2, _ := second.load(stale)
-	if l2 < l1 {
+	if second.load() < first.load() {
 		return second
 	}
 	return first
 }
 
 // backupFor returns the worker a speculative backup of a job outstanding
-// on primary may launch on: another healthy worker that is idle — nothing
-// outstanding from this coordinator and, if its load report is fresh,
-// nothing queued or running. The primary carries at least the job itself,
-// so an idle worker is strictly less loaded than it: never a backup at
-// equal load, behind another job's queue, or on a single-worker fleet.
+// on primary may launch on: another healthy worker with nothing
+// outstanding from this coordinator. The primary carries at least the job
+// itself, so an idle worker is strictly less loaded than it: never a backup
+// at equal load, behind another of this coordinator's jobs, or on a
+// single-worker fleet.
 // The scan starts at pick's round-robin cursor without advancing it, so
 // polling slow jobs leave placement order alone. nil means no backup now.
 func (c *Coordinator) backupFor(primary *worker) *worker {
-	stale := c.staleAfter()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(c.workers)
@@ -97,7 +75,7 @@ func (c *Coordinator) backupFor(primary *worker) *worker {
 		if w == primary || !w.isHealthy() {
 			continue
 		}
-		if l, _ := w.load(stale); l == 0 {
+		if w.load() == 0 {
 			return w
 		}
 	}

@@ -1,7 +1,7 @@
-// White-box scheduler tests: pick fairness and load awareness, report
-// staleness, the speculative backup gate, probe suppression, and churn
-// under -race. The end-to-end behavior (speculation, byte identity) lives
-// in the black-box chaos suite in cluster_test.go.
+// White-box scheduler tests: pick fairness and load awareness, the
+// speculative backup gate, registration checks, probe suppression, and
+// churn under -race. The end-to-end behavior (speculation, byte identity)
+// lives in the black-box chaos suite in cluster_test.go.
 package cluster
 
 import (
@@ -26,7 +26,7 @@ func pickCounts(c *Coordinator, n int) map[string]int {
 	return counts
 }
 
-// TestPickRoundRobinFairnessEqualLoad: with no load reports (all loads
+// TestPickRoundRobinFairnessEqualLoad: with nothing outstanding (all loads
 // equal) the power-of-two chooser must degrade to exact round-robin —
 // every healthy worker chosen exactly once per cycle.
 func TestPickRoundRobinFairnessEqualLoad(t *testing.T) {
@@ -42,42 +42,9 @@ func TestPickRoundRobinFairnessEqualLoad(t *testing.T) {
 	}
 }
 
-// TestPickAvoidsDeepestWorker: a worker reporting a deep queue must never
-// win a two-choice comparison against an unloaded peer.
-func TestPickAvoidsDeepestWorker(t *testing.T) {
-	c := New(Options{Workers: []string{"http://a", "http://b", "http://c"}})
-	c.HeartbeatLoad("http://c", &LoadReport{QueueDepth: 7, Inflight: 3})
-	counts := pickCounts(c, 30)
-	if counts["http://c"] != 0 {
-		t.Errorf("deepest worker picked %d times, want 0 while peers are idle", counts["http://c"])
-	}
-	if counts["http://a"] == 0 || counts["http://b"] == 0 {
-		t.Errorf("idle workers starved: %v", counts)
-	}
-}
-
-// TestPickFallsBackToRoundRobinWhenStale: once a load report ages past
-// 3x the heartbeat interval it must stop biasing placement, so a worker
-// whose reports died (but whose health is fine) still gets work.
-func TestPickFallsBackToRoundRobinWhenStale(t *testing.T) {
-	c := New(Options{
-		Workers:           []string{"http://a", "http://b"},
-		HeartbeatInterval: 10 * time.Millisecond,
-	})
-	c.HeartbeatLoad("http://b", &LoadReport{QueueDepth: 50})
-	if counts := pickCounts(c, 10); counts["http://b"] != 0 {
-		t.Fatalf("fresh deep report ignored: b picked %d times", counts["http://b"])
-	}
-	time.Sleep(4 * c.opts.HeartbeatInterval) // past staleAfter
-	if counts := pickCounts(c, 10); counts["http://b"] != 5 {
-		t.Errorf("stale report still biasing placement: b picked %d of 10, want 5 (round-robin)",
-			counts["http://b"])
-	}
-}
-
-// TestPickPrefersOutstanding: even with no reports at all, the
-// coordinator's own in-flight dispatches are a load signal — a worker
-// holding outstanding jobs loses the two-choice comparison.
+// TestPickPrefersOutstanding: the coordinator's own in-flight dispatches
+// are the load signal — a worker holding outstanding jobs loses the
+// two-choice comparison.
 func TestPickPrefersOutstanding(t *testing.T) {
 	c := New(Options{Workers: []string{"http://a", "http://b"}})
 	wa := c.register("http://a")
@@ -106,10 +73,9 @@ func TestPickAvoidReturnsOtherWorker(t *testing.T) {
 }
 
 // TestBackupOnlyOntoIdleWorker: a speculative backup launches only onto a
-// different healthy worker with nothing outstanding, queued or running —
-// never at equal load, never behind a lighter peer's own work, never on a
-// single-worker fleet — and looking for one leaves pick's round-robin
-// cursor where it was.
+// different healthy worker with nothing outstanding — never at equal load,
+// never behind a lighter peer's own work, never on a single-worker fleet —
+// and looking for one leaves pick's round-robin cursor where it was.
 func TestBackupOnlyOntoIdleWorker(t *testing.T) {
 	c := New(Options{Workers: []string{"http://a", "http://b"}})
 	wa := c.register("http://a")
@@ -123,17 +89,11 @@ func TestBackupOnlyOntoIdleWorker(t *testing.T) {
 		}
 	}
 	// b is strictly lighter but still busy: a backup would queue behind it.
-	c.HeartbeatLoad("http://a", &LoadReport{QueueDepth: 1, Inflight: 1})
+	wa.addOutstanding(2)
 	if bw := c.backupFor(wa); bw != nil {
 		t.Errorf("backupFor(a) with b lighter but busy = %s, want none", bw.url)
 	}
-	// A fresh report of work the coordinator did not send keeps b busy too.
 	wb.addOutstanding(-1)
-	c.HeartbeatLoad("http://b", &LoadReport{Inflight: 1})
-	if bw := c.backupFor(wa); bw != nil {
-		t.Errorf("backupFor(a) with b running a job = %s, want none", bw.url)
-	}
-	c.HeartbeatLoad("http://b", &LoadReport{})
 	if bw := c.backupFor(wa); bw != wb {
 		t.Errorf("backupFor(a) with b idle = %v, want b", bw)
 	}
@@ -151,15 +111,39 @@ func TestBackupOnlyOntoIdleWorker(t *testing.T) {
 
 	solo := New(Options{Workers: []string{"http://s"}})
 	ws := solo.register("http://s")
-	solo.HeartbeatLoad("http://s", &LoadReport{QueueDepth: 5, Inflight: 1})
 	ws.addOutstanding(6)
 	if bw := solo.backupFor(ws); bw != nil {
 		t.Errorf("backupFor on a single-worker fleet = %s, want none", bw.url)
 	}
 }
 
-// TestPickChurn hammers pick concurrently with registration, heartbeats
-// and failure marking — a -race exercise that also asserts pick never
+// TestRegisterRejectsUndialableURL: a worker URL the coordinator could not
+// build a request for — no scheme, a non-http scheme, no host — is refused
+// by Register and skipped by New, so it never reaches a dispatch, where it
+// would fail the study with a permanent error.
+func TestRegisterRejectsUndialableURL(t *testing.T) {
+	bad := []string{"", "127.0.0.1:9001", "localhost:9001", "ftp://host:21", "http://", "http:///jobs", "/api"}
+	c := New(Options{Workers: bad})
+	for _, u := range bad {
+		if err := c.Register(u); err == nil {
+			t.Errorf("Register(%q) = nil, want an error", u)
+		}
+	}
+	if n := c.Snapshot().WorkersTotal; n != 0 {
+		t.Fatalf("%d workers registered from undialable urls, want 0", n)
+	}
+	for _, u := range []string{"http://127.0.0.1:9001", "https://w1.example/", "http://:9001"} {
+		if err := c.Register(u); err != nil {
+			t.Errorf("Register(%q) = %v, want nil", u, err)
+		}
+	}
+	if n := c.Snapshot().WorkersTotal; n != 3 {
+		t.Errorf("%d workers registered, want 3", n)
+	}
+}
+
+// TestPickChurn hammers pick concurrently with registration, outstanding
+// dispatch accounting and failure marking — a -race exercise that also asserts pick never
 // returns an unhealthy worker while healthy ones exist.
 func TestPickChurn(t *testing.T) {
 	c := New(Options{Workers: []string{"http://w0", "http://w1", "http://w2"}})
@@ -177,15 +161,18 @@ func TestPickChurn(t *testing.T) {
 			c.Register(fmt.Sprintf("http://w%d", i%5))
 		}
 	}()
-	go func() { // load reports
+	go func() { // dispatches starting and finishing
 		defer wg.Done()
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			c.HeartbeatLoad(fmt.Sprintf("http://w%d", i%5), &LoadReport{QueueDepth: i % 7})
+			for _, w := range c.snapshotWorkers() {
+				w.addOutstanding(1)
+				w.addOutstanding(-1)
+			}
 		}
 	}()
 	go func() { // failures
@@ -218,9 +205,9 @@ func TestPickChurn(t *testing.T) {
 }
 
 // TestProbeSuppressedAfterPushHeartbeat: the probe loop must not
-// re-probe a worker heard from within the heartbeat interval (push
-// heartbeats already prove liveness), and must resume probing once the
-// worker goes quiet.
+// re-probe a worker heard from within the heartbeat interval (a joined
+// worker's periodic registration already proves liveness), and must resume
+// probing once the worker goes quiet.
 func TestProbeSuppressedAfterPushHeartbeat(t *testing.T) {
 	var probes atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -248,17 +235,19 @@ func TestProbeSuppressedAfterPushHeartbeat(t *testing.T) {
 		t.Fatalf("probes after going quiet = %d, want 1", got)
 	}
 
-	// A push heartbeat re-suppresses the next round.
-	c.Heartbeat(ts.URL)
+	// A re-registration re-suppresses the next round.
+	if err := c.Register(ts.URL); err != nil {
+		t.Fatal(err)
+	}
 	c.probeAll(ctx)
 	if got := probes.Load(); got != 1 {
-		t.Errorf("probes after push heartbeat = %d, want still 1", got)
+		t.Errorf("probes after re-registration = %d, want still 1", got)
 	}
 }
 
 // TestSpeculateThresholdArming: the percentile threshold must stay
 // disarmed until enough latencies are observed, then answer with at least
-// the floor.
+// the floor — with speculation off too, since slow-job warnings use it.
 func TestSpeculateThresholdArming(t *testing.T) {
 	c := New(Options{Workers: []string{"http://a"}, Speculate: true})
 	if th := c.speculateThreshold(); th != 0 {
@@ -276,8 +265,10 @@ func TestSpeculateThresholdArming(t *testing.T) {
 	}
 
 	off := New(Options{Workers: []string{"http://a"}})
-	off.observeLatency(time.Millisecond) // must not panic with speculation off
-	if th := off.speculateThreshold(); th != 0 {
-		t.Errorf("threshold with speculation disabled = %v, want 0", th)
+	for i := 0; i < speculateMinSamples; i++ {
+		off.observeLatency(time.Millisecond)
+	}
+	if th := off.speculateThreshold(); th < speculateFloor {
+		t.Errorf("threshold with speculation disabled = %v, want >= floor %v: slow-job warnings need it", th, speculateFloor)
 	}
 }

@@ -35,7 +35,6 @@ import (
 //	GET  /api/v1/studies/{id}/render    text rendering (?format=..., the
 //	                                    same ten renderings the CLIs print)
 //	POST /api/v1/studies/{id}/cancel    cancel a running study
-//	DELETE /api/v1/studies/{id}         alias for cancel
 //
 // Cluster endpoints (jobs, CAS, registration) are documented in worker.go.
 
@@ -55,11 +54,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/studies/{id}/results", s.handleResults)
 	mux.HandleFunc("GET /api/v1/studies/{id}/render", s.handleRender)
 	mux.HandleFunc("POST /api/v1/studies/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("DELETE /api/v1/studies/{id}", s.handleCancel)
 	mux.HandleFunc("POST /api/v1/jobs", s.handleJob)
 	mux.HandleFunc("GET /api/v1/cas/{key}", s.handleCAS)
 	mux.HandleFunc("POST /api/v1/cluster/register", s.handleClusterRegister)
-	mux.HandleFunc("POST /api/v1/cluster/heartbeat", s.handleClusterRegister)
 	if s.fault == nil {
 		return mux
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 )
 
@@ -56,7 +57,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("sprinklerd_job_queue_depth", "Cluster jobs waiting for an execution slot on this worker.", s.queued.Load())
 	gauge("sprinklerd_jobs_inflight", "Cluster jobs currently simulating on this worker.", s.inflight.Load())
 	fmt.Fprintf(w, "# HELP sprinklerd_sim_slots_per_sec EWMA of simulated slots per second on this worker.\n# TYPE sprinklerd_sim_slots_per_sec gauge\nsprinklerd_sim_slots_per_sec %g\n",
-		s.LoadReport().SlotsPerSec)
+		math.Float64frombits(s.simRate.Load()))
 	if s.cluster != nil {
 		cs := s.cluster.Snapshot()
 		gauge("sprinklerd_workers_total", "Workers known to this coordinator.", int64(cs.WorkersTotal))

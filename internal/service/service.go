@@ -83,7 +83,7 @@ type Options struct {
 	Parallelism int
 	// JobSlots bounds how many cluster jobs this daemon simulates at once;
 	// arrivals beyond the bound queue in their handlers (visible as
-	// queue_depth in heartbeat load reports). 0 = GOMAXPROCS.
+	// sprinklerd_job_queue_depth on /metrics). 0 = GOMAXPROCS.
 	JobSlots int
 	// JobDelay, when > 0, stalls every job execution by this much before
 	// simulating — a deterministic chaos knob that turns this daemon into a
@@ -168,9 +168,9 @@ type Server struct {
 	deduped    atomic.Int64
 	jobsServed atomic.Int64
 
-	// Worker-side load accounting for heartbeat reports: jobSlots is the
-	// execution-slot semaphore, queued/inflight are the gauges reported in
-	// heartbeats, simRate is the EWMA of simulated slots/sec (float64 bits).
+	// Worker-side load gauges for /metrics: jobSlots is the execution-slot
+	// semaphore, queued/inflight count jobs waiting for and holding a slot,
+	// simRate is the EWMA of simulated slots/sec (float64 bits).
 	jobSlots chan struct{}
 	jobDelay time.Duration
 	queued   atomic.Int64

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"regexp"
+	"strings"
 	"time"
 
 	"sprinklers/internal/cluster"
@@ -19,14 +21,14 @@ import (
 
 // The cluster wire surface. A worker daemon serves /api/v1/jobs and
 // /api/v1/cas/{key}; a coordinator daemon additionally serves the
-// /api/v1/cluster registration endpoints. Every daemon serves CAS reads,
-// so any node can be a peer-fill source.
+// /api/v1/cluster/register membership endpoint. Every daemon serves CAS
+// reads, so any node can be a peer-fill source. Workers send no load: the
+// coordinator places jobs by its own count of outstanding dispatches.
 //
 //	POST /api/v1/jobs               execute one leased (point, replica) job
 //	GET  /api/v1/cas/{key}          raw result-cache entry (peer cache fill)
-//	POST /api/v1/cluster/register   worker joins the coordinator's fleet
-//	POST /api/v1/cluster/heartbeat  worker push heartbeat (implies register;
-//	                                body may carry a load report)
+//	POST /api/v1/cluster/register   worker joins (or, repeated every
+//	                                heartbeat interval, stays in) the fleet
 
 // maxJobBytes bounds a job request body. The coordinator sends the job's
 // one-point spec, a few hundred bytes; the bound is the one a submitted
@@ -191,7 +193,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// 3. Simulate — behind the job-slot semaphore, so a busy worker's
-	// surplus jobs queue here and show up in its load report.
+	// surplus jobs queue here and show up in its queue-depth gauge.
 	qsp := jtc.Start("queue-wait")
 	qsp.SetJob(req.Point.String(), req.Rep)
 	queueStart := time.Now()
@@ -296,7 +298,7 @@ func (s *Server) handleCAS(w http.ResponseWriter, r *http.Request) {
 }
 
 // observeSimRate folds one completed replica simulation into the EWMA of
-// simulated slots per second that heartbeats report.
+// simulated slots per second (sprinklerd_sim_slots_per_sec).
 func (s *Server) observeSimRate(slots int64, elapsed time.Duration) {
 	if slots <= 0 || elapsed <= 0 {
 		return
@@ -315,28 +317,14 @@ func (s *Server) observeSimRate(slots int64, elapsed time.Duration) {
 	}
 }
 
-// LoadReport snapshots this daemon's worker-side load for a heartbeat:
-// jobs queued for an execution slot, jobs simulating, and the slots/sec
-// EWMA.
-func (s *Server) LoadReport() cluster.LoadReport {
-	return cluster.LoadReport{
-		QueueDepth:  int(s.queued.Load()),
-		Inflight:    int(s.inflight.Load()),
-		SlotsPerSec: math.Float64frombits(s.simRate.Load()),
-	}
-}
-
-// clusterJoinRequest is the body of the register/heartbeat endpoints. Load
-// is optional: plain registrations omit it, push heartbeats carry the
-// worker's current load for the coordinator's placement decisions.
+// clusterJoinRequest is the body of the register endpoint.
 type clusterJoinRequest struct {
-	URL  string              `json:"url"`
-	Load *cluster.LoadReport `json:"load,omitempty"`
+	URL string `json:"url"`
 }
 
-// handleClusterRegister admits a worker to the coordinator's fleet (also
-// the push-heartbeat endpoint: registration is idempotent and revives, and
-// a heartbeat's load report feeds load-aware placement and speculation).
+// handleClusterRegister admits a worker to the coordinator's fleet.
+// Registration is idempotent and revives a suspect worker; a URL the
+// coordinator could not dial is refused with 400.
 func (s *Server) handleClusterRegister(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("this daemon is not a coordinator"))
@@ -347,31 +335,29 @@ func (s *Server) handleClusterRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding registration: %w", err))
 		return
 	}
-	if req.URL == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("registration needs a worker url"))
+	if err := s.cluster.Register(req.URL); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.cluster.HeartbeatLoad(req.URL, req.Load)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// JoinCluster announces this daemon to a coordinator and keeps
-// heartbeating every interval until ctx is done — the worker side of
-// dynamic fleet membership (`sprinklerd -join`). Each beat carries the
-// worker's current load report. Failures are logged and retried on the
-// next tick: a worker that outlives a coordinator restart re-registers
-// itself the moment the coordinator is back.
+// JoinCluster registers this daemon with a coordinator and re-registers
+// every interval until ctx is done — the worker side of dynamic fleet
+// membership (`sprinklerd -join`). A failure or a refusal (the daemon is no
+// coordinator, or rejects selfURL) is logged and retried on the next tick:
+// a worker that outlives a coordinator restart re-registers itself the
+// moment the coordinator is back.
 func (s *Server) JoinCluster(ctx context.Context, coordinatorURL, selfURL string, interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
 	}
+	body, _ := json.Marshal(clusterJoinRequest{URL: selfURL})
 	beat := func() {
-		load := s.LoadReport()
-		body, _ := json.Marshal(clusterJoinRequest{URL: selfURL, Load: &load})
 		bctx, cancel := context.WithTimeout(ctx, interval)
 		defer cancel()
 		req, err := http.NewRequestWithContext(bctx, http.MethodPost,
-			coordinatorURL+"/api/v1/cluster/heartbeat", bytes.NewReader(body))
+			coordinatorURL+"/api/v1/cluster/register", bytes.NewReader(body))
 		if err != nil {
 			s.log.Warn("cluster join failed", "coordinator", coordinatorURL, "err", err)
 			return
@@ -379,10 +365,15 @@ func (s *Server) JoinCluster(ctx context.Context, coordinatorURL, selfURL string
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			s.log.Warn("cluster join: heartbeat failed", "coordinator", coordinatorURL, "err", err)
+			s.log.Warn("cluster join: registration failed", "coordinator", coordinatorURL, "err", err)
 			return
 		}
-		resp.Body.Close()
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		if resp.StatusCode/100 != 2 {
+			s.log.Warn("cluster join: registration refused", "coordinator", coordinatorURL,
+				"status", resp.Status, "body", strings.TrimSpace(string(msg)))
+		}
 	}
 	beat()
 	t := time.NewTicker(interval)
