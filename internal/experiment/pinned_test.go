@@ -57,6 +57,12 @@ var pinnedDigests = map[string]string{
 	"ufs/diagonal/130":  "ff67ffa0c453b6556302ed1157614e0943d77a9d34ed2420c6cd13d6a049ce0e",
 	"pf/uniform/130":    "d5f9baedd284ca4b8fbdb4df27ae1e09b1bc34cefe2c7065b53395ca64de6487",
 	"pf/diagonal/130":   "58cf64d525da2121d3d3d51fa7d40ef2d30bad2931e09885a80aec06f41d6bb7",
+	// CMS at N = 70 and 130 was recorded before its per-port matcher moved
+	// from an output scan plus a sort of the grants onto token bit sets.
+	"cms/uniform/70":   "469caf834d73906f2805ebb251bc20a92c3968197a705abc590318f1a6c7b4e3",
+	"cms/diagonal/70":  "1542bfcc73d94e03ab7eeb2e18da304d005289ba7a7e14373d3d962f03402e93",
+	"cms/uniform/130":  "aa22224137031aafe584911158f93b01a7f69894691571ad6cbf396a0b9f2d75",
+	"cms/diagonal/130": "87d3a27f2d78b9136e62d363984fce74cb9879421c5828d249553b0f5656dd26",
 }
 
 func TestPinnedPointDigests(t *testing.T) {
@@ -65,7 +71,7 @@ func TestPinnedPointDigests(t *testing.T) {
 		algs []Algorithm
 	}
 	seen := 0
-	multiWord := []Algorithm{FOFF, UFS, PF}
+	multiWord := []Algorithm{FOFF, UFS, PF, CMS}
 	for _, sz := range []size{{8, AllAlgorithms()}, {32, Fig6Algorithms}, {70, multiWord}, {130, multiWord}} {
 		for _, alg := range sz.algs {
 			for _, tr := range []TrafficKind{UniformTraffic, DiagonalTraffic} {
