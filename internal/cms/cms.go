@@ -31,8 +31,6 @@
 package cms
 
 import (
-	"sort"
-
 	"sprinklers/internal/midstage"
 	"sprinklers/internal/queue"
 	"sprinklers/internal/sim"
@@ -41,6 +39,7 @@ import (
 // Switch is a Concurrent Matching Switch.
 type Switch struct {
 	n int
+	w int // words of a bit set over n ports (queue.BitWords)
 	t sim.Slot
 
 	voq    [][]queue.RecordFIFO // voq[i][j], on chunks[i]
@@ -49,8 +48,13 @@ type Switch struct {
 	// tokenRR[i][j]: the intermediate port receiving VOQ (i,j)'s next
 	// token, so demand spreads evenly over the ports.
 	tokenRR [][]int
-	// tokens[m][i][j]: outstanding request tokens at intermediate port m.
-	tokens [][][]int
+	// tokens[(m*n+i)*n+j]: outstanding request tokens for VOQ (i,j) at
+	// intermediate port m, one flat slab.
+	tokens []int32
+	// tokenBits[(m*n+i)*w:][:w]: the outputs j with tokens[(m*n+i)*n+j]
+	// > 0, so a port finds input i's next requested output with one
+	// find-first-set per word instead of a scan over all n outputs.
+	tokenBits []uint64
 
 	// pending[m][i]: packet bound at the last frame boundary, crossing
 	// the first fabric during the current frame (ok marks occupancy).
@@ -70,30 +74,35 @@ type Switch struct {
 
 	// Reusable matching buffers (one matching runs every N slots; keeping
 	// these out of the per-frame allocation path keeps Step allocation-free
-	// in steady state).
-	grantOut [][]int
-	outUsed  []bool
-	grants   []grantRec
-}
-
-// grantRec is one grant awaiting packet binding: flow (in, out), granting
-// port m, and the port's sweep position for the output.
-type grantRec struct {
-	in, out, m, pos int
+	// in steady state). outUsed and free are bit sets over outputs: the
+	// outputs the current port has granted, and one input's requested
+	// outputs less those. granted[(i*n+j)*w:][:w] is the set of ports that
+	// granted VOQ (i,j) this frame, and bound lists each such VOQ once.
+	outUsed []uint64
+	free    []uint64
+	granted []uint64
+	bound   []int
 }
 
 // New builds an n-port Concurrent Matching Switch.
 func New(n int) *Switch {
+	w := queue.BitWords(n)
 	s := &Switch{
 		n:         n,
+		w:         w,
 		voq:       make([][]queue.RecordFIFO, n),
 		chunks:    make([]queue.RecordPool, n),
 		tokenRR:   make([][]int, n),
-		tokens:    make([][][]int, n),
+		tokens:    make([]int32, n*n*n),
+		tokenBits: make([]uint64, n*n*w),
 		pending:   make([][]sim.Packet, n),
 		pendingOK: make([][]bool, n),
 		holding:   make([][]sim.Packet, n),
 		mid:       midstage.New(n),
+		outUsed:   make([]uint64, w),
+		free:      make([]uint64, w),
+		granted:   make([]uint64, n*n*w),
+		bound:     make([]int, 0, n*n),
 	}
 	for i := 0; i < n; i++ {
 		s.voq[i] = make([]queue.RecordFIFO, n)
@@ -105,19 +114,11 @@ func New(n int) *Switch {
 		}
 	}
 	for m := 0; m < n; m++ {
-		s.tokens[m] = make([][]int, n)
-		for i := 0; i < n; i++ {
-			s.tokens[m][i] = make([]int, n)
-		}
 		s.pending[m] = make([]sim.Packet, n)
 		s.pendingOK[m] = make([]bool, n)
+		// Each input meets port m once per frame.
+		s.holding[m] = make([]sim.Packet, 0, n)
 	}
-	s.grantOut = make([][]int, n)
-	for m := range s.grantOut {
-		s.grantOut[m] = make([]int, n)
-	}
-	s.outUsed = make([]bool, n)
-	s.grants = make([]grantRec, 0, n*n)
 	return s
 }
 
@@ -133,11 +134,13 @@ func (s *Switch) Backlog() int { return s.inBuf + s.inHold + s.mid.Backlog() }
 // Arrive implements sim.Switch: buffer the packet and load-balance a
 // request token to the VOQ's next round-robin intermediate port.
 func (s *Switch) Arrive(p sim.Packet) {
-	s.voq[p.In][p.Out].Push(&s.chunks[p.In], queue.RecordOf(p))
+	i, j := int(p.In), int(p.Out)
+	s.voq[i][j].Push(&s.chunks[i], queue.RecordOf(p))
 	s.inBuf++
-	m := s.tokenRR[p.In][p.Out]
-	s.tokenRR[p.In][p.Out] = (m + 1) % s.n
-	s.tokens[m][p.In][p.Out]++
+	m := s.tokenRR[i][j]
+	s.tokenRR[i][j] = (m + 1) % s.n
+	s.tokens[(m*s.n+i)*s.n+j]++
+	queue.SetBit(s.tokenBits[(m*s.n+i)*s.w:], j)
 }
 
 // Step implements sim.Switch. Frames are aligned to t ≡ 0 (mod N).
@@ -175,63 +178,82 @@ func (s *Switch) frameBoundary(t sim.Slot) {
 // computeMatchings runs one greedy maximal matching at every intermediate
 // port over its local tokens, then binds each VOQ's packets to its granted
 // ports in output-sweep order.
+//
+// Port m visits the inputs from (off+m) mod N onward, and input i takes the
+// first output at or cyclically after (off+i) mod N that it holds a token
+// for and that no earlier input at this port took: one find-first-set over
+// the input's token bit set less the port's granted outputs. The priority
+// offset off rotates every frame so no input or output is structurally
+// favored.
+//
+// Binding needs no global order. Each (port, input) grants at most once, so
+// a VOQ's packets go only to its own granted ports, and the VOQs bind
+// independently. Output j's sweep drains port m at offset (m-j) mod N of
+// the delivery frame, so walking the VOQ's granted-port bit set cyclically
+// from j hands out its packets in FIFO order of departure.
 func (s *Switch) computeMatchings() {
-	// Matching per port; grantOut[m][i] = matched output or -1. The
-	// priority offset rotates so no input or output is structurally
-	// favored.
+	n, w := s.n, s.w
 	off := s.matchPrio
-	s.matchPrio = (s.matchPrio + 1) % s.n
-	s.grants = s.grants[:0]
-	for m := 0; m < s.n; m++ {
-		grantOut := s.grantOut[m]
-		outUsed := s.outUsed
-		for i := range grantOut {
-			grantOut[i] = -1
-			outUsed[i] = false
-		}
-		for a := 0; a < s.n; a++ {
-			i := (off + m + a) % s.n
-			for b := 0; b < s.n; b++ {
-				j := (off + i + b) % s.n
-				if outUsed[j] || s.tokens[m][i][j] == 0 {
-					continue
+	s.matchPrio = (s.matchPrio + 1) % n
+	for m := 0; m < n; m++ {
+		clear(s.outUsed)
+		grants := 0
+		i := (off + m) % n
+		for a := 0; a < n && grants < n; a++ {
+			row := (m*n + i) * w
+			bits := s.tokenBits[row : row+w]
+			avail := uint64(0)
+			for k, b := range bits {
+				s.free[k] = b &^ s.outUsed[k]
+				avail |= s.free[k]
+			}
+			if avail != 0 {
+				start := off + i
+				if start >= n {
+					start -= n
 				}
-				s.tokens[m][i][j]--
-				grantOut[i] = j
-				outUsed[j] = true
-				break
+				j := queue.NextSet(s.free, start)
+				if s.tokens[(m*n+i)*n+j]--; s.tokens[(m*n+i)*n+j] == 0 {
+					queue.ClearBit(bits, j)
+				}
+				queue.SetBit(s.outUsed, j)
+				grants++
+				g := s.granted[(i*n+j)*w : (i*n+j)*w+w]
+				if isEmpty(g) {
+					s.bound = append(s.bound, i*n+j)
+				}
+				queue.SetBit(g, m)
 			}
-		}
-		for i, j := range grantOut {
-			if j >= 0 {
-				s.grants = append(s.grants, grantRec{
-					in: i, out: j, m: m, pos: (m - j + s.n) % s.n,
-				})
+			if i++; i == n {
+				i = 0
 			}
 		}
 	}
-	// Bind: consume each VOQ's packets in the order output j's sweep will
-	// serve the granted ports — port m is drained at offset (m-j) mod N of
-	// the delivery frame — so a flow's packets depart in FIFO order.
-	sort.Slice(s.grants, func(x, y int) bool {
-		a, b := s.grants[x], s.grants[y]
-		if a.in != b.in {
-			return a.in < b.in
+	for _, f := range s.bound {
+		i, j := f/n, f%n
+		q := &s.voq[i][j]
+		g := s.granted[f*w : f*w+w]
+		for m := queue.NextSet(g, j); m >= 0; m = queue.NextSet(g, m) {
+			queue.ClearBit(g, m)
+			if q.Len() == 0 {
+				panic("cms: grant without a packet")
+			}
+			// The only place a VOQ shrinks: its record becomes a packet again.
+			s.pending[m][i] = q.Pop(&s.chunks[i]).Packet(i, j)
+			s.pendingOK[m][i] = true
+			s.inBuf--
+			s.inHold++
 		}
-		if a.out != b.out {
-			return a.out < b.out
-		}
-		return a.pos < b.pos
-	})
-	for _, g := range s.grants {
-		q := &s.voq[g.in][g.out]
-		if q.Len() == 0 {
-			panic("cms: grant without a packet")
-		}
-		// The only place a VOQ shrinks: its record becomes a packet again.
-		s.pending[g.m][g.in] = q.Pop(&s.chunks[g.in]).Packet(g.in, g.out)
-		s.pendingOK[g.m][g.in] = true
-		s.inBuf--
-		s.inHold++
 	}
+	s.bound = s.bound[:0]
+}
+
+// isEmpty reports whether no bit of bm is set.
+func isEmpty(bm []uint64) bool {
+	for _, b := range bm {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -205,5 +206,45 @@ func TestRenderCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "sprinklers,uniform,,8,0.5000,0.00,1,12.500") {
 		t.Fatalf("row: %s", lines[1])
+	}
+}
+
+// TestLazySourceDrawsLikeRandSource: a generator over lazySource reads the
+// same stream as one over rand.NewSource — through Int63, Uint64 and the
+// derived draws, across a reseed — and seeds nothing until the first draw.
+func TestLazySourceDrawsLikeRandSource(t *testing.T) {
+	lazy := &lazySource{seed: 42}
+	got, want := rand.New(lazy), rand.New(rand.NewSource(42))
+	if lazy.src != nil {
+		t.Fatal("lazySource seeded before its first draw")
+	}
+	for round := 0; round < 2; round++ {
+		for k := 0; k < 100; k++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("round %d draw %d: Int63 %d, want %d", round, k, g, w)
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("round %d draw %d: Uint64 %d, want %d", round, k, g, w)
+			}
+			if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("round %d draw %d: Float64 %v, want %v", round, k, g, w)
+			}
+			if g, w := got.Intn(1000), want.Intn(1000); g != w {
+				t.Fatalf("round %d draw %d: Intn %d, want %d", round, k, g, w)
+			}
+		}
+		got.Seed(7)
+		want.Seed(7)
+	}
+	a, err := Pattern(PermutationTraffic, 16, 0.8, rand.New(&lazySource{seed: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Pattern(PermutationTraffic, 16, 0.8, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Rows(), b.Rows()) {
+		t.Fatal("permutation pattern differs between lazySource and rand.NewSource")
 	}
 }

@@ -167,10 +167,22 @@ func (r *Reorder) Fraction() float64 {
 // Multi fans a delivery out to several observers.
 type Multi []sim.Observer
 
-// Observe implements sim.Observer.
+// Observe implements sim.Observer. The package's own instruments are
+// reached through a type switch, without an interface call each; any other
+// observer goes through its Observe. Either way every observer sees the
+// delivery in slice order.
 func (m Multi) Observe(d sim.Delivery) {
 	for _, o := range m {
-		o.Observe(d)
+		switch o := o.(type) {
+		case *Delay:
+			o.Add(d.Delay())
+		case *Reorder:
+			o.Add(d.Packet)
+		case *Windowed:
+			o.Observe(d)
+		default:
+			o.Observe(d)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -281,6 +282,84 @@ func TestMultiFansOut(t *testing.T) {
 	m.Observe(sim.Delivery{})
 	if a != 1 || b != 1 {
 		t.Fatal("Multi did not fan out")
+	}
+}
+
+// TestMultiDirectMatchesObserve: the type-switched instruments in a Multi
+// end in exactly the state their own Observe calls would leave, with every
+// observer, the package's own and any other, called in slice order.
+func TestMultiDirectMatchesObserve(t *testing.T) {
+	const n = 4
+	type set struct {
+		delay   *Delay
+		reorder *Reorder
+		win     *Windowed
+		log     [][3]int64
+	}
+	newSet := func() *set {
+		return &set{delay: &Delay{}, reorder: NewReorder(n), win: NewWindowed(n, 10, 200, 4)}
+	}
+	// snap records how many deliveries each instrument has seen, so a
+	// snapshot between two instruments pins the order they were called in.
+	snap := func(s *set) sim.Observer {
+		return sim.ObserverFunc(func(sim.Delivery) {
+			s.log = append(s.log, [3]int64{s.delay.Count(), s.reorder.Total(), s.win.ReorderDetector().Total()})
+		})
+	}
+	fast, slow := newSet(), newSet()
+	multi := Multi{fast.delay, snap(fast), fast.reorder, fast.win, snap(fast)}
+	each := []sim.Observer{slow.delay, snap(slow), slow.reorder, slow.win, snap(slow)}
+	rng := rand.New(rand.NewSource(9))
+	for t0 := sim.Slot(10); t0 < 210; t0++ {
+		for k := rng.Intn(4); k > 0; k-- {
+			d := sim.Delivery{
+				Packet: sim.Packet{In: int32(rng.Intn(n)), Out: int32(rng.Intn(n)),
+					Seq: uint64(rng.Intn(50)), Arrival: t0 - sim.Slot(rng.Intn(10))},
+				Depart: t0,
+			}
+			multi.Observe(d)
+			for _, o := range each {
+				o.Observe(d)
+			}
+		}
+		fast.win.OnSlot(t0, func() int { return int(t0) })
+		slow.win.OnSlot(t0, func() int { return int(t0) })
+	}
+	if fast.delay.Count() == 0 || fast.reorder.Reordered() == 0 || len(fast.win.Points()) != 4 {
+		t.Fatalf("workload degenerate: %d delays, %d reordered, %d windows",
+			fast.delay.Count(), fast.reorder.Reordered(), len(fast.win.Points()))
+	}
+	if !reflect.DeepEqual(fast.delay, slow.delay) {
+		t.Errorf("Delay through Multi %+v, through Observe %+v", *fast.delay, *slow.delay)
+	}
+	if !reflect.DeepEqual(fast.reorder, slow.reorder) {
+		t.Errorf("Reorder through Multi %+v, through Observe %+v", *fast.reorder, *slow.reorder)
+	}
+	if !reflect.DeepEqual(fast.win, slow.win) {
+		t.Errorf("Windowed through Multi %+v, through Observe %+v", fast.win.Points(), slow.win.Points())
+	}
+	if len(fast.log) != len(slow.log) {
+		t.Fatalf("foreign observers called %d times through Multi, %d through Observe", len(fast.log), len(slow.log))
+	}
+	for k := range fast.log {
+		if fast.log[k] != slow.log[k] {
+			t.Fatalf("observer order differs at call %d: counts %v through Multi, %v through Observe", k, fast.log[k], slow.log[k])
+		}
+	}
+}
+
+// TestMultiObserveZeroAlloc: fanning a delivery out to the package's
+// instruments and to a foreign observer allocates nothing.
+func TestMultiObserveZeroAlloc(t *testing.T) {
+	calls := 0
+	multi := Multi{&Delay{}, NewReorder(4), NewWindowed(4, 0, 100, 2),
+		sim.ObserverFunc(func(sim.Delivery) { calls++ })}
+	d := sim.Delivery{Packet: sim.Packet{In: 1, Out: 2, Seq: 3, Arrival: 4}, Depart: 9}
+	if allocs := testing.AllocsPerRun(100, func() { multi.Observe(d) }); allocs != 0 {
+		t.Fatalf("Multi.Observe allocated %v times per delivery, want 0", allocs)
+	}
+	if calls == 0 {
+		t.Fatal("foreign observer never called")
 	}
 }
 
