@@ -348,9 +348,9 @@ func TestMultiDirectMatchesObserve(t *testing.T) {
 	}
 }
 
-// TestMultiObserveZeroAlloc: fanning a delivery out to the package's
-// instruments and to a foreign observer allocates nothing.
-func TestMultiObserveZeroAlloc(t *testing.T) {
+// TestMultiObserveZeroAllocSteadyState: fanning a delivery out to the
+// package's instruments and to a foreign observer allocates nothing.
+func TestMultiObserveZeroAllocSteadyState(t *testing.T) {
 	calls := 0
 	multi := Multi{&Delay{}, NewReorder(4), NewWindowed(4, 0, 100, 2),
 		sim.ObserverFunc(func(sim.Delivery) { calls++ })}
