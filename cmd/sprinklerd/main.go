@@ -18,18 +18,25 @@
 //	           [-trace-spans N] [-pprof-listen ADDR]
 //
 // Cluster mode (see the README's Cluster section): with -coordinator the
-// daemon shards each study's replica jobs across the -workers fleet under
-// leases, retries transient failures with capped backoff, re-dispatches
-// the jobs of a dead worker to healthy peers, and — with every worker down
-// — degrades to local execution (reported by /healthz and /metrics). A
-// worker is just a plain daemon; -join makes it announce itself to a
-// coordinator and heartbeat — each beat carrying its queue depth, in-flight
-// count and slots/sec EWMA — so fleets can also grow dynamically and the
-// coordinator can place jobs by load (power-of-two-choices). A job
-// outstanding past the P95 of dispatch latency is raced by a backup on an
-// idle worker (nothing outstanding, queued or running), so a straggler's
-// jobs finish elsewhere without queueing behind other work. -job-slots bounds concurrent simulations per worker;
-// -chaos-job-delay stalls every job (straggler chaos testing).
+// daemon leases each study's points to the -workers fleet, one point's
+// replicas per lease (a point is cut into contiguous replica ranges when a
+// batch has fewer points left than -par), and each worker streams the
+// replicas back as they finish. A lease's deadline is -lease per replica it
+// carries. The coordinator retries transient failures with capped backoff,
+// keeps every replica a dead worker delivered and re-dispatches the rest to
+// healthy peers, and — with every worker down — degrades to local
+// execution (reported by /healthz and /metrics). Job counters on /metrics
+// count replicas; the dispatch-latency histogram counts leases. A worker
+// is just a plain daemon; -join makes it announce itself to a coordinator
+// and re-register every -heartbeat, so fleets can also grow dynamically.
+// The coordinator places leases by its own count of outstanding leases per
+// worker (power-of-two-choices). A lease that has gone past the P95 of
+// per-replica latency without delivering a replica is raced by a backup
+// for its remaining replicas on an idle worker (nothing outstanding), so a
+// straggler's replicas finish elsewhere without queueing behind other
+// work. -job-slots bounds concurrent replica simulations per worker;
+// -chaos-job-delay stalls every replica a worker simulates (straggler
+// chaos testing).
 //
 // With -cache-max-bytes the result cache is bounded on disk: a background
 // sweeper evicts the least recently used entries every -sweep-interval
@@ -48,7 +55,8 @@
 //	POST /api/v1/studies            submit a spec
 //	GET  /api/v1/studies/{id}       status; /events streams progress (SSE);
 //	     /results and /render serve the output; POST /cancel stops it
-//	POST /api/v1/jobs               execute one leased (point, replica) job
+//	POST /api/v1/jobs               serve one lease (a range of one point's
+//	                                replicas), streamed back as NDJSON
 //	GET  /api/v1/cas/{key}          raw cache entry (peer cache fill)
 //	POST /api/v1/cluster/register   worker registration
 //	GET  /api/v1/catalog            registered architectures/workloads/
@@ -116,12 +124,12 @@ func main() {
 	grace := flag.Duration("grace", 30*time.Second, "shutdown grace period for draining studies")
 	coordinator := flag.Bool("coordinator", false, "run as a cluster coordinator, dispatching replica jobs to -workers")
 	workers := flag.String("workers", "", "comma-separated worker base URLs (implies -coordinator)")
-	lease := flag.Duration("lease", 2*time.Minute, "per-job lease: a worker must finish a replica within it")
+	lease := flag.Duration("lease", 2*time.Minute, "lease per replica: a lease carrying n replicas must finish within n times it")
 	heartbeat := flag.Duration("heartbeat", time.Second, "worker probe and re-registration interval")
 	join := flag.String("join", "", "coordinator URL to register with every -heartbeat (worker mode)")
 	advertise := flag.String("advertise", "", "base URL this worker advertises to the coordinator (default http://<listen>)")
-	jobSlots := flag.Int("job-slots", 0, "concurrent cluster-job simulations on this worker; surplus jobs queue (default GOMAXPROCS)")
-	chaosJobDelay := flag.Duration("chaos-job-delay", 0, "stall every cluster job by this much before simulating (chaos: make this worker a straggler)")
+	jobSlots := flag.Int("job-slots", 0, "concurrent replica simulations for cluster jobs on this worker; surplus replicas queue (default GOMAXPROCS)")
+	chaosJobDelay := flag.Duration("chaos-job-delay", 0, "stall every replica a cluster job simulates by this much first (chaos: make this worker a straggler)")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "bound the result cache on disk; 0 = unbounded")
 	sweepInterval := flag.Duration("sweep-interval", time.Minute, "how often the cache sweeper enforces -cache-max-bytes")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")

@@ -1,17 +1,18 @@
 // Package cluster is the fault-tolerant control plane that turns one
-// sprinklerd daemon into a coordinator for many: a study's (point, replica)
-// jobs are sharded across worker daemons under leases, failures are
-// retried with capped exponential backoff and jitter, a worker that stops
-// answering is marked suspect and its jobs are re-dispatched to healthy
-// peers, and with every worker down the coordinator degrades to local
-// execution — a study always completes, and completes byte-identical to a
-// single-node run, because the work unit (one content-identified replica)
-// computes the same Point on any node.
+// sprinklerd daemon into a coordinator for many: a study's points are
+// leased to worker daemons, one point's replicas per lease, and stream
+// back one replica at a time. Failures are retried with capped exponential
+// backoff and jitter, a worker that stops answering is marked suspect and
+// the replicas it did not deliver are re-dispatched to healthy peers, and
+// with every worker down the coordinator degrades to local execution — a
+// study always completes, and completes byte-identical to a single-node
+// run, because the work unit (one content-identified replica) computes the
+// same Point on any node.
 //
 // The coordinator plugs into the experiment engine through
-// experiment.StudyConfig.ReplicaRunner, so grid ordering, checkpointing,
+// experiment.StudyConfig.RangeRunner, so grid ordering, checkpointing,
 // the cache pre-pass and replica aggregation are exactly the single-node
-// code paths; this package only decides WHERE a replica runs and what to
+// code paths; this package only decides WHERE replicas run and what to
 // do when that place dies.
 package cluster
 
@@ -36,7 +37,7 @@ import (
 	"sprinklers/internal/trace"
 )
 
-// Job sources, reported by workers in JobResponse.Source.
+// Replica sources, reported by workers in JobResponse.Source.
 const (
 	// SourceComputed: the worker simulated the replica.
 	SourceComputed = "computed"
@@ -46,28 +47,50 @@ const (
 	SourcePeer = "peer"
 )
 
-// JobRequest is one leased (point, replica) dispatch: a normalized spec
-// that contains the point, the point, the replica index, the lease the
-// worker must finish within, and the sibling workers it may fill its cache
-// from before simulating. The coordinator sends the point's one-point spec
-// (Spec.Narrow); a worker serves any spec containing the point the same
-// way, since the point's identity and seeds do not depend on the rest.
+// JobRequest is one lease: a normalized spec that contains the point, the
+// point, the replicas [Rep, Rep+Reps) to serve, the lease the worker must
+// finish within, and the sibling workers it may fill its cache from before
+// simulating. Reps defaults to 1, so a one-replica lease has the same
+// bytes as a request without the field. The coordinator sends the point's
+// one-point spec (Spec.Narrow); a worker serves any spec containing the
+// point the same way, since the point's identity and seeds do not depend
+// on the rest.
 type JobRequest struct {
 	Spec    experiment.Spec     `json:"spec"`
 	Point   experiment.PointKey `json:"point"`
 	Rep     int                 `json:"rep"`
+	Reps    int                 `json:"reps,omitempty"`
 	LeaseMS int64               `json:"lease_ms,omitempty"`
 	Peers   []string            `json:"peers,omitempty"`
 }
 
-// JobResponse is a completed job: the replica's measurements and where
-// they came from. Spans carries the worker-side trace spans of the job
-// when the request carried trace headers — response-only observability
-// that never feeds back into results, seeds, or cache keys.
+// JobResponse is one line of a job's NDJSON (newline-delimited JSON)
+// response: replica Rep's measurements and where they came from. A worker
+// writes one line per replica of the lease, in replica order, flushed as
+// each finishes, and then one JobTrailer line. A 4xx or 5xx status comes
+// before any line, never after one.
 type JobResponse struct {
+	Rep    int              `json:"rep"`
 	Point  experiment.Point `json:"point"`
 	Source string           `json:"source"`
-	Spans  []trace.Span     `json:"spans,omitempty"`
+}
+
+// JobTrailer is the last line of a complete job response. Spans carries
+// the worker-side trace spans of the job when the request carried trace
+// headers — response-only observability that never feeds back into
+// results, seeds, or cache keys. A response that ends before its trailer
+// (lease expiry, a worker crash, a cut connection, a body over
+// maxPeerBodyBytes) is a transient failure of the replicas it did not
+// deliver.
+type JobTrailer struct {
+	End   bool         `json:"end"`
+	Spans []trace.Span `json:"spans,omitempty"`
+}
+
+// jobLine decodes either line of a job response.
+type jobLine struct {
+	JobResponse
+	JobTrailer
 }
 
 // PermanentError marks a dispatch failure that retrying cannot fix (the
@@ -83,10 +106,10 @@ type Options struct {
 	// Workers lists the worker daemon base URLs known at startup; more may
 	// join later via Register.
 	Workers []string
-	// Lease bounds one job's execution: the dispatch request times out
-	// after it (client-side) and the worker aborts the simulation at it
-	// (server-side), so a partitioned worker cannot hold a job forever.
-	// Default 2m.
+	// Lease bounds the execution of one replica: a lease carrying n
+	// replicas times out after n×Lease, both client-side (the dispatch
+	// request) and server-side (the worker aborts its simulation), so a
+	// partitioned worker cannot hold a job forever. Default 2m.
 	Lease time.Duration
 	// HeartbeatInterval is the probe period of the health loop (default
 	// 1s). A worker is probed at /healthz; SuspectAfter consecutive
@@ -95,8 +118,9 @@ type Options struct {
 	HeartbeatInterval time.Duration
 	// SuspectAfter is the consecutive-failure threshold (default 2).
 	SuspectAfter int
-	// MaxAttempts bounds dispatch attempts per job before the coordinator
-	// gives up on the fleet and runs the job locally (default 6).
+	// MaxAttempts bounds dispatch attempts per lease before the coordinator
+	// gives up on the fleet and runs the undelivered replicas locally
+	// (default 6).
 	MaxAttempts int
 	// BaseBackoff and MaxBackoff shape the capped exponential backoff
 	// between attempts (defaults 50ms and 2s); jitter derives from Seed.
@@ -107,12 +131,13 @@ type Options struct {
 	// Transport overrides the dispatch HTTP transport — the fault-
 	// injection hook (default http.DefaultTransport).
 	Transport http.RoundTripper
-	// Speculate arms speculative re-execution: a job outstanding longer
-	// than the P95 of observed dispatch latency is raced by a backup on an
-	// idle worker (nothing outstanding, queued or running), and the first
-	// result wins.
-	// The loser is deduplicated by the per-replica CAS key; a loser that
-	// simulated anyway is counted in SpeculativeWasted, never aggregated.
+	// Speculate arms speculative re-execution: a lease whose next replica
+	// has been outstanding longer than the P95 of observed per-replica
+	// latency is raced by a backup for its remaining replicas on an idle
+	// worker (nothing outstanding, queued or running), and each replica
+	// is taken from whichever branch delivers it first. A loser's replica
+	// is deduplicated by the per-replica CAS key; one that simulated
+	// anyway is counted in SpeculativeWasted, never aggregated.
 	Speculate bool
 }
 
@@ -192,9 +217,9 @@ func (w *worker) load() int {
 	return w.outstanding
 }
 
-// Coordinator shards replica jobs across worker daemons and survives their
-// deaths. Create one with New, start its health loop with Start, and hang
-// RunReplica off experiment.StudyConfig.ReplicaRunner.
+// Coordinator leases points to worker daemons and survives their deaths.
+// Create one with New, start its health loop with Start, and hang
+// RunReplicas off experiment.StudyConfig.RangeRunner.
 type Coordinator struct {
 	opts         Options
 	httpc        *http.Client
@@ -208,9 +233,10 @@ type Coordinator struct {
 	// specPending counts speculative losers not yet reaped.
 	specPending atomic.Int64
 
-	// specLat tracks the latencyPct percentile of successful dispatch
-	// latencies. It is always on — with speculation disabled it still
-	// drives slow-job warnings. Guarded by specMu.
+	// specLat tracks the latencyPct percentile of per-replica latency:
+	// the time from a lease's start, or its previous replica, to each
+	// replica it delivers. It is always on — with speculation disabled it
+	// still drives slow-job warnings. Guarded by specMu.
 	specMu  sync.Mutex
 	specLat *stats.P2
 
@@ -485,57 +511,78 @@ func (c *Coordinator) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// RunReplica executes one (point, replica) job somewhere: on a healthy
-// worker under a lease, on another worker after transient failures (capped
-// exponential backoff + jitter between attempts), or locally when no
-// healthy worker remains or the retry budget is exhausted. It is the
-// experiment.StudyConfig.ReplicaRunner of a cluster-mode study.
-func (c *Coordinator) RunReplica(ctx context.Context, spec experiment.Spec, key experiment.PointKey, rep int) (experiment.Point, error) {
-	// The dispatch span covers the job's whole coordinator-side life —
-	// every attempt, backoff and speculative race — and
-	// parents the worker-side spans merged from job responses.
+// lease is the coordinator's ledger of one range of a point's replicas:
+// replicas [first, first+done) have arrived, in order, into pts.
+type lease struct {
+	first, done int
+	pts         []experiment.Point
+}
+
+// left is how many replicas have not arrived yet.
+func (l *lease) left() int { return len(l.pts) - l.done }
+
+// take records the next replica.
+func (l *lease) take(p experiment.Point) {
+	l.pts[l.done] = p
+	l.done++
+}
+
+// RunReplicas executes replicas [first, first+n) of one point somewhere:
+// as one lease on a healthy worker, which streams the replicas back as
+// they finish; after a transient failure, the replicas not yet delivered
+// go to another worker, or to the same one after capped exponential
+// backoff with jitter; when no healthy worker remains or the retry budget
+// is spent, they run locally. Every replica that arrived is kept, so a
+// dead worker costs at most its in-flight replica. It is the
+// experiment.StudyConfig.RangeRunner of a cluster-mode study. Every job
+// counter counts replicas.
+func (c *Coordinator) RunReplicas(ctx context.Context, spec experiment.Spec, key experiment.PointKey, first, n int) ([]experiment.Point, error) {
+	// The dispatch span covers the lease's whole coordinator-side life —
+	// every attempt, backoff and speculative race — and parents the
+	// worker-side spans merged from job responses.
 	dsp := trace.FromContext(ctx).Start("dispatch")
-	dsp.SetJob(key.String(), rep)
+	dsp.SetJob(key.String(), first)
 	defer dsp.End()
 	ctx = dsp.Context(ctx)
 	tc := trace.FromContext(ctx)
+	l := &lease{first: first, pts: make([]experiment.Point, n)}
 	var last *worker
 	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return experiment.Point{}, err
+			return nil, err
 		}
 		w := c.pick(last)
 		if w == nil {
 			break // nobody healthy: degrade below
 		}
+		rest := int64(l.left())
 		if attempt > 0 {
-			c.counters.JobsRetried.Add(1)
+			c.counters.JobsRetried.Add(rest)
 			if last != nil && w != last {
 				// Failover to a different healthy worker is immediate:
 				// backoff only gates retries against the same (suspect)
 				// path, where hammering would make things worse.
-				c.counters.JobsRedispatched.Add(1)
+				c.counters.JobsRedispatched.Add(rest)
 				c.log.Info("cluster: job re-dispatched",
-					"job", key.String(), "rep", rep, "from", last.url, "to", w.url, "trace", tc.Trace)
+					"job", key.String(), "rep", first+l.done, "reps", rest, "from", last.url, "to", w.url, "trace", tc.Trace)
 				tc.Event("redispatch", "job", key.String(), "from", last.url, "to", w.url)
 			} else if err := c.backoff(ctx, attempt); err != nil {
-				return experiment.Point{}, err
+				return nil, err
 			}
 		}
-		c.counters.JobsDispatched.Add(1)
-		p, src, winner, err := c.dispatchSpeculate(ctx, w, spec, key, rep)
+		c.counters.JobsDispatched.Add(rest)
+		winner, err := c.race(ctx, w, spec, key, l)
 		if err == nil {
 			winner.ok()
 			dsp.Attr("worker", winner.url)
-			dsp.Attr("source", src)
-			return p, nil
+			return l.pts, nil
 		}
 		var perm *PermanentError
 		if errors.As(err, &perm) {
-			return experiment.Point{}, err
+			return nil, err
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return experiment.Point{}, cerr
+			return nil, cerr
 		}
 		if w.fail(c.opts.SuspectAfter) {
 			c.log.Warn("cluster: worker marked suspect", "worker", w.url, "cause", "dispatch", "err", err)
@@ -543,73 +590,93 @@ func (c *Coordinator) RunReplica(ctx context.Context, spec experiment.Spec, key 
 		last = w
 	}
 	// Degraded mode: the fleet is gone (or spent its retry budget) — the
-	// study must still finish, so the replica runs in-process.
-	c.counters.LocalFallbacks.Add(1)
+	// study must still finish, so the undelivered replicas run in-process.
+	c.counters.LocalFallbacks.Add(int64(l.left()))
 	tc.Event("local-fallback", "job", key.String())
 	dsp.Attr("source", "local-fallback")
-	return experiment.RunReplicaJob(ctx, spec, key, rep, 0, c.counters, nil)
+	for l.left() > 0 {
+		p, err := experiment.RunReplicaJob(ctx, spec, key, first+l.done, 0, c.counters, nil)
+		if err != nil {
+			return nil, err
+		}
+		l.take(p)
+	}
+	return l.pts, nil
 }
 
-// dispatch POSTs one job to a worker under the lease and decodes the
-// result. Errors are transient unless wrapped in PermanentError. When
-// ctx carries trace context, a lease span wraps the attempt, its ID
-// travels in the X-Sprinklerd-Span header so worker-side spans parent
-// under it, and the spans the worker attached to the response are
-// merged into the coordinator's journal.
-func (c *Coordinator) dispatch(ctx context.Context, w *worker, spec experiment.Spec, key experiment.PointKey, rep int) (experiment.Point, string, error) {
+// dispatch POSTs replicas [first, first+n) of one point to a worker under
+// the lease and hands each replica line to deliver as it arrives. It
+// returns nil once the trailer arrives after all n lines. Errors are
+// transient unless wrapped in PermanentError; the replicas already
+// delivered stay delivered. When ctx carries trace context, a lease span
+// wraps the attempt, its ID travels in the X-Sprinklerd-Span header so
+// worker-side spans parent under it, and the spans the worker attached to
+// the trailer are merged into the coordinator's journal.
+func (c *Coordinator) dispatch(ctx context.Context, w *worker, spec experiment.Spec, key experiment.PointKey, first, n int,
+	deliver func(rep int, p experiment.Point, src string)) error {
 	tc := trace.FromContext(ctx)
 	lsp := tc.Start("lease")
-	lsp.SetJob(key.String(), rep)
+	lsp.SetJob(key.String(), first)
 	lsp.Attr("worker", w.url)
 	defer lsp.End()
-	jctx, cancel := context.WithTimeout(ctx, c.opts.Lease)
+	lease := c.opts.Lease * time.Duration(n)
+	jctx, cancel := context.WithTimeout(ctx, lease)
 	defer cancel()
 	body, err := json.Marshal(JobRequest{
 		Spec:    spec.Narrow(key),
 		Point:   key,
-		Rep:     rep,
-		LeaseMS: c.opts.Lease.Milliseconds(),
+		Rep:     first,
+		Reps:    n,
+		LeaseMS: lease.Milliseconds(),
 		Peers:   c.peersOf(w.url),
 	})
 	if err != nil {
-		return experiment.Point{}, "", &PermanentError{err}
+		return &PermanentError{err}
 	}
 	req, err := http.NewRequestWithContext(jctx, http.MethodPost, w.url+"/api/v1/jobs", bytes.NewReader(body))
 	if err != nil {
-		return experiment.Point{}, "", &PermanentError{err}
+		return &PermanentError{err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	trace.Inject(req.Header, lsp.SpanContext())
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		return experiment.Point{}, "", err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		err := fmt.Errorf("cluster: %s: %s: %s", w.url, resp.Status, strings.TrimSpace(string(msg)))
 		if resp.StatusCode/100 == 4 {
-			return experiment.Point{}, "", &PermanentError{err}
+			return &PermanentError{err}
 		}
-		return experiment.Point{}, "", err
+		return err
 	}
-	b, err := readCapped(resp.Body, maxPeerBodyBytes)
-	if err != nil {
-		return experiment.Point{}, "", fmt.Errorf("cluster: %s: reading job response: %w", w.url, err)
-	}
-	var jr JobResponse
-	if err := json.Unmarshal(b, &jr); err != nil {
-		return experiment.Point{}, "", fmt.Errorf("cluster: %s: decoding job response: %w", w.url, err)
-	}
-	if tc.Enabled() {
-		for _, sp := range jr.Spans {
-			// Stamp the coordinator's study onto adopted worker spans so
-			// the study filter sees one merged timeline.
-			sp.Study = tc.Study
-			tc.J.Record(sp)
+	dec := json.NewDecoder(&cappedReader{r: resp.Body, left: maxPeerBodyBytes})
+	for rep := first; ; rep++ {
+		var ln jobLine
+		if err := dec.Decode(&ln); err != nil {
+			return fmt.Errorf("cluster: %s: job response ended after %d of %d replicas: %w", w.url, rep-first, n, err)
 		}
+		if ln.End {
+			if rep != first+n {
+				return fmt.Errorf("cluster: %s: job response trailer after %d of %d replicas", w.url, rep-first, n)
+			}
+			if tc.Enabled() {
+				for _, sp := range ln.Spans {
+					// Stamp the coordinator's study onto adopted worker spans
+					// so the study filter sees one merged timeline.
+					sp.Study = tc.Study
+					tc.J.Record(sp)
+				}
+			}
+			return nil
+		}
+		if rep == first+n || ln.Rep != rep || ln.Source == "" {
+			return fmt.Errorf("cluster: %s: job response line for replica %d, want replica %d of [%d,%d)", w.url, ln.Rep, rep, first, first+n)
+		}
+		deliver(rep, ln.Point, ln.Source)
 	}
-	return jr.Point, jr.Source, nil
 }
 
 // peersOf lists the healthy workers other than url — the siblings a worker
@@ -625,22 +692,28 @@ func (c *Coordinator) peersOf(url string) []string {
 }
 
 // maxPeerBodyBytes caps what the cluster reads from a peer: a CAS entry
-// (FetchCAS) or a job response (dispatch). Both are kilobytes — a windowed
-// point adds ≈ 200 B a window, a traced job a few hundred bytes a span — so
-// the cap only stops a broken or hostile peer from exhausting memory. A
-// body past it is a miss (CAS) or a transient failure (job), never a result.
+// (FetchCAS) or a job response (dispatch). A CAS entry is kilobytes — a
+// windowed point adds ≈ 200 B a window — and a job response is one such
+// line per replica plus a few hundred bytes a span, so the cap only stops
+// a broken or hostile peer from exhausting memory. A body past it is a
+// miss (CAS) or a transient failure (job), never a result.
 const maxPeerBodyBytes = 16 << 20
 
-// readCapped reads r to EOF, failing once more than limit bytes arrive.
-func readCapped(r io.Reader, limit int64) ([]byte, error) {
-	b, err := io.ReadAll(io.LimitReader(r, limit+1))
-	if err != nil {
-		return nil, err
+// cappedReader reads from r, failing once more than left bytes arrive.
+type cappedReader struct {
+	r    io.Reader
+	left int64
+}
+
+func (c *cappedReader) Read(b []byte) (int, error) {
+	if int64(len(b)) > c.left+1 {
+		b = b[:c.left+1]
 	}
-	if int64(len(b)) > limit {
-		return nil, fmt.Errorf("cluster: peer body exceeds the %d-byte cap", limit)
+	n, err := c.r.Read(b)
+	if c.left -= int64(n); c.left < 0 {
+		return n, fmt.Errorf("cluster: peer body exceeds the %d-byte cap", maxPeerBodyBytes)
 	}
-	return b, nil
+	return n, err
 }
 
 // FetchCAS reads one raw cache entry from a node's CAS endpoint. A missing
@@ -664,5 +737,9 @@ func FetchCAS(ctx context.Context, httpc *http.Client, baseURL, key string) ([]b
 	if resp.StatusCode/100 != 2 {
 		return nil, fmt.Errorf("cluster: cas %s: %s", baseURL, resp.Status)
 	}
-	return readCapped(resp.Body, maxPeerBodyBytes)
+	b, err := io.ReadAll(&cappedReader{r: resp.Body, left: maxPeerBodyBytes})
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
 }

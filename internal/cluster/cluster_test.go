@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -44,9 +45,21 @@ func testSpec(name string) experiment.Spec {
 	}
 }
 
-// totalReplicas is the job count of a spec: points x replicas.
+// totalReplicas is the replica count of a spec: points x replicas.
 func totalReplicas(spec experiment.Spec) int64 {
 	return int64(spec.WithDefaults().NumPoints() * spec.WithDefaults().Replicas)
+}
+
+// leasesFor is the lease count of a fault-free cluster run of spec at
+// study parallelism par: one per point, or each point cut into
+// min(replicas, ⌈par/points⌉) ranges when there are fewer points than par.
+func leasesFor(spec experiment.Spec, par int) int {
+	norm := spec.WithDefaults()
+	points := norm.NumPoints()
+	if points >= par {
+		return points
+	}
+	return points * min(norm.Replicas, (par+points-1)/points)
 }
 
 // node is one daemon: the server core plus its HTTP front.
@@ -647,8 +660,12 @@ func TestJobsCarryOnePointSpecs(t *testing.T) {
 	capture.mu.Lock()
 	reqs := capture.reqs
 	capture.mu.Unlock()
-	if int64(len(reqs)) < totalReplicas(spec) {
-		t.Fatalf("captured %d job requests, want >= %d", len(reqs), totalReplicas(spec))
+	carried := 0
+	for _, jr := range reqs {
+		carried += max(jr.Reps, 1)
+	}
+	if int64(carried) < totalReplicas(spec) {
+		t.Fatalf("captured job requests carry %d replicas, want >= %d", carried, totalReplicas(spec))
 	}
 	for _, jr := range reqs {
 		s := jr.Spec
@@ -672,5 +689,174 @@ func TestJobsCarryOnePointSpecs(t *testing.T) {
 	narrow := postJob(t, w3, cluster.JobRequest{Spec: full.Narrow(key), Point: key, Rep: rep})
 	if narrow.Source != cluster.SourceCache || !reflect.DeepEqual(narrow.Point, want) {
 		t.Errorf("one-point job = %+v from %q, want the full-spec replica from the cache", narrow.Point, narrow.Source)
+	}
+}
+
+// metric scrapes one unlabelled sample from a daemon's /metrics.
+func metric(t *testing.T, n *node, name string) int64 {
+	t.Helper()
+	resp, err := http.Get(n.url() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			var x int64
+			if _, err := fmt.Sscan(v, &x); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return x
+		}
+	}
+	t.Fatalf("no %s sample in /metrics", name)
+	return 0
+}
+
+// TestLeaseShapeAndLedger: the coordinator leases a whole point per job
+// when the study has at least as many points as lanes, and cuts each point
+// into near-equal contiguous ranges when it has fewer. Either way the
+// study matches a local run byte for byte, every job counter counts
+// replicas, and each lease is one successful dispatch.
+func TestLeaseShapeAndLedger(t *testing.T) {
+	onePoint := testSpec("cluster-lease-split")
+	onePoint.Algorithms = experiment.Algs(experiment.Sprinklers)
+	onePoint.Loads = []float64{0.6}
+	onePoint.Replicas = 6
+	for _, tc := range []struct {
+		name  string
+		spec  experiment.Spec
+		par   int
+		sizes []int // lease sizes, sorted
+	}{
+		{"whole-points", testSpec("cluster-lease-whole"), 2, []int{2, 2, 2, 2}},
+		{"split-point", onePoint, 4, []int{1, 1, 2, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w1 := newNode(t, service.Options{})
+			w2 := newNode(t, service.Options{})
+			capture := &jobCapture{}
+			copts := fastOptions(w1.url(), w2.url())
+			copts.Transport = capture
+			coordinator, _ := newCoordinator(t, copts, service.Options{Parallelism: tc.par})
+
+			remote := runRemote(t, coordinator, tc.spec)
+			if local := localReference(t, tc.spec); !bytes.Equal(remote, local) {
+				t.Errorf("cluster results differ from local:\n%s\nvs\n%s", remote, local)
+			}
+			capture.mu.Lock()
+			reqs := capture.reqs
+			capture.mu.Unlock()
+			if len(reqs) != leasesFor(tc.spec, tc.par) {
+				t.Errorf("%d leases, want %d", len(reqs), leasesFor(tc.spec, tc.par))
+			}
+			var sizes []int
+			covered := map[string]int{}
+			for _, jr := range reqs {
+				n := max(jr.Reps, 1)
+				sizes = append(sizes, n)
+				for rep := jr.Rep; rep < jr.Rep+n; rep++ {
+					covered[fmt.Sprintf("%s/%d", jr.Point, rep)]++
+				}
+			}
+			slices.Sort(sizes)
+			if !slices.Equal(sizes, tc.sizes) {
+				t.Errorf("lease sizes %v, want %v", sizes, tc.sizes)
+			}
+			want := totalReplicas(tc.spec)
+			if int64(len(covered)) != want {
+				t.Errorf("leases cover %d distinct replicas, want %d", len(covered), want)
+			}
+			for r, k := range covered {
+				if k != 1 {
+					t.Errorf("replica %s leased %d times, want once", r, k)
+				}
+			}
+			if got := coordinator.srv.Counters().JobsDispatched.Load(); got != want {
+				t.Errorf("JobsDispatched = %d, want %d (points x replicas)", got, want)
+			}
+			if got := metric(t, w1, "sprinklerd_jobs_served_total") + metric(t, w2, "sprinklerd_jobs_served_total"); got != want {
+				t.Errorf("workers served %d replicas, want %d", got, want)
+			}
+			if got := metric(t, coordinator, "sprinklerd_dispatch_latency_seconds_count"); got != int64(len(reqs)) {
+				t.Errorf("%d successful dispatches, want one per lease (%d)", got, len(reqs))
+			}
+		})
+	}
+}
+
+// cutWorker is a worker that serves the first k replicas of every lease it
+// gets, simulating them itself, and then ends the response partway
+// through the next line, without a trailer — a worker dying mid-lease.
+// Its simulations count on ctr.
+func cutWorker(t *testing.T, k int, ctr *experiment.Counters) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
+	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		var req cluster.JobRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(w)
+		for rep := req.Rep; rep < req.Rep+min(k, max(req.Reps, 1)); rep++ {
+			p, err := experiment.RunReplicaJob(r.Context(), req.Spec, req.Point, rep, 0, ctr, nil)
+			if err != nil {
+				return
+			}
+			enc.Encode(cluster.JobResponse{Rep: rep, Point: p, Source: cluster.SourceComputed}) //nolint:errcheck
+		}
+		w.Write([]byte(`{"rep":`)) //nolint:errcheck
+	})
+	ts := httptest.NewServer(mux) // CAS reads 404: a sibling that holds nothing
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestStreamCutMidLease: a worker's response ends after k of a lease's n
+// replica lines. The coordinator keeps those k, re-dispatches exactly the
+// rest to the other worker, and the study matches a local run with every
+// replica simulated exactly once across the fleet.
+func TestStreamCutMidLease(t *testing.T) {
+	spec := testSpec("cluster-stream-cut")
+	spec.Algorithms = experiment.Algs(experiment.Sprinklers)
+	spec.Loads = []float64{0.6}
+	spec.Replicas = 4
+	const n = 4
+	for _, k := range []int{0, 2} {
+		t.Run(fmt.Sprintf("after-%d", k), func(t *testing.T) {
+			var cutCtr experiment.Counters
+			cut := cutWorker(t, k, &cutCtr)
+			w2 := newNode(t, service.Options{})
+			capture := &jobCapture{}
+			copts := fastOptions(cut.URL, w2.url())
+			copts.Transport = capture
+			coordinator, _ := newCoordinator(t, copts, service.Options{Parallelism: 1})
+
+			remote := runRemote(t, coordinator, spec)
+			if local := localReference(t, spec); !bytes.Equal(remote, local) {
+				t.Errorf("results after a cut stream differ from local:\n%s\nvs\n%s", remote, local)
+			}
+			capture.mu.Lock()
+			reqs := capture.reqs
+			capture.mu.Unlock()
+			var got [][2]int
+			for _, jr := range reqs {
+				got = append(got, [2]int{jr.Rep, max(jr.Reps, 1)})
+			}
+			if want := [][2]int{{0, n}, {k, n - k}}; !slices.Equal(got, want) {
+				t.Errorf("leases [rep, reps] = %v, want %v: only the undelivered replicas move", got, want)
+			}
+			c := coordinator.srv.Counters()
+			if r, d := c.JobsRetried.Load(), c.JobsRedispatched.Load(); r != n-int64(k) || d != n-int64(k) {
+				t.Errorf("JobsRetried = %d, JobsRedispatched = %d, want %d each", r, d, n-k)
+			}
+			if got := cutCtr.ReplicasComputed.Load() + replicasComputedAcross(coordinator, w2); got != n {
+				t.Errorf("computed %d replicas across the fleet, want exactly %d", got, n)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -64,18 +65,19 @@ func TestTraceEndToEndTwoWorkers(t *testing.T) {
 		}
 	}
 
-	// One dispatch span per dispatched job (fault-free run: exactly
-	// points x replicas), and one worker-side job span for each.
+	// One dispatch span per lease and one worker-side job span for each,
+	// and one simulate span per dispatched replica (fault-free run:
+	// exactly points x replicas).
 	wantJobs := int(totalReplicas(spec))
 	dispatched := int(coordinator.srv.Counters().JobsDispatched.Load())
-	if byName["dispatch"] != dispatched {
-		t.Errorf("dispatch spans = %d, want %d (JobsDispatched)", byName["dispatch"], dispatched)
+	if dispatched != wantJobs {
+		t.Errorf("JobsDispatched = %d, want %d (points x replicas)", dispatched, wantJobs)
 	}
-	if byName["dispatch"] != wantJobs {
-		t.Errorf("dispatch spans = %d, want %d (points x replicas)", byName["dispatch"], wantJobs)
+	if want := leasesFor(spec, runtime.GOMAXPROCS(0)); byName["dispatch"] != want {
+		t.Errorf("dispatch spans = %d, want %d (one per lease)", byName["dispatch"], want)
 	}
-	if byName["job"] != wantJobs {
-		t.Errorf("worker job spans = %d, want %d", byName["job"], wantJobs)
+	if byName["job"] != byName["dispatch"] {
+		t.Errorf("worker job spans = %d, want %d", byName["job"], byName["dispatch"])
 	}
 	if byName["simulate"] != wantJobs {
 		t.Errorf("simulate spans = %d, want %d", byName["simulate"], wantJobs)

@@ -49,7 +49,7 @@ func TestOversizedJobResponseIsTransient(t *testing.T) {
 		Traffic:    experiment.Traffics(experiment.UniformTraffic),
 		Loads:      []float64{0.5}, Sizes: []int{8}, Slots: 100,
 	}.WithDefaults()
-	_, _, err := c.dispatch(context.Background(), c.pick(nil), spec, spec.Points()[0], 0)
+	err := c.dispatch(context.Background(), c.pick(nil), spec, spec.Points()[0], 0, 1, func(int, experiment.Point, string) {})
 	if err == nil {
 		t.Fatal("dispatch accepted an oversized job response")
 	}

@@ -1,10 +1,11 @@
 // Load-aware scheduling: the fast half of the fault-tolerant cluster.
-// The coordinator's own count of outstanding dispatches per worker is the
+// The coordinator's own count of outstanding leases per worker is the
 // only load signal — workers report nothing back. Placement is
 // power-of-two-choices over that count (exact round-robin when counts are
-// equal), and a slow job is raced against a speculative backup on an idle
-// worker — first result wins, the loser is deduplicated by the per-replica
-// CAS key and only ever counted, never aggregated.
+// equal), and a slow lease is raced by a speculative backup for its
+// remaining replicas on an idle worker — each replica is taken from the
+// branch that delivers it first, and the loser's copy is deduplicated by
+// the per-replica CAS key and only ever counted, never aggregated.
 package cluster
 
 import (
@@ -82,28 +83,28 @@ func (c *Coordinator) backupFor(primary *worker) *worker {
 	return nil
 }
 
-// observeLatency feeds one successful dispatch latency into the
-// percentile estimator behind speculation and slow-job warnings.
+// observeLatency feeds one per-replica latency into the percentile
+// estimator behind speculation and slow-job warnings.
 func (c *Coordinator) observeLatency(d time.Duration) {
 	c.specMu.Lock()
 	c.specLat.Add(float64(d))
 	c.specMu.Unlock()
 }
 
-// latencyPct is the dispatch-latency percentile past which a job counts as
-// slow. speculateMinSamples is how many dispatch latencies must be observed
-// before the percentile is trusted; speculateFloor bounds the threshold
-// from below so a burst of cache-hit dispatches cannot make every job
-// "slow".
+// latencyPct is the per-replica latency percentile past which a lease
+// counts as slow. speculateMinSamples is how many replica latencies must
+// be observed before the percentile is trusted; speculateFloor bounds the
+// threshold from below so a burst of cache-hit replicas cannot make every
+// lease "slow".
 const (
 	latencyPct          = 0.95
 	speculateMinSamples = 8
 	speculateFloor      = 5 * time.Millisecond
 )
 
-// speculateThreshold returns how long a dispatch may run before it
-// counts as slow (warning + backup launch), or 0 while the percentile
-// is under-sampled.
+// speculateThreshold returns how long a lease may go without delivering a
+// replica before it counts as slow (warning + backup launch), or 0 while
+// the percentile is under-sampled.
 func (c *Coordinator) speculateThreshold() time.Duration {
 	c.specMu.Lock()
 	defer c.specMu.Unlock()
@@ -118,47 +119,65 @@ func (c *Coordinator) speculateThreshold() time.Duration {
 }
 
 // send runs one dispatch with the coordinator's outstanding-load accounting
-// around it, observing the latency of successful attempts.
-func (c *Coordinator) send(ctx context.Context, w *worker, spec experiment.Spec, key experiment.PointKey, rep int) (experiment.Point, string, error) {
+// around it, observing the latency of successful leases.
+func (c *Coordinator) send(ctx context.Context, w *worker, spec experiment.Spec, key experiment.PointKey, first, n int,
+	deliver func(rep int, p experiment.Point, src string)) error {
 	w.addOutstanding(1)
 	defer w.addOutstanding(-1)
 	start := time.Now()
-	p, src, err := c.dispatch(ctx, w, spec, key, rep)
+	err := c.dispatch(ctx, w, spec, key, first, n, deliver)
 	if err == nil {
 		c.dispatchHist.Observe(time.Since(start))
 	}
-	return p, src, err
+	return err
 }
 
-// specResult is one branch of a speculative race.
-type specResult struct {
-	p   experiment.Point
-	src string
-	err error
-	w   *worker
+// leaseEvent is what one branch of a lease reports: a replica line, or,
+// with end set, how the branch ended.
+type leaseEvent struct {
+	branch int
+	rep    int
+	p      experiment.Point
+	src    string
+	end    bool
+	err    error
 }
 
-// dispatchSpeculate runs one dispatch, racing it against a speculative
-// backup once the primary has been outstanding longer than the P95 of
-// observed dispatch latency and an idle worker exists (backupFor),
-// wherever in the study that happens. The first successful result
-// wins and is the only one returned to the study; the loser is reaped in
-// the background — it either deduplicates via the per-replica CAS key
-// (cache or peer read) or, having simulated anyway, is counted in
-// SpeculativeWasted. The returned worker is the one that produced the
-// result (for health credit).
-func (c *Coordinator) dispatchSpeculate(ctx context.Context, w *worker, spec experiment.Spec, key experiment.PointKey, rep int) (experiment.Point, string, *worker, error) {
-	start := time.Now()
-	ch := make(chan specResult, 2)
-	go func() {
-		p, src, err := c.send(ctx, w, spec, key, rep)
-		ch <- specResult{p, src, err, w}
-	}()
+// race runs one attempt at the replicas l still lacks on w, taking each
+// replica into l as it arrives. Once no replica has arrived for longer
+// than the P95 of observed per-replica latency and an idle worker exists
+// (backupFor), a speculative backup for the replicas still missing races
+// the primary; both stream in replica order, so what has arrived is
+// always a prefix of the range and each replica is taken from whichever
+// branch delivers it first. A replica that arrives twice is the loser's:
+// counted in SpeculativeWasted when it was simulated, never kept. race
+// returns once every replica has arrived and the branch that delivered
+// the last one has ended, with that branch's worker (for health credit); a
+// branch still running then is reaped in the background. It returns an
+// error when every branch has ended with replicas still missing.
+func (c *Coordinator) race(ctx context.Context, w *worker, spec experiment.Spec, key experiment.PointKey, l *lease) (*worker, error) {
+	n := len(l.pts)
+	// Each branch sends at most its range's lines and one end event, so
+	// the buffer never blocks a branch, even after race has returned.
+	ch := make(chan leaseEvent, 2*(n+1))
+	branches := []*worker{}
+	launch := func(bw *worker) {
+		b, from := len(branches), l.first+l.done
+		branches = append(branches, bw)
+		go func() {
+			err := c.send(ctx, bw, spec, key, from, l.first+n-from, func(rep int, p experiment.Point, src string) {
+				ch <- leaseEvent{branch: b, rep: rep, p: p, src: src}
+			})
+			ch <- leaseEvent{branch: b, end: true, err: err}
+		}()
+	}
+	launch(w)
 	inflight := 1
-	backup := false
+	completer := -1 // the branch that delivered the last replica
 	warned := false
+	last := time.Now() // when the lease last made progress
 	// Poll instead of arming one timer at the entry threshold: the
-	// percentile may only become available (or move) while this dispatch is
+	// percentile may only become available (or move) while this lease is
 	// already stuck behind a straggler.
 	poll := c.opts.HeartbeatInterval
 	if poll > 50*time.Millisecond {
@@ -169,52 +188,62 @@ func (c *Coordinator) dispatchSpeculate(ctx context.Context, w *worker, spec exp
 	var firstErr error
 	for {
 		select {
-		case r := <-ch:
-			inflight--
-			if r.err == nil {
-				c.observeLatency(time.Since(start))
-				if inflight > 0 {
-					c.specPending.Add(1)
-					go c.reapLoser(ch)
+		case ev := <-ch:
+			switch {
+			case ev.end:
+				inflight--
+				if ev.err != nil && firstErr == nil {
+					firstErr = ev.err
 				}
-				return r.p, r.src, r.w, nil
+				if ev.branch == completer {
+					if inflight > 0 {
+						c.specPending.Add(1)
+						go c.reapLosers(ch, branches, inflight)
+					}
+					return branches[ev.branch], nil
+				}
+				if inflight == 0 {
+					return w, firstErr
+				}
+			case ev.rep < l.first+l.done:
+				// The slower branch's copy of a replica already taken.
+				if ev.src == SourceComputed {
+					c.counters.SpeculativeWasted.Add(1)
+				}
+			default:
+				now := time.Now()
+				c.observeLatency(now.Sub(last))
+				last = now
+				if l.take(ev.p); l.left() == 0 {
+					completer = ev.branch
+				}
 			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if inflight == 0 {
-				return experiment.Point{}, "", w, firstErr
-			}
-			// The other branch is still running; wait for it.
 		case <-timer.C:
-			if th := c.speculateThreshold(); th > 0 && time.Since(start) >= th {
+			if th := c.speculateThreshold(); completer < 0 && th > 0 && time.Since(last) >= th {
 				// The straggler warning fires regardless of speculation:
 				// on a single-worker deployment it is the only signal a
-				// job is stuck behind the fleet's own latency history.
+				// lease is stuck behind the fleet's own latency history.
+				tc := trace.FromContext(ctx)
 				if !warned {
 					warned = true
-					tc := trace.FromContext(ctx)
 					c.log.Warn("cluster: job outstanding past dispatch-latency percentile",
-						"job", key.String(), "rep", rep, "worker", w.url,
-						"elapsed_ms", time.Since(start).Milliseconds(),
+						"job", key.String(), "rep", l.first+l.done, "worker", w.url,
+						"elapsed_ms", time.Since(last).Milliseconds(),
 						"threshold_ms", th.Milliseconds(),
 						"pct", latencyPct, "trace", tc.Trace)
 					tc.Event("slow-job", "job", key.String(), "worker", w.url)
 				}
-				if c.opts.Speculate && !backup {
+				if c.opts.Speculate && len(branches) == 1 {
 					if bw := c.backupFor(w); bw != nil {
-						backup = true
-						inflight++
-						c.counters.SpeculativeLaunched.Add(1)
-						c.counters.JobsDispatched.Add(1)
+						rest := int64(l.left())
+						c.counters.SpeculativeLaunched.Add(rest)
+						c.counters.JobsDispatched.Add(rest)
 						c.log.Info("cluster: speculative backup launched",
-							"job", key.String(), "rep", rep, "backup", bw.url, "primary", w.url,
-							"pct", latencyPct, "trace", trace.FromContext(ctx).Trace)
-						trace.FromContext(ctx).Event("speculate", "job", key.String(), "backup", bw.url, "primary", w.url)
-						go func() {
-							p, src, err := c.send(ctx, bw, spec, key, rep)
-							ch <- specResult{p, src, err, bw}
-						}()
+							"job", key.String(), "rep", l.first+l.done, "reps", rest, "backup", bw.url, "primary", w.url,
+							"pct", latencyPct, "trace", tc.Trace)
+						tc.Event("speculate", "job", key.String(), "backup", bw.url, "primary", w.url)
+						launch(bw)
+						inflight++
 					}
 				}
 			}
@@ -222,23 +251,28 @@ func (c *Coordinator) dispatchSpeculate(ctx context.Context, w *worker, spec exp
 		case <-ctx.Done():
 			// The study is gone; the in-flight sends abort with it (the
 			// channel is buffered, so they never leak).
-			return experiment.Point{}, "", w, ctx.Err()
+			return w, ctx.Err()
 		}
 	}
 }
 
-// reapLoser accounts the slower branch of a speculative race after the
-// winner has already been returned. A loser that served from its cache or
-// a peer deduplicated via the CAS key — free. A loser that simulated is
-// wasted work, counted so the replicas-computed invariant can be stated
-// exactly: computed == points x replicas + SpeculativeWasted. An errored
-// loser (lease expiry, cancellation, a real death) computed nothing extra
-// and is left to the health machinery.
-func (c *Coordinator) reapLoser(ch <-chan specResult) {
-	r := <-ch
-	if r.err == nil {
-		r.w.ok()
-		if r.src == SourceComputed {
+// reapLosers accounts the branches of a speculative race still running
+// after race returned. Every replica they deliver was already taken: one
+// served from a cache or a peer deduplicated via the CAS key — free; one
+// simulated is wasted work, counted so the replicas-computed invariant can
+// be stated exactly: computed == points × replicas + SpeculativeWasted. A
+// branch that errors (lease expiry, cancellation, a real death) computed
+// nothing extra and is left to the health machinery.
+func (c *Coordinator) reapLosers(ch <-chan leaseEvent, branches []*worker, inflight int) {
+	for inflight > 0 {
+		ev := <-ch
+		switch {
+		case ev.end:
+			inflight--
+			if ev.err == nil {
+				branches[ev.branch].ok()
+			}
+		case ev.src == SourceComputed:
 			c.counters.SpeculativeWasted.Add(1)
 		}
 	}

@@ -122,12 +122,12 @@ func (r *studyRun) sequentialPoint(ctx context.Context, pt *batchPoint) (PointRe
 		if err := ctx.Err(); err != nil {
 			return PointResult{}, err
 		}
-		p, err := r.replica(ctx, pt, rep)
-		if err != nil {
+		var p [1]Point
+		if err := r.replicas(ctx, pt, rep, p[:]); err != nil {
 			return PointResult{}, err
 		}
-		reps = append(reps, p)
-		delays = append(delays, p.MeanDelay)
+		reps = append(reps, p[0])
+		delays = append(delays, p[0].MeanDelay)
 		if stats.SequentialStop(delays, ad.MinReplicas, ad.CIRelTol) {
 			break
 		}

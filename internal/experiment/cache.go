@@ -56,9 +56,10 @@ type Counters struct {
 	// when the cache supports it).
 	CacheCorrupt atomic.Int64
 	// JobsDispatched, JobsRetried and JobsRedispatched account cluster-mode
-	// replica jobs: dispatches attempted, retries after a transient
-	// failure, and retries that moved the job to a different worker after
-	// its original holder was marked suspect.
+	// leases in replicas: replicas dispatched, replicas re-sent after a
+	// transient failure of their lease, and re-sent replicas that moved to
+	// a different worker. Every cluster job counter counts replicas, so a
+	// fault-free study dispatches exactly points × replicas.
 	JobsDispatched   atomic.Int64
 	JobsRetried      atomic.Int64
 	JobsRedispatched atomic.Int64
@@ -66,19 +67,19 @@ type Counters struct {
 	// instead of simulation. A fill is counted once, on the worker that
 	// adopted the replica.
 	PeerCacheFills atomic.Int64
-	// LocalFallbacks counts replica jobs the coordinator ran in-process
+	// LocalFallbacks counts replicas the coordinator ran in-process
 	// because no healthy worker was available (degraded mode).
 	LocalFallbacks atomic.Int64
 	// JobsStolen is always zero: the cluster no longer does work stealing.
 	// It stays only because the benchmark's traced metrics read it
 	// (cluster.jobs_stolen in benchmark/traced.go).
 	JobsStolen atomic.Int64
-	// SpeculativeLaunched counts backup dispatches raced against a slow
-	// primary; SpeculativeWasted counts the losing branches that actually
-	// re-simulated the replica (losers that deduplicated through the
-	// per-replica cache key cost nothing). When
-	// speculation fires, replicas computed across the fleet equals
-	// points x replicas + SpeculativeWasted.
+	// SpeculativeLaunched counts the replicas carried by backups raced
+	// against a slow lease; SpeculativeWasted counts the replicas a losing
+	// branch actually re-simulated (copies deduplicated through the
+	// per-replica cache key cost nothing). When speculation fires,
+	// replicas computed across the fleet equals points x replicas +
+	// SpeculativeWasted.
 	SpeculativeLaunched atomic.Int64
 	SpeculativeWasted   atomic.Int64
 	// PointsRefined counts grid points inserted by adaptive refinement

@@ -70,8 +70,9 @@ var ErrHalted = errors.New("experiment: study halted at checkpoint limit")
 type StudyConfig struct {
 	// Parallelism is the number of pool workers, each running one job at a
 	// time; 0 = GOMAXPROCS. A job is one (point, replica) of a dense sim
-	// study, one whole point of an adaptive study (its replicas run in
-	// order) and one point of an analytic study.
+	// study — or, with RangeRunner set, a contiguous range of a point's
+	// replicas (see RangeRunner) — one whole point of an adaptive study
+	// (its replicas run in order) and one point of an analytic study.
 	Parallelism int
 	// ResultsPath, when non-empty, is the JSONL checkpoint file. Finished
 	// points are appended in canonical grid order as they complete; if the
@@ -97,14 +98,25 @@ type StudyConfig struct {
 	// Counters, when set, accumulates cache and work metrics across
 	// studies (the daemon scrapes one process-wide Counters at /metrics).
 	Counters *Counters
-	// ReplicaRunner, when set, delegates each (point, replica) simulation
-	// job instead of running it in-process — the hook cluster mode hangs
-	// off: the coordinator's runner dispatches the job to a worker daemon
-	// under a lease, retries transient failures, and falls back to local
-	// execution with every worker down. Everything else (grid order,
-	// checkpointing, the cache pre-pass, aggregation, the Put of the
-	// aggregated point) is unchanged, which is what makes a cluster run
-	// byte-identical to a local one. Sim studies only.
+	// RangeRunner, when set, delegates replica simulation instead of
+	// running it in-process — the hook cluster mode hangs off: the
+	// coordinator's runner sends replicas [first, first+n) of one point to a
+	// worker daemon as one lease, keeps every replica that comes back,
+	// retries or re-dispatches only the rest, and falls back to local
+	// execution with every worker down. It returns exactly n Points, in
+	// replica order. With it set, a dense study's job is one whole point;
+	// when a batch has fewer points to run than Parallelism, each point is
+	// cut into min(replicas, ⌈Parallelism/points⌉) contiguous ranges of
+	// sizes differing by at most one, so a small study still fills every
+	// lane. An adaptive point calls it one replica at a time. Everything
+	// else (grid order, checkpointing, the cache pre-pass, aggregation, the
+	// Put of the aggregated point) is unchanged, which is what makes a
+	// cluster run byte-identical to a local one. Sim studies only.
+	RangeRunner func(ctx context.Context, spec Spec, key PointKey, first, n int) ([]Point, error)
+	// ReplicaRunner, when set and RangeRunner is not, delegates each
+	// (point, replica) simulation job; jobs stay one per replica, as
+	// without a hook. It remains for the benchmark's per-replica timing
+	// and goes when that moves onto RangeRunner.
 	ReplicaRunner func(ctx context.Context, spec Spec, key PointKey, rep int) (Point, error)
 }
 
@@ -385,17 +397,16 @@ type batchPoint struct {
 	fp   uint64 // sim kinds: replica seed fingerprint, set once the point must run
 	rec  PointResult
 	done bool    // rec is final: served from the cache or computed
-	reps []Point // dense sim: replica measurements received so far
-	got  int
+	reps []Point // dense sim: replica measurements, filled in by the jobs
+	got  int     // dense sim: replicas received so far
 }
 
-// job is one unit of pool work: one (point, replica) of a dense sim study,
-// or one whole point (rep 0) of an adaptive or analytic one.
-type job struct{ pi, rep int }
+// job is one unit of pool work: replicas [rep, rep+n) of a dense sim point,
+// or one whole point (rep 0, n 1) of an adaptive or analytic one.
+type job struct{ pi, rep, n int }
 
 type jobOut struct {
 	job
-	p   Point       // dense sim: one replica's measurements
 	rec PointResult // adaptive and analytic kinds: the whole point
 	err error
 }
@@ -442,33 +453,45 @@ func (r *studyRun) runBatch(ctx context.Context, batch []PointKey, round int) er
 		return err
 	}
 
-	reps := 1
-	if r.spec.Kind == SimStudy {
-		reps = r.spec.Replicas
-	}
-	njobs := 0
-	for pi := next; pi < len(pts); pi++ {
-		if pt := &pts[pi]; !pt.done {
-			njobs += reps
-			if r.spec.simLike() {
-				pt.fp = r.spec.PointIdentity(pt.key).SeedFingerprint()
-			}
-		}
-	}
-	if njobs == 0 {
-		return nil // fully cached: no worker starts
-	}
-	queue := make(chan job, njobs)
-	for pi := next; pi < len(pts); pi++ {
-		for rep := 0; rep < reps && !pts[pi].done; rep++ {
-			queue <- job{pi, rep}
-		}
-	}
-	close(queue)
 	par := r.cfg.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
+	reps, torun := 1, 0
+	if r.spec.Kind == SimStudy {
+		reps = r.spec.Replicas
+	}
+	for pi := next; pi < len(pts); pi++ {
+		if pt := &pts[pi]; !pt.done {
+			torun++
+			if r.spec.simLike() {
+				pt.fp = r.spec.PointIdentity(pt.key).SeedFingerprint()
+			}
+			if r.spec.Kind == SimStudy {
+				pt.reps = make([]Point, reps)
+			}
+		}
+	}
+	if torun == 0 {
+		return nil // fully cached: no worker starts
+	}
+	// ranges is how many jobs each point's replicas are cut into.
+	ranges := reps
+	if r.spec.Kind == SimStudy && r.cfg.RangeRunner != nil {
+		ranges = 1
+		if torun < par {
+			ranges = min(reps, (par+torun-1)/torun)
+		}
+	}
+	njobs := torun * ranges
+	queue := make(chan job, njobs)
+	for pi := next; pi < len(pts); pi++ {
+		for k := 0; k < ranges && !pts[pi].done; k++ {
+			lo, hi := k*reps/ranges, (k+1)*reps/ranges
+			queue <- job{pi, lo, hi - lo}
+		}
+	}
+	close(queue)
 	// Leaving early (error, halt, cancellation) cancels ictx, which aborts
 	// every in-flight simulation, and closes quit, which releases workers
 	// whose result no one will receive; both happen before the wait.
@@ -505,11 +528,7 @@ func (r *studyRun) runBatch(ctx context.Context, batch []PointKey, round int) er
 			return fmt.Errorf("%s: %w", pt.key, o.err)
 		}
 		if r.spec.Kind == SimStudy {
-			if pt.reps == nil {
-				pt.reps = make([]Point, reps)
-			}
-			pt.reps[o.rep] = o.p
-			if pt.got++; pt.got < reps {
+			if pt.got += o.n; pt.got < reps {
 				continue
 			}
 			o.rec = aggregate(pt.key, pt.reps)
@@ -587,7 +606,7 @@ func (r *studyRun) runJob(ctx context.Context, pt *batchPoint, jb job) jobOut {
 		// burning simulation time on them.
 		o.err = ctx.Err()
 	case r.spec.Kind == SimStudy:
-		o.p, o.err = r.replica(ctx, pt, jb.rep)
+		o.err = r.replicas(ctx, pt, jb.rep, pt.reps[jb.rep:jb.rep+jb.n])
 	case r.spec.Kind == AdaptiveStudy:
 		o.rec, o.err = r.sequentialPoint(ctx, pt)
 	default:
@@ -596,13 +615,30 @@ func (r *studyRun) runJob(ctx context.Context, pt *batchPoint, jb job) jobOut {
 	return o
 }
 
-// replica simulates one replica of a sim point, through the cluster hook
-// when one is set.
-func (r *studyRun) replica(ctx context.Context, pt *batchPoint, rep int) (Point, error) {
-	if r.cfg.ReplicaRunner != nil {
-		return r.cfg.ReplicaRunner(ctx, r.spec, pt.key, rep)
+// replicas simulates replicas [first, first+len(dst)) of a sim point into
+// dst, through the cluster hook when one is set. Concurrent jobs of one
+// point write disjoint ranges of its reps.
+func (r *studyRun) replicas(ctx context.Context, pt *batchPoint, first int, dst []Point) error {
+	if r.cfg.RangeRunner != nil {
+		ps, err := r.cfg.RangeRunner(ctx, r.spec, pt.key, first, len(dst))
+		if err == nil && len(ps) != len(dst) {
+			err = fmt.Errorf("experiment: range runner returned %d replicas for [%d,%d)", len(ps), first, first+len(dst))
+		}
+		copy(dst, ps)
+		return err
 	}
-	return runReplica(ctx, r.spec, pt.fp, pt.key, rep, r.cfg.Counters, nil)
+	for i := range dst {
+		var err error
+		if r.cfg.ReplicaRunner != nil {
+			dst[i], err = r.cfg.ReplicaRunner(ctx, r.spec, pt.key, first+i)
+		} else {
+			dst[i], err = runReplica(ctx, r.spec, pt.fp, pt.key, first+i, r.cfg.Counters, nil)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // complete takes in a freshly computed point: it is counted, an adaptive

@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -352,4 +354,67 @@ func TestStudyRenderers(t *testing.T) {
 		t.Errorf("detail output missing traffic kind")
 	}
 	RenderStudyCurves(&curves, nil) // must not panic on empty input
+}
+
+// TestRangeRunnerJobShape: with a RangeRunner, a dense study's job is a
+// whole point when the batch has at least Parallelism points, and each
+// point is cut into min(replicas, ⌈par/points⌉) contiguous ranges of
+// near-equal size when it has fewer. The ranges cover every replica once
+// and the study is byte-identical to a run without the hook.
+func TestRangeRunnerJobShape(t *testing.T) {
+	spec := smokeSpec(5) // 4 points x 5 replicas
+	want, err := RunStudy(context.Background(), spec, StudyConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		par   int
+		sizes map[int]int // range size -> ranges of that size
+	}{
+		{2, map[int]int{5: 4}},       // points >= par: one job per point
+		{4, map[int]int{5: 4}},       // points == par: still whole points
+		{8, map[int]int{2: 4, 3: 4}}, // ⌈8/4⌉ = 2 ranges a point: 2 + 3
+		{64, map[int]int{1: 20}},     // capped at one replica a range
+	} {
+		var mu sync.Mutex
+		sizes := map[int]int{}
+		covered := map[string]int{}
+		cfg := StudyConfig{
+			Parallelism: tc.par,
+			RangeRunner: func(ctx context.Context, s Spec, key PointKey, first, n int) ([]Point, error) {
+				mu.Lock()
+				sizes[n]++
+				for rep := first; rep < first+n; rep++ {
+					covered[key.String()+"/"+strconv.Itoa(rep)]++
+				}
+				mu.Unlock()
+				ps := make([]Point, n)
+				for i := range ps {
+					var err error
+					if ps[i], err = RunReplicaJob(ctx, s, key, first+i, 0, nil, nil); err != nil {
+						return nil, err
+					}
+				}
+				return ps, nil
+			},
+		}
+		got, err := RunStudy(context.Background(), spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("par %d: results differ from a run without the hook", tc.par)
+		}
+		if !reflect.DeepEqual(sizes, tc.sizes) {
+			t.Errorf("par %d: range sizes %v, want %v", tc.par, sizes, tc.sizes)
+		}
+		if len(covered) != 20 {
+			t.Errorf("par %d: ranges cover %d replicas, want 20", tc.par, len(covered))
+		}
+		for r, k := range covered {
+			if k != 1 {
+				t.Errorf("par %d: replica %s run %d times", tc.par, r, k)
+			}
+		}
+	}
 }

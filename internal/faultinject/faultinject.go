@@ -12,8 +12,9 @@
 //     Injected errors wrap syscall.ECONNREFUSED, so retry layers classify
 //     them exactly like a real dead peer.
 //   - Worker hooks: a sprinklerd worker configured with a Plan consults
-//     JobStarted before each job; the returned Crash aborts the job at a
-//     configured simulation slot (or on entry) and marks the plan Dead, so
+//     JobStarted before each replica it simulates; the returned Crash
+//     aborts that replica at a configured simulation slot (or on entry)
+//     and marks the plan Dead, so
 //     the "killed" worker stops answering — the in-process equivalent of
 //     kill -9 mid-replica.
 package faultinject
@@ -109,9 +110,10 @@ func (p *Plan) CutResponseBody(nth int, after int64) *Plan {
 	return p
 }
 
-// CrashWorkerAt schedules a worker crash: the job-th job (1-based) aborts
-// at simulation slot `slot` (0 aborts on job entry), and the plan reports
-// Dead from then on — the worker behaves like a kill -9'd process.
+// CrashWorkerAt schedules a worker crash: the job-th replica simulation
+// (1-based) aborts at simulation slot `slot` (0 aborts on entry), and the
+// plan reports Dead from then on — the worker behaves like a kill -9'd
+// process.
 func (p *Plan) CrashWorkerAt(job int, slot int64) *Plan {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -248,9 +250,9 @@ type Crash struct {
 	done chan struct{}
 }
 
-// JobStarted advances the worker's job sequence and returns the crash
-// controller for this job, or nil if this job is not scheduled to crash.
-// Once the plan is dead every job crashes on entry.
+// JobStarted advances the worker's sequence of replica simulations and
+// returns the crash controller for this one, or nil if it is not scheduled
+// to crash. Once the plan is dead every simulation crashes on entry.
 func (p *Plan) JobStarted() *Crash {
 	if p.dead.Load() {
 		c := &Crash{plan: p, done: make(chan struct{})}

@@ -46,16 +46,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Cluster metrics, present on every daemon (workers serve jobs; only a
 	// coordinator has a worker table).
-	counter("sprinklerd_jobs_served_total", "Replica jobs served by this daemon's /api/v1/jobs endpoint.", s.jobsServed.Load())
-	counter("sprinklerd_jobs_dispatched_total", "Replica jobs dispatched to cluster workers.", c.JobsDispatched)
-	counter("sprinklerd_jobs_retried_total", "Job dispatches retried after a transient failure.", c.JobsRetried)
-	counter("sprinklerd_job_redispatch_total", "Job retries that moved to a different worker.", c.JobsRedispatched)
+	counter("sprinklerd_jobs_served_total", "Replicas served by this daemon's /api/v1/jobs endpoint.", s.jobsServed.Load())
+	counter("sprinklerd_jobs_dispatched_total", "Replicas dispatched to cluster workers (a lease counts each replica it carries).", c.JobsDispatched)
+	counter("sprinklerd_jobs_retried_total", "Replicas re-sent after a transient failure of their lease.", c.JobsRetried)
+	counter("sprinklerd_job_redispatch_total", "Re-sent replicas that moved to a different worker.", c.JobsRedispatched)
 	counter("sprinklerd_peer_cache_fill_total", "Replicas this worker adopted from a sibling node's cache instead of simulating.", c.PeerCacheFills)
-	counter("sprinklerd_jobs_local_fallback_total", "Replica jobs run locally because no healthy worker was available.", c.LocalFallbacks)
-	counter("sprinklerd_speculative_launched_total", "Speculative backup dispatches raced against slow primaries.", c.SpeculativeLaunched)
-	counter("sprinklerd_speculative_wasted_total", "Losing speculative branches that re-simulated a replica.", c.SpeculativeWasted)
-	gauge("sprinklerd_job_queue_depth", "Cluster jobs waiting for an execution slot on this worker.", s.queued.Load())
-	gauge("sprinklerd_jobs_inflight", "Cluster jobs currently simulating on this worker.", s.inflight.Load())
+	counter("sprinklerd_jobs_local_fallback_total", "Replicas run locally because no healthy worker was available.", c.LocalFallbacks)
+	counter("sprinklerd_speculative_launched_total", "Replicas carried by speculative backups raced against slow leases.", c.SpeculativeLaunched)
+	counter("sprinklerd_speculative_wasted_total", "Replicas a losing speculative branch simulated anyway.", c.SpeculativeWasted)
+	gauge("sprinklerd_job_queue_depth", "Replica simulations waiting for an execution slot on this worker.", s.queued.Load())
+	gauge("sprinklerd_jobs_inflight", "Replica simulations currently running on this worker.", s.inflight.Load())
 	fmt.Fprintf(w, "# HELP sprinklerd_sim_slots_per_sec EWMA of simulated slots per second on this worker.\n# TYPE sprinklerd_sim_slots_per_sec gauge\nsprinklerd_sim_slots_per_sec %g\n",
 		math.Float64frombits(s.simRate.Load()))
 	if s.cluster != nil {

@@ -81,13 +81,14 @@ type Options struct {
 	CacheDir string
 	// Parallelism bounds each study's worker pool; 0 = GOMAXPROCS.
 	Parallelism int
-	// JobSlots bounds how many cluster jobs this daemon simulates at once;
-	// arrivals beyond the bound queue in their handlers (visible as
-	// sprinklerd_job_queue_depth on /metrics). 0 = GOMAXPROCS.
+	// JobSlots bounds how many replicas of cluster jobs this daemon
+	// simulates at once; replicas beyond the bound queue in their handlers
+	// (visible as sprinklerd_job_queue_depth on /metrics). 0 = GOMAXPROCS.
 	JobSlots int
-	// JobDelay, when > 0, stalls every job execution by this much before
-	// simulating — a deterministic chaos knob that turns this daemon into a
-	// straggler for scheduler tests (`sprinklerd -chaos-job-delay`).
+	// JobDelay, when > 0, stalls every replica a cluster job simulates by
+	// this much before simulating — a deterministic chaos knob that turns
+	// this daemon into a straggler for scheduler tests
+	// (`sprinklerd -chaos-job-delay`).
 	JobDelay time.Duration
 	// Logger, when set, receives structured events (study/job/worker ids as
 	// attributes); nil discards them.
@@ -105,8 +106,8 @@ type Options struct {
 	TraceSpans int
 
 	// Cluster, when set, makes this daemon a coordinator: every study's
-	// replica jobs are dispatched to the cluster's workers instead of
-	// simulated in the study's own pool; the study reads only this
+	// points are leased to the cluster's workers instead of simulated in
+	// the study's own pool; the study reads only this
 	// server's cache. The caller owns the coordinator's health loop
 	// (cluster.Coordinator.Start).
 	Cluster *cluster.Coordinator
@@ -224,9 +225,9 @@ func New(opts Options) (*Server, error) {
 		node:       node,
 		role:       opts.Role,
 		journal:    trace.NewJournal(spans),
-		hDispatch:  stats.NewHistogram("sprinklerd_dispatch_latency_seconds", "Latency of successful cluster job dispatches (lease to decoded response)."),
+		hDispatch:  stats.NewHistogram("sprinklerd_dispatch_latency_seconds", "Latency of successful cluster dispatches, per lease (request to trailer)."),
 		hJobExec:   stats.NewHistogram("sprinklerd_job_exec_seconds", "Wall time of replica simulations executed for cluster jobs."),
-		hQueueWait: stats.NewHistogram("sprinklerd_job_queue_wait_seconds", "Time cluster jobs wait for an execution slot before simulating."),
+		hQueueWait: stats.NewHistogram("sprinklerd_job_queue_wait_seconds", "Time replicas of cluster jobs wait for an execution slot before simulating."),
 		hCacheGet:  stats.NewHistogram("sprinklerd_cache_get_seconds", "Latency of result-cache reads on the study and job paths."),
 		hCachePut:  stats.NewHistogram("sprinklerd_cache_put_seconds", "Latency of result-cache writes (CAS stores)."),
 		cluster:    opts.Cluster,
@@ -384,13 +385,13 @@ func (s *Server) run(ctx context.Context, st *study) {
 		},
 	}
 	if s.cluster != nil {
-		// Coordinator mode: replicas run on workers (falling back locally
-		// when the fleet is gone), each worker reusing a replica from its
-		// own store or a sibling's before it simulates. The study reads
+		// Coordinator mode: points are leased to workers (falling back
+		// locally when the fleet is gone), each worker reusing a replica
+		// from its own store or a sibling's before it simulates. The study reads
 		// only this server's store. Grid ordering, checkpointing, and
 		// aggregation are untouched — which is exactly why a cluster run is
 		// byte-identical to a single-node run.
-		cfg.ReplicaRunner = s.cluster.RunReplica
+		cfg.RangeRunner = s.cluster.RunReplicas
 	}
 	// The study root span: every dispatch, simulation and store of this
 	// run parents back to it, across nodes.

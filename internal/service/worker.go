@@ -15,6 +15,7 @@ import (
 	"sprinklers/internal/cluster"
 	"sprinklers/internal/experiment"
 	"sprinklers/internal/faultinject"
+	"sprinklers/internal/resultcache"
 	"sprinklers/internal/sim"
 	"sprinklers/internal/trace"
 )
@@ -23,9 +24,10 @@ import (
 // /api/v1/cas/{key}; a coordinator daemon additionally serves the
 // /api/v1/cluster/register membership endpoint. Every daemon serves CAS
 // reads, so any node can be a peer-fill source. Workers send no load: the
-// coordinator places jobs by its own count of outstanding dispatches.
+// coordinator places leases by its own count of outstanding dispatches.
 //
-//	POST /api/v1/jobs               execute one leased (point, replica) job
+//	POST /api/v1/jobs               serve one lease: a range of one point's
+//	                                replicas, streamed back as NDJSON
 //	GET  /api/v1/cas/{key}          raw result-cache entry (peer cache fill)
 //	POST /api/v1/cluster/register   worker joins (or, repeated every
 //	                                heartbeat interval, stays in) the fleet
@@ -39,22 +41,30 @@ const maxJobBytes = 4 << 20
 // lookup; a dead sibling must cost seconds, not the whole lease.
 const peerFillTimeout = 3 * time.Second
 
-// handleJob executes one leased (point, replica) job, cache-first:
+// handleJob serves one lease, replicas [Rep, Rep+Reps) of one point, in
+// replica order, each cache-first:
 //
 //  1. The replica envelope is looked up in the local cache by
-//     Identity.ReplicaKey — a re-dispatched job whose first holder already
-//     finished (or whose result survived a crash) is a read, not a
+//     Identity.ReplicaKey — a re-dispatched replica whose first holder
+//     already finished (or whose result survived a crash) is a read, not a
 //     re-simulation. A corrupt envelope is quarantined and treated as a
 //     miss.
-//  2. On a miss, the request's peer list is probed — a replica computed by
-//     a sibling before it died is fetched, validated, and adopted.
+//  2. On a miss, the request's siblings are asked — a replica computed by
+//     a sibling before it died is fetched, validated, and adopted. A
+//     sibling is not asked again in this lease after its first miss: a
+//     lease leaves a prefix of its replicas on the worker that ran it, so
+//     on a cold cache a lease costs each sibling one request.
 //  3. Only then is the replica simulated, under the lease deadline, and
 //     its envelope stored for future holders and peers.
 //
-// The response reports the source ("cache", "peer", "computed") so the
-// coordinator can account peer fills. When a fault plan schedules a crash
-// for this job, the simulation aborts at the scheduled slot and the
-// connection is severed without a response — the in-process kill -9.
+// Validation errors are 400 before anything is written. Each replica is
+// then written as one cluster.JobResponse line as soon as it is served,
+// and a cluster.JobTrailer line ends a complete response. A failure after
+// the first line ends the stream without its trailer, which the
+// coordinator reads as a transient failure of the replicas not delivered;
+// one before it is a 503 (lease expired) or 500. When a fault plan
+// schedules a crash, the simulation aborts at the scheduled slot and the
+// connection is severed — the in-process kill -9.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	var req cluster.JobRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes)).Decode(&req); err != nil {
@@ -66,16 +76,15 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Rep < 0 || req.Rep >= spec.Replicas {
+	n := max(req.Reps, 1)
+	if req.Reps < 0 || req.Rep < 0 || req.Rep+n > spec.Replicas {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("replica %d out of range [0,%d)", req.Rep, spec.Replicas))
+			fmt.Errorf("replicas [%d,%d) out of range [0,%d)", req.Rep, req.Rep+n, spec.Replicas))
 		return
 	}
-	id := spec.PointIdentity(req.Point)
-	rkey := id.ReplicaKey(req.Rep)
 
 	// Trace context rides in on the request headers. The spans of this job
-	// are collected request-scoped, attached to the response for the
+	// are collected request-scoped, attached to the trailer for the
 	// coordinator to merge, and copied into this worker's own journal.
 	// Tracing never touches the job's semantics: an untraced request takes
 	// exactly the same path with every span call a no-op.
@@ -88,36 +97,155 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	jsp := tc.Start("job")
 	jsp.SetJob(req.Point.String(), req.Rep)
-	jtc := jsp.SpanContext()
-	flushTrace := func() {
-		for _, sp := range buf.Spans() {
-			s.journal.Record(sp)
-		}
-	}
-	respond := func(p experiment.Point, source string) {
-		jsp.Attr("source", source)
-		jsp.End()
-		spans := buf.Spans()
-		flushTrace()
-		s.jobsServed.Add(1)
-		writeJSON(w, http.StatusOK, cluster.JobResponse{Point: p, Source: source, Spans: spans})
-	}
 
 	// The lease is enforced server-side too: a worker partitioned from its
 	// coordinator must abort the job when the lease expires, not hold the
 	// simulation (and the point's side effects) forever.
-	ctx := trace.NewContext(r.Context(), jtc)
+	ctx := trace.NewContext(r.Context(), jsp.SpanContext())
 	if req.LeaseMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.LeaseMS)*time.Millisecond)
 		defer cancel()
 	}
 
-	// Fault hook: a scheduled crash aborts the slot loop at its slot and
-	// drops the connection with no response, exactly like a killed process.
-	// The cancel is wired synchronously into the per-slot hook so the
-	// simulation reliably aborts at its next cancellation poll — a crashed
-	// replica is never completed, counted, or stored.
+	enc := json.NewEncoder(w)
+	rc := http.NewResponseController(w)
+	served, source := 0, ""
+	err := s.serveLease(ctx, spec, req, n, func(rep int, p experiment.Point, src string) {
+		if served == 0 {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			source = src
+		} else if src != source {
+			source = "mixed"
+		}
+		served++
+		s.jobsServed.Add(1)
+		enc.Encode(cluster.JobResponse{Rep: rep, Point: p, Source: src}) //nolint:errcheck // a gone coordinator cancels ctx
+		rc.Flush()                                                       //nolint:errcheck
+	})
+
+	// Every exit ends the job span and journals what was recorded.
+	if err != nil {
+		jsp.Attr("outcome", err.Error())
+	} else {
+		jsp.Attr("source", source)
+	}
+	jsp.End()
+	spans := buf.Spans()
+	for _, sp := range spans {
+		s.journal.Record(sp)
+	}
+	switch {
+	case err == nil:
+		enc.Encode(cluster.JobTrailer{End: true, Spans: spans}) //nolint:errcheck
+	case served > 0:
+		// The lines are out; ending the stream without its trailer hands
+		// the rest of the lease back to the coordinator.
+	case experiment.IsCancellation(err):
+		// Lease expired (or the coordinator hung up): the job is the
+		// coordinator's to re-dispatch.
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("lease expired: %w", err))
+	default:
+		writeError(w, http.StatusInternalServerError, err)
+	}
+}
+
+// serveLease serves replicas [req.Rep, req.Rep+n) in order, handing each
+// to emit as soon as it is served.
+func (s *Server) serveLease(ctx context.Context, spec experiment.Spec, req cluster.JobRequest, n int,
+	emit func(rep int, p experiment.Point, src string)) error {
+	id := spec.PointIdentity(req.Point)
+	peers := req.Peers // the siblings still worth asking
+	for rep := req.Rep; rep < req.Rep+n; rep++ {
+		p, src, err := s.serveReplica(ctx, spec, id, req.Point, rep, &peers)
+		if err != nil {
+			return err
+		}
+		emit(rep, p, src)
+	}
+	return nil
+}
+
+// serveReplica serves one replica from the local cache, a sibling's, or a
+// simulation. A sibling that misses (or fails, or returns an invalid
+// envelope) is dropped from peers.
+func (s *Server) serveReplica(ctx context.Context, spec experiment.Spec, id resultcache.Identity, key experiment.PointKey, rep int,
+	peers *[]string) (experiment.Point, string, error) {
+	tc := trace.FromContext(ctx)
+	rkey := id.ReplicaKey(rep)
+
+	// 1. Local replica envelope.
+	gsp := tc.Start("cache-check")
+	gsp.SetJob(key.String(), rep)
+	getStart := time.Now()
+	b, ok, gerr := s.cache.Get(rkey)
+	s.hCacheGet.Observe(time.Since(getStart))
+	gsp.End()
+	if gerr == nil && ok {
+		if p, valid := experiment.DecodeCachedReplica(b, id, rep); valid {
+			return p, cluster.SourceCache, nil
+		}
+		s.counters.CacheCorrupt.Add(1)
+		if err := s.cache.Quarantine(rkey); err != nil {
+			return experiment.Point{}, "", fmt.Errorf("quarantining %s: %w", rkey, err)
+		}
+		s.log.Warn("corrupt replica envelope quarantined", "job", key.String(), "rep", rep, "key", rkey)
+	}
+
+	// 2. Peer cache fill. An unreachable or corrupt peer is a miss, never
+	// a failed job.
+	if len(*peers) > 0 {
+		psp := tc.Start("peer-cache-check")
+		psp.SetJob(key.String(), rep)
+		for len(*peers) > 0 {
+			peer := (*peers)[0]
+			pctx, cancel := context.WithTimeout(ctx, peerFillTimeout)
+			b, err := cluster.FetchCAS(pctx, s.peerClient(), peer, rkey)
+			cancel()
+			p, valid := experiment.Point{}, false
+			if err == nil && b != nil {
+				p, valid = experiment.DecodeCachedReplica(b, id, rep)
+			}
+			if !valid {
+				*peers = (*peers)[1:]
+				continue
+			}
+			if err := s.cache.Put(rkey, b); err != nil {
+				s.log.Warn("storing peer fill failed", "job", key.String(), "rep", rep, "peer", peer, "err", err)
+			}
+			s.counters.PeerCacheFills.Add(1)
+			psp.Attr("peer", peer)
+			psp.End()
+			return p, cluster.SourcePeer, nil
+		}
+		psp.End()
+	}
+
+	// 3. Simulate.
+	p, err := s.simulate(ctx, spec, key, rep)
+	if err != nil {
+		return experiment.Point{}, "", err
+	}
+	ssp := tc.Start("cas-store")
+	ssp.SetJob(key.String(), rep)
+	putStart := time.Now()
+	perr := s.cache.Put(rkey, experiment.EncodeCachedReplica(id, rep, p))
+	s.hCachePut.Observe(time.Since(putStart))
+	ssp.End()
+	if perr != nil {
+		// The result is good even if persisting it is not; the coordinator
+		// gets its replica and only a future re-dispatch pays again.
+		s.log.Warn("storing replica envelope failed", "job", key.String(), "rep", rep, "key", rkey, "err", perr)
+	}
+	return p, cluster.SourceComputed, nil
+}
+
+// simulate runs one replica behind the job-slot semaphore, so a busy
+// worker's surplus replicas queue here and show up in its queue-depth
+// gauge. A fault plan's scheduled crash aborts the slot loop at its slot
+// and severs the connection with no further line, exactly like a killed
+// process: a crashed replica is never completed, counted, or stored.
+func (s *Server) simulate(ctx context.Context, spec experiment.Spec, key experiment.PointKey, rep int) (experiment.Point, error) {
 	var crash *faultinject.Crash
 	var onSlot func(sim.Slot)
 	if s.fault != nil {
@@ -127,6 +255,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 				panic(http.ErrAbortHandler)
 			default:
 			}
+			// The cancel is wired synchronously into the per-slot hook so
+			// the simulation reliably aborts at its next cancellation poll.
 			cctx, ccancel := context.WithCancel(ctx)
 			defer ccancel()
 			ctx = cctx
@@ -142,60 +272,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// 1. Local replica envelope.
-	gsp := jtc.Start("cache-check")
-	getStart := time.Now()
-	b, ok, gerr := s.cache.Get(rkey)
-	s.hCacheGet.Observe(time.Since(getStart))
-	gsp.End()
-	if gerr == nil && ok {
-		if p, valid := experiment.DecodeCachedReplica(b, id, req.Rep); valid {
-			respond(p, cluster.SourceCache)
-			return
-		}
-		s.counters.CacheCorrupt.Add(1)
-		if err := s.cache.Quarantine(rkey); err != nil {
-			flushTrace()
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("quarantining %s: %w", rkey, err))
-			return
-		}
-		s.log.Warn("corrupt replica envelope quarantined",
-			"job", req.Point.String(), "rep", req.Rep, "key", rkey)
-	}
-
-	// 2. Peer cache fill. An unreachable or corrupt peer is a miss, never
-	// a failed job.
-	if len(req.Peers) > 0 {
-		psp := jtc.Start("peer-cache-check")
-		psp.SetJob(req.Point.String(), req.Rep)
-		for _, peer := range req.Peers {
-			pctx, cancel := context.WithTimeout(ctx, peerFillTimeout)
-			b, err := cluster.FetchCAS(pctx, s.peerClient(), peer, rkey)
-			cancel()
-			if err != nil || b == nil {
-				continue
-			}
-			p, valid := experiment.DecodeCachedReplica(b, id, req.Rep)
-			if !valid {
-				continue
-			}
-			if err := s.cache.Put(rkey, b); err != nil {
-				s.log.Warn("storing peer fill failed",
-					"job", req.Point.String(), "rep", req.Rep, "peer", peer, "err", err)
-			}
-			s.counters.PeerCacheFills.Add(1)
-			psp.Attr("peer", peer)
-			psp.End()
-			respond(p, cluster.SourcePeer)
-			return
-		}
-		psp.End()
-	}
-
-	// 3. Simulate — behind the job-slot semaphore, so a busy worker's
-	// surplus jobs queue here and show up in its queue-depth gauge.
-	qsp := jtc.Start("queue-wait")
-	qsp.SetJob(req.Point.String(), req.Rep)
+	tc := trace.FromContext(ctx)
+	qsp := tc.Start("queue-wait")
+	qsp.SetJob(key.String(), rep)
 	queueStart := time.Now()
 	s.queued.Add(1)
 	select {
@@ -205,9 +284,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		s.queued.Add(-1)
 		qsp.Attr("outcome", "lease-expired")
 		qsp.End()
-		flushTrace()
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("lease expired in queue: %w", ctx.Err()))
-		return
+		return experiment.Point{}, fmt.Errorf("lease expired in queue: %w", ctx.Err())
 	}
 	s.hQueueWait.Observe(time.Since(queueStart))
 	qsp.End()
@@ -219,47 +296,23 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-time.After(s.jobDelay):
 		case <-ctx.Done():
-			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("lease expired in delay: %w", ctx.Err()))
-			return
+			return experiment.Point{}, fmt.Errorf("lease expired in delay: %w", ctx.Err())
 		}
 	}
 	simStart := time.Now()
-	p, err := experiment.RunReplicaJob(ctx, spec, req.Point, req.Rep, 0, &s.counters, onSlot)
+	p, err := experiment.RunReplicaJob(ctx, spec, key, rep, 0, &s.counters, onSlot)
+	if crash != nil {
+		select {
+		case <-crash.Done():
+			panic(http.ErrAbortHandler) // crashed mid-replica: sever, no further line
+		default:
+		}
+	}
 	if err == nil {
 		s.observeSimRate(int64(spec.Slots+spec.Warmup), time.Since(simStart))
 		s.hJobExec.Observe(time.Since(simStart))
 	}
-	if crash != nil {
-		select {
-		case <-crash.Done():
-			panic(http.ErrAbortHandler) // crashed mid-replica: sever, no response
-		default:
-		}
-	}
-	if err != nil {
-		flushTrace()
-		if experiment.IsCancellation(err) {
-			// Lease expired (or the coordinator hung up): the job is the
-			// coordinator's to re-dispatch.
-			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("lease expired: %w", err))
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	ssp := jtc.Start("cas-store")
-	ssp.SetJob(req.Point.String(), req.Rep)
-	putStart := time.Now()
-	perr := s.cache.Put(rkey, experiment.EncodeCachedReplica(id, req.Rep, p))
-	s.hCachePut.Observe(time.Since(putStart))
-	ssp.End()
-	if perr != nil {
-		// The result is good even if persisting it is not; the coordinator
-		// gets its point and only a future re-dispatch pays again.
-		s.log.Warn("storing replica envelope failed",
-			"job", req.Point.String(), "rep", req.Rep, "key", rkey, "err", perr)
-	}
-	respond(p, cluster.SourceComputed)
+	return p, err
 }
 
 // peerClient is the HTTP client for worker→peer CAS reads.

@@ -7,12 +7,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sprinklers/internal/cluster"
 	"sprinklers/internal/experiment"
+	"sprinklers/internal/trace"
 )
 
 // postJob dispatches one job to a daemon and decodes the response.
@@ -397,5 +400,159 @@ func TestRunResubmitsAfterDaemonRestart(t *testing.T) {
 		if done != i+1 {
 			t.Errorf("event %d has done=%d, want %d", i, done, i+1)
 		}
+	}
+}
+
+// postLease sends one lease to a daemon and reads its whole NDJSON
+// response: the replica lines and whether the trailer arrived.
+func postLease(t *testing.T, baseURL string, req cluster.JobRequest) ([]cluster.JobResponse, bool) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(baseURL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("lease %s [%d,+%d): status %d", req.Point, req.Rep, req.Reps, resp.StatusCode)
+	}
+	var lines []cluster.JobResponse
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var ln struct {
+			cluster.JobResponse
+			cluster.JobTrailer
+		}
+		if err := dec.Decode(&ln); err != nil {
+			return lines, false
+		}
+		if ln.End {
+			return lines, true
+		}
+		lines = append(lines, ln.JobResponse)
+	}
+}
+
+// TestJobPrefixProbing: a lease asks each sibling for its replicas in
+// order and stops asking a sibling after its first miss. A sibling holding
+// a prefix of the lease fills all of it for one extra request; one holding
+// only a later replica costs one request, and that replica is recomputed.
+// Either way every replica line matches a direct simulation.
+func TestJobPrefixProbing(t *testing.T) {
+	spec := testSpec("job-prefix")
+	spec.Replicas = 3
+	norm := spec.WithDefaults()
+	key := norm.Points()[0]
+	for _, tc := range []struct {
+		name                   string
+		held                   []int
+		gets, fills, simulated int64
+		sources                []string
+	}{
+		{"prefix", []int{0, 1}, 3, 2, 1, []string{cluster.SourcePeer, cluster.SourcePeer, cluster.SourceComputed}},
+		{"later-only", []int{2}, 1, 0, 3, []string{cluster.SourceComputed, cluster.SourceComputed, cluster.SourceComputed}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sibling, siblingClient := newTestServer(t)
+			for _, rep := range tc.held {
+				if _, resp := postJob(t, siblingClient.BaseURL, jobFor(spec, 0, rep)); resp.StatusCode != http.StatusOK {
+					t.Fatalf("seeding replica %d: status %d", rep, resp.StatusCode)
+				}
+			}
+			var gets atomic.Int64
+			counted := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/api/v1/cas/") {
+					gets.Add(1)
+				}
+				sibling.Handler().ServeHTTP(w, r)
+			}))
+			t.Cleanup(counted.Close)
+
+			fresh, freshClient := newTestServer(t)
+			req := jobFor(spec, 0, 0, counted.URL)
+			req.Reps = 3
+			lines, complete := postLease(t, freshClient.BaseURL, req)
+			if !complete || len(lines) != 3 {
+				t.Fatalf("lease returned %d lines, trailer %v; want 3 and a trailer", len(lines), complete)
+			}
+			for i, ln := range lines {
+				want, err := experiment.RunReplicaJob(context.Background(), norm, key, i, 0, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ln.Rep != i || ln.Source != tc.sources[i] || !reflect.DeepEqual(ln.Point, want) {
+					t.Errorf("line %d = replica %d from %q, want replica %d from %q with the simulated point", i, ln.Rep, ln.Source, i, tc.sources[i])
+				}
+			}
+			if got := gets.Load(); got != tc.gets {
+				t.Errorf("sibling got %d CAS requests, want %d", got, tc.gets)
+			}
+			if got := fresh.Counters().PeerCacheFills.Load(); got != tc.fills {
+				t.Errorf("PeerCacheFills = %d, want %d", got, tc.fills)
+			}
+			if got := fresh.Counters().ReplicasComputed.Load(); got != tc.simulated {
+				t.Errorf("ReplicasComputed = %d, want %d", got, tc.simulated)
+			}
+			if got := fresh.jobsServed.Load(); got != 3 {
+				t.Errorf("jobsServed = %d, want 3: the counter counts replicas", got)
+			}
+		})
+	}
+}
+
+// TestJobEndpointRejectsRangePastReplicas: a lease reaching past the spec's
+// replicas, or with a negative count, is 400 before any line is written.
+func TestJobEndpointRejectsRangePastReplicas(t *testing.T) {
+	_, client := newTestServer(t)
+	for _, r := range [][2]int{{1, 2}, {0, -1}} {
+		job := jobFor(testSpec("job-bad-range"), 0, r[0])
+		job.Reps = r[1]
+		if _, resp := postJob(t, client.BaseURL, job); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("rep %d reps %d: status %d, want 400", r[0], r[1], resp.StatusCode)
+		}
+	}
+}
+
+// TestExpiredChaosDelayJournalsSpans: a straggler whose lease expires
+// during its chaos delay answers 503 and still ends the job span and
+// journals it, so the expired job shows up in the worker's trace.
+func TestExpiredChaosDelayJournalsSpans(t *testing.T) {
+	srv, err := New(Options{CacheDir: t.TempDir(), JobDelay: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx) //nolint:errcheck
+	})
+	job := jobFor(testSpec("job-expired-delay"), 0, 0)
+	job.LeaseMS = 20
+	body, _ := json.Marshal(job)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/api/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const traceID = "expired-delay-trace"
+	trace.Inject(req.Header, trace.SpanContext{Trace: traceID, Parent: "coord-lease"})
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503 for a lease expired in the chaos delay", resp.StatusCode)
+	}
+	names := map[string]int{}
+	for _, sp := range srv.journal.Study(traceID) {
+		names[sp.Name]++
+	}
+	if names["job"] != 1 || names["queue-wait"] != 1 {
+		t.Errorf("journaled spans %v, want one job and one queue-wait span", names)
 	}
 }
