@@ -387,8 +387,8 @@ func (s *Server) run(ctx context.Context, st *study) {
 	if s.cluster != nil {
 		// Coordinator mode: points are leased to workers (falling back
 		// locally when the fleet is gone), each worker reusing a replica
-		// from its own store or a sibling's before it simulates. The study reads
-		// only this server's store. Grid ordering, checkpointing, and
+		// from its own store or a sibling's before it simulates. The study
+		// reads only this server's store. Grid ordering, checkpointing, and
 		// aggregation are untouched — which is exactly why a cluster run is
 		// byte-identical to a single-node run.
 		cfg.RangeRunner = s.cluster.RunReplicas
