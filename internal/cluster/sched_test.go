@@ -1,18 +1,22 @@
 // White-box scheduler tests: pick fairness and load awareness, the
-// speculative backup gate, registration checks, probe suppression, and
-// churn under -race. The end-to-end behavior (speculation, byte identity)
+// speculative backup gate and what a backup carries, registration checks,
+// probe suppression, and churn under -race. The end-to-end behavior (speculation, byte identity)
 // lives in the black-box chaos suite in cluster_test.go.
 package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sprinklers/internal/experiment"
 )
 
 // pickCounts runs n picks and tallies them by worker URL.
@@ -270,5 +274,101 @@ func TestSpeculateThresholdArming(t *testing.T) {
 	}
 	if th := off.speculateThreshold(); th < speculateFloor {
 		t.Errorf("threshold with speculation disabled = %v, want >= floor %v: slow-job warnings need it", th, speculateFloor)
+	}
+}
+
+// leaseWorker is a fake worker that serves each lease by simulating its
+// replicas in order and streaming them back; with stallAfter > 0 it stops
+// after that many replicas and holds the response open until the
+// coordinator hangs up. Every lease it gets is recorded as [rep, reps].
+func leaseWorker(t *testing.T, stallAfter int, got *[][2]int, mu *sync.Mutex) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
+	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		var req JobRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		*got = append(*got, [2]int{req.Rep, req.Reps})
+		mu.Unlock()
+		enc := json.NewEncoder(w)
+		for i := 0; i < req.Reps; i++ {
+			if stallAfter > 0 && i == stallAfter {
+				http.NewResponseController(w).Flush() //nolint:errcheck
+				<-r.Context().Done()
+				return
+			}
+			p, err := experiment.RunReplicaJob(r.Context(), req.Spec, req.Point, req.Rep+i, 0, nil, nil)
+			if err != nil {
+				return
+			}
+			enc.Encode(JobResponse{Rep: req.Rep + i, Point: p, Source: SourceComputed}) //nolint:errcheck
+		}
+		enc.Encode(JobTrailer{End: true}) //nolint:errcheck
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestSpeculativeBackupCarriesTheRest: a primary that delivers one of a
+// lease's three replicas and then stalls is raced by a backup for the two
+// it did not deliver; the lease completes with the primary's replica and
+// the backup's two, each equal to a direct simulation, and the counters
+// count the backup's replicas.
+func TestSpeculativeBackupCarriesTheRest(t *testing.T) {
+	var mu sync.Mutex
+	var stalled, backup [][2]int
+	stall := leaseWorker(t, 1, &stalled, &mu)
+	good := leaseWorker(t, 0, &backup, &mu)
+	c := New(Options{Workers: []string{stall.URL, good.URL}, Speculate: true, HeartbeatInterval: 10 * time.Millisecond})
+	ctr := &experiment.Counters{}
+	c.UseCounters(ctr)
+	for i := 0; i < speculateMinSamples; i++ {
+		c.observeLatency(time.Millisecond) // arm the threshold at its floor
+	}
+	spec := experiment.Spec{
+		Algorithms: experiment.Algs(experiment.Sprinklers),
+		Traffic:    experiment.Traffics(experiment.UniformTraffic),
+		Loads:      []float64{0.5}, Sizes: []int{8}, Replicas: 3, Slots: 200,
+	}.WithDefaults()
+	key := spec.Points()[0]
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pts, err := c.RunReplicas(ctx, spec, key, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep, p := range pts {
+		want, err := experiment.RunReplicaJob(ctx, spec, key, rep, 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, want) {
+			t.Errorf("replica %d differs from a direct simulation", rep)
+		}
+	}
+	mu.Lock()
+	if !reflect.DeepEqual(stalled, [][2]int{{0, 3}}) || !reflect.DeepEqual(backup, [][2]int{{1, 2}}) {
+		t.Errorf("leases: primary %v, backup %v; want [[0 3]] and [[1 2]]", stalled, backup)
+	}
+	mu.Unlock()
+	if l, d := ctr.SpeculativeLaunched.Load(), ctr.JobsDispatched.Load(); l != 2 || d != 5 {
+		t.Errorf("SpeculativeLaunched = %d, JobsDispatched = %d; want 2 and 5", l, d)
+	}
+	cancel() // the stalled primary is the loser; hang up on it
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Snapshot().SpeculativePending != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled loser was never reaped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if w := ctr.SpeculativeWasted.Load(); w != 0 {
+		t.Errorf("SpeculativeWasted = %d, want 0: the loser delivered nothing twice", w)
 	}
 }
