@@ -68,9 +68,10 @@
 //	     (?format=chrome for Perfetto)
 //	GET  /api/v1/version            build identity (go version, VCS revision)
 //
-// On SIGINT/SIGTERM the daemon drains: running studies are canceled, each
-// flushes its JSONL checkpoint (resumable by resubmitting the same spec),
-// and the process exits once everything has stopped or -grace expires.
+// On SIGINT/SIGTERM the daemon drains: running studies are canceled (their
+// computed points are already in the cache, so resubmitting the same spec
+// resumes them), and the process exits once everything has stopped or
+// -grace expires.
 package main
 
 import (
@@ -119,7 +120,7 @@ func newLogger(level, format string) (*slog.Logger, error) {
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8356", "HTTP listen address")
-	cacheDir := flag.String("cache", "sprinklerd-cache", "content-addressed result cache directory (also holds per-study checkpoints)")
+	cacheDir := flag.String("cache", "sprinklerd-cache", "content-addressed result cache directory (the daemon's only durable state)")
 	par := flag.Int("par", 0, "per-study worker parallelism (default GOMAXPROCS)")
 	grace := flag.Duration("grace", 30*time.Second, "shutdown grace period for draining studies")
 	coordinator := flag.Bool("coordinator", false, "run as a cluster coordinator, dispatching replica jobs to -workers")
@@ -255,5 +256,5 @@ func main() {
 		lg.Error("shutdown", "err", drainErr)
 		os.Exit(1)
 	}
-	lg.Info("shutdown complete; checkpoints flushed")
+	lg.Info("shutdown complete; studies drained")
 }

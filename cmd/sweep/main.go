@@ -151,7 +151,7 @@ func main() {
 	var runErr error
 	if *remote != "" {
 		if *out != "" || *haltAfter > 0 {
-			fatal(errors.New("-remote runs checkpoint on the daemon; -out and -halt-after are local-only flags"))
+			fatal(errors.New("-out and -halt-after are local-only flags; a -remote study resumes from the daemon's cache on resubmission"))
 		}
 		client := &service.Client{BaseURL: *remote}
 		var progress func(service.ProgressEvent)

@@ -10,10 +10,10 @@
 // same Point on any node.
 //
 // The coordinator plugs into the experiment engine through
-// experiment.StudyConfig.RangeRunner, so grid ordering, checkpointing,
-// the cache pre-pass and replica aggregation are exactly the single-node
-// code paths; this package only decides WHERE replicas run and what to
-// do when that place dies.
+// experiment.StudyConfig.RangeRunner, so grid ordering, the cache
+// pre-pass and replica aggregation are exactly the single-node code paths;
+// this package only decides WHERE replicas run and what to do when that
+// place dies.
 package cluster
 
 import (

@@ -298,13 +298,14 @@ func TestAllWorkersDownDegradesToLocal(t *testing.T) {
 }
 
 // TestCoordinatorRestartMidStudyResumesWithoutRecompute: the coordinator
-// is stopped mid-study (canceling the run with its checkpoint flushed) and
-// a NEW coordinator daemon over the same cache directory takes over. The
-// resubmitted study must complete byte-identical, and across the whole
-// ordeal — first coordinator, second coordinator, both workers — each
-// replica must have been simulated exactly once: completed points resume
-// from the checkpoint, completed replicas of interrupted points resurface
-// from worker caches via the replica-envelope read path.
+// is stopped mid-study (canceling the run; its completed points are
+// already in its cache) and a NEW coordinator daemon over the same cache
+// directory takes over. The resubmitted study must complete
+// byte-identical, and across the whole ordeal — first coordinator, second
+// coordinator, both workers — each replica must have been simulated
+// exactly once: completed points resume from the coordinator's cache,
+// completed replicas of interrupted points resurface from worker caches
+// via the replica-envelope read path.
 func TestCoordinatorRestartMidStudyResumesWithoutRecompute(t *testing.T) {
 	w1 := newNode(t, service.Options{})
 	w2 := newNode(t, service.Options{})

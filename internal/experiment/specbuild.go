@@ -221,8 +221,8 @@ func FormatSeriesHelp(noun string) string {
 
 // CancelMessage renders the shared post-cancellation line the study CLIs
 // print before exiting 2: how much was recorded, and whether a re-run can
-// resume it (only with a checkpoint — a daemon keeps one per study, a
-// local run only with -out).
+// resume it (a daemon resumes any resubmitted study from its result cache;
+// a local run resumes only from an -out checkpoint).
 func CancelMessage(recorded, total int, outPath string, remote bool) string {
 	hint := "; no -out checkpoint was given, so a re-run starts fresh"
 	switch {

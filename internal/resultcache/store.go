@@ -424,7 +424,7 @@ func (s *Store) Quarantine(key string) error {
 func (s *Store) Corrupts() int64 { return s.corrupts.Load() }
 
 // Size returns the total value bytes of live cache entries (quarantined
-// entries and co-located study checkpoints excluded).
+// entries excluded).
 func (s *Store) Size() (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -306,7 +306,7 @@ func (c *Client) Run(ctx context.Context, spec experiment.Spec, progress func(Pr
 			// A 404 mid-run means the daemon restarted and lost its
 			// in-memory study table. The study id is the spec's content
 			// hash, so resubmitting recreates the SAME study — resumed from
-			// its checkpoint and cache, with nothing recomputed — and the
+			// the cache, with no computed point recomputed — and the
 			// stream picks up at the accumulated event index, so the caller
 			// sees every point exactly once across the restart.
 			var ae *APIError

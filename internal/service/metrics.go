@@ -24,7 +24,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	counter("sprinklerd_cache_hits_total", "Study points served from the content-addressed result cache.", c.CacheHits)
 	counter("sprinklerd_cache_misses_total", "Study points not found in the result cache.", c.CacheMisses)
-	counter("sprinklerd_points_computed_total", "Grid points computed (not served from cache or checkpoint).", c.PointsComputed)
+	counter("sprinklerd_points_computed_total", "Grid points computed (not served from cache).", c.PointsComputed)
 	counter("sprinklerd_replicas_computed_total", "Replica simulations executed.", c.ReplicasComputed)
 	counter("sprinklerd_sim_slots_total", "Simulation slots executed, warmup included.", c.SlotsSimulated)
 	counter("sprinklerd_points_refined_total", "Grid points inserted by adaptive refinement.", c.PointsRefined)
@@ -41,7 +41,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// job) assert the configured disk bound holds.
 	counter("sprinklerd_cache_evictions_total", "Cache entries evicted by the size-bound sweeper.", s.cache.Evictions())
 	if size, err := s.cache.Size(); err == nil {
-		gauge("sprinklerd_cache_bytes", "Bytes currently held by the result cache (quarantine and checkpoints excluded).", size)
+		gauge("sprinklerd_cache_bytes", "Bytes currently held by the result cache (quarantine excluded).", size)
 	}
 
 	// Cluster metrics, present on every daemon (workers serve jobs; only a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -72,7 +73,8 @@ func TestPerfEndpoint(t *testing.T) {
 
 // TestAdaptiveStudyThroughDaemon: an adaptive study served by the daemon
 // returns results byte-identical to a local run, its status total grows
-// past the seed grid as refinement inserts points, and the adaptive
+// past the seed grid as refinement inserts points, a replay of its finished
+// event stream is exactly the sequence streamed live, and the adaptive
 // counters surface in both /api/v1/perf and /metrics.
 func TestAdaptiveStudyThroughDaemon(t *testing.T) {
 	srv, client := newTestServer(t)
@@ -82,7 +84,10 @@ func TestAdaptiveStudyThroughDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := client.Run(context.Background(), spec, nil)
+	var live []ProgressEvent
+	remote, err := client.Run(context.Background(), spec, func(ev ProgressEvent) {
+		live = append(live, ev)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +95,25 @@ func TestAdaptiveStudyThroughDaemon(t *testing.T) {
 	rb, _ := json.Marshal(remote)
 	if string(lb) != string(rb) {
 		t.Errorf("daemon adaptive results differ from local:\n%s\nvs\n%s", rb, lb)
+	}
+	for _, from := range []int{0, 5} {
+		var replay []ProgressEvent
+		if _, err := client.Stream(context.Background(), StudyID(spec), from, func(ev ProgressEvent) {
+			replay = append(replay, ev)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := live[min(from, len(live)):]
+		if len(replay) != len(want) {
+			t.Fatalf("replay from %d delivered %d events, want %d", from, len(replay), len(want))
+		}
+		for i, ev := range replay {
+			w := want[i]
+			if ev.Done != w.Done || ev.Total != w.Total || !reflect.DeepEqual(ev.Point, w.Point) {
+				t.Errorf("replay from %d, event %d = %d/%d %v, streamed live as %d/%d %v",
+					from, i, ev.Done, ev.Total, ev.Point.PointKey, w.Done, w.Total, w.Point.PointKey)
+			}
+		}
 	}
 
 	status, err := client.Status(context.Background(), StudyID(spec))

@@ -8,9 +8,10 @@
 // once per cache lifetime, no matter how many studies ask for it. Study
 // identity is the hash of the normalized spec, so two submissions of the
 // same study — concurrent or years apart — converge on one execution
-// (in-flight deduplication) or one cache read (resubmission). Each study
-// also appends to its own JSONL checkpoint, so a daemon killed mid-study
-// resumes the study's recorded prefix when the spec is submitted again.
+// (in-flight deduplication) or one cache read (resubmission). The cache is
+// the daemon's only durable write: a study canceled, failed or cut short by
+// a restart resumes when its spec is submitted again, because RunStudy's
+// cache pre-pass serves every point it already computed.
 package service
 
 import (
@@ -21,8 +22,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -42,7 +41,7 @@ type State string
 
 // The study lifecycle: running → done | failed | canceled. A failed or
 // canceled study may be resubmitted, which starts a fresh run under the
-// same id (resuming its checkpoint and hitting its cached points).
+// same id (serving its computed points from the cache).
 const (
 	StateRunning  State = "running"
 	StateDone     State = "done"
@@ -76,8 +75,7 @@ type StudyStatus struct {
 
 // Options configures a Server.
 type Options struct {
-	// CacheDir roots the content-addressed result cache and the per-study
-	// checkpoint files (required).
+	// CacheDir roots the content-addressed result cache (required).
 	CacheDir string
 	// Parallelism bounds each study's worker pool; 0 = GOMAXPROCS.
 	Parallelism int
@@ -200,9 +198,6 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(filepath.Join(opts.CacheDir, "studies"), 0o755); err != nil {
-		return nil, err
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	slots := opts.JobSlots
 	if slots <= 0 {
@@ -310,9 +305,9 @@ func (e ValidationError) Unwrap() error { return e.Err }
 // deduplicate on study id: while a study is running — or once it has
 // finished — submitting the same spec joins the existing execution instead
 // of starting another, so two concurrent identical submissions share one
-// run. A failed or canceled study is restarted by resubmission (resuming
-// its checkpoint, re-reading its cached points). The returned status's
-// Created field reports whether this call started an execution.
+// run. A failed or canceled study is restarted by resubmission (re-reading
+// its cached points). The returned status's Created field reports whether
+// this call started an execution.
 func (s *Server) Submit(spec experiment.Spec) (StudyStatus, error) {
 	norm := spec.WithDefaults()
 	if err := norm.Validate(); err != nil {
@@ -366,29 +361,27 @@ func (s *Server) traceCtx(study string) trace.SpanContext {
 	return trace.SpanContext{J: s.journal, Trace: study, Study: study, Node: s.node}
 }
 
-// run executes one study to a terminal state. The per-study JSONL
-// checkpoint provides crash and cancel durability while the study is in
-// flight; once the study completes, every point is in the content-
-// addressed cache — the durable store — so the checkpoint is removed and a
-// later resubmission proves itself against the cache, point by point.
+// run executes one study to a terminal state. Every computed point is
+// stored in the content-addressed cache as it is recorded, so the cache is
+// the study's durable state: a run cut short by a cancel, a failure or a
+// restart is resumed by resubmitting the spec, and the rerun proves itself
+// against the cache, point by point.
 func (s *Server) run(ctx context.Context, st *study) {
 	defer s.running.Done()
 	defer st.cancel()
-	ckpt := filepath.Join(s.cache.Dir(), "studies", st.id+".jsonl")
 	cfg := experiment.StudyConfig{
 		Parallelism: s.par,
 		Cache:       timedCache{s.cache, s.hCacheGet, s.hCachePut},
 		Counters:    &st.counters,
-		ResultsPath: ckpt,
-		Progress: func(done, total int, r experiment.PointResult) {
-			st.progress(done, total, r)
+		Progress: func(_, total int, r experiment.PointResult) {
+			st.progress(total, r)
 		},
 	}
 	if s.cluster != nil {
 		// Coordinator mode: points are leased to workers (falling back
 		// locally when the fleet is gone), each worker reusing a replica
 		// from its own store or a sibling's before it simulates. The study
-		// reads only this server's store. Grid ordering, checkpointing, and
+		// reads only this server's store. Grid ordering, caching, and
 		// aggregation are untouched — which is exactly why a cluster run is
 		// byte-identical to a single-node run.
 		cfg.RangeRunner = s.cluster.RunReplicas
@@ -398,13 +391,10 @@ func (s *Server) run(ctx context.Context, st *study) {
 	sp := s.traceCtx(st.id).Start("study")
 	sp.Attr("name", st.spec.Name)
 	ctx = sp.Context(ctx)
-	results, err := experiment.RunStudy(ctx, st.spec, cfg)
+	_, err := experiment.RunStudy(ctx, st.spec, cfg)
 	sp.End()
-	st.finish(results, err)
+	st.finish(err)
 	status := st.Status()
-	if status.State == StateDone {
-		os.Remove(ckpt) //nolint:errcheck // redundant with the cache once done
-	}
 	s.log.Info("study finished", "study", st.id, "state", string(status.State),
 		"done", status.Done, "total", status.Total)
 }
@@ -480,9 +470,9 @@ func (s *Server) RunningStudies() int {
 }
 
 // Shutdown drains the server: new submissions are refused, every running
-// study's context is canceled — each flushes its JSONL checkpoint and
-// finishes as canceled, resumable by resubmission — and Shutdown returns
-// when all studies have stopped or ctx expires. A completed drain closes
+// study's context is canceled — each finishes as canceled, its computed
+// points already in the cache, resumable by resubmission — and Shutdown
+// returns when all studies have stopped or ctx expires. A completed drain closes
 // the result cache, releasing its directory for the next daemon.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -509,10 +499,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // study is one tracked study execution.
 type study struct {
-	id     string
-	spec   experiment.Spec
-	seq    uint64 // submission order (Server.seq), for eviction
-	cancel context.CancelFunc
+	id         string
+	spec       experiment.Spec
+	seedPoints int    // the seed grid's size: the total before any point is recorded
+	seq        uint64 // submission order (Server.seq), for eviction
+	cancel     context.CancelFunc
 
 	// counters is the study's private work/cache accounting, surfaced per
 	// study by /api/v1/perf and folded into the daemon totals.
@@ -521,20 +512,20 @@ type study struct {
 	mu      sync.Mutex
 	notify  chan struct{} // closed and replaced on every update
 	state   State
-	done    int
-	total   int // grows past the seed grid while an adaptive study refines
-	events  []ProgressEvent
-	results []experiment.PointResult
-	errMsg  string
+	results []experiment.PointResult // recorded points, in grid order
+	// totals[i] is the runner's total when results[i] was recorded; it
+	// grows past the seed grid while an adaptive study refines.
+	totals []int
+	errMsg string
 }
 
 func newStudy(id string, spec experiment.Spec) *study {
 	return &study{
-		id:     id,
-		spec:   spec,
-		total:  spec.NumPoints(),
-		notify: make(chan struct{}),
-		state:  StateRunning,
+		id:         id,
+		spec:       spec,
+		seedPoints: spec.NumPoints(),
+		notify:     make(chan struct{}),
+		state:      StateRunning,
 	}
 }
 
@@ -547,35 +538,25 @@ func (st *study) broadcast() {
 	st.notify = make(chan struct{})
 }
 
-// progress records one recorded point. The results slice grows in lock
-// step with the event history (points arrive strictly in grid order), so
-// Results() serves the recorded prefix of a running study — not an empty
-// set — and a canceled joiner still gets everything recorded so far.
-func (st *study) progress(done, total int, r experiment.PointResult) {
+// progress records one point. RunStudy reports every point it records,
+// strictly in grid order, so results is at every moment the recorded
+// prefix — Results() serves it while the study runs, a canceled joiner
+// still gets everything recorded so far, and once the study is done it is
+// RunStudy's return value. Adaptive studies insert points as they refine:
+// the runner's total is authoritative, the spec's NumPoints is only the
+// seed grid.
+func (st *study) progress(total int, r experiment.PointResult) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.done = done
-	// Adaptive studies insert points as they refine: the runner's total is
-	// authoritative, the spec's NumPoints is only the seed grid.
-	st.total = total
-	st.events = append(st.events, ProgressEvent{Done: done, Total: total, Point: r})
 	st.results = append(st.results, r)
+	st.totals = append(st.totals, total)
 	st.broadcast()
 }
 
-// finish moves the study to its terminal state. The event history is
-// dropped: every event is derivable from the grid-order results (see
-// EventsSince), and keeping both would hold every PointResult — trajectory
-// arrays included — twice for the daemon's lifetime.
-func (st *study) finish(results []experiment.PointResult, err error) {
+// finish moves the study to its terminal state.
+func (st *study) finish(err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if results != nil {
-		st.results = results
-	}
-	// On a failure RunStudy returns nil results; the incrementally
-	// recorded prefix (from progress) stays servable.
-	st.events = nil
 	switch {
 	case err == nil:
 		st.state = StateDone
@@ -593,12 +574,16 @@ func (st *study) finish(results []experiment.PointResult, err error) {
 func (st *study) Status() StudyStatus {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	total := st.seedPoints
+	if n := len(st.totals); n > 0 {
+		total = st.totals[n-1]
+	}
 	return StudyStatus{
 		ID:    st.id,
 		Name:  st.spec.Name,
 		State: st.state,
-		Done:  st.done,
-		Total: st.total,
+		Done:  len(st.results),
+		Total: total,
 		Error: st.errMsg,
 	}
 }
@@ -606,7 +591,7 @@ func (st *study) Status() StudyStatus {
 // Results returns the study's results so far (the recorded grid-order
 // prefix; complete when the state is done) along with the state. The
 // returned slice is a stable snapshot: progress appends only past its
-// length and finish replaces the slice wholesale.
+// length.
 func (st *study) Results() (State, []experiment.PointResult) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -616,24 +601,13 @@ func (st *study) Results() (State, []experiment.PointResult) {
 // EventsSince returns the progress events after index from, plus the
 // current state and a channel that is closed on the next update — the
 // blocking primitive behind both the SSE stream and long-polling waiters.
-// While the study runs, events come from the live history; once it is
-// terminal the history is gone (finish drops it) and replays are
-// synthesized from the grid-order results, which record exactly the same
-// (done, total, point) sequence.
+// Event i is rebuilt from results[i] and totals[i], so a replay — live or
+// after the study ends — is exactly the sequence streamed as it ran.
 func (st *study) EventsSince(from int) (events []ProgressEvent, state State, updated <-chan struct{}) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if st.state.terminal() {
-		for i := from; i < len(st.results); i++ {
-			events = append(events, ProgressEvent{Done: i + 1, Total: st.total, Point: st.results[i]})
-		}
-		return events, st.state, st.notify
-	}
-	if from < len(st.events) {
-		events = append(events, st.events[from:]...)
+	for i := max(from, 0); i < len(st.results); i++ {
+		events = append(events, ProgressEvent{Done: i + 1, Total: st.totals[i], Point: st.results[i]})
 	}
 	return events, st.state, st.notify
 }

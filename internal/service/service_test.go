@@ -33,7 +33,14 @@ func testSpec(name string) experiment.Spec {
 
 func newTestServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	srv, err := New(Options{CacheDir: t.TempDir()})
+	return newTestServerIn(t, t.TempDir())
+}
+
+// newTestServerIn starts a server on cacheDir; the test's cleanup shuts it
+// down (a second Shutdown after the test's own is harmless).
+func newTestServerIn(t *testing.T, cacheDir string) (*Server, *Client) {
+	t.Helper()
+	srv, err := New(Options{CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +157,12 @@ func TestConcurrentIdenticalSubmissionsShareOneExecution(t *testing.T) {
 }
 
 // TestCancelEndpoint: a canceled study lands in state canceled with a
-// grid-order prefix of results and a checkpoint on disk.
+// grid-order prefix of results, and a daemon restarted on the same cache
+// resumes it on resubmission from the cache alone: no point is computed
+// twice across the two lives, and nothing but the cache is on disk.
 func TestCancelEndpoint(t *testing.T) {
-	srv, client := newTestServer(t)
+	cacheDir := t.TempDir()
+	srv, client := newTestServerIn(t, cacheDir)
 	spec := testSpec("cancelme")
 	// Long enough that the study is still running when the cancel lands
 	// (the submit+cancel round trip is microseconds against ~10^6 slots of
@@ -172,35 +182,61 @@ func TestCancelEndpoint(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	state, results, err := client.Results(ctx, status.ID, true)
+	state, prefix, err := client.Results(ctx, status.ID, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if state != StateCanceled {
 		t.Fatalf("state after cancel = %s, want canceled", state)
 	}
-	if len(results) >= spec.NumPoints() {
-		t.Errorf("canceled study returned %d/%d points, expected a prefix", len(results), spec.NumPoints())
+	if len(prefix) >= spec.NumPoints() {
+		t.Errorf("canceled study returned %d/%d points, expected a prefix", len(prefix), spec.NumPoints())
 	}
-	ckpt := filepath.Join(srv.Cache().Dir(), "studies", status.ID+".jsonl")
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Errorf("no checkpoint flushed for the canceled study: %v", err)
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
 	}
-	// Resubmission restarts (not dedups) a canceled study and finishes it.
-	status2, err := client.Submit(context.Background(), spec)
+	firstLife := srv.TotalCounters()
+
+	// Resubmission to a daemon restarted on the same cache starts a fresh
+	// execution under the same id and serves the computed points from the
+	// cache.
+	srv2, client2 := newTestServerIn(t, cacheDir)
+	status2, err := client2.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !status2.Created || status2.ID != status.ID {
 		t.Fatalf("resubmission of canceled study = %+v, want a fresh execution under the same id", status2)
 	}
-	if state, _, err := client.Results(ctx, status.ID, true); err != nil || state != StateDone {
+	state, remote, err := client2.Results(ctx, status.ID, true)
+	if err != nil || state != StateDone {
 		t.Fatalf("restarted study ended %v err %v, want done", state, err)
+	}
+	local, err := experiment.RunStudy(context.Background(), spec, experiment.StudyConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, _ := json.Marshal(local)
+	rb, _ := json.Marshal(remote)
+	if !bytes.Equal(lb, rb) {
+		t.Errorf("resumed results differ from local:\n%s\nvs\n%s", rb, lb)
+	}
+	secondLife := srv2.TotalCounters()
+	if got := firstLife.PointsComputed + secondLife.PointsComputed; got != int64(spec.NumPoints()) {
+		t.Errorf("computed %d + %d points across both lives, want exactly %d",
+			firstLife.PointsComputed, secondLife.PointsComputed, spec.NumPoints())
+	}
+	if secondLife.CacheHits < int64(len(prefix)) {
+		t.Errorf("second life hit the cache %d times, want at least the %d-point canceled prefix",
+			secondLife.CacheHits, len(prefix))
+	}
+	if _, err := os.Stat(filepath.Join(cacheDir, "studies")); !os.IsNotExist(err) {
+		t.Errorf("cache directory holds a studies entry (stat: %v); the cache must be the only durable write", err)
 	}
 }
 
-// TestGracefulShutdownDrains: Shutdown cancels running studies, flushes
-// their checkpoints, and refuses new submissions.
+// TestGracefulShutdownDrains: Shutdown cancels running studies and
+// refuses new submissions.
 func TestGracefulShutdownDrains(t *testing.T) {
 	srv, err := New(Options{CacheDir: t.TempDir()})
 	if err != nil {
