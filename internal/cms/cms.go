@@ -135,7 +135,7 @@ func (s *Switch) Backlog() int { return s.inBuf + s.inHold + s.mid.Backlog() }
 // request token to the VOQ's next round-robin intermediate port.
 func (s *Switch) Arrive(p sim.Packet) {
 	i, j := int(p.In), int(p.Out)
-	s.voq[i][j].Push(&s.chunks[i], queue.RecordOf(p))
+	s.voq[i][j].Push(&s.chunks[i], p)
 	s.inBuf++
 	m := s.tokenRR[i][j]
 	s.tokenRR[i][j] = (m + 1) % s.n
@@ -239,7 +239,8 @@ func (s *Switch) computeMatchings() {
 				panic("cms: grant without a packet")
 			}
 			// The only place a VOQ shrinks: its record becomes a packet again.
-			s.pending[m][i] = q.Pop(&s.chunks[i]).Packet(i, j)
+			r, seq := q.Pop(&s.chunks[i])
+			s.pending[m][i] = r.Packet(seq, i, j)
 			s.pendingOK[m][i] = true
 			s.inBuf--
 			s.inHold++

@@ -84,7 +84,7 @@ func newAdaptiveState(sw *Switch, cfg AdaptiveConfig) *adaptiveState {
 			if sw.cfg.Rates != nil {
 				a.rate[i][j] = sw.cfg.Rates[i][j]
 			}
-			a.desired[i][j] = sw.inputs[i].voqs[j].size
+			a.desired[i][j] = sw.inputs[i].voqs[j].iv.Size
 		}
 	}
 	return a
@@ -107,9 +107,9 @@ func (a *adaptiveState) onSlotEnd(t sim.Slot) {
 			a.rate[i][j] = (1-a.cfg.Gamma)*a.rate[i][j] + a.cfg.Gamma*measured
 			want := dyadic.StripeSize(a.rate[i][j], a.sw.n)
 			v := &a.sw.inputs[i].voqs[j]
-			target := v.size
-			if v.draining {
-				target = v.pending
+			target := v.iv.Size
+			if v.pending != 0 {
+				target = int(v.pending)
 			}
 			if want == target {
 				a.streak[i][j] = 0
@@ -121,7 +121,7 @@ func (a *adaptiveState) onSlotEnd(t sim.Slot) {
 				a.desired[i][j] = want
 				a.streak[i][j] = 1
 			}
-			if a.streak[i][j] >= a.cfg.HoldWindows && !v.draining {
+			if a.streak[i][j] >= a.cfg.HoldWindows && v.pending == 0 {
 				a.beginResize(i, j, want)
 				a.streak[i][j] = 0
 			}
@@ -135,8 +135,7 @@ func (a *adaptiveState) onSlotEnd(t sim.Slot) {
 func (a *adaptiveState) beginResize(i, j, size int) {
 	in := a.sw.inputs[i]
 	v := &in.voqs[j]
-	v.pending = size
-	v.draining = true
+	v.pending = int32(size)
 	in.refreshFast(v)
 	a.sw.maybeFinishResize(in, v)
 }
@@ -157,7 +156,7 @@ func (s *Switch) onDelivered(p sim.Packet) {
 	if v.committed < 0 {
 		panic("core: committed packet count went negative")
 	}
-	if v.draining {
+	if v.pending != 0 {
 		s.maybeFinishResize(s.inputs[p.In], v)
 	}
 }
@@ -165,12 +164,11 @@ func (s *Switch) onDelivered(p sim.Packet) {
 // maybeFinishResize completes a pending resize once the VOQ has no packets
 // committed to the old stripe size anywhere in the switch.
 func (s *Switch) maybeFinishResize(in *inputPort, v *voqState) {
-	if !v.draining || v.committed != 0 {
+	if v.pending == 0 || v.committed != 0 {
 		return
 	}
-	v.setSize(v.pending)
+	v.setSize(int(v.pending), s.PrimaryPort(in.i, int(v.out)))
 	v.pending = 0
-	v.draining = false
 	if s.adaptive != nil {
 		s.adaptive.resizes++
 	}
@@ -200,7 +198,7 @@ func (s *Switch) EstimatedRate(i, j int) float64 {
 }
 
 // StripeSizeOf returns the current stripe size of VOQ (i, j).
-func (s *Switch) StripeSizeOf(i, j int) int { return s.inputs[i].voqs[j].size }
+func (s *Switch) StripeSizeOf(i, j int) int { return s.inputs[i].voqs[j].iv.Size }
 
 // StripeSizeHistogram returns how many VOQs currently sit at each stripe
 // size — a one-look summary of how (adaptive) provisioning has spread the
@@ -209,7 +207,7 @@ func (s *Switch) StripeSizeHistogram() map[int]int {
 	h := make(map[int]int)
 	for i := 0; i < s.n; i++ {
 		for j := 0; j < s.n; j++ {
-			h[s.inputs[i].voqs[j].size]++
+			h[s.inputs[i].voqs[j].iv.Size]++
 		}
 	}
 	return h

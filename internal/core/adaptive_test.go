@@ -103,7 +103,6 @@ func TestClearancePhaseSuspendsFormation(t *testing.T) {
 	const n = 8
 	sw := MustNew(Config{N: 8, Rand: rand.New(rand.NewSource(85)), Adaptive: &AdaptiveConfig{}})
 	v := &sw.inputs[0].voqs[3]
-	v.draining = true
 	v.pending = 4
 	sw.inputs[0].refreshFast(v)
 	for k := 0; k < 6; k++ {
@@ -119,8 +118,8 @@ func TestClearancePhaseSuspendsFormation(t *testing.T) {
 	// Completing the clearance must adopt the pending size and form the
 	// one full stripe that fits.
 	sw.maybeFinishResize(sw.inputs[0], v)
-	if v.size != 4 || v.draining {
-		t.Fatalf("resize not finalized: size=%d draining=%v", v.size, v.draining)
+	if v.iv.Size != 4 || v.pending != 0 {
+		t.Fatalf("resize not finalized: size=%d pending=%d", v.iv.Size, v.pending)
 	}
 	if v.committed != 4 || v.ready != 2 {
 		t.Fatalf("after resize: committed=%d ready=%d, want 4 and 2", v.committed, v.ready)
@@ -212,22 +211,22 @@ func TestResizeRecut(t *testing.T) {
 				Adaptive: &AdaptiveConfig{}})
 			in := sw.inputs[2]
 			v := &in.voqs[5]
-			v.setSize(tc.old)
-			v.draining, v.pending = true, tc.size
+			v.setSize(tc.old, sw.PrimaryPort(2, 5))
+			v.pending = int32(tc.size)
 			in.refreshFast(v)
 			for seq := 0; seq < tc.k; seq++ {
 				sw.Arrive(packet{ID: uint64(100 + seq), In: 2, Out: 5, Seq: uint64(seq), Arrival: sw.Now()})
 			}
 			sw.applyArrivals()
-			if v.ready != tc.k || v.committed != 0 {
+			if int(v.ready) != tc.k || v.committed != 0 {
 				t.Fatalf("%v %+v: draining VOQ has ready=%d committed=%d", sched, tc, v.ready, v.committed)
 			}
 			sw.maybeFinishResize(in, v)
 
 			cut := tc.k / tc.size
-			if v.size != tc.size || v.draining || v.ready != tc.k%tc.size || v.committed != cut*tc.size {
-				t.Fatalf("%v %+v: after re-cut size=%d draining=%v ready=%d committed=%d",
-					sched, tc, v.size, v.draining, v.ready, v.committed)
+			if v.iv.Size != tc.size || v.pending != 0 || int(v.ready) != tc.k%tc.size || int(v.committed) != cut*tc.size {
+				t.Fatalf("%v %+v: after re-cut size=%d pending=%d ready=%d committed=%d",
+					sched, tc, v.iv.Size, v.pending, v.ready, v.committed)
 			}
 			if sched == GatedLSF {
 				if got := in.queuedStripes(v.iv); got != cut {

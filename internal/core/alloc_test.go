@@ -158,9 +158,33 @@ func TestArrivalsWaitForStep(t *testing.T) {
 		t.Fatalf("after Step: backlog %d with %d pending, want 1 and 0", got, len(sw.pending))
 	}
 
+	// The source numbers flow (2, 5) from 0 too; its packets follow the one
+	// offered above.
 	src := traffic.NewBernoulli(traffic.Uniform(n, 1), rand.New(rand.NewSource(48)))
-	driveSlots(sw, src, sw.Arrive, 20*n*n)
+	driveSlots(sw, src, func(p packet) {
+		if p.In == 2 && p.Out == 5 {
+			p.Seq++
+		}
+		sw.Arrive(p)
+	}, 20*n*n)
 	if got := cap(sw.pending); got != n {
 		t.Fatalf("pending slice has capacity %d after a saturated run, want %d", got, n)
 	}
+}
+
+// TestFlowGapPanics: a VOQ holds no Seq, only its head's, so a packet that
+// does not follow the flow's last buffered one cannot be given its Seq back
+// at departure. Arrive accepts it; the Step that buffers it panics.
+func TestFlowGapPanics(t *testing.T) {
+	const n = 8
+	sw := newSwitch(t, n, traffic.Uniform(n, 1), GatedLSF, 49) // stripes of 8: packets wait
+	sw.Arrive(packet{ID: 1, In: 2, Out: 5, Seq: 0})
+	sw.Step(nil)
+	sw.Arrive(packet{ID: 2, In: 2, Out: 5, Seq: 2, Arrival: sw.Now()})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Step buffered Seq 2 behind Seq 0 of flow (2, 5)")
+		}
+	}()
+	sw.Step(nil)
 }

@@ -6,9 +6,11 @@ import (
 )
 
 // stripeBlocks stores the multi-packet stripes crossing the gated center
-// stage. A stripe of 2^k packets owns one block: a header and
-// 2^k consecutive records of one shared slab, slot u holding the packet that
-// crosses intermediate port iv.Start+u. A block keeps its records for life
+// stage. A stripe of 2^k packets owns one block: a header and 2^k
+// consecutive 16-byte records of one shared slab, slot u holding the packet
+// that crosses intermediate port iv.Start+u. The header keeps the Seq of
+// packet 0 and packet u's is u more, since a stripe is 2^k consecutive
+// packets of one VOQ. A block keeps its records for life
 // and returns to the free list of its own size when the stripe has left, so
 // a request for 2^k records is only ever met by a block of 2^k: the pool
 // never splits or coalesces, and its memory is the sum over sizes of each
@@ -33,6 +35,7 @@ type stripeBlocks struct {
 type blockHeader struct {
 	id      uint64   // stripe in the block
 	formed  sim.Slot // slot the stripe was completed at its input
+	seq0    uint64   // Seq of the stripe's packet 0; packet u's is seq0+u
 	off     int32    // the block's first record in recs; fixed for life
 	in      int32    // input port the stripe comes from
 	arrived int32    // packets the first fabric has written; 0 while free

@@ -25,6 +25,7 @@ type blockModel struct {
 	ref *refMidStage
 
 	sending []*modelStripe            // per input: the stripe it is sending, or nil
+	seq     []uint64                  // per flow i*n+out: the Seq its next packet takes
 	open    map[[2]int][]*modelStripe // (output, interval index): stripes still filling, oldest first
 	row     []int                     // per output: the row its grid is connected to next
 	nextID  uint64
@@ -47,6 +48,7 @@ func newBlockModel(t *testing.T, n int) *blockModel {
 	return &blockModel{
 		t: t, n: n, sw: sw, ref: newRefMidStage(n),
 		sending: make([]*modelStripe, n),
+		seq:     make([]uint64, n*n),
 		open:    map[[2]int][]*modelStripe{},
 		row:     make([]int, n),
 		sizeOf:  map[int32]int{},
@@ -81,15 +83,16 @@ func (m *blockModel) send(i, out, k int, rng *rand.Rand) bool {
 		}
 	}
 	c := cell{
-		pkt: sim.Packet{ID: st.id<<8 | uint64(st.sent), Seq: uint64(rng.Int63()), Arrival: sim.Slot(rng.Intn(1000)),
+		pkt: sim.Packet{ID: st.id<<8 | uint64(st.sent), Seq: m.seq[i*m.n+st.out], Arrival: sim.Slot(rng.Intn(1000)),
 			In: int32(i), Out: int32(st.out), StripeSize: int32(st.iv.Size)},
 		stripeID: st.id,
 		formed:   st.formed,
 	}
+	m.seq[i*m.n+st.out]++
 	l := st.iv.Start + st.sent
 	if st.iv.Size > 1 {
 		m.sw.mid.write(i, &stripe{id: st.id, iv: st.iv, formed: st.formed, out: int32(st.out), served: int32(st.sent)},
-			queue.RecordOf(c.pkt))
+			queue.Record{ID: c.pkt.ID, Arrival: c.pkt.Arrival}, c.pkt.Seq)
 	} else {
 		m.sw.mid.enqueue(l, c)
 	}

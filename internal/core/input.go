@@ -15,8 +15,8 @@ import (
 // are what the greedy scheduler and every size-1 stripe queue, at the inputs
 // and in the center stage. A packet of a gated multi-packet stripe is a cell
 // only where it leaves the switch (midStage.take): before that it is a
-// 24-byte record in its VOQ's chunk and then in its stripe's center-stage
-// block, and the stripe knows the rest.
+// 16-byte record in its VOQ's chunk and then in its stripe's center-stage
+// block, and the queue position and the stripe know the rest.
 type cell struct {
 	pkt      sim.Packet
 	stripeID uint64
@@ -51,7 +51,7 @@ type inputPort struct {
 	// fastSingle[j] caches voqs[j].iv.Start when the VOQ is eligible for
 	// the size-1 direct path (stripe size 1, not draining, empty ready
 	// queue) and is -1 otherwise. The hot arrival path reads only this
-	// 4-byte entry — 4N bytes per input instead of a ~100-byte voqState
+	// 4-byte entry — 4N bytes per input instead of a 64-byte voqState
 	// line per packet. Every mutation of the eligibility inputs goes
 	// through refreshFast, and a stale -1 merely falls back to the (fully
 	// equivalent) slow path.
@@ -84,9 +84,8 @@ func newInputPort(sw *Switch, i int) *inputPort {
 	}
 	for j := range in.voqs {
 		v := &in.voqs[j]
-		v.out = j
-		v.primary = sw.PrimaryPort(i, j)
-		v.setSize(initialSize(sw.cfg, i, j))
+		v.out = int32(j)
+		v.setSize(initialSize(sw.cfg, i, j), sw.PrimaryPort(i, j))
 		in.refreshFast(v)
 	}
 	switch sw.cfg.Scheduler {
@@ -102,10 +101,10 @@ func newInputPort(sw *Switch, i int) *inputPort {
 }
 
 // refreshFast recomputes v's fastSingle entry from the ground truth. It
-// must be called after any change to the VOQ's size, draining flag, or
+// must be called after any change to the VOQ's size, pending resize, or
 // ready count.
 func (in *inputPort) refreshFast(v *voqState) {
-	if v.size == 1 && !v.draining && v.ready == 0 {
+	if v.iv.Size == 1 && v.pending == 0 && v.ready == 0 {
 		in.fastSingle[v.out] = int32(v.iv.Start)
 	} else {
 		in.fastSingle[v.out] = -1
@@ -139,7 +138,7 @@ func (in *inputPort) arrive(p sim.Packet) {
 		return
 	}
 	v := &in.voqs[p.Out]
-	v.q.Push(&in.chunks, queue.RecordOf(p))
+	v.q.Push(&in.chunks, p)
 	v.ready++
 	in.formStripes(v)
 	in.refreshFast(v)
@@ -150,12 +149,13 @@ func (in *inputPort) arrive(p sim.Packet) {
 // while the VOQ is in an adaptive clearance phase. Cutting moves no packet:
 // the ready count drops by the stripe size and a descriptor is scheduled.
 func (in *inputPort) formStripes(v *voqState) {
-	for !v.draining && v.ready >= v.size {
-		v.ready -= v.size
+	size := int32(v.iv.Size)
+	for v.pending == 0 && v.ready >= size {
+		v.ready -= size
 		if in.sw.adaptive != nil {
-			v.committed += v.size
+			v.committed += size
 		}
-		in.schedule(v, stripe{id: in.nextStripeID, out: int32(v.out), iv: v.iv, formed: in.sw.t})
+		in.schedule(v, stripe{id: in.nextStripeID, out: v.out, iv: v.iv, formed: in.sw.t})
 		in.nextStripeID++
 	}
 }
@@ -189,9 +189,9 @@ func (in *inputPort) schedule(v *voqState, st stripe) {
 // more, which BenchmarkStripedSwitchStep showed as 5 % of a slot when every
 // gated packet still came through here.
 func (in *inputPort) pop(v *voqState, st *stripe) cell {
-	r := v.q.Pop(&in.chunks)
+	r, seq := v.q.Pop(&in.chunks)
 	return cell{
-		pkt: sim.Packet{ID: r.ID, Seq: r.Seq, Arrival: r.Arrival,
+		pkt: sim.Packet{ID: r.ID, Seq: seq, Arrival: r.Arrival,
 			In: int32(in.i), Out: st.out, StripeSize: int32(st.iv.Size)},
 		stripeID: st.id,
 		formed:   st.formed,
@@ -202,7 +202,7 @@ func (in *inputPort) pop(v *voqState, st *stripe) cell {
 // packet (if any) due at the intermediate port the fabric currently connects
 // the input to straight into the center stage. A gated multi-packet stripe's
 // packet goes from its VOQ's chunk to its slot of the stripe's block as the
-// 24-byte record it is, and no cell is built until the output takes it.
+// 16-byte record it is, and no cell is built until the output takes it.
 func (in *inputPort) transmit(t sim.Slot, ms *midStage) {
 	l := in.sw.firstStage(in.i, t)
 	if in.sw.cfg.Scheduler != GatedLSF {
@@ -215,7 +215,8 @@ func (in *inputPort) transmit(t sim.Slot, ms *midStage) {
 	case sendSingle:
 		ms.enqueue(l, in.takeSingle(l))
 	case sendStriped:
-		ms.write(in.i, &in.cur, in.voqs[in.cur.out].q.Pop(&in.chunks))
+		r, seq := in.voqs[in.cur.out].q.Pop(&in.chunks)
+		ms.write(in.i, &in.cur, r, seq)
 		in.advance()
 	}
 }

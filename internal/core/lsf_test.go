@@ -19,8 +19,8 @@ func TestStripeFormationAndQueueing(t *testing.T) {
 	sw := MustNew(Config{N: n, Rates: rates, Rand: rand.New(rand.NewSource(111)),
 		Adaptive: &AdaptiveConfig{}})
 	v := &sw.inputs[0].voqs[3]
-	if v.size != 4 {
-		t.Fatalf("stripe size %d, want 4", v.size)
+	if v.iv.Size != 4 {
+		t.Fatalf("stripe size %d, want 4", v.iv.Size)
 	}
 	iv := v.iv
 	for k := 0; k < 3; k++ {
@@ -108,11 +108,9 @@ func TestLSFPriority(t *testing.T) {
 	big := &sw.inputs[0].voqs[1]
 	small := &sw.inputs[0].voqs[2]
 	// Force both intervals to start at port 0 for a guaranteed collision.
-	big.primary = 0
-	big.setSize(4)
+	big.setSize(4, 0)
 	sw.inputs[0].refreshFast(big)
-	small.primary = 0
-	small.setSize(1)
+	small.setSize(1, 0)
 	sw.inputs[0].refreshFast(small)
 	// Preload: the small stripe "arrives" first, then the big one fills.
 	sw.Arrive(packet{In: 0, Out: 2, Seq: 0})

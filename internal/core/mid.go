@@ -31,15 +31,16 @@ import (
 // queue of stripes, each offset by its row. The stage keeps that one queue —
 // N-1 queues per output in a queue.Bank of block handles, the mirror of
 // inputPort.stripes — and a stripe's packets sit in one block of 2^k
-// consecutive 24-byte records (blocks.go), packet u in slot u. The input's
+// consecutive 16-byte records (blocks.go), packet u in slot u. The input's
 // u-th transmission writes slot u, finding the block through the per-input
 // sending handle (a gated input sends one stripe at a time); the grid pops
 // the handle when it starts the stripe and reads slots 0 .. 2^k-1 in the
 // next 2^k slots. What the packets of a stripe share — input, output, size,
-// stripe id, formation slot — is in the block's header once and goes back
-// into the cell where the output takes it (midStage.take), as inputPort.pop
-// does on the other side. A size-1 stripe is its cell and stays one, in a
-// queue.Bank[cell] of N queues per output.
+// stripe id, formation slot, and the Seq of packet 0, packet u's being u
+// more since a stripe is consecutive packets of one VOQ — is in the block's
+// header once and goes back into the cell where the output takes it
+// (midStage.take), as inputPort.pop does on the other side. A size-1 stripe
+// is its cell and stays one, in a queue.Bank[cell] of N queues per output.
 //
 // The block is the simulator's bookkeeping, not state the ports share: slot
 // u holds exactly what port iv.Start+u's FIFO would, and the stripe-id and
@@ -138,15 +139,16 @@ func (ms *midStage) enqueue(l int, c cell) {
 // write buffers packet st.served of the gated multi-packet stripe st, sent
 // by input in, at intermediate port st.iv.Start+st.served. The first packet
 // opens a block and queues it for the output; the rest find the block
-// through their input, which sends one stripe at a time.
-func (ms *midStage) write(in int, st *stripe, r queue.Record) {
+// through their input, which sends one stripe at a time. seq is the packet's
+// Seq, which the block keeps only for packet 0.
+func (ms *midStage) write(in int, st *stripe, r queue.Record, seq uint64) {
 	j := int(st.out)
 	u := int(st.served)
 	if u == 0 {
 		k := dyadic.Log2(st.iv.Size)
 		b := ms.blocks.alloc(k)
 		h := &ms.blocks.hdr[b]
-		h.id, h.formed, h.in = st.id, st.formed, int32(in)
+		h.id, h.formed, h.seq0, h.in = st.id, st.formed, seq, int32(in)
 		ms.stripes.Push(ms.stripeQueue(j, st.iv), b)
 		ms.bitmap[j*ms.n+st.iv.Start] |= 1 << uint(k)
 		ms.sending[in] = b
@@ -238,7 +240,7 @@ func (ms *midStage) take(g *outputGrid, j int) cell {
 	r := &ms.blocks.recs[int(h.off)+g.next]
 	ms.buffered--
 	return cell{
-		pkt: sim.Packet{ID: r.ID, Seq: r.Seq, Arrival: r.Arrival,
+		pkt: sim.Packet{ID: r.ID, Seq: h.seq0 + uint64(g.next), Arrival: r.Arrival,
 			In: h.in, Out: int32(j), StripeSize: int32(g.iv.Size)},
 		stripeID: h.id,
 		formed:   h.formed,

@@ -66,12 +66,12 @@ func TestMidQueuesDrainAfterStop(t *testing.T) {
 		in := sw.inputs[i]
 		ready := 0
 		for _, v := range in.voqs {
-			ready += v.ready
-			if v.ready >= v.size {
+			ready += int(v.ready)
+			if int(v.ready) >= v.iv.Size {
 				t.Fatalf("full stripe sitting unformed in ready queue (%d >= %d)",
-					v.ready, v.size)
+					v.ready, v.iv.Size)
 			}
-			if v.q.Len() != v.ready {
+			if v.q.Len() != int(v.ready) {
 				t.Fatalf("VOQ queue holds %d records for %d ready packets", v.q.Len(), v.ready)
 			}
 		}

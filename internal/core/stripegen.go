@@ -20,32 +20,33 @@ type stripe struct {
 	served int32    // packets the first fabric has taken; 0 unless in service
 }
 
-// voqState is the per-VOQ routing state at an input port.
+// voqState is the per-VOQ routing state at an input port. It is 64 bytes,
+// one cache line: the counters and the port are int32, the stripe size is
+// iv.Size, and the OLS-assigned primary port, needed only when the size
+// changes, is asked of the switch then (Switch.PrimaryPort).
 type voqState struct {
-	out     int
-	primary int // OLS-assigned primary intermediate port
-	size    int // current stripe size F(r), a power of two
-	iv      dyadic.Interval
+	iv dyadic.Interval
 
 	// q holds every packet of the VOQ still at the input, oldest first: the
 	// packets of stripes already cut and awaiting service (gated scheduler
 	// only; the greedy one copies them out as it cuts), then the ready
 	// packets accumulating toward the next stripe. A record keeps what
 	// differs between them; In, Out and the stripe-size header are rebuilt
-	// from the VOQ and the stripe on service (inputPort.pop).
+	// from the VOQ and the stripe on service (inputPort.pop), and Seq from
+	// the queue position.
 	q     queue.RecordFIFO
-	ready int
+	out   int32 // the VOQ's output port
+	ready int32
 
 	// committed counts this VOQ's packets inside the switch beyond the
 	// ready packets (in cut stripes at the input or in the center stage).
 	// The adaptive clearance phase of Sec. 5 waits for it to reach zero
 	// before changing the stripe size.
-	committed int
-	// draining is set while a resize is waiting for clearance; stripe
-	// formation is suspended so no packets of the old size remain when
-	// the new size takes effect.
-	draining bool
-	pending  int // stripe size to adopt once drained (0 = none)
+	committed int32
+	// pending is the stripe size a resize waiting for clearance will adopt,
+	// and 0 when none is: while it is set, stripe formation is suspended so
+	// no packets of the old size remain when the new size takes effect.
+	pending int32
 }
 
 // initialSize returns the stripe size a VOQ starts with under cfg.
@@ -62,7 +63,6 @@ func initialSize(cfg Config, i, j int) int {
 // setSize installs a stripe size and the corresponding dyadic interval
 // around the VOQ's primary intermediate port (Sec. 3.3.1: the unique dyadic
 // interval of size f containing the primary port).
-func (v *voqState) setSize(f int) {
-	v.size = f
-	v.iv = dyadic.Containing(v.primary, f)
+func (v *voqState) setSize(f, primary int) {
+	v.iv = dyadic.Containing(primary, f)
 }

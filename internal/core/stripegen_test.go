@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"sprinklers/internal/dyadic"
+	"sprinklers/internal/queue"
 	"sprinklers/internal/traffic"
 )
 
@@ -276,5 +278,17 @@ func TestQuickNoReorderRandomConfigs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestVOQStateLayout pins the per-VOQ footprint: a buffered packet is a
+// 16-byte record and a VOQ's state fits one 64-byte cache line, N² of them
+// per switch.
+func TestVOQStateLayout(t *testing.T) {
+	if got := unsafe.Sizeof(queue.Record{}); got != 16 {
+		t.Errorf("queue.Record is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(voqState{}); got > 64 {
+		t.Errorf("voqState is %d bytes, want at most 64", got)
 	}
 }

@@ -2,9 +2,12 @@ package experiment
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"sprinklers/internal/registry"
@@ -206,6 +209,45 @@ func TestRenderCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "sprinklers,uniform,,8,0.5000,0.00,1,12.500") {
 		t.Fatalf("row: %s", lines[1])
+	}
+}
+
+// TestSeededRandDrawsLikeNewSource: a pooled generator, re-seeded, gives the
+// first draw a new rand.NewSource would, whatever the caller before it left
+// behind — for 1 000 seeds, 0 and negative ones among them, from concurrent
+// callers sharing the pool (run it under -race).
+func TestSeededRandDrawsLikeNewSource(t *testing.T) {
+	seeds := make([]int64, 0, 1000)
+	seeds = append(seeds, 0, -1, 1, math.MinInt64, math.MaxInt64, -1e6)
+	rng := rand.New(rand.NewSource(3))
+	for len(seeds) < cap(seeds) {
+		seeds = append(seeds, rng.Int63()-rng.Int63())
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := w; k < w+len(seeds); k++ {
+				s := seeds[k%len(seeds)]
+				r := seededRand(s)
+				got := r.Uint64()
+				for extra := k % 5; extra > 0; extra-- { // leave the generator mid-stream
+					r.Uint64()
+				}
+				sourceRands.Put(r)
+				if want := rand.New(rand.NewSource(s)).Uint64(); got != want {
+					errs <- fmt.Sprintf("seed %d: pooled first draw %d, want %d", s, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

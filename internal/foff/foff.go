@@ -50,11 +50,12 @@ import (
 // The three per-input sets cost 3N²/8 bytes together; nextAt costs N³/8
 // bytes — 4 KB at N = 32, 256 KB at N = 128, 16 MB at N = 512, 134 MB at
 // N = 1024, where it is the largest thing in the switch (the resequencer's
-// per-flow records are 42 MB and the 24-byte VOQ queue headers 25 MB; an
-// empty switch measures 0.09, 1.5, 36 and 210 MB at those four sizes). A VOQ
-// holds no buffer of its own: its packets are 24-byte records in 8-record
-// chunks from its input's pool, so what the inputs hold follows their
-// backlog, not N² private high-water marks. nextAt is the price
+// per-flow records are 42 MB and the 32-byte VOQ queue headers 34 MB; an
+// empty switch measures 0.09, 1.6, 38 and 219 MB at those four sizes). A VOQ
+// holds no buffer of its own: its packets are 16-byte records in 8-record
+// chunks from its input's pool, their Seqs implied by the queue position, so
+// what the inputs hold follows their backlog, not N² private high-water
+// marks. nextAt is the price
 // of a selection that is one AND and one find-first-set per word. An O(N²)
 // list of VOQs per (input, port) would scale further but makes the pick a
 // list walk again, and no study or benchmark here runs FOFF past N = 512.
@@ -128,7 +129,7 @@ func (s *Switch) MaxResequencerOccupancy() int { return s.reseq.MaxHeld() }
 func (s *Switch) Arrive(p sim.Packet) {
 	i, j := int(p.In), int(p.Out)
 	q := &s.voq[i*s.n+j]
-	q.Push(&s.chunks[i], queue.RecordOf(p))
+	q.Push(&s.chunks[i], p)
 	if q.Len() == 1 {
 		queue.SetBit(s.nonEmpty[i*s.w:], j)
 	}
@@ -185,7 +186,8 @@ func (s *Switch) serve(i, j, l int) {
 	if l == 0 && q.Len() >= s.n {
 		queue.SetBit(inFull, j) // this frame starts full
 	}
-	p := q.Pop(&s.chunks[i]).Packet(i, j)
+	r, seq := q.Pop(&s.chunks[i])
+	p := r.Packet(seq, i, j)
 	if q.Len() == s.n-1 {
 		queue.ClearBit(s.ready[i*s.w:], j)
 	}

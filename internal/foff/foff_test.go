@@ -167,7 +167,8 @@ type refScheduler struct {
 // classOf ranks a VOQ for service priority: 2 = inside a full ordered
 // frame, 1 = can start a full ordered frame now, 0 = incomplete frame.
 func (r *refScheduler) classOf(s *Switch, v int) int {
-	atBoundary := s.voq[v].Peek().Seq%uint64(s.n) == 0
+	_, seq := s.voq[v].Peek()
+	atBoundary := seq%uint64(s.n) == 0
 	switch {
 	case !atBoundary && r.full[v]:
 		return 2
@@ -183,7 +184,10 @@ func (r *refScheduler) pick(s *Switch, i, l int) int {
 	for k := 0; k < s.n; k++ {
 		j := (s.rr[i] + k) % s.n
 		q := &s.voq[i*s.n+j]
-		if q.Len() == 0 || int(q.Peek().Seq%uint64(s.n)) != l {
+		if q.Len() == 0 {
+			continue
+		}
+		if _, seq := q.Peek(); int(seq%uint64(s.n)) != l {
 			continue
 		}
 		class := r.classOf(s, i*s.n+j)

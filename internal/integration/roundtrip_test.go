@@ -15,9 +15,9 @@ import (
 	"sprinklers/internal/ufs"
 )
 
-// TestRecordVOQRoundTrip: UFS, PF, FOFF and CMS queue a packet as a
-// {id, seq, arrival} record and rebuild the sim.Packet from the VOQ's
-// (input, output) where they take it out. The conformance checker compares
+// TestRecordVOQRoundTrip: UFS, PF, FOFF and CMS queue a packet as an
+// {id, arrival} record and rebuild the sim.Packet from the VOQ's (input,
+// output) and the record's queue position where they take it out. The conformance checker compares
 // every delivery, field for field, with the packet offered under that ID and
 // rejects a delivered fake, so a rebuild that mixes up In and Out (or a
 // queue that hands back a neighbour's record) fails here by name rather than

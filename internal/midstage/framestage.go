@@ -79,10 +79,10 @@ func (sp *Spreader) depart(t sim.Slot, deliver sim.DeliverFunc) {
 		}
 		o.real--
 		i := int(o.in)
-		r := sp.flows[i*sp.n+j].q.Pop(&sp.inputs[i].chunks)
+		r, seq := sp.flows[i*sp.n+j].q.Pop(&sp.inputs[i].chunks)
 		sp.buffered--
 		if deliver != nil {
-			deliver(sim.Delivery{Packet: r.Packet(i, j), Depart: t})
+			deliver(sim.Delivery{Packet: r.Packet(seq, i, j), Depart: t})
 		}
 	}
 }

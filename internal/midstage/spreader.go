@@ -10,8 +10,8 @@ import (
 // cell to each intermediate port, and the frame-atomic center stage behind
 // them (framestage.go). A VOQ is a queue.RecordFIFO on its input's chunk
 // pool, so an input's memory follows its backlog rather than N private
-// high-water marks, and a packet is a 24-byte record until the output it
-// departs from rebuilds it from the VOQ's (i, j). An idle input picks,
+// high-water marks, and a packet is a 16-byte record until the output it
+// departs from rebuilds it from the VOQ's (i, j) and its queue position. An idle input picks,
 // round-robin over its VOQs, one that holds a full frame of N packets. What
 // an input does when no VOQ holds one is the only thing UFS and Padded
 // Frames disagree on, so Step takes it as a policy: UFS idles, PF names a
@@ -77,7 +77,7 @@ func NewSpreader(n int) *Spreader {
 func (sp *Spreader) Arrive(p sim.Packet) {
 	i, j := int(p.In), int(p.Out)
 	f := &sp.flows[i*sp.n+j]
-	f.q.Push(&sp.inputs[i].chunks, queue.RecordOf(p))
+	f.q.Push(&sp.inputs[i].chunks, p)
 	f.waiting++
 	if int(f.waiting) == sp.n {
 		queue.SetBit(sp.ready[i*sp.w:], j)

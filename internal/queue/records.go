@@ -1,27 +1,31 @@
 package queue
 
-import "sprinklers/internal/sim"
+import (
+	"fmt"
 
-// Record is what differs between the packets of one VOQ. In and Out are the
-// VOQ's own index and whatever header the architecture adds is the same for
-// the whole queue, so the switch that owns the VOQ rebuilds the sim.Packet
-// where it takes a record out. Seq is kept: a Trace source need not number
-// a flow consecutively, so it cannot be derived from a per-VOQ counter.
+	"sprinklers/internal/sim"
+)
+
+// Record is what differs between the packets of one VOQ and cannot be
+// derived from where the packet sits. In and Out are the VOQ's own index,
+// whatever header the architecture adds is the same for the whole queue, and
+// Seq is implied by the queue position: a source numbers each flow 0, 1, 2 …
+// (sim.Packet.Seq), so the packets of one VOQ carry consecutive Seqs and the
+// queue keeps only its head's (RecordFIFO.headSeq). The switch that owns the
+// VOQ rebuilds the sim.Packet where it takes a record out.
 type Record struct {
-	ID, Seq uint64
+	ID      uint64
 	Arrival sim.Slot
 }
 
-// RecordOf returns the part of p a VOQ keeps.
-func RecordOf(p sim.Packet) Record { return Record{ID: p.ID, Seq: p.Seq, Arrival: p.Arrival} }
-
-// Packet rebuilds the packet r was taken from, given the VOQ it was in.
-func (r Record) Packet(in, out int) sim.Packet {
-	return sim.Packet{ID: r.ID, Seq: r.Seq, Arrival: r.Arrival, In: int32(in), Out: int32(out)}
+// Packet rebuilds the packet r was taken from, given its Seq and the VOQ it
+// was in.
+func (r Record) Packet(seq uint64, in, out int) sim.Packet {
+	return sim.Packet{ID: r.ID, Seq: seq, Arrival: r.Arrival, In: int32(in), Out: int32(out)}
 }
 
-// chunkRecords is the fixed capacity of a chunk. Eight 24-byte records keep
-// a chunk (200 B) under the smallest ring a FIFO of packets would allocate,
+// chunkRecords is the fixed capacity of a chunk. Eight 16-byte records keep
+// a chunk (136 B) under the smallest ring a FIFO of packets would allocate,
 // so a switch of small N pays less for a VOQ's first buffered packet than it
 // would for a private ring.
 const chunkRecords = 8
@@ -67,26 +71,41 @@ func (p *RecordPool) put(c *chunk) {
 
 // RecordFIFO is a FIFO of records in a chain of chunks: the per-(input,
 // output) VOQ of every architecture that keeps one. The zero value is an
-// empty queue, and an empty queue holds no chunk. A queue is 24 bytes and
+// empty queue, and an empty queue holds no chunk. A queue is 32 bytes and
 // must always be used with the same pool, its input's.
+//
+// The queue keeps the Seq of its head record, and the record k places behind
+// the head has Seq headSeq+k. An empty queue takes the Seq of the next packet
+// pushed, whatever it is: a switch may serve some of a flow's packets without
+// queueing them (core's size-1 stripes), so a VOQ sees a gap only where it is
+// empty.
 //
 // The one-queue-per-input baseline and the hashing switch (queues keyed by
 // intermediate port, outputs mixed) keep a FIFO of whole packets: their index
 // does not say where a packet is going.
 type RecordFIFO struct {
 	head, tail *chunk
-	off        int32 // position of the head record in the head chunk
-	n          int32 // records queued
+	headSeq    uint64 // Seq of the head record
+	off        int32  // position of the head record in the head chunk
+	n          int32  // records queued
 }
 
 // Len returns the number of queued records.
 func (q *RecordFIFO) Len() int { return int(q.n) }
 
-// Push appends r to the tail of the queue.
-func (q *RecordFIFO) Push(p *RecordPool, r Record) {
+// Push appends p's record to the tail of the queue. p.Seq must follow the
+// tail's Seq when the queue is not empty; Push panics otherwise, since the
+// queue could not give the packet its Seq back.
+func (q *RecordFIFO) Push(pool *RecordPool, p sim.Packet) {
+	if q.n == 0 {
+		q.headSeq = p.Seq
+	} else if want := q.headSeq + uint64(q.n); p.Seq != want {
+		panic(fmt.Sprintf("queue: flow (%d, %d) packet %d has Seq %d, want %d: a source must number a flow 0, 1, 2 …",
+			p.In, p.Out, p.ID, p.Seq, want))
+	}
 	slot := (q.off + q.n) % chunkRecords
 	if slot == 0 { // no chunk yet (off is 0 when n is), or the tail is full
-		c := p.get()
+		c := pool.get()
 		if q.n == 0 {
 			q.head = c
 		} else {
@@ -94,23 +113,25 @@ func (q *RecordFIFO) Push(p *RecordPool, r Record) {
 		}
 		q.tail = c
 	}
-	q.tail.rec[slot] = r
+	q.tail.rec[slot] = Record{ID: p.ID, Arrival: p.Arrival}
 	q.n++
 }
 
-// Pop removes and returns the head record; the queue must not be empty.
-func (q *RecordFIFO) Pop(p *RecordPool) Record {
+// Pop removes the head record and returns it with its Seq; the queue must
+// not be empty.
+func (q *RecordFIFO) Pop(pool *RecordPool) (Record, uint64) {
 	c := q.head
-	r := c.rec[q.off]
+	r, seq := c.rec[q.off], q.headSeq
 	q.off++
 	q.n--
+	q.headSeq++
 	if q.off == chunkRecords || q.n == 0 {
 		q.head, q.off = c.next, 0
-		p.put(c)
+		pool.put(c)
 	}
-	return r
+	return r, seq
 }
 
-// Peek returns the head record without removing it; the queue must not be
-// empty.
-func (q *RecordFIFO) Peek() Record { return q.head.rec[q.off] }
+// Peek returns the head record and its Seq without removing them; the queue
+// must not be empty.
+func (q *RecordFIFO) Peek() (Record, uint64) { return q.head.rec[q.off], q.headSeq }

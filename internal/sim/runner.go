@@ -10,7 +10,8 @@ type Source interface {
 	N() int
 	// Next generates the arrivals for slot t, invoking emit once per
 	// packet. At most one packet may arrive per input port per slot
-	// (every port runs at speed 1).
+	// (every port runs at speed 1), and each (In, Out) flow's packets
+	// carry Seq 0, 1, 2 … in emission order (Packet.Seq).
 	Next(t Slot, emit func(Packet))
 }
 

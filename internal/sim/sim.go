@@ -26,8 +26,12 @@ type Slot int64
 type Packet struct {
 	// ID is a globally unique identifier assigned by the traffic source.
 	ID uint64
-	// Seq is the per-(In,Out) flow sequence number, starting at 0. The
-	// reordering detectors and resequencers key on it.
+	// Seq is the per-(In,Out) flow sequence number: a source numbers each
+	// flow 0, 1, 2 … with no gap and no repeat. The reordering detectors
+	// and resequencers key on it, and a switch that buffers a VOQ's
+	// packets as queue records derives it from the queue position, so a
+	// packet whose Seq does not follow the last one its VOQ holds makes
+	// the switch panic.
 	Seq uint64
 	// Arrival is the slot in which the packet arrived at its input port.
 	Arrival Slot

@@ -51,7 +51,9 @@ type (
 	Delivery = sim.Delivery
 	// Switch is the interface every architecture implements.
 	Switch = sim.Switch
-	// Source generates packet arrivals.
+	// Source generates packet arrivals. It numbers each (In, Out) flow's
+	// packets Seq 0, 1, 2 … with no gap: a switch derives a buffered
+	// packet's Seq from its queue position and panics on a gap.
 	Source = sim.Source
 	// Observer consumes deliveries during a run.
 	Observer = sim.Observer
