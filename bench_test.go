@@ -461,7 +461,7 @@ func BenchmarkBoundEval(b *testing.B) {
 func BenchmarkFIFO(b *testing.B) {
 	var q queue.FIFO[sim.Packet]
 	for i := 0; i < b.N; i++ {
-		q.Push(sim.Packet{ID: uint64(i)})
+		q.Push(sim.Packet{Seq: uint64(i)})
 		if q.Len() > 64 {
 			q.Pop()
 		}

@@ -220,7 +220,6 @@ func TestMatchingMatchesReference(t *testing.T) {
 		for k := range hot {
 			hot[k] = [2]int{rng.Intn(n), rng.Intn(n)}
 		}
-		var id uint64
 		for frame := 0; frame < 8; frame++ {
 			arrivals := rng.Intn(1 + []int{n, n * n / 4, 2 * n * n}[frame%3])
 			for a := 0; a < arrivals; a++ {
@@ -231,8 +230,7 @@ func TestMatchingMatchesReference(t *testing.T) {
 				}
 				m := rng.Intn(n)
 				sw.tokenRR[i][j] = m
-				p := sim.Packet{ID: id, Seq: seq[i][j], In: int32(i), Out: int32(j), Arrival: sim.Slot(frame)}
-				id++
+				p := sim.Packet{Seq: seq[i][j], In: int32(i), Out: int32(j), Arrival: sim.Slot(frame)}
 				seq[i][j]++
 				sw.Arrive(p)
 				tokens[m][i][j]++

@@ -6,6 +6,8 @@
 //     fabric's speed);
 //   - at most N departures per slot in total;
 //   - departures are stamped with the current slot;
+//   - no two packets in flight share (In, Out, Seq), the triple that names
+//     a packet;
 //   - every delivered packet was previously offered via Arrive, is
 //     delivered exactly once, and is the packet that was offered, field for
 //     field (a switch may queue less than a whole sim.Packet and rebuild it;
@@ -31,13 +33,21 @@ type Checker struct {
 
 	offered   int64
 	delivered int64
-	inFlight  map[uint64]sim.Packet // packets inside the switch, as offered
+	inFlight  map[flowSeq]sim.Packet // packets inside the switch, as offered
 	violation string
 }
 
+// flowSeq is the name of a packet: its flow and its place in the flow.
+type flowSeq struct {
+	in, out int32
+	seq     uint64
+}
+
+func keyOf(p sim.Packet) flowSeq { return flowSeq{p.In, p.Out, p.Seq} }
+
 // Wrap builds a Checker around sw.
 func Wrap(sw sim.Switch) *Checker {
-	return &Checker{inner: sw, inFlight: make(map[uint64]sim.Packet)}
+	return &Checker{inner: sw, inFlight: make(map[flowSeq]sim.Packet)}
 }
 
 // Violation returns a description of the first detected violation, or "".
@@ -66,13 +76,14 @@ func (c *Checker) Backlog() int { return c.inner.Backlog() }
 
 // Arrive implements sim.Switch.
 func (c *Checker) Arrive(p sim.Packet) {
-	if _, dup := c.inFlight[p.ID]; dup {
-		c.fail("packet %d offered twice", p.ID)
+	k := keyOf(p)
+	if _, dup := c.inFlight[k]; dup {
+		c.fail("packet %+v offered twice", k)
 	}
-	c.inFlight[p.ID] = p
+	c.inFlight[k] = p
 	c.offered++
 	if p.Arrival != c.inner.Now() {
-		c.fail("packet %d arrives stamped %d at slot %d", p.ID, p.Arrival, c.inner.Now())
+		c.fail("packet %+v arrives stamped %d at slot %d", k, p.Arrival, c.inner.Now())
 	}
 	c.inner.Arrive(p)
 }
@@ -97,12 +108,13 @@ func (c *Checker) Step(deliver sim.DeliverFunc) {
 		outputsUsed[int(d.Packet.Out)] = true
 		got := d.Packet
 		got.StripeSize = 0
-		if want, ok := c.inFlight[got.ID]; !ok {
-			c.fail("slot %d: packet %d delivered but never offered (or twice)", now, got.ID)
+		k := keyOf(got)
+		if want, ok := c.inFlight[k]; !ok {
+			c.fail("slot %d: packet %+v delivered but never offered (or twice)", now, k)
 		} else if got != want {
 			c.fail("slot %d: delivered %+v, offered as %+v", now, got, want)
 		}
-		delete(c.inFlight, got.ID)
+		delete(c.inFlight, k)
 		c.delivered++
 		if deliver != nil {
 			deliver(d)

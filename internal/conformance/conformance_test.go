@@ -39,7 +39,7 @@ func (s *okSwitch) Step(deliver sim.DeliverFunc) {
 
 func feed(c *Checker, n int) {
 	for k := 0; k < n; k++ {
-		c.Arrive(sim.Packet{ID: uint64(k), In: 0, Out: int32(k % c.N()), Arrival: c.Now()})
+		c.Arrive(sim.Packet{In: 0, Out: int32(k % c.N()), Seq: uint64(k / c.N()), Arrival: c.Now()})
 		c.Step(nil)
 	}
 	for k := 0; k < 2*c.N(); k++ {
@@ -83,7 +83,7 @@ func (s *cheat) Step(deliver sim.DeliverFunc) {
 		}
 		s.t++
 	case "phantom":
-		deliver(sim.Delivery{Packet: sim.Packet{ID: 999, Out: 1}, Depart: s.t})
+		deliver(sim.Delivery{Packet: sim.Packet{Out: 1, Seq: 999}, Depart: s.t})
 		s.t++
 	case "wrong-input", "wrong-seq":
 		// A switch that rebuilds packets from less than it was given.
@@ -106,7 +106,7 @@ func (s *cheat) Step(deliver sim.DeliverFunc) {
 func TestViolationsDetected(t *testing.T) {
 	for _, mode := range []string{"duplicate-output", "wrong-slot", "phantom", "wrong-input", "wrong-seq"} {
 		c := Wrap(&cheat{okSwitch: &okSwitch{n: 4}, mode: mode})
-		c.Arrive(sim.Packet{ID: 1, In: 0, Out: 0, Arrival: 0})
+		c.Arrive(sim.Packet{In: 0, Out: 0, Arrival: 0})
 		for k := 0; k < 4; k++ {
 			c.Step(nil)
 		}
@@ -118,16 +118,41 @@ func TestViolationsDetected(t *testing.T) {
 
 func TestDoubleOfferDetected(t *testing.T) {
 	c := Wrap(&okSwitch{n: 4})
-	c.Arrive(sim.Packet{ID: 7, Out: 0, Arrival: 0})
-	c.Arrive(sim.Packet{ID: 7, Out: 1, Arrival: 0})
+	c.Arrive(sim.Packet{Out: 0, Seq: 7, Arrival: 0})
+	c.Arrive(sim.Packet{Out: 0, Seq: 7, Arrival: 0})
 	if c.Violation() == "" {
 		t.Fatal("double offer not detected")
 	}
 }
 
+// TestCheckerRejectsDuplicateFlowSeq: (In, Out, Seq) names a packet, so
+// packets that differ in any one of the three may be in flight together,
+// and a second in-flight packet that shares all three fails the run, even
+// when it differs in everything else (a Checker keyed on less than the
+// triple fails one half or the other).
+func TestCheckerRejectsDuplicateFlowSeq(t *testing.T) {
+	c := Wrap(&okSwitch{n: 4})
+	for _, p := range []sim.Packet{
+		{In: 1, Out: 2, Seq: 3},
+		{In: 0, Out: 2, Seq: 3},
+		{In: 1, Out: 0, Seq: 3},
+		{In: 1, Out: 2, Seq: 4},
+	} {
+		c.Arrive(p)
+	}
+	if v := c.Violation(); v != "" {
+		t.Fatalf("distinct packets flagged: %s", v)
+	}
+	c.Step(nil)
+	c.Arrive(sim.Packet{In: 1, Out: 2, Seq: 3, Arrival: 1, StripeSize: 2})
+	if c.Violation() == "" {
+		t.Fatal("a second in-flight packet (1, 2, 3) was not detected")
+	}
+}
+
 func TestArrivalStampChecked(t *testing.T) {
 	c := Wrap(&okSwitch{n: 4})
-	c.Arrive(sim.Packet{ID: 1, Out: 0, Arrival: 5}) // switch is at slot 0
+	c.Arrive(sim.Packet{Out: 0, Arrival: 5}) // switch is at slot 0
 	if c.Violation() == "" {
 		t.Fatal("bad arrival stamp not detected")
 	}

@@ -215,7 +215,7 @@ func TestResizeRecut(t *testing.T) {
 			v.pending = int32(tc.size)
 			in.refreshFast(v)
 			for seq := 0; seq < tc.k; seq++ {
-				sw.Arrive(packet{ID: uint64(100 + seq), In: 2, Out: 5, Seq: uint64(seq), Arrival: sw.Now()})
+				sw.Arrive(packet{In: 2, Out: 5, Seq: uint64(seq), Arrival: sw.Now()})
 			}
 			sw.applyArrivals()
 			if int(v.ready) != tc.k || v.committed != 0 {
@@ -242,7 +242,7 @@ func TestResizeRecut(t *testing.T) {
 			// Top the remainder up to one more stripe, then drain.
 			total := tc.k
 			for ; total%tc.size != 0; total++ {
-				sw.Arrive(packet{ID: uint64(100 + total), In: 2, Out: 5, Seq: uint64(total), Arrival: sw.Now()})
+				sw.Arrive(packet{In: 2, Out: 5, Seq: uint64(total), Arrival: sw.Now()})
 			}
 			seen := make([]bool, total)
 			delivered := 0
@@ -252,7 +252,7 @@ func TestResizeRecut(t *testing.T) {
 					if sched == GatedLSF {
 						seq = delivered
 					}
-					want := packet{ID: uint64(100 + seq), In: 2, Out: 5, Seq: uint64(seq), StripeSize: int32(tc.size)}
+					want := packet{In: 2, Out: 5, Seq: uint64(seq), StripeSize: int32(tc.size)}
 					if d.Packet != want || seen[seq] {
 						t.Fatalf("%v %+v: delivery %d is %+v, want %+v once", sched, tc, delivered, d.Packet, want)
 					}

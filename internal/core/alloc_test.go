@@ -138,7 +138,7 @@ func TestSizeOneStepZeroAllocSteadyState(t *testing.T) {
 func TestArrivalsWaitForStep(t *testing.T) {
 	const n = 8
 	sw := newSwitch(t, n, traffic.Uniform(n, 1), GatedLSF, 47)
-	sw.Arrive(packet{ID: 1, In: 2, Out: 5})
+	sw.Arrive(packet{In: 2, Out: 5})
 	if got := sw.Backlog(); got != 1 {
 		t.Fatalf("backlog %d between Arrive and Step, want 1", got)
 	}
@@ -151,7 +151,7 @@ func TestArrivalsWaitForStep(t *testing.T) {
 				t.Fatal("Arrive accepted output port N")
 			}
 		}()
-		sw.Arrive(packet{ID: 2, In: 0, Out: n})
+		sw.Arrive(packet{In: 0, Out: n})
 	}()
 	sw.Step(nil)
 	if got := sw.Backlog(); got != 1 || len(sw.pending) != 0 {
@@ -178,9 +178,9 @@ func TestArrivalsWaitForStep(t *testing.T) {
 func TestFlowGapPanics(t *testing.T) {
 	const n = 8
 	sw := newSwitch(t, n, traffic.Uniform(n, 1), GatedLSF, 49) // stripes of 8: packets wait
-	sw.Arrive(packet{ID: 1, In: 2, Out: 5, Seq: 0})
+	sw.Arrive(packet{In: 2, Out: 5, Seq: 0})
 	sw.Step(nil)
-	sw.Arrive(packet{ID: 2, In: 2, Out: 5, Seq: 2, Arrival: sw.Now()})
+	sw.Arrive(packet{In: 2, Out: 5, Seq: 2, Arrival: sw.Now()})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Step buffered Seq 2 behind Seq 0 of flow (2, 5)")

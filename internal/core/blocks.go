@@ -7,7 +7,7 @@ import (
 
 // stripeBlocks stores the multi-packet stripes crossing the gated center
 // stage. A stripe of 2^k packets owns one block: a header and 2^k
-// consecutive 16-byte records of one shared slab, slot u holding the packet
+// consecutive 8-byte records of one shared slab, slot u holding the packet
 // that crosses intermediate port iv.Start+u. The header keeps the Seq of
 // packet 0 and packet u's is u more, since a stripe is 2^k consecutive
 // packets of one VOQ. A block keeps its records for life

@@ -83,7 +83,7 @@ func (m *blockModel) send(i, out, k int, rng *rand.Rand) bool {
 		}
 	}
 	c := cell{
-		pkt: sim.Packet{ID: st.id<<8 | uint64(st.sent), Seq: m.seq[i*m.n+st.out], Arrival: sim.Slot(rng.Intn(1000)),
+		pkt: sim.Packet{Seq: m.seq[i*m.n+st.out], Arrival: sim.Slot(rng.Intn(1000)),
 			In: int32(i), Out: int32(st.out), StripeSize: int32(st.iv.Size)},
 		stripeID: st.id,
 		formed:   st.formed,
@@ -92,7 +92,7 @@ func (m *blockModel) send(i, out, k int, rng *rand.Rand) bool {
 	l := st.iv.Start + st.sent
 	if st.iv.Size > 1 {
 		m.sw.mid.write(i, &stripe{id: st.id, iv: st.iv, formed: st.formed, out: int32(st.out), served: int32(st.sent)},
-			queue.Record{ID: c.pkt.ID, Arrival: c.pkt.Arrival}, c.pkt.Seq)
+			queue.Record{Arrival: c.pkt.Arrival}, c.pkt.Seq)
 	} else {
 		m.sw.mid.enqueue(l, c)
 	}

@@ -15,7 +15,7 @@ import (
 // are what the greedy scheduler and every size-1 stripe queue, at the inputs
 // and in the center stage. A packet of a gated multi-packet stripe is a cell
 // only where it leaves the switch (midStage.take): before that it is a
-// 16-byte record in its VOQ's chunk and then in its stripe's center-stage
+// 8-byte record in its VOQ's chunk and then in its stripe's center-stage
 // block, and the queue position and the stripe know the rest.
 type cell struct {
 	pkt      sim.Packet
@@ -191,7 +191,7 @@ func (in *inputPort) schedule(v *voqState, st stripe) {
 func (in *inputPort) pop(v *voqState, st *stripe) cell {
 	r, seq := v.q.Pop(&in.chunks)
 	return cell{
-		pkt: sim.Packet{ID: r.ID, Seq: seq, Arrival: r.Arrival,
+		pkt: sim.Packet{Seq: seq, Arrival: r.Arrival,
 			In: int32(in.i), Out: st.out, StripeSize: int32(st.iv.Size)},
 		stripeID: st.id,
 		formed:   st.formed,
@@ -202,7 +202,7 @@ func (in *inputPort) pop(v *voqState, st *stripe) cell {
 // packet (if any) due at the intermediate port the fabric currently connects
 // the input to straight into the center stage. A gated multi-packet stripe's
 // packet goes from its VOQ's chunk to its slot of the stripe's block as the
-// 16-byte record it is, and no cell is built until the output takes it.
+// 8-byte record it is, and no cell is built until the output takes it.
 func (in *inputPort) transmit(t sim.Slot, ms *midStage) {
 	l := in.sw.firstStage(in.i, t)
 	if in.sw.cfg.Scheduler != GatedLSF {

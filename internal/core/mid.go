@@ -31,7 +31,7 @@ import (
 // queue of stripes, each offset by its row. The stage keeps that one queue —
 // N-1 queues per output in a queue.Bank of block handles, the mirror of
 // inputPort.stripes — and a stripe's packets sit in one block of 2^k
-// consecutive 16-byte records (blocks.go), packet u in slot u. The input's
+// consecutive 8-byte records (blocks.go), packet u in slot u. The input's
 // u-th transmission writes slot u, finding the block through the per-input
 // sending handle (a gated input sends one stripe at a time); the grid pops
 // the handle when it starts the stripe and reads slots 0 .. 2^k-1 in the
@@ -240,7 +240,7 @@ func (ms *midStage) take(g *outputGrid, j int) cell {
 	r := &ms.blocks.recs[int(h.off)+g.next]
 	ms.buffered--
 	return cell{
-		pkt: sim.Packet{ID: r.ID, Seq: h.seq0 + uint64(g.next), Arrival: r.Arrival,
+		pkt: sim.Packet{Seq: h.seq0 + uint64(g.next), Arrival: r.Arrival,
 			In: h.in, Out: int32(j), StripeSize: int32(g.iv.Size)},
 		stripeID: h.id,
 		formed:   h.formed,

@@ -160,7 +160,7 @@ type centerStageCase struct {
 // TestCenterStageMatchesReference runs the switch and a twin whose center
 // stage is refMidStage on one arrival sequence, slot by slot, and demands
 // the same deliveries in the same order every slot — every field of the
-// packet, so (ID, Seq, In, Out, StripeSize) and the departure slot — the
+// packet, so (Seq, Arrival, In, Out, StripeSize) and the departure slot — the
 // same DelayBreakdown, the same backlog and, at intervals, the same number
 // of cells at every (port, output) as midStage.queueLen counts them in its
 // bank, its queued blocks and the block in service. Under Eq. 1 the Zipf and

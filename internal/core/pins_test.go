@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"sprinklers/internal/switchtest"
 	"sprinklers/internal/traffic"
 )
 
 // TestDeliveryTracePins pins the full delivery trace of an adaptive switch
 // under both schedulers: an FNV-64a over every delivery's (ID, Seq, In,
-// Out, StripeSize, Depart). The source flips between a Zipf and a diagonal
+// Out, StripeSize, Depart), where ID is the packet's emission index, the
+// number the source stamped on it when the constants were recorded. The source flips between a Zipf and a diagonal
 // matrix so VOQs resize in both directions with packets waiting, which puts
 // the resize re-cut (adaptive.go) and the greedy scheduler's copy into its
 // row bank (input.go) on the pinned path — the two paths the static-size
@@ -46,10 +48,12 @@ func TestDeliveryTracePins(t *testing.T) {
 		h := fnv.New64a()
 		var rec [40]byte
 		delivered := 0
+		var ids switchtest.EmissionIDs
+		arrive := ids.Wrap(sw.Arrive)
 		for tt := 0; tt < slots; tt++ {
-			src.Next(sw.Now(), sw.Arrive)
+			src.Next(sw.Now(), arrive)
 			sw.Step(func(d delivery) {
-				binary.LittleEndian.PutUint64(rec[0:], d.Packet.ID)
+				binary.LittleEndian.PutUint64(rec[0:], ids.Take(d.Packet))
 				binary.LittleEndian.PutUint64(rec[8:], d.Packet.Seq)
 				binary.LittleEndian.PutUint32(rec[16:], uint32(d.Packet.In))
 				binary.LittleEndian.PutUint32(rec[20:], uint32(d.Packet.Out))

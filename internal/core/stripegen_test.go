@@ -281,12 +281,12 @@ func TestQuickNoReorderRandomConfigs(t *testing.T) {
 	}
 }
 
-// TestVOQStateLayout pins the per-VOQ footprint: a buffered packet is a
-// 16-byte record and a VOQ's state fits one 64-byte cache line, N² of them
-// per switch.
+// TestVOQStateLayout pins the per-VOQ footprint: a buffered packet is its
+// 8-byte arrival slot and a VOQ's state fits one 64-byte cache line, N² of
+// them per switch.
 func TestVOQStateLayout(t *testing.T) {
-	if got := unsafe.Sizeof(queue.Record{}); got != 16 {
-		t.Errorf("queue.Record is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(queue.Record{}); got != 8 {
+		t.Errorf("queue.Record is %d bytes, want 8", got)
 	}
 	if got := unsafe.Sizeof(voqState{}); got > 64 {
 		t.Errorf("voqState is %d bytes, want at most 64", got)

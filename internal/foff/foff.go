@@ -52,10 +52,10 @@ import (
 // N = 1024, where it is the largest thing in the switch (the resequencer's
 // per-flow records are 42 MB and the 32-byte VOQ queue headers 34 MB; an
 // empty switch measures 0.09, 1.6, 38 and 219 MB at those four sizes). A VOQ
-// holds no buffer of its own: its packets are 16-byte records in 8-record
-// chunks from its input's pool, their Seqs implied by the queue position, so
-// what the inputs hold follows their backlog, not N² private high-water
-// marks. nextAt is the price
+// holds no buffer of its own: its packets are 8-byte arrival records in
+// 8-record chunks from its input's pool, their Seqs implied by the queue
+// position, so what the inputs hold follows their backlog, not N² private
+// high-water marks, and an empty switch holds none. nextAt is the price
 // of a selection that is one AND and one find-first-set per word. An O(N²)
 // list of VOQs per (input, port) would scale further but makes the pick a
 // list walk again, and no study or benchmark here runs FOFF past N = 512.

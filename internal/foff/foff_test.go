@@ -233,8 +233,9 @@ func (r *refScheduler) step(s *Switch, deliver sim.DeliverFunc) {
 // deliver the same packets in the same slots.
 func TestPickMatchesReferenceScan(t *testing.T) {
 	type delivered struct {
-		id     uint64
-		depart sim.Slot
+		in, out int32
+		seq     uint64
+		depart  sim.Slot
 	}
 	sources := map[string]func(m *traffic.Matrix, seed int64) sim.Source{
 		"bernoulli": func(m *traffic.Matrix, seed int64) sim.Source {
@@ -255,7 +256,7 @@ func TestPickMatchesReferenceScan(t *testing.T) {
 					sw, src := New(n), newSource(m, int64(n))
 					var trace []delivered
 					deliver := func(d sim.Delivery) {
-						trace = append(trace, delivered{d.Packet.ID, d.Depart})
+						trace = append(trace, delivered{d.Packet.In, d.Packet.Out, d.Packet.Seq, d.Depart})
 					}
 					for sw.Now() < slots {
 						src.Next(sw.Now(), sw.Arrive)
@@ -274,8 +275,7 @@ func TestPickMatchesReferenceScan(t *testing.T) {
 				}
 				for k := range want {
 					if got[k] != want[k] {
-						t.Fatalf("delivery %d: packet %d at slot %d, reference packet %d at slot %d",
-							k, got[k].id, got[k].depart, want[k].id, want[k].depart)
+						t.Fatalf("delivery %d: %+v, reference %+v", k, got[k], want[k])
 					}
 				}
 				t.Logf("%d deliveries, %d priority picks", len(want), ref.preferred)

@@ -16,10 +16,10 @@ import (
 )
 
 // TestRecordVOQRoundTrip: UFS, PF, FOFF and CMS queue a packet as an
-// {id, arrival} record and rebuild the sim.Packet from the VOQ's (input,
-// output) and the record's queue position where they take it out. The conformance checker compares
-// every delivery, field for field, with the packet offered under that ID and
-// rejects a delivered fake, so a rebuild that mixes up In and Out (or a
+// {arrival} record and rebuild the sim.Packet from the VOQ's (input, output)
+// and the record's queue position where they take it out. The conformance
+// checker compares every delivery, field for field, with the packet offered
+// under that (In, Out, Seq) and rejects a delivered fake, so a rebuild that mixes up In and Out (or a
 // queue that hands back a neighbour's record) fails here by name rather than
 // through a digest. The matrix is a random asymmetric one, so no such swap
 // can hide; PF must also have padded, or its fake cells were never at risk of

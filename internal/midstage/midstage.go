@@ -10,10 +10,10 @@
 //     use it.
 //   - The Spreader, the full-frame switches' (UFS and Padded Frames) core,
 //     serves frames atomically: it queues one descriptor per frame, and a
-//     frame's packets stay in their VOQ, as 16-byte records in a
+//     frame's packets stay in their VOQ, as 8-byte arrival records in a
 //     queue.RecordFIFO on its input's chunk pool, until they depart. The
-//     descriptors are on the bank,
-//     queued at the (port, output) pair of the frame's first cell.
+//     descriptors are on the bank, queued at the (port, output) pair of
+//     the frame's first cell.
 //
 // A frame's cells past its packets are the Spreader's padding: they occupy
 // the second-fabric connections of their frame but are never queued or

@@ -6,12 +6,14 @@ import (
 	"testing"
 
 	"sprinklers/internal/sim"
+	"sprinklers/internal/switchtest"
 )
 
 // TestSpreaderTracePins pins the full delivery trace of the full-frame
 // switch core under the UFS and the PF idle policies: an FNV-64a over every
 // delivery's (ID, Seq, In, Out, Depart), then the padding count and the
-// final backlog. Skewed bursty arrivals at load 0.9 keep several frames
+// final backlog; ID is the packet's emission index, the number the
+// arrivals stamped on it when the constants were recorded. Skewed bursty arrivals at load 0.9 keep several frames
 // contending for an output's sweep and, with padding, put short frames on
 // the path. TestPinnedPointDigests in internal/experiment pins UFS and PF
 // points only through their summary statistics; this pins each packet. The
@@ -38,8 +40,10 @@ func TestSpreaderTracePins(t *testing.T) {
 		h := fnv.New64a()
 		var rec [32]byte
 		delivered := 0
+		var ids switchtest.EmissionIDs
+		arrive := ids.Wrap(sp.Arrive)
 		deliver := func(d sim.Delivery) {
-			binary.LittleEndian.PutUint64(rec[0:], d.Packet.ID)
+			binary.LittleEndian.PutUint64(rec[0:], ids.Take(d.Packet))
 			binary.LittleEndian.PutUint64(rec[8:], d.Packet.Seq)
 			binary.LittleEndian.PutUint32(rec[16:], uint32(d.Packet.In))
 			binary.LittleEndian.PutUint32(rec[20:], uint32(d.Packet.Out))
@@ -48,7 +52,7 @@ func TestSpreaderTracePins(t *testing.T) {
 			delivered++
 		}
 		for now := sim.Slot(0); now < slots; now++ {
-			next(now, sp.Arrive)
+			next(now, arrive)
 			sp.Step(now, deliver, pad)
 		}
 		binary.LittleEndian.PutUint64(rec[0:], uint64(sp.PaddingInjected()))

@@ -10,12 +10,12 @@ import (
 // cell to each intermediate port, and the frame-atomic center stage behind
 // them (framestage.go). A VOQ is a queue.RecordFIFO on its input's chunk
 // pool, so an input's memory follows its backlog rather than N private
-// high-water marks, and a packet is a 16-byte record until the output it
-// departs from rebuilds it from the VOQ's (i, j) and its queue position. An idle input picks,
-// round-robin over its VOQs, one that holds a full frame of N packets. What
-// an input does when no VOQ holds one is the only thing UFS and Padded
-// Frames disagree on, so Step takes it as a policy: UFS idles, PF names a
-// VOQ to pad with fake cells.
+// high-water marks, and a packet is an 8-byte record until the output it
+// departs from rebuilds it from the VOQ's (i, j) and its queue position. An
+// idle input picks, round-robin over its VOQs, one that holds a full frame
+// of N packets. What an input does when no VOQ holds one is the only thing
+// UFS and Padded Frames disagree on, so Step takes it as a policy: UFS
+// idles, PF names a VOQ to pad with fake cells.
 //
 // The round-robin pick does not walk the VOQs: each input keeps a bit set
 // over them in which bit j is set ⇔ VOQ (i, j) has at least N packets

@@ -259,7 +259,6 @@ func skewedArrivals(n int, load, meanBurst float64, seed int64) func(t sim.Slot,
 	dest := make([]int, n)
 	pOff := 1 / meanBurst
 	pOn := pOff * load / (1 - load)
-	var id uint64
 	return func(t sim.Slot, arrive func(sim.Packet)) {
 		for i := 0; i < n; i++ {
 			if on[i] && rng.Float64() < pOff {
@@ -277,8 +276,7 @@ func skewedArrivals(n int, load, meanBurst float64, seed int64) func(t sim.Slot,
 				dest[i] = (i + k) % n
 			}
 			f := i*n + dest[i]
-			arrive(sim.Packet{ID: id, In: int32(i), Out: int32(dest[i]), Seq: seq[f], Arrival: t})
-			id++
+			arrive(sim.Packet{In: int32(i), Out: int32(dest[i]), Seq: seq[f], Arrival: t})
 			seq[f]++
 		}
 	}
@@ -293,8 +291,9 @@ func skewedArrivals(n int, load, meanBurst float64, seed int64) func(t sim.Slot,
 // either shows here.
 func TestStartFullMatchesReferenceScan(t *testing.T) {
 	type delivered struct {
-		id     uint64
-		depart sim.Slot
+		in, out int32
+		seq     uint64
+		depart  sim.Slot
 	}
 	for _, n := range []int{3, 8, 64, 65, 130} {
 		for _, burst := range []float64{1, float64(2 * n)} {
@@ -314,8 +313,10 @@ func TestStartFullMatchesReferenceScan(t *testing.T) {
 					for now := sim.Slot(0); now < slots; now++ {
 						next(now, sp.Arrive)
 						refNext(now, ref.arrive)
-						sp.Step(now, func(d sim.Delivery) { got = append(got, delivered{d.Packet.ID, d.Depart}) }, pad)
-						ref.step(now, func(d sim.Delivery) { want = append(want, delivered{d.Packet.ID, d.Depart}) }, refPad)
+						sp.Step(now, func(d sim.Delivery) { got = append(got, delivered{d.Packet.In, d.Packet.Out, d.Packet.Seq, d.Depart}) }, pad)
+						ref.step(now, func(d sim.Delivery) {
+							want = append(want, delivered{d.Packet.In, d.Packet.Out, d.Packet.Seq, d.Depart})
+						}, refPad)
 						if sp.Backlog() != ref.backlog || sp.PaddingInjected() != ref.padded {
 							t.Fatalf("slot %d: backlog %d, padding %d; reference %d, %d",
 								now, sp.Backlog(), sp.PaddingInjected(), ref.backlog, ref.padded)
@@ -329,8 +330,7 @@ func TestStartFullMatchesReferenceScan(t *testing.T) {
 					}
 					for k := range want {
 						if got[k] != want[k] {
-							t.Fatalf("delivery %d: packet %d at slot %d, reference packet %d at slot %d",
-								k, got[k].id, got[k].depart, want[k].id, want[k].depart)
+							t.Fatalf("delivery %d: %+v, reference %+v", k, got[k], want[k])
 						}
 					}
 					t.Logf("%d deliveries, %d contested picks, %d padding cells", len(want), ref.contested, ref.padded)

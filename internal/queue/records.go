@@ -7,27 +7,30 @@ import (
 )
 
 // Record is what differs between the packets of one VOQ and cannot be
-// derived from where the packet sits. In and Out are the VOQ's own index,
-// whatever header the architecture adds is the same for the whole queue, and
-// Seq is implied by the queue position: a source numbers each flow 0, 1, 2 …
-// (sim.Packet.Seq), so the packets of one VOQ carry consecutive Seqs and the
-// queue keeps only its head's (RecordFIFO.headSeq). The switch that owns the
-// VOQ rebuilds the sim.Packet where it takes a record out.
+// derived from where the packet sits: its arrival slot, 8 bytes. (In, Out,
+// Seq) names a packet, and all three are implied: In and Out are the VOQ's
+// own index, and Seq is the queue position, since a source numbers each flow
+// 0, 1, 2 … (sim.Packet.Seq), so the packets of one VOQ carry consecutive
+// Seqs and the queue keeps only its head's (RecordFIFO.headSeq). Whatever
+// header the architecture adds is the same for the whole queue. The switch
+// that owns the VOQ rebuilds the sim.Packet where it takes a record out.
 type Record struct {
-	ID      uint64
 	Arrival sim.Slot
 }
 
 // Packet rebuilds the packet r was taken from, given its Seq and the VOQ it
 // was in.
 func (r Record) Packet(seq uint64, in, out int) sim.Packet {
-	return sim.Packet{ID: r.ID, Seq: seq, Arrival: r.Arrival, In: int32(in), Out: int32(out)}
+	return sim.Packet{Seq: seq, Arrival: r.Arrival, In: int32(in), Out: int32(out)}
 }
 
-// chunkRecords is the fixed capacity of a chunk. Eight 16-byte records keep
-// a chunk (136 B) under the smallest ring a FIFO of packets would allocate,
-// so a switch of small N pays less for a VOQ's first buffered packet than it
-// would for a private ring.
+// chunkRecords is the fixed capacity of a chunk. Eight 8-byte records and
+// the link make a 72-byte chunk, under a third of the smallest ring a FIFO of
+// packets would allocate (8 × 32 B), so a switch of small N pays little for a
+// VOQ's first buffered packet. Sixteen records (136 B) allocated 2.6 % less
+// on the sprinklers-n128 benchmark, whose VOQs fill 128-packet stripes, but
+// 5–7 % more on fig6-n32 and grid-cold, and ran sprinklers-n128 slower
+// (2-vCPU Xeon).
 const chunkRecords = 8
 
 type chunk struct {
@@ -100,8 +103,8 @@ func (q *RecordFIFO) Push(pool *RecordPool, p sim.Packet) {
 	if q.n == 0 {
 		q.headSeq = p.Seq
 	} else if want := q.headSeq + uint64(q.n); p.Seq != want {
-		panic(fmt.Sprintf("queue: flow (%d, %d) packet %d has Seq %d, want %d: a source must number a flow 0, 1, 2 …",
-			p.In, p.Out, p.ID, p.Seq, want))
+		panic(fmt.Sprintf("queue: flow (%d, %d) offered Seq %d, want %d: a source must number a flow 0, 1, 2 …",
+			p.In, p.Out, p.Seq, want))
 	}
 	slot := (q.off + q.n) % chunkRecords
 	if slot == 0 { // no chunk yet (off is 0 when n is), or the tail is full
@@ -113,7 +116,7 @@ func (q *RecordFIFO) Push(pool *RecordPool, p sim.Packet) {
 		}
 		q.tail = c
 	}
-	q.tail.rec[slot] = Record{ID: p.ID, Arrival: p.Arrival}
+	q.tail.rec[slot] = Record{Arrival: p.Arrival}
 	q.n++
 }
 

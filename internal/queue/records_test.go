@@ -29,7 +29,7 @@ func (m *queueModel) push(v, count int) {
 	m.t.Helper()
 	for ; count > 0; count-- {
 		m.serial++
-		p := sim.Packet{ID: m.serial, Seq: m.next[v], Arrival: sim.Slot(m.serial * 3), Out: int32(v)}
+		p := sim.Packet{Seq: m.next[v], Arrival: sim.Slot(m.serial * 3), Out: int32(v)}
 		m.next[v]++
 		m.qs[v].Push(&m.pool, p)
 		m.model[v] = append(m.model[v], p)
@@ -57,7 +57,7 @@ func (m *queueModel) refuse(v int, seq uint64) {
 		}
 		m.check()
 	}()
-	m.qs[v].Push(&m.pool, sim.Packet{ID: ^uint64(0), Seq: seq, Out: int32(v)})
+	m.qs[v].Push(&m.pool, sim.Packet{Seq: seq, Out: int32(v)})
 }
 
 func (m *queueModel) pop(v, count int) {

@@ -18,14 +18,12 @@ package sim
 type Slot int64
 
 // Packet is a fixed-size cell transiting the switch. Packets are plain
-// values; switches may copy them freely. The struct is packed into 40
-// bytes — ports and the stripe header are int32, which comfortably covers
-// any switch size while letting the queue banks hold a packet plus its
-// internal annotations in a single cache line; this measurably speeds up
-// every per-slot queue operation at large N.
+// values; switches may copy them freely. (In, Out, Seq) identifies a
+// packet: no two packets of a run share all three. The struct is packed
+// into 32 bytes — ports and the stripe header are int32, which comfortably
+// covers any switch size — so a 64-byte cache line holds two packets, or
+// one beside the annotations a queue bank keeps with it.
 type Packet struct {
-	// ID is a globally unique identifier assigned by the traffic source.
-	ID uint64
 	// Seq is the per-(In,Out) flow sequence number: a source numbers each
 	// flow 0, 1, 2 … with no gap and no repeat. The reordering detectors
 	// and resequencers key on it, and a switch that buffers a VOQ's

@@ -91,11 +91,11 @@ func TestOutputSweepIncreasing(t *testing.T) {
 	}
 }
 
-// TestPacketSize: a Packet is 40 bytes, so the banks that queue whole
-// packets keep one beside its annotations in a cache line.
+// TestPacketSize: a Packet is 32 bytes, so a cache line holds two, or one
+// beside the annotations a bank that queues whole packets keeps with it.
 func TestPacketSize(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got != 40 {
-		t.Fatalf("sizeof(Packet) = %d, want 40", got)
+	if got := unsafe.Sizeof(Packet{}); got != 32 {
+		t.Fatalf("sizeof(Packet) = %d, want 32", got)
 	}
 }
 

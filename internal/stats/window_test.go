@@ -36,9 +36,9 @@ func TestWindowedBoundaries(t *testing.T) {
 func TestWindowedCountsAndDelay(t *testing.T) {
 	w := NewWindowed(4, 0, 100, 2)
 	src := w.WrapSource(sliceSource{
-		{ID: 1, Arrival: 10, In: 0, Out: 1},
-		{ID: 2, Arrival: 60, In: 0, Out: 1, Seq: 1},
-		{ID: 3, Arrival: 70, In: 1, Out: 2},
+		{Arrival: 10, In: 0, Out: 1},
+		{Arrival: 60, In: 0, Out: 1, Seq: 1},
+		{Arrival: 70, In: 1, Out: 2},
 	})
 	drive := func(t sim.Slot) {
 		src.Next(t, func(sim.Packet) {})
@@ -47,11 +47,11 @@ func TestWindowedCountsAndDelay(t *testing.T) {
 		drive(t)
 		switch t {
 		case 20:
-			w.Observe(sim.Delivery{Packet: sim.Packet{ID: 1, Arrival: 10, In: 0, Out: 1}, Depart: 20})
+			w.Observe(sim.Delivery{Packet: sim.Packet{Arrival: 10, In: 0, Out: 1}, Depart: 20})
 		case 80:
-			w.Observe(sim.Delivery{Packet: sim.Packet{ID: 3, Arrival: 70, In: 1, Out: 2}, Depart: 80})
+			w.Observe(sim.Delivery{Packet: sim.Packet{Arrival: 70, In: 1, Out: 2}, Depart: 80})
 		case 90:
-			w.Observe(sim.Delivery{Packet: sim.Packet{ID: 2, Arrival: 60, In: 0, Out: 1, Seq: 1}, Depart: 90})
+			w.Observe(sim.Delivery{Packet: sim.Packet{Arrival: 60, In: 0, Out: 1, Seq: 1}, Depart: 90})
 		}
 		w.OnSlot(t, func() int { return 0 })
 	}
@@ -95,9 +95,9 @@ func (s sliceSource) Next(t sim.Slot, emit func(sim.Packet)) {
 func TestWindowedReorderAcrossBoundary(t *testing.T) {
 	w := NewWindowed(4, 0, 100, 2)
 	// Seq 1 departs in window 0, seq 0 (same flow) in window 1: reordered.
-	w.Observe(sim.Delivery{Packet: sim.Packet{ID: 1, In: 0, Out: 0, Seq: 1, Arrival: 5}, Depart: 10})
+	w.Observe(sim.Delivery{Packet: sim.Packet{In: 0, Out: 0, Seq: 1, Arrival: 5}, Depart: 10})
 	tick(w, 50, func() int { return 0 })
-	w.Observe(sim.Delivery{Packet: sim.Packet{ID: 2, In: 0, Out: 0, Seq: 0, Arrival: 6}, Depart: 60})
+	w.Observe(sim.Delivery{Packet: sim.Packet{In: 0, Out: 0, Seq: 0, Arrival: 6}, Depart: 60})
 	for t := sim.Slot(50); t < 100; t++ {
 		w.OnSlot(t, func() int { return 0 })
 	}
@@ -120,7 +120,7 @@ func TestWindowedWarmupIgnored(t *testing.T) {
 		t.Fatal("windows closed during warmup")
 	}
 	// Offered during warmup must not count.
-	src := w.WrapSource(sliceSource{{ID: 1, Arrival: 100}})
+	src := w.WrapSource(sliceSource{{Arrival: 100}})
 	src.Next(100, func(sim.Packet) {})
 	tick(w, 1000, func() int { return 0 })
 	if got := w.Points()[0].Offered; got != 0 {

@@ -5,6 +5,7 @@
 package switchtest
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -95,4 +96,42 @@ func RandomAdmissible(n int, load float64, rng *rand.Rand) *traffic.Matrix {
 		}
 	}
 	return traffic.NewMatrix(rates)
+}
+
+// EmissionIDs numbers packets 0, 1, 2 … in the order a source emits them.
+// That is the global ID every source stamped on its packets before (In, Out,
+// Seq) became a packet's only name, so a trace pin recorded then can look
+// a delivered packet's old ID up and hash the bytes it always has.
+type EmissionIDs struct {
+	next uint64
+	ids  map[flowSeq]uint64
+}
+
+type flowSeq struct {
+	in, out int32
+	seq     uint64
+}
+
+// Wrap returns emit preceded by numbering the packet.
+func (e *EmissionIDs) Wrap(emit func(sim.Packet)) func(sim.Packet) {
+	if e.ids == nil {
+		e.ids = make(map[flowSeq]uint64)
+	}
+	return func(p sim.Packet) {
+		e.ids[flowSeq{p.In, p.Out, p.Seq}] = e.next
+		e.next++
+		emit(p)
+	}
+}
+
+// Take returns the number of delivered packet p and forgets it; p must have
+// been emitted through Wrap and not taken before.
+func (e *EmissionIDs) Take(p sim.Packet) uint64 {
+	k := flowSeq{p.In, p.Out, p.Seq}
+	id, ok := e.ids[k]
+	if !ok {
+		panic(fmt.Sprintf("switchtest: packet %+v delivered but never emitted (or twice)", k))
+	}
+	delete(e.ids, k)
+	return id
 }

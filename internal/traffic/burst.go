@@ -28,7 +28,6 @@ type OnOff struct {
 	factor []float64 // ingress-link capacity factor, thinning ON slots
 	alias  []aliasTable
 	seq    [][]uint64
-	nextID uint64
 }
 
 // NewOnOff builds an on/off source whose per-input load matches m's row sums
@@ -112,13 +111,11 @@ func (o *OnOff) Next(t sim.Slot, emit func(sim.Packet)) {
 		}
 		j := o.alias[i].draw(&o.rng)
 		emit(sim.Packet{
-			ID:      o.nextID,
 			In:      int32(i),
 			Out:     int32(j),
 			Seq:     o.seq[i][j],
 			Arrival: t,
 		})
-		o.nextID++
 		o.seq[i][j]++
 	}
 }
@@ -129,7 +126,6 @@ type Trace struct {
 	n      int
 	bySlot map[sim.Slot][]sim.Packet
 	seq    [][]uint64
-	nextID uint64
 }
 
 // NewTrace builds an empty trace source for an n-port switch.
@@ -146,7 +142,7 @@ func newSeq(n int) [][]uint64 {
 }
 
 // Add schedules the arrival of one packet from input in to output out at
-// slot t, assigning IDs and per-flow sequence numbers automatically. Packets
+// slot t, assigning per-flow sequence numbers automatically. Packets
 // added for the same (slot, input) pair beyond the first violate the speed-1
 // port model and cause a panic.
 func (tr *Trace) Add(t sim.Slot, in, out int) {
@@ -156,13 +152,11 @@ func (tr *Trace) Add(t sim.Slot, in, out int) {
 		}
 	}
 	p := sim.Packet{
-		ID:      tr.nextID,
 		In:      int32(in),
 		Out:     int32(out),
 		Seq:     tr.seq[in][out],
 		Arrival: t,
 	}
-	tr.nextID++
 	tr.seq[in][out]++
 	tr.bySlot[t] = append(tr.bySlot[t], p)
 }

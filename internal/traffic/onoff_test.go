@@ -53,8 +53,10 @@ func TestOnOffFeasiblePin(t *testing.T) {
 		"dynamic": NewDynamic(m, nil, 16, rand.New(rand.NewSource(5))),
 	} {
 		h := fnv.New64a()
-		for _, p := range collect(src, 20_000) {
-			fmt.Fprintf(h, "%d %d %d %d %d\n", p.ID, p.In, p.Out, p.Seq, p.Arrival)
+		// A packet's emission index is the ID the source stamped on it
+		// when the hash was recorded.
+		for id, p := range collect(src, 20_000) {
+			fmt.Fprintf(h, "%d %d %d %d %d\n", id, p.In, p.Out, p.Seq, p.Arrival)
 		}
 		if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
 			t.Errorf("%s: emission hash %s, want %s", name, got, want)

@@ -16,7 +16,6 @@ type Phased struct {
 	rng    rng
 	phases []phase
 	seq    [][]uint64
-	nextID uint64
 }
 
 type phase struct {
@@ -83,13 +82,11 @@ func (p *Phased) Next(t sim.Slot, emit func(sim.Packet)) {
 		}
 		j := ph.alias[i].draw(&p.rng)
 		emit(sim.Packet{
-			ID:      p.nextID,
 			In:      int32(i),
 			Out:     int32(j),
 			Seq:     p.seq[i][j],
 			Arrival: t,
 		})
-		p.nextID++
 		p.seq[i][j]++
 	}
 }

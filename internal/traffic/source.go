@@ -32,9 +32,8 @@ type Bernoulli struct {
 	// alias tables and flow sequence numbers are flattened into one
 	// contiguous entry array indexed i*n+j, keeping the whole sampling
 	// state pointer-free.
-	arriv  []uint64
-	dest   []destEntry
-	nextID uint64
+	arriv []uint64
+	dest  []destEntry
 }
 
 // NewBernoulli builds the Bernoulli source for rate matrix m. The source's
@@ -115,13 +114,11 @@ func (b *Bernoulli) Next(t sim.Slot, emit func(sim.Packet)) {
 			e = &b.dest[base+j]
 		}
 		p := sim.Packet{
-			ID:      b.nextID,
 			In:      int32(i),
 			Out:     int32(j),
 			Seq:     e.seq,
 			Arrival: t,
 		}
-		b.nextID++
 		e.seq++
 		emit(p)
 	}

@@ -127,7 +127,7 @@ func TestBernoulliEmpiricalRates(t *testing.T) {
 }
 
 // TestBernoulliSequencing checks per-flow sequence numbers are dense and
-// increasing and IDs are unique.
+// increasing, so (In, Out, Seq) names each packet once.
 func TestBernoulliSequencing(t *testing.T) {
 	const n = 4
 	src := NewBernoulli(Uniform(n, 0.9), rand.New(rand.NewSource(3)))
@@ -135,7 +135,11 @@ func TestBernoulliSequencing(t *testing.T) {
 	for i := range next {
 		next[i] = make([]uint64, n)
 	}
-	ids := make(map[uint64]bool)
+	type flowSeq struct {
+		in, out int32
+		seq     uint64
+	}
+	seen := make(map[flowSeq]bool)
 	for tt := sim.Slot(0); tt < 20000; tt++ {
 		perInput := make(map[int]int)
 		src.Next(tt, func(p sim.Packet) {
@@ -143,10 +147,11 @@ func TestBernoulliSequencing(t *testing.T) {
 			if perInput[int(p.In)] > 1 {
 				t.Fatal("two arrivals at one input in one slot")
 			}
-			if ids[p.ID] {
-				t.Fatalf("duplicate packet ID %d", p.ID)
+			k := flowSeq{p.In, p.Out, p.Seq}
+			if seen[k] {
+				t.Fatalf("duplicate packet %+v", k)
 			}
-			ids[p.ID] = true
+			seen[k] = true
 			if p.Seq != next[p.In][p.Out] {
 				t.Fatalf("flow (%d,%d): seq %d, want %d", p.In, p.Out, p.Seq, next[p.In][p.Out])
 			}
