@@ -13,10 +13,11 @@ import (
 // TestDeliveryTracePins pins the full delivery trace of an adaptive switch
 // under both schedulers: an FNV-64a over every delivery's (ID, Seq, In,
 // Out, StripeSize, Depart), where ID is the packet's emission index, the
-// number the source stamped on it when the constants were recorded. The source flips between a Zipf and a diagonal
-// matrix so VOQs resize in both directions with packets waiting, which puts
-// the resize re-cut (adaptive.go) and the greedy scheduler's copy into its
-// row bank (input.go) on the pinned path — the two paths the static-size
+// number the source stamped on it when the constants were recorded. The
+// source flips between a Zipf and a diagonal matrix so VOQs resize in both
+// directions with packets waiting, which puts the resize re-cut
+// (adaptive.go) and the greedy scheduler's copy into its row bank
+// (input.go) on the pinned path — the two paths the static-size
 // TestPinnedPointDigests in internal/experiment never reaches. The
 // constants were recorded before the VOQ storage was rewritten and any
 // change to them is a change to the simulated switch.

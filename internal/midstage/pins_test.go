@@ -13,12 +13,13 @@ import (
 // switch core under the UFS and the PF idle policies: an FNV-64a over every
 // delivery's (ID, Seq, In, Out, Depart), then the padding count and the
 // final backlog; ID is the packet's emission index, the number the
-// arrivals stamped on it when the constants were recorded. Skewed bursty arrivals at load 0.9 keep several frames
-// contending for an output's sweep and, with padding, put short frames on
-// the path. TestPinnedPointDigests in internal/experiment pins UFS and PF
-// points only through their summary statistics; this pins each packet. The
-// constants were recorded before frames stopped crossing the center stage
-// cell by cell, and any change to them is a change to the simulated switch.
+// arrivals stamped on it when the constants were recorded. Skewed bursty
+// arrivals at load 0.9 keep several frames contending for an output's sweep
+// and, with padding, put short frames on the path. TestPinnedPointDigests in
+// internal/experiment pins UFS and PF points only through their summary
+// statistics; this pins each packet. The constants were recorded before
+// frames stopped crossing the center stage cell by cell, and any change to
+// them is a change to the simulated switch.
 func TestSpreaderTracePins(t *testing.T) {
 	const slots = 30_000
 	for _, tc := range []struct {

@@ -295,6 +295,9 @@ func TestStartFullMatchesReferenceScan(t *testing.T) {
 		seq     uint64
 		depart  sim.Slot
 	}
+	deliveryOf := func(d sim.Delivery) delivered {
+		return delivered{d.Packet.In, d.Packet.Out, d.Packet.Seq, d.Depart}
+	}
 	for _, n := range []int{3, 8, 64, 65, 130} {
 		for _, burst := range []float64{1, float64(2 * n)} {
 			for _, policy := range []string{"ufs-idle", "pf-pad"} {
@@ -313,10 +316,8 @@ func TestStartFullMatchesReferenceScan(t *testing.T) {
 					for now := sim.Slot(0); now < slots; now++ {
 						next(now, sp.Arrive)
 						refNext(now, ref.arrive)
-						sp.Step(now, func(d sim.Delivery) { got = append(got, delivered{d.Packet.In, d.Packet.Out, d.Packet.Seq, d.Depart}) }, pad)
-						ref.step(now, func(d sim.Delivery) {
-							want = append(want, delivered{d.Packet.In, d.Packet.Out, d.Packet.Seq, d.Depart})
-						}, refPad)
+						sp.Step(now, func(d sim.Delivery) { got = append(got, deliveryOf(d)) }, pad)
+						ref.step(now, func(d sim.Delivery) { want = append(want, deliveryOf(d)) }, refPad)
 						if sp.Backlog() != ref.backlog || sp.PaddingInjected() != ref.padded {
 							t.Fatalf("slot %d: backlog %d, padding %d; reference %d, %d",
 								now, sp.Backlog(), sp.PaddingInjected(), ref.backlog, ref.padded)
