@@ -10,6 +10,10 @@
 // preserve packet order — consecutive packets of one flow take different
 // paths with different queueing delays. The test suite demonstrates the
 // reordering; the Sprinklers switch in internal/core eliminates it.
+//
+// Neither stage buffers a whole packet: an input queue mixes outputs, so it
+// holds 24-byte queue.PortRecords of Seq, Arrival and Out, and the center
+// stage (midstage.Stage) holds them with In in Out's place.
 package baseline
 
 import (
@@ -23,9 +27,10 @@ type Switch struct {
 	n int
 	t sim.Slot
 	// One queue per input, outputs mixed: the queue's index does not say
-	// where a packet is going, so it holds whole packets rather than the
-	// queue.RecordFIFO records of the per-(input, output) VOQs elsewhere.
-	inputs []queue.FIFO[sim.Packet]
+	// where a packet is going, so it holds queue.PortRecords (Seq,
+	// Arrival, Out) rather than the RecordFIFO records of the per-(input,
+	// output) VOQs elsewhere.
+	inputs []queue.FIFO[queue.PortRecord]
 	mid    *midstage.Stage
 	inBuf  int // packets at the input side
 }
@@ -34,7 +39,7 @@ type Switch struct {
 func New(n int) *Switch {
 	return &Switch{
 		n:      n,
-		inputs: make([]queue.FIFO[sim.Packet], n),
+		inputs: make([]queue.FIFO[queue.PortRecord], n),
 		mid:    midstage.New(n),
 	}
 }
@@ -50,7 +55,7 @@ func (s *Switch) Backlog() int { return s.inBuf + s.mid.Backlog() }
 
 // Arrive implements sim.Switch.
 func (s *Switch) Arrive(p sim.Packet) {
-	s.inputs[p.In].Push(p)
+	s.inputs[p.In].Push(queue.PortRecord{Seq: p.Seq, Arrival: p.Arrival, Port: p.Out})
 	s.inBuf++
 }
 
@@ -64,7 +69,8 @@ func (s *Switch) Step(deliver sim.DeliverFunc) {
 	for i := 0; i < s.n; i++ {
 		if q := &s.inputs[i]; !q.Empty() {
 			s.inBuf--
-			s.mid.Enqueue(sim.FirstStage(i, t, s.n), q.Pop())
+			r := q.Pop()
+			s.mid.Enqueue(sim.FirstStage(i, t, s.n), sim.Packet{Seq: r.Seq, Arrival: r.Arrival, In: int32(i), Out: r.Port})
 		}
 	}
 	s.t++

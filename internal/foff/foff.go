@@ -15,14 +15,17 @@
 // phases, packets can still reach an output a bounded number of positions
 // out of order — the O(N^2) bound of the paper. The switch therefore embeds
 // per-output resequencing buffers; deliveries seen by the caller are always
-// in per-flow order with the resequencing wait charged to packet delay.
+// in per-flow order with the resequencing wait charged to packet delay. No
+// buffer holds a whole packet: a VOQ keeps 8-byte arrival slots, the center
+// stage 24-byte records of Seq, Arrival and In (midstage.Stage), a flow's
+// resequencing window 8-byte arrival slots, and an output's pacing FIFO
+// 24-byte records; each rebuilds the packet from where it sits.
 package foff
 
 import (
 	"sprinklers/internal/midstage"
 	"sprinklers/internal/queue"
 	"sprinklers/internal/sim"
-	"sprinklers/internal/stats"
 )
 
 // Switch is a Full Ordered Frames First switch.
@@ -49,11 +52,11 @@ import (
 //
 // The three per-input sets cost 3N²/8 bytes together; nextAt costs N³/8
 // bytes — 4 KB at N = 32, 256 KB at N = 128, 16 MB at N = 512, 134 MB at
-// N = 1024, where it is the largest thing in the switch (the resequencer's
-// per-flow records are 42 MB and the 32-byte VOQ queue headers 34 MB; an
-// empty switch measures 0.09, 1.6, 38 and 219 MB at those four sizes). A VOQ
-// holds no buffer of its own: its packets are 8-byte arrival records in
-// 8-record chunks from its input's pool, their Seqs implied by the queue
+// N = 1024, where it is the largest thing in the switch (the 32-byte
+// per-flow window headers are 34 MB and the 32-byte VOQ queue headers 34 MB;
+// an empty switch allocates 0.09, 1.5, 36 and 210 MB at those four sizes).
+// A VOQ holds no buffer of its own: its packets are 8-byte arrival records
+// in 8-record chunks from its input's pool, their Seqs implied by the queue
 // position, so what the inputs hold follows their backlog, not N² private
 // high-water marks, and an empty switch holds none. nextAt is the price
 // of a selection that is one AND and one find-first-set per word. An O(N²)
@@ -76,8 +79,25 @@ type Switch struct {
 	rr    []int // per-input round-robin tie-break pointer
 	mid   *midstage.Stage
 	inBuf int
-	reseq *stats.Resequencer
-	pacer *stats.Pacer
+
+	// The output side (see Step): a resequencing window per flow and a
+	// pacing FIFO per output, of releases waiting for the output's line.
+	flows   []reseqFlow                    // flow i*n+j
+	paced   []queue.FIFO[queue.PortRecord] // output j's, Port = In
+	held    int                            // packets in the windows
+	maxHeld int                            // high-water mark of held: the O(N²) bound, measured
+	pacing  int                            // packets in the pacing FIFOs
+}
+
+// reseqFlow is one flow's resequencing window. A held packet with Seq s
+// waits as its arrival slot at win[s & (len(win)-1)], -1 marking a free
+// slot; every held s lies in (next, next+len(win)), so distinct held packets
+// never share a slot and a slot's index gives its s back. A flow that never
+// ran ahead of itself has no window; one that did keeps a window as large as
+// its largest displacement, so a warmed-up switch allocates nothing here.
+type reseqFlow struct {
+	next uint64 // Seq to release next
+	win  []sim.Slot
 }
 
 // New builds an n-port FOFF switch.
@@ -96,6 +116,8 @@ func New(n int) *Switch {
 		pref:     make([]uint64, w),
 		rr:       make([]int, n),
 		mid:      midstage.New(n),
+		flows:    make([]reseqFlow, n*n),
+		paced:    make([]queue.FIFO[queue.PortRecord], n),
 	}
 	// No VOQ has sent anything: every next port is 0.
 	for i := 0; i < n; i++ {
@@ -104,8 +126,6 @@ func New(n int) *Switch {
 			queue.SetBit(at, j)
 		}
 	}
-	s.pacer = stats.NewPacer(n)
-	s.reseq = stats.NewResequencer(n, s.pacer)
 	return s
 }
 
@@ -116,14 +136,10 @@ func (s *Switch) N() int { return s.n }
 func (s *Switch) Now() sim.Slot { return s.t }
 
 // Backlog implements sim.Switch: input VOQs, center stage, the output
-// resequencing buffers, and releases waiting for an output line slot.
+// resequencing windows, and releases waiting for an output line slot.
 func (s *Switch) Backlog() int {
-	return s.inBuf + s.mid.Backlog() + s.reseq.Held() + s.pacer.Held()
+	return s.inBuf + s.mid.Backlog() + s.held + s.pacing
 }
-
-// MaxResequencerOccupancy reports the high-water mark of the output
-// reordering buffers (the empirical counterpart of FOFF's O(N^2) bound).
-func (s *Switch) MaxResequencerOccupancy() int { return s.reseq.MaxHeld() }
 
 // Arrive implements sim.Switch.
 func (s *Switch) Arrive(p sim.Packet) {
@@ -139,14 +155,22 @@ func (s *Switch) Arrive(p sim.Packet) {
 	s.inBuf++
 }
 
-// Step implements sim.Switch. Center-stage departures flow through the
-// resequencer into the per-output pacer; the pacer then emits at most one
-// in-order packet per output for this slot, so the delivered stream
-// respects both flow order and the output line rate.
+// Step implements sim.Switch. Output j takes the head of its queue at
+// intermediate port IntermediateFor(j, t), puts it through the flow's
+// resequencing window, and sends at most one packet, the oldest release it
+// has not sent, so the delivered stream respects both flow order and the
+// output line rate. An output takes at most one center-stage packet a slot
+// and its windows and FIFO are its own, so serving the outputs in turn
+// delivers what one stage-wide pass, then one pass over the outputs, would.
 func (s *Switch) Step(deliver sim.DeliverFunc) {
 	t := s.t
-	s.mid.Step(t, func(d sim.Delivery) { s.reseq.Observe(d) })
-	s.pacer.Drain(t, deliver)
+	l := sim.IntermediateFor(0, t, s.n) // output j reads port l = (j + t) mod n
+	for j := 0; j < s.n; j++ {
+		s.output(j, l, t, deliver)
+		if l++; l == s.n {
+			l = 0
+		}
+	}
 	for i := 0; i < s.n; i++ {
 		l := sim.FirstStage(i, t, s.n)
 		if j := s.pick(i, l); j >= 0 {
@@ -154,6 +178,83 @@ func (s *Switch) Step(deliver sim.DeliverFunc) {
 		}
 	}
 	s.t++
+}
+
+// output runs output j's side of slot t, reading intermediate port l. A
+// packet that comes in order is released with every held successor of its
+// flow; the first release goes straight out when nothing released earlier
+// is still waiting for the line, and the rest queue for later slots.
+func (s *Switch) output(j, l int, t sim.Slot, deliver sim.DeliverFunc) {
+	fifo := &s.paced[j]
+	sent := false
+	if p, ok := s.mid.Take(l, j); ok {
+		f := &s.flows[int(p.In)*s.n+j]
+		switch {
+		case p.Seq > f.next:
+			s.hold(f, p)
+		case p.Seq < f.next:
+			panic("foff: a flow delivered one Seq twice")
+		default:
+			if fifo.Empty() {
+				sent = true
+				if deliver != nil {
+					deliver(sim.Delivery{Packet: p, Depart: t})
+				}
+			} else {
+				fifo.Push(queue.PortRecord{Seq: p.Seq, Arrival: p.Arrival, Port: p.In})
+				s.pacing++
+			}
+			f.next++
+			for len(f.win) > 0 {
+				h := &f.win[f.next&uint64(len(f.win)-1)]
+				if *h < 0 {
+					break
+				}
+				fifo.Push(queue.PortRecord{Seq: f.next, Arrival: *h, Port: p.In})
+				*h = -1
+				f.next++
+				s.held--
+				s.pacing++
+			}
+		}
+	}
+	if !sent && !fifo.Empty() {
+		r := fifo.Pop()
+		s.pacing--
+		if deliver != nil {
+			deliver(sim.Delivery{Packet: sim.Packet{Seq: r.Seq, Arrival: r.Arrival, In: r.Port, Out: int32(j)}, Depart: t})
+		}
+	}
+}
+
+// hold files p, which came ahead of its flow's next Seq, in the flow's
+// window, growing the window to a power of two above p's displacement.
+func (s *Switch) hold(f *reseqFlow, p sim.Packet) {
+	if ahead := p.Seq - f.next; ahead >= uint64(len(f.win)) {
+		size := uint64(8)
+		for size <= ahead {
+			size *= 2
+		}
+		win := make([]sim.Slot, size)
+		for k := range win {
+			win[k] = -1
+		}
+		old := uint64(len(f.win))
+		for k, a := range f.win {
+			if a >= 0 {
+				seq := f.next + ((uint64(k) - f.next) & (old - 1))
+				win[seq&(size-1)] = a
+			}
+		}
+		f.win = win
+	}
+	h := &f.win[p.Seq&uint64(len(f.win)-1)]
+	if *h >= 0 {
+		panic("foff: a flow delivered one Seq twice")
+	}
+	*h = p.Arrival
+	s.held++
+	s.maxHeld = max(s.maxHeld, s.held)
 }
 
 // pick chooses the VOQ input i serves while connected to intermediate port

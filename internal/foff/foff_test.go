@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"sprinklers/internal/sim"
 	"sprinklers/internal/stats"
@@ -61,7 +62,7 @@ func TestResequencerBoundedByN2(t *testing.T) {
 	m := traffic.Uniform(n, 0.95)
 	sw := New(n)
 	switchtest.Run(sw, m, 150000, 31)
-	if occ := sw.MaxResequencerOccupancy(); occ > 4*n*n {
+	if occ := sw.maxHeld; occ > 4*n*n {
 		t.Fatalf("resequencer occupancy %d exceeds 4*N^2 = %d", occ, 4*n*n)
 	}
 }
@@ -155,13 +156,21 @@ func TestBurstyArrivalsStillOrdered(t *testing.T) {
 }
 
 // refScheduler is the O(N)-per-input round-robin scan that the switch's bit
-// sets replaced, kept as the picker's oracle. It reads only the queues: a
+// sets replaced, kept as the picker's oracle, beside the output side as
+// first written (refResequencer into refPacer). It reads only the queues: a
 // VOQ's next port is its head packet's flow sequence number mod N (the k-th
 // packet of a flow traverses port k mod N), and which VOQs are inside a full
 // ordered frame it tracks in its own table.
 type refScheduler struct {
 	full      []bool // VOQ i*n+j is inside a full ordered frame
 	preferred int    // picks that full-frame priority decided
+	reseq     *refResequencer
+	pacer     *refPacer
+}
+
+func newRefScheduler(n int) *refScheduler {
+	pacer := newRefPacer(n)
+	return &refScheduler{full: make([]bool, n*n), reseq: newRefResequencer(n, pacer), pacer: pacer}
 }
 
 // classOf ranks a VOQ for service priority: 2 = inside a full ordered
@@ -204,11 +213,12 @@ func (r *refScheduler) pick(s *Switch, i, l int) int {
 	return pick
 }
 
-// step is Switch.Step with the reference pick in place of Switch.pick.
+// step is Switch.Step with the reference output side and the reference
+// pick in place of Switch.output and Switch.pick.
 func (r *refScheduler) step(s *Switch, deliver sim.DeliverFunc) {
 	t := s.t
-	s.mid.Step(t, func(d sim.Delivery) { s.reseq.Observe(d) })
-	s.pacer.Drain(t, deliver)
+	s.mid.Step(t, r.reseq.Observe)
+	r.pacer.Drain(t, deliver)
 	for i := 0; i < s.n; i++ {
 		l := sim.FirstStage(i, t, s.n)
 		j := r.pick(s, i, l)
@@ -228,13 +238,17 @@ func (r *refScheduler) step(s *Switch, deliver sim.DeliverFunc) {
 }
 
 // TestPickMatchesReferenceScan drives identical seeded arrivals through a
-// switch scheduled by the reference scan and one scheduled by the bit sets,
-// at sizes on both sides of the one- and two-word boundaries: the two must
-// deliver the same packets in the same slots.
+// switch scheduled by the reference scan and output side and one scheduled
+// by the bit sets and per-output windows, at sizes on both sides of the one-
+// and two-word boundaries: the two must deliver the same packets in the same
+// slots and end with the same backlog. (Their resequencing high-water marks
+// differ by a little: each counts within a slot, and the reference files a
+// slot's packets in port order, the switch in output order.)
 func TestPickMatchesReferenceScan(t *testing.T) {
 	type delivered struct {
 		in, out int32
 		seq     uint64
+		arrival sim.Slot
 		depart  sim.Slot
 	}
 	sources := map[string]func(m *traffic.Matrix, seed int64) sim.Source{
@@ -252,23 +266,25 @@ func TestPickMatchesReferenceScan(t *testing.T) {
 				// form even at N = 130, and the rest spread over all.
 				m := traffic.Hotspot(n, 0.95, 0.5)
 				const slots = 4000
-				run := func(step func(*Switch, sim.DeliverFunc)) []delivered {
+				run := func(step func(*Switch, sim.DeliverFunc)) (*Switch, []delivered) {
 					sw, src := New(n), newSource(m, int64(n))
 					var trace []delivered
 					deliver := func(d sim.Delivery) {
-						trace = append(trace, delivered{d.Packet.In, d.Packet.Out, d.Packet.Seq, d.Depart})
+						p := d.Packet
+						trace = append(trace, delivered{p.In, p.Out, p.Seq, p.Arrival, d.Depart})
 					}
 					for sw.Now() < slots {
 						src.Next(sw.Now(), sw.Arrive)
 						step(sw, deliver)
 					}
-					return trace
+					return sw, trace
 				}
-				ref := &refScheduler{full: make([]bool, n*n)}
-				want := run(ref.step)
-				got := run((*Switch).Step)
-				if len(want) == 0 || ref.preferred == 0 {
-					t.Fatalf("reference delivered %d packets, %d picks decided by priority: the workload does not exercise the picker", len(want), ref.preferred)
+				ref := newRefScheduler(n)
+				refSw, want := run(ref.step)
+				sw, got := run((*Switch).Step)
+				if len(want) == 0 || ref.preferred == 0 || ref.reseq.MaxHeld() == 0 {
+					t.Fatalf("reference delivered %d packets, %d picks decided by priority, held at most %d: the workload does not exercise the switch",
+						len(want), ref.preferred, ref.reseq.MaxHeld())
 				}
 				if len(got) != len(want) {
 					t.Fatalf("delivered %d packets, reference %d", len(got), len(want))
@@ -278,7 +294,11 @@ func TestPickMatchesReferenceScan(t *testing.T) {
 						t.Fatalf("delivery %d: %+v, reference %+v", k, got[k], want[k])
 					}
 				}
-				t.Logf("%d deliveries, %d priority picks", len(want), ref.preferred)
+				refBacklog := refSw.inBuf + refSw.mid.Backlog() + ref.reseq.Held() + ref.pacer.Held()
+				if b := sw.Backlog(); b != refBacklog {
+					t.Errorf("final backlog %d, reference %d", b, refBacklog)
+				}
+				t.Logf("%d deliveries, %d priority picks, %d held at most", len(want), ref.preferred, sw.maxHeld)
 			})
 		}
 	}
@@ -305,7 +325,7 @@ func TestFOFFSteadyState(t *testing.T) {
 	for sw.Now() < 40*n*n {
 		step()
 	}
-	if sw.MaxResequencerOccupancy() == 0 {
+	if sw.maxHeld == 0 {
 		t.Fatal("nothing was ever resequenced: the run does not exercise the windows")
 	}
 	const run = 128
@@ -315,5 +335,21 @@ func TestFOFFSteadyState(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("steady state allocated %v times per %d slots", allocs, run)
+	}
+}
+
+// TestBufferLayout pins FOFF's output side: a held packet is its 8-byte
+// arrival slot in its flow's window, where it was a 48-byte delivery, and a
+// packet waiting for its output's line is a 24-byte record, where it was a
+// 40-byte delivery. TestBufferLayout in internal/queue pins the center
+// stage's node.
+func TestBufferLayout(t *testing.T) {
+	var s Switch
+	var f reseqFlow
+	if got := unsafe.Sizeof(f.win[0]); got != 8 {
+		t.Errorf("a resequencing window slot is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(s.paced[0].Peek()); got != 24 {
+		t.Errorf("a pacing FIFO record is %d bytes, want 24", got)
 	}
 }

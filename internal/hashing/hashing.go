@@ -8,6 +8,11 @@
 // a port and the switch loses throughput. The test suite and the ablation
 // benches demonstrate the instability under admissible traffic that
 // Sprinklers handles comfortably.
+//
+// Neither stage buffers a whole packet: an input's queue per intermediate
+// port mixes the outputs hashed to that port, so it holds 24-byte
+// queue.PortRecords of Seq, Arrival and Out, and the center stage
+// (midstage.Stage) holds them with In in Out's place.
 package hashing
 
 import (
@@ -25,8 +30,9 @@ type Switch struct {
 	hash [][]int // hash[i][j]: intermediate port for VOQ (i,j)
 	// inputs[i][l]: packets at input i bound for intermediate l. Several
 	// outputs hash to one port, so a queue's index does not give Out and the
-	// queue holds whole packets, not queue.RecordFIFO records.
-	inputs [][]queue.FIFO[sim.Packet]
+	// queue holds queue.PortRecords (Seq, Arrival, Out), not RecordFIFO
+	// records.
+	inputs [][]queue.FIFO[queue.PortRecord]
 	mid    *midstage.Stage
 	inBuf  int // packets at the input side
 }
@@ -38,7 +44,7 @@ func New(n int, rng *rand.Rand) *Switch {
 	s := &Switch{
 		n:      n,
 		hash:   make([][]int, n),
-		inputs: make([][]queue.FIFO[sim.Packet], n),
+		inputs: make([][]queue.FIFO[queue.PortRecord], n),
 		mid:    midstage.New(n),
 	}
 	for i := 0; i < n; i++ {
@@ -46,7 +52,7 @@ func New(n int, rng *rand.Rand) *Switch {
 		for j := range s.hash[i] {
 			s.hash[i][j] = rng.Intn(n)
 		}
-		s.inputs[i] = make([]queue.FIFO[sim.Packet], n)
+		s.inputs[i] = make([]queue.FIFO[queue.PortRecord], n)
 	}
 	return s
 }
@@ -66,7 +72,7 @@ func (s *Switch) Backlog() int { return s.inBuf + s.mid.Backlog() }
 
 // Arrive implements sim.Switch.
 func (s *Switch) Arrive(p sim.Packet) {
-	s.inputs[p.In][s.hash[p.In][p.Out]].Push(p)
+	s.inputs[p.In][s.hash[p.In][p.Out]].Push(queue.PortRecord{Seq: p.Seq, Arrival: p.Arrival, Port: p.Out})
 	s.inBuf++
 }
 
@@ -78,7 +84,8 @@ func (s *Switch) Step(deliver sim.DeliverFunc) {
 		l := sim.FirstStage(i, t, s.n)
 		if q := &s.inputs[i][l]; !q.Empty() {
 			s.inBuf--
-			s.mid.Enqueue(l, q.Pop())
+			r := q.Pop()
+			s.mid.Enqueue(l, sim.Packet{Seq: r.Seq, Arrival: r.Arrival, In: int32(i), Out: r.Port})
 		}
 	}
 	s.t++

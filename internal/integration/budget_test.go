@@ -8,33 +8,41 @@ import (
 )
 
 // TestVOQBytesBudget bounds what one Fig. 6 point allocates (uniform 0.9,
-// 2 000 + 10 000 slots, seed 1) for every architecture that buffers its VOQs
-// as queue.RecordFIFOs, so that neither a private ring per VOQ nor a record
-// that stores a packet ID again can come back unnoticed. Measured, bytes of
-// runtime.MemStats.TotalAlloc around RunPoint (the ring column with 40-byte
-// packets):
+// 2 000 + 10 000 slots, seed 1) for every architecture, so that neither a
+// private ring per VOQ, nor a VOQ record that stores a packet ID again, nor
+// a whole packet in a buffer past the VOQs can come back unnoticed.
+// Measured, bytes of runtime.MemStats.TotalAlloc around RunPoint; the first
+// three columns hold whole packets past the VOQs, the fourth queue.PortRecords
+// in the center stage, the load-balanced and hashing input queues and FOFF's
+// pacing FIFOs, and 8-byte arrival slots in FOFF's resequencing windows:
 //
-//	                 a packet ring   16-byte records   8-byte records     budget
-//	ufs         N=32     6 591 384           906 336          582 496    640 000
-//	pf          N=32     7 323 872           958 360          612 760    675 000
-//	foff        N=32     5 007 176         2 986 696        2 435 080  2 680 000
-//	cms         N=32                         810 456          641 384    710 000
-//	sprinklers  N=64                       6 918 176        4 482 232  4 930 000
+//	                     VOQs as     16-byte VOQ     8-byte VOQ    records past
+//	                 packet rings        records        records        the VOQs      budget
+//	load-balanced N=32                                  790 904         657 400     723 000
+//	tcp-hashing   N=32                               17 286 200      13 277 224  14 600 000
+//	ufs           N=32  6 591 384        906 336        582 496         582 480     640 000
+//	pf            N=32  7 323 872        958 360        612 760         612 760     675 000
+//	foff          N=32  5 007 176      2 986 696      2 435 080       1 267 336   1 395 000
+//	cms           N=32                   810 456        641 384         624 616     710 000
+//	sprinklers    N=64                 6 918 176      4 482 232       4 482 624   4 930 000
 //
-// Each budget is about 1.1 times the 8-byte figure, which every 16-byte
-// figure exceeds. FOFF's by the least: most of its figure is the
-// resequencer's per-flow windows and the center-stage bank, so its budget
-// is the loosest check on the records. The test runs no subtest in
-// parallel, so nothing else allocates meanwhile.
+// Each budget is about 1.1 times the last figure (CMS's 1.14), which every
+// figure before it exceeds; UFS, PF and Sprinklers keep no packet past their
+// VOQs, so their last two columns agree. The load-balanced and hashing
+// switches have no VOQs: their third column is whole packets in their input
+// queues and center stage. The test runs no subtest in parallel, so nothing
+// else allocates meanwhile.
 func TestVOQBytesBudget(t *testing.T) {
 	for _, c := range []struct {
 		alg    experiment.Algorithm
 		n      int
 		budget uint64
 	}{
+		{experiment.LoadBalanced, 32, 723_000},
+		{experiment.TCPHashing, 32, 14_600_000},
 		{experiment.UFS, 32, 640_000},
 		{experiment.PF, 32, 675_000},
-		{experiment.FOFF, 32, 2_680_000},
+		{experiment.FOFF, 32, 1_395_000},
 		{experiment.CMS, 32, 710_000},
 		{experiment.Sprinklers, 64, 4_930_000},
 	} {

@@ -52,3 +52,25 @@ func TestStepReturnsRemovedCount(t *testing.T) {
 		t.Fatalf("removed %d, want 2", got)
 	}
 }
+
+// TestTakeRebuildsPacket: a queued packet is a record of Seq, Arrival and
+// In; Take gives it back whole, Out from the queue's index, and only from
+// that queue.
+func TestTakeRebuildsPacket(t *testing.T) {
+	s := New(4)
+	p := sim.Packet{Seq: 7, Arrival: 41, In: 3, Out: 2}
+	s.Enqueue(1, p)
+	if _, ok := s.Take(1, 3); ok {
+		t.Fatal("Take returned a packet from another output's queue")
+	}
+	if _, ok := s.Take(2, 2); ok {
+		t.Fatal("Take returned a packet from another port's queue")
+	}
+	got, ok := s.Take(1, 2)
+	if !ok || got != p {
+		t.Fatalf("Take = %+v, %v; want %+v", got, ok, p)
+	}
+	if _, ok := s.Take(1, 2); ok || s.Backlog() != 0 {
+		t.Fatalf("stage still holds %d packets after its one was taken", s.Backlog())
+	}
+}

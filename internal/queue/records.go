@@ -24,6 +24,17 @@ func (r Record) Packet(seq uint64, in, out int) sim.Packet {
 	return sim.Packet{Seq: seq, Arrival: r.Arrival, In: int32(in), Out: int32(out)}
 }
 
+// PortRecord is a packet in a queue whose index names only one of its ports:
+// a center-stage queue per (port, output) names Out, and an input queue that
+// mixes outputs names In. Neither can derive Seq from the queue position, so
+// the record keeps Seq, Arrival and the port the index does not name, 24
+// bytes, and the switch rebuilds the packet where it takes the record out.
+type PortRecord struct {
+	Seq     uint64
+	Arrival sim.Slot
+	Port    int32
+}
+
 // chunkRecords is the fixed capacity of a chunk. Eight 8-byte records and
 // the link make a 72-byte chunk, under a third of the smallest ring a FIFO of
 // packets would allocate (8 × 32 B), so a switch of small N pays little for a
@@ -84,8 +95,8 @@ func (p *RecordPool) put(c *chunk) {
 // empty.
 //
 // The one-queue-per-input baseline and the hashing switch (queues keyed by
-// intermediate port, outputs mixed) keep a FIFO of whole packets: their index
-// does not say where a packet is going.
+// intermediate port, outputs mixed) keep a FIFO of PortRecords instead: their
+// index does not say where a packet is going, nor give its Seq.
 type RecordFIFO struct {
 	head, tail *chunk
 	headSeq    uint64 // Seq of the head record

@@ -3,6 +3,7 @@ package queue
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"sprinklers/internal/sim"
 )
@@ -214,5 +215,19 @@ func TestVOQQueueModel(t *testing.T) {
 		for v := range m.qs {
 			m.pop(v, len(m.model[v]))
 		}
+	}
+}
+
+// TestBufferLayout pins what a packet costs in a queue whose index names one
+// of its ports: a PortRecord is 24 bytes (the baseline's and the hashing
+// switch's input queues, FOFF's pacing FIFOs), and in the center stage's
+// Bank it is a node of at most 32. A whole sim.Packet there was 40.
+// TestBufferLayout in internal/foff pins FOFF's resequencing window slot.
+func TestBufferLayout(t *testing.T) {
+	if got := unsafe.Sizeof(PortRecord{}); got != 24 {
+		t.Errorf("PortRecord is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(node[PortRecord]{}); got > 32 {
+		t.Errorf("a center-stage Bank node is %d bytes, want at most 32", got)
 	}
 }

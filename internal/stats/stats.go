@@ -1,6 +1,5 @@
 // Package stats provides measurement instruments for switch simulations:
-// delay statistics, per-flow reordering detection, and the output
-// resequencing buffer required by FOFF.
+// delay statistics and per-flow reordering detection.
 package stats
 
 import (
@@ -185,111 +184,6 @@ func (m Multi) Observe(d sim.Delivery) {
 		}
 	}
 }
-
-// Resequencer restores per-flow packet order at the switch outputs. FOFF
-// delivers packets up to O(N^2) positions out of order; the resequencer
-// holds early packets until all predecessors have been released, exactly
-// like the per-output reordering buffers of Sec. 2.2. Delay is charged up to
-// the release slot, so resequencing latency is part of the measured delay.
-//
-// State is one flat slice over the N² flows (40 bytes each, allocated up
-// front) and, for a flow that has ever run ahead of itself, a ring window
-// that grows to the flow's largest displacement and is then reused, so a
-// warmed-up resequencer allocates nothing.
-type Resequencer struct {
-	n       int
-	flows   []reseqFlow // flow in*n+out
-	out     sim.Observer
-	maxHold int
-	held    int
-}
-
-// reseqFlow is one flow's reordering buffer. A held packet with sequence
-// number s sits at win[s & (len(win)-1)]; every held s lies in
-// (next, next+len(win)), so distinct held packets never share a slot.
-type reseqFlow struct {
-	next uint64 // sequence number to release next
-	held int    // occupied slots of win
-	win  []reseqSlot
-}
-
-type reseqSlot struct {
-	d  sim.Delivery
-	ok bool
-}
-
-// NewResequencer wraps out so that it sees every flow's packets of an
-// n-port switch in sequence order, each stamped with the slot at which the
-// resequencer released it.
-func NewResequencer(n int, out sim.Observer) *Resequencer {
-	return &Resequencer{n: n, flows: make([]reseqFlow, n*n), out: out}
-}
-
-// Observe implements sim.Observer.
-func (r *Resequencer) Observe(d sim.Delivery) {
-	f := &r.flows[int(d.Packet.In)*r.n+int(d.Packet.Out)]
-	seq := d.Packet.Seq
-	switch {
-	case seq == f.next:
-		r.out.Observe(d)
-		f.next++
-		// Release any buffered successors; they depart at the slot the
-		// blocking packet arrived (they were already at the output).
-		for f.held > 0 {
-			h := &f.win[f.next&uint64(len(f.win)-1)]
-			if !h.ok {
-				break
-			}
-			h.ok = false
-			f.held--
-			r.held--
-			h.d.Depart = d.Depart
-			r.out.Observe(h.d)
-			f.next++
-		}
-	case seq > f.next:
-		if seq-f.next >= uint64(len(f.win)) {
-			f.grow(seq - f.next)
-		}
-		h := &f.win[seq&uint64(len(f.win)-1)]
-		if h.ok {
-			panic("stats: resequencer saw a duplicate sequence number")
-		}
-		h.d, h.ok = d, true
-		f.held++
-		r.held++
-		if r.held > r.maxHold {
-			r.maxHold = r.held
-		}
-	default:
-		// Duplicate or already released: drop. Cannot happen with the
-		// switches in this repository.
-		panic("stats: resequencer saw a duplicate sequence number")
-	}
-}
-
-// grow reallocates the window to a power of two above ahead, the distance
-// of the packet about to be held from f.next, and re-files what it holds.
-func (f *reseqFlow) grow(ahead uint64) {
-	size := uint64(8)
-	for size <= ahead {
-		size *= 2
-	}
-	win := make([]reseqSlot, size)
-	for _, h := range f.win {
-		if h.ok {
-			win[h.d.Packet.Seq&(size-1)] = h
-		}
-	}
-	f.win = win
-}
-
-// Held returns the number of packets currently buffered.
-func (r *Resequencer) Held() int { return r.held }
-
-// MaxHeld returns the high-water mark of the buffer, the empirical analogue
-// of FOFF's O(N^2) reordering-buffer bound.
-func (r *Resequencer) MaxHeld() int { return r.maxHold }
 
 // Quantiles returns the q-quantiles of xs (a small helper for reports).
 func Quantiles(xs []float64, qs ...float64) []float64 {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"sprinklers/internal/sim"
 )
@@ -114,135 +113,6 @@ func TestReorderInOrderStreamClean(t *testing.T) {
 	}
 	if r.Reordered() != 0 {
 		t.Fatal("in-order stream flagged")
-	}
-}
-
-// TestResequencerRestoresOrder: feed a flow's packets in an arbitrary
-// permutation; the output must see them in sequence order, with release
-// times never before delivery times.
-func TestResequencerRestoresOrder(t *testing.T) {
-	f := func(permSeed int64, kRaw uint8) bool {
-		k := int(kRaw)%40 + 1
-		perm := rand.New(rand.NewSource(permSeed)).Perm(k)
-		var got []uint64
-		var lastDepart sim.Slot
-		rs := NewResequencer(2, sim.ObserverFunc(func(d sim.Delivery) {
-			got = append(got, d.Packet.Seq)
-			if d.Depart < lastDepart {
-				return // release times must be monotone; flag via length check below
-			}
-			lastDepart = d.Depart
-		}))
-		for i, seq := range perm {
-			rs.Observe(sim.Delivery{
-				Packet: sim.Packet{In: 0, Out: 0, Seq: uint64(seq)},
-				Depart: sim.Slot(i),
-			})
-		}
-		if len(got) != k || rs.Held() != 0 {
-			return false
-		}
-		for i, seq := range got {
-			if seq != uint64(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestResequencerChargesWaitToDelay(t *testing.T) {
-	var releases []sim.Delivery
-	rs := NewResequencer(2, sim.ObserverFunc(func(d sim.Delivery) {
-		releases = append(releases, d)
-	}))
-	// Seq 1 arrives at slot 10, seq 0 at slot 50: seq 1 must be released
-	// at slot 50.
-	rs.Observe(sim.Delivery{Packet: sim.Packet{Seq: 1}, Depart: 10})
-	rs.Observe(sim.Delivery{Packet: sim.Packet{Seq: 0}, Depart: 50})
-	if len(releases) != 2 {
-		t.Fatalf("%d releases", len(releases))
-	}
-	if releases[0].Packet.Seq != 0 || releases[1].Packet.Seq != 1 {
-		t.Fatal("release order wrong")
-	}
-	if releases[1].Depart != 50 {
-		t.Fatalf("held packet released at %d, want 50", releases[1].Depart)
-	}
-	if rs.MaxHeld() != 1 {
-		t.Fatalf("MaxHeld = %d", rs.MaxHeld())
-	}
-}
-
-func TestResequencerIndependentFlows(t *testing.T) {
-	var count int
-	rs := NewResequencer(2, sim.ObserverFunc(func(sim.Delivery) { count++ }))
-	// Flow (0,0) is blocked on seq 0, but flow (1,1) flows through.
-	rs.Observe(sim.Delivery{Packet: sim.Packet{In: 0, Out: 0, Seq: 1}, Depart: 1})
-	rs.Observe(sim.Delivery{Packet: sim.Packet{In: 1, Out: 1, Seq: 0}, Depart: 2})
-	if count != 1 {
-		t.Fatalf("%d releases, want 1", count)
-	}
-}
-
-func TestResequencerDuplicatePanics(t *testing.T) {
-	rs := NewResequencer(2, sim.ObserverFunc(func(sim.Delivery) {}))
-	rs.Observe(sim.Delivery{Packet: sim.Packet{Seq: 0}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	rs.Observe(sim.Delivery{Packet: sim.Packet{Seq: 0}})
-}
-
-// TestResequencerFlowsAndReuse interleaves every flow of a 3-port switch,
-// each delivering blocks of 12 packets in its own scrambled order: flows
-// (i, j) and (j, i) must not share state, every flow must come out in
-// sequence, and once each flow's window has grown to its displacement,
-// further blocks allocate nothing.
-func TestResequencerFlowsAndReuse(t *testing.T) {
-	const n, block = 3, 12
-	var next [n][n]uint64
-	rs := NewResequencer(n, sim.ObserverFunc(func(d sim.Delivery) {
-		in, out := d.Packet.In, d.Packet.Out
-		if d.Packet.Seq != next[in][out] {
-			t.Fatalf("flow (%d,%d) released seq %d, want %d", in, out, d.Packet.Seq, next[in][out])
-		}
-		next[in][out]++
-	}))
-	rng := rand.New(rand.NewSource(5))
-	var perm [n][n][]int
-	for i := range perm {
-		for j := range perm[i] {
-			perm[i][j] = rng.Perm(block)
-		}
-	}
-	var base uint64
-	var now sim.Slot
-	feedBlock := func() {
-		for k := 0; k < block; k++ {
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					rs.Observe(sim.Delivery{
-						Packet: sim.Packet{In: int32(i), Out: int32(j), Seq: base + uint64(perm[i][j][k])},
-						Depart: now,
-					})
-				}
-			}
-			now++
-		}
-		base += block
-	}
-	feedBlock()
-	if rs.Held() != 0 || rs.MaxHeld() == 0 || next[0][1] != block || next[1][0] != block {
-		t.Fatalf("after one block: held %d, max held %d, released %v", rs.Held(), rs.MaxHeld(), next)
-	}
-	if allocs := testing.AllocsPerRun(10, feedBlock); allocs != 0 {
-		t.Fatalf("warmed-up resequencer allocated %v times per block", allocs)
 	}
 }
 
