@@ -339,17 +339,16 @@ func TestFOFFSteadyState(t *testing.T) {
 }
 
 // TestBufferLayout pins FOFF's output side: a held packet is its 8-byte
-// arrival slot in its flow's window, where it was a 48-byte delivery, and a
-// packet waiting for its output's line is a 24-byte record, where it was a
-// 40-byte delivery. TestBufferLayout in internal/queue pins the center
-// stage's node.
+// arrival slot in its flow's window, and a packet waiting for its output's
+// line is a 24-byte record, so a whole sim.Delivery (40 bytes) in either
+// fails it. TestBufferLayout in internal/queue pins the center stage's node.
 func TestBufferLayout(t *testing.T) {
 	var s Switch
 	var f reseqFlow
 	if got := unsafe.Sizeof(f.win[0]); got != 8 {
 		t.Errorf("a resequencing window slot is %d bytes, want 8", got)
 	}
-	if got := unsafe.Sizeof(s.paced[0].Peek()); got != 24 {
+	if got := unsafe.Sizeof(s.paced[0].Pop()); got != 24 {
 		t.Errorf("a pacing FIFO record is %d bytes, want 24", got)
 	}
 }

@@ -221,7 +221,7 @@ func TestVOQQueueModel(t *testing.T) {
 // TestBufferLayout pins what a packet costs in a queue whose index names one
 // of its ports: a PortRecord is 24 bytes (the baseline's and the hashing
 // switch's input queues, FOFF's pacing FIFOs), and in the center stage's
-// Bank it is a node of at most 32. A whole sim.Packet there was 40.
+// Bank it is a node of at most 32, which a whole sim.Packet's (40) is not.
 // TestBufferLayout in internal/foff pins FOFF's resequencing window slot.
 func TestBufferLayout(t *testing.T) {
 	if got := unsafe.Sizeof(PortRecord{}); got != 24 {
