@@ -50,7 +50,7 @@ func TestDelayLowerBound(t *testing.T) {
 // checks the detector wiring end to end on a deterministic trace.
 func TestSingleFlowTrace(t *testing.T) {
 	sw := New(4)
-	tr := traffic.NewTrace(4)
+	tr := switchtest.NewTrace(4)
 	for k := 0; k < 40; k++ {
 		tr.Add(sim.Slot(k), 0, 2)
 	}

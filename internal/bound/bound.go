@@ -2,7 +2,7 @@
 // Sec. 4: Theorem 1's deterministic feasibility threshold and the Theorem 2
 // + Chernoff upper bound on the probability that a single
 // (input, intermediate)-port queue of a Sprinklers switch is overloaded.
-// It regenerates Table 1 of the paper.
+// `sweep -builtin table1` renders Table 1 of the paper from it.
 //
 // The chain of inequalities being evaluated is
 //
@@ -25,15 +25,15 @@ import (
 	"math"
 )
 
-// H computes h(p, a) = p e^{a(1-p)} + (1-p) e^{-ap}, the MGF of a centered
+// h computes h(p, a) = p e^{a(1-p)} + (1-p) e^{-ap}, the MGF of a centered
 // Bernoulli(p) random variable scaled by a (Theorem 2).
-func H(p, a float64) float64 {
+func h(p, a float64) float64 {
 	return p*math.Exp(a*(1-p)) + (1-p)*math.Exp(-a*p)
 }
 
-// PStar computes p*(a) = (e^a - 1 - a) / (a e^a - a), the maximizer of
+// pStar computes p*(a) = (e^a - 1 - a) / (a e^a - a), the maximizer of
 // h(., a) (Theorem 2). For a -> 0 it tends to 1/2.
-func PStar(a float64) float64 {
+func pStar(a float64) float64 {
 	if a < 1e-8 {
 		// Series expansion: p*(a) = 1/2 - a/24 + O(a^2)... the limit
 		// suffices at this magnitude.
@@ -62,7 +62,7 @@ func LogQueueOverload(n int, rho float64) float64 {
 	nn := float64(n)
 	// exponent(a) = N * [ (1/2) ln h(p*(a), a) - a (1 - rho) ].
 	exponent := func(a float64) float64 {
-		return nn * (0.5*math.Log(H(PStar(a), a)) - a*(1-rho))
+		return nn * (0.5*math.Log(h(pStar(a), a)) - a*(1-rho))
 	}
 	// Coarse scan in log space to bracket the minimum, then golden-section
 	// refinement. The objective is smooth and unimodal on a > 0.
@@ -119,36 +119,6 @@ func LogSwitchOverload(n int, rho float64) float64 {
 func SwitchOverload(n int, rho float64) float64 {
 	return math.Exp(LogSwitchOverload(n, rho))
 }
-
-// Table1Row holds one row of the paper's Table 1.
-type Table1Row struct {
-	Rho   float64
-	Ps    []float64 // per-queue overload bound, one per N
-	LogPs []float64 // natural-log values (exact even when Ps underflows)
-}
-
-// Table1 regenerates the paper's Table 1 for the given loads and switch
-// sizes. The paper uses rho in {0.90..0.97} and N in {1024, 2048, 4096}.
-func Table1(rhos []float64, ns []int) []Table1Row {
-	rows := make([]Table1Row, len(rhos))
-	for i, rho := range rhos {
-		row := Table1Row{Rho: rho}
-		for _, n := range ns {
-			lp := LogQueueOverload(n, rho)
-			row.LogPs = append(row.LogPs, lp)
-			row.Ps = append(row.Ps, math.Exp(lp))
-		}
-		rows[i] = row
-	}
-	return rows
-}
-
-// PaperTable1Rhos and PaperTable1Ns are the parameter grids of the printed
-// table.
-var (
-	PaperTable1Rhos = []float64{0.90, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97}
-	PaperTable1Ns   = []int{1024, 2048, 4096}
-)
 
 // FormatLog renders e^lp in scientific notation straight from the natural-log
 // value, so bounds far below float64's underflow threshold print exactly (the

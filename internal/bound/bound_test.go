@@ -8,12 +8,12 @@ import (
 func TestHBasics(t *testing.T) {
 	// h(p, 0) = 1 for any p; h(0, a) = 1; h(1, a) = 1.
 	for _, p := range []float64{0, 0.3, 0.5, 1} {
-		if math.Abs(H(p, 0)-1) > 1e-12 {
-			t.Errorf("H(%v, 0) = %v", p, H(p, 0))
+		if math.Abs(h(p, 0)-1) > 1e-12 {
+			t.Errorf("h(%v, 0) = %v", p, h(p, 0))
 		}
 	}
 	for _, a := range []float64{0.5, 2, 10} {
-		if math.Abs(H(0, a)-1) > 1e-12 || math.Abs(H(1, a)-1) > 1e-12 {
+		if math.Abs(h(0, a)-1) > 1e-12 || math.Abs(h(1, a)-1) > 1e-12 {
 			t.Errorf("H at p in {0,1} should be 1 for a=%v", a)
 		}
 	}
@@ -22,22 +22,22 @@ func TestHBasics(t *testing.T) {
 // TestPStarMaximizesH: p*(a) must beat a grid of other p values.
 func TestPStarMaximizesH(t *testing.T) {
 	for _, a := range []float64{0.01, 0.1, 1, 3, 10} {
-		ps := PStar(a)
+		ps := pStar(a)
 		if ps <= 0 || ps >= 1 {
-			t.Fatalf("PStar(%v) = %v out of (0,1)", a, ps)
+			t.Fatalf("pStar(%v) = %v out of (0,1)", a, ps)
 		}
-		best := H(ps, a)
+		best := h(ps, a)
 		for p := 0.01; p < 1; p += 0.01 {
-			if H(p, a) > best+1e-9 {
-				t.Fatalf("H(%v, %v) = %v exceeds H(p*, a) = %v", p, a, H(p, a), best)
+			if h(p, a) > best+1e-9 {
+				t.Fatalf("h(%v, %v) = %v exceeds h(p*, a) = %v", p, a, h(p, a), best)
 			}
 		}
 	}
 }
 
 func TestPStarSmallALimit(t *testing.T) {
-	if math.Abs(PStar(1e-12)-0.5) > 1e-6 {
-		t.Fatalf("PStar small-a limit = %v, want 0.5", PStar(1e-12))
+	if math.Abs(pStar(1e-12)-0.5) > 1e-6 {
+		t.Fatalf("PStar small-a limit = %v, want 0.5", pStar(1e-12))
 	}
 }
 
@@ -140,18 +140,5 @@ func TestSwitchwideUnionBound(t *testing.T) {
 	// must be exactly twice the printed one.
 	if got := SwitchOverload(n, rho); math.Abs(got-2*1.298e-11)/2.6e-11 > 0.05 {
 		t.Fatalf("switch-wide bound %.3e, want 2 x paper's printed 1.30e-11", got)
-	}
-}
-
-func TestTable1Renderer(t *testing.T) {
-	rows := Table1([]float64{0.93, 0.95}, []int{1024, 2048})
-	if len(rows) != 2 || len(rows[0].Ps) != 2 {
-		t.Fatal("Table1 shape wrong")
-	}
-	if rows[0].Rho != 0.93 {
-		t.Fatal("rho order wrong")
-	}
-	if math.Exp(rows[0].LogPs[0]) != rows[0].Ps[0] {
-		t.Fatal("log/linear mismatch")
 	}
 }

@@ -93,13 +93,13 @@ type jobLine struct {
 	JobTrailer
 }
 
-// PermanentError marks a dispatch failure that retrying cannot fix (the
+// permanentError marks a dispatch failure that retrying cannot fix (the
 // worker rejected the job as invalid); the coordinator propagates it
 // instead of burning the retry budget.
-type PermanentError struct{ Err error }
+type permanentError struct{ Err error }
 
-func (e *PermanentError) Error() string { return e.Err.Error() }
-func (e *PermanentError) Unwrap() error { return e.Err }
+func (e *permanentError) Error() string { return e.Err.Error() }
+func (e *permanentError) Unwrap() error { return e.Err }
 
 // Options configures a Coordinator.
 type Options struct {
@@ -577,7 +577,7 @@ func (c *Coordinator) RunReplicas(ctx context.Context, spec experiment.Spec, key
 			dsp.Attr("worker", winner.url)
 			return l.pts, nil
 		}
-		var perm *PermanentError
+		var perm *permanentError
 		if errors.As(err, &perm) {
 			return nil, err
 		}
@@ -607,7 +607,7 @@ func (c *Coordinator) RunReplicas(ctx context.Context, spec experiment.Spec, key
 // dispatch POSTs replicas [first, first+n) of one point to a worker under
 // the lease and hands each replica line to deliver as it arrives. It
 // returns nil once the trailer arrives after all n lines. Errors are
-// transient unless wrapped in PermanentError; the replicas already
+// transient unless wrapped in permanentError; the replicas already
 // delivered stay delivered. When ctx carries trace context, a lease span
 // wraps the attempt, its ID travels in the X-Sprinklerd-Span header so
 // worker-side spans parent under it, and the spans the worker attached to
@@ -631,11 +631,11 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, spec experiment.S
 		Peers:   c.peersOf(w.url),
 	})
 	if err != nil {
-		return &PermanentError{err}
+		return &permanentError{err}
 	}
 	req, err := http.NewRequestWithContext(jctx, http.MethodPost, w.url+"/api/v1/jobs", bytes.NewReader(body))
 	if err != nil {
-		return &PermanentError{err}
+		return &permanentError{err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	trace.Inject(req.Header, lsp.SpanContext())
@@ -648,7 +648,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, spec experiment.S
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		err := fmt.Errorf("cluster: %s: %s: %s", w.url, resp.Status, strings.TrimSpace(string(msg)))
 		if resp.StatusCode/100 == 4 {
-			return &PermanentError{err}
+			return &permanentError{err}
 		}
 		return err
 	}

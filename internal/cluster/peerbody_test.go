@@ -53,7 +53,7 @@ func TestOversizedJobResponseIsTransient(t *testing.T) {
 	if err == nil {
 		t.Fatal("dispatch accepted an oversized job response")
 	}
-	var perm *PermanentError
+	var perm *permanentError
 	if errors.As(err, &perm) {
 		t.Fatalf("oversized job response = %v, want a transient error", err)
 	}

@@ -58,7 +58,7 @@ func TestOrderingBursty(t *testing.T) {
 func TestPipelineLatency(t *testing.T) {
 	const n = 8
 	sw := New(n)
-	tr := traffic.NewTrace(n)
+	tr := switchtest.NewTrace(n)
 	tr.Add(0, 2, 5)
 	var got *sim.Delivery
 	for tt := sim.Slot(0); tt < 10*n && got == nil; tt++ {

@@ -140,9 +140,6 @@ func (a *adaptiveState) beginResize(i, j, size int) {
 	a.sw.maybeFinishResize(in, v)
 }
 
-// Rate returns the current EWMA rate estimate for VOQ (i, j).
-func (a *adaptiveState) Rate(i, j int) float64 { return a.rate[i][j] }
-
 // onDelivered updates clearance bookkeeping when a packet leaves the switch.
 // The per-VOQ committed count only feeds the adaptive clearance phase, so
 // without adaptation the per-delivery VOQ access (a cache miss per packet at
@@ -189,7 +186,7 @@ func (s *Switch) Resizes() int64 {
 // returns the configured rate when adaptation is disabled.
 func (s *Switch) EstimatedRate(i, j int) float64 {
 	if s.adaptive != nil {
-		return s.adaptive.Rate(i, j)
+		return s.adaptive.rate[i][j]
 	}
 	if s.cfg.Rates != nil {
 		return s.cfg.Rates[i][j]
@@ -199,16 +196,3 @@ func (s *Switch) EstimatedRate(i, j int) float64 {
 
 // StripeSizeOf returns the current stripe size of VOQ (i, j).
 func (s *Switch) StripeSizeOf(i, j int) int { return s.inputs[i].voqs[j].iv.Size }
-
-// StripeSizeHistogram returns how many VOQs currently sit at each stripe
-// size — a one-look summary of how (adaptive) provisioning has spread the
-// switch across the dyadic sizes. Keys are the sizes in use.
-func (s *Switch) StripeSizeHistogram() map[int]int {
-	h := make(map[int]int)
-	for i := 0; i < s.n; i++ {
-		for j := 0; j < s.n; j++ {
-			h[s.inputs[i].voqs[j].iv.Size]++
-		}
-	}
-	return h
-}

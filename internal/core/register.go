@@ -12,9 +12,9 @@ import (
 // of Sec. 5 (each adaptive knob's 0 keeps the AdaptiveConfig default).
 func sprinklersOptions() registry.Schema {
 	return registry.Schema{
-		registry.String("placement", "ols",
+		registry.String("placement", PlacementOLS.String(),
 			"primary-port generation: one orthogonal Latin square, or independent per-input permutations").
-			OneOf("ols", "independent"),
+			OneOf(PlacementOLS.String(), PlacementIndependent.String()),
 		registry.Bool("adaptive", false,
 			"measure VOQ rates online and resize stripes with the Sec. 5 clearance protocol"),
 		registry.Int("adaptive-window", 0,
@@ -33,7 +33,7 @@ func newSprinklers(sched Scheduler, cfg registry.ArchConfig) (sim.Switch, error)
 		Scheduler: sched,
 		Rand:      rand.New(rand.NewSource(cfg.Seed)),
 	}
-	if cfg.Options.String("placement") == "independent" {
+	if cfg.Options.String("placement") == PlacementIndependent.String() {
 		c.Placement = PlacementIndependent
 	}
 	if cfg.Options.Bool("adaptive") {

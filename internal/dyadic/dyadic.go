@@ -29,27 +29,9 @@ func (iv Interval) String() string {
 	return fmt.Sprintf("(%d,%d]", iv.Start, iv.Start+iv.Size)
 }
 
-// Valid reports whether iv is a well-formed dyadic interval within n ports.
-func (iv Interval) Valid(n int) bool {
-	return iv.Size > 0 && iv.Size <= n &&
-		bits.OnesCount(uint(iv.Size)) == 1 &&
-		iv.Start >= 0 && iv.Start%iv.Size == 0 &&
-		iv.Start+iv.Size <= n
-}
-
 // Contains reports whether 0-based port p lies in iv.
 func (iv Interval) Contains(p int) bool {
 	return p >= iv.Start && p < iv.Start+iv.Size
-}
-
-// ContainsInterval reports whether other is entirely within iv.
-func (iv Interval) ContainsInterval(other Interval) bool {
-	return other.Start >= iv.Start && other.Start+other.Size <= iv.Start+iv.Size
-}
-
-// Overlaps reports whether the two intervals share at least one port.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Start < other.Start+other.Size && other.Start < iv.Start+iv.Size
 }
 
 // End returns the first port after the interval (Start+Size).
@@ -63,20 +45,6 @@ func Containing(p, size int) Interval {
 
 // IsPow2 reports whether v is a positive power of two.
 func IsPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
-
-// MaxSizeStartingAt returns the largest power-of-two size s <= n such that a
-// dyadic interval of size s starts at 0-based port p (i.e. s divides p).
-// For p == 0 this is n itself.
-func MaxSizeStartingAt(p, n int) int {
-	if p == 0 {
-		return n
-	}
-	s := p & -p // largest power of two dividing p
-	if s > n {
-		s = n
-	}
-	return s
-}
 
 // StripeSize implements the stripe size determination rule of Eq. 1:
 //
@@ -110,12 +78,6 @@ func StripeSize(r float64, n int) int {
 	return size
 }
 
-// LoadPerShare returns the per-intermediate-port load s = r / F(r) imposed by
-// a VOQ of rate r (the paper's "water pressure per stream").
-func LoadPerShare(r float64, n int) float64 {
-	return r / float64(StripeSize(r, n))
-}
-
 // Levels returns log2(n)+1, the number of distinct stripe sizes for an
 // n-port switch (sizes 1, 2, 4, ..., n). n must be a power of two.
 func Levels(n int) int {
@@ -133,20 +95,6 @@ func Log2(v int) int {
 	return bits.TrailingZeros(uint(v))
 }
 
-// All enumerates the 2n-1 dyadic intervals over n ports, largest first.
-func All(n int) []Interval {
-	if !IsPow2(n) {
-		panic("dyadic: N must be a power of two")
-	}
-	var out []Interval
-	for size := n; size >= 1; size /= 2 {
-		for start := 0; start < n; start += size {
-			out = append(out, Interval{Start: start, Size: size})
-		}
-	}
-	return out
-}
-
 // Index returns a dense index in [0, 2n-1) for interval iv over n ports,
 // suitable for array-backed per-interval state. Interval {0,n} maps to 0,
 // the two size n/2 intervals to 1..2, and so on down to the n size-1
@@ -155,23 +103,4 @@ func Index(iv Interval, n int) int {
 	// Intervals of size s start at offset (n/s - 1) and there are n/s of
 	// them, indexed by Start/s.
 	return n/iv.Size - 1 + iv.Start/iv.Size
-}
-
-// FromIndex inverts Index.
-func FromIndex(idx, n int) Interval {
-	if idx < 0 || idx >= 2*n-1 {
-		panic("dyadic: interval index out of range")
-	}
-	// Find the level: indices [n/s - 1, 2n/s - 1) hold the size-s
-	// intervals.
-	size := n
-	base := 0
-	for {
-		count := n / size
-		if idx < base+count {
-			return Interval{Start: (idx - base) * size, Size: size}
-		}
-		base += count
-		size /= 2
-	}
 }

@@ -275,7 +275,7 @@ func TestAdaptiveTwinCalibrationTracksDenseCurve(t *testing.T) {
 	}
 
 	model, maxStable := twin.Model(string(LoadBalanced))
-	if model != twin.ModelMarkov {
+	if model != "markov" {
 		t.Fatalf("load-balanced twin = %q, want markov", model)
 	}
 	// Recompute the calibration exactly as the runner does: over the seed
@@ -434,7 +434,7 @@ func TestAdaptiveSpecValidation(t *testing.T) {
 		mut  func(*Spec)
 	}{
 		{"adaptive params on a sim spec", func(s *Spec) { s.Kind = SimStudy }},
-		{"scenarios rejected", func(s *Spec) { s.Scenarios = Scenarios(FlashCrowd) }},
+		{"scenarios rejected", func(s *Spec) { s.Scenarios = []ScenarioSpec{{Name: FlashCrowd}} }},
 		{"windows rejected", func(s *Spec) { s.Windows = 4 }},
 		{"budget below the seed grid", func(s *Spec) { s.Adaptive.MaxPoints = 3 }},
 		{"negative rounds", func(s *Spec) { s.Adaptive.MaxRounds = -1 }},

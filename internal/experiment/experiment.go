@@ -75,16 +75,11 @@ func (a Algorithm) OrderPreserving() bool {
 	return true
 }
 
-// NewSwitch constructs the named architecture for rate matrix m with every
-// option at its schema default. The rate-aware architectures size
-// themselves from m, matching the paper's assumption that the (long-term)
-// VOQ rates are known to the switch.
-func NewSwitch(alg Algorithm, m *traffic.Matrix, seed int64) (sim.Switch, error) {
-	return NewSwitchOpts(alg, m, seed, nil)
-}
-
-// NewSwitchOpts is NewSwitch with an explicit option assignment, validated
-// against the architecture's registered schema (nil selects every default).
+// NewSwitchOpts constructs the named architecture for rate matrix m with an
+// explicit option assignment, validated against the architecture's
+// registered schema (nil selects every default). The rate-aware
+// architectures size themselves from m, matching the paper's assumption
+// that the (long-term) VOQ rates are known to the switch.
 func NewSwitchOpts(alg Algorithm, m *traffic.Matrix, seed int64, opts map[string]any) (sim.Switch, error) {
 	// Rows is a deep copy — the switch must not alias matrix state — and
 	// the registry invokes it only for architectures that consume rates.
@@ -94,38 +89,24 @@ func NewSwitchOpts(alg Algorithm, m *traffic.Matrix, seed int64, opts map[string
 // TrafficKind selects one of the evaluation workload shapes.
 type TrafficKind string
 
-// Workload shapes. Uniform and Diagonal are the two used by Figs. 6 and 7;
-// the others extend the study. As with algorithms, any registered workload
-// name is valid.
+// The workload shapes of Figs. 6 and 7. As with algorithms, any registered
+// workload name is valid.
 const (
-	UniformTraffic     TrafficKind = "uniform"
-	DiagonalTraffic    TrafficKind = "diagonal"
-	HotspotTraffic     TrafficKind = "hotspot"
-	ZipfTraffic        TrafficKind = "zipf"
-	PermutationTraffic TrafficKind = "permutation"
+	UniformTraffic  TrafficKind = "uniform"
+	DiagonalTraffic TrafficKind = "diagonal"
 )
 
 // ScenarioKind selects one of the registered dynamic scenarios.
 type ScenarioKind string
 
-// The built-in dynamic scenarios (internal/scenario). As with algorithms,
-// any name registered in internal/registry is equally valid.
-const (
-	FlashCrowd   ScenarioKind = "flashcrowd"
-	RateDrift    ScenarioKind = "ratedrift"
-	HotspotShift ScenarioKind = "hotspotshift"
-	LinkFail     ScenarioKind = "linkfail"
-	LoadStep     ScenarioKind = "loadstep"
-)
+// FlashCrowd is the built-in dynamic scenario the flashcrowd study runs
+// (internal/scenario). As with algorithms, any scenario name registered in
+// internal/registry is equally valid.
+const FlashCrowd ScenarioKind = "flashcrowd"
 
-// Pattern builds the rate matrix for the named workload at the given load
-// with every option at its schema default.
-func Pattern(kind TrafficKind, n int, load float64, rng *rand.Rand) (*traffic.Matrix, error) {
-	return PatternOpts(kind, n, load, rng, nil)
-}
-
-// PatternOpts is Pattern with an explicit option assignment, validated
-// against the workload's registered schema (nil selects every default).
+// PatternOpts builds the rate matrix for the named workload at the given
+// load with an explicit option assignment, validated against the workload's
+// registered schema (nil selects every default).
 func PatternOpts(kind TrafficKind, n int, load float64, rng *rand.Rand, opts map[string]any) (*traffic.Matrix, error) {
 	rates, err := registry.WorkloadRates(string(kind), n, load, rng, opts)
 	if err != nil {

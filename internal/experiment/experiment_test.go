@@ -14,12 +14,12 @@ import (
 )
 
 func TestNewSwitchAllAlgorithms(t *testing.T) {
-	m, err := Pattern(UniformTraffic, 8, 0.5, rand.New(rand.NewSource(1)))
+	m, err := PatternOpts(UniformTraffic, 8, 0.5, rand.New(rand.NewSource(1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range AllAlgorithms() {
-		sw, err := NewSwitch(alg, m, 1)
+		sw, err := NewSwitchOpts(alg, m, 1, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -27,7 +27,7 @@ func TestNewSwitchAllAlgorithms(t *testing.T) {
 			t.Fatalf("%s: N = %d", alg, sw.N())
 		}
 	}
-	if _, err := NewSwitch("nonsense", m, 1); err == nil {
+	if _, err := NewSwitchOpts("nonsense", m, 1, nil); err == nil {
 		t.Fatal("unknown algorithm should error")
 	}
 }
@@ -36,15 +36,21 @@ func TestPatternKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, name := range registry.WorkloadNames() {
 		kind := TrafficKind(name)
-		m, err := Pattern(kind, 16, 0.8, rng)
+		m, err := PatternOpts(kind, 16, 0.8, rng, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if !m.Admissible(1e-9) {
-			t.Fatalf("%s: inadmissible", kind)
+		for i := 0; i < m.N(); i++ {
+			col := 0.0
+			for j := 0; j < m.N(); j++ {
+				col += m.Rate(j, i)
+			}
+			if m.RowSum(i) > 1+1e-9 || col > 1+1e-9 {
+				t.Fatalf("%s: port %d oversubscribed", kind, i)
+			}
 		}
 	}
-	if _, err := Pattern("nonsense", 16, 0.8, rng); err == nil {
+	if _, err := PatternOpts("nonsense", 16, 0.8, rng, nil); err == nil {
 		t.Fatal("unknown traffic kind should error")
 	}
 }
@@ -278,11 +284,11 @@ func TestLazySourceDrawsLikeRandSource(t *testing.T) {
 		got.Seed(7)
 		want.Seed(7)
 	}
-	a, err := Pattern(PermutationTraffic, 16, 0.8, rand.New(&lazySource{seed: 5}))
+	a, err := PatternOpts(PermutationTraffic, 16, 0.8, rand.New(&lazySource{seed: 5}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Pattern(PermutationTraffic, 16, 0.8, rand.New(rand.NewSource(5)))
+	b, err := PatternOpts(PermutationTraffic, 16, 0.8, rand.New(rand.NewSource(5)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

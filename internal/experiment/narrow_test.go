@@ -84,8 +84,8 @@ func TestNarrowKeepsPointIdentity(t *testing.T) {
 	for _, k := range s.Points() {
 		checkNarrow(t, s, k)
 	}
-	if n := s.Narrow(s.Points()[0]); n.Algorithms[0].Label() != "pf4" || n.Traffic[0].Label() != "hot" ||
-		n.Scenarios[0].Label() != "crowd" || n.Windows != s.Windows {
+	if n := s.Narrow(s.Points()[0]); n.Algorithms[0].label() != "pf4" || n.Traffic[0].label() != "hot" ||
+		n.Scenarios[0].label() != "crowd" || n.Windows != s.Windows {
 		t.Errorf("one-point spec lost a label or the windows: %+v", n)
 	}
 

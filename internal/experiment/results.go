@@ -21,7 +21,7 @@ import (
 // a kill can cause is a partial final line, which loadResults detects and
 // the runner truncates before appending.
 
-// CheckpointVersion is the JSONL checkpoint schema version this build
+// checkpointVersion is the JSONL checkpoint schema version this build
 // writes and reads. History:
 //
 //	v1 — header {"spec": ...}, no version field; replica seeds derived
@@ -31,7 +31,7 @@ import (
 //	     identically in any study. A v1 file extended by a v2 build would
 //	     silently mix the two derivations, so cross-version resume is
 //	     refused with an explicit error.
-const CheckpointVersion = 2
+const checkpointVersion = 2
 
 // resultsHeader is the first line of a checkpoint file.
 type resultsHeader struct {
@@ -43,7 +43,7 @@ type resultsHeader struct {
 
 // appendHeader writes the spec header line of a fresh checkpoint.
 func appendHeader(w io.Writer, spec Spec) error {
-	b, err := json.Marshal(resultsHeader{Version: CheckpointVersion, Spec: &spec})
+	b, err := json.Marshal(resultsHeader{Version: checkpointVersion, Spec: &spec})
 	if err != nil {
 		return err
 	}
@@ -94,10 +94,10 @@ func loadResults(path string, spec Spec) (_ []PointResult, end int64, hasHeader 
 			if jerr := json.Unmarshal(line, &h); jerr != nil || h.Spec == nil {
 				return nil, 0, false, fmt.Errorf("experiment: results file %s has no spec header line", path)
 			}
-			if v := max(h.Version, 1); v != CheckpointVersion {
+			if v := max(h.Version, 1); v != checkpointVersion {
 				return nil, 0, false, fmt.Errorf(
 					"experiment: results file %s was written with checkpoint schema v%d, but this build reads v%d; finish it with a matching build or start a fresh results file",
-					path, v, CheckpointVersion)
+					path, v, checkpointVersion)
 			}
 			if !reflect.DeepEqual(*h.Spec, spec) {
 				return nil, 0, false, fmt.Errorf("experiment: results file %s was started by a different study: recorded spec %+v, running spec %+v",

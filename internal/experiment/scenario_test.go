@@ -27,7 +27,7 @@ func flashSpec() Spec {
 			}},
 		},
 		Traffic:   Traffics(UniformTraffic),
-		Scenarios: Scenarios(FlashCrowd),
+		Scenarios: []ScenarioSpec{{Name: FlashCrowd}},
 		Loads:     []float64{0.4, 0.7},
 		Sizes:     []int{8},
 		Replicas:  2,
@@ -81,7 +81,7 @@ func TestScenarioSpecValidation(t *testing.T) {
 	}
 	// Scenarios and windows are sim-only.
 	mk := Spec{Kind: MarkovStudy, Loads: []float64{0.9}, Sizes: []int{8},
-		Scenarios: Scenarios(FlashCrowd)}
+		Scenarios: []ScenarioSpec{{Name: FlashCrowd}}}
 	if err := mk.WithDefaults().Validate(); err == nil || !strings.Contains(err.Error(), "no scenarios") {
 		t.Errorf("markov study accepted scenarios: %v", err)
 	}

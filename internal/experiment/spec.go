@@ -147,8 +147,8 @@ func (Algorithm) kind() *seriesKind    { return &algorithmKind }
 func (TrafficKind) kind() *seriesKind  { return &trafficKind }
 func (ScenarioKind) kind() *seriesKind { return &scenarioKind }
 
-// Label returns the series label: As when set, else the name.
-func (e Series[K]) Label() K {
+// label returns the series label: As when set, else the name.
+func (e Series[K]) label() K {
 	if e.As != "" {
 		return K(e.As)
 	}
@@ -224,17 +224,17 @@ func validateSeries[K seriesName](series []Series[K], check func(Series[K], regi
 		}
 		norm, err := schema.Normalize(e.Options)
 		if err != nil {
-			return fmt.Errorf("experiment: %s %q: %v", k.key, e.Label(), err)
+			return fmt.Errorf("experiment: %s %q: %v", k.key, e.label(), err)
 		}
 		if check != nil {
 			if err := check(e, norm); err != nil {
 				return err
 			}
 		}
-		if seen[e.Label()] {
-			return fmt.Errorf("experiment: %s series %q appears twice; relabel one with \"as\"", k.key, e.Label())
+		if seen[e.label()] {
+			return fmt.Errorf("experiment: %s series %q appears twice; relabel one with \"as\"", k.key, e.label())
 		}
-		seen[e.Label()] = true
+		seen[e.label()] = true
 	}
 	return nil
 }
@@ -244,7 +244,7 @@ func validateSeries[K seriesName](series []Series[K], check func(Series[K], regi
 // per Validate, so the first match is the match.
 func entry[K seriesName](series []Series[K], label K) Series[K] {
 	for _, e := range series {
-		if e.Label() == label {
+		if e.label() == label {
 			return e
 		}
 	}
@@ -256,9 +256,6 @@ func Algs(names ...Algorithm) []AlgorithmSpec { return bare(names) }
 
 // Traffics wraps plain workload names as option-free spec entries.
 func Traffics(kinds ...TrafficKind) []TrafficSpec { return bare(kinds) }
-
-// Scenarios wraps plain scenario names as option-free spec entries.
-func Scenarios(kinds ...ScenarioKind) []ScenarioSpec { return bare(kinds) }
 
 func bare[K seriesName](names []K) []Series[K] {
 	out := make([]Series[K], len(names))
@@ -468,7 +465,7 @@ func (s Spec) Validate() error {
 		}
 		for _, n := range s.Sizes {
 			if err := arch.ValidateFor(n, norm); err != nil {
-				return fmt.Errorf("experiment: algorithm %q: %v", a.Label(), err)
+				return fmt.Errorf("experiment: algorithm %q: %v", a.label(), err)
 			}
 		}
 		return nil
@@ -593,7 +590,7 @@ func (s Spec) Points() []PointKey {
 	if len(s.Scenarios) > 0 {
 		scenarios = scenarios[:0]
 		for _, sc := range s.Scenarios {
-			scenarios = append(scenarios, sc.Label())
+			scenarios = append(scenarios, sc.label())
 		}
 	}
 	for _, a := range s.Algorithms {
@@ -602,7 +599,7 @@ func (s Spec) Points() []PointKey {
 				for _, b := range bursts {
 					for _, sc := range scenarios {
 						for _, l := range s.Loads {
-							out = append(out, PointKey{Algorithm: a.Label(), Traffic: tk.Label(), Scenario: sc, N: n, Load: l, Burst: b})
+							out = append(out, PointKey{Algorithm: a.label(), Traffic: tk.label(), Scenario: sc, N: n, Load: l, Burst: b})
 						}
 					}
 				}
@@ -778,7 +775,7 @@ func BuiltinSpec(name string) (Spec, error) {
 				{Name: LoadBalanced},
 			},
 			Traffic:   Traffics(UniformTraffic),
-			Scenarios: Scenarios(FlashCrowd),
+			Scenarios: []ScenarioSpec{{Name: FlashCrowd}},
 			Loads:     []float64{0.5, 0.8},
 			Sizes:     []int{8},
 			Replicas:  2,

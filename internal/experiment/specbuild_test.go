@@ -32,7 +32,7 @@ func TestParseSeries(t *testing.T) {
 	if algs[1].As != "sprinklers:adaptive=true,adaptive-window=1024" {
 		t.Errorf("optioned entry label = %q, want the full entry text", algs[1].As)
 	}
-	if algs[1].Label() == algs[0].Label() {
+	if algs[1].label() == algs[0].label() {
 		t.Error("optioned and plain variants of one architecture share a label")
 	}
 

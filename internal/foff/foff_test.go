@@ -121,7 +121,7 @@ func TestFullFramePriority(t *testing.T) {
 func TestDeterministicStriping(t *testing.T) {
 	const n = 4
 	sw := New(n)
-	tr := traffic.NewTrace(n)
+	tr := switchtest.NewTrace(n)
 	for k := 0; k < 2*n; k++ {
 		tr.Add(sim.Slot(k), 1, 3)
 	}
@@ -157,27 +157,28 @@ func TestBurstyArrivalsStillOrdered(t *testing.T) {
 
 // refScheduler is the O(N)-per-input round-robin scan that the switch's bit
 // sets replaced, kept as the picker's oracle, beside the output side as
-// first written (refResequencer into refPacer). It reads only the queues: a
-// VOQ's next port is its head packet's flow sequence number mod N (the k-th
-// packet of a flow traverses port k mod N), and which VOQs are inside a full
-// ordered frame it tracks in its own table.
+// first written (refResequencer into refPacer). It reads only the queues'
+// lengths: a VOQ's next port is its head packet's flow sequence number mod N
+// (the k-th packet of a flow traverses port k mod N), which is the number of
+// packets the VOQ has served. That count, and which VOQs are inside a full
+// ordered frame, it tracks in its own tables.
 type refScheduler struct {
-	full      []bool // VOQ i*n+j is inside a full ordered frame
-	preferred int    // picks that full-frame priority decided
+	served    []uint64 // packets VOQ i*n+j has served: its head's Seq
+	full      []bool   // VOQ i*n+j is inside a full ordered frame
+	preferred int      // picks that full-frame priority decided
 	reseq     *refResequencer
 	pacer     *refPacer
 }
 
 func newRefScheduler(n int) *refScheduler {
 	pacer := newRefPacer(n)
-	return &refScheduler{full: make([]bool, n*n), reseq: newRefResequencer(n, pacer), pacer: pacer}
+	return &refScheduler{served: make([]uint64, n*n), full: make([]bool, n*n), reseq: newRefResequencer(n, pacer), pacer: pacer}
 }
 
 // classOf ranks a VOQ for service priority: 2 = inside a full ordered
 // frame, 1 = can start a full ordered frame now, 0 = incomplete frame.
 func (r *refScheduler) classOf(s *Switch, v int) int {
-	_, seq := s.voq[v].Peek()
-	atBoundary := seq%uint64(s.n) == 0
+	atBoundary := r.served[v]%uint64(s.n) == 0
 	switch {
 	case !atBoundary && r.full[v]:
 		return 2
@@ -196,7 +197,7 @@ func (r *refScheduler) pick(s *Switch, i, l int) int {
 		if q.Len() == 0 {
 			continue
 		}
-		if _, seq := q.Peek(); int(seq%uint64(s.n)) != l {
+		if int(r.served[i*s.n+j]%uint64(s.n)) != l {
 			continue
 		}
 		class := r.classOf(s, i*s.n+j)
@@ -230,6 +231,7 @@ func (r *refScheduler) step(s *Switch, deliver sim.DeliverFunc) {
 			r.full[v] = s.voq[v].Len() >= s.n
 		}
 		s.serve(i, j, l)
+		r.served[v]++
 		if l == s.n-1 {
 			r.full[v] = false
 		}

@@ -57,10 +57,6 @@ func New(n int, rng *rand.Rand) *Switch {
 	return s
 }
 
-// PortFor returns the intermediate port assigned to VOQ (i, j); exposed for
-// tests and for the oversubscription analysis example.
-func (s *Switch) PortFor(i, j int) int { return s.hash[i][j] }
-
 // N implements sim.Switch.
 func (s *Switch) N() int { return s.n }
 

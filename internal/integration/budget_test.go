@@ -1,10 +1,13 @@
 package integration
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"sprinklers/internal/experiment"
+	"sprinklers/internal/registry"
+	"sprinklers/internal/traffic"
 )
 
 // TestVOQBytesBudget bounds what one Fig. 6 point allocates (uniform 0.9,
@@ -61,6 +64,36 @@ func TestVOQBytesBudget(t *testing.T) {
 		t.Logf("%s N=%d: %d B, budget %d", c.alg, c.n, got, c.budget)
 		if got > c.budget {
 			t.Errorf("%s N=%d point allocated %d B, budget %d", c.alg, c.n, got, c.budget)
+		}
+	}
+}
+
+// TestEveryArchitectureZeroAllocSteadyState: for every registered
+// architecture at N = 8 and 32 under uniform Bernoulli traffic at load 0.5,
+// once 2 000 frames have taken its queues and pools to their working sets,
+// a whole N-slot frame (arrivals and Step) allocates nothing.
+func TestEveryArchitectureZeroAllocSteadyState(t *testing.T) {
+	for _, name := range registry.ArchitectureNames() {
+		for _, n := range []int{8, 32} {
+			m := traffic.Uniform(n, 0.5)
+			sw, err := experiment.NewSwitchOpts(experiment.Algorithm(name), m, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := traffic.NewBernoulli(m, rand.New(rand.NewSource(int64(n))))
+			arrive := sw.Arrive
+			frame := func() {
+				for k := 0; k < n; k++ {
+					src.Next(sw.Now(), arrive)
+					sw.Step(nil)
+				}
+			}
+			for k := 0; k < 2000; k++ {
+				frame()
+			}
+			if allocs := testing.AllocsPerRun(10, frame); allocs != 0 {
+				t.Errorf("%s N=%d: steady-state frame allocated %v times, want 0", name, n, allocs)
+			}
 		}
 	}
 }

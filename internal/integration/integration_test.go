@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"sprinklers/internal/conformance"
 	"sprinklers/internal/experiment"
 	"sprinklers/internal/registry"
 	"sprinklers/internal/sim"
@@ -45,15 +44,15 @@ func TestAllSwitchesConformUnderAllTraffic(t *testing.T) {
 					load = arch.MaxStableLoad
 				}
 				rng := rand.New(rand.NewSource(1))
-				m, err := experiment.Pattern(kind, n, load, rng)
+				m, err := experiment.PatternOpts(kind, n, load, rng, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				inner, err := experiment.NewSwitch(alg, m, 1)
+				inner, err := experiment.NewSwitchOpts(alg, m, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sw := conformance.Wrap(inner)
+				sw := switchtest.Wrap(inner)
 				src := traffic.NewBernoulli(m, rand.New(rand.NewSource(2)))
 				delay := &stats.Delay{}
 				reorder := stats.NewReorder(n)
@@ -98,11 +97,11 @@ func TestBurstyArrivalsAllOrderPreserving(t *testing.T) {
 		t.Run(string(alg), func(t *testing.T) {
 			t.Parallel()
 			m := traffic.Diagonal(n, 0.75)
-			inner, err := experiment.NewSwitch(alg, m, 3)
+			inner, err := experiment.NewSwitchOpts(alg, m, 3, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sw := conformance.Wrap(inner)
+			sw := switchtest.Wrap(inner)
 			src := traffic.NewOnOff(m, 24, rand.New(rand.NewSource(4)))
 			reorder := stats.NewReorder(n)
 			sim.Run(sw, src, reorder, sim.WithWarmup(8000), sim.WithSlots(60000))
@@ -166,7 +165,7 @@ func TestLongRunStability(t *testing.T) {
 		t.Run(string(alg), func(t *testing.T) {
 			t.Parallel()
 			m := traffic.Uniform(n, 0.92)
-			inner, err := experiment.NewSwitch(alg, m, 7)
+			inner, err := experiment.NewSwitchOpts(alg, m, 7, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,11 +193,11 @@ func TestCrossSeedConsistency(t *testing.T) {
 	const n = 16
 	for seed := int64(10); seed < 13; seed++ {
 		m := switchtest.RandomAdmissible(n, 0.8, rand.New(rand.NewSource(seed)))
-		inner, err := experiment.NewSwitch(experiment.Sprinklers, m, seed)
+		inner, err := experiment.NewSwitchOpts(experiment.Sprinklers, m, seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw := conformance.Wrap(inner)
+		sw := switchtest.Wrap(inner)
 		r := switchtest.Run(sw, m, 40000, seed+100)
 		if v := sw.Violation(); v != "" {
 			t.Fatalf("seed %d: %s", seed, v)

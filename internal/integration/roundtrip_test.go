@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sprinklers/internal/cms"
-	"sprinklers/internal/conformance"
 	"sprinklers/internal/foff"
 	"sprinklers/internal/pf"
 	"sprinklers/internal/sim"
@@ -30,7 +29,7 @@ func TestRecordVOQRoundTrip(t *testing.T) {
 		new  func(n int) sim.Switch
 	}{
 		{"ufs", func(n int) sim.Switch { return ufs.New(n) }},
-		{"pf", func(n int) sim.Switch { return pf.New(n, pf.DefaultThreshold(n)) }},
+		{"pf", func(n int) sim.Switch { return pf.New(n, max(1, n/2)) }}, // pad at half a frame
 		{"foff", func(n int) sim.Switch { return foff.New(n) }},
 		{"cms", func(n int) sim.Switch { return cms.New(n) }},
 	}
@@ -49,7 +48,7 @@ func TestRecordVOQRoundTrip(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(n)))
 					m := switchtest.RandomAdmissible(n, 0.85, rng)
 					inner := arch.new(n)
-					sw := conformance.Wrap(inner)
+					sw := switchtest.Wrap(inner)
 					slots := sim.Slot(40 * n * n) // dozens of frame-accumulation times
 					_, delivered := sim.Run(sw, source.new(m, rng), nil, sim.WithWarmup(slots/10), sim.WithSlots(slots))
 					if v := sw.Violation(); v != "" {

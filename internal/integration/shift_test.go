@@ -4,11 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"sprinklers/internal/conformance"
 	"sprinklers/internal/experiment"
 	"sprinklers/internal/registry"
 	"sprinklers/internal/sim"
 	"sprinklers/internal/stats"
+	"sprinklers/internal/switchtest"
 	"sprinklers/internal/traffic"
 )
 
@@ -34,7 +34,7 @@ func TestConformanceAcrossMatrixShift(t *testing.T) {
 				load = arch.MaxStableLoad
 			}
 			rng := rand.New(rand.NewSource(1))
-			m, err := experiment.Pattern(experiment.UniformTraffic, n, load, rng)
+			m, err := experiment.PatternOpts(experiment.UniformTraffic, n, load, rng, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,11 +46,11 @@ func TestConformanceAcrossMatrixShift(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inner, err := experiment.NewSwitch(experiment.Algorithm(arch.Name), m, 1)
+			inner, err := experiment.NewSwitchOpts(experiment.Algorithm(arch.Name), m, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sw := conformance.Wrap(inner)
+			sw := switchtest.Wrap(inner)
 			src := traffic.NewDynamic(m, events, 0, rand.New(rand.NewSource(2)))
 			reorder := stats.NewReorder(n)
 			sim.Run(sw, src, reorder, sim.WithWarmup(slots/5), sim.WithSlots(slots))
@@ -83,7 +83,7 @@ func TestAdaptiveResizesAcrossShift(t *testing.T) {
 		slots = 30000
 	)
 	rng := rand.New(rand.NewSource(1))
-	m, err := experiment.Pattern(experiment.UniformTraffic, n, load, rng)
+	m, err := experiment.PatternOpts(experiment.UniformTraffic, n, load, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,16 +25,16 @@ import (
 	"sprinklers/internal/permute"
 )
 
-// Profile is the per-intermediate-port arrival-rate profile of one input
+// profile is the per-intermediate-port arrival-rate profile of one input
 // port under a concrete stripe assignment.
-type Profile struct {
+type profile struct {
 	n     int
 	loads []float64
 }
 
-// InputProfile computes the exact load profile: rates[j] is VOQ j's rate
+// inputProfile computes the exact load profile: rates[j] is VOQ j's rate
 // and primary[j] its assigned primary intermediate port.
-func InputProfile(rates []float64, primary []int, n int) Profile {
+func inputProfile(rates []float64, primary []int, n int) profile {
 	loads := make([]float64, n)
 	for j, r := range rates {
 		if r <= 0 {
@@ -47,14 +47,11 @@ func InputProfile(rates []float64, primary []int, n int) Profile {
 			loads[l] += share
 		}
 	}
-	return Profile{n: n, loads: loads}
+	return profile{n: n, loads: loads}
 }
 
-// Loads returns a copy of the per-port loads.
-func (p Profile) Loads() []float64 { return append([]float64(nil), p.loads...) }
-
-// Max returns the largest per-port load.
-func (p Profile) Max() float64 {
+// maxLoad returns the largest per-port load.
+func (p profile) maxLoad() float64 {
 	var mx float64
 	for _, l := range p.loads {
 		if l > mx {
@@ -64,32 +61,9 @@ func (p Profile) Max() float64 {
 	return mx
 }
 
-// Mean returns the average per-port load (total input load / N).
-func (p Profile) Mean() float64 {
-	var s float64
-	for _, l := range p.loads {
-		s += l
-	}
-	return s / float64(p.n)
-}
-
-// Imbalance returns Max/Mean, 1.0 being perfect balance. A zero-load
-// profile reports 1.
-func (p Profile) Imbalance() float64 {
-	m := p.Mean()
-	if m == 0 {
-		return 1
-	}
-	return p.Max() / m
-}
-
-// Overloaded reports whether any queue's arrival rate reaches the 1/N
+// overloadedQueues counts the queues whose arrival rate reaches the 1/N
 // service rate.
-func (p Profile) Overloaded() bool { return p.OverloadedQueues() > 0 }
-
-// OverloadedQueues counts the queues whose arrival rate reaches the 1/N
-// service rate.
-func (p Profile) OverloadedQueues() int {
+func (p profile) overloadedQueues() int {
 	k := 0
 	for _, l := range p.loads {
 		if l >= 1/float64(p.n) {
@@ -134,11 +108,11 @@ func Estimate(rates []float64, n, trials int, quantiles []float64, rng *rand.Ran
 	var sum float64
 	for t := 0; t < trials; t++ {
 		primary := permute.Uniform(n, rng)
-		p := InputProfile(rates, primary, n)
-		m := p.Max()
+		p := inputProfile(rates, primary, n)
+		m := p.maxLoad()
 		maxes[t] = m
 		sum += m
-		if k := p.OverloadedQueues(); k > 0 {
+		if k := p.overloadedQueues(); k > 0 {
 			mc.Overloads++
 			mc.QueueOverloads += k
 		}

@@ -15,10 +15,10 @@ func ExampleMeanQueueClosedForm() {
 	// 4495.5 cycles
 }
 
-// ExampleFig5 regenerates a slice of the Figure 5 series.
-func ExampleFig5() {
-	for _, p := range markov.Fig5([]int{64, 256, 1024}, 0.9) {
-		fmt.Printf("N=%-5d delay=%.1f\n", p.N, p.Delay)
+// ExampleMeanQueueClosedForm_fig5 evaluates a slice of the Figure 5 series.
+func ExampleMeanQueueClosedForm_fig5() {
+	for _, n := range []int{64, 256, 1024} {
+		fmt.Printf("N=%-5d delay=%.1f\n", n, markov.MeanQueueClosedForm(n, 0.9))
 	}
 	// Output:
 	// N=64    delay=283.5

@@ -1,7 +1,7 @@
 // Package markov implements the Sec. 5 analysis of the expected queue
 // length at the intermediate stage, which the paper uses both as a delay
 // component and as the expected duration of the clearance phase before a
-// stripe resize. It regenerates Figure 5.
+// stripe resize. `sweep -builtin fig5` renders Figure 5 from it.
 //
 // The model: one intermediate-stage queue is served at one packet per cycle
 // (a cycle is N slots). To maximize burstiness at a given load rho, the
@@ -16,15 +16,12 @@
 // is the stable one consistent with the paper's Figure 5.)
 //
 // The package provides the closed-form mean (obtained from the standard
-// square-and-take-expectations argument), an exact truncated stationary
-// solve, and a Monte-Carlo simulation; the test suite cross-validates all
-// three.
+// square-and-take-expectations argument). The test suite cross-validates it
+// against an exact truncated stationary solve and a Monte-Carlo simulation
+// of the chain, both kept in the tests as oracles.
 package markov
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // MeanQueueClosedForm returns E[Q] in packets (equivalently, the expected
 // clearance duration in cycles) for an N-port switch at load rho:
@@ -40,98 +37,3 @@ func MeanQueueClosedForm(n int, rho float64) float64 {
 	}
 	return rho * float64(n-1) / (2 * (1 - rho))
 }
-
-// Stationary computes the stationary distribution of the chain by the
-// forward recurrence implied by the balance equations,
-//
-//	pi_1 = pi_0 p/q,
-//	pi_{j+1} = (pi_j - p*pi_{j-N+1}) / q   for j >= 1,
-//
-// truncated when the residual tail mass is below tol. It returns the
-// distribution (normalized) and the truncation point.
-func Stationary(n int, rho, tol float64) []float64 {
-	if rho <= 0 || rho >= 1 {
-		panic(fmt.Sprintf("markov: load %v outside (0, 1)", rho))
-	}
-	p := rho / float64(n)
-	q := 1 - p
-	pi := []float64{1, p / q}
-	sum := 1 + p/q
-	// The tail decays geometrically with ratio r < 1 solving the
-	// characteristic equation; run until increments are negligible
-	// relative to the accumulated mass.
-	for j := 1; ; j++ {
-		prev := 0.0
-		if k := j - n + 1; k >= 0 {
-			prev = pi[k]
-		}
-		next := (pi[j] - p*prev) / q
-		if next < 0 {
-			next = 0 // floating-point guard; true values are positive
-		}
-		pi = append(pi, next)
-		sum += next
-		if next < tol*sum && j > 4*n {
-			break
-		}
-		if j > 100_000_000 {
-			panic("markov: stationary solve failed to converge")
-		}
-	}
-	for i := range pi {
-		pi[i] /= sum
-	}
-	return pi
-}
-
-// MeanQueueNumeric returns E[Q] computed from the truncated stationary
-// distribution.
-func MeanQueueNumeric(n int, rho float64) float64 {
-	pi := Stationary(n, rho, 1e-14)
-	var mean float64
-	for i, v := range pi {
-		mean += float64(i) * v
-	}
-	return mean
-}
-
-// SimulateMeanQueue estimates E[Q] by simulating the chain for the given
-// number of cycles (after discarding the first tenth as warmup).
-func SimulateMeanQueue(n int, rho float64, cycles int64, rng *rand.Rand) float64 {
-	p := rho / float64(n)
-	var q int64
-	warm := cycles / 10
-	var sum float64
-	for c := int64(0); c < cycles; c++ {
-		if rng.Float64() < p {
-			q += int64(n)
-		}
-		if q > 0 {
-			q--
-		}
-		if c >= warm {
-			sum += float64(q)
-		}
-	}
-	return sum / float64(cycles-warm)
-}
-
-// Fig5Point is one point of the paper's Figure 5.
-type Fig5Point struct {
-	N     int
-	Delay float64 // expected queue length = clearance delay in cycles
-}
-
-// Fig5 regenerates Figure 5: expected intermediate-stage delay (in cycles)
-// versus switch size at the given load (the paper plots rho = 0.9 for N up
-// to 1024).
-func Fig5(ns []int, rho float64) []Fig5Point {
-	out := make([]Fig5Point, len(ns))
-	for i, n := range ns {
-		out[i] = Fig5Point{N: n, Delay: MeanQueueClosedForm(n, rho)}
-	}
-	return out
-}
-
-// PaperFig5Ns is the switch-size grid matching the figure's x-axis range.
-var PaperFig5Ns = []int{8, 16, 32, 64, 128, 256, 512, 768, 1024}

@@ -79,13 +79,12 @@ func TestLinearInN(t *testing.T) {
 	}
 }
 
+// TestFig5Series: on the grid `sweep -builtin fig5` plots, the delay grows
+// with N.
 func TestFig5Series(t *testing.T) {
-	pts := Fig5(PaperFig5Ns, 0.9)
-	if len(pts) != len(PaperFig5Ns) {
-		t.Fatal("series length wrong")
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Delay <= pts[i-1].Delay {
+	ns := []int{8, 16, 32, 64, 128, 256, 512, 768, 1024}
+	for i := 1; i < len(ns); i++ {
+		if MeanQueueClosedForm(ns[i], 0.9) <= MeanQueueClosedForm(ns[i-1], 0.9) {
 			t.Fatal("Figure 5 series must be increasing in N")
 		}
 	}

@@ -79,7 +79,3 @@ func (s *Stage) Step(t sim.Slot, deliver sim.DeliverFunc) int {
 
 // Backlog returns the number of packets buffered in the stage.
 func (s *Stage) Backlog() int { return s.q.Len() }
-
-// QueueLen returns the queue length at intermediate port l for output j.
-// It walks the queue; it exists for the equal-length invariant tests.
-func (s *Stage) QueueLen(l, j int) int { return s.q.QueueLen(l*s.n + j) }

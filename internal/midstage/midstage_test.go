@@ -37,8 +37,8 @@ func TestQueueLen(t *testing.T) {
 	s := New(4)
 	s.Enqueue(1, sim.Packet{Out: 2})
 	s.Enqueue(1, sim.Packet{Out: 2, Seq: 1})
-	if s.QueueLen(1, 2) != 2 {
-		t.Fatalf("QueueLen = %d, want 2", s.QueueLen(1, 2))
+	if got := s.q.QueueLen(1*4 + 2); got != 2 {
+		t.Fatalf("QueueLen = %d, want 2", got)
 	}
 }
 

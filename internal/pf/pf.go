@@ -28,16 +28,6 @@ import (
 // 0) to New to enable adaptation.
 const AdaptiveThreshold = 0
 
-// DefaultThreshold returns a reasonable fixed padding threshold for callers
-// that want a static configuration: half a frame.
-func DefaultThreshold(n int) int {
-	t := n / 2
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
 // Switch is a Padded Frames switch: the shared full-frame spreader plus
 // the padding policy.
 type Switch struct {

@@ -63,7 +63,7 @@ func TestPaddingHappensBelowFullFrames(t *testing.T) {
 func TestNoPaddingBelowThreshold(t *testing.T) {
 	const n = 8
 	sw := New(n, n) // threshold N: only full frames qualify anyway
-	tr := traffic.NewTrace(n)
+	tr := switchtest.NewTrace(n)
 	for k := 0; k < n-1; k++ {
 		tr.Add(sim.Slot(k), 0, 2)
 	}

@@ -46,9 +46,6 @@ func NewBank[T any](queues int) *Bank[T] {
 	return b
 }
 
-// Queues returns the number of queues in the bank.
-func (b *Bank[T]) Queues() int { return len(b.refs) }
-
 // Len returns the total number of queued elements across all queues.
 func (b *Bank[T]) Len() int { return b.n }
 
@@ -100,16 +97,6 @@ func (b *Bank[T]) Pop(q int) T {
 	b.free = idx
 	b.n--
 	return v
-}
-
-// Peek returns the head of queue q without removing it. It panics on an
-// empty queue.
-func (b *Bank[T]) Peek(q int) T {
-	idx := b.refs[q].head
-	if idx < 0 {
-		panic("queue: Peek on empty Bank queue")
-	}
-	return b.nodes[idx].v
 }
 
 // RemoveFirst unlinks and returns the first element of queue q, in FIFO

@@ -10,7 +10,7 @@ import (
 
 func TestBankBasics(t *testing.T) {
 	b := NewBank[int](3)
-	if b.Queues() != 3 || b.Len() != 0 {
+	if len(b.refs) != 3 || b.Len() != 0 {
 		t.Fatal("fresh bank not empty")
 	}
 	for q := 0; q < 3; q++ {
@@ -24,9 +24,6 @@ func TestBankBasics(t *testing.T) {
 	}
 	if b.Len() != 30 {
 		t.Fatalf("Len = %d", b.Len())
-	}
-	if b.Peek(1) != 1 {
-		t.Fatalf("Peek(1) = %d", b.Peek(1))
 	}
 	for q := 0; q < 3; q++ {
 		if b.QueueLen(q) != 10 {
@@ -65,9 +62,6 @@ func TestBankModel(t *testing.T) {
 			for q := range model {
 				total += len(model[q])
 				if b.Empty(q) != (len(model[q]) == 0) {
-					return false
-				}
-				if len(model[q]) > 0 && b.Peek(q) != model[q][0] {
 					return false
 				}
 				if b.QueueLen(q) != len(model[q]) {
@@ -201,8 +195,7 @@ func TestBankReleasesReferences(t *testing.T) {
 	b := NewBank[*int](1)
 	b.Push(0, new(int))
 	b.Pop(0)
-	b.Push(0, nil)
-	if b.Peek(0) != nil {
+	if b.nodes[b.free].v != nil {
 		t.Fatal("slab node not zeroed on Pop")
 	}
 }
@@ -276,8 +269,7 @@ func TestBankGrowthDoubles(t *testing.T) {
 
 func TestBankPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"Pop empty":  func() { NewBank[int](1).Pop(0) },
-		"Peek empty": func() { NewBank[int](1).Peek(0) },
+		"Pop empty": func() { NewBank[int](1).Pop(0) },
 	} {
 		func() {
 			defer func() {

@@ -49,15 +49,6 @@ func (q *FIFO[T]) Pop() T {
 	return v
 }
 
-// Peek returns the head of the queue without removing it. It panics on an
-// empty queue.
-func (q *FIFO[T]) Peek() T {
-	if q.n == 0 {
-		panic("queue: Peek on empty FIFO")
-	}
-	return q.buf[q.head]
-}
-
 // grow reallocates the ring to a power-of-two capacity of at least min
 // (and at least double the current capacity, preserving amortized O(1)).
 func (q *FIFO[T]) grow(min int) {

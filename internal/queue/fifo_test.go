@@ -17,9 +17,6 @@ func TestFIFOBasics(t *testing.T) {
 	if q.Len() != 100 {
 		t.Fatalf("Len = %d", q.Len())
 	}
-	if q.Peek() != 0 {
-		t.Fatalf("Peek = %d", q.Peek())
-	}
 	for i := 0; i < 100; i++ {
 		if got := q.Pop(); got != i {
 			t.Fatalf("Pop = %d, want %d", got, i)
@@ -68,7 +65,7 @@ func TestFIFOModel(t *testing.T) {
 			if q.Len() != len(model) {
 				return false
 			}
-			if len(model) > 0 && q.Peek() != model[0] {
+			if len(model) > 0 && q.buf[q.head] != model[0] {
 				return false
 			}
 		}
@@ -86,8 +83,7 @@ func TestFIFOModel(t *testing.T) {
 
 func TestFIFOPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"Pop empty":  func() { var q FIFO[int]; q.Pop() },
-		"Peek empty": func() { var q FIFO[int]; q.Peek() },
+		"Pop empty": func() { var q FIFO[int]; q.Pop() },
 	} {
 		func() {
 			defer func() {
@@ -157,7 +153,7 @@ func TestFIFOBulkModel(t *testing.T) {
 			if q.Len() != len(model) {
 				return false
 			}
-			if len(model) > 0 && q.Peek() != model[0] {
+			if len(model) > 0 && q.buf[q.head] != model[0] {
 				return false
 			}
 		}
@@ -196,8 +192,7 @@ func TestFIFOReleasesReferences(t *testing.T) {
 	v := new(int)
 	q.Push(v)
 	q.Pop()
-	q.Push(nil)
-	if q.Peek() != nil {
+	if q.buf[0] != nil {
 		t.Fatal("slot not reset")
 	}
 }

@@ -145,7 +145,3 @@ func (q *RecordFIFO) Pop(pool *RecordPool) (Record, uint64) {
 	}
 	return r, seq
 }
-
-// Peek returns the head record and its Seq without removing them; the queue
-// must not be empty.
-func (q *RecordFIFO) Peek() (Record, uint64) { return q.head.rec[q.off], q.headSeq }

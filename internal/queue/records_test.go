@@ -87,7 +87,7 @@ func (m *queueModel) check() {
 			m.t.Fatalf("voq %d: n = %d, want %d", v, q.n, len(m.model[v]))
 		}
 		if q.n > 0 {
-			if r, seq := q.Peek(); r.Packet(seq, 0, v) != m.model[v][0] {
+			if r, seq := q.head.rec[q.off], q.headSeq; r.Packet(seq, 0, v) != m.model[v][0] {
 				m.t.Fatalf("voq %d: head %+v with Seq %d, want %+v", v, r, seq, m.model[v][0])
 			}
 		}

@@ -18,8 +18,8 @@ func TestParseOptionValue(t *testing.T) {
 		{"gated", "gated"},
 	}
 	for _, c := range cases {
-		if got := ParseOptionValue(c.in); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("ParseOptionValue(%q) = %v (%T), want %v", c.in, got, got, c.want)
+		if got := parseOptionValue(c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("parseOptionValue(%q) = %v (%T), want %v", c.in, got, got, c.want)
 		}
 	}
 }
@@ -45,15 +45,15 @@ func TestOptionFlagAndParseOptionPairs(t *testing.T) {
 		t.Error("empty key accepted")
 	}
 
-	opts, err := ParseOptionPairs([]string{" threshold=16 ", "adaptive=true", "mode=greedy"})
+	opts, err := parseOptionPairs([]string{" threshold=16 ", "adaptive=true", "mode=greedy"})
 	if err != nil || !reflect.DeepEqual(opts, want) {
-		t.Errorf("ParseOptionPairs = %v err %v, want %v", opts, err, want)
+		t.Errorf("parseOptionPairs = %v err %v, want %v", opts, err, want)
 	}
-	if opts, err := ParseOptionPairs(nil); err != nil || opts != nil {
-		t.Errorf("empty ParseOptionPairs = %v err %v, want nil", opts, err)
+	if opts, err := parseOptionPairs(nil); err != nil || opts != nil {
+		t.Errorf("empty parseOptionPairs = %v err %v, want nil", opts, err)
 	}
-	if _, err := ParseOptionPairs([]string{"bad"}); err == nil {
-		t.Error("ParseOptionPairs accepted a malformed pair")
+	if _, err := parseOptionPairs([]string{"bad"}); err == nil {
+		t.Error("parseOptionPairs accepted a malformed pair")
 	}
 }
 

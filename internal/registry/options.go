@@ -12,12 +12,12 @@ import (
 type Type string
 
 // The supported option value types. Numeric options are carried as JSON
-// numbers; TypeInt additionally requires the value to be integral.
+// numbers; typeInt additionally requires the value to be integral.
 const (
-	TypeInt    Type = "int"
-	TypeFloat  Type = "float"
-	TypeBool   Type = "bool"
-	TypeString Type = "string"
+	typeInt    Type = "int"
+	typeFloat  Type = "float"
+	typeBool   Type = "bool"
+	typeString Type = "string"
 )
 
 // Option declares one typed, defaulted parameter of an architecture or
@@ -44,22 +44,22 @@ type Option struct {
 
 // Int declares an integer option.
 func Int(name string, def int, help string) Option {
-	return Option{Name: name, Type: TypeInt, Default: float64(def), Help: help}
+	return Option{Name: name, Type: typeInt, Default: float64(def), Help: help}
 }
 
 // Float declares a float option.
 func Float(name string, def float64, help string) Option {
-	return Option{Name: name, Type: TypeFloat, Default: def, Help: help}
+	return Option{Name: name, Type: typeFloat, Default: def, Help: help}
 }
 
 // Bool declares a boolean option.
 func Bool(name string, def bool, help string) Option {
-	return Option{Name: name, Type: TypeBool, Default: def, Help: help}
+	return Option{Name: name, Type: typeBool, Default: def, Help: help}
 }
 
 // String declares a string option.
 func String(name, def, help string) Option {
-	return Option{Name: name, Type: TypeString, Default: def, Help: help}
+	return Option{Name: name, Type: typeString, Default: def, Help: help}
 }
 
 // Between bounds a numeric option to [min, max] (inclusive).
@@ -82,7 +82,7 @@ func (o Option) OneOf(vals ...string) Option {
 // describe renders the option for catalogs and error messages.
 func (o Option) describe() string {
 	def := o.Default
-	if f, ok := def.(float64); ok && o.Type == TypeInt {
+	if f, ok := def.(float64); ok && o.Type == typeInt {
 		def = int(f)
 	}
 	s := fmt.Sprintf("%s (%s, default %v)", o.Name, o.Type, def)
@@ -102,7 +102,7 @@ func (o Option) describe() string {
 // number over as float64; Go callers may also pass int or int64.
 func (o Option) canonicalize(v any) (any, error) {
 	switch o.Type {
-	case TypeInt, TypeFloat:
+	case typeInt, typeFloat:
 		var f float64
 		switch n := v.(type) {
 		case float64:
@@ -120,7 +120,7 @@ func (o Option) canonicalize(v any) (any, error) {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return nil, fmt.Errorf("option %q wants a finite number, got %v", o.Name, f)
 		}
-		if o.Type == TypeInt {
+		if o.Type == typeInt {
 			// Beyond ±2^53 float64 no longer represents integers exactly,
 			// and int(f) overflow would turn a validated value into
 			// garbage downstream — reject both at the gate.
@@ -135,13 +135,13 @@ func (o Option) canonicalize(v any) (any, error) {
 			return nil, fmt.Errorf("option %q = %v outside [%v, %v]", o.Name, f, o.Min, o.Max)
 		}
 		return f, nil
-	case TypeBool:
+	case typeBool:
 		b, ok := v.(bool)
 		if !ok {
 			return nil, fmt.Errorf("option %q wants a bool, got %T", o.Name, v)
 		}
 		return b, nil
-	case TypeString:
+	case typeString:
 		s, ok := v.(string)
 		if !ok {
 			return nil, fmt.Errorf("option %q wants a string, got %T", o.Name, v)
@@ -243,12 +243,12 @@ func (s Schema) Normalize(in map[string]any) (Options, error) {
 	return out, nil
 }
 
-// ParseOptionValue parses a CLI option value the way the cmd tools'
+// parseOptionValue parses a CLI option value the way the cmd tools'
 // repeatable key=value flags do: number, then bool, then string. The
 // schema rejects type mismatches downstream, so inference only has to be
 // consistent, not clever — and living here keeps every tool's flag
 // behavior identical.
-func ParseOptionValue(s string) any {
+func parseOptionValue(s string) any {
 	if f, err := strconv.ParseFloat(s, 64); err == nil {
 		return f
 	}
@@ -272,15 +272,15 @@ func (o OptionFlag) Set(s string) error {
 	if !ok || k == "" {
 		return fmt.Errorf("want key=value, got %q", s)
 	}
-	o[k] = ParseOptionValue(v)
+	o[k] = parseOptionValue(v)
 	return nil
 }
 
-// ParseOptionPairs folds repeated "key=value" assignments through the same
+// parseOptionPairs folds repeated "key=value" assignments through the same
 // value inference as OptionFlag, returning nil for an empty list so
 // optionless series keep their compact normalized form. It is the backend
 // of the "name:key=value,..." series syntax parsed by ParseSeriesEntry.
-func ParseOptionPairs(pairs []string) (Options, error) {
+func parseOptionPairs(pairs []string) (Options, error) {
 	if len(pairs) == 0 {
 		return nil, nil
 	}
@@ -304,7 +304,7 @@ func ParseSeriesEntry(entry string) (name string, opts Options, err error) {
 	if !found {
 		return name, nil, nil
 	}
-	opts, err = ParseOptionPairs(strings.Split(rest, ","))
+	opts, err = parseOptionPairs(strings.Split(rest, ","))
 	if err != nil {
 		return "", nil, fmt.Errorf("series entry %q: %v", entry, err)
 	}

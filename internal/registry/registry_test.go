@@ -121,7 +121,7 @@ func TestNormalizeRejections(t *testing.T) {
 // canonical float64 form (the checkpoint header depends on it) and the
 // catalog must render it without panicking.
 func TestHandBuiltOptionDefaultCanonicalized(t *testing.T) {
-	s := Schema{{Name: "k", Type: TypeInt, Default: 8, Help: "hand-built"}}
+	s := Schema{{Name: "k", Type: typeInt, Default: 8, Help: "hand-built"}}
 	if err := s.validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// SweepStats summarizes one eviction sweep.
-type SweepStats struct {
+// sweepStats summarizes one eviction sweep.
+type sweepStats struct {
 	// Entries and Bytes describe the cache before the sweep.
 	Entries int
 	Bytes   int64
@@ -16,7 +16,7 @@ type SweepStats struct {
 	EvictedBytes int64
 }
 
-// Sweep brings the store under maxBytes by evicting the least recently
+// sweep brings the store under maxBytes by evicting the least recently
 // used entries until the remaining live bytes fit. Reads in this process
 // update recency; an entry never read since Open counts from its write
 // time, so without reads the oldest written go first. An evicted entry
@@ -28,13 +28,13 @@ type SweepStats struct {
 // rewrites the live records into a fresh segment and deletes the old ones,
 // so the segments never hold more than twice what is live after a sweep.
 // maxBytes <= 0 disables eviction and leaves only that compaction.
-func (s *Store) Sweep(maxBytes int64) (SweepStats, error) {
+func (s *Store) sweep(maxBytes int64) (sweepStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return SweepStats{}, errClosed
+		return sweepStats{}, errClosed
 	}
-	st := SweepStats{Entries: len(s.index), Bytes: s.live}
+	st := sweepStats{Entries: len(s.index), Bytes: s.live}
 	if maxBytes > 0 && st.Bytes > maxBytes {
 		err := s.evict(st.Bytes-maxBytes, &st)
 		s.evictions.Add(int64(st.Evicted))
@@ -47,7 +47,7 @@ func (s *Store) Sweep(maxBytes int64) (SweepStats, error) {
 
 // evict tombstones entries, least recently used first, until over bytes
 // are gone. Call with s.mu held.
-func (s *Store) evict(over int64, st *SweepStats) error {
+func (s *Store) evict(over int64, st *sweepStats) error {
 	type candidate struct {
 		key string
 		entry
@@ -124,8 +124,8 @@ func (s *Store) compactIfSparse() error {
 // (cache_evictions_total).
 func (s *Store) Evictions() int64 { return s.evictions.Load() }
 
-// StartSweeper runs Sweep(maxBytes) every interval until the
-// returned stop function is called. Sweep errors are reported to onErr
+// StartSweeper runs sweep(maxBytes) every interval until the
+// returned stop function is called. sweep errors are reported to onErr
 // (nil ignores them) and do not stop the schedule — a transient filesystem
 // error must not leave a long-lived daemon unbounded forever.
 func (s *Store) StartSweeper(interval time.Duration, maxBytes int64, onErr func(error)) (stop func()) {
@@ -139,7 +139,7 @@ func (s *Store) StartSweeper(interval time.Duration, maxBytes int64, onErr func(
 		for {
 			select {
 			case <-t.C:
-				if _, err := s.Sweep(maxBytes); err != nil && onErr != nil {
+				if _, err := s.sweep(maxBytes); err != nil && onErr != nil {
 					onErr(err)
 				}
 			case <-done:

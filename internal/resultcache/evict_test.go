@@ -44,7 +44,7 @@ func TestSweepUnderBudgetEvictsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	putSized(t, s, 0, 100, time.Hour)
-	st, err := s.Sweep(1000)
+	st, err := s.sweep(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSweepLRUWithoutReadsEvictsOldestWritten(t *testing.T) {
 	mid := putSized(t, s, 1, 100, 2*time.Hour)
 	newest := putSized(t, s, 2, 100, time.Hour)
 
-	st, err := s.Sweep(250)
+	st, err := s.sweep(250)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSweepLRUKeepsRecentlyRead(t *testing.T) {
 		t.Fatal("setup: entry missing")
 	}
 
-	st, err := s.Sweep(250)
+	st, err := s.sweep(250)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSweepBoundsDiskUsage(t *testing.T) {
 		putSized(t, s, i, 100, time.Duration(i)*time.Minute)
 	}
 	const bound = 512
-	if _, err := s.Sweep(bound); err != nil {
+	if _, err := s.sweep(bound); err != nil {
 		t.Fatal(err)
 	}
 	size, err := s.Size()
@@ -150,7 +150,7 @@ func TestSweepIgnoresCorruptAndStudiesDirs(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "studies", "abc.jsonl"), []byte(strings.Repeat("y", 500)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Sweep(1)
+	st, err := s.sweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,9 +107,9 @@ func (c *cacheModel) segmentBytes() int64 {
 }
 
 // TestStoreMatchesModel runs random interleavings of Put, Get, Quarantine,
-// Sweep (random budgets) and close-and-reopen against a map.
+// sweep (random budgets) and close-and-reopen against a map.
 // Contents must match exactly, evicted and quarantined keys must stay
-// misses across reopen, and after every Sweep the segment files on disk
+// misses across reopen, and after every sweep the segment files on disk
 // must hold at most twice the live record bytes plus one record.
 func TestStoreMatchesModel(t *testing.T) {
 	const maxVal = 300
@@ -167,7 +167,7 @@ func TestStoreMatchesModel(t *testing.T) {
 					evicted = append(evicted, k)
 					over -= int64(len(c.m[k].val))
 				}
-				st, err := c.s.Sweep(budget)
+				st, err := c.s.sweep(budget)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -158,9 +158,6 @@ func (s *Store) Close() error {
 	return first
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // validKey rejects anything that is not a plain hex content address —
 // nothing with path structure can ever reach the filesystem layer.
 func validKey(key string) error {
@@ -432,14 +429,4 @@ func (s *Store) Size() (int64, error) {
 		return 0, errClosed
 	}
 	return s.live, nil
-}
-
-// Len returns the number of live entries.
-func (s *Store) Len() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, errClosed
-	}
-	return len(s.index), nil
 }

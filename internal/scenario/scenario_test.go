@@ -154,7 +154,7 @@ func TestFlashcrowdStaysAdmissible(t *testing.T) {
 // post-recovery windows must climb back.
 func TestLinkfailThinsArrivals(t *testing.T) {
 	res, err := experiment.RunPoint(experiment.LoadBalanced, experiment.Config{
-		N: 8, Traffic: experiment.UniformTraffic, Scenario: experiment.LinkFail,
+		N: 8, Traffic: experiment.UniformTraffic, Scenario: "linkfail",
 		ScenarioOptions: map[string]any{"at": 0.3, "duration": 0.3, "links": 4},
 		Slots:           10000, Seed: 7,
 	}, 0.8)

@@ -131,24 +131,8 @@ func (c *Client) TraceChrome(ctx context.Context, id string, w io.Writer) error 
 	return err
 }
 
-// Version fetches the daemon's build and runtime identity.
-func (c *Client) Version(ctx context.Context) (VersionInfo, error) {
-	var out VersionInfo
-	err := c.getJSON(ctx, "/api/v1/version", &out)
-	return out, err
-}
-
-// Status fetches one study's status.
-func (c *Client) Status(ctx context.Context, id string) (StudyStatus, error) {
-	var out struct {
-		Status StudyStatus `json:"status"`
-	}
-	err := c.getJSON(ctx, "/api/v1/studies/"+id, &out)
-	return out.Status, err
-}
-
-// Cancel cancels a running study.
-func (c *Client) Cancel(ctx context.Context, id string) error {
+// cancel cancels a running study.
+func (c *Client) cancel(ctx context.Context, id string) error {
 	resp, err := c.do(ctx, func() (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodPost, c.url("/api/v1/studies/"+id+"/cancel"), nil)
 	})
@@ -295,7 +279,7 @@ func (c *Client) Run(ctx context.Context, spec experiment.Spec, progress func(Pr
 			bg, stop := context.WithTimeout(context.Background(), 30*time.Second)
 			defer stop()
 			if status.Created {
-				c.Cancel(bg, status.ID) //nolint:errcheck // best effort
+				c.cancel(bg, status.ID) //nolint:errcheck // best effort
 				_, results, _ := c.Results(bg, status.ID, true)
 				return results, fmt.Errorf("sprinklerd: study %s: %w", status.ID, ctx.Err())
 			}

@@ -193,9 +193,9 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// RenderFormats lists the render endpoint's formats: every rendering the
+// renderFormats lists the render endpoint's formats: every rendering the
 // CLI tools produce from a result set.
-var RenderFormats = []string{
+var renderFormats = []string{
 	"curves", "csv", "detail", "trajectory", "trajcsv",
 	"markov", "bound", "bound-switchwide",
 }
@@ -236,7 +236,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		experiment.RenderBoundTable(w, results, true)
 	default:
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown render format %q (want one of %v)", format, RenderFormats))
+			fmt.Errorf("unknown render format %q (want one of %v)", format, renderFormats))
 		return
 	}
 	if err != nil {

@@ -11,29 +11,29 @@ import (
 // done, daemon-wide and per study: slots simulated, points refined,
 // replicas early-stopped, slots saved.
 
-// PerfStudy is one study's row in the perf response.
-type PerfStudy struct {
+// perfStudy is one study's row in the perf response.
+type perfStudy struct {
 	StudyStatus
 	Counters experiment.CounterSnapshot `json:"counters"`
 }
 
-// PerfResponse is the wire form of GET /api/v1/perf.
-type PerfResponse struct {
+// perfResponse is the wire form of GET /api/v1/perf.
+type perfResponse struct {
 	Counters experiment.CounterSnapshot `json:"counters"`
-	Studies  []PerfStudy                `json:"studies"`
+	Studies  []perfStudy                `json:"studies"`
 }
 
-// Perf assembles the perf view: daemon-wide counters and every known study
+// perf assembles the perf view: daemon-wide counters and every known study
 // with its private counters.
-func (s *Server) Perf() PerfResponse {
-	resp := PerfResponse{
+func (s *Server) perf() perfResponse {
+	resp := perfResponse{
 		Counters: s.TotalCounters(),
-		Studies:  []PerfStudy{},
+		Studies:  []perfStudy{},
 	}
 
 	s.mu.Lock()
 	for _, st := range s.studies {
-		resp.Studies = append(resp.Studies, PerfStudy{
+		resp.Studies = append(resp.Studies, perfStudy{
 			StudyStatus: st.Status(),
 			Counters:    st.counters.Snapshot(),
 		})
@@ -44,5 +44,5 @@ func (s *Server) Perf() PerfResponse {
 }
 
 func (s *Server) handlePerf(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Perf())
+	writeJSON(w, http.StatusOK, s.perf())
 }

@@ -52,7 +52,7 @@ func TestPerfEndpoint(t *testing.T) {
 	if !hasCounters || !hasStudies || len(keys) != 2 {
 		t.Errorf("perf top-level keys = %v, want exactly counters and studies", keys)
 	}
-	var perf PerfResponse
+	var perf perfResponse
 	if err := json.Unmarshal(body, &perf); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestAdaptiveStudyThroughDaemon(t *testing.T) {
 	if total.PointsRefined == 0 || total.ReplicasEarlyStopped == 0 || total.SlotsSavedEstimate == 0 {
 		t.Errorf("adaptive counters did not surface daemon-wide: %+v", total)
 	}
-	var perf PerfResponse
+	var perf perfResponse
 	if err := json.Unmarshal([]byte(httpGet(t, client, "/api/v1/perf")), &perf); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRetiredCountersSurviveStudyReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Cancel(context.Background(), status.ID); err != nil {
+	if err := client.cancel(context.Background(), status.ID); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

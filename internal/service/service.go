@@ -255,9 +255,6 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Cache returns the server's result cache store.
-func (s *Server) Cache() *resultcache.Store { return s.cache }
-
 // Counters returns the server's process-lifetime counters (work not
 // attributable to one study; see TotalCounters for the daemon-wide view).
 func (s *Server) Counters() *experiment.Counters { return &s.counters }
@@ -443,17 +440,6 @@ func (s *Server) List() []StudyStatus {
 		out = append(out, st.Status())
 	}
 	return out
-}
-
-// Cancel cancels a running study. It reports whether the study exists;
-// canceling a finished study is a no-op.
-func (s *Server) Cancel(id string) bool {
-	st, ok := s.lookup(id)
-	if !ok {
-		return false
-	}
-	st.cancel()
-	return true
 }
 
 // RunningStudies counts studies currently executing.

@@ -177,7 +177,7 @@ func TestCancelEndpoint(t *testing.T) {
 	if !status.Created {
 		t.Fatalf("expected a fresh execution, got %+v", status)
 	}
-	if err := client.Cancel(context.Background(), status.ID); err != nil {
+	if err := client.cancel(context.Background(), status.ID); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)

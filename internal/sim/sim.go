@@ -108,16 +108,6 @@ func SecondStage(l int, t Slot, n int) int {
 	return int(m)
 }
 
-// InputFor inverts FirstStage: the input port connected to intermediate port
-// l during slot t.
-func InputFor(l int, t Slot, n int) int {
-	m := (Slot(l) - t) % Slot(n)
-	if m < 0 {
-		m += Slot(n)
-	}
-	return int(m)
-}
-
 // IntermediateFor inverts SecondStage: the intermediate port connected to
 // output port j during slot t. It increases by one (mod N) every slot, so an
 // output port sweeps the intermediate ports cyclically.

@@ -2,16 +2,14 @@ package stats
 
 import "math"
 
-// Replica and batch-means aggregation. A simulation study runs every point
-// several times with independent seeds (replicas); each replica's mean is one
-// sample of the steady-state quantity, and the classical batch-means estimator
-// turns those samples into a mean with a Student-t confidence interval. The
-// same machinery serves within-run batch means: split one long measurement
-// series into contiguous batches and feed the batch means to MeanCI95.
+// Replica aggregation. A simulation study runs every point several times
+// with independent seeds (replicas); each replica's mean is one sample of the
+// steady-state quantity, and the classical batch-means estimator turns those
+// samples into a mean with a Student-t confidence interval.
 
-// tCrit95 holds the two-sided 95% Student-t critical values t_{0.975,df} for
+// tCrit95Table holds the two-sided 95% Student-t critical values t_{0.975,df} for
 // df = 1..30 (index df-1).
-var tCrit95 = [30]float64{
+var tCrit95Table = [30]float64{
 	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
 	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
 	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
@@ -27,15 +25,15 @@ var tCrit95Anchors = []struct {
 	{30, 2.042}, {40, 2.021}, {60, 2.000}, {120, 1.980},
 }
 
-// TCrit95 returns the two-sided 95% Student-t critical value for the given
+// tCrit95 returns the two-sided 95% Student-t critical value for the given
 // degrees of freedom (df <= 0 returns +Inf: no interval can be formed from a
 // single sample).
-func TCrit95(df int) float64 {
+func tCrit95(df int) float64 {
 	switch {
 	case df <= 0:
 		return math.Inf(1)
 	case df <= 30:
-		return tCrit95[df-1]
+		return tCrit95Table[df-1]
 	case df > 120:
 		// Beyond the table, t ~= z + c/df captures the 1/df approach to the
 		// normal quantile (exact to ~1e-4 over this range).
@@ -52,25 +50,20 @@ func TCrit95(df int) float64 {
 	return 1.960
 }
 
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // MeanCI95 returns the sample mean of xs and the half-width of its 95%
 // confidence interval, treating the samples as i.i.d. (the batch-means
 // assumption: each x is one replica's — or one batch's — mean). With fewer
-// than two samples the half-width is 0: no variance estimate exists.
+// than two samples the half-width is 0: no variance estimate exists, and an
+// empty xs has mean 0.
 func MeanCI95(xs []float64) (mean, half float64) {
-	mean = Mean(xs)
 	n := len(xs)
+	if n == 0 {
+		return 0, 0
+	}
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(n)
 	if n < 2 {
 		return mean, 0
 	}
@@ -80,23 +73,6 @@ func MeanCI95(xs []float64) (mean, half float64) {
 		ss += d * d
 	}
 	s2 := ss / float64(n-1) // sample variance
-	half = TCrit95(n-1) * math.Sqrt(s2/float64(n))
+	half = tCrit95(n-1) * math.Sqrt(s2/float64(n))
 	return mean, half
-}
-
-// BatchMeans splits series into k contiguous equal-size batches (discarding
-// the remainder at the tail) and returns the mean of each batch. Feeding the
-// result to MeanCI95 yields the classical batch-means confidence interval for
-// a single autocorrelated measurement series. It returns nil when the series
-// cannot fill k batches.
-func BatchMeans(series []float64, k int) []float64 {
-	if k <= 0 || len(series) < k {
-		return nil
-	}
-	size := len(series) / k
-	out := make([]float64, k)
-	for b := 0; b < k; b++ {
-		out[b] = Mean(series[b*size : (b+1)*size])
-	}
-	return out
 }

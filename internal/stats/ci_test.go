@@ -14,24 +14,24 @@ func TestTCrit95KnownValues(t *testing.T) {
 		{40, 2.021}, {60, 2.000}, {120, 1.980}, {1000, 1.9624},
 	}
 	for _, c := range cases {
-		if got := TCrit95(c.df); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("TCrit95(%d) = %v, want %v", c.df, got, c.want)
+		if got := tCrit95(c.df); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("tCrit95(%d) = %v, want %v", c.df, got, c.want)
 		}
 	}
-	if !math.IsInf(TCrit95(0), 1) {
-		t.Error("TCrit95(0) should be +Inf: no interval from one sample")
+	if !math.IsInf(tCrit95(0), 1) {
+		t.Error("tCrit95(0) should be +Inf: no interval from one sample")
 	}
 }
 
 func TestTCrit95Monotone(t *testing.T) {
 	prev := math.Inf(1)
 	for df := 1; df <= 200; df++ {
-		v := TCrit95(df)
+		v := tCrit95(df)
 		if v > prev {
 			t.Fatalf("TCrit95 not non-increasing at df=%d: %v > %v", df, v, prev)
 		}
 		if v < 1.959 {
-			t.Fatalf("TCrit95(%d) = %v below the normal limit", df, v)
+			t.Fatalf("tCrit95(%d) = %v below the normal limit", df, v)
 		}
 		prev = v
 	}
@@ -57,23 +57,5 @@ func TestMeanCI95(t *testing.T) {
 	// Identical samples: zero-width interval.
 	if _, h := MeanCI95([]float64{4, 4, 4, 4}); h != 0 {
 		t.Errorf("constant samples: half = %v, want 0", h)
-	}
-}
-
-func TestBatchMeans(t *testing.T) {
-	series := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	got := BatchMeans(series, 2)
-	if len(got) != 2 || got[0] != 3 || got[1] != 8 {
-		t.Errorf("k=2: %v", got)
-	}
-	got = BatchMeans(series, 3) // batch size 3, tail {10} discarded
-	if len(got) != 3 || got[0] != 2 || got[1] != 5 || got[2] != 8 {
-		t.Errorf("k=3: %v", got)
-	}
-	if BatchMeans(series[:1], 2) != nil {
-		t.Error("series shorter than k should return nil")
-	}
-	if BatchMeans(series, 0) != nil {
-		t.Error("k=0 should return nil")
 	}
 }

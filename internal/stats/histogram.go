@@ -65,25 +65,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 }
 
-// Count reports the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// SumSeconds reports the total observed time in seconds.
-func (h *Histogram) SumSeconds() float64 {
-	if h == nil {
-		return 0
-	}
-	return float64(h.sumNs.Load()) / 1e9
-}
-
-// Name returns the exposed metric name.
-func (h *Histogram) Name() string { return h.name }
-
 // WriteProm writes the histogram in Prometheus text exposition format:
 // # HELP / # TYPE, cumulative _bucket samples with le in seconds, then
 // _sum and _count. Bucket counts are read low-to-high after loading

@@ -10,12 +10,12 @@ import "math"
 // the samples seen so far, so a sequential run is deterministic: the same
 // replica means stop at the same count on any machine, any parallelism.
 
-// RelHalfWidth returns the 95% CI half-width of xs relative to the
+// relHalfWidth returns the 95% CI half-width of xs relative to the
 // magnitude of its mean. The denominator is floored at 1 so near-zero
 // means (a delay of fractions of a slot) cannot demand absolute precision
 // no replica count delivers. With fewer than two samples it returns +Inf:
 // no variance estimate exists yet.
-func RelHalfWidth(xs []float64) float64 {
+func relHalfWidth(xs []float64) float64 {
 	if len(xs) < 2 {
 		return math.Inf(1)
 	}
@@ -34,5 +34,5 @@ func SequentialStop(xs []float64, minSamples int, relTol float64) bool {
 	if len(xs) < max(minSamples, 2) {
 		return false
 	}
-	return RelHalfWidth(xs) <= relTol
+	return relHalfWidth(xs) <= relTol
 }

@@ -6,10 +6,10 @@ import (
 )
 
 func TestRelHalfWidthNeedsTwoSamples(t *testing.T) {
-	if !math.IsInf(RelHalfWidth(nil), 1) {
+	if !math.IsInf(relHalfWidth(nil), 1) {
 		t.Error("no samples should report +Inf relative half-width")
 	}
-	if !math.IsInf(RelHalfWidth([]float64{5}), 1) {
+	if !math.IsInf(relHalfWidth([]float64{5}), 1) {
 		t.Error("one sample should report +Inf relative half-width")
 	}
 }
@@ -17,10 +17,10 @@ func TestRelHalfWidthNeedsTwoSamples(t *testing.T) {
 func TestRelHalfWidthMatchesMeanCI95(t *testing.T) {
 	xs := []float64{10, 11, 9, 10.5}
 	mean, half := MeanCI95(xs)
-	got := RelHalfWidth(xs)
+	got := relHalfWidth(xs)
 	want := half / mean
 	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("RelHalfWidth = %v, want %v", got, want)
+		t.Errorf("relHalfWidth = %v, want %v", got, want)
 	}
 }
 
@@ -29,8 +29,8 @@ func TestRelHalfWidthFloorsTinyMeans(t *testing.T) {
 	// at 1 so sub-slot delays can still satisfy a relative tolerance.
 	xs := []float64{0.01, 0.02, 0.015}
 	_, half := MeanCI95(xs)
-	if got := RelHalfWidth(xs); got != half {
-		t.Errorf("RelHalfWidth = %v, want the raw half-width %v for a sub-1 mean", got, half)
+	if got := relHalfWidth(xs); got != half {
+		t.Errorf("relHalfWidth = %v, want the raw half-width %v for a sub-1 mean", got, half)
 	}
 }
 

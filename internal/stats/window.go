@@ -142,9 +142,6 @@ func (w *Windowed) OnSlot(t sim.Slot, backlog func() int) {
 // Points returns the closed windows, in order.
 func (w *Windowed) Points() []WindowPoint { return w.points }
 
-// Reordered returns the total out-of-order deliveries across all windows.
-func (w *Windowed) Reordered() int64 { return w.reorder.Reordered() }
-
 // ReorderDetector exposes the run-level reorder detector the windows are
 // charged from, so callers needing whole-run reorder statistics (fraction,
 // max gap) do not have to run a second detector over every delivery.

@@ -108,8 +108,8 @@ func TestWindowedReorderAcrossBoundary(t *testing.T) {
 	if pts[1].Reordered != 1 {
 		t.Errorf("window 1 reordered %d, want 1 (boundary-crossing reorder lost)", pts[1].Reordered)
 	}
-	if w.Reordered() != 1 {
-		t.Errorf("total reordered %d", w.Reordered())
+	if n := w.ReorderDetector().Reordered(); n != 1 {
+		t.Errorf("total reordered %d", n)
 	}
 }
 

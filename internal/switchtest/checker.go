@@ -1,24 +1,4 @@
-// Package conformance provides a wrapper that checks any sim.Switch against
-// the physical constraints of the two-stage load-balanced switch model
-// while a simulation runs:
-//
-//   - at most one packet departs per output port per slot (the second
-//     fabric's speed);
-//   - at most N departures per slot in total;
-//   - departures are stamped with the current slot;
-//   - no two packets in flight share (In, Out, Seq), the triple that names
-//     a packet;
-//   - every delivered packet was previously offered via Arrive, is
-//     delivered exactly once, and is the packet that was offered, field for
-//     field (a switch may queue less than a whole sim.Packet and rebuild it;
-//     only the stripe-size header is the switch's to write);
-//   - the backlog reported by the switch equals offered minus delivered.
-//
-// Violating any of these means a switch implementation is cheating the
-// model (e.g. teleporting packets or exceeding fabric speed), which would
-// invalidate every delay comparison. The integration tests wrap all seven
-// architectures in a Checker.
-package conformance
+package switchtest
 
 import (
 	"fmt"
@@ -35,12 +15,6 @@ type Checker struct {
 	delivered int64
 	inFlight  map[flowSeq]sim.Packet // packets inside the switch, as offered
 	violation string
-}
-
-// flowSeq is the name of a packet: its flow and its place in the flow.
-type flowSeq struct {
-	in, out int32
-	seq     uint64
 }
 
 func keyOf(p sim.Packet) flowSeq { return flowSeq{p.In, p.Out, p.Seq} }

@@ -1,7 +1,26 @@
 // Package switchtest provides shared helpers for testing switch
-// implementations: randomized admissible workloads, packet-conservation
-// checks, ordering checks and throughput sanity checks. It is imported only
-// by test files.
+// implementations: randomized admissible workloads, a scripted arrival
+// source, packet-conservation checks, ordering checks, throughput sanity
+// checks, and a Checker that holds any sim.Switch to the physical
+// constraints of the two-stage load-balanced switch model while a
+// simulation runs:
+//
+//   - at most one packet departs per output port per slot (the second
+//     fabric's speed);
+//   - at most N departures per slot in total;
+//   - departures are stamped with the current slot;
+//   - no two packets in flight share (In, Out, Seq), the triple that names
+//     a packet;
+//   - every delivered packet was previously offered via Arrive, is
+//     delivered exactly once, and is the packet that was offered, field for
+//     field (a switch may queue less than a whole sim.Packet and rebuild it;
+//     only the stripe-size header is the switch's to write);
+//   - the backlog reported by the switch equals offered minus delivered.
+//
+// Violating any of these means a switch implementation is cheating the
+// model (e.g. teleporting packets or exceeding fabric speed), which would
+// invalidate every delay comparison. The integration tests wrap all seven
+// architectures in a Checker. The package is imported only by test files.
 package switchtest
 
 import (
@@ -107,6 +126,7 @@ type EmissionIDs struct {
 	ids  map[flowSeq]uint64
 }
 
+// flowSeq is the name of a packet: its flow and its place in the flow.
 type flowSeq struct {
 	in, out int32
 	seq     uint64

@@ -31,8 +31,8 @@ import (
 // HTTP headers carrying trace context coordinator -> worker. They ride
 // alongside the job request; the request body is unchanged.
 const (
-	TraceHeader = "X-Sprinklerd-Trace"
-	SpanHeader  = "X-Sprinklerd-Span"
+	traceHeader = "X-Sprinklerd-Trace"
+	spanHeader  = "X-Sprinklerd-Span"
 )
 
 // Span is one timed operation (or, when Event is true, an instant
@@ -299,14 +299,6 @@ func (sc SpanContext) Event(name string, attrs ...string) {
 	sc.J.Record(sp)
 }
 
-// ID returns the span's ID ("" when disabled).
-func (a *Active) ID() string {
-	if a == nil {
-		return ""
-	}
-	return a.span.ID
-}
-
 // SetJob labels the span with the job it serves: the point's cache key
 // and replica index.
 func (a *Active) SetJob(job string, rep int) {
@@ -365,14 +357,14 @@ func Inject(h http.Header, sc SpanContext) {
 	if sc.Trace == "" {
 		return
 	}
-	h.Set(TraceHeader, sc.Trace)
+	h.Set(traceHeader, sc.Trace)
 	if sc.Parent != "" {
-		h.Set(SpanHeader, sc.Parent)
+		h.Set(spanHeader, sc.Parent)
 	}
 }
 
 // Extract reads trace context from HTTP headers; traceID is "" when the
 // request is untraced.
 func Extract(h http.Header) (traceID, parentSpan string) {
-	return h.Get(TraceHeader), h.Get(SpanHeader)
+	return h.Get(traceHeader), h.Get(spanHeader)
 }

@@ -61,9 +61,6 @@ func NewDynamic(base *Matrix, events []registry.Event, meanBurst float64, rng *r
 // N implements sim.Source.
 func (d *Dynamic) N() int { return d.src.N() }
 
-// LinkFactor returns input i's current ingress-link capacity factor.
-func (d *Dynamic) LinkFactor(i int) float64 { return d.factor[i] }
-
 // Next implements sim.Source: it applies every event due at or before slot
 // t, then emits the slot's arrivals from the inner source.
 func (d *Dynamic) Next(t sim.Slot, emit func(sim.Packet)) {

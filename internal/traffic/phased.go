@@ -52,14 +52,6 @@ func (p *Phased) AddPhase(m *Matrix, duration sim.Slot) *Phased {
 	return p
 }
 
-// TotalSlots returns the combined duration of all phases.
-func (p *Phased) TotalSlots() sim.Slot {
-	if len(p.phases) == 0 {
-		return 0
-	}
-	return p.phases[len(p.phases)-1].until
-}
-
 // N implements sim.Source.
 func (p *Phased) N() int { return p.n }
 

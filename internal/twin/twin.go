@@ -24,12 +24,12 @@ import (
 
 // Model names understood by Delay.
 const (
-	// ModelMarkov is the paper's Fig. 5 closed form for the mean
+	// modelMarkov is the paper's Fig. 5 closed form for the mean
 	// intermediate-stage queue of a load-balanced two-stage switch.
-	ModelMarkov = "markov"
-	// ModelQueue is a generic single-server queueing shape rho/(1-rho) —
+	modelMarkov = "markov"
+	// modelQueue is a generic single-server queueing shape rho/(1-rho) —
 	// the fallback for architectures without a registered twin.
-	ModelQueue = "queue"
+	modelQueue = "queue"
 )
 
 // maxRho caps the effective load fed to the closed forms: both diverge as
@@ -40,15 +40,15 @@ const maxRho = 0.999
 
 // Model returns the twin model and stability cap registered for an
 // architecture name. Unknown names (and architectures without a Twin
-// entry) fall back to ModelQueue with no cap.
+// entry) fall back to modelQueue with no cap.
 func Model(arch string) (model string, maxStable float64) {
 	a, ok := registry.LookupArchitecture(arch)
 	if !ok {
-		return ModelQueue, 0
+		return modelQueue, 0
 	}
 	model = a.Twin
 	if model == "" {
-		model = ModelQueue
+		model = modelQueue
 	}
 	return model, a.MaxStableLoad
 }
@@ -63,7 +63,7 @@ func Delay(model string, maxStable float64, n int, load float64) float64 {
 	}
 	rho = math.Min(rho, maxRho)
 	switch model {
-	case ModelMarkov:
+	case modelMarkov:
 		return markov.MeanQueueClosedForm(n, rho)
 	default:
 		return rho / (1 - rho)

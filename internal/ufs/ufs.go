@@ -46,13 +46,3 @@ func (s *Switch) Step(deliver sim.DeliverFunc) {
 	s.sp.Step(s.t, deliver, nil)
 	s.t++
 }
-
-// PendingFrames reports, for tests, how many full frames are currently
-// waiting at input i.
-func (s *Switch) PendingFrames(i int) int {
-	c := 0
-	for j := 0; j < s.n; j++ {
-		c += s.sp.VOQLen(i, j) / s.n
-	}
-	return c
-}

@@ -56,7 +56,7 @@ func TestOrderingUnderBurstyArrivals(t *testing.T) {
 func TestFullFrameOnly(t *testing.T) {
 	const n = 8
 	sw := New(n)
-	tr := traffic.NewTrace(n)
+	tr := switchtest.NewTrace(n)
 	for k := 0; k < n-1; k++ { // one short of a frame
 		tr.Add(sim.Slot(k), 0, 3)
 	}
@@ -87,7 +87,7 @@ func TestFullFrameOnly(t *testing.T) {
 func TestPendingFrames(t *testing.T) {
 	const n = 4
 	sw := New(n)
-	tr := traffic.NewTrace(n)
+	tr := switchtest.NewTrace(n)
 	slot := sim.Slot(0)
 	for k := 0; k < 3*n; k++ { // three full frames for output 1
 		tr.Add(slot, 2, 1)
