@@ -3,6 +3,7 @@ package sprinklers_test
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -15,6 +16,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -42,50 +44,14 @@ var exportExemptPackages = map[string]bool{
 // non-test file under internal/ to be referenced from a non-test file of
 // the module other than its own. cmd/, examples/, benchmark/ and the root
 // facade count as callers. A method is exempt when it lets its type satisfy
-// an interface of the module or the standard library; a type is exempt when
-// it is reachable from a passing identifier's signature, type or exported
-// fields. It uses only go/parser, go/types and go/importer, with package
-// files and export data from `go list`.
+// an interface of the module or the standard library, or when its type is
+// part of the facade's API (facadeAPI); a type is exempt when it is
+// reachable from a passing identifier's signature, type or exported fields.
+// It uses only go/parser, go/types and go/importer, with package files and
+// export data from `go list`.
 func TestExportsHaveProductionCallers(t *testing.T) {
-	pkgs := listPackages(t)
-	fset := token.NewFileSet()
-	exports := map[string]string{}
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %s", path)
-		}
-		return os.Open(f)
-	})
-
-	// Type-check the module's packages from source, in the dependency order
-	// go list prints, so that one object stands for each declaration.
-	checked := map[string]*types.Package{}
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := checked[path]; ok {
-			return p, nil
-		}
-		return gc.Import(path)
-	})
-	info := &types.Info{
-		Defs:      map[*ast.Ident]types.Object{},
-		Uses:      map[*ast.Ident]types.Object{},
-		Types:     map[ast.Expr]types.TypeAndValue{},
-		Instances: map[*ast.Ident]types.Instance{},
-	}
-	// errors.Unwrap and errors.Is look for an Unwrap method through an
-	// unnamed interface.
-	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil, nil,
-		types.NewTuple(types.NewParam(token.NoPos, nil, "", types.Universe.Lookup("error").Type())), false))
-	interfaces := []*types.Interface{
-		types.Universe.Lookup("error").Type().Underlying().(*types.Interface),
-		types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete(),
-	}
+	m := loadModule(t)
+	fset, info := m.fset, m.info
 	type decl struct {
 		key  string
 		file string
@@ -93,45 +59,19 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 	}
 	var decls []decl
 	exemptFiles := map[string]bool{}
-	internal := modulePath(pkgs) + "/internal/"
-	for _, p := range pkgs {
-		if p.Standard {
-			std, err := gc.Import(p.ImportPath)
-			if err != nil {
-				t.Fatalf("import %s: %v", p.ImportPath, err)
-			}
-			interfaces = appendInterfaces(interfaces, std)
-			continue
-		}
-		if len(p.GoFiles) == 0 {
-			continue
-		}
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		conf := types.Config{Importer: imp}
-		tp, err := conf.Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			t.Fatalf("type-check %s: %v", p.ImportPath, err)
-		}
-		checked[p.ImportPath] = tp
-		interfaces = appendInterfaces(interfaces, tp)
-
+	internal := m.path + "/internal/"
+	for _, p := range m.pkgs {
 		rel, ok := strings.CutPrefix(p.ImportPath, internal)
+		if !ok {
+			continue
+		}
 		if exportExemptPackages[rel] {
-			for _, f := range files {
+			for _, f := range m.files[p.ImportPath] {
 				exemptFiles[fset.Position(f.Pos()).Filename] = true
 			}
-		}
-		if !ok || exportExemptPackages[rel] {
 			continue
 		}
-		for _, f := range files {
+		for _, f := range m.files[p.ImportPath] {
 			file := fset.Position(f.Pos()).Filename
 			for _, d := range f.Decls {
 				switch d := d.(type) {
@@ -163,11 +103,6 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 			}
 		}
 	}
-	for _, tv := range info.Types {
-		if it, ok := tv.Type.Underlying().(*types.Interface); ok && tv.IsType() {
-			interfaces = append(interfaces, it)
-		}
-	}
 
 	declFile := map[types.Object]string{}
 	for _, d := range decls {
@@ -193,8 +128,16 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 		}
 	}
 	for _, d := range decls {
-		if fn, ok := d.obj.(*types.Func); ok && satisfiesInterface(fn, interfaces, instances) {
+		if fn, ok := d.obj.(*types.Func); ok && satisfiesInterface(fn, m.interfaces, instances) {
 			passing[d.obj] = true
+		}
+	}
+	// A downstream user reaches the facade's types through their aliases,
+	// so every exported method of those types is public API.
+	_, facadeTypes := facadeAPI(m)
+	for _, n := range facadeTypes {
+		for _, fn := range methods(n) {
+			passing[fn.Origin()] = true
 		}
 	}
 
@@ -226,33 +169,9 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 		case *types.Alias:
 			mark(typ.Obj())
 			reach(types.Unalias(typ))
-		case *types.Pointer:
-			reach(typ.Elem())
-		case *types.Slice:
-			reach(typ.Elem())
-		case *types.Array:
-			reach(typ.Elem())
-		case *types.Chan:
-			reach(typ.Elem())
-		case *types.Map:
-			reach(typ.Key())
-			reach(typ.Elem())
-		case *types.Tuple:
-			for i := 0; i < typ.Len(); i++ {
-				reach(typ.At(i).Type())
-			}
-		case *types.Signature:
-			reach(typ.Params())
-			reach(typ.Results())
-		case *types.Struct:
-			for i := 0; i < typ.NumFields(); i++ {
-				if f := typ.Field(i); f.Exported() {
-					reach(f.Type())
-				}
-			}
-		case *types.Interface:
-			for i := 0; i < typ.NumMethods(); i++ {
-				reach(typ.Method(i).Type())
+		default:
+			for _, elem := range components(typ) {
+				reach(elem)
 			}
 		}
 	}
@@ -296,6 +215,294 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 	}
 }
 
+var updateFacade = flag.Bool("update-facade", false, "rewrite testdata/facade_api.txt from the current facade")
+
+// TestFacadeAPI pins the facade's whole API: its exported identifiers and,
+// for every module type they reach through aliases, signatures and exported
+// fields, the exported fields and methods. go doc lists an alias but not the
+// methods of the type behind it, so a method deleted from stats.Delay would
+// change the API that sprinklers.DelayStats offers without changing go doc.
+// An intended API change is recorded with `go test . -run TestFacadeAPI
+// -update-facade`.
+func TestFacadeAPI(t *testing.T) {
+	lines, _ := facadeAPI(loadModule(t))
+	got := strings.Join(lines, "\n") + "\n"
+	const golden = "testdata/facade_api.txt"
+	if *updateFacade {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	have := map[string]bool{}
+	for _, l := range lines {
+		have[l] = true
+	}
+	pinned := map[string]bool{}
+	for _, l := range strings.Split(strings.TrimSuffix(string(want), "\n"), "\n") {
+		pinned[l] = true
+		if !have[l] {
+			t.Errorf("facade API lost: %s", l)
+		}
+	}
+	for _, l := range lines {
+		if !pinned[l] {
+			t.Errorf("facade API gained: %s", l)
+		}
+	}
+	t.Logf("if the change is intended, rerun with -update-facade")
+}
+
+// facadeAPI lists the root package's exported identifiers, then every
+// module type they reach, with its exported fields and methods, and returns
+// the sorted lines and the reached types.
+func facadeAPI(m *module) ([]string, []*types.Named) {
+	qual := func(p *types.Package) string { return p.Name() }
+	var lines []string
+	found := map[*types.Named]bool{}
+	var order []*types.Named
+	seen := map[types.Type]bool{}
+	var walk func(types.Type)
+	walk = func(typ types.Type) {
+		if typ == nil || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ := typ.(type) {
+		case *types.Alias:
+			walk(types.Unalias(typ))
+		case *types.Named:
+			for i := 0; i < typ.TypeArgs().Len(); i++ {
+				walk(typ.TypeArgs().At(i))
+			}
+			n := typ.Origin()
+			if n.Obj().Pkg() == nil || !strings.HasPrefix(n.Obj().Pkg().Path()+"/", m.path+"/") || found[n] {
+				return
+			}
+			found[n] = true
+			order = append(order, n)
+			name := types.TypeString(n, qual)
+			switch u := n.Underlying().(type) {
+			case *types.Struct:
+				lines = append(lines, "type "+name+" struct")
+				for i := 0; i < u.NumFields(); i++ {
+					if f := u.Field(i); f.Exported() {
+						lines = append(lines, "field "+name+"."+f.Name()+" "+types.TypeString(f.Type(), qual))
+						walk(f.Type())
+					}
+				}
+			case *types.Interface:
+				lines = append(lines, "type "+name+" interface")
+				for i := 0; i < u.NumMethods(); i++ {
+					fn := u.Method(i)
+					lines = append(lines, "method "+name+"."+fn.Name()+" "+types.TypeString(fn.Type(), qual))
+					walk(fn.Type())
+				}
+			default:
+				lines = append(lines, "type "+name+" "+types.TypeString(u, qual))
+				walk(u)
+			}
+			for _, fn := range methods(n) {
+				lines = append(lines, "method "+name+"."+fn.Name()+" "+types.TypeString(fn.Type(), qual))
+				walk(fn.Type())
+			}
+		default:
+			for _, elem := range components(typ) {
+				walk(elem)
+			}
+		}
+	}
+	scope := m.checked[m.path].Scope()
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if !obj.Exported() {
+			continue
+		}
+		lines = append(lines, types.ObjectString(obj, qual))
+		walk(obj.Type())
+	}
+	sort.Strings(lines)
+	return lines, order
+}
+
+// methods returns the exported concrete methods of a non-interface named
+// type, promoted ones included, as a downstream user calls them on *T.
+func methods(n *types.Named) []*types.Func {
+	if types.IsInterface(n) {
+		return nil
+	}
+	var fns []*types.Func
+	ms := types.NewMethodSet(types.NewPointer(n))
+	for i := 0; i < ms.Len(); i++ {
+		if fn := ms.At(i).Obj().(*types.Func); fn.Exported() {
+			fns = append(fns, fn)
+		}
+	}
+	return fns
+}
+
+// components returns the types an unnamed type is built from: element,
+// key, parameter and result types, exported field types and interface
+// method signatures.
+func components(typ types.Type) []types.Type {
+	switch typ := typ.(type) {
+	case *types.Pointer:
+		return []types.Type{typ.Elem()}
+	case *types.Slice:
+		return []types.Type{typ.Elem()}
+	case *types.Array:
+		return []types.Type{typ.Elem()}
+	case *types.Chan:
+		return []types.Type{typ.Elem()}
+	case *types.Map:
+		return []types.Type{typ.Key(), typ.Elem()}
+	case *types.Tuple:
+		var ts []types.Type
+		for i := 0; i < typ.Len(); i++ {
+			ts = append(ts, typ.At(i).Type())
+		}
+		return ts
+	case *types.Signature:
+		return []types.Type{typ.Params(), typ.Results()}
+	case *types.Struct:
+		var ts []types.Type
+		for i := 0; i < typ.NumFields(); i++ {
+			if f := typ.Field(i); f.Exported() {
+				ts = append(ts, f.Type())
+			}
+		}
+		return ts
+	case *types.Interface:
+		var ts []types.Type
+		for i := 0; i < typ.NumMethods(); i++ {
+			ts = append(ts, typ.Method(i).Type())
+		}
+		return ts
+	}
+	return nil
+}
+
+// module is the type-checked module: every package's parsed files, one
+// types.Info for all of them, and the interfaces of the module and the
+// standard library.
+type module struct {
+	path       string
+	pkgs       []goPackage
+	fset       *token.FileSet
+	info       *types.Info
+	files      map[string][]*ast.File
+	checked    map[string]*types.Package
+	interfaces []*types.Interface
+}
+
+var (
+	loadOnce   sync.Once
+	loaded     *module
+	loadFailed error
+)
+
+// loadModule type-checks the module once per test binary.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	loadOnce.Do(func() { loaded, loadFailed = typeCheckModule() })
+	if loadFailed != nil {
+		t.Fatal(loadFailed)
+	}
+	return loaded
+}
+
+func typeCheckModule() (*module, error) {
+	pkgs, err := listPackages()
+	if err != nil {
+		return nil, err
+	}
+	m := &module{
+		path: modulePath(pkgs),
+		pkgs: pkgs,
+		fset: token.NewFileSet(),
+		info: &types.Info{
+			Defs:      map[*ast.Ident]types.Object{},
+			Uses:      map[*ast.Ident]types.Object{},
+			Types:     map[ast.Expr]types.TypeAndValue{},
+			Instances: map[*ast.Ident]types.Instance{},
+		},
+		files:   map[string][]*ast.File{},
+		checked: map[string]*types.Package{},
+	}
+	exports := map[string]string{}
+	for _, p := range pkgs {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	gc := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(f)
+	})
+
+	// Type-check the module's packages from source, in the dependency order
+	// go list prints, so that one object stands for each declaration.
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := m.checked[path]; ok {
+			return p, nil
+		}
+		return gc.Import(path)
+	})
+	// errors.Unwrap and errors.Is look for an Unwrap method through an
+	// unnamed interface.
+	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewParam(token.NoPos, nil, "", types.Universe.Lookup("error").Type())), false))
+	m.interfaces = []*types.Interface{
+		types.Universe.Lookup("error").Type().Underlying().(*types.Interface),
+		types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete(),
+	}
+	for _, p := range pkgs {
+		if p.Standard {
+			std, err := gc.Import(p.ImportPath)
+			if err != nil {
+				return nil, fmt.Errorf("import %s: %v", p.ImportPath, err)
+			}
+			m.interfaces = appendInterfaces(m.interfaces, std)
+			continue
+		}
+		if len(p.GoFiles) == 0 {
+			continue
+		}
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(m.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		conf := types.Config{Importer: imp}
+		tp, err := conf.Check(p.ImportPath, m.fset, files, m.info)
+		if err != nil {
+			return nil, fmt.Errorf("type-check %s: %v", p.ImportPath, err)
+		}
+		m.checked[p.ImportPath] = tp
+		m.files[p.ImportPath] = files
+		m.interfaces = appendInterfaces(m.interfaces, tp)
+	}
+	for _, tv := range m.info.Types {
+		if it, ok := tv.Type.Underlying().(*types.Interface); ok && tv.IsType() {
+			m.interfaces = append(m.interfaces, it)
+		}
+	}
+	return m, nil
+}
+
 type goPackage struct {
 	ImportPath string
 	Dir        string
@@ -307,24 +514,23 @@ type goPackage struct {
 
 // listPackages returns the module's packages and every dependency, each
 // after the packages it imports, with export data for the standard library.
-func listPackages(t *testing.T) []goPackage {
-	t.Helper()
+func listPackages() ([]goPackage, error) {
 	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Export,Standard,GoFiles,Module", "./...")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list: %v\n%s", err, stderr.Bytes())
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
 	}
 	var pkgs []goPackage
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p goPackage
 		if err := dec.Decode(&p); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		pkgs = append(pkgs, p)
 	}
-	return pkgs
+	return pkgs, nil
 }
 
 func modulePath(pkgs []goPackage) string {

@@ -196,3 +196,16 @@ func (s *Switch) EstimatedRate(i, j int) float64 {
 
 // StripeSizeOf returns the current stripe size of VOQ (i, j).
 func (s *Switch) StripeSizeOf(i, j int) int { return s.inputs[i].voqs[j].iv.Size }
+
+// StripeSizeHistogram returns how many VOQs currently sit at each stripe
+// size — a one-look summary of how (adaptive) provisioning has spread the
+// switch across the dyadic sizes. Keys are the sizes in use.
+func (s *Switch) StripeSizeHistogram() map[int]int {
+	h := make(map[int]int)
+	for i := 0; i < s.n; i++ {
+		for j := 0; j < s.n; j++ {
+			h[s.inputs[i].voqs[j].iv.Size]++
+		}
+	}
+	return h
+}

@@ -18,6 +18,9 @@ type DelayBreakdown struct {
 	Transit      float64 // mean slots from stripe completion to departure
 }
 
+// Mean returns the overall mean delay (Accumulation + Transit).
+func (b DelayBreakdown) Mean() float64 { return b.Accumulation + b.Transit }
+
 // breakdown accumulates the decomposition inside the switch.
 type breakdown struct {
 	count  int64

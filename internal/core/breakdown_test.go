@@ -41,6 +41,9 @@ func TestBreakdownAccumulationMatchesTheory(t *testing.T) {
 	if b.Transit <= 0 || b.Transit > 10*n {
 		t.Fatalf("transit %.1f out of expected range", b.Transit)
 	}
+	if math.Abs(b.Mean()-(b.Accumulation+b.Transit)) > 1e-9 {
+		t.Fatal("Mean() inconsistent")
+	}
 }
 
 // TestBreakdownConsistentWithObservedDelay: the decomposition must add up
@@ -63,15 +66,15 @@ func TestBreakdownConsistentWithObservedDelay(t *testing.T) {
 	if b.Count != count {
 		t.Fatalf("breakdown counted %d, observer %d", b.Count, count)
 	}
-	if mean := b.Accumulation + b.Transit; math.Abs(mean-sum/float64(count)) > 1e-6 {
-		t.Fatalf("breakdown mean %.3f, observed %.3f", mean, sum/float64(count))
+	if math.Abs(b.Mean()-sum/float64(count)) > 1e-6 {
+		t.Fatalf("breakdown mean %.3f, observed %.3f", b.Mean(), sum/float64(count))
 	}
 }
 
 // TestBreakdownEmptySwitch: zero-value semantics.
 func TestBreakdownEmptySwitch(t *testing.T) {
 	sw := MustNew(Config{N: 8})
-	if b := sw.DelayBreakdown(); b != (DelayBreakdown{}) {
+	if b := sw.DelayBreakdown(); b.Count != 0 || b.Mean() != 0 {
 		t.Fatalf("empty breakdown: %+v", b)
 	}
 }

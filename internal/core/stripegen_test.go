@@ -119,7 +119,7 @@ func TestStripeAssignmentStructure(t *testing.T) {
 			}
 			seen[p] = true
 			iv := sw.StripeInterval(i, j)
-			if !dyadic.IsPow2(iv.Size) || iv != dyadic.Containing(iv.Start, iv.Size) || iv.End() > n {
+			if !iv.Valid(n) {
 				t.Fatalf("invalid interval %v", iv)
 			}
 			if !iv.Contains(p) {

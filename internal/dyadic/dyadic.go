@@ -29,9 +29,27 @@ func (iv Interval) String() string {
 	return fmt.Sprintf("(%d,%d]", iv.Start, iv.Start+iv.Size)
 }
 
+// Valid reports whether iv is a well-formed dyadic interval within n ports.
+func (iv Interval) Valid(n int) bool {
+	return iv.Size > 0 && iv.Size <= n &&
+		bits.OnesCount(uint(iv.Size)) == 1 &&
+		iv.Start >= 0 && iv.Start%iv.Size == 0 &&
+		iv.Start+iv.Size <= n
+}
+
 // Contains reports whether 0-based port p lies in iv.
 func (iv Interval) Contains(p int) bool {
 	return p >= iv.Start && p < iv.Start+iv.Size
+}
+
+// ContainsInterval reports whether other is entirely within iv.
+func (iv Interval) ContainsInterval(other Interval) bool {
+	return other.Start >= iv.Start && other.Start+other.Size <= iv.Start+iv.Size
+}
+
+// Overlaps reports whether the two intervals share at least one port.
+func (iv Interval) Overlaps(other Interval) bool {
+	return iv.Start < other.Start+other.Size && other.Start < iv.Start+iv.Size
 }
 
 // End returns the first port after the interval (Start+Size).

@@ -1,27 +1,7 @@
 package dyadic
 
-import "math/bits"
-
-// The rest of the interval algebra, which only the tests use: they state
-// the bear-hug law and the index bijection through it.
-
-// Valid reports whether iv is a well-formed dyadic interval within n ports.
-func (iv Interval) Valid(n int) bool {
-	return iv.Size > 0 && iv.Size <= n &&
-		bits.OnesCount(uint(iv.Size)) == 1 &&
-		iv.Start >= 0 && iv.Start%iv.Size == 0 &&
-		iv.Start+iv.Size <= n
-}
-
-// ContainsInterval reports whether other is entirely within iv.
-func (iv Interval) ContainsInterval(other Interval) bool {
-	return other.Start >= iv.Start && other.Start+other.Size <= iv.Start+iv.Size
-}
-
-// Overlaps reports whether the two intervals share at least one port.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Start < other.Start+other.Size && other.Start < iv.Start+iv.Size
-}
+// Interval enumeration and sizing helpers only the tests use: they state
+// the bear-hug law and the index bijection through them.
 
 // MaxSizeStartingAt returns the largest power-of-two size s <= n such that a
 // dyadic interval of size s starts at 0-based port p (i.e. s divides p).

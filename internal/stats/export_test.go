@@ -1,28 +1,6 @@
 package stats
 
-import (
-	"math"
-
-	"sprinklers/internal/sim"
-)
-
 // Accessors only the tests read.
-
-// Variance returns the population variance of the delays.
-func (d *Delay) Variance() float64 {
-	if d.count == 0 {
-		return 0
-	}
-	m := d.Mean()
-	v := d.sumSq/float64(d.count) - m*m
-	return math.Max(v, 0)
-}
-
-// StdDev returns the standard deviation of the delays.
-func (d *Delay) StdDev() float64 { return math.Sqrt(d.Variance()) }
-
-// Min returns the smallest observed delay.
-func (d *Delay) Min() sim.Slot { return d.min }
 
 // Count reports the number of observations.
 func (h *Histogram) Count() int64 {

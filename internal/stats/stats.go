@@ -58,6 +58,22 @@ func (d *Delay) Mean() float64 {
 	return d.sum / float64(d.count)
 }
 
+// Variance returns the population variance of the delays.
+func (d *Delay) Variance() float64 {
+	if d.count == 0 {
+		return 0
+	}
+	m := d.Mean()
+	v := d.sumSq/float64(d.count) - m*m
+	return math.Max(v, 0)
+}
+
+// StdDev returns the standard deviation of the delays.
+func (d *Delay) StdDev() float64 { return math.Sqrt(d.Variance()) }
+
+// Min returns the smallest observed delay.
+func (d *Delay) Min() sim.Slot { return d.min }
+
 // Max returns the largest observed delay.
 func (d *Delay) Max() sim.Slot { return d.max }
 

@@ -1,53 +1,8 @@
 package traffic
 
-import (
-	"math"
-
-	"sprinklers/internal/sim"
-)
+import "sprinklers/internal/sim"
 
 // Accessors only the tests use.
-
-// ColSum returns the total rate destined to output port j.
-func (m *Matrix) ColSum(j int) float64 {
-	var s float64
-	for i := 0; i < m.n; i++ {
-		s += m.rates[i][j]
-	}
-	return s
-}
-
-// Admissible reports whether no input or output port is oversubscribed
-// (all row and column sums <= 1, within tol).
-func (m *Matrix) Admissible(tol float64) bool {
-	for i := 0; i < m.n; i++ {
-		if m.RowSum(i) > 1+tol || m.ColSum(i) > 1+tol {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxLoad returns the largest row or column sum.
-func (m *Matrix) MaxLoad() float64 {
-	var mx float64
-	for i := 0; i < m.n; i++ {
-		mx = math.Max(mx, math.Max(m.RowSum(i), m.ColSum(i)))
-	}
-	return mx
-}
-
-// Scale returns a new matrix with every rate multiplied by f.
-func (m *Matrix) Scale(f float64) *Matrix {
-	out := make([][]float64, m.n)
-	for i := range out {
-		out[i] = make([]float64, m.n)
-		for j := range out[i] {
-			out[i][j] = m.rates[i][j] * f
-		}
-	}
-	return NewMatrix(out)
-}
 
 // LinkFactor returns input i's current ingress-link capacity factor.
 func (d *Dynamic) LinkFactor(i int) float64 { return d.factor[i] }

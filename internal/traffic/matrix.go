@@ -71,6 +71,47 @@ func (m *Matrix) RowSum(i int) float64 {
 	return s
 }
 
+// ColSum returns the total rate destined to output port j.
+func (m *Matrix) ColSum(j int) float64 {
+	var s float64
+	for i := 0; i < m.n; i++ {
+		s += m.rates[i][j]
+	}
+	return s
+}
+
+// Admissible reports whether no input or output port is oversubscribed
+// (all row and column sums <= 1, within tol).
+func (m *Matrix) Admissible(tol float64) bool {
+	for i := 0; i < m.n; i++ {
+		if m.RowSum(i) > 1+tol || m.ColSum(i) > 1+tol {
+			return false
+		}
+	}
+	return true
+}
+
+// MaxLoad returns the largest row or column sum.
+func (m *Matrix) MaxLoad() float64 {
+	var mx float64
+	for i := 0; i < m.n; i++ {
+		mx = math.Max(mx, math.Max(m.RowSum(i), m.ColSum(i)))
+	}
+	return mx
+}
+
+// Scale returns a new matrix with every rate multiplied by f.
+func (m *Matrix) Scale(f float64) *Matrix {
+	out := make([][]float64, m.n)
+	for i := range out {
+		out[i] = make([]float64, m.n)
+		for j := range out[i] {
+			out[i][j] = m.rates[i][j] * f
+		}
+	}
+	return NewMatrix(out)
+}
+
 // Uniform returns the uniform traffic pattern of Sec. 6: every input is
 // loaded at rate load and a packet goes to each output with probability 1/N.
 func Uniform(n int, load float64) *Matrix {
