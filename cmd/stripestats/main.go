@@ -19,9 +19,7 @@
 // dyadic worst-case split of the Theorem 2 analysis. -topt sets a
 // registered workload option (repeatable), e.g.
 // `-traffic zipf -topt exponent=1.2`; omitted options take their schema
-// defaults (-list shows them). Note: -traffic zipf previously hard-coded
-// exponent 1.2; it now takes the registered default of 1.0 unless set
-// via -topt.
+// defaults (-list shows them).
 package main
 
 import (
@@ -32,9 +30,8 @@ import (
 	"os"
 	"strings"
 
-	_ "sprinklers/internal/arch" // link the registered workloads
+	_ "sprinklers/internal/arch" // link the registered workloads and scenarios (-list)
 	"sprinklers/internal/bound"
-	"sprinklers/internal/loadbalance"
 	"sprinklers/internal/registry"
 )
 
@@ -47,7 +44,7 @@ func main() {
 	flag.Var(topts, "topt", "workload option as key=value (repeatable); see -list for schemas")
 	trials := flag.Int("trials", 20000, "Monte-Carlo placements")
 	seed := flag.Int64("seed", 1, "random seed")
-	list := flag.Bool("list", false, "list registered architectures and workloads with their options, then exit")
+	list := flag.Bool("list", false, "list registered architectures, workloads and scenarios with their options, then exit")
 	flag.Parse()
 
 	if *list {
@@ -69,7 +66,7 @@ func main() {
 		if len(topts) > 0 {
 			fatal(fmt.Errorf("the adversarial split takes no -topt options"))
 		}
-		rates = loadbalance.AdversarialSplit(*n, *load)
+		rates = adversarialSplit(*n, *load)
 	} else {
 		if _, ok := registry.LookupWorkload(*kind); !ok {
 			fatal(fmt.Errorf("-traffic %q unknown: want adversarial or a registered workload (%s)",
@@ -83,7 +80,7 @@ func main() {
 		rates = rows[0]
 	}
 
-	mc := loadbalance.Estimate(rates, *n, *trials,
+	mc := estimate(rates, *n, *trials,
 		[]float64{0.5, 0.9, 0.99, 0.999}, rand.New(rand.NewSource(*seed)))
 
 	service := 1 / float64(*n)
@@ -91,9 +88,9 @@ func main() {
 		*n, *load, *kind, *trials)
 	fmt.Printf("service rate per queue     : %.6f (1/N)\n", service)
 	fmt.Printf("mean of max queue load     : %.6f (%.1f%% of service rate)\n",
-		mc.MeanMax, 100*mc.MeanMax/service)
+		mc.meanMax, 100*mc.meanMax/service)
 	for i, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		fmt.Printf("p%-5.1f of max queue load   : %.6f\n", q*100, mc.MaxQuantile[i])
+		fmt.Printf("p%-5.1f of max queue load   : %.6f\n", q*100, mc.maxQuantile[i])
 	}
 	// Each empirical frequency sits next to the bound on the same event:
 	// Theorem 2 bounds one queue, and the union bound covers input 0's N.
@@ -101,12 +98,12 @@ func main() {
 	impossible := math.IsInf(lp, -1) // below Theorem 1's threshold
 	lu := math.Min(lp+math.Log(float64(*n)), 0)
 	fmt.Printf("\nper queue, overloaded      : %d of %d (P = %.2e)\n",
-		mc.QueueOverloads, mc.Trials*mc.N, mc.QueueOverloadProbability())
+		mc.queueOverloads, mc.trials*mc.n, mc.queueOverloadProbability())
 	if !impossible {
 		fmt.Printf("  Theorem 2 bound          : %.2e (log %.2f)\n", math.Exp(lp), lp)
 	}
 	fmt.Printf("any of N queues, overloaded: %d of %d placements (P = %.2e)\n",
-		mc.Overloads, mc.Trials, mc.OverloadProbability())
+		mc.overloads, mc.trials, mc.overloadProbability())
 	if !impossible {
 		fmt.Printf("  min(1, N x Theorem 2)    : %.2e (log %.2f)\n", math.Exp(lu), lu)
 	}

@@ -15,7 +15,6 @@ import (
 
 	"sprinklers/internal/experiment"
 	"sprinklers/internal/registry"
-	"sprinklers/internal/scenario"
 )
 
 func main() {
@@ -51,7 +50,7 @@ func main() {
 
 	fmt.Println()
 	for _, r := range results {
-		rec := scenario.AnalyzeRecovery(r.Windows)
+		rec := experiment.AnalyzeRecovery(r.Windows)
 		verdict := "never left its baseline band"
 		switch {
 		case rec.Disturbed && rec.Recovered:

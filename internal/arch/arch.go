@@ -1,8 +1,10 @@
-// Package arch links every built-in switch architecture and traffic
-// workload into the importing binary: each blank import runs the package's
-// init-time registry registration. Import it (for side effects) from any
-// program that resolves architectures or workloads by name; packages that
-// already import a concrete architecture directly do not need it.
+// Package arch links every built-in switch architecture, traffic workload
+// and dynamic scenario into the importing binary: each blank import runs
+// the package's init-time registry registrations (internal/traffic
+// registers the workloads and the scenarios). Import it (for side effects)
+// from any program that resolves architectures, workloads or scenarios by
+// name; packages that already import a concrete architecture directly do
+// not need it.
 package arch
 
 import (

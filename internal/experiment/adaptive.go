@@ -5,8 +5,9 @@ import (
 	"math"
 	"sort"
 
+	"sprinklers/internal/markov"
+	"sprinklers/internal/registry"
 	"sprinklers/internal/stats"
-	"sprinklers/internal/twin"
 )
 
 // Adaptive studies spend their simulation budget where the delay curve
@@ -16,7 +17,7 @@ import (
 //
 //   - Round 0 simulates the coarse seed grid (Spec.Points) and calibrates,
 //     per curve, a multiplicative scale mapping the architecture's analytic
-//     twin (internal/twin) onto the simulated delays.
+//     twin (twinModel, below) onto the simulated delays.
 //   - Each later round scores every interval of every curve by the worse of
 //     twin-vs-simulation divergence and normalized curvature at its
 //     endpoints, and inserts midpoints into the intervals that score above
@@ -57,7 +58,7 @@ func (r *studyRun) initGroups(seed []PointKey) {
 		r.gindex[gk] = len(r.groups)
 		r.groups = append(r.groups, gk)
 		alg := entry(r.spec.Algorithms, k.Algorithm)
-		model, maxStable := twin.Model(string(alg.Name))
+		model, maxStable := twinModel(string(alg.Name))
 		r.model = append(r.model, model)
 		r.maxStab = append(r.maxStab, maxStable)
 	}
@@ -75,7 +76,7 @@ func (r *studyRun) byGroup() [][]PointResult {
 
 // rawTwin evaluates the uncalibrated twin of group g at one load.
 func (r *studyRun) rawTwin(g int, load float64) float64 {
-	return twin.Delay(r.model[g], r.maxStab[g], r.groups[g].N, load)
+	return twinDelay(r.model[g], r.maxStab[g], r.groups[g].N, load)
 }
 
 // calibrate fixes each group's twin scale from its round-0 (seed) points.
@@ -89,7 +90,7 @@ func (r *studyRun) calibrate() {
 			raw = append(raw, r.rawTwin(g, rec.Load))
 			sim = append(sim, rec.MeanDelay)
 		}
-		r.scale[g] = twin.Calibrate(raw, sim)
+		r.scale[g] = calibrateTwin(raw, sim)
 	}
 }
 
@@ -105,7 +106,7 @@ func (r *studyRun) finalize(rec *PointResult, round int) {
 	}
 	g := r.gindex[groupOf(rec.PointKey)]
 	rec.TwinDelay = r.scale[g] * r.rawTwin(g, rec.Load)
-	rec.TwinDivergence = twin.Divergence(rec.TwinDelay, rec.MeanDelay)
+	rec.TwinDivergence = twinDivergence(rec.TwinDelay, rec.MeanDelay)
 	rec.RefineRound = round
 }
 
@@ -165,7 +166,7 @@ func (r *studyRun) nextBatch() []PointKey {
 		}
 		div := make([]float64, n)
 		for i := range pts {
-			div[i] = twin.Divergence(r.scale[g]*r.rawTwin(g, pts[i].load), pts[i].sim)
+			div[i] = twinDivergence(r.scale[g]*r.rawTwin(g, pts[i].load), pts[i].sim)
 		}
 		// Normalized curvature at the interior points: the jump in slope
 		// across the point, times half the surrounding span, relative to
@@ -218,4 +219,94 @@ func (r *studyRun) nextBatch() []PointKey {
 		keys[i] = PointKey{Algorithm: gk.Algorithm, Traffic: gk.Traffic, N: gk.N, Load: c.load, Burst: gk.Burst}
 	}
 	return keys
+}
+
+// The analytic twins: calibrated closed-form delay models of the registered
+// architectures, the cheap surrogate an adaptive study evaluates at every
+// candidate point so that new simulation goes only where the calibrated
+// twin and the simulation disagree (or the curve bends faster than the grid
+// resolves). Which closed form tracks an architecture is registry metadata
+// (registry.Architecture.Twin): the paper's intermediate-stage Markov model
+// for the load-balanced striping family, a generic single-server queue
+// shape for everything else. Architectures with a registered MaxStableLoad
+// rescale load by it, so the twin diverges exactly where the architecture
+// hits its stability cliff — which is where refinement should spend points.
+
+// Twin model names, as registry.Architecture.Twin spells them.
+const (
+	// twinMarkov is the paper's Fig. 5 closed form for the mean
+	// intermediate-stage queue of a load-balanced two-stage switch.
+	twinMarkov = "markov"
+	// twinQueue is a generic single-server queueing shape rho/(1-rho) —
+	// the fallback for architectures without a registered twin.
+	twinQueue = "queue"
+)
+
+// twinMaxRho caps the effective load fed to the closed forms: both diverge
+// as rho -> 1 and the markov form is undefined at 1. The cap keeps twin
+// values finite while still towering over any simulated delay, which is
+// all the refinement signal needs at a cliff.
+const twinMaxRho = 0.999
+
+// twinModel returns the twin model and stability cap registered for an
+// architecture name. Unknown names (and architectures without a Twin
+// entry) fall back to twinQueue with no cap.
+func twinModel(arch string) (model string, maxStable float64) {
+	a, ok := registry.LookupArchitecture(arch)
+	if !ok {
+		return twinQueue, 0
+	}
+	model = a.Twin
+	if model == "" {
+		model = twinQueue
+	}
+	return model, a.MaxStableLoad
+}
+
+// twinDelay evaluates the raw (uncalibrated) twin at one operating point.
+// maxStable > 0 rescales load by the architecture's stability limit, so
+// the model blows up at the registered cliff instead of at load 1.
+func twinDelay(model string, maxStable float64, n int, load float64) float64 {
+	rho := load
+	if maxStable > 0 {
+		rho = load / maxStable
+	}
+	rho = math.Min(rho, twinMaxRho)
+	switch model {
+	case twinMarkov:
+		return markov.MeanQueueClosedForm(n, rho)
+	default:
+		return rho / (1 - rho)
+	}
+}
+
+// calibrateTwin returns the multiplicative scale mapping raw twin values
+// onto simulated delays: the mean of the per-point ratios sim/raw. A ratio
+// mean (rather than a least-squares fit) weighs the low-load points — where
+// the twin's shape assumptions hold best — equally with the knee, and is
+// trivially deterministic. Without usable points the scale is 1 (the twin
+// is used uncalibrated).
+func calibrateTwin(raw, sim []float64) float64 {
+	if len(raw) != len(sim) {
+		panic("experiment: calibrateTwin called with mismatched series")
+	}
+	var sum float64
+	var n int
+	for i := range raw {
+		if raw[i] > 1e-9 {
+			sum += sim[i] / raw[i]
+			n++
+		}
+	}
+	if n == 0 {
+		return 1
+	}
+	return sum / float64(n)
+}
+
+// twinDivergence is the relative disagreement between a calibrated twin
+// value and a simulated delay, with the denominator floored at 1 slot so
+// near-zero delays cannot manufacture infinite divergence.
+func twinDivergence(predicted, simulated float64) float64 {
+	return math.Abs(predicted-simulated) / math.Max(math.Abs(simulated), 1)
 }

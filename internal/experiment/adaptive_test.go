@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"sprinklers/internal/resultcache"
-	"sprinklers/internal/twin"
 )
 
 func adaptiveSpec(t *testing.T) Spec {
@@ -274,7 +273,7 @@ func TestAdaptiveTwinCalibrationTracksDenseCurve(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	model, maxStable := twin.Model(string(LoadBalanced))
+	model, maxStable := twinModel(string(LoadBalanced))
 	if model != "markov" {
 		t.Fatalf("load-balanced twin = %q, want markov", model)
 	}
@@ -287,14 +286,14 @@ func TestAdaptiveTwinCalibrationTracksDenseCurve(t *testing.T) {
 	}
 	for _, r := range adaptive {
 		if r.Algorithm == LoadBalanced && seedLoads[r.Load] {
-			raw = append(raw, twin.Delay(model, maxStable, r.N, r.Load))
+			raw = append(raw, twinDelay(model, maxStable, r.N, r.Load))
 			sim = append(sim, r.MeanDelay)
 		}
 	}
 	if len(raw) != len(spec.Loads) {
 		t.Fatalf("found %d seed points, want %d", len(raw), len(spec.Loads))
 	}
-	scale := twin.Calibrate(raw, sim)
+	scale := calibrateTwin(raw, sim)
 	if scale <= 0 {
 		t.Fatalf("calibration scale %v, want positive", scale)
 	}
@@ -308,8 +307,8 @@ func TestAdaptiveTwinCalibrationTracksDenseCurve(t *testing.T) {
 		if r.Algorithm != LoadBalanced {
 			continue
 		}
-		pred := scale * twin.Delay(model, maxStable, r.N, r.Load)
-		div := twin.Divergence(pred, r.MeanDelay)
+		pred := scale * twinDelay(model, maxStable, r.N, r.Load)
+		div := twinDivergence(pred, r.MeanDelay)
 		if r.Load <= 0.80 {
 			worstBody = math.Max(worstBody, div)
 		} else {
@@ -339,11 +338,11 @@ func TestAdaptiveTwinCalibrationTracksDenseCurve(t *testing.T) {
 		if r.TwinDelay <= 0 {
 			t.Errorf("refined point %s has non-positive twin delay %v", r.PointKey, r.TwinDelay)
 		}
-		if want := twin.Divergence(r.TwinDelay, r.MeanDelay); math.Abs(r.TwinDivergence-want) > 1e-9 {
+		if want := twinDivergence(r.TwinDelay, r.MeanDelay); math.Abs(r.TwinDivergence-want) > 1e-9 {
 			t.Errorf("refined point %s: recorded divergence %v, recomputed %v", r.PointKey, r.TwinDivergence, want)
 		}
 		if r.Algorithm == LoadBalanced {
-			want := scale * twin.Delay(model, maxStable, r.N, r.Load)
+			want := scale * twinDelay(model, maxStable, r.N, r.Load)
 			if math.Abs(r.TwinDelay-want) > 1e-9 {
 				t.Errorf("refined point %s: recorded twin delay %v, recomputed %v", r.PointKey, r.TwinDelay, want)
 			}

@@ -22,7 +22,7 @@ import (
 	"math/rand"
 	"sync"
 
-	_ "sprinklers/internal/arch" // link every built-in architecture and workload
+	_ "sprinklers/internal/arch" // link every built-in architecture, workload and scenario
 	"sprinklers/internal/registry"
 	"sprinklers/internal/sim"
 	"sprinklers/internal/stats"
@@ -100,8 +100,8 @@ const (
 type ScenarioKind string
 
 // FlashCrowd is the built-in dynamic scenario the flashcrowd study runs
-// (internal/scenario). As with algorithms, any scenario name registered in
-// internal/registry is equally valid.
+// (registered in internal/traffic). As with algorithms, any scenario name
+// registered in internal/registry is equally valid.
 const FlashCrowd ScenarioKind = "flashcrowd"
 
 // PatternOpts builds the rate matrix for the named workload at the given

@@ -1,34 +1,30 @@
-package scenario_test
+package experiment
 
 import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
-	"sprinklers/internal/experiment"
 	"sprinklers/internal/registry"
-	"sprinklers/internal/scenario"
-	"sprinklers/internal/sim"
 	"sprinklers/internal/stats"
 )
 
 // TestEveryRegisteredScenarioReplays: each scenario in the registry must
-// replay end-to-end through experiment.RunPoint, producing a contiguous
-// window series. Iterating the registry keeps a newly registered scenario
-// covered with no test changes; TestScenarioEventsWithinHorizon checks that
-// each one builds a non-empty timeline.
+// replay end-to-end through RunPoint, producing a contiguous window series.
+// Iterating the registry keeps a newly registered scenario covered with no
+// test changes; TestScenarioEventsWithinHorizon (internal/traffic) checks
+// that each one builds a non-empty timeline.
 func TestEveryRegisteredScenarioReplays(t *testing.T) {
 	for _, sc := range registry.Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			res, err := experiment.RunPoint(experiment.Sprinklers, experiment.Config{
+			res, err := RunPoint(Sprinklers, Config{
 				N:        8,
-				Traffic:  experiment.UniformTraffic,
-				Scenario: experiment.ScenarioKind(sc.Name),
+				Traffic:  UniformTraffic,
+				Scenario: ScenarioKind(sc.Name),
 				Slots:    3000,
 				Windows:  5,
 				Seed:     1,
@@ -62,13 +58,13 @@ func TestEveryRegisteredScenarioReplays(t *testing.T) {
 // reproduce the unwindowed point exactly — same arrivals, same deliveries,
 // same aggregates — and add only the time series.
 func TestStaticEquivalence(t *testing.T) {
-	cfg := experiment.Config{N: 8, Traffic: experiment.UniformTraffic, Slots: 5000, Seed: 3}
-	p, err := experiment.RunPoint(experiment.Sprinklers, cfg, 0.6)
+	cfg := Config{N: 8, Traffic: UniformTraffic, Slots: 5000, Seed: 3}
+	p, err := RunPoint(Sprinklers, cfg, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Windows = 5
-	w, err := experiment.RunPoint(experiment.Sprinklers, cfg, 0.6)
+	w, err := RunPoint(Sprinklers, cfg, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,15 +78,15 @@ func TestStaticEquivalence(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	cfg := experiment.Config{
-		N: 8, Traffic: experiment.UniformTraffic, Scenario: experiment.FlashCrowd,
+	cfg := Config{
+		N: 8, Traffic: UniformTraffic, Scenario: FlashCrowd,
 		Slots: 3000, Windows: 6, Seed: 5,
 	}
-	a, err := experiment.RunPoint(experiment.Sprinklers, cfg, 0.8)
+	a, err := RunPoint(Sprinklers, cfg, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := experiment.RunPoint(experiment.Sprinklers, cfg, 0.8)
+	b, err := RunPoint(Sprinklers, cfg, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,57 +100,12 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestFlashcrowdStaysAdmissible: every matrix a flash crowd emits must keep
-// all row and column sums at or below 1, or the crowd window would be
-// unconditionally unstable instead of a tracking problem.
-func TestFlashcrowdStaysAdmissible(t *testing.T) {
-	for _, load := range []float64{0.5, 0.9} {
-		uniform := make([][]float64, 16)
-		for i := range uniform {
-			uniform[i] = make([]float64, 16)
-			for j := range uniform[i] {
-				uniform[i][j] = load / 16
-			}
-		}
-		events, err := registry.BuildScenario("flashcrowd", registry.ScenarioConfig{
-			N: 16, Load: load, Base: uniform, Warmup: 1000, Slots: 10000,
-			Rand: rand.New(rand.NewSource(2)),
-		}, map[string]any{"surge": 1.0, "inputs": 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range events {
-			if e.Rates == nil {
-				continue
-			}
-			for i, row := range e.Rates {
-				var rs float64
-				for _, r := range row {
-					rs += r
-				}
-				if rs > 1+1e-9 {
-					t.Fatalf("load %v: row %d sum %v oversubscribed", load, i, rs)
-				}
-			}
-			for j := range e.Rates {
-				var cs float64
-				for i := range e.Rates {
-					cs += e.Rates[i][j]
-				}
-				if cs > 1+1e-9 {
-					t.Fatalf("load %v: column %d sum %v oversubscribed", load, j, cs)
-				}
-			}
-		}
-	}
-}
-
 // TestLinkfailThinsArrivals: with half the ingress links hard-failed, the
 // outage windows must see substantially fewer offered packets, and the
 // post-recovery windows must climb back.
 func TestLinkfailThinsArrivals(t *testing.T) {
-	res, err := experiment.RunPoint(experiment.LoadBalanced, experiment.Config{
-		N: 8, Traffic: experiment.UniformTraffic, Scenario: "linkfail",
+	res, err := RunPoint(LoadBalanced, Config{
+		N: 8, Traffic: UniformTraffic, Scenario: "linkfail",
 		ScenarioOptions: map[string]any{"at": 0.3, "duration": 0.3, "links": 4},
 		Slots:           10000, Seed: 7,
 	}, 0.8)
@@ -181,28 +132,28 @@ func TestAnalyzeRecovery(t *testing.T) {
 		}
 		return out
 	}
-	r := scenario.AnalyzeRecovery(mk(10, 11, 50, 30, 14, 12))
+	r := AnalyzeRecovery(mk(10, 11, 50, 30, 14, 12))
 	if r.Baseline != 10 || r.Peak != 50 || r.PeakWindow != 2 {
 		t.Fatalf("baseline/peak wrong: %+v", r)
 	}
 	if !r.Disturbed || !r.Recovered || r.RecoveredWindow != 4 {
 		t.Fatalf("recovery wrong: %+v", r)
 	}
-	r = scenario.AnalyzeRecovery(mk(10, 11, 50, 40, 35, 30))
+	r = AnalyzeRecovery(mk(10, 11, 50, 40, 35, 30))
 	if !r.Disturbed || r.Recovered {
 		t.Fatalf("series never settles but Recovered: %+v", r)
 	}
 	// A series that never leaves the baseline band is not "recovered at
 	// its peak" — it was never disturbed at all. (A flatter, later peak
 	// must not read as a slower recovery than a tall early one.)
-	r = scenario.AnalyzeRecovery(mk(10, 11, 12, 14, 11))
+	r = AnalyzeRecovery(mk(10, 11, 12, 14, 11))
 	if r.Disturbed || r.Recovered {
 		t.Fatalf("undisturbed series misreported: %+v", r)
 	}
 	if r.Peak != 14 || r.PeakWindow != 3 {
 		t.Fatalf("undisturbed peak wrong: %+v", r)
 	}
-	r = scenario.AnalyzeRecovery(nil)
+	r = AnalyzeRecovery(nil)
 	if r.Disturbed || r.Recovered || r.Peak != 0 {
 		t.Fatalf("empty series: %+v", r)
 	}
@@ -210,39 +161,15 @@ func TestAnalyzeRecovery(t *testing.T) {
 
 // TestRunCanceled: a replay whose context is done returns the context's
 // error and no partial point, so callers need only the usual cancellation
-// check (experiment.IsCancellation).
+// check (IsCancellation).
 func TestRunCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := experiment.RunPoint(experiment.Sprinklers, experiment.Config{
-		N: 8, Traffic: experiment.UniformTraffic, Scenario: experiment.FlashCrowd,
+	res, err := RunPoint(Sprinklers, Config{
+		N: 8, Traffic: UniformTraffic, Scenario: FlashCrowd,
 		Slots: 1000, Windows: 4, Seed: 1, Context: ctx,
 	}, 0.5)
-	if !reflect.DeepEqual(res, experiment.Point{}) || !errors.Is(err, context.Canceled) {
+	if !reflect.DeepEqual(res, Point{}) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled replay returned (%+v, %v), want (no point, context.Canceled)", res, err)
-	}
-}
-
-// TestScenarioEventsWithinHorizon pins that every builtin places events on
-// the absolute clock inside [0, warmup+slots) for a variety of horizons.
-func TestScenarioEventsWithinHorizon(t *testing.T) {
-	for _, sc := range registry.Scenarios() {
-		for _, horizon := range []sim.Slot{100, 1000, 65536} {
-			base := make([][]float64, 4)
-			for i := range base {
-				base[i] = []float64{0.1, 0.1, 0.1, 0.1}
-			}
-			events, err := registry.BuildScenario(sc.Name, registry.ScenarioConfig{
-				N: 4, Load: 0.4, Base: base,
-				Warmup: horizon / 5, Slots: horizon,
-				Rand: rand.New(rand.NewSource(1)),
-			}, nil)
-			if err != nil {
-				t.Fatalf("%s at horizon %d: %v", sc.Name, horizon, err)
-			}
-			if len(events) == 0 {
-				t.Fatalf("%s at horizon %d: no events", sc.Name, horizon)
-			}
-		}
 	}
 }

@@ -8,9 +8,8 @@ import (
 	"reflect"
 	"testing"
 
-	_ "sprinklers/internal/arch" // register every built-in architecture and workload
+	_ "sprinklers/internal/arch" // register every built-in architecture, workload and scenario
 	"sprinklers/internal/registry"
-	_ "sprinklers/internal/scenario" // register every built-in scenario
 )
 
 // fuzzSchemas gathers every option schema in the registry — architectures,

@@ -1,38 +1,21 @@
-package scenario
+package traffic
 
 import (
 	"math"
 
 	"sprinklers/internal/registry"
 	"sprinklers/internal/sim"
-	"sprinklers/internal/traffic"
 )
 
-// The builtin scenario registrations. Every builder derives its matrices
-// from the point's base matrix and nominal load, places events inside the
-// measured horizon (so the pre-event windows establish a baseline), and
-// draws any randomness from cfg.Rand only.
-
-// copyRates deep-copies a rate matrix so each event owns its storage.
-func copyRates(m [][]float64) [][]float64 {
-	out := make([][]float64, len(m))
-	for i, row := range m {
-		out[i] = append([]float64(nil), row...)
-	}
-	return out
-}
-
-// scaledRates returns m with every entry multiplied by f.
-func scaledRates(m [][]float64, f float64) [][]float64 {
-	out := make([][]float64, len(m))
-	for i, row := range m {
-		out[i] = make([]float64, len(row))
-		for j, r := range row {
-			out[i][j] = r * f
-		}
-	}
-	return out
-}
+// The builtin scenario registrations: event timelines — a flash crowd,
+// rate drift, hotspot migration, ingress-link failure and recovery, load
+// steps — that turn a static point into a time-varying one, which is where
+// the Sec. 3.5 adaptive stripe resizing matters. They sit beside the
+// workload registrations whose matrices they perturb, so every program that
+// links the workloads lists and runs the scenarios too. Every builder
+// derives its matrices from the point's base matrix and nominal load,
+// places events inside the measured horizon (so the pre-event windows
+// establish a baseline), and draws any randomness from cfg.Rand only.
 
 // lerpRates returns (1-alpha)*a + alpha*b. A convex combination of
 // admissible matrices is admissible, which keeps every drift step stable.
@@ -134,7 +117,7 @@ func init() {
 			at := measuredSlot(cfg, opts.Float("at"))
 			events := []registry.Event{{At: at, Rates: crowd}}
 			if end := at + sim.Slot(opts.Float("duration")*float64(cfg.Slots)); end < cfg.Warmup+cfg.Slots {
-				events = append(events, registry.Event{At: end, Rates: copyRates(cfg.Base)})
+				events = append(events, registry.Event{At: end, Rates: NewMatrix(cfg.Base).Rows()})
 			}
 			return events, nil
 		},
@@ -179,7 +162,7 @@ func init() {
 		Events: func(cfg registry.ScenarioConfig) ([]registry.Event, error) {
 			hops := cfg.Options.Int("hops")
 			frac := cfg.Options.Float("fraction")
-			base := traffic.Hotspot(cfg.N, cfg.Load, frac).Rows()
+			base := Hotspot(cfg.N, cfg.Load, frac).Rows()
 			stride := cfg.N / hops
 			if stride < 1 {
 				stride = 1
@@ -248,16 +231,17 @@ func init() {
 		Events: func(cfg registry.ScenarioConfig) ([]registry.Event, error) {
 			steps := cfg.Options.Int("steps")
 			factor := cfg.Options.Float("factor")
-			low := scaledRates(cfg.Base, factor)
+			base := NewMatrix(cfg.Base)
+			low := base.Scale(factor)
 			events := make([]registry.Event, 0, steps-1)
 			for s := 1; s < steps; s++ {
-				rates := copyRates(cfg.Base)
+				rates := base
 				if s%2 == 1 {
-					rates = copyRates(low)
+					rates = low
 				}
 				events = append(events, registry.Event{
 					At:    measuredSlot(cfg, float64(s)/float64(steps)),
-					Rates: rates,
+					Rates: rates.Rows(),
 				})
 			}
 			return events, nil

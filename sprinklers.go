@@ -33,7 +33,7 @@ package sprinklers
 import (
 	"math/rand"
 
-	_ "sprinklers/internal/arch" // link every built-in architecture and workload
+	_ "sprinklers/internal/arch" // link every built-in architecture, workload and scenario
 	"sprinklers/internal/core"
 	"sprinklers/internal/registry"
 	"sprinklers/internal/sim"
