@@ -12,7 +12,7 @@
 //	           [-grace 30s]
 //	           [-coordinator] [-workers URL,URL,...] [-lease 2m]
 //	           [-heartbeat 1s] [-join URL] [-advertise URL]
-//	           [-job-slots N] [-chaos-job-delay D]
+//	           [-job-slots N]
 //	           [-cache-max-bytes N] [-sweep-interval 1m]
 //	           [-log-level info] [-log-format text|json] [-node NAME]
 //	           [-trace-spans N] [-pprof-listen ADDR]
@@ -34,9 +34,7 @@
 // per-replica latency without delivering a replica is raced by a backup
 // for its remaining replicas on an idle worker (nothing outstanding), so a
 // straggler's replicas finish elsewhere without queueing behind other
-// work. -job-slots bounds concurrent replica simulations per worker;
-// -chaos-job-delay stalls every replica a worker simulates (straggler
-// chaos testing).
+// work. -job-slots bounds concurrent replica simulations per worker.
 //
 // With -cache-max-bytes the result cache is bounded on disk: a background
 // sweeper evicts the least recently used entries every -sweep-interval
@@ -71,14 +69,18 @@
 // On SIGINT/SIGTERM the daemon drains: running studies are canceled (their
 // computed points are already in the cache, so resubmitting the same spec
 // resumes them), and the process exits once everything has stopped or
-// -grace expires.
+// -grace expires: exit status 0, or 1 on a runtime error, or 2 on a bad flag
+// or URL. The "listening" log line names the bound address (-listen :0).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers on DefaultServeMux, served only via -pprof-listen
 	"os"
@@ -91,63 +93,67 @@ import (
 	"sprinklers/internal/service"
 )
 
-// newLogger builds the daemon's structured logger from the -log-level and
-// -log-format flags.
-func newLogger(level, format string) (*slog.Logger, error) {
-	var lv slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lv = slog.LevelDebug
-	case "", "info":
-		lv = slog.LevelInfo
-	case "warn", "warning":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
+// newLogger builds the daemon's structured logger on w from the -log-level
+// and -log-format flags.
+func newLogger(w io.Writer, level, format string) (*slog.Logger, error) {
+	lv, ok := map[string]slog.Level{"debug": slog.LevelDebug, "": slog.LevelInfo, "info": slog.LevelInfo,
+		"warn": slog.LevelWarn, "warning": slog.LevelWarn, "error": slog.LevelError}[strings.ToLower(level)]
+	if !ok {
 		return nil, fmt.Errorf("unknown -log-level %q (want debug, info, warn, or error)", level)
 	}
 	opts := &slog.HandlerOptions{Level: lv}
 	switch strings.ToLower(format) {
 	case "", "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	default:
 		return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
 	}
 }
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:8356", "HTTP listen address")
-	cacheDir := flag.String("cache", "sprinklerd-cache", "content-addressed result cache directory (the daemon's only durable state)")
-	par := flag.Int("par", 0, "per-study worker parallelism (default GOMAXPROCS)")
-	grace := flag.Duration("grace", 30*time.Second, "shutdown grace period for draining studies")
-	coordinator := flag.Bool("coordinator", false, "run as a cluster coordinator, dispatching replica jobs to -workers")
-	workers := flag.String("workers", "", "comma-separated worker base URLs (implies -coordinator)")
-	lease := flag.Duration("lease", 2*time.Minute, "lease per replica: a lease carrying n replicas must finish within n times it")
-	heartbeat := flag.Duration("heartbeat", time.Second, "worker probe and re-registration interval")
-	join := flag.String("join", "", "coordinator URL to register with every -heartbeat (worker mode)")
-	advertise := flag.String("advertise", "", "base URL this worker advertises to the coordinator (default http://<listen>)")
-	jobSlots := flag.Int("job-slots", 0, "concurrent replica simulations for cluster jobs on this worker; surplus replicas queue (default GOMAXPROCS)")
-	chaosJobDelay := flag.Duration("chaos-job-delay", 0, "stall every replica a cluster job simulates by this much first (chaos: make this worker a straggler)")
-	cacheMax := flag.Int64("cache-max-bytes", 0, "bound the result cache on disk; 0 = unbounded")
-	sweepInterval := flag.Duration("sweep-interval", time.Minute, "how often the cache sweeper enforces -cache-max-bytes")
-	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
-	logFormat := flag.String("log-format", "text", "log output format: text or json (one object per line)")
-	nodeName := flag.String("node", "", "node name stamped on trace spans and log lines (default: the role)")
-	traceSpans := flag.Int("trace-spans", 0, "bound the in-memory trace journal (ring; default 16384 spans, negative disables tracing)")
-	pprofListen := flag.String("pprof-listen", "", "serve net/http/pprof on this extra address (empty disables)")
-	flag.Parse()
+	os.Exit(run(context.Background(), os.Args[1:], os.Stderr))
+}
 
-	lg, err := newLogger(*logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sprinklerd:", err)
-		os.Exit(2)
+// run is the whole daemon: it serves until ctx is canceled or SIGINT or
+// SIGTERM arrives, drains, and returns the exit status; logs go to stderr.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sprinklerd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listen := fs.String("listen", "127.0.0.1:8356", "HTTP listen address (port 0 picks a free port)")
+	cacheDir := fs.String("cache", "sprinklerd-cache", "content-addressed result cache directory (the daemon's only durable state)")
+	par := fs.Int("par", 0, "per-study worker parallelism (default GOMAXPROCS)")
+	grace := fs.Duration("grace", 30*time.Second, "shutdown grace period for draining studies")
+	coordinator := fs.Bool("coordinator", false, "run as a cluster coordinator, dispatching replica jobs to -workers")
+	workers := fs.String("workers", "", "comma-separated worker base URLs (implies -coordinator)")
+	lease := fs.Duration("lease", 2*time.Minute, "lease per replica: a lease carrying n replicas must finish within n times it")
+	heartbeat := fs.Duration("heartbeat", time.Second, "worker probe and re-registration interval")
+	join := fs.String("join", "", "coordinator URL to register with every -heartbeat (worker mode)")
+	advertise := fs.String("advertise", "", "base URL this worker advertises to the coordinator (default http://<bound listen address>)")
+	jobSlots := fs.Int("job-slots", 0, "concurrent replica simulations for cluster jobs on this worker; surplus replicas queue (default GOMAXPROCS)")
+	cacheMax := fs.Int64("cache-max-bytes", 0, "bound the result cache on disk; 0 = unbounded")
+	sweepInterval := fs.Duration("sweep-interval", time.Minute, "how often the cache sweeper enforces -cache-max-bytes")
+	logLevel := fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
+	logFormat := fs.String("log-format", "text", "log output format: text or json (one object per line)")
+	nodeName := fs.String("node", "", "node name stamped on trace spans and log lines (default: the role)")
+	traceSpans := fs.Int("trace-spans", 0, "bound the in-memory trace journal (ring; default 16384 spans, negative disables tracing)")
+	pprofListen := fs.String("pprof-listen", "", "serve net/http/pprof on this extra address (empty disables)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	fatal := func(err error) {
+
+	lg, err := newLogger(stderr, *logLevel, *logFormat)
+	if err != nil {
+		fmt.Fprintln(stderr, "sprinklerd:", err)
+		return 2
+	}
+	fatal := func(err error) int {
 		lg.Error("fatal", "err", err)
-		os.Exit(1)
+		return 1
 	}
 
 	var urls []string
@@ -157,41 +163,51 @@ func main() {
 		}
 	}
 	for _, u := range append(urls, *join, *advertise) {
-		if u == "" {
-			continue
-		}
-		if err := cluster.CheckURL(u); err != nil {
-			fmt.Fprintln(os.Stderr, "sprinklerd:", err)
-			os.Exit(2)
+		if err := cluster.CheckURL(u); u != "" && err != nil {
+			fmt.Fprintln(stderr, "sprinklerd:", err)
+			return 2
 		}
 	}
 
-	ctx, stopTasks := context.WithCancel(context.Background())
-	defer stopTasks()
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return fatal(err)
+	}
+	defer ln.Close()
+	addr := "http://" + ln.Addr().String()
+	var pln net.Listener
+	if *pprofListen != "" {
+		if pln, err = net.Listen("tcp", *pprofListen); err != nil {
+			return fatal(err)
+		}
+		defer pln.Close()
+	}
+
+	// Caught before the address is announced: a SIGTERM after it drains.
+	// Probes and re-registration run on this context, so they stop with
+	// the studies.
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	mode := "standalone"
+	var coord *cluster.Coordinator
 	switch {
 	case *coordinator || *workers != "":
 		mode = "coordinator"
-	case *join != "":
-		mode = "worker"
-	}
-
-	var coord *cluster.Coordinator
-	if *coordinator || *workers != "" {
 		coord = cluster.New(cluster.Options{
 			Workers:           urls,
 			Lease:             *lease,
 			HeartbeatInterval: *heartbeat,
 			Speculate:         true,
 		})
+	case *join != "":
+		mode = "worker"
 	}
 
 	srv, err := service.New(service.Options{
 		CacheDir:      *cacheDir,
 		Parallelism:   *par,
 		JobSlots:      *jobSlots,
-		JobDelay:      *chaosJobDelay,
 		Logger:        lg,
 		Node:          *nodeName,
 		Role:          mode,
@@ -201,7 +217,7 @@ func main() {
 		SweepInterval: *sweepInterval,
 	})
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if coord != nil {
 		// Started after service.New has installed the daemon's logger,
@@ -212,40 +228,36 @@ func main() {
 	if *join != "" {
 		self := *advertise
 		if self == "" {
-			self = "http://" + *listen
+			self = addr
 		}
 		go srv.JoinCluster(ctx, strings.TrimSuffix(*join, "/"), self, *heartbeat)
 	}
 
-	if *pprofListen != "" {
+	if pln != nil {
 		// net/http/pprof registered its handlers on the DefaultServeMux,
 		// which nothing else serves: profiling lives on its own listener,
 		// never on the API address.
+		pprofServer := &http.Server{}
+		defer pprofServer.Close()
+		lg.Info("pprof listening", "addr", "http://"+pln.Addr().String()+"/debug/pprof/")
 		go func() {
-			lg.Info("pprof listening", "addr", "http://"+*pprofListen+"/debug/pprof/")
-			if err := http.ListenAndServe(*pprofListen, nil); err != nil {
+			if err := pprofServer.Serve(pln); err != http.ErrServerClosed {
 				lg.Error("pprof listener failed", "err", err)
 			}
 		}()
 	}
 
-	httpServer := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	httpServer := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)
-	go func() {
-		lg.Info("listening", "addr", "http://"+*listen, "cache", *cacheDir, "mode", mode)
-		errCh <- httpServer.ListenAndServe()
-	}()
-
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	lg.Info("listening", "addr", addr, "cache", *cacheDir, "mode", mode)
+	go func() { errCh <- httpServer.Serve(ln) }()
 	select {
 	case err := <-errCh:
-		fatal(err)
-	case <-sigCtx.Done():
+		return fatal(err)
+	case <-ctx.Done():
 	}
 
 	lg.Info("shutting down: draining studies", "grace", grace.String())
-	stopTasks() // probes and re-registration stop with the studies
 	shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	drainErr := srv.Shutdown(shutCtx)
@@ -254,7 +266,8 @@ func main() {
 	}
 	if drainErr != nil {
 		lg.Error("shutdown", "err", drainErr)
-		os.Exit(1)
+		return 1
 	}
 	lg.Info("shutdown complete; studies drained")
+	return 0
 }

@@ -47,12 +47,8 @@
 //
 // Ctrl-C (or -timeout expiry) stops the study cleanly: everything recorded
 // so far is already flushed to the -out checkpoint, the partial results are
-// rendered, and the exit status is 2 — resume by re-running the same spec
-// with the same -out.
-//
-// Exit status: 0 on success, 1 on error, 2 when canceled by Ctrl-C or
-// -timeout, 3 when -halt-after stopped the run at the checkpoint limit
-// (used by the CI resume test to simulate a kill).
+// rendered, and the exit status is 2, as for a flag error (any other error
+// exits 1) — resume by re-running the same spec with the same -out.
 package main
 
 import (
@@ -61,6 +57,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -73,47 +70,61 @@ import (
 )
 
 func main() {
-	specPath := flag.String("spec", "", "path to a JSON study spec")
-	builtin := flag.String("builtin", "", "built-in study: fig6, fig7, fig5, table1, smoke, flashcrowd, adaptive-fig6, adaptive-smoke")
-	name := flag.String("name", "", "study name (flag-built specs)")
-	kind := flag.String("kind", "", "study kind: sim, adaptive, markov, bound (flag-built specs; default sim)")
-	algsFlag := flag.String("algs", "", experiment.FormatSeriesHelp("algorithm")+`, or "all"/"paper" (default paper for flag-built specs; overrides spec when set)`)
-	trafficFlag := flag.String("traffic", "", experiment.FormatSeriesHelp("traffic")+" (default uniform for flag-built specs; overrides spec when set)")
-	nsFlag := flag.String("ns", "", "comma-separated switch sizes (default 32 for flag-built specs; overrides spec when set)")
-	loadsFlag := flag.String("loads", "", "comma-separated loads (default: the paper's grid)")
-	burstsFlag := flag.String("bursts", "", "comma-separated mean burst lengths; 0 = Bernoulli (overrides spec when set)")
-	scenariosFlag := flag.String("scenarios", "", experiment.FormatSeriesHelp("scenario")+" (overrides spec when set)")
-	windows := flag.Int("windows", 0, "time-series windows per point (overrides spec when set; scenarios default to 10)")
-	replicas := flag.Int("replicas", 0, "independently-seeded runs per point (overrides spec when set)")
-	slots := flag.Int64("slots", 0, "measured slots per replica (overrides spec when set)")
-	warmup := flag.Int64("warmup", 0, "warmup slots (default slots/5)")
-	seed := flag.Int64("seed", 0, "study base seed (overrides spec when set)")
-	out := flag.String("out", "", "JSONL checkpoint file; appended as points finish, resumed if it exists")
-	par := flag.Int("par", 0, "worker parallelism (default GOMAXPROCS)")
-	remote := flag.String("remote", "", "sprinklerd base URL; submit the spec there instead of running locally")
-	timeout := flag.Duration("timeout", 0, "cancel the study after this duration (0 = no limit)")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of the text tables")
-	trajCSV := flag.Bool("trajcsv", false, "emit per-window trajectory CSV instead of the text tables")
-	detail := flag.Bool("detail", false, "print per-point detail after the tables")
-	quiet := flag.Bool("quiet", false, "suppress live progress on stderr")
-	emitSpec := flag.Bool("emit-spec", false, "print the resolved spec as JSON and exit without running")
-	haltAfter := flag.Int("halt-after", 0, "stop after recording this many new points (simulates a mid-study kill; exit 3)")
-	countersOut := flag.String("counters-out", "", "write the run's work/cache counters as JSON to this file (local runs)")
-	traceOut := flag.String("trace-out", "", "write the study's trace as Chrome trace-event JSON (open in Perfetto or chrome://tracing); with -remote, fetched from the daemon")
-	switchwide := flag.Bool("switchwide", false, "bound studies: also print the switch-wide union bound")
-	list := flag.Bool("list", false, "list registered architectures, workloads and scenarios with their options, then exit")
-	flag.Parse()
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, runs or submits the study, and
+// renders to stdout, returning the exit status. Canceling ctx stops the
+// study the way Ctrl-C does.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	specPath := fs.String("spec", "", "path to a JSON study spec")
+	builtin := fs.String("builtin", "", "built-in study: fig6, fig7, fig5, table1, smoke, flashcrowd, adaptive-fig6, adaptive-smoke")
+	name := fs.String("name", "", "study name (flag-built specs)")
+	kind := fs.String("kind", "", "study kind: sim, adaptive, markov, bound (flag-built specs; default sim)")
+	algsFlag := fs.String("algs", "", experiment.FormatSeriesHelp("algorithm")+`, or "all"/"paper" (default paper for flag-built specs; overrides spec when set)`)
+	trafficFlag := fs.String("traffic", "", experiment.FormatSeriesHelp("traffic")+" (default uniform for flag-built specs; overrides spec when set)")
+	nsFlag := fs.String("ns", "", "comma-separated switch sizes (default 32 for flag-built specs; overrides spec when set)")
+	loadsFlag := fs.String("loads", "", "comma-separated loads (default: the paper's grid)")
+	burstsFlag := fs.String("bursts", "", "comma-separated mean burst lengths; 0 = Bernoulli (overrides spec when set)")
+	scenariosFlag := fs.String("scenarios", "", experiment.FormatSeriesHelp("scenario")+" (overrides spec when set)")
+	windows := fs.Int("windows", 0, "time-series windows per point (overrides spec when set; scenarios default to 10)")
+	replicas := fs.Int("replicas", 0, "independently-seeded runs per point (overrides spec when set)")
+	slots := fs.Int64("slots", 0, "measured slots per replica (overrides spec when set)")
+	warmup := fs.Int64("warmup", 0, "warmup slots (default slots/5)")
+	seed := fs.Int64("seed", 0, "study base seed (overrides spec when set)")
+	out := fs.String("out", "", "JSONL checkpoint file; appended as points finish, resumed if it exists")
+	par := fs.Int("par", 0, "worker parallelism (default GOMAXPROCS)")
+	remote := fs.String("remote", "", "sprinklerd base URL; submit the spec there instead of running locally")
+	timeout := fs.Duration("timeout", 0, "cancel the study after this duration (0 = no limit)")
+	csvOut := fs.Bool("csv", false, "emit CSV instead of the text tables")
+	trajCSV := fs.Bool("trajcsv", false, "emit per-window trajectory CSV instead of the text tables")
+	detail := fs.Bool("detail", false, "print per-point detail after the tables")
+	quiet := fs.Bool("quiet", false, "suppress live progress on stderr")
+	emitSpec := fs.Bool("emit-spec", false, "print the resolved spec as JSON and exit without running")
+	countersOut := fs.String("counters-out", "", "write the run's work/cache counters as JSON to this file (local runs)")
+	traceOut := fs.String("trace-out", "", "write the study's trace as Chrome trace-event JSON (open in Perfetto or chrome://tracing); with -remote, fetched from the daemon")
+	switchwide := fs.Bool("switchwide", false, "bound studies: also print the switch-wide union bound")
+	list := fs.Bool("list", false, "list registered architectures, workloads and scenarios with their options, then exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "sweep:", err)
+		return 1
+	}
 
 	if *list {
-		registry.WriteCatalog(os.Stdout)
-		return
+		registry.WriteCatalog(stdout)
+		return 0
 	}
 
 	if *par < 0 {
-		fatal(fmt.Errorf("-par %d < 0", *par))
-	}
-	if *haltAfter < 0 {
-		fatal(fmt.Errorf("-halt-after %d < 0", *haltAfter))
+		return fatal(fmt.Errorf("-par %d < 0", *par))
 	}
 
 	spec, err := experiment.BuildSpec(experiment.SpecArgs{
@@ -124,22 +135,24 @@ func main() {
 		Warmup: *warmup, Seed: *seed,
 	})
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if *emitSpec {
-		if err := writeSpec(os.Stdout, spec); err != nil {
-			fatal(err)
+		b, err := experiment.MarshalSpecIndent(spec)
+		if err != nil {
+			return fatal(err)
 		}
-		return
+		fmt.Fprintln(stdout, string(b))
+		return 0
 	}
 
 	// Ctrl-C and -timeout share one context; both end the run cleanly with
 	// the checkpoint flushed and the recorded prefix rendered.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -149,36 +162,38 @@ func main() {
 
 	var results []experiment.PointResult
 	var runErr error
+	var exportTrace func(io.Writer) error // set when -trace-out has a trace to write
 	if *remote != "" {
-		if *out != "" || *haltAfter > 0 {
-			fatal(errors.New("-out and -halt-after are local-only flags; a -remote study resumes from the daemon's cache on resubmission"))
+		if *out != "" {
+			return fatal(errors.New("-out is a local-only flag; a -remote study resumes from the daemon's cache on resubmission"))
 		}
 		client := &service.Client{BaseURL: *remote}
-		var progress func(service.ProgressEvent)
+		var onEvent func(service.ProgressEvent)
 		if !*quiet {
-			progress = func(ev service.ProgressEvent) {
-				printProgress(ev.Done, ev.Total, ev.Point)
+			onEvent = func(ev service.ProgressEvent) {
+				printProgress(stderr, ev.Done, ev.Total, ev.Point)
 			}
 		}
-		results, runErr = client.Run(ctx, spec, progress)
+		results, runErr = client.Run(ctx, spec, onEvent)
 		if *traceOut != "" {
 			// The daemon traced the run; fetch the merged timeline by the
 			// study's content id (on a fresh bounded context, so a Ctrl-C'd
 			// run still exports what was recorded).
-			tctx, tstop := context.WithTimeout(context.Background(), 30*time.Second)
-			if err := fetchRemoteTrace(tctx, client, service.StudyID(spec), *traceOut); err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: fetching trace: %v\n", err)
+			exportTrace = func(w io.Writer) error {
+				tctx, tstop := context.WithTimeout(context.Background(), 30*time.Second)
+				defer tstop()
+				return client.TraceChrome(tctx, service.StudyID(spec), w)
 			}
-			tstop()
 		}
 	} else {
 		cfg := experiment.StudyConfig{
-			Parallelism:     *par,
-			ResultsPath:     *out,
-			HaltAfterPoints: *haltAfter,
+			Parallelism: *par,
+			ResultsPath: *out,
 		}
 		if !*quiet {
-			cfg.Progress = printProgress
+			cfg.Progress = func(done, total int, r experiment.PointResult) {
+				printProgress(stderr, done, total, r)
+			}
 		}
 		if *countersOut != "" {
 			cfg.Counters = &experiment.Counters{}
@@ -197,134 +212,98 @@ func main() {
 		}
 		results, runErr = experiment.RunStudy(runCtx, spec, cfg)
 		if cfg.Counters != nil {
-			// Written on every outcome — the CI slot-budget comparisons read
-			// it after halted and resumed runs too.
-			if err := writeCounters(*countersOut, cfg.Counters); err != nil {
-				fatal(err)
+			// Written on every outcome, so a canceled run's work is on
+			// record too.
+			err := writeFile(*countersOut, func(w io.Writer) error {
+				enc := json.NewEncoder(w)
+				enc.SetIndent("", "  ")
+				return enc.Encode(cfg.Counters.Snapshot())
+			})
+			if err != nil {
+				return fatal(err)
 			}
 		}
 		if journal != nil {
 			rootSpan.End()
-			if err := writeLocalTrace(journal, *traceOut); err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: writing trace: %v\n", err)
-			}
+			exportTrace = func(w io.Writer) error { return trace.WriteChromeTrace(w, journal.Snapshot()) }
+		}
+	}
+	if exportTrace != nil {
+		if err := writeFile(*traceOut, exportTrace); err != nil {
+			fmt.Fprintf(stderr, "sweep: writing trace: %v\n", err)
+		} else {
+			fmt.Fprintf(stderr, "sweep: trace written to %s (load in Perfetto or chrome://tracing)\n", *traceOut)
 		}
 	}
 	canceled := experiment.IsCancellation(runErr)
 	switch {
 	case runErr == nil:
-	case errors.Is(runErr, experiment.ErrHalted):
-		fmt.Fprintf(os.Stderr, "sweep: halted after %d new points; resume with the same -spec and -out\n", *haltAfter)
-		os.Exit(3)
 	case canceled:
-		fmt.Fprintf(os.Stderr, "sweep: %s\n",
+		fmt.Fprintf(stderr, "sweep: %s\n",
 			experiment.CancelMessage(len(results), spec.NumPoints(), *out, *remote != ""))
 	default:
-		fatal(runErr)
+		return fatal(runErr)
 	}
 
 	switch {
 	case *csvOut:
-		if err := experiment.RenderStudyCSV(os.Stdout, results); err != nil {
-			fatal(err)
+		if err := experiment.RenderStudyCSV(stdout, results); err != nil {
+			return fatal(err)
 		}
 	case *trajCSV:
-		if err := experiment.RenderTrajectoryCSV(os.Stdout, results); err != nil {
-			fatal(err)
+		if err := experiment.RenderTrajectoryCSV(stdout, results); err != nil {
+			return fatal(err)
 		}
 	case spec.Kind == experiment.MarkovStudy:
-		fmt.Printf("Expected intermediate-stage delay (cycles) versus switch size\n\n")
-		experiment.RenderMarkovTable(os.Stdout, results)
+		fmt.Fprintf(stdout, "Expected intermediate-stage delay (cycles) versus switch size\n\n")
+		experiment.RenderMarkovTable(stdout, results)
 	case spec.Kind == experiment.BoundStudy:
-		fmt.Printf("Upper bound on the per-queue overload probability\n\n")
-		experiment.RenderBoundTable(os.Stdout, results, *switchwide)
+		fmt.Fprintf(stdout, "Upper bound on the per-queue overload probability\n\n")
+		experiment.RenderBoundTable(stdout, results, *switchwide)
 	default:
 		label := spec.Name
 		if label == "" {
 			label = "study"
 		}
-		fmt.Printf("%s: average delay (slots) vs load, %d replicas/point, %d measured slots/replica\n\n",
+		fmt.Fprintf(stdout, "%s: average delay (slots) vs load, %d replicas/point, %d measured slots/replica\n\n",
 			label, spec.Replicas, spec.Slots)
-		experiment.RenderStudyCurves(os.Stdout, results)
+		experiment.RenderStudyCurves(stdout, results)
 		if spec.Windows > 0 {
-			fmt.Printf("\nper-window trajectories (%d windows/point)\n\n", spec.Windows)
-			experiment.RenderTrajectory(os.Stdout, results)
+			fmt.Fprintf(stdout, "\nper-window trajectories (%d windows/point)\n\n", spec.Windows)
+			experiment.RenderTrajectory(stdout, results)
 		}
 		if *detail {
-			fmt.Println()
-			experiment.RenderStudyDetail(os.Stdout, results)
+			fmt.Fprintln(stdout)
+			experiment.RenderStudyDetail(stdout, results)
 		}
 	}
 	if canceled {
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
 // printProgress is the shared live progress line (local and remote runs).
-func printProgress(done, total int, r experiment.PointResult) {
-	fmt.Fprintf(os.Stderr, "[%d/%d] %s  mean-delay %.1f", done, total, r.PointKey, r.MeanDelay)
+func printProgress(w io.Writer, done, total int, r experiment.PointResult) {
+	fmt.Fprintf(w, "[%d/%d] %s  mean-delay %.1f", done, total, r.PointKey, r.MeanDelay)
 	if r.Replicas > 1 {
-		fmt.Fprintf(os.Stderr, "±%.1f (%d replicas)", r.DelayCI95, r.Replicas)
+		fmt.Fprintf(w, "±%.1f (%d replicas)", r.DelayCI95, r.Replicas)
 	}
 	if r.QueueOverload != "" {
-		fmt.Fprintf(os.Stderr, "  overload %s", r.QueueOverload)
+		fmt.Fprintf(w, "  overload %s", r.QueueOverload)
 	}
-	fmt.Fprintln(os.Stderr)
+	fmt.Fprintln(w)
 }
 
-// writeCounters dumps the run's counter snapshot as indented JSON.
-func writeCounters(path string, ctr *experiment.Counters) error {
-	b, err := json.MarshalIndent(ctr.Snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-func writeSpec(w *os.File, spec experiment.Spec) error {
-	b, err := experiment.MarshalSpecIndent(spec)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w, string(b))
-	return err
-}
-
-// fetchRemoteTrace downloads a study's Chrome trace JSON from the daemon.
-func fetchRemoteTrace(ctx context.Context, client *service.Client, id, path string) error {
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := client.TraceChrome(ctx, id, f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "sweep: trace written to %s (load in Perfetto or chrome://tracing)\n", path)
-	return nil
-}
-
-// writeLocalTrace exports a local run's journal as Chrome trace JSON.
-func writeLocalTrace(journal *trace.Journal, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChromeTrace(f, journal.Snapshot()); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "sweep: trace written to %s (load in Perfetto or chrome://tracing)\n", path)
-	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
+	return f.Close()
 }

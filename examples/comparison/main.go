@@ -7,28 +7,36 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 
 	"sprinklers/internal/experiment"
+	"sprinklers/internal/sim"
 )
 
 func main() {
+	if err := run(os.Stdout, 150_000); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run renders the comparison with the given measured slots per point.
+func run(w io.Writer, slots sim.Slot) error {
 	spec, err := experiment.BuiltinSpec("fig6")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	spec.Loads = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	spec.Slots = 150_000
+	spec.Slots = slots
 	results, err := experiment.RunStudy(context.Background(), spec, experiment.StudyConfig{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println("Figure 6 (reduced horizon): average delay (slots) vs load, uniform traffic, N=32")
-	fmt.Println()
-	experiment.RenderStudyCurves(os.Stdout, results)
-	fmt.Println(`
+	fmt.Fprintln(w, "Figure 6 (reduced horizon): average delay (slots) vs load, uniform traffic, N=32")
+	fmt.Fprintln(w)
+	experiment.RenderStudyCurves(w, results)
+	_, err = fmt.Fprintln(w, `
 Reading the table against the paper's Figure 6:
   - the load-balanced baseline is the lower bound at every load (18-156
     slots), but it reorders;
@@ -45,4 +53,5 @@ Reading the table against the paper's Figure 6:
     it doubles at some loads and the wait jumps, then shrinks as the rate
     grows until the next doubling. The rest (about 35-170 slots) is
     transit, which rises smoothly with load.`)
+	return err
 }

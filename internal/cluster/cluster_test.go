@@ -209,6 +209,14 @@ func TestWorkerCrashMidReplicaFailsOver(t *testing.T) {
 	if got := replicasComputedAcross(coordinator, w1, w2); got != want {
 		t.Errorf("computed %d replicas across the cluster, want exactly %d (no duplicate simulation)", got, want)
 	}
+	// The surviving worker stayed healthy, so the coordinator simulated
+	// nothing itself.
+	if got := replicasComputedAcross(coordinator); got != 0 {
+		t.Errorf("coordinator computed %d replicas, want 0 with a healthy worker left", got)
+	}
+	if got := c.LocalFallbacks.Load(); got != 0 {
+		t.Errorf("LocalFallbacks = %d, want 0 with a healthy worker left", got)
+	}
 	// SuspectAfter is 2: the failed dispatch counted once, and the second
 	// failure comes from the health loop's next probe tick, which may land
 	// after the study has already finished on the surviving worker.
@@ -218,6 +226,13 @@ func TestWorkerCrashMidReplicaFailsOver(t *testing.T) {
 			t.Fatalf("healthy workers = %d, want 1 after the crash", coord.Snapshot().WorkersHealthy)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	// The dead worker stays known, and one healthy worker is not degraded.
+	if got := coord.Snapshot().WorkersTotal; got != 2 {
+		t.Errorf("WorkersTotal = %d, want 2: the dead worker must stay known", got)
+	}
+	if coord.Degraded() {
+		t.Error("Degraded() with one healthy worker left")
 	}
 }
 
@@ -507,7 +522,7 @@ func TestStragglerSpeculativeTail(t *testing.T) {
 			healthyWall := time.Since(baseStart)
 
 			// Straggler run.
-			straggler := newNode(t, service.Options{JobSlots: 1, JobDelay: time.Second})
+			straggler := newNode(t, service.Options{JobSlots: 1, Fault: faultinject.NewPlan(1).DelayJobs(time.Second)})
 			healthy := newNode(t, service.Options{})
 			coordinator, coord := newCoordinator(t, specOpts(straggler.url(), healthy.url()), sopts)
 			join(straggler, coordinator)

@@ -224,24 +224,9 @@ func TestAdaptiveResumeByteIdenticalUnderRandomKills(t *testing.T) {
 		for k := 0; k < kills; k++ {
 			halt := 1 + rng.Intn(total-1)
 			schedule = append(schedule, halt)
-			_, err := RunStudy(context.Background(), spec, StudyConfig{
-				ResultsPath:     path,
-				Parallelism:     1 + rng.Intn(4),
-				HaltAfterPoints: halt,
-			})
-			if err != ErrHalted && err != nil {
-				t.Fatalf("trial %d schedule %v: halted run failed: %v", trial, schedule, err)
-			}
+			stopAt(t, spec, StudyConfig{ResultsPath: path, Parallelism: 1 + rng.Intn(4)}, recordedIn(t, path)+halt)
 			if rng.Intn(2) == 0 {
-				garbage := []byte(`{"algorithm":"spr`)[:1+rng.Intn(16)]
-				f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.Write(garbage); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
+				appendTorn(t, path, `{"algorithm":"spr`[:1+rng.Intn(16)])
 			}
 		}
 		if _, err := RunStudy(context.Background(), spec, StudyConfig{ResultsPath: path, Parallelism: 1 + rng.Intn(4)}); err != nil {

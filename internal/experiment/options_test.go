@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -226,9 +225,7 @@ func TestRunStudyWithOptions(t *testing.T) {
 // in its header; resuming the same grid under different options must fail.
 func TestResumeRejectsOptionDrift(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.jsonl")
-	if _, err := RunStudy(context.Background(), optionedSpec(), StudyConfig{ResultsPath: path, HaltAfterPoints: 1}); !errors.Is(err, ErrHalted) {
-		t.Fatalf("want ErrHalted, got %v", err)
-	}
+	stopAt(t, optionedSpec(), StudyConfig{ResultsPath: path, Parallelism: 1}, 1)
 	drifted := optionedSpec()
 	drifted.Algorithms[0].Options = registry.Options{"threshold": 6}
 	if _, err := RunStudy(context.Background(), drifted, StudyConfig{ResultsPath: path}); err == nil {

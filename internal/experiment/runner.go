@@ -61,10 +61,6 @@ type PointResult struct {
 	RefineRound    int     `json:"refine_round,omitempty"`
 }
 
-// ErrHalted is returned by RunStudy when StudyConfig.HaltAfterPoints stopped
-// the study early; the checkpoint file holds everything recorded so far.
-var ErrHalted = errors.New("experiment: study halted at checkpoint limit")
-
 // StudyConfig controls how a study executes (everything here is runtime
 // policy, deliberately outside the Spec: the same study can run anywhere).
 type StudyConfig struct {
@@ -84,10 +80,6 @@ type StudyConfig struct {
 	// points loaded from the checkpoint or served from the cache), with
 	// done counting recorded points out of total.
 	Progress func(done, total int, r PointResult)
-	// HaltAfterPoints > 0 stops the study cleanly after recording that
-	// many NEW points, returning ErrHalted. It exists to make "kill the
-	// sweep mid-run" deterministic in tests and CI.
-	HaltAfterPoints int
 	// Cache, when non-nil, is the content-addressed result cache (sim
 	// studies only; analytic points cost less than a disk read). Every
 	// point is looked up by its PointIdentity key before its batch schedules
@@ -344,7 +336,7 @@ func RunStudy(ctx context.Context, spec Spec, cfg StudyConfig) ([]PointResult, e
 
 	for round := 0; ; round++ {
 		if err := r.runBatch(ctx, batch, round); err != nil {
-			if errors.Is(err, ErrHalted) || IsCancellation(err) {
+			if IsCancellation(err) {
 				// Everything recorded so far is already flushed to the
 				// checkpoint; hand the prefix back so the caller can render
 				// or serve partial results.
@@ -379,7 +371,6 @@ type studyRun struct {
 	prior    []PointResult // checkpoint prefix from a previous run
 	cursor   int           // next prior line to replay
 	out      *os.File
-	newpts   int // NEW points recorded this run (HaltAfterPoints counts these)
 
 	// Adaptive studies only (adaptive.go): the curves in seed-grid order,
 	// each curve's twin model and stability cap, and its twin scale, fixed
@@ -492,7 +483,7 @@ func (r *studyRun) runBatch(ctx context.Context, batch []PointKey, round int) er
 		}
 	}
 	close(queue)
-	// Leaving early (error, halt, cancellation) cancels ictx, which aborts
+	// Leaving early (error or cancellation) cancels ictx, which aborts
 	// every in-flight simulation, and closes quit, which releases workers
 	// whose result no one will receive; both happen before the wait.
 	ictx, icancel := context.WithCancel(ctx)
@@ -674,7 +665,7 @@ func (r *studyRun) complete(pt *batchPoint, rec PointResult, round int) error {
 }
 
 // recordNew appends one newly produced point to the checkpoint and the
-// in-memory state. It returns ErrHalted when HaltAfterPoints is reached.
+// in-memory state.
 func (r *studyRun) recordNew(rec PointResult, remaining int) error {
 	if r.out != nil {
 		if err := appendResult(r.out, rec); err != nil {
@@ -682,14 +673,10 @@ func (r *studyRun) recordNew(rec PointResult, remaining int) error {
 		}
 	}
 	r.recorded = append(r.recorded, rec)
-	r.newpts++
 	if rec.RefineRound > 0 && r.cfg.Counters != nil {
 		r.cfg.Counters.PointsRefined.Add(1)
 	}
 	r.progress(rec, remaining)
-	if r.cfg.HaltAfterPoints > 0 && r.newpts >= r.cfg.HaltAfterPoints {
-		return ErrHalted
-	}
 	return nil
 }
 

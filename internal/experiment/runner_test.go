@@ -96,16 +96,54 @@ func TestRunStudyDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunStudyStopsInFlightJobs: when a point fails or HaltAfterPoints
-// stops a study, RunStudy cancels the jobs still in flight instead of
-// waiting for them to finish. Point 0 fails (or completes) at once and
-// every other job blocks until its context is canceled, so a RunStudy that
-// only waits returns when the outer deadline fires.
+// stopAt runs spec the way Ctrl-C, -timeout and the daemon's cancel
+// endpoint stop a study: Progress cancels the run's context once `at`
+// points are recorded. Jobs already complete when the cancel lands may
+// still be recorded, so the run holds at least `at` points, not exactly
+// `at`; it returns what the run recorded.
+func stopAt(t *testing.T, spec Spec, cfg StudyConfig, at int) []PointResult {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Progress = func(done, _ int, _ PointResult) {
+		if done >= at {
+			cancel()
+		}
+	}
+	rs, err := RunStudy(ctx, spec, cfg)
+	if err != nil && !IsCancellation(err) {
+		t.Fatalf("stopped run at %d points: %v", at, err)
+	}
+	return rs
+}
+
+// appendTorn appends a partial record to a checkpoint: what a kill landing
+// mid-write leaves behind.
+func appendTorn(t *testing.T, path string, garbage string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(garbage); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunStudyStopsInFlightJobs: when a point fails or the run is
+// canceled, RunStudy cancels the jobs still in flight instead of waiting
+// for them to finish. Point 0 fails (or completes, and its Progress call
+// cancels the run) at once and every other job blocks until its context is
+// canceled, so a RunStudy that only waits returns when the outer deadline
+// fires.
 func TestRunStudyStopsInFlightJobs(t *testing.T) {
 	boom := errors.New("replica failed")
 	for _, kind := range []SpecKind{SimStudy, AdaptiveStudy} {
 		for _, fail := range []bool{true, false} {
-			name := string(kind) + "/halt"
+			name := string(kind) + "/cancel"
 			if fail {
 				name = string(kind) + "/point-error"
 			}
@@ -115,7 +153,9 @@ func TestRunStudyStopsInFlightJobs(t *testing.T) {
 					spec.Kind, spec.Adaptive = SimStudy, nil
 				}
 				first := spec.WithDefaults().Points()[0]
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				outer, cancelOuter := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancelOuter()
+				ctx, cancel := context.WithCancel(outer)
 				defer cancel()
 				cfg := StudyConfig{
 					Parallelism: 4,
@@ -132,12 +172,13 @@ func TestRunStudyStopsInFlightJobs(t *testing.T) {
 				}
 				want := boom
 				if !fail {
-					cfg.HaltAfterPoints, want = 1, ErrHalted
+					cfg.Progress = func(int, int, PointResult) { cancel() }
+					want = context.Canceled
 				}
 				if _, err := RunStudy(ctx, spec, cfg); !errors.Is(err, want) {
 					t.Fatalf("RunStudy: %v, want %v", err, want)
 				}
-				if err := ctx.Err(); err != nil {
+				if err := outer.Err(); err != nil {
 					t.Fatalf("RunStudy returned only after the outer context ended (%v): it waited for its in-flight jobs", err)
 				}
 			})
@@ -154,20 +195,13 @@ func TestRunStudyResumeByteIdentical(t *testing.T) {
 	if _, err := RunStudy(context.Background(), spec, StudyConfig{ResultsPath: full}); err != nil {
 		t.Fatal(err)
 	}
-	// Interrupted run: halt after 2 of 4 points (a deterministic kill).
-	_, err := RunStudy(context.Background(), spec, StudyConfig{ResultsPath: resumed, HaltAfterPoints: 2})
-	if !errors.Is(err, ErrHalted) {
-		t.Fatalf("want ErrHalted, got %v", err)
+	// Interrupted run: canceled once 2 of 4 points are recorded. One
+	// worker computes at most one point ahead, so a prefix is left to do.
+	if got := stopAt(t, spec, StudyConfig{ResultsPath: resumed, Parallelism: 1}, 2); len(got) >= 4 {
+		t.Fatalf("stopped run recorded %d of 4 points, want a proper prefix", len(got))
 	}
 	// Simulate dying mid-write: a partial trailing record.
-	f, err := os.OpenFile(resumed, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"algorithm":"spr`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendTorn(t, resumed, `{"algorithm":"spr`)
 	// Resume and finish.
 	rs, err := RunStudy(context.Background(), spec, StudyConfig{ResultsPath: resumed})
 	if err != nil {
@@ -196,9 +230,8 @@ func TestRunStudyResumeSkipsRecorded(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "r.jsonl")
 	spec := smokeSpec(2)
-	_, err := RunStudy(context.Background(), spec, StudyConfig{ResultsPath: path, HaltAfterPoints: 1})
-	if !errors.Is(err, ErrHalted) {
-		t.Fatalf("want ErrHalted, got %v", err)
+	if got := stopAt(t, spec, StudyConfig{ResultsPath: path, Parallelism: 1}, 1); len(got) >= spec.NumPoints() {
+		t.Fatalf("stopped run recorded %d of %d points, want a proper prefix", len(got), spec.NumPoints())
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -314,8 +347,8 @@ func TestRunStudyAnalyticKinds(t *testing.T) {
 	// Analytic studies checkpoint and resume like simulations.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "b.jsonl")
-	if _, err := RunStudy(context.Background(), b, StudyConfig{ResultsPath: path, HaltAfterPoints: 1}); !errors.Is(err, ErrHalted) {
-		t.Fatalf("want ErrHalted, got %v", err)
+	if got := stopAt(t, b, StudyConfig{ResultsPath: path, Parallelism: 1}, 1); len(got) == 0 {
+		t.Fatal("stopped run recorded no point")
 	}
 	brs2, err := RunStudy(context.Background(), b, StudyConfig{ResultsPath: path})
 	if err != nil {

@@ -144,9 +144,7 @@ func TestScenarioResumeRejectsOptionDrift(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "results.jsonl")
 	spec := flashSpec()
-	if _, err := RunStudy(context.Background(), spec, StudyConfig{ResultsPath: path, HaltAfterPoints: 1}); err != ErrHalted {
-		t.Fatalf("halt run: %v", err)
-	}
+	stopAt(t, spec, StudyConfig{ResultsPath: path, Parallelism: 1}, 1)
 	drifted := flashSpec()
 	drifted.Scenarios[0].Options = registry.Options{"surge": 0.5}
 	_, err := RunStudy(context.Background(), drifted, StudyConfig{ResultsPath: path})

@@ -16,7 +16,8 @@
 //     aborts that replica at a configured simulation slot (or on entry)
 //     and marks the plan Dead, so
 //     the "killed" worker stops answering — the in-process equivalent of
-//     kill -9 mid-replica.
+//     kill -9 mid-replica. JobStall stalls each replica first, which makes
+//     the worker a straggler.
 package faultinject
 
 import (
@@ -47,6 +48,7 @@ type Plan struct {
 	cutAfter  int64 // ...after this many bytes
 
 	jobs      atomic.Int64 // worker jobs started
+	jobStall  atomic.Int64 // stall before each job (a time.Duration)
 	crashJob  int64        // crash on the Nth job (1-based; 0 = never)
 	crashSlot int64        // within that job, crash at this simulation slot
 
@@ -121,6 +123,16 @@ func (p *Plan) CrashWorkerAt(job int, slot int64) *Plan {
 	p.crashSlot = slot
 	return p
 }
+
+// DelayJobs stalls every replica simulation a worker starts by d, lease
+// still enforced: the worker becomes a straggler.
+func (p *Plan) DelayJobs(d time.Duration) *Plan {
+	p.jobStall.Store(int64(d))
+	return p
+}
+
+// JobStall reports the stall DelayJobs configured (0 when none).
+func (p *Plan) JobStall() time.Duration { return time.Duration(p.jobStall.Load()) }
 
 // Injected reports how many faults the plan has injected so far.
 func (p *Plan) Injected() int64 { return p.injected.Load() }

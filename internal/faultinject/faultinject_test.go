@@ -8,6 +8,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 )
 
 // client returns an http.Client whose transport injects plan faults.
@@ -151,5 +152,18 @@ func TestMatchLimitsInjection(t *testing.T) {
 	resp.Body.Close()
 	if _, err := c.Get(ts.URL + "/api/v1/jobs"); err == nil {
 		t.Fatal("matched request should fail")
+	}
+}
+
+func TestDelayJobs(t *testing.T) {
+	p := NewPlan(1)
+	if d := p.JobStall(); d != 0 {
+		t.Fatalf("fresh plan delays jobs by %v, want 0", d)
+	}
+	if d := p.DelayJobs(250 * time.Millisecond).JobStall(); d != 250*time.Millisecond {
+		t.Fatalf("JobStall = %v, want 250ms", d)
+	}
+	if p.JobStarted() != nil || p.Dead() || p.Injected() != 0 {
+		t.Fatal("a delay-only plan scheduled a crash or counted a fault")
 	}
 }

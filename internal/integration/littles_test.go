@@ -9,6 +9,7 @@ import (
 	"sprinklers/internal/experiment"
 	"sprinklers/internal/registry"
 	"sprinklers/internal/sim"
+	"sprinklers/internal/stats"
 	"sprinklers/internal/traffic"
 )
 
@@ -17,7 +18,9 @@ import (
 // slot hook sums the packets in the switch after each measured slot.
 // Warmup-arrival deliveries are counted too (sim.Run forwards them all,
 // since the run has no warmup of its own), so the count in the switch is
-// exact from slot 0.
+// exact from slot 0. Measured deliveries also feed a stats.Delay, the
+// instrument every study reads, so the test can hold its mean to the
+// test's own sum.
 type littleCounter struct {
 	src        sim.Source
 	warmup     sim.Slot
@@ -29,6 +32,8 @@ type littleCounter struct {
 	offeredAge int64    // Σ end − t over those arrivals
 	sojourn    int64    // Σ Depart − Arrival over their deliveries
 	departedAt int64    // Σ end − Arrival over their deliveries
+	measured   int64    // their deliveries
+	delay      stats.Delay
 }
 
 func (c *littleCounter) N() int { return c.src.N() }
@@ -49,6 +54,8 @@ func (c *littleCounter) Observe(d sim.Delivery) {
 	if d.Packet.Arrival >= c.warmup {
 		c.sojourn += int64(d.Depart - d.Packet.Arrival)
 		c.departedAt += int64(c.end - d.Packet.Arrival)
+		c.measured++
+		c.delay.Observe(d)
 	}
 }
 
@@ -68,9 +75,12 @@ func (c *littleCounter) slotDone(t sim.Slot) {
 // undelivered ones censored at the window's end. The two differ only by
 // the residence of warmup arrivals inside the window, so they must agree
 // within 1 %; a Depart or Arrival stamped one slot off moves the censored
-// mean by a slot and fails it. Little's law needs a stationary switch: an
-// architecture whose registered MaxStableLoad is below a cell's ρ (today
-// tcp-hashing, at 0.3) runs that cell at half its MaxStableLoad instead.
+// mean by a slot and fails it. On the same deliveries, stats.Delay's count
+// and mean must equal the test's own count and Σ(Depart − Arrival)/count,
+// so a Delay that drops or mis-weights a sample fails too. Little's law
+// needs a stationary switch: an architecture whose registered
+// MaxStableLoad is below a cell's ρ (today tcp-hashing, at 0.3) runs that
+// cell at half its MaxStableLoad instead.
 func TestLittlesLaw(t *testing.T) {
 	const (
 		n      = 8
@@ -101,6 +111,11 @@ func TestLittlesLaw(t *testing.T) {
 					sim.Run(sw, c, c, sim.WithSlots(warmup+slots), sim.WithSlotHook(c.slotDone))
 					if c.offered == 0 || c.area == 0 {
 						t.Fatalf("offered %d packets, backlog area %d", c.offered, c.area)
+					}
+					if own := float64(c.sojourn) / float64(c.measured); c.delay.Count() != c.measured ||
+						math.Abs(c.delay.Mean()-own) > 1e-9*own {
+						t.Errorf("stats.Delay: %d samples, mean %.6f; the test's own books: %d deliveries, mean %.6f",
+							c.delay.Count(), c.delay.Mean(), c.measured, own)
 					}
 					censored := float64(c.sojourn+c.offeredAge-c.departedAt) / float64(c.offered)
 					little := float64(c.area) / float64(c.offered)

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"sprinklers/internal/cluster"
+	"sprinklers/internal/faultinject"
 )
 
 func newLoadTestServer(t *testing.T, opts Options) (*Server, string) {
@@ -55,7 +56,7 @@ func slotsPerSec(srv *Server) float64 { return math.Float64frombits(srv.simRate.
 // queues, and the load gauges must track the whole episode — queue 1 and
 // inflight 1 while the slot is busy, all zero once both jobs finish.
 func TestQueuedJobLoadGauges(t *testing.T) {
-	srv, base := newLoadTestServer(t, Options{JobSlots: 1, JobDelay: 300 * time.Millisecond})
+	srv, base := newLoadTestServer(t, Options{JobSlots: 1, Fault: faultinject.NewPlan(1).DelayJobs(300 * time.Millisecond)})
 	spec := testSpec("queued-job-load")
 
 	post := func(rep int) chan *http.Response {
@@ -137,6 +138,7 @@ func TestMetricsExposeSchedulerSeries(t *testing.T) {
 	for _, name := range []string{
 		"sprinklerd_speculative_launched_total",
 		"sprinklerd_speculative_wasted_total",
+		"sprinklerd_peer_cache_fill_total",
 		"sprinklerd_job_queue_depth",
 		"sprinklerd_jobs_inflight",
 		"sprinklerd_sim_slots_per_sec",

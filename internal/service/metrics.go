@@ -37,8 +37,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("sprinklerd_cache_corrupt_total", "Cache entries that failed validation on read and were quarantined.", c.CacheCorrupt+s.cache.Corrupts())
 	gauge("sprinklerd_studies_running", "Studies currently executing.", int64(s.RunningStudies()))
 
-	// Eviction accounting: the byte gauge lets an operator (and the CI e2e
-	// job) assert the configured disk bound holds.
+	// Eviction accounting: the byte gauge lets an operator (and
+	// TestCacheBoundSweeper) assert the configured disk bound holds.
 	counter("sprinklerd_cache_evictions_total", "Cache entries evicted by the size-bound sweeper.", s.cache.Evictions())
 	if size, err := s.cache.Size(); err == nil {
 		gauge("sprinklerd_cache_bytes", "Bytes currently held by the result cache (quarantine excluded).", size)

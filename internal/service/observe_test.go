@@ -5,14 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"sprinklers/internal/experiment"
 )
@@ -160,27 +161,11 @@ func checkHistogram(t *testing.T, name string, fam *promFamily) {
 	}
 }
 
-// TestMetricsStrictParse scrapes /metrics after a real study and holds
-// the exposition to client-library rules: unique family declarations,
-// every sample under a declared TYPE, unique sample keys, parseable
-// values, and full histogram invariants on every histogram family.
-func TestMetricsStrictParse(t *testing.T) {
-	srv, client := newTestServer(t)
-	if _, err := client.Run(context.Background(), testSpec("metrics-strict"), nil); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(client.BaseURL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fams := parseProm(t, string(body))
+// checkExposition strictly parses one /metrics body and checks every
+// histogram family's invariants.
+func checkExposition(t *testing.T, body string) map[string]*promFamily {
+	t.Helper()
+	fams := parseProm(t, body)
 	histograms := 0
 	for name, fam := range fams {
 		if fam.typ == "histogram" {
@@ -194,6 +179,49 @@ func TestMetricsStrictParse(t *testing.T) {
 	if histograms < 5 {
 		t.Errorf("found %d histogram families, want >= 5", histograms)
 	}
+	return fams
+}
+
+// TestMetricsStrictParse scrapes /metrics while a study is in flight and
+// after a finished one, and holds the exposition to client-library rules:
+// unique family declarations, every sample under a declared TYPE, unique
+// sample keys, parseable values, and full histogram invariants on every
+// histogram family.
+func TestMetricsStrictParse(t *testing.T) {
+	srv, client := newTestServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// Mid-flight: one point recorded (so the cache histograms are being
+	// fed), the rest still running.
+	live := testSpec("metrics-live")
+	live.Slots = 400_000
+	status, err := srv.Submit(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := srv.lookup(status.ID)
+	for st.Status().Done == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("the live study recorded no point")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fams := checkExposition(t, httpGet(t, client, "/metrics"))
+	if got := fams["sprinklerd_studies_running"].samples["sprinklerd_studies_running"]; got != 1 || st.Status().State != StateRunning {
+		t.Errorf("scrape was not mid-flight: studies_running %v, state %s", got, st.Status().State)
+	}
+	if err := client.cancel(ctx, status.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := client.Results(ctx, status.ID, true); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := client.Run(ctx, testSpec("metrics-strict"), nil); err != nil {
+		t.Fatal(err)
+	}
+	fams = checkExposition(t, httpGet(t, client, "/metrics"))
 
 	// The study path must have fed the cache histograms.
 	cacheGet := fams["sprinklerd_cache_get_seconds"]
@@ -212,7 +240,47 @@ func TestMetricsStrictParse(t *testing.T) {
 			t.Errorf("build_info %q does not carry go_version=%q", key, runtime.Version())
 		}
 	}
-	_ = srv
+}
+
+// TestCacheBoundSweeper: with CacheMaxBytes set, the daemon's scheduled
+// sweeper evicts the cache down to the bound, and /metrics shows both the
+// evictions and the bounded size.
+func TestCacheBoundSweeper(t *testing.T) {
+	const bound = 4096
+	srv, err := New(Options{CacheDir: t.TempDir(), CacheMaxBytes: bound, SweepInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx) //nolint:errcheck
+	})
+	client := &Client{BaseURL: ts.URL}
+	// Three differently seeded studies write more result envelopes than
+	// the bound holds.
+	for seed := int64(11); seed <= 13; seed++ {
+		spec := testSpec("evict")
+		spec.Seed = seed
+		if _, err := client.Run(context.Background(), spec, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		fams := parseProm(t, httpGet(t, client, "/metrics"))
+		evicted := fams["sprinklerd_cache_evictions_total"].samples["sprinklerd_cache_evictions_total"]
+		size := fams["sprinklerd_cache_bytes"].samples["sprinklerd_cache_bytes"]
+		if evicted >= 1 && size <= bound {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cache never swept down to %d bytes: %v evictions, %v bytes", bound, evicted, size)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestVersionEndpoint: the version endpoint reports the running Go

@@ -83,11 +83,6 @@ type Options struct {
 	// simulates at once; replicas beyond the bound queue in their handlers
 	// (visible as sprinklerd_job_queue_depth on /metrics). 0 = GOMAXPROCS.
 	JobSlots int
-	// JobDelay, when > 0, stalls every replica a cluster job simulates by
-	// this much before simulating — a deterministic chaos knob that turns
-	// this daemon into a straggler for scheduler tests
-	// (`sprinklerd -chaos-job-delay`).
-	JobDelay time.Duration
 	// Logger, when set, receives structured events (study/job/worker ids as
 	// attributes); nil discards them.
 	Logger *slog.Logger
@@ -112,7 +107,7 @@ type Options struct {
 	// Fault, when set, arms this daemon's chaos hooks: scheduled worker
 	// crashes abort jobs mid-simulation and, once the plan is Dead, every
 	// endpoint severs its connection — the in-process kill -9 the chaos
-	// suite drives.
+	// suite drives. A plan's job stall makes this daemon a straggler.
 	Fault *faultinject.Plan
 	// CacheMaxBytes, when > 0, bounds the result cache on disk: a
 	// background sweeper evicts the least recently used entries every
@@ -171,7 +166,6 @@ type Server struct {
 	// semaphore, queued/inflight count jobs waiting for and holding a slot,
 	// simRate is the EWMA of simulated slots/sec (float64 bits).
 	jobSlots chan struct{}
-	jobDelay time.Duration
 	queued   atomic.Int64
 	inflight atomic.Int64
 	simRate  atomic.Uint64
@@ -229,7 +223,6 @@ func New(opts Options) (*Server, error) {
 		fault:      opts.Fault,
 		peerHTTP:   opts.PeerHTTP,
 		jobSlots:   make(chan struct{}, slots),
-		jobDelay:   opts.JobDelay,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		studies:    map[string]*study{},

@@ -248,7 +248,9 @@ func (s *Server) serveReplica(ctx context.Context, spec experiment.Spec, id resu
 func (s *Server) simulate(ctx context.Context, spec experiment.Spec, key experiment.PointKey, rep int) (experiment.Point, error) {
 	var crash *faultinject.Crash
 	var onSlot func(sim.Slot)
+	var delay time.Duration
 	if s.fault != nil {
+		delay = s.fault.JobStall()
 		if cr := s.fault.JobStarted(); cr != nil {
 			select {
 			case <-cr.Done(): // crash on entry (slot 0, or plan already dead)
@@ -291,10 +293,10 @@ func (s *Server) simulate(ctx context.Context, spec experiment.Spec, key experim
 	defer func() { <-s.jobSlots }()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	if s.jobDelay > 0 {
+	if delay > 0 {
 		// Chaos straggler: stall with the lease still enforced.
 		select {
-		case <-time.After(s.jobDelay):
+		case <-time.After(delay):
 		case <-ctx.Done():
 			return experiment.Point{}, fmt.Errorf("lease expired in delay: %w", ctx.Err())
 		}
