@@ -2,6 +2,8 @@ package stats
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -93,6 +95,41 @@ func TestHistogramObserveAndExposition(t *testing.T) {
 	wantSum := 500e-9 + 3e-6 + 100e-3 + 200.0
 	if sum < wantSum*0.999 || sum > wantSum*1.001 {
 		t.Fatalf("_sum = %g, want ~%g", sum, wantSum)
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/histogram.prom from WriteProm")
+
+// TestWritePromGolden pins WriteProm's bytes for a fixed set of
+// observations: zero and a negative duration (read as zero), every exposed
+// bound 2^10 … 2^36 ns exactly and one nanosecond past it, and durations
+// past the last finite bound, which fold into +Inf.
+func TestWritePromGolden(t *testing.T) {
+	h := NewHistogram("golden_seconds", "golden histogram")
+	h.Observe(0)
+	h.Observe(-time.Second)
+	for k := 10; k <= 36; k++ {
+		b := time.Duration(1) << k
+		h.Observe(b)
+		h.Observe(b + 1)
+	}
+	h.Observe(2 * time.Minute)
+	h.Observe(10 * time.Minute)
+	h.Observe(time.Hour)
+	var buf bytes.Buffer
+	h.WriteProm(&buf)
+	const path = "testdata/histogram.prom"
+	if *updateGolden {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Errorf("WriteProm differs from %s:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 
