@@ -233,12 +233,12 @@ type Coordinator struct {
 	// specPending counts speculative losers not yet reaped.
 	specPending atomic.Int64
 
-	// specLat tracks the latencyPct percentile of per-replica latency:
-	// the time from a lease's start, or its previous replica, to each
-	// replica it delivers. It is always on — with speculation disabled it
-	// still drives slow-job warnings. Guarded by specMu.
-	specMu  sync.Mutex
-	specLat *stats.P2
+	// replicaGaps holds per-replica latency: the time from a lease's
+	// start, or its previous replica, to each replica it delivers. It is
+	// always on — with speculation disabled its latencyPct quantile still
+	// drives slow-job warnings. dispatchHist, which times whole leases,
+	// cannot stand in for it.
+	replicaGaps *stats.Histogram
 
 	mu      sync.Mutex
 	workers []*worker
@@ -283,7 +283,7 @@ func New(opts Options) *Coordinator {
 		// The latency percentile is tracked whether or not speculation is
 		// armed: slow-job warnings need it on every deployment, including
 		// single-worker ones where speculation would be pointless.
-		specLat: stats.NewP2(latencyPct),
+		replicaGaps: new(stats.Histogram),
 	}
 	for _, u := range opts.Workers {
 		c.Register(u) //nolint:errcheck // documented: a bad URL is skipped

@@ -83,13 +83,9 @@ func (c *Coordinator) backupFor(primary *worker) *worker {
 	return nil
 }
 
-// observeLatency feeds one per-replica latency into the percentile
-// estimator behind speculation and slow-job warnings.
-func (c *Coordinator) observeLatency(d time.Duration) {
-	c.specMu.Lock()
-	c.specLat.Add(float64(d))
-	c.specMu.Unlock()
-}
+// observeLatency feeds one per-replica latency into the histogram behind
+// speculation and slow-job warnings.
+func (c *Coordinator) observeLatency(d time.Duration) { c.replicaGaps.Observe(d) }
 
 // latencyPct is the per-replica latency percentile past which a lease
 // counts as slow. speculateMinSamples is how many replica latencies must
@@ -106,16 +102,10 @@ const (
 // replica before it counts as slow (warning + backup launch), or 0 while
 // the percentile is under-sampled.
 func (c *Coordinator) speculateThreshold() time.Duration {
-	c.specMu.Lock()
-	defer c.specMu.Unlock()
-	if c.specLat.Count() < speculateMinSamples {
+	if c.replicaGaps.Count() < speculateMinSamples {
 		return 0
 	}
-	d := time.Duration(c.specLat.Value())
-	if d < speculateFloor {
-		d = speculateFloor
-	}
-	return d
+	return max(c.replicaGaps.Quantile(latencyPct), speculateFloor)
 }
 
 // send runs one dispatch with the coordinator's outstanding-load accounting
@@ -223,6 +213,11 @@ func (c *Coordinator) race(ctx context.Context, w *worker, spec experiment.Spec,
 				// The straggler warning fires regardless of speculation:
 				// on a single-worker deployment it is the only signal a
 				// lease is stuck behind the fleet's own latency history.
+				// Operators match on its text, which keeps the words
+				// "dispatch-latency percentile": the percentile is of
+				// per-replica gaps (replicaGaps), not of
+				// sprinklerd_dispatch_latency_seconds, and elapsed_ms is
+				// the time since the lease's last replica.
 				tc := trace.FromContext(ctx)
 				if !warned {
 					warned = true

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"sprinklers/internal/experiment"
+	"sprinklers/internal/stats"
 )
 
 // pickCounts runs n picks and tallies them by worker URL.
@@ -370,5 +371,35 @@ func TestSpeculativeBackupCarriesTheRest(t *testing.T) {
 	}
 	if w := ctr.SpeculativeWasted.Load(); w != 0 {
 		t.Errorf("SpeculativeWasted = %d, want 0: the loser delivered nothing twice", w)
+	}
+}
+
+// TestGapsCountReplicasLeasesCountOnce: one k-replica lease adds k samples
+// to the per-replica gap histogram that arms speculation and one to the
+// dispatch-latency histogram, so speculation never reads whole-lease
+// durations.
+func TestGapsCountReplicasLeasesCountOnce(t *testing.T) {
+	const k = 3
+	var mu sync.Mutex
+	var leases [][2]int
+	w := leaseWorker(t, 0, &leases, &mu)
+	c := New(Options{Workers: []string{w.URL}})
+	dispatch := stats.NewHistogram("sprinklerd_dispatch_latency_seconds", "one sample per lease")
+	c.UseDispatchHist(dispatch)
+	spec := experiment.Spec{
+		Algorithms: experiment.Algs(experiment.Sprinklers),
+		Traffic:    experiment.Traffics(experiment.UniformTraffic),
+		Loads:      []float64{0.5}, Sizes: []int{8}, Replicas: k, Slots: 200,
+	}.WithDefaults()
+	if _, err := c.RunReplicas(context.Background(), spec, spec.Points()[0], 0, k); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	if !reflect.DeepEqual(leases, [][2]int{{0, k}}) {
+		t.Errorf("leases %v, want one [0 %d]", leases, k)
+	}
+	mu.Unlock()
+	if gaps, lease := c.replicaGaps.Count(), dispatch.Count(); gaps != k || lease != 1 {
+		t.Errorf("gap samples %d, dispatch-latency samples %d; want %d and 1", gaps, lease, k)
 	}
 }

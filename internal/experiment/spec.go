@@ -702,15 +702,18 @@ func ParseFloatList(s string) ([]float64, error) {
 //   - "fig7":   Figure 7 (diagonal traffic, N=32)
 //   - "fig5":   Figure 5 (closed-form intermediate-stage delay vs N)
 //   - "table1": Table 1 (per-queue overload bounds)
-//   - "smoke":  a seconds-scale replicated study used by the CI resume test
+//   - "smoke":  a seconds-scale replicated study; TestResumeFromTornCheckpoint
+//     (cmd/sweep) resumes it and TestProcesses (cmd/sprinklerd) serves it
 //   - "flashcrowd": a seconds-scale dynamic study — static Sprinklers,
 //     adaptive Sprinklers and the load-balanced baseline riding out a
 //     flash crowd, with per-window recovery trajectories
 //   - "adaptive-fig6": the Figure 6 comparison as an adaptive study — a
 //     coarse load seed refined near the delay knees, replicas stopped
 //     early on tight CIs; a fraction of fig6's simulated slots
-//   - "adaptive-smoke": a seconds-scale adaptive study used by the CI
-//     resume e2e and the adaptive-vs-dense benchmark point
+//   - "adaptive-smoke": a seconds-scale adaptive study;
+//     TestResumeFromTornCheckpoint (cmd/sweep) resumes it and
+//     TestAdaptiveBeatsDenseWithinTolerance pins its work against the
+//     dense grid it refines
 func BuiltinSpec(name string) (Spec, error) {
 	switch name {
 	case "adaptive-fig6":

@@ -44,8 +44,6 @@ type Store struct {
 
 	// puts counts successful writes since Open, for the daemon's metrics.
 	puts atomic.Int64
-	// corrupts counts entries quarantined since Open (cache_corrupt_total).
-	corrupts atomic.Int64
 
 	// evictions counts entries evicted by sweeps since Open.
 	evictions atomic.Int64
@@ -382,10 +380,11 @@ func (s *Store) remove(key string) error {
 
 // Quarantine copies the value stored under key to corrupt/<key>.json and
 // deletes the entry: the bytes stay available for a post-mortem, the key
-// reads as a miss from then on (across restarts too), and Corrupts counts
-// the event. Quarantining an absent key is a no-op. Callers invoke it when
-// an entry fails envelope or identity validation on read, so a corrupt
-// entry costs one recomputation, never a failed study.
+// reads as a miss from then on (across restarts too). Quarantining an
+// absent key is a no-op. Callers invoke it when an entry fails envelope or
+// identity validation on read, so a corrupt entry costs one recomputation,
+// never a failed study, and count the event themselves
+// (experiment.Counters.CacheCorrupt), so each entry is counted once.
 func (s *Store) Quarantine(key string) error {
 	if err := validKey(key); err != nil {
 		return err
@@ -413,12 +412,8 @@ func (s *Store) Quarantine(key string) error {
 	if err := s.remove(key); err != nil {
 		return err
 	}
-	s.corrupts.Add(1)
 	return nil
 }
-
-// Corrupts reports the number of entries quarantined since Open.
-func (s *Store) Corrupts() int64 { return s.corrupts.Load() }
 
 // Size returns the total value bytes of live cache entries (quarantined
 // entries excluded).

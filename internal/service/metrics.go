@@ -8,11 +8,11 @@ import (
 
 // handleMetrics renders the daemon's counters in the Prometheus text
 // exposition format (no client library — counters and gauges need nothing
-// beyond `# TYPE` lines and `name value` samples). The CI e2e job scrapes
-// sprinklerd_cache_hits_total and sprinklerd_sim_slots_total to prove that
-// a resubmitted study is a pure cache read: between the first and second
-// submission the hit counter rises by the point count and the slot counter
-// does not move.
+// beyond `# TYPE` lines and `name value` samples). TestProcesses
+// (cmd/sprinklerd) scrapes sprinklerd_cache_hits_total and
+// sprinklerd_sim_slots_total to prove that a study resubmitted to a daemon
+// restarted on the same cache is a pure cache read: the hit counter reads
+// the point count and the slot counter 0.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	c := s.TotalCounters()
@@ -34,7 +34,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("sprinklerd_studies_submitted_total", "Study submissions accepted.", s.submitted.Load())
 	counter("sprinklerd_studies_deduped_total", "Submissions joined onto an existing execution or finished study.", s.deduped.Load())
 	counter("sprinklerd_cache_puts_total", "Result-cache writes since the daemon started.", s.cache.Puts())
-	counter("sprinklerd_cache_corrupt_total", "Cache entries that failed validation on read and were quarantined.", c.CacheCorrupt+s.cache.Corrupts())
+	counter("sprinklerd_cache_corrupt_total", "Cache entries that failed validation on read and were quarantined.", c.CacheCorrupt)
 	gauge("sprinklerd_studies_running", "Studies currently executing.", int64(s.RunningStudies()))
 
 	// Eviction accounting: the byte gauge lets an operator (and
@@ -70,8 +70,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("sprinklerd_cluster_degraded", "1 while every worker is down and studies run on local fallback.", degraded)
 	}
 
-	// Latency histograms (log2 buckets, exposed as cumulative le-labeled
-	// series like any client-library histogram).
+	// Latency histograms (log-linear cells, exposed as cumulative
+	// le-labeled log2 buckets like any client-library histogram).
 	s.hDispatch.WriteProm(w)
 	s.hJobExec.WriteProm(w)
 	s.hQueueWait.WriteProm(w)

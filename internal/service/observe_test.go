@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"sprinklers/internal/cluster"
 	"sprinklers/internal/experiment"
 )
 
@@ -280,6 +281,41 @@ func TestCacheBoundSweeper(t *testing.T) {
 			t.Fatalf("cache never swept down to %d bytes: %v evictions, %v bytes", bound, evicted, size)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCacheCorruptCountsEachEntryOnce: sprinklerd_cache_corrupt_total
+// rises by exactly one per quarantined entry, whether a study's cache
+// pre-pass finds a corrupt point entry or a job finds a corrupt replica
+// envelope.
+func TestCacheCorruptCountsEachEntryOnce(t *testing.T) {
+	srv, client := newTestServer(t)
+	corrupt := func() float64 {
+		t.Helper()
+		fams := parseProm(t, httpGet(t, client, "/metrics"))
+		return fams["sprinklerd_cache_corrupt_total"].samples["sprinklerd_cache_corrupt_total"]
+	}
+
+	spec := testSpec("corrupt-point").WithDefaults()
+	if err := srv.Cache().Put(spec.PointIdentity(spec.Points()[0]).Key(), []byte(`{"identity":{"torn`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Run(context.Background(), spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := corrupt(); got != 1 {
+		t.Errorf("after a corrupt point entry: cache_corrupt_total = %v, want 1", got)
+	}
+
+	job := jobFor(testSpec("corrupt-replica"), 0, 0)
+	if err := srv.Cache().Put(job.Spec.PointIdentity(job.Point).ReplicaKey(job.Rep), []byte("garbage")); err != nil {
+		t.Fatal(err)
+	}
+	if jr, resp := postJob(t, client.BaseURL, job); resp.StatusCode != http.StatusOK || jr.Source != cluster.SourceComputed {
+		t.Fatalf("job over a corrupt envelope: status %d source %q, want 200 %q", resp.StatusCode, jr.Source, cluster.SourceComputed)
+	}
+	if got := corrupt(); got != 2 {
+		t.Errorf("after a corrupt replica envelope: cache_corrupt_total = %v, want 2", got)
 	}
 }
 

@@ -135,8 +135,9 @@ type Server struct {
 	journal *trace.Journal
 
 	// Latency histograms exposed on /metrics (log2 buckets, Prometheus
-	// text exposition). hDispatch is fed by the cluster coordinator;
-	// the rest by this daemon's own study and job paths.
+	// text exposition). hDispatch is fed by the cluster coordinator, one
+	// sample per whole lease; the rest by this daemon's own study and job
+	// paths.
 	hDispatch  *stats.Histogram
 	hJobExec   *stats.Histogram
 	hQueueWait *stats.Histogram

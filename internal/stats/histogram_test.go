@@ -3,7 +3,10 @@ package stats
 import (
 	"bytes"
 	"flag"
+	"math"
+	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,18 +20,106 @@ func TestHistBucketIndex(t *testing.T) {
 	}{
 		{0, 0},
 		{1, 0},
-		{1024, 0}, // exactly 2^10 -> first bucket
-		{1025, 1}, // just over -> second
-		{2048, 1}, // 2^11 upper bound inclusive
-		{2049, 2},
-		{1 << 36, histBuckets - 2}, // largest finite bound
-		{1<<36 + 1, histBuckets - 1},
-		{1 << 62, histBuckets - 1}, // +Inf bucket
+		{1024, 0},       // exactly 2^10 -> first cell
+		{1025, 1},       // just over -> first cell of the next octave
+		{1024 + 128, 1}, // its top, inclusive
+		{1024 + 129, 2},
+		{2048, 8}, // 2^11: the last cell of its octave, exposed bound 1
+		{2049, 9},
+		{1 << 36, (histBuckets - 2) << histSub}, // largest exposed bound
+		{1<<36 + 1, (histBuckets-2)<<histSub + 1},
+		{math.MaxInt64, histCells - 1},
 	}
 	for _, c := range cases {
 		if got := histBucketIndex(c.ns); got != c.want {
 			t.Errorf("histBucketIndex(%d) = %d, want %d", c.ns, got, c.want)
 		}
+	}
+}
+
+// TestCellBoundsTileTheLayout: every cell's bound maps back to that cell
+// and one past it to the next, so the cells tile [0, MaxInt64] with no gap
+// or overlap, and each bound is within 9/8 of its cell's lower end.
+func TestCellBoundsTileTheLayout(t *testing.T) {
+	for i := 0; i < histCells; i++ {
+		b := cellBound(i)
+		if got := histBucketIndex(b); got != i {
+			t.Fatalf("cell %d: bound %d maps to cell %d", i, b, got)
+		}
+		if i == histCells-1 {
+			if b != math.MaxInt64 {
+				t.Fatalf("last cell bound = %d, want MaxInt64", b)
+			}
+			break
+		}
+		if got := histBucketIndex(b + 1); got != i+1 {
+			t.Fatalf("cell %d: bound+1 = %d maps to cell %d", i, b+1, got)
+		}
+		if next := cellBound(i + 1); float64(next) > float64(b)*9/8 {
+			t.Fatalf("cell %d: (%d, %d] is wider than 1/8", i+1, b, next)
+		}
+	}
+}
+
+// TestQuantileWithinOneEighth checks Quantile against a sorted-sample
+// oracle: for log-uniform samples from 1 µs to 10 min, every q-quantile
+// lies between the exact order statistic of rank ⌈q·n⌉ and 9/8 of it.
+func TestQuantileWithinOneEighth(t *testing.T) {
+	lo, hi := math.Log(float64(time.Microsecond)), math.Log(float64(10*time.Minute))
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		for _, n := range []int{1, 7, 100, 10_000} {
+			var h Histogram
+			xs := make([]int64, n)
+			for i := range xs {
+				xs[i] = int64(math.Exp(lo + rng.Float64()*(hi-lo)))
+				h.Observe(time.Duration(xs[i]))
+			}
+			slices.Sort(xs)
+			for _, q := range []float64{0.5, 0.95, 0.99} {
+				exact := xs[int(math.Ceil(q*float64(n)))-1]
+				got := int64(h.Quantile(q))
+				if got < exact || float64(got) > float64(exact)*9/8 {
+					t.Errorf("seed %d n %d: Quantile(%v) = %d, exact %d", seed, n, q, got, exact)
+				}
+			}
+		}
+	}
+}
+
+// TestDelayStreamingQuantiles: the median and the 99th percentile of a
+// stream of 50 000 delays of whole microseconds, ties included.
+func TestDelayStreamingQuantiles(t *testing.T) {
+	var h Histogram
+	rng := rand.New(rand.NewSource(31))
+	raw := make([]time.Duration, 50000)
+	for k := range raw {
+		raw[k] = time.Duration(1+rng.Intn(1000)) * time.Microsecond
+		h.Observe(raw[k])
+	}
+	slices.Sort(raw)
+	for _, q := range []float64{0.50, 0.99} {
+		exact := raw[int(math.Ceil(q*float64(len(raw))))-1]
+		if got := h.Quantile(q); got < exact || got > exact*9/8 {
+			t.Errorf("Quantile(%v) = %v, exact %v", q, got, exact)
+		}
+	}
+}
+
+// TestQuantileEdges: an empty histogram reads 0, and q = 0 and q = 1 read
+// the smallest and the largest observation's cells.
+func TestQuantileEdges(t *testing.T) {
+	var h Histogram
+	if got := h.Quantile(0.5); got != 0 {
+		t.Fatalf("empty Quantile = %v, want 0", got)
+	}
+	h.Observe(3 * time.Millisecond)
+	h.Observe(time.Duration(math.MaxInt64))
+	if got := h.Quantile(0); got < 3*time.Millisecond || got > 3*time.Millisecond*9/8 {
+		t.Errorf("Quantile(0) = %v, want the smallest observation's cell", got)
+	}
+	if got := h.Quantile(1); got != time.Duration(math.MaxInt64) {
+		t.Errorf("Quantile(1) = %v, want MaxInt64", got)
 	}
 }
 
@@ -136,7 +227,7 @@ func TestWritePromGolden(t *testing.T) {
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(time.Second) // must not panic
-	if h.Count() != 0 || h.SumSeconds() != 0 {
+	if h.Count() != 0 || h.SumSeconds() != 0 || h.Quantile(0.95) != 0 {
 		t.Fatal("nil histogram must read as empty")
 	}
 }

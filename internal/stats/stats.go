@@ -1,5 +1,19 @@
-// Package stats provides measurement instruments for switch simulations:
-// delay statistics and per-flow reordering detection.
+// Package stats holds the repository's measurement instruments, for three
+// audiences:
+//
+//   - simulation observers on the delivery path: Delay, Reorder, Multi and
+//     Windowed;
+//   - study statistics over replica results and benchmark samples:
+//     MeanCI95, SequentialStop and Quantiles;
+//   - the daemon's latency Histogram, exposed on /metrics and read for
+//     the coordinator's speculation percentile.
+//
+// They stay one package because they answer the same questions — counts,
+// means, intervals, quantiles — and the quantile layout is meant to be
+// shared: Delay's power-of-two buckets are to move onto Histogram's
+// log-linear cells when the simulated delay pins are next re-cut, and that
+// move is an edit inside one package rather than a new dependency. The
+// package imports only the standard library and sim.
 package stats
 
 import (
