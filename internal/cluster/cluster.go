@@ -234,7 +234,8 @@ type Coordinator struct {
 	specPending atomic.Int64
 
 	// replicaGaps holds per-replica latency: the time from a lease's
-	// start, or its previous replica, to each replica it delivers. It is
+	// start, its previous replica or its backup's launch to each replica
+	// it delivers. It is
 	// always on — with speculation disabled its latencyPct quantile still
 	// drives slow-job warnings. dispatchHist, which times whole leases,
 	// cannot stand in for it.

@@ -102,10 +102,11 @@ const (
 // replica before it counts as slow (warning + backup launch), or 0 while
 // the percentile is under-sampled.
 func (c *Coordinator) speculateThreshold() time.Duration {
-	if c.replicaGaps.Count() < speculateMinSamples {
+	p, n := c.replicaGaps.Quantile(latencyPct)
+	if n < speculateMinSamples {
 		return 0
 	}
-	return max(c.replicaGaps.Quantile(latencyPct), speculateFloor)
+	return max(p, speculateFloor)
 }
 
 // send runs one dispatch with the coordinator's outstanding-load accounting
@@ -239,6 +240,10 @@ func (c *Coordinator) race(ctx context.Context, w *worker, spec experiment.Spec,
 						tc.Event("speculate", "job", key.String(), "backup", bw.url, "primary", w.url)
 						launch(bw)
 						inflight++
+						// The next gap times the attempt that delivers the
+						// replica, not the stall: a rescue must not raise
+						// the threshold the next stuck lease waits for.
+						last = time.Now()
 					}
 				}
 			}

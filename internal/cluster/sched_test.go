@@ -399,7 +399,8 @@ func TestGapsCountReplicasLeasesCountOnce(t *testing.T) {
 		t.Errorf("leases %v, want one [0 %d]", leases, k)
 	}
 	mu.Unlock()
-	if gaps, lease := c.replicaGaps.Count(), dispatch.Count(); gaps != k || lease != 1 {
+	_, gaps := c.replicaGaps.Quantile(0)
+	if _, lease := dispatch.Quantile(0); gaps != k || lease != 1 {
 		t.Errorf("gap samples %d, dispatch-latency samples %d; want %d and 1", gaps, lease, k)
 	}
 }

@@ -14,8 +14,9 @@ import (
 // (2^(e-1), 2^e] ns is cut into 2^histSub equal cells, up to the largest
 // time.Duration, so no observation overflows the layout. A cell's upper
 // bound is at most 9/8 of anything it holds above 1.024 µs, which bounds
-// Quantile's relative error, while Observe stays a bits.Len64, a shift and
-// two atomic adds with no allocation and no configuration.
+// Quantile's relative error, while Observe stays a bits.Len64, a shift,
+// two atomic adds and a running maximum, with no allocation and no
+// configuration.
 //
 // /metrics exposes the power-of-two bounds 2^histShift … 2^36 ns (≈ 69 s)
 // plus +Inf, histBuckets buckets in all: the exposed bound 2^(histShift+k)
@@ -38,6 +39,7 @@ type Histogram struct {
 	help  string
 	cells [histCells]atomic.Int64 // per-cell (non-cumulative) counts
 	sumNs atomic.Int64
+	maxNs atomic.Int64 // largest observation; Quantile never reads above it
 }
 
 // NewHistogram returns a histogram exposed under the given Prometheus
@@ -79,28 +81,26 @@ func (h *Histogram) Observe(d time.Duration) {
 		return
 	}
 	ns := max(d.Nanoseconds(), 0)
+	// The maximum is raised before the cell counts the observation, so a
+	// Quantile that loads the cells and then the maximum never sees a
+	// counted observation above it.
+	m := h.maxNs.Load()
+	for ns > m && !h.maxNs.CompareAndSwap(m, ns) {
+		m = h.maxNs.Load()
+	}
 	h.cells[histBucketIndex(ns)].Add(1)
 	h.sumNs.Add(ns)
 }
 
-// Count reports the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.cells {
-		n += h.cells[i].Load()
-	}
-	return n
-}
-
 // Quantile returns the upper bound of the cell holding the q-quantile, the
-// observation of rank ⌈q·n⌉ among the n loaded: never below it, and above
-// 1.024 µs at most 9/8 of it. It returns 0 when nothing was observed.
-func (h *Histogram) Quantile(q float64) time.Duration {
+// observation of rank ⌈q·n⌉ among the n loaded, capped at the largest
+// observation, together with n: never below the q-quantile, and above
+// 1.024 µs at most 9/8 of it. Where the rank is n, as it is for the 95th
+// percentile of up to 19 observations, the cap makes it exact. It returns
+// 0, 0 when nothing was observed.
+func (h *Histogram) Quantile(q float64) (time.Duration, int64) {
 	if h == nil {
-		return 0
+		return 0, 0
 	}
 	var counts [histCells]int64
 	var n int64
@@ -109,14 +109,14 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		n += counts[i]
 	}
 	if n == 0 {
-		return 0
+		return 0, 0
 	}
 	rank := min(max(int64(math.Ceil(q*float64(n))), 1), n)
 	i := 0
 	for ; rank > counts[i]; i++ {
 		rank -= counts[i]
 	}
-	return time.Duration(cellBound(i))
+	return time.Duration(min(cellBound(i), h.maxNs.Load())), n
 }
 
 // WriteProm writes the histogram in Prometheus text exposition format:

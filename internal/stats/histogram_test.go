@@ -78,9 +78,9 @@ func TestQuantileWithinOneEighth(t *testing.T) {
 			slices.Sort(xs)
 			for _, q := range []float64{0.5, 0.95, 0.99} {
 				exact := xs[int(math.Ceil(q*float64(n)))-1]
-				got := int64(h.Quantile(q))
-				if got < exact || float64(got) > float64(exact)*9/8 {
-					t.Errorf("seed %d n %d: Quantile(%v) = %d, exact %d", seed, n, q, got, exact)
+				d, cnt := h.Quantile(q)
+				if got := int64(d); got < exact || float64(got) > float64(exact)*9/8 || cnt != int64(n) {
+					t.Errorf("seed %d n %d: Quantile(%v) = %d over %d samples, exact %d", seed, n, q, got, cnt, exact)
 				}
 			}
 		}
@@ -100,9 +100,24 @@ func TestDelayStreamingQuantiles(t *testing.T) {
 	slices.Sort(raw)
 	for _, q := range []float64{0.50, 0.99} {
 		exact := raw[int(math.Ceil(q*float64(len(raw))))-1]
-		if got := h.Quantile(q); got < exact || got > exact*9/8 {
+		if got, _ := h.Quantile(q); got < exact || got > exact*9/8 {
 			t.Errorf("Quantile(%v) = %v, exact %v", q, got, exact)
 		}
+	}
+}
+
+// TestQuantileCappedAtMax: where the rank lands on the largest
+// observation, Quantile reads it exactly rather than its cell's bound.
+func TestQuantileCappedAtMax(t *testing.T) {
+	var h Histogram
+	for _, d := range []time.Duration{3 * time.Millisecond, 5 * time.Millisecond, 2024 * time.Millisecond} {
+		h.Observe(d)
+	}
+	if got, _ := h.Quantile(0.95); got != 2024*time.Millisecond {
+		t.Errorf("Quantile(0.95) = %v, want the largest observation 2.024s", got)
+	}
+	if got, _ := h.Quantile(0.5); got < 5*time.Millisecond || got > 5*time.Millisecond*9/8 {
+		t.Errorf("Quantile(0.5) = %v, want the 5ms observation's cell", got)
 	}
 }
 
@@ -110,15 +125,15 @@ func TestDelayStreamingQuantiles(t *testing.T) {
 // the smallest and the largest observation's cells.
 func TestQuantileEdges(t *testing.T) {
 	var h Histogram
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty Quantile = %v, want 0", got)
+	if got, n := h.Quantile(0.5); got != 0 || n != 0 {
+		t.Fatalf("empty Quantile = %v over %d samples, want 0 over 0", got, n)
 	}
 	h.Observe(3 * time.Millisecond)
 	h.Observe(time.Duration(math.MaxInt64))
-	if got := h.Quantile(0); got < 3*time.Millisecond || got > 3*time.Millisecond*9/8 {
+	if got, _ := h.Quantile(0); got < 3*time.Millisecond || got > 3*time.Millisecond*9/8 {
 		t.Errorf("Quantile(0) = %v, want the smallest observation's cell", got)
 	}
-	if got := h.Quantile(1); got != time.Duration(math.MaxInt64) {
+	if got, _ := h.Quantile(1); got != time.Duration(math.MaxInt64) {
 		t.Errorf("Quantile(1) = %v, want MaxInt64", got)
 	}
 }
@@ -227,7 +242,7 @@ func TestWritePromGolden(t *testing.T) {
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(time.Second) // must not panic
-	if h.Count() != 0 || h.SumSeconds() != 0 || h.Quantile(0.95) != 0 {
+	if q, n := h.Quantile(0.95); h.Count() != 0 || h.SumSeconds() != 0 || q != 0 || n != 0 {
 		t.Fatal("nil histogram must read as empty")
 	}
 }
