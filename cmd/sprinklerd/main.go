@@ -22,19 +22,20 @@
 // replicas per lease (a point is cut into contiguous replica ranges when a
 // batch has fewer points left than -par), and each worker streams the
 // replicas back as they finish. A lease's deadline is -lease per replica it
-// carries. The coordinator retries transient failures with capped backoff,
-// keeps every replica a dead worker delivered and re-dispatches the rest to
-// healthy peers, and — with every worker down — degrades to local
-// execution (reported by /healthz and /metrics). Job counters on /metrics
-// count replicas; the dispatch-latency histogram counts leases. A worker
-// is just a plain daemon; -join makes it announce itself to a coordinator
-// and re-register every -heartbeat, so fleets can also grow dynamically.
-// The coordinator places leases by its own count of outstanding leases per
-// worker (power-of-two-choices). A lease that has gone past the P95 of
-// per-replica latency without delivering a replica is raced by a backup
-// for its remaining replicas on an idle worker (nothing outstanding), so a
-// straggler's replicas finish elsewhere without queueing behind other
-// work. -job-slots bounds concurrent replica simulations per worker.
+// carries. The coordinator retries transient failures with capped backoff
+// scaled by -heartbeat, keeps every replica a dead worker delivered and
+// re-dispatches the rest to healthy peers, and — with every worker down —
+// degrades to local execution (reported by /healthz and /metrics). Job
+// counters on /metrics count replicas; the dispatch-latency histogram
+// counts leases. A worker is just a plain daemon; -join makes it announce
+// itself to a coordinator and re-register every -heartbeat, so fleets can
+// also grow dynamically. The coordinator places each lease on the worker
+// with the fewest of its own outstanding leases, counted when the lease is
+// placed. A lease that has gone past the P95 of per-replica latency
+// without delivering a replica is raced by a backup for its remaining
+// replicas on an idle worker (nothing outstanding), so a straggler's
+// replicas finish elsewhere without queueing behind other work. -job-slots
+// bounds concurrent replica simulations per worker.
 //
 // With -cache-max-bytes the result cache is bounded on disk: a background
 // sweeper evicts the least recently used entries every -sweep-interval
@@ -128,7 +129,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	coordinator := fs.Bool("coordinator", false, "run as a cluster coordinator, dispatching replica jobs to -workers")
 	workers := fs.String("workers", "", "comma-separated worker base URLs (implies -coordinator)")
 	lease := fs.Duration("lease", 2*time.Minute, "lease per replica: a lease carrying n replicas must finish within n times it")
-	heartbeat := fs.Duration("heartbeat", time.Second, "worker probe and re-registration interval")
+	heartbeat := fs.Duration("heartbeat", time.Second, "worker probe and re-registration interval; also scales the coordinator's retry backoff (interval/20, doubling, capped at 2x interval)")
 	join := fs.String("join", "", "coordinator URL to register with every -heartbeat (worker mode)")
 	advertise := fs.String("advertise", "", "base URL this worker advertises to the coordinator (default http://<bound listen address>)")
 	jobSlots := fs.Int("job-slots", 0, "concurrent replica simulations for cluster jobs on this worker; surplus replicas queue (default GOMAXPROCS)")

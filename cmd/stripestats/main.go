@@ -10,15 +10,15 @@
 //
 // Usage:
 //
-//	stripestats [-n 32] [-load 0.95] [-traffic adversarial|<registered workload>]
-//	            [-topt key=value ...] [-trials 20000] [-seed 1]
+//	stripestats [-n 32] [-load 0.95] [-traffic adversarial|<workload>[:key=value,...]]
+//	            [-trials 20000] [-seed 1]
 //	stripestats -list
 //
 // -traffic accepts any workload registered in the shared registry (the
 // analysis uses the rate split of input 0) plus "adversarial", the
-// dyadic worst-case split of the Theorem 2 analysis. -topt sets a
-// registered workload option (repeatable), e.g.
-// `-traffic zipf -topt exponent=1.2`; omitted options take their schema
+// dyadic worst-case split of the Theorem 2 analysis. A registered
+// workload takes its options in the series syntax sweep's -traffic uses,
+// e.g. `-traffic zipf:exponent=1.2`; omitted options take their schema
 // defaults (-list shows them).
 package main
 
@@ -38,10 +38,9 @@ import (
 func main() {
 	n := flag.Int("n", 32, "switch size (power of two)")
 	load := flag.Float64("load", 0.95, "total input-port load in (0, 1)")
-	kind := flag.String("traffic", "adversarial",
-		"rate split: adversarial, "+strings.Join(registry.WorkloadNames(), ", "))
-	topts := registry.OptionFlag{}
-	flag.Var(topts, "topt", "workload option as key=value (repeatable); see -list for schemas")
+	traffic := flag.String("traffic", "adversarial",
+		"rate split: adversarial, or a workload with optional options as name:key=value,... ("+
+			strings.Join(registry.WorkloadNames(), ", ")+"); see -list for schemas")
 	trials := flag.Int("trials", 20000, "Monte-Carlo placements")
 	seed := flag.Int64("seed", 1, "random seed")
 	list := flag.Bool("list", false, "list registered architectures, workloads and scenarios with their options, then exit")
@@ -61,18 +60,22 @@ func main() {
 		fatal(fmt.Errorf("-trials %d <= 0", *trials))
 	}
 
+	kind, topts, err := registry.ParseSeriesEntry(*traffic)
+	if err != nil {
+		fatal(err)
+	}
 	var rates []float64
-	if *kind == "adversarial" {
+	if kind == "adversarial" {
 		if len(topts) > 0 {
-			fatal(fmt.Errorf("the adversarial split takes no -topt options"))
+			fatal(fmt.Errorf("the adversarial split takes no options"))
 		}
 		rates = adversarialSplit(*n, *load)
 	} else {
-		if _, ok := registry.LookupWorkload(*kind); !ok {
+		if _, ok := registry.LookupWorkload(kind); !ok {
 			fatal(fmt.Errorf("-traffic %q unknown: want adversarial or a registered workload (%s)",
-				*kind, strings.Join(registry.WorkloadNames(), ", ")))
+				kind, strings.Join(registry.WorkloadNames(), ", ")))
 		}
-		rows, err := registry.WorkloadRates(*kind, *n, *load,
+		rows, err := registry.WorkloadRates(kind, *n, *load,
 			rand.New(rand.NewSource(*seed)), topts)
 		if err != nil {
 			fatal(err)
@@ -85,7 +88,7 @@ func main() {
 
 	service := 1 / float64(*n)
 	fmt.Printf("stripe load balance: N=%d, load %.3f, %s split, %d random placements\n\n",
-		*n, *load, *kind, *trials)
+		*n, *load, kind, *trials)
 	fmt.Printf("service rate per queue     : %.6f (1/N)\n", service)
 	fmt.Printf("mean of max queue load     : %.6f (%.1f%% of service rate)\n",
 		mc.meanMax, 100*mc.meanMax/service)

@@ -112,22 +112,11 @@ type Options struct {
 	// partitioned worker cannot hold a job forever. Default 2m.
 	Lease time.Duration
 	// HeartbeatInterval is the probe period of the health loop (default
-	// 1s). A worker is probed at /healthz; SuspectAfter consecutive
+	// 1s). A worker is probed at /healthz; suspectAfter consecutive
 	// failures (probe or dispatch) mark it suspect, and a later successful
-	// probe revives it.
+	// probe revives it. It also scales the backoff between retries of a
+	// lease (backoffCeiling).
 	HeartbeatInterval time.Duration
-	// SuspectAfter is the consecutive-failure threshold (default 2).
-	SuspectAfter int
-	// MaxAttempts bounds dispatch attempts per lease before the coordinator
-	// gives up on the fleet and runs the undelivered replicas locally
-	// (default 6).
-	MaxAttempts int
-	// BaseBackoff and MaxBackoff shape the capped exponential backoff
-	// between attempts (defaults 50ms and 2s); jitter derives from Seed.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Seed makes the backoff jitter deterministic for tests (0 = 1).
-	Seed int64
 	// Transport overrides the dispatch HTTP transport — the fault-
 	// injection hook (default http.DefaultTransport).
 	Transport http.RoundTripper
@@ -152,7 +141,7 @@ type worker struct {
 	// a dispatch, or a registration. The probe loop skips workers heard
 	// from within the heartbeat interval.
 	lastContact time.Time
-	outstanding int // dispatches the coordinator currently has in flight here
+	outstanding int // leases pick or backupFor placed here and send has not released
 }
 
 func (w *worker) ok() {
@@ -200,8 +189,8 @@ func (w *worker) heardWithin(d time.Duration) bool {
 	return !w.lastContact.IsZero() && time.Since(w.lastContact) < d
 }
 
-// addOutstanding tracks the coordinator's own in-flight dispatches to this
-// worker.
+// addOutstanding counts leases placed on this worker (+1, by pick and
+// backupFor) and released (-1, by send or a path that never sends).
 func (w *worker) addOutstanding(n int) {
 	w.mu.Lock()
 	w.outstanding += n
@@ -259,28 +248,12 @@ func New(opts Options) *Coordinator {
 	if opts.HeartbeatInterval <= 0 {
 		opts.HeartbeatInterval = time.Second
 	}
-	if opts.SuspectAfter <= 0 {
-		opts.SuspectAfter = 2
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 6
-	}
-	if opts.BaseBackoff <= 0 {
-		opts.BaseBackoff = 50 * time.Millisecond
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 2 * time.Second
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	c := &Coordinator{
 		opts:     opts,
 		httpc:    &http.Client{Transport: opts.Transport},
 		counters: &experiment.Counters{},
 		log:      slog.New(slog.DiscardHandler),
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(rand.NewSource(1)),
 		// The latency percentile is tracked whether or not speculation is
 		// armed: slow-job warnings need it on every deployment, including
 		// single-worker ones where speculation would be pointless.
@@ -415,7 +388,7 @@ func (c *Coordinator) probeAll(ctx context.Context) {
 			w.ok()
 			continue
 		}
-		if w.fail(c.opts.SuspectAfter) {
+		if w.fail(suspectAfter) {
 			c.log.Warn("cluster: worker marked suspect", "worker", w.url, "cause", "heartbeat", "err", err)
 		}
 	}
@@ -489,14 +462,32 @@ func (c *Coordinator) Snapshot() Stats {
 	}
 }
 
-// backoff sleeps the capped exponential backoff for the given retry
-// attempt (1-based), with full jitter drawn from the seeded generator, or
-// returns early when ctx dies.
-func (c *Coordinator) backoff(ctx context.Context, attempt int) error {
-	d := c.opts.BaseBackoff << (attempt - 1)
-	if d > c.opts.MaxBackoff || d <= 0 {
-		d = c.opts.MaxBackoff
+// suspectAfter is how many consecutive failures (probe or dispatch) mark
+// a worker suspect; maxAttempts bounds dispatch attempts per lease before
+// the coordinator gives up on the fleet and runs the undelivered replicas
+// locally.
+const (
+	suspectAfter = 2
+	maxAttempts  = 6
+)
+
+// backoffCeiling is the backoff before retry attempt (1-based) at the
+// given heartbeat interval, before jitter: heartbeat/20, doubling per
+// attempt, capped at 2×heartbeat — 50ms and 2s at the 1s default. A
+// fleet probed more often retries sooner.
+func backoffCeiling(heartbeat time.Duration, attempt int) time.Duration {
+	d, ceil := heartbeat/20<<(attempt-1), 2*heartbeat
+	if d > ceil || d <= 0 {
+		return ceil
 	}
+	return d
+}
+
+// backoff sleeps the capped exponential backoff for the given retry
+// attempt (1-based), with full jitter drawn from the fixed-seed generator,
+// or returns early when ctx dies.
+func (c *Coordinator) backoff(ctx context.Context, attempt int) error {
+	d := backoffCeiling(c.opts.HeartbeatInterval, attempt)
 	c.rngMu.Lock()
 	// Half fixed, half jittered: retries spread out without ever being
 	// immediate.
@@ -548,7 +539,7 @@ func (c *Coordinator) RunReplicas(ctx context.Context, spec experiment.Spec, key
 	tc := trace.FromContext(ctx)
 	l := &lease{first: first, pts: make([]experiment.Point, n)}
 	var last *worker
-	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -568,6 +559,7 @@ func (c *Coordinator) RunReplicas(ctx context.Context, spec experiment.Spec, key
 					"job", key.String(), "rep", first+l.done, "reps", rest, "from", last.url, "to", w.url, "trace", tc.Trace)
 				tc.Event("redispatch", "job", key.String(), "from", last.url, "to", w.url)
 			} else if err := c.backoff(ctx, attempt); err != nil {
+				w.addOutstanding(-1) // picked, never sent
 				return nil, err
 			}
 		}
@@ -585,7 +577,7 @@ func (c *Coordinator) RunReplicas(ctx context.Context, spec experiment.Spec, key
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
-		if w.fail(c.opts.SuspectAfter) {
+		if w.fail(suspectAfter) {
 			c.log.Warn("cluster: worker marked suspect", "worker", w.url, "cause", "dispatch", "err", err)
 		}
 		last = w

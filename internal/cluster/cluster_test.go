@@ -89,17 +89,14 @@ func newNode(t *testing.T, opts service.Options) *node {
 	return &node{srv: srv, ts: ts}
 }
 
-// fastOptions are cluster timings scaled for tests: tight heartbeats and
-// backoffs so suspicion and failover land in milliseconds.
+// fastOptions are cluster timings scaled for tests: a tight heartbeat, so
+// suspicion and failover land in milliseconds and the backoff it scales
+// is 1.25 ms, capped at 50 ms.
 func fastOptions(workers ...string) cluster.Options {
 	return cluster.Options{
 		Workers:           workers,
 		Lease:             30 * time.Second,
 		HeartbeatInterval: 25 * time.Millisecond,
-		SuspectAfter:      2,
-		BaseBackoff:       2 * time.Millisecond,
-		MaxBackoff:        20 * time.Millisecond,
-		Seed:              7,
 	}
 }
 
@@ -217,9 +214,10 @@ func TestWorkerCrashMidReplicaFailsOver(t *testing.T) {
 	if got := c.LocalFallbacks.Load(); got != 0 {
 		t.Errorf("LocalFallbacks = %d, want 0 with a healthy worker left", got)
 	}
-	// SuspectAfter is 2: the failed dispatch counted once, and the second
-	// failure comes from the health loop's next probe tick, which may land
-	// after the study has already finished on the surviving worker.
+	// Two failures mark a worker suspect: the failed dispatch counted once,
+	// and the second failure comes from the health loop's next probe tick,
+	// which may land after the study has already finished on the surviving
+	// worker.
 	deadline := time.Now().Add(10 * time.Second)
 	for coord.Snapshot().WorkersHealthy != 1 {
 		if time.Now().After(deadline) {
@@ -279,10 +277,7 @@ func TestAllWorkersDownDegradesToLocal(t *testing.T) {
 	dead1.Close()
 	dead2.Close()
 
-	copts := fastOptions(u1, u2)
-	copts.SuspectAfter = 1
-	copts.MaxAttempts = 2
-	coordinator, coord := newCoordinator(t, copts, service.Options{})
+	coordinator, coord := newCoordinator(t, fastOptions(u1, u2), service.Options{})
 	spec := testSpec("cluster-degraded")
 
 	remote := runRemote(t, coordinator, spec)
@@ -411,9 +406,9 @@ func TestWorkersAreThePeerFillTier(t *testing.T) {
 // push registration (the -join flow), and new studies use it again.
 func TestWorkerRejoinsAfterRegister(t *testing.T) {
 	w1 := newNode(t, service.Options{})
-	copts := fastOptions(w1.url())
-	copts.HeartbeatInterval = time.Hour // no probe loop: only explicit registration revives
-	coordinator, coord := newCoordinator(t, copts, service.Options{})
+	// The probe loop cannot revive the closed worker, so only the explicit
+	// registration below brings the fleet back.
+	coordinator, coord := newCoordinator(t, fastOptions(w1.url()), service.Options{})
 
 	// Knock the worker out by URL swap: suspect it via failed dispatches.
 	w1.ts.Close()
@@ -445,9 +440,9 @@ func TestWorkerRejoinsAfterRegister(t *testing.T) {
 
 // TestFailoverToHealthyPeerIsImmediate: backoff must only gate retries
 // against the same (suspect) path — when a healthy peer exists, a failed
-// job moves there with no sleep at all. The regression this pins: with
-// BaseBackoff cranked to 5s, a study whose first worker is dead must still
-// finish in a fraction of one backoff period.
+// job moves there with no sleep at all. The regression this pins: with a
+// 1h heartbeat, whose derived backoff is 3 min, a study whose first worker
+// is dead must still finish in a fraction of one backoff period.
 func TestFailoverToHealthyPeerIsImmediate(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
@@ -455,9 +450,6 @@ func TestFailoverToHealthyPeerIsImmediate(t *testing.T) {
 	w2 := newNode(t, service.Options{})
 
 	copts := fastOptions(deadURL, w2.url())
-	copts.BaseBackoff = 5 * time.Second
-	copts.MaxBackoff = 5 * time.Second
-	copts.SuspectAfter = 1
 	copts.HeartbeatInterval = time.Hour // no probe loop: dispatch failures drive health
 	coordinator, _ := newCoordinator(t, copts, service.Options{})
 	spec := testSpec("cluster-immediate-failover")
@@ -468,10 +460,11 @@ func TestFailoverToHealthyPeerIsImmediate(t *testing.T) {
 	if local := localReference(t, spec); !bytes.Equal(remote, local) {
 		t.Errorf("failover results differ from local:\n%s\nvs\n%s", remote, local)
 	}
-	// The jittered sleep for one 5s-backoff retry is at least 2.5s; an
-	// immediate failover finishes the whole study well under that.
-	if elapsed >= copts.BaseBackoff/2 {
-		t.Errorf("study took %v with a dead first worker; failover to the healthy peer must not sleep the %v backoff", elapsed, copts.BaseBackoff)
+	// The jittered sleep for one retry is at least half the 3 min backoff;
+	// an immediate failover finishes the whole study in well under 2.5s.
+	if elapsed >= 2500*time.Millisecond {
+		t.Errorf("study took %v with a dead first worker; failover to the healthy peer must not sleep the %v backoff",
+			elapsed, copts.HeartbeatInterval/20)
 	}
 	c := coordinator.srv.Counters()
 	if got := c.JobsRedispatched.Load(); got == 0 {
@@ -488,7 +481,7 @@ func wideSpec(name string) experiment.Spec {
 }
 
 // TestStragglerSpeculativeTail: one worker is a straggler (single slot,
-// 1s stall per job, like CI's straggler step). With speculation armed,
+// 1s stall per job). With speculation armed,
 // slow jobs must be raced by backups on the healthy peer at any study
 // parallelism — including 16, where the straggler holds about half the
 // study from the first dispatch on, and a gate that waited for the study

@@ -1,11 +1,13 @@
 // Load-aware scheduling: the fast half of the fault-tolerant cluster.
 // The coordinator's own count of outstanding leases per worker is the
-// only load signal — workers report nothing back. Placement is
-// power-of-two-choices over that count (exact round-robin when counts are
-// equal), and a slow lease is raced by a speculative backup for its
-// remaining replicas on an idle worker — each replica is taken from the
-// branch that delivers it first, and the loser's copy is deduplicated by
-// the per-replica CAS key and only ever counted, never aggregated.
+// only load signal — workers report nothing back. A lease is counted on
+// its worker when it is placed, under the coordinator's lock, so leases
+// placed at the same moment see each other. Placement is least-loaded over
+// that count (exact round-robin when counts are equal), and a slow lease is
+// raced by a speculative backup for its remaining replicas on an idle
+// worker — each replica is taken from the branch that delivers it first,
+// and the loser's copy is deduplicated by the per-replica CAS key and only
+// ever counted, never aggregated.
 package cluster
 
 import (
@@ -16,12 +18,13 @@ import (
 	"sprinklers/internal/trace"
 )
 
-// pick chooses the worker for one dispatch: power-of-two-choices over the
-// first two healthy candidates in round-robin order, by the coordinator's
-// outstanding dispatches on each. Ties go to round-robin order, so equal
-// loads degrade to exact round-robin. A worker equal to avoid is only
-// returned when it is the sole healthy one (a failed job should move, not
-// hammer the same suspect). nil means no healthy worker.
+// pick chooses the worker for one lease: the least-loaded healthy worker,
+// scanning from the round-robin cursor, so ties go in cursor order and
+// equal loads degrade to exact round-robin. A worker equal to avoid is only
+// returned when it is the sole healthy one (a failed lease should move, not
+// hammer the same suspect). The lease is counted on the chosen worker
+// before pick returns; the caller hands it to send, which releases it, or
+// releases it itself. nil means no healthy worker.
 func (c *Coordinator) pick(avoid *worker) *worker {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -29,42 +32,34 @@ func (c *Coordinator) pick(avoid *worker) *worker {
 	if n == 0 {
 		return nil
 	}
-	var first, second, fallback *worker
+	var best *worker
+	bestLoad := 0
 	for i := 0; i < n; i++ {
 		w := c.workers[(c.rr+i)%n]
-		if !w.isHealthy() {
+		if w == avoid || !w.isHealthy() {
 			continue
 		}
-		if w == avoid {
-			fallback = w
-			continue
+		if l := w.load(); best == nil || l < bestLoad {
+			best, bestLoad = w, l
 		}
-		if first == nil {
-			first = w
-			continue
-		}
-		second = w
-		break
 	}
 	c.rr = (c.rr + 1) % n
-	if first == nil {
-		return fallback
+	if best == nil && avoid != nil && avoid.isHealthy() {
+		best = avoid
 	}
-	if second == nil {
-		return first
+	if best != nil {
+		best.addOutstanding(1)
 	}
-	if second.load() < first.load() {
-		return second
-	}
-	return first
+	return best
 }
 
 // backupFor returns the worker a speculative backup of a job outstanding
-// on primary may launch on: another healthy worker with nothing
-// outstanding from this coordinator. The primary carries at least the job
-// itself, so an idle worker is strictly less loaded than it: never a backup
-// at equal load, behind another of this coordinator's jobs, or on a
-// single-worker fleet.
+// on primary may launch on, with the backup already counted there as pick
+// counts a lease: another healthy worker with nothing outstanding from
+// this coordinator. The primary carries at least the job itself, so an
+// idle worker is strictly less loaded than it: never a backup at equal
+// load, behind another of this coordinator's jobs, or on a single-worker
+// fleet.
 // The scan starts at pick's round-robin cursor without advancing it, so
 // polling slow jobs leave placement order alone. nil means no backup now.
 func (c *Coordinator) backupFor(primary *worker) *worker {
@@ -77,15 +72,12 @@ func (c *Coordinator) backupFor(primary *worker) *worker {
 			continue
 		}
 		if w.load() == 0 {
+			w.addOutstanding(1)
 			return w
 		}
 	}
 	return nil
 }
-
-// observeLatency feeds one per-replica latency into the histogram behind
-// speculation and slow-job warnings.
-func (c *Coordinator) observeLatency(d time.Duration) { c.replicaGaps.Observe(d) }
 
 // latencyPct is the per-replica latency percentile past which a lease
 // counts as slow. speculateMinSamples is how many replica latencies must
@@ -109,11 +101,11 @@ func (c *Coordinator) speculateThreshold() time.Duration {
 	return max(p, speculateFloor)
 }
 
-// send runs one dispatch with the coordinator's outstanding-load accounting
-// around it, observing the latency of successful leases.
+// send runs one dispatch of a lease pick or backupFor counted on w,
+// releases it when the dispatch ends, and observes the latency of
+// successful leases.
 func (c *Coordinator) send(ctx context.Context, w *worker, spec experiment.Spec, key experiment.PointKey, first, n int,
 	deliver func(rep int, p experiment.Point, src string)) error {
-	w.addOutstanding(1)
 	defer w.addOutstanding(-1)
 	start := time.Now()
 	err := c.dispatch(ctx, w, spec, key, first, n, deliver)
@@ -203,7 +195,7 @@ func (c *Coordinator) race(ctx context.Context, w *worker, spec experiment.Spec,
 				}
 			default:
 				now := time.Now()
-				c.observeLatency(now.Sub(last))
+				c.replicaGaps.Observe(now.Sub(last))
 				last = now
 				if l.take(ev.p); l.left() == 0 {
 					completer = ev.branch

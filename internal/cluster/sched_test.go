@@ -1,12 +1,14 @@
-// White-box scheduler tests: pick fairness and load awareness, the
-// speculative backup gate and what a backup carries, registration checks,
-// probe suppression, and churn under -race. The end-to-end behavior (speculation, byte identity)
+// White-box scheduler tests: pick fairness and load awareness, the load
+// count's one owner, the backoff's scale, the speculative backup gate and
+// what a backup carries, registration checks, probe suppression, and churn
+// under -race. The end-to-end behavior (speculation, byte identity)
 // lives in the black-box chaos suite in cluster_test.go.
 package cluster
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -20,25 +22,21 @@ import (
 	"sprinklers/internal/stats"
 )
 
-// pickCounts runs n picks and tallies them by worker URL.
-func pickCounts(c *Coordinator, n int) map[string]int {
-	counts := map[string]int{}
-	for i := 0; i < n; i++ {
-		if w := c.pick(nil); w != nil {
-			counts[w.url]++
-		}
-	}
-	return counts
-}
-
 // TestPickRoundRobinFairnessEqualLoad: with nothing outstanding (all loads
-// equal) the power-of-two chooser must degrade to exact round-robin —
-// every healthy worker chosen exactly once per cycle.
+// equal, each lease released before the next pick) the least-loaded
+// chooser must degrade to exact round-robin — every healthy worker chosen
+// exactly once per cycle.
 func TestPickRoundRobinFairnessEqualLoad(t *testing.T) {
 	urls := []string{"http://a", "http://b", "http://c"}
 	c := New(Options{Workers: urls})
 	const cycles = 10
-	counts := pickCounts(c, cycles*len(urls))
+	counts := map[string]int{}
+	for i := 0; i < cycles*len(urls); i++ {
+		if w := c.pick(nil); w != nil {
+			counts[w.url]++
+			w.addOutstanding(-1)
+		}
+	}
 	for _, u := range urls {
 		if counts[u] != cycles {
 			t.Errorf("worker %s picked %d times in %d calls, want exactly %d (round-robin ties)",
@@ -47,15 +45,117 @@ func TestPickRoundRobinFairnessEqualLoad(t *testing.T) {
 	}
 }
 
-// TestPickPrefersOutstanding: the coordinator's own in-flight dispatches
-// are the load signal — a worker holding outstanding jobs loses the
-// two-choice comparison.
+// TestPickPrefersOutstanding: the coordinator's own outstanding leases are
+// the load signal, and each pick raises it. From loads 3, 1 and 0 the next
+// four leases go to b and c — c being the least loaded even though it is
+// not among the first two workers in cursor order — until all three hold
+// 3; the three after that go one to each.
 func TestPickPrefersOutstanding(t *testing.T) {
-	c := New(Options{Workers: []string{"http://a", "http://b"}})
-	wa := c.register("http://a")
+	c := New(Options{Workers: []string{"http://a", "http://b", "http://c"}})
+	wa, wb, wc := c.register("http://a"), c.register("http://b"), c.register("http://c")
 	wa.addOutstanding(3)
-	if counts := pickCounts(c, 10); counts["http://a"] != 0 {
-		t.Errorf("worker with outstanding dispatches picked %d times, want 0", counts["http://a"])
+	wb.addOutstanding(1)
+	picks := func(n int) map[*worker]int {
+		counts := map[*worker]int{}
+		for i := 0; i < n; i++ {
+			counts[c.pick(nil)]++
+		}
+		return counts
+	}
+	if counts := picks(5); counts[wa] != 0 || counts[wb] != 2 || counts[wc] != 3 {
+		t.Errorf("picks from loads 3, 1, 0: a %d, b %d, c %d; want 0, 2, 3", counts[wa], counts[wb], counts[wc])
+	}
+	if counts := picks(3); counts[wa] != 1 || counts[wb] != 1 || counts[wc] != 1 {
+		t.Errorf("picks from equal loads: a %d, b %d, c %d; want one each", counts[wa], counts[wb], counts[wc])
+	}
+	for _, w := range []*worker{wa, wb, wc} {
+		if l := w.load(); l != 4 {
+			t.Errorf("%s load %d after eight picks, want 4", w.url, l)
+		}
+	}
+}
+
+// TestPickCountsTheLeaseItPlaces: pick counts a lease on the worker it
+// chooses while it holds the coordinator's lock, so leases placed at the
+// same moment see each other, and a lease picked but never sent is
+// released again.
+func TestPickCountsTheLeaseItPlaces(t *testing.T) {
+	t.Run("concurrent-picks", func(t *testing.T) {
+		c := New(Options{Workers: []string{"http://a", "http://b"}})
+		var wg sync.WaitGroup
+		for i := 0; i < 16; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.pick(nil)
+			}()
+		}
+		wg.Wait()
+		for _, w := range c.snapshotWorkers() {
+			if l := w.load(); l != 8 {
+				t.Errorf("%s load %d after 16 concurrent picks on two idle workers, want 8", w.url, l)
+			}
+		}
+	})
+	t.Run("backoff-canceled", func(t *testing.T) {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
+		mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "busy", http.StatusServiceUnavailable)
+		})
+		ts := httptest.NewServer(mux)
+		defer ts.Close()
+		// The sole worker stays healthy after one failure, so the retry
+		// picks it again and backs off: 3 min at a 1 h heartbeat.
+		c := New(Options{Workers: []string{ts.URL}, HeartbeatInterval: time.Hour})
+		ctr := &experiment.Counters{}
+		c.UseCounters(ctr)
+		spec := onePointSpec(1)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.RunReplicas(ctx, spec, spec.Points()[0], 0, 1)
+			done <- err
+		}()
+		// The retry is counted after its pick and before its backoff.
+		deadline := time.Now().Add(10 * time.Second)
+		for ctr.JobsRetried.Load() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("the failed lease was never retried")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunReplicas canceled in its backoff = %v, want context.Canceled", err)
+		}
+		for _, w := range c.snapshotWorkers() {
+			if l := w.load(); l != 0 {
+				t.Errorf("%s load %d after the study gave up, want 0", w.url, l)
+			}
+		}
+	})
+}
+
+// TestBackoffScalesWithHeartbeat: the retry backoff is derived from the
+// heartbeat interval, and at the 1 s default it is 50 ms, doubling per
+// attempt, capped at 2 s.
+func TestBackoffScalesWithHeartbeat(t *testing.T) {
+	hb := New(Options{}).opts.HeartbeatInterval
+	if hb != time.Second {
+		t.Fatalf("default heartbeat %v, want 1s", hb)
+	}
+	for attempt, want := range map[int]time.Duration{
+		1: 50 * time.Millisecond, 2: 100 * time.Millisecond, 5: 800 * time.Millisecond,
+		6: 1600 * time.Millisecond, 7: 2 * time.Second, 60: 2 * time.Second,
+	} {
+		if got := backoffCeiling(hb, attempt); got != want {
+			t.Errorf("backoff before attempt %d at a %v heartbeat = %v, want %v", attempt, hb, got, want)
+		}
+	}
+	if got := backoffCeiling(25*time.Millisecond, 1); got != 1250*time.Microsecond {
+		t.Errorf("backoff at a 25ms heartbeat = %v, want 1.25ms", got)
 	}
 }
 
@@ -102,6 +202,10 @@ func TestBackupOnlyOntoIdleWorker(t *testing.T) {
 	if bw := c.backupFor(wa); bw != wb {
 		t.Errorf("backupFor(a) with b idle = %v, want b", bw)
 	}
+	if l := wb.load(); l != 1 {
+		t.Errorf("b's load after a backup was placed there = %d, want 1", l)
+	}
+	wb.addOutstanding(-1)
 	if bw := c.backupFor(wb); bw != nil {
 		t.Errorf("backupFor(b) onto the busy a = %s, want none", bw.url)
 	}
@@ -148,7 +252,7 @@ func TestRegisterRejectsUndialableURL(t *testing.T) {
 }
 
 // TestPickChurn hammers pick concurrently with registration, outstanding
-// dispatch accounting and failure marking — a -race exercise that also asserts pick never
+// lease accounting and failure marking — a -race exercise that also asserts pick never
 // returns an unhealthy worker while healthy ones exist.
 func TestPickChurn(t *testing.T) {
 	c := New(Options{Workers: []string{"http://w0", "http://w1", "http://w2"}})
@@ -190,7 +294,7 @@ func TestPickChurn(t *testing.T) {
 			}
 			for _, w := range c.snapshotWorkers() {
 				if i%3 == 0 {
-					w.fail(c.opts.SuspectAfter)
+					w.fail(suspectAfter)
 				}
 			}
 		}
@@ -200,6 +304,7 @@ func TestPickChurn(t *testing.T) {
 	for time.Now().Before(deadline) {
 		if w := c.pick(nil); w != nil {
 			picks++
+			w.addOutstanding(-1)
 		}
 	}
 	close(stop)
@@ -259,23 +364,32 @@ func TestSpeculateThresholdArming(t *testing.T) {
 		t.Fatalf("threshold with no samples = %v, want 0", th)
 	}
 	for i := 0; i < speculateMinSamples-1; i++ {
-		c.observeLatency(time.Millisecond)
+		c.replicaGaps.Observe(time.Millisecond)
 	}
 	if th := c.speculateThreshold(); th != 0 {
 		t.Fatalf("threshold under-sampled = %v, want 0", th)
 	}
-	c.observeLatency(time.Millisecond)
+	c.replicaGaps.Observe(time.Millisecond)
 	if th := c.speculateThreshold(); th < speculateFloor {
 		t.Errorf("armed threshold = %v, want >= floor %v", th, speculateFloor)
 	}
 
 	off := New(Options{Workers: []string{"http://a"}})
 	for i := 0; i < speculateMinSamples; i++ {
-		off.observeLatency(time.Millisecond)
+		off.replicaGaps.Observe(time.Millisecond)
 	}
 	if th := off.speculateThreshold(); th < speculateFloor {
 		t.Errorf("threshold with speculation disabled = %v, want >= floor %v: slow-job warnings need it", th, speculateFloor)
 	}
+}
+
+// onePointSpec is a normalized one-point study of reps short replicas.
+func onePointSpec(reps int) experiment.Spec {
+	return experiment.Spec{
+		Algorithms: experiment.Algs(experiment.Sprinklers),
+		Traffic:    experiment.Traffics(experiment.UniformTraffic),
+		Loads:      []float64{0.5}, Sizes: []int{8}, Replicas: reps, Slots: 200,
+	}.WithDefaults()
 }
 
 // leaseWorker is a fake worker that serves each lease by simulating its
@@ -329,13 +443,9 @@ func TestSpeculativeBackupCarriesTheRest(t *testing.T) {
 	ctr := &experiment.Counters{}
 	c.UseCounters(ctr)
 	for i := 0; i < speculateMinSamples; i++ {
-		c.observeLatency(time.Millisecond) // arm the threshold at its floor
+		c.replicaGaps.Observe(time.Millisecond) // arm the threshold at its floor
 	}
-	spec := experiment.Spec{
-		Algorithms: experiment.Algs(experiment.Sprinklers),
-		Traffic:    experiment.Traffics(experiment.UniformTraffic),
-		Loads:      []float64{0.5}, Sizes: []int{8}, Replicas: 3, Slots: 200,
-	}.WithDefaults()
+	spec := onePointSpec(3)
 	key := spec.Points()[0]
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -386,11 +496,7 @@ func TestGapsCountReplicasLeasesCountOnce(t *testing.T) {
 	c := New(Options{Workers: []string{w.URL}})
 	dispatch := stats.NewHistogram("sprinklerd_dispatch_latency_seconds", "one sample per lease")
 	c.UseDispatchHist(dispatch)
-	spec := experiment.Spec{
-		Algorithms: experiment.Algs(experiment.Sprinklers),
-		Traffic:    experiment.Traffics(experiment.UniformTraffic),
-		Loads:      []float64{0.5}, Sizes: []int{8}, Replicas: k, Slots: 200,
-	}.WithDefaults()
+	spec := onePointSpec(k)
 	if _, err := c.RunReplicas(context.Background(), spec, spec.Points()[0], 0, k); err != nil {
 		t.Fatal(err)
 	}

@@ -24,39 +24,9 @@ func TestParseOptionValue(t *testing.T) {
 	}
 }
 
-func TestOptionFlagAndParseOptionPairs(t *testing.T) {
-	f := OptionFlag{}
-	for _, s := range []string{"threshold=16", "adaptive=true", "mode=greedy"} {
-		if err := f.Set(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f.String() == "" {
-		t.Error("OptionFlag.String empty")
-	}
-	want := Options{"threshold": float64(16), "adaptive": true, "mode": "greedy"}
-	if !reflect.DeepEqual(Options(f), want) {
-		t.Errorf("OptionFlag = %v, want %v", f, want)
-	}
-	if err := f.Set("noequals"); err == nil {
-		t.Error("malformed assignment accepted")
-	}
-	if err := f.Set("=value"); err == nil {
-		t.Error("empty key accepted")
-	}
-
-	opts, err := parseOptionPairs([]string{" threshold=16 ", "adaptive=true", "mode=greedy"})
-	if err != nil || !reflect.DeepEqual(opts, want) {
-		t.Errorf("parseOptionPairs = %v err %v, want %v", opts, err, want)
-	}
-	if opts, err := parseOptionPairs(nil); err != nil || opts != nil {
-		t.Errorf("empty parseOptionPairs = %v err %v, want nil", opts, err)
-	}
-	if _, err := parseOptionPairs([]string{"bad"}); err == nil {
-		t.Error("parseOptionPairs accepted a malformed pair")
-	}
-}
-
+// TestParseSeriesEntry: the series syntax "name" or "name:key=value,..."
+// infers each value as a number, then a bool, then a string, and rejects a
+// malformed assignment.
 func TestParseSeriesEntry(t *testing.T) {
 	name, opts, err := ParseSeriesEntry("sprinklers")
 	if err != nil || name != "sprinklers" || opts != nil {
@@ -69,8 +39,18 @@ func TestParseSeriesEntry(t *testing.T) {
 	if opts["threshold"] != float64(16) || opts["mode"] != "x" {
 		t.Errorf("options = %v", opts)
 	}
-	if _, _, err := ParseSeriesEntry("pf:threshold"); err == nil {
-		t.Error("malformed options accepted")
+	name, opts, err = ParseSeriesEntry("pf: threshold=16 , adaptive=true,mode=greedy")
+	want := Options{"threshold": float64(16), "adaptive": true, "mode": "greedy"}
+	if err != nil || name != "pf" || !reflect.DeepEqual(opts, want) {
+		t.Errorf("inferred entry = %q %v err %v, want pf %v", name, opts, err, want)
+	}
+	for _, bad := range []string{"pf:threshold", "pf:=16", "pf:threshold=16,noequals", "pf:"} {
+		if _, _, err := ParseSeriesEntry(bad); err == nil {
+			t.Errorf("ParseSeriesEntry(%q) accepted a malformed assignment", bad)
+		}
+	}
+	if opts, err := parseOptionPairs(nil); err != nil || opts != nil {
+		t.Errorf("empty parseOptionPairs = %v err %v, want nil", opts, err)
 	}
 }
 

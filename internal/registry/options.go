@@ -243,11 +243,10 @@ func (s Schema) Normalize(in map[string]any) (Options, error) {
 	return out, nil
 }
 
-// parseOptionValue parses a CLI option value the way the cmd tools'
-// repeatable key=value flags do: number, then bool, then string. The
-// schema rejects type mismatches downstream, so inference only has to be
-// consistent, not clever — and living here keeps every tool's flag
-// behavior identical.
+// parseOptionValue parses a CLI option value of the series syntax: number,
+// then bool, then string. The schema rejects type mismatches downstream, so
+// inference only has to be consistent, not clever — and living here keeps
+// every tool's flag behavior identical.
 func parseOptionValue(s string) any {
 	if f, err := strconv.ParseFloat(s, 64); err == nil {
 		return f
@@ -258,46 +257,31 @@ func parseOptionValue(s string) any {
 	return s
 }
 
-// OptionFlag is a flag.Value collecting repeated key=value option
-// assignments, such as stripestats' repeatable -topt flag.
-// Initialize with OptionFlag{} and register via flag.Var.
-type OptionFlag map[string]any
-
-// String implements flag.Value.
-func (o OptionFlag) String() string { return fmt.Sprintf("%v", map[string]any(o)) }
-
-// Set implements flag.Value.
-func (o OptionFlag) Set(s string) error {
-	k, v, ok := strings.Cut(s, "=")
-	if !ok || k == "" {
-		return fmt.Errorf("want key=value, got %q", s)
-	}
-	o[k] = parseOptionValue(v)
-	return nil
-}
-
-// parseOptionPairs folds repeated "key=value" assignments through the same
-// value inference as OptionFlag, returning nil for an empty list so
-// optionless series keep their compact normalized form. It is the backend
-// of the "name:key=value,..." series syntax parsed by ParseSeriesEntry.
+// parseOptionPairs folds "key=value" assignments through parseOptionValue,
+// returning nil for an empty list so optionless series keep their compact
+// normalized form. It is the backend of the "name:key=value,..." series
+// syntax parsed by ParseSeriesEntry.
 func parseOptionPairs(pairs []string) (Options, error) {
 	if len(pairs) == 0 {
 		return nil, nil
 	}
-	out := OptionFlag{}
+	out := Options{}
 	for _, p := range pairs {
-		if err := out.Set(strings.TrimSpace(p)); err != nil {
-			return nil, err
+		p = strings.TrimSpace(p)
+		k, v, ok := strings.Cut(p, "=")
+		if !ok || k == "" {
+			return nil, fmt.Errorf("want key=value, got %q", p)
 		}
+		out[k] = parseOptionValue(v)
 	}
-	return Options(out), nil
+	return out, nil
 }
 
 // ParseSeriesEntry parses the shared CLI series syntax "name" or
 // "name:key=value,key=value" into a registered name and an option
-// assignment (nil when no options are given). sweep's series flags use
-// it, where two optioned variants of one architecture form two distinct
-// study series.
+// assignment (nil when no options are given). sweep's series flags and
+// stripestats' -traffic use it; in sweep, two optioned variants of one
+// architecture form two distinct study series.
 func ParseSeriesEntry(entry string) (name string, opts Options, err error) {
 	head, rest, found := strings.Cut(entry, ":")
 	name = strings.TrimSpace(head)

@@ -246,10 +246,13 @@ func (c *Client) streamOnce(ctx context.Context, id string, from int, fn func(Pr
 		id, io.ErrUnexpectedEOF)
 }
 
-// Run is the whole remote round trip: submit, stream progress, fetch
-// results. The returned results are in canonical grid order — exactly what
-// a local RunStudy of the same spec returns — so the caller renders them
-// with the same code paths.
+// Run is the whole remote round trip: submit, then stream progress until
+// the study ends. The stream's events are the study's results in order
+// (the daemon rebuilds event i from result i), so the returned results are
+// the streamed points, in canonical grid order — exactly what a local
+// RunStudy of the same spec returns — and the caller renders them with the
+// same code paths. A study already finished at submission replays its
+// events.
 //
 // Cancellation mirrors the local runner: if ctx is canceled mid-stream,
 // the study is canceled server-side (best effort) and Run returns the
@@ -261,11 +264,11 @@ func (c *Client) Run(ctx context.Context, spec experiment.Spec, progress func(Pr
 	if err != nil {
 		return nil, err
 	}
-	state := status.State
-	from, resubmits := 0, 0
-	for !state.terminal() {
-		state, err = c.Stream(ctx, status.ID, from, func(ev ProgressEvent) {
-			from++
+	var results []experiment.PointResult
+	var state State
+	for resubmits := 0; ; resubmits++ {
+		state, err = c.Stream(ctx, status.ID, len(results), func(ev ProgressEvent) {
+			results = append(results, ev.Point)
 			if progress != nil {
 				progress(ev)
 			}
@@ -286,27 +289,20 @@ func (c *Client) Run(ctx context.Context, spec experiment.Spec, progress func(Pr
 			_, results, _ := c.Results(bg, status.ID, false)
 			return results, fmt.Errorf("sprinklerd: study %s (still running on the server): %w", status.ID, ctx.Err())
 		}
-		if err != nil {
-			// A 404 mid-run means the daemon restarted and lost its
-			// in-memory study table. The study id is the spec's content
-			// hash, so resubmitting recreates the SAME study — resumed from
-			// the cache, with no computed point recomputed — and the
-			// stream picks up at the accumulated event index, so the caller
-			// sees every point exactly once across the restart.
-			var ae *APIError
-			if errors.As(err, &ae) && ae.Status == http.StatusNotFound && resubmits < 3 {
-				resubmits++
-				st, serr := c.Submit(ctx, spec)
-				if serr != nil {
-					return nil, serr
-				}
-				status, state = st, st.State
-				continue
-			}
+		// A 404 mid-run means the daemon restarted and lost its in-memory
+		// study table. The study id is the spec's content hash, so
+		// resubmitting recreates the SAME study — resumed from the cache,
+		// with no computed point recomputed — and the stream picks up at
+		// the accumulated event index, so the caller sees every point
+		// exactly once across the restart.
+		var ae *APIError
+		if err == nil || !errors.As(err, &ae) || ae.Status != http.StatusNotFound || resubmits == 3 {
+			break
+		}
+		if status, err = c.Submit(ctx, spec); err != nil {
 			return nil, err
 		}
 	}
-	_, results, err := c.Results(ctx, status.ID, false)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -85,6 +86,60 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		if ev.Done != i+1 || !reflect.DeepEqual(ev.Point.PointKey, local[i].PointKey) {
 			t.Errorf("event %d = done %d point %v, want grid order", i, ev.Done, ev.Point.PointKey)
 		}
+	}
+}
+
+// TestRunReadsResultsFromTheStream: Run returns the points its progress
+// stream delivered, so a successful Run is one submission and one stream
+// with no /results request, for a fresh study and for one already finished
+// at submission alike, and its results are byte-identical to a local run.
+func TestRunReadsResultsFromTheStream(t *testing.T) {
+	srv, err := New(Options{CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx) //nolint:errcheck
+	})
+	var mu sync.Mutex
+	var requests, fetches int
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		requests++
+		if strings.HasSuffix(r.URL.Path, "/results") {
+			fetches++
+		}
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	client := &Client{BaseURL: ts.URL}
+
+	spec := testSpec("results-from-stream")
+	local, err := experiment.RunStudy(context.Background(), spec, experiment.StudyConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, _ := json.Marshal(local)
+	for _, run := range []string{"fresh", "finished at submission"} {
+		mu.Lock()
+		requests, fetches = 0, 0
+		mu.Unlock()
+		remote, err := client.Run(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rb, _ := json.Marshal(remote); !bytes.Equal(rb, lb) {
+			t.Errorf("%s: remote results differ from local:\n%s\nvs\n%s", run, rb, lb)
+		}
+		mu.Lock()
+		if fetches != 0 || requests != 2 {
+			t.Errorf("%s: Run made %d requests, %d of them /results; want 2 (submit, stream) and 0", run, requests, fetches)
+		}
+		mu.Unlock()
 	}
 }
 

@@ -372,13 +372,6 @@ func TestRunResubmitsAfterDaemonRestart(t *testing.T) {
 		}
 		fmt.Fprintf(w, "data: {\"state\":%q}\n\n", StateDone)
 	})
-	mux.HandleFunc("GET /api/v1/studies/{id}/results", func(w http.ResponseWriter, r *http.Request) {
-		results := make([]experiment.PointResult, total)
-		for i := range results {
-			results[i] = experiment.PointResult{PointKey: norm.Points()[i]}
-		}
-		writeJSON(w, http.StatusOK, resultsResponse{ID: id, State: StateDone, Results: results})
-	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
