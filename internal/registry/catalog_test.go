@@ -49,8 +49,24 @@ func TestParseSeriesEntry(t *testing.T) {
 			t.Errorf("ParseSeriesEntry(%q) accepted a malformed assignment", bad)
 		}
 	}
+}
+
+// TestOptionFlagAndParseOptionPairs: parseOptionPairs, the backend of the
+// series syntax's option list, trims each assignment, infers its value and
+// rejects a missing "=" or an empty key.
+func TestOptionFlagAndParseOptionPairs(t *testing.T) {
+	want := Options{"threshold": float64(16), "adaptive": true, "mode": "greedy"}
+	opts, err := parseOptionPairs([]string{" threshold=16 ", "adaptive=true", "mode=greedy"})
+	if err != nil || !reflect.DeepEqual(opts, want) {
+		t.Errorf("parseOptionPairs = %v err %v, want %v", opts, err, want)
+	}
 	if opts, err := parseOptionPairs(nil); err != nil || opts != nil {
 		t.Errorf("empty parseOptionPairs = %v err %v, want nil", opts, err)
+	}
+	for _, bad := range []string{"bad", "noequals", "=value"} {
+		if _, err := parseOptionPairs([]string{"threshold=16", bad}); err == nil {
+			t.Errorf("parseOptionPairs accepted the malformed pair %q", bad)
+		}
 	}
 }
 
