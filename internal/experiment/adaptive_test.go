@@ -384,11 +384,12 @@ func TestAdaptiveReusesDenseCachePoints(t *testing.T) {
 	// The dense entries must be untouched by the adaptive run.
 	for _, r := range dense {
 		id := denseSeed.PointIdentity(r.PointKey)
-		b, ok, err := store.Get(id.Key())
+		key, canonical := id.KeyJSON()
+		b, ok, err := store.Get(key)
 		if err != nil || !ok {
 			t.Fatalf("dense entry for %s vanished: ok=%v err=%v", r.PointKey, ok, err)
 		}
-		rec, valid := decodeCachedPoint(b, id, r.PointKey)
+		rec, valid := decodeCachedPoint(b, canonical, r.PointKey)
 		if !valid || rec.Replicas != norm.Replicas {
 			t.Errorf("dense entry for %s was replaced (valid=%v replicas=%d)", r.PointKey, valid, rec.Replicas)
 		}

@@ -2,7 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
-	"reflect"
+	"strconv"
 	"sync/atomic"
 
 	"sprinklers/internal/resultcache"
@@ -218,74 +218,93 @@ func (s Spec) PointIdentity(key PointKey) resultcache.Identity {
 	return id
 }
 
-// cachedPoint is the envelope stored in the result cache: the identity is
-// echoed next to the result so a corrupted or hash-colliding entry is
-// detected on read instead of silently serving a wrong point.
-type cachedPoint struct {
-	Identity resultcache.Identity `json:"identity"`
-	Result   PointResult          `json:"result"`
-}
+// A cache envelope is {"identity":<canonical>,<fields>:<value>}, where
+// canonical is the identity's canonical JSON (resultcache.Identity.KeyJSON),
+// the bytes its key is the SHA-256 of. Echoing the identity lets a reader
+// detect a corrupted entry, a hash collision or an entry stored under the
+// wrong key instead of silently serving a wrong point. The writer emits
+// exactly that form, so the reader checks the identity by its bytes and
+// decodes only the value. Two kinds exist: a point envelope (fields
+// "result") stored by RunStudy under Identity.Key, and a replica envelope
+// (fields "rep" and "point") stored by cluster workers under
+// Identity.ReplicaKey, which is what makes worker failover lose at most
+// one in-flight replica: every completed replica is re-findable from any
+// node's cache.
+const envelopeHead = `{"identity":`
 
-// encodeCachedPoint marshals the envelope. PointResult always marshals.
-func encodeCachedPoint(id resultcache.Identity, rec PointResult) []byte {
-	b, err := json.Marshal(cachedPoint{Identity: id, Result: rec})
+// pointFields sits between the identity and the value of a point envelope.
+const pointFields = `,"result":`
+
+// replicaFields sits between the identity and the value of a replica
+// envelope.
+func replicaFields(rep int) string { return `,"rep":` + strconv.Itoa(rep) + `,"point":` }
+
+// encodeEnvelope marshals v into an envelope. Every value stored in one (a
+// PointResult or a Point) always marshals.
+func encodeEnvelope(canonical []byte, fields string, v any) []byte {
+	val, err := json.Marshal(v)
 	if err != nil {
-		panic("experiment: cached point not marshalable: " + err.Error())
+		panic("experiment: cache envelope value not marshalable: " + err.Error())
 	}
-	return b
+	b := make([]byte, 0, len(envelopeHead)+len(canonical)+len(fields)+len(val)+1)
+	b = append(b, envelopeHead...)
+	b = append(b, canonical...)
+	b = append(b, fields...)
+	b = append(b, val...)
+	return append(b, '}')
 }
 
-// cachedReplica is the envelope cluster workers store per completed
-// replica: the identity and replica index are echoed next to the
-// measurements so a corrupt or misaddressed entry is detected on read.
-// Replica envelopes are what make worker failover lose at most one
-// in-flight replica — every completed replica is re-findable by
-// Identity.ReplicaKey from any node's cache.
-type cachedReplica struct {
-	Identity resultcache.Identity `json:"identity"`
-	Rep      int                  `json:"rep"`
-	Point    Point                `json:"point"`
+// envelopeValue returns the value bytes of b if b is an envelope of the
+// given identity and fields, byte for byte; anything else — another
+// identity, another replica, a torn or padded entry — reports false.
+func envelopeValue(b, canonical []byte, fields string) ([]byte, bool) {
+	n := len(envelopeHead) + len(canonical) + len(fields)
+	if len(b) <= n || b[len(b)-1] != '}' ||
+		string(b[:len(envelopeHead)]) != envelopeHead ||
+		string(b[len(envelopeHead):len(envelopeHead)+len(canonical)]) != string(canonical) ||
+		string(b[n-len(fields):n]) != fields {
+		return nil, false
+	}
+	return b[n : len(b)-1], true
 }
 
-// EncodeCachedReplica marshals one replica's envelope for storage under
-// id.ReplicaKey(rep).
-func EncodeCachedReplica(id resultcache.Identity, rep int, p Point) []byte {
-	b, err := json.Marshal(cachedReplica{Identity: id, Rep: rep, Point: p})
-	if err != nil {
-		panic("experiment: cached replica not marshalable: " + err.Error())
-	}
-	return b
+// encodeCachedPoint builds the envelope RunStudy stores under the
+// identity's key.
+func encodeCachedPoint(canonical []byte, rec PointResult) []byte {
+	return encodeEnvelope(canonical, pointFields, rec)
 }
 
-// DecodeCachedReplica validates a replica envelope against the identity
-// and replica index it was addressed by. A mismatched or unparsable entry
-// reports ok == false and must be treated as a miss (and quarantined).
-func DecodeCachedReplica(b []byte, id resultcache.Identity, rep int) (Point, bool) {
-	var env cachedReplica
-	if err := json.Unmarshal(b, &env); err != nil {
-		return Point{}, false
-	}
-	if env.Rep != rep || !reflect.DeepEqual(env.Identity, id) {
-		return Point{}, false
-	}
-	return env.Point, true
-}
-
-// decodeCachedPoint validates a cache entry against the identity it was
-// addressed by and returns the stored result re-labeled with the caller's
-// point key (series labels are presentation, not identity, so a hit from a
-// differently-labeled study adopts the requesting study's labels). A
-// mismatched or unparsable entry reports ok == false and is treated as a
-// miss.
-func decodeCachedPoint(b []byte, id resultcache.Identity, key PointKey) (PointResult, bool) {
-	var env cachedPoint
-	if err := json.Unmarshal(b, &env); err != nil {
+// decodeCachedPoint validates a cache entry against the canonical identity
+// it was addressed by and returns the stored result re-labeled with the
+// caller's point key (series labels are presentation, not identity, so a
+// hit from a differently-labeled study adopts the requesting study's
+// labels). A mismatched or unparsable entry reports ok == false and is
+// treated as a miss.
+func decodeCachedPoint(b, canonical []byte, key PointKey) (PointResult, bool) {
+	v, ok := envelopeValue(b, canonical, pointFields)
+	var rec PointResult
+	if !ok || json.Unmarshal(v, &rec) != nil {
 		return PointResult{}, false
 	}
-	if !reflect.DeepEqual(env.Identity, id) {
-		return PointResult{}, false
-	}
-	rec := env.Result
 	rec.PointKey = key
 	return rec, true
+}
+
+// EncodeCachedReplica builds one replica's envelope for storage under
+// id.ReplicaKey(rep), canonical being the identity's canonical JSON.
+func EncodeCachedReplica(canonical []byte, rep int, p Point) []byte {
+	return encodeEnvelope(canonical, replicaFields(rep), p)
+}
+
+// DecodeCachedReplica validates a replica envelope against the canonical
+// identity and replica index it was addressed by. A mismatched or
+// unparsable entry reports ok == false and must be treated as a miss (and
+// quarantined).
+func DecodeCachedReplica(b, canonical []byte, rep int) (Point, bool) {
+	v, ok := envelopeValue(b, canonical, replicaFields(rep))
+	var p Point
+	if !ok || json.Unmarshal(v, &p) != nil {
+		return Point{}, false
+	}
+	return p, true
 }

@@ -37,16 +37,43 @@ func marshalResults(t *testing.T, rs []PointResult) []byte {
 	return b
 }
 
+// checkpointProgress returns a Progress callback that requires, each time
+// it runs, the checkpoint at path to hold the header and the first done
+// point lines already, the last of them the point being reported.
+func checkpointProgress(t *testing.T, path string) func(int, int, PointResult) {
+	return func(done, _ int, r PointResult) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Errorf("point %d reported before the checkpoint exists: %v", done, err)
+			return
+		}
+		lines := strings.SplitAfter(string(data), "\n")
+		if len(lines) < done+2 || !strings.HasSuffix(lines[done], "\n") {
+			t.Errorf("point %d reported with %d checkpoint lines on disk, want the header and %d points", done, len(lines)-1, done)
+			return
+		}
+		var got PointResult
+		if err := json.Unmarshal([]byte(lines[done]), &got); err != nil || !reflect.DeepEqual(got, r) {
+			t.Errorf("checkpoint line %d is %q (err %v), want the reported point %+v", done, lines[done], err, r)
+		}
+	}
+}
+
 // TestCacheResubmissionIsPureRead is the acceptance property: running the
-// same spec twice against one cache returns byte-identical results, with
-// the second run executing zero simulation slots and zero replicas.
+// same spec twice against one cache returns byte-identical results and
+// checkpoints, with the second run executing zero simulation slots and
+// zero replicas. Both runs report a point only once its checkpoint line is
+// on disk.
 func TestCacheResubmissionIsPureRead(t *testing.T) {
 	store, err := resultcache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
+	coldPath, warmPath := filepath.Join(dir, "cold.jsonl"), filepath.Join(dir, "warm.jsonl")
 	var ctr Counters
-	first, err := RunStudy(context.Background(), cacheSpec(), StudyConfig{Cache: store, Counters: &ctr})
+	first, err := RunStudy(context.Background(), cacheSpec(), StudyConfig{Cache: store, Counters: &ctr,
+		ResultsPath: coldPath, Progress: checkpointProgress(t, coldPath)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +85,8 @@ func TestCacheResubmissionIsPureRead(t *testing.T) {
 		t.Fatalf("first run counters %+v, want 8 replicas and nonzero slots", c1)
 	}
 
-	second, err := RunStudy(context.Background(), cacheSpec(), StudyConfig{Cache: store, Counters: &ctr})
+	second, err := RunStudy(context.Background(), cacheSpec(), StudyConfig{Cache: store, Counters: &ctr,
+		ResultsPath: warmPath, Progress: checkpointProgress(t, warmPath)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +100,20 @@ func TestCacheResubmissionIsPureRead(t *testing.T) {
 	}
 	if got, want := marshalResults(t, second), marshalResults(t, first); !reflect.DeepEqual(got, want) {
 		t.Errorf("cached results differ from computed results:\n%s\nvs\n%s", got, want)
+	}
+	cold, err := os.ReadFile(coldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := os.ReadFile(warmPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(cold), "\n"); n != 5 {
+		t.Errorf("cold checkpoint has %d lines, want a header and 4 points", n)
+	}
+	if string(warm) != string(cold) {
+		t.Errorf("warm checkpoint differs from the cold one:\n%s\nvs\n%s", warm, cold)
 	}
 }
 

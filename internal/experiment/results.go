@@ -52,17 +52,6 @@ func appendHeader(w io.Writer, spec Spec) error {
 	return err
 }
 
-// appendResult writes one result line.
-func appendResult(w io.Writer, r PointResult) error {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
 // loadResults reads the checkpoint at path and validates its header against
 // the normalized spec. It returns the recorded prefix of points, the byte
 // offset where valid content ends (a partial trailing line from a killed run

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -71,10 +73,12 @@ type StudyConfig struct {
 	// (its replicas run in order) and one point of an analytic study.
 	Parallelism int
 	// ResultsPath, when non-empty, is the JSONL checkpoint file. Finished
-	// points are appended in canonical grid order as they complete; if the
-	// file already holds a prefix of this spec's points, those points are
-	// loaded instead of re-simulated and the run continues after them. A
-	// partial trailing line (from a killed run) is truncated away.
+	// points are appended in canonical grid order as they complete, one
+	// buffered write per run of consecutive finished points, flushed before
+	// Progress hears of any point in it; if the file already holds a prefix
+	// of this spec's points, those points are loaded instead of re-simulated
+	// and the run continues after them. A partial trailing line (from a
+	// killed run) is truncated away.
 	ResultsPath string
 	// Progress, when set, is called after each point is recorded (including
 	// points loaded from the checkpoint or served from the cache), with
@@ -431,12 +435,37 @@ func (r *studyRun) runBatch(ctx context.Context, batch []PointKey, round int) er
 			return err
 		}
 	}
+	// record takes in the run of finished points at next: their checkpoint
+	// lines go out in one buffered write, flushed before Progress hears of
+	// any of them, so a point Progress has seen is on disk.
 	next := 0 // next point of pts to record
+	var ckpt *bufio.Writer
+	var enc *json.Encoder
+	if r.out != nil {
+		ckpt = bufio.NewWriter(r.out)
+		enc = json.NewEncoder(ckpt)
+	}
 	record := func() error {
+		first := next
 		for ; next < len(pts) && pts[next].done; next++ {
-			if err := r.recordNew(pts[next].rec, len(pts)-next-1); err != nil {
+			if enc != nil {
+				if err := enc.Encode(pts[next].rec); err != nil {
+					return err
+				}
+			}
+		}
+		if ckpt != nil && first < next {
+			if err := ckpt.Flush(); err != nil {
 				return err
 			}
+		}
+		for pi := first; pi < next; pi++ {
+			rec := pts[pi].rec
+			r.recorded = append(r.recorded, rec)
+			if rec.RefineRound > 0 && r.cfg.Counters != nil {
+				r.cfg.Counters.PointsRefined.Add(1)
+			}
+			r.progress(rec, len(pts)-pi-1)
 		}
 		return nil
 	}
@@ -553,14 +582,15 @@ func (r *studyRun) cachePrepass(pts []batchPoint, round int) error {
 			ids = []resultcache.Identity{dense, own}
 		}
 		for _, id := range ids {
-			b, ok, err := r.cfg.Cache.Get(id.Key())
+			key, canonical := id.KeyJSON()
+			b, ok, err := r.cfg.Cache.Get(key)
 			if err != nil {
 				return fmt.Errorf("experiment: result cache: %w", err)
 			}
 			if !ok {
 				continue
 			}
-			if rec, valid := decodeCachedPoint(b, id, pt.key); valid {
+			if rec, valid := decodeCachedPoint(b, canonical, pt.key); valid {
 				r.finalize(&rec, round)
 				pt.rec, pt.done = rec, true
 				r.tc.Event("cache-hit", "job", pt.key.String())
@@ -573,7 +603,7 @@ func (r *studyRun) cachePrepass(pts []batchPoint, round int) error {
 			// -9, bit rot, a hash collision — is a miss, never a failed
 			// study: quarantine it for the post-mortem and recompute.
 			if q, canQuarantine := r.cfg.Cache.(Quarantiner); canQuarantine {
-				if qerr := q.Quarantine(id.Key()); qerr != nil {
+				if qerr := q.Quarantine(key); qerr != nil {
 					return fmt.Errorf("experiment: quarantining corrupt cache entry: %w", qerr)
 				}
 			}
@@ -653,30 +683,14 @@ func (r *studyRun) complete(pt *batchPoint, rec PointResult, round int) error {
 	if r.cfg.Cache == nil {
 		return nil
 	}
-	id := r.spec.PointIdentity(pt.key)
+	key, canonical := r.spec.PointIdentity(pt.key).KeyJSON()
 	csp := r.tc.Start("cas-store")
 	csp.SetJob(pt.key.String(), -1)
-	err := r.cfg.Cache.Put(id.Key(), encodeCachedPoint(id, pt.rec))
+	err := r.cfg.Cache.Put(key, encodeCachedPoint(canonical, pt.rec))
 	csp.End()
 	if err != nil {
 		return fmt.Errorf("experiment: result cache: %w", err)
 	}
-	return nil
-}
-
-// recordNew appends one newly produced point to the checkpoint and the
-// in-memory state.
-func (r *studyRun) recordNew(rec PointResult, remaining int) error {
-	if r.out != nil {
-		if err := appendResult(r.out, rec); err != nil {
-			return err
-		}
-	}
-	r.recorded = append(r.recorded, rec)
-	if rec.RefineRound > 0 && r.cfg.Counters != nil {
-		r.cfg.Counters.PointsRefined.Add(1)
-	}
-	r.progress(rec, remaining)
 	return nil
 }
 

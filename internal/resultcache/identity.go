@@ -17,8 +17,10 @@ package resultcache
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"sprinklers/internal/registry"
 )
@@ -95,8 +97,16 @@ func (id Identity) canonicalJSON() []byte {
 // difference — an option value, the seed, the horizon — produces an
 // unrelated key.
 func (id Identity) Key() string {
-	h := sha256.Sum256(id.canonicalJSON())
-	return fmt.Sprintf("%x", h)
+	key, _ := id.KeyJSON()
+	return key
+}
+
+// KeyJSON returns Key together with the canonical JSON it hashes. A cache
+// envelope echoes exactly these bytes, so a reader holding them checks a
+// stored identity by comparing bytes instead of decoding it.
+func (id Identity) KeyJSON() (key string, canonical []byte) {
+	canonical = id.canonicalJSON()
+	return hashKey(canonical), canonical
 }
 
 // ReplicaKey returns the content address of one replica of the identity:
@@ -107,9 +117,15 @@ func (id Identity) Key() string {
 // locally or via peer cache fill, and is never simulated twice.
 func (id Identity) ReplicaKey(rep int) string {
 	b := id.canonicalJSON()
-	b = append(b, []byte(fmt.Sprintf(`{"rep":%d}`, rep))...)
+	b = append(b, `{"rep":`...)
+	b = strconv.AppendInt(b, int64(rep), 10)
+	return hashKey(append(b, '}'))
+}
+
+// hashKey is the lowercase hex SHA-256 of b, the form of every key.
+func hashKey(b []byte) string {
 	h := sha256.Sum256(b)
-	return fmt.Sprintf("%x", h)
+	return hex.EncodeToString(h[:])
 }
 
 // SeedFingerprint folds the physical point — kind, architecture+options,

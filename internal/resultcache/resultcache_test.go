@@ -35,6 +35,19 @@ func TestKeyStableAndSensitive(t *testing.T) {
 	if len(k1) != 64 {
 		t.Fatalf("key %q is not a sha256 hex string", k1)
 	}
+	// The content addresses themselves are pinned: a change to the key
+	// derivation or its encoding would strand every stored entry.
+	const wantKey = "63f7d3b2a49af4505eb42130d638ecac56e949b4ff2432a8b9f173781e9cbb28"
+	const wantRep0 = "e50f271cc646b80401ff58cb7196a8c94e403203b92530e51caccf5e8805b30d"
+	if k1 != wantKey {
+		t.Errorf("Key() = %s, want %s", k1, wantKey)
+	}
+	if r0 := id.ReplicaKey(0); r0 != wantRep0 {
+		t.Errorf("ReplicaKey(0) = %s, want %s", r0, wantRep0)
+	}
+	if key, canonical := id.KeyJSON(); key != k1 || string(canonical) != string(id.canonicalJSON()) {
+		t.Errorf("KeyJSON() = %s, %s; want Key() and the canonical JSON", key, canonical)
+	}
 	// Every field that changes what the point computes must change the key.
 	variants := []Identity{}
 	v := id

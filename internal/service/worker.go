@@ -155,9 +155,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveLease(ctx context.Context, spec experiment.Spec, req cluster.JobRequest, n int,
 	emit func(rep int, p experiment.Point, src string)) error {
 	id := spec.PointIdentity(req.Point)
+	_, canonical := id.KeyJSON()
 	peers := req.Peers // the siblings still worth asking
 	for rep := req.Rep; rep < req.Rep+n; rep++ {
-		p, src, err := s.serveReplica(ctx, spec, id, req.Point, rep, &peers)
+		p, src, err := s.serveReplica(ctx, spec, id, canonical, req.Point, rep, &peers)
 		if err != nil {
 			return err
 		}
@@ -168,8 +169,9 @@ func (s *Server) serveLease(ctx context.Context, spec experiment.Spec, req clust
 
 // serveReplica serves one replica from the local cache, a sibling's, or a
 // simulation. A sibling that misses (or fails, or returns an invalid
-// envelope) is dropped from peers.
-func (s *Server) serveReplica(ctx context.Context, spec experiment.Spec, id resultcache.Identity, key experiment.PointKey, rep int,
+// envelope) is dropped from peers. canonical is id's canonical JSON, which
+// every replica envelope of the point echoes.
+func (s *Server) serveReplica(ctx context.Context, spec experiment.Spec, id resultcache.Identity, canonical []byte, key experiment.PointKey, rep int,
 	peers *[]string) (experiment.Point, string, error) {
 	tc := trace.FromContext(ctx)
 	rkey := id.ReplicaKey(rep)
@@ -182,7 +184,7 @@ func (s *Server) serveReplica(ctx context.Context, spec experiment.Spec, id resu
 	s.hCacheGet.Observe(time.Since(getStart))
 	gsp.End()
 	if gerr == nil && ok {
-		if p, valid := experiment.DecodeCachedReplica(b, id, rep); valid {
+		if p, valid := experiment.DecodeCachedReplica(b, canonical, rep); valid {
 			return p, cluster.SourceCache, nil
 		}
 		s.counters.CacheCorrupt.Add(1)
@@ -204,7 +206,7 @@ func (s *Server) serveReplica(ctx context.Context, spec experiment.Spec, id resu
 			cancel()
 			p, valid := experiment.Point{}, false
 			if err == nil && b != nil {
-				p, valid = experiment.DecodeCachedReplica(b, id, rep)
+				p, valid = experiment.DecodeCachedReplica(b, canonical, rep)
 			}
 			if !valid {
 				*peers = (*peers)[1:]
@@ -229,7 +231,7 @@ func (s *Server) serveReplica(ctx context.Context, spec experiment.Spec, id resu
 	ssp := tc.Start("cas-store")
 	ssp.SetJob(key.String(), rep)
 	putStart := time.Now()
-	perr := s.cache.Put(rkey, experiment.EncodeCachedReplica(id, rep, p))
+	perr := s.cache.Put(rkey, experiment.EncodeCachedReplica(canonical, rep, p))
 	s.hCachePut.Observe(time.Since(putStart))
 	ssp.End()
 	if perr != nil {
