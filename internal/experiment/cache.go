@@ -10,7 +10,7 @@ import (
 
 // PointCache is the result-cache interface RunStudy consults before
 // simulating a point and populates after aggregating one. Keys are content
-// addresses (resultcache.Identity.Key); values are opaque to the runner.
+// addresses (resultcache.Identity.KeyJSON); values are opaque to the runner.
 // *resultcache.Store satisfies it. Implementations must be safe for
 // concurrent use: a daemon runs many studies against one cache.
 type PointCache interface {
@@ -225,7 +225,7 @@ func (s Spec) PointIdentity(key PointKey) resultcache.Identity {
 // wrong key instead of silently serving a wrong point. The writer emits
 // exactly that form, so the reader checks the identity by its bytes and
 // decodes only the value. Two kinds exist: a point envelope (fields
-// "result") stored by RunStudy under Identity.Key, and a replica envelope
+// "result") stored by RunStudy under Identity.KeyJSON's key, and a replica envelope
 // (fields "rep" and "point") stored by cluster workers under
 // Identity.ReplicaKey, which is what makes worker failover lose at most
 // one in-flight replica: every completed replica is re-findable from any

@@ -27,6 +27,12 @@ func cacheSpec() Spec {
 	}
 }
 
+// pointKey is the content address a point is cached under.
+func pointKey(id resultcache.Identity) string {
+	key, _ := id.KeyJSON()
+	return key
+}
+
 // marshalResults canonicalizes a result set for byte comparison.
 func marshalResults(t *testing.T, rs []PointResult) []byte {
 	t.Helper()
@@ -333,11 +339,11 @@ func TestCorruptCacheEntryQuarantinedNotFatal(t *testing.T) {
 	// (a crash mid-rename survivor), and leave the rest intact.
 	norm := spec.WithDefaults()
 	keys := norm.Points()
-	garbled := norm.PointIdentity(keys[0]).Key()
+	garbled := pointKey(norm.PointIdentity(keys[0]))
 	if err := store.Put(garbled, []byte(`{"identity":{"torn`)); err != nil {
 		t.Fatal(err)
 	}
-	truncated := norm.PointIdentity(keys[1]).Key()
+	truncated := pointKey(norm.PointIdentity(keys[1]))
 	if err := store.Put(truncated, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func TestPointEnvelopeMatchesReference(t *testing.T) {
 			var got []PointResult
 			for _, rec := range recs {
 				id := norm.PointIdentity(rec.PointKey)
-				b, ok, err := store.Get(id.Key())
+				b, ok, err := store.Get(pointKey(id))
 				if err != nil || !ok {
 					t.Fatalf("%s: no cache entry (err %v)", rec.PointKey, err)
 				}

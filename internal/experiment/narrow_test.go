@@ -36,8 +36,8 @@ func checkNarrow(t *testing.T, s Spec, k PointKey) {
 			t.Errorf("%s: one-point spec enumerates %v", k, pts)
 		}
 		id := got.PointIdentity(k)
-		if id.Key() != want.Key() {
-			t.Errorf("%s: identity key %s, want %s", k, id.Key(), want.Key())
+		if key, wantKey := pointKey(id), pointKey(want); key != wantKey {
+			t.Errorf("%s: identity key %s, want %s", k, key, wantKey)
 		}
 		if id.SeedFingerprint() != want.SeedFingerprint() {
 			t.Errorf("%s: seed fingerprint %x, want %x", k, id.SeedFingerprint(), want.SeedFingerprint())

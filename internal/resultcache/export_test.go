@@ -9,3 +9,9 @@ func (s *Store) Len() (int, error) {
 	}
 	return len(s.index), nil
 }
+
+// Key returns the identity's content address alone.
+func (id Identity) Key() string {
+	key, _ := id.KeyJSON()
+	return key
+}

@@ -20,7 +20,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"sprinklers/internal/registry"
 )
@@ -92,17 +91,11 @@ func (id Identity) canonicalJSON() []byte {
 	return b
 }
 
-// Key returns the content address of the identity: the SHA-256 of its
-// canonical JSON, hex-encoded. Equal identities produce equal keys; any
-// difference — an option value, the seed, the horizon — produces an
-// unrelated key.
-func (id Identity) Key() string {
-	key, _ := id.KeyJSON()
-	return key
-}
-
-// KeyJSON returns Key together with the canonical JSON it hashes. A cache
-// envelope echoes exactly these bytes, so a reader holding them checks a
+// KeyJSON returns the content address of the identity — the SHA-256 of
+// its canonical JSON, hex-encoded — together with that canonical JSON.
+// Equal identities produce equal keys; any difference — an option value,
+// the seed, the horizon — produces an unrelated key. A cache envelope
+// echoes exactly the canonical bytes, so a reader holding them checks a
 // stored identity by comparing bytes instead of decoding it.
 func (id Identity) KeyJSON() (key string, canonical []byte) {
 	canonical = id.canonicalJSON()
@@ -116,10 +109,7 @@ func (id Identity) KeyJSON() (key string, canonical []byte) {
 // replica another worker (or an earlier run) completed is findable by key,
 // locally or via peer cache fill, and is never simulated twice.
 func (id Identity) ReplicaKey(rep int) string {
-	b := id.canonicalJSON()
-	b = append(b, `{"rep":`...)
-	b = strconv.AppendInt(b, int64(rep), 10)
-	return hashKey(append(b, '}'))
+	return hashKey(fmt.Appendf(id.canonicalJSON(), `{"rep":%d}`, rep))
 }
 
 // hashKey is the lowercase hex SHA-256 of b, the form of every key.

@@ -19,7 +19,7 @@ import (
 )
 
 // Store is an on-disk content-addressed blob store. Keys are the hex
-// SHA-256 strings produced by Identity.Key; values are whatever the caller
+// SHA-256 strings produced by Identity.KeyJSON; values are whatever the caller
 // serialized (the experiment layer stores an {identity, result} envelope).
 //
 // Entries live in append-only segment files (seg-<n>.log) under the cache

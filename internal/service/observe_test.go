@@ -297,7 +297,8 @@ func TestCacheCorruptCountsEachEntryOnce(t *testing.T) {
 	}
 
 	spec := testSpec("corrupt-point").WithDefaults()
-	if err := srv.Cache().Put(spec.PointIdentity(spec.Points()[0]).Key(), []byte(`{"identity":{"torn`)); err != nil {
+	key, _ := spec.PointIdentity(spec.Points()[0]).KeyJSON()
+	if err := srv.Cache().Put(key, []byte(`{"identity":{"torn`)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Run(context.Background(), spec, nil); err != nil {
