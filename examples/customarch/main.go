@@ -13,6 +13,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 
 	"sprinklers/internal/experiment"
@@ -78,6 +79,15 @@ func init() {
 }
 
 func main() {
+	if err := run(os.Stdout, 20_000); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run sweeps the two toy-oq variants against Sprinklers with the given
+// measured slots per point and renders the curves to w.
+func run(w io.Writer, slots sim.Slot) error {
 	spec := experiment.Spec{
 		Name: "customarch",
 		Algorithms: []experiment.AlgorithmSpec{
@@ -89,23 +99,21 @@ func main() {
 		Loads:    []float64{0.3, 0.6, 0.9},
 		Sizes:    []int{16},
 		Replicas: 3,
-		Slots:    20_000,
+		Slots:    slots,
 		Seed:     1,
 	}
-
 	results, err := experiment.RunStudy(context.Background(), spec, experiment.StudyConfig{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-
-	fmt.Println("Registered toy architecture vs Sprinklers, uniform traffic, N=16")
-	fmt.Println()
-	experiment.RenderStudyCurves(os.Stdout, results)
-	fmt.Println(`
+	fmt.Fprintln(w, "Registered toy architecture vs Sprinklers, uniform traffic, N=16")
+	fmt.Fprintln(w)
+	experiment.RenderStudyCurves(w, results)
+	_, err = fmt.Fprintln(w, `
 "toy-oq" exists only in this program: one RegisterArchitecture call made it
 a first-class citizen of the Spec language, with its "latency" option
 validated against the declared schema and the two variants kept apart by
 their "as" labels. Registering a real architecture works the same way —
 see the "Extending the harness" section of the README.`)
+	return err
 }

@@ -182,7 +182,7 @@ func TestClusterMatchesLocalByteIdentical(t *testing.T) {
 // crashed (incomplete) replica must be the ONLY one recomputed: the total
 // computed across all nodes stays exactly points x replicas.
 func TestWorkerCrashMidReplicaFailsOver(t *testing.T) {
-	plan := faultinject.NewPlan(1).CrashWorkerAt(2, 150)
+	plan := faultinject.NewPlan().CrashWorkerAt(2, 150)
 	w1 := newNode(t, service.Options{Fault: plan})
 	w2 := newNode(t, service.Options{})
 	coordinator, coord := newCoordinator(t, fastOptions(w1.url(), w2.url()), service.Options{})
@@ -238,7 +238,7 @@ func TestWorkerCrashMidReplicaFailsOver(t *testing.T) {
 // injected connection error. Retries (with backoff) must absorb all of it:
 // same bytes, no duplicate simulation.
 func TestInjectedTransportErrorsAreRetried(t *testing.T) {
-	plan := faultinject.NewPlan(3).FailEveryNth(2)
+	plan := faultinject.NewPlan().FailEveryNth(2)
 	copts := fastOptions() // workers added below; transport wraps dispatches only
 	copts.Transport = &faultinject.Transport{
 		Plan:  plan,
@@ -515,7 +515,7 @@ func TestStragglerSpeculativeTail(t *testing.T) {
 			healthyWall := time.Since(baseStart)
 
 			// Straggler run.
-			straggler := newNode(t, service.Options{JobSlots: 1, Fault: faultinject.NewPlan(1).DelayJobs(time.Second)})
+			straggler := newNode(t, service.Options{JobSlots: 1, Fault: faultinject.NewPlan().DelayJobs(time.Second)})
 			healthy := newNode(t, service.Options{})
 			coordinator, coord := newCoordinator(t, specOpts(straggler.url(), healthy.url()), sopts)
 			join(straggler, coordinator)

@@ -145,7 +145,7 @@ func TestSlowJobWarningWithoutSpeculation(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
 
 	wFast := newNode(t, service.Options{Node: "fast"})
-	wSlow := newNode(t, service.Options{Node: "slow", Fault: faultinject.NewPlan(1).DelayJobs(150 * time.Millisecond)})
+	wSlow := newNode(t, service.Options{Node: "slow", Fault: faultinject.NewPlan().DelayJobs(150 * time.Millisecond)})
 	// Speculate stays off: no backups, but the latency percentile
 	// still drives slow-job warnings.
 	coordinator, coord := newCoordinator(t, fastOptions(wFast.url()),

@@ -50,9 +50,7 @@ func TestAdaptiveShrinksAfterCooldown(t *testing.T) {
 	const n = 16
 	sw := adaptiveSwitch(t, n, 1024)
 	hot := traffic.NewMatrix(singleFlow(n, 0, 1, 0.6))
-	src := traffic.NewPhased(n, rand.New(rand.NewSource(83))).
-		AddPhase(hot, 40000).
-		AddPhase(traffic.Uniform(n, 0.01), 80000)
+	src := shiftingSource(40000, rand.New(rand.NewSource(83)), hot, traffic.Uniform(n, 0.01))
 	for tt := 0; tt < 120000; tt++ {
 		src.Next(int64ToSlot(tt), sw.Arrive)
 		sw.Step(nil)
@@ -68,11 +66,8 @@ func TestAdaptiveShrinksAfterCooldown(t *testing.T) {
 func TestAdaptiveOrderAcrossResizes(t *testing.T) {
 	const n = 16
 	sw := adaptiveSwitch(t, n, 512)
-	src := traffic.NewPhased(n, rand.New(rand.NewSource(84))).
-		AddPhase(traffic.Uniform(n, 0.2), 30000).
-		AddPhase(traffic.Diagonal(n, 0.85), 30000).
-		AddPhase(traffic.Uniform(n, 0.1), 30000).
-		AddPhase(traffic.Zipf(n, 0.7, 1.2), 30000)
+	src := shiftingSource(30000, rand.New(rand.NewSource(84)), traffic.Uniform(n, 0.2),
+		traffic.Diagonal(n, 0.85), traffic.Uniform(n, 0.1), traffic.Zipf(n, 0.7, 1.2))
 	maxSeen := map[[2]int]int64{}
 	reordered := 0
 	for tt := 0; tt < 120000; tt++ {

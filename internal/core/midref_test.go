@@ -214,8 +214,7 @@ func TestCenterStageMatchesReference(t *testing.T) {
 			name: "flip/N-32", n: n, rates: zipf, slots: 4 * phase,
 			adaptive: &AdaptiveConfig{Window: 500, Gamma: 0.5, HoldWindows: 2},
 			source: func(rng *rand.Rand) sim.Source {
-				return traffic.NewPhased(n, rng).AddPhase(zipf, phase).AddPhase(diag, phase).
-					AddPhase(zipf, phase).AddPhase(diag, phase)
+				return shiftingSource(phase, rng, zipf, diag, zipf, diag)
 			},
 		})
 	}

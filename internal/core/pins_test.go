@@ -42,10 +42,7 @@ func TestDeliveryTracePins(t *testing.T) {
 			Rand:      rand.New(rand.NewSource(201)),
 			Adaptive:  &AdaptiveConfig{Window: 500, Gamma: 0.5, HoldWindows: 2},
 		})
-		src := traffic.NewPhased(n, rand.New(rand.NewSource(202)))
-		for at := 0; at < slots; at += 2 * phase {
-			src.AddPhase(zipf, phase).AddPhase(diag, phase)
-		}
+		src := shiftingSource(phase, rand.New(rand.NewSource(202)), zipf, diag, zipf, diag)
 		h := fnv.New64a()
 		var rec [40]byte
 		delivered := 0

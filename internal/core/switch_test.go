@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sprinklers/internal/registry"
 	"sprinklers/internal/sim"
 	"sprinklers/internal/switchtest"
 	"sprinklers/internal/traffic"
@@ -23,6 +24,16 @@ func rowsOf(m *traffic.Matrix) [][]float64 {
 		rates[i] = m.Row(i)
 	}
 	return rates
+}
+
+// shiftingSource draws Bernoulli arrivals from ms[0] and switches to ms[k]
+// at slot k*phase, numbering every flow on across the switches.
+func shiftingSource(phase sim.Slot, rng *rand.Rand, ms ...*traffic.Matrix) *traffic.Dynamic {
+	var shifts []registry.Event
+	for k, m := range ms[1:] {
+		shifts = append(shifts, registry.Event{At: sim.Slot(k+1) * phase, Rates: rowsOf(m)})
+	}
+	return traffic.NewDynamic(ms[0], shifts, 0, rng)
 }
 
 func newSwitch(t *testing.T, n int, m *traffic.Matrix, sched Scheduler, seed int64) *Switch {

@@ -139,8 +139,8 @@ func TestRenderers(t *testing.T) {
 }
 
 // TestFig6Fig7Wrappers runs the Figure 6 and 7 built-in studies at a tiny
-// horizon with only Loads and Slots overridden, as examples/comparison
-// does: one point per paper curve, in the paper's legend order.
+// horizon with only Loads and Slots overridden: one point per paper curve,
+// in the paper's legend order.
 func TestFig6Fig7Wrappers(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {

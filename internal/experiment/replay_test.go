@@ -132,28 +132,28 @@ func TestAnalyzeRecovery(t *testing.T) {
 		}
 		return out
 	}
-	r := AnalyzeRecovery(mk(10, 11, 50, 30, 14, 12))
+	r := analyzeRecovery(mk(10, 11, 50, 30, 14, 12))
 	if r.Baseline != 10 || r.Peak != 50 || r.PeakWindow != 2 {
 		t.Fatalf("baseline/peak wrong: %+v", r)
 	}
 	if !r.Disturbed || !r.Recovered || r.RecoveredWindow != 4 {
 		t.Fatalf("recovery wrong: %+v", r)
 	}
-	r = AnalyzeRecovery(mk(10, 11, 50, 40, 35, 30))
+	r = analyzeRecovery(mk(10, 11, 50, 40, 35, 30))
 	if !r.Disturbed || r.Recovered {
 		t.Fatalf("series never settles but Recovered: %+v", r)
 	}
 	// A series that never leaves the baseline band is not "recovered at
 	// its peak" — it was never disturbed at all. (A flatter, later peak
 	// must not read as a slower recovery than a tall early one.)
-	r = AnalyzeRecovery(mk(10, 11, 12, 14, 11))
+	r = analyzeRecovery(mk(10, 11, 12, 14, 11))
 	if r.Disturbed || r.Recovered {
 		t.Fatalf("undisturbed series misreported: %+v", r)
 	}
 	if r.Peak != 14 || r.PeakWindow != 3 {
 		t.Fatalf("undisturbed peak wrong: %+v", r)
 	}
-	r = AnalyzeRecovery(nil)
+	r = analyzeRecovery(nil)
 	if r.Disturbed || r.Recovered || r.Peak != 0 {
 		t.Fatalf("empty series: %+v", r)
 	}

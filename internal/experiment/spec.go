@@ -265,13 +265,12 @@ func bare[K seriesName](names []K) []Series[K] {
 	return out
 }
 
-// AdaptiveSprinklers is the tuned adaptive-Sprinklers series the dynamic
-// comparisons share (the flashcrowd builtin and examples/flashcrowd). The
-// default 4*N*N measurement window is only 256 slots at N=8 — too noisy to
-// hold a stripe size steady — so the series pins a 1024-slot window with a
-// one-window hold, which tracks a crowd without thrashing at the small
-// sizes these studies run at.
-func AdaptiveSprinklers() AlgorithmSpec {
+// adaptiveSprinklers is the tuned adaptive-Sprinklers series of the
+// flashcrowd builtin. The default 4*N*N measurement window is only 256
+// slots at N=8 — too noisy to hold a stripe size steady — so the series
+// pins a 1024-slot window with a one-window hold, which tracks a crowd
+// without thrashing at the small sizes these studies run at.
+func adaptiveSprinklers() AlgorithmSpec {
 	return AlgorithmSpec{
 		Name: Sprinklers,
 		As:   "sprinklers-adaptive",
@@ -774,7 +773,7 @@ func BuiltinSpec(name string) (Spec, error) {
 			Name: "flashcrowd", Kind: SimStudy,
 			Algorithms: []AlgorithmSpec{
 				{Name: Sprinklers},
-				AdaptiveSprinklers(),
+				adaptiveSprinklers(),
 				{Name: LoadBalanced},
 			},
 			Traffic:   Traffics(UniformTraffic),

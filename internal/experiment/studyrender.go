@@ -263,7 +263,7 @@ func RenderTrajectory(w io.Writer, rs []PointResult) {
 			fmt.Fprintln(w)
 		}
 		for _, p := range pts {
-			rec := AnalyzeRecovery(p.Windows)
+			rec := analyzeRecovery(p.Windows)
 			fmt.Fprintf(w, "%-20s baseline %.1f  peak %.1f (w%d)",
 				p.Algorithm, rec.Baseline, rec.Peak, rec.PeakWindow)
 			switch {
@@ -278,11 +278,11 @@ func RenderTrajectory(w io.Writer, rs []PointResult) {
 	}
 }
 
-// Recovery summarizes a trajectory's response to a disturbance: the
+// recovery summarizes a trajectory's response to a disturbance: the
 // pre-event baseline (the first window's mean delay), the worst window,
 // whether the series ever left the recovery band max(1.5 x baseline,
 // baseline + 1 slot) at all, and — if it did — when it settled back.
-type Recovery struct {
+type recovery struct {
 	// Baseline is the first window's mean delay, in slots.
 	Baseline float64
 	// Peak is the largest window mean delay and PeakWindow its index.
@@ -302,9 +302,9 @@ type Recovery struct {
 	RecoveredWindow int
 }
 
-// AnalyzeRecovery computes the Recovery summary of a trajectory.
-func AnalyzeRecovery(ws []stats.WindowPoint) Recovery {
-	var r Recovery
+// analyzeRecovery computes the recovery summary of a trajectory.
+func analyzeRecovery(ws []stats.WindowPoint) recovery {
+	var r recovery
 	if len(ws) == 0 {
 		return r
 	}

@@ -16,16 +16,27 @@ func client(p *Plan) *http.Client {
 	return &http.Client{Transport: &Transport{Plan: p}}
 }
 
+// TestFailFirstRequestsInjectsConnectionErrors: under FailEveryNth(2) the
+// second and fourth requests fail with an injected connection error that
+// wraps ECONNREFUSED, the others reach the server, and Injected counts the
+// two failures.
 func TestFailFirstRequestsInjectsConnectionErrors(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok")
 	}))
 	defer ts.Close()
 
-	p := NewPlan(7).FailFirstRequests(2)
+	p := NewPlan().FailEveryNth(2)
 	c := client(p)
-	for i := 0; i < 2; i++ {
-		_, err := c.Get(ts.URL)
+	for i := 1; i <= 4; i++ {
+		resp, err := c.Get(ts.URL)
+		if i%2 == 1 {
+			if err != nil {
+				t.Fatalf("request %d should pass: %v", i, err)
+			}
+			resp.Body.Close()
+			continue
+		}
 		if err == nil {
 			t.Fatalf("request %d: want injected error, got nil", i)
 		}
@@ -33,69 +44,13 @@ func TestFailFirstRequestsInjectsConnectionErrors(t *testing.T) {
 			t.Fatalf("request %d: want ECONNREFUSED in chain, got %v", i, err)
 		}
 	}
-	resp, err := c.Get(ts.URL)
-	if err != nil {
-		t.Fatalf("third request should pass: %v", err)
-	}
-	resp.Body.Close()
 	if got := p.Injected(); got != 2 {
 		t.Fatalf("Injected() = %d, want 2", got)
 	}
 }
 
-func TestFailWithProbabilityIsDeterministic(t *testing.T) {
-	decide := func(seed int64) []bool {
-		p := NewPlan(seed).FailWithProbability(0.5)
-		out := make([]bool, 32)
-		for i := range out {
-			out[i] = p.nextRequest().fail
-		}
-		return out
-	}
-	a, b := decide(42), decide(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at request %d", i)
-		}
-	}
-	c := decide(43)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical decision sequences")
-	}
-}
-
-func TestCutResponseBodyFailsMidStream(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, strings.Repeat("x", 1024))
-	}))
-	defer ts.Close()
-
-	p := NewPlan(1).CutResponseBody(1, 100)
-	resp, err := client(p).Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err == nil {
-		t.Fatalf("want mid-stream error, read %d bytes cleanly", len(b))
-	}
-	if !errors.Is(err, syscall.ECONNRESET) {
-		t.Fatalf("want ECONNRESET in chain, got %v", err)
-	}
-	if len(b) != 100 {
-		t.Fatalf("read %d bytes before the cut, want 100", len(b))
-	}
-}
-
 func TestCrashWorkerAtSlotFiresOnceAndGoesDead(t *testing.T) {
-	p := NewPlan(1).CrashWorkerAt(2, 3)
+	p := NewPlan().CrashWorkerAt(2, 3)
 	if c := p.JobStarted(); c != nil {
 		t.Fatal("job 1 should not crash")
 	}
@@ -140,7 +95,7 @@ func TestMatchLimitsInjection(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	p := NewPlan(1).FailFirstRequests(100)
+	p := NewPlan().FailEveryNth(1)
 	c := &http.Client{Transport: &Transport{
 		Plan:  p,
 		Match: func(r *http.Request) bool { return strings.HasPrefix(r.URL.Path, "/api/") },
@@ -156,7 +111,7 @@ func TestMatchLimitsInjection(t *testing.T) {
 }
 
 func TestDelayJobs(t *testing.T) {
-	p := NewPlan(1)
+	p := NewPlan()
 	if d := p.JobStall(); d != 0 {
 		t.Fatalf("fresh plan delays jobs by %v, want 0", d)
 	}

@@ -18,26 +18,18 @@ import (
 // Client talks to a sprinklerd daemon. It is what `sweep -remote` uses: a
 // spec built locally is submitted, progress is streamed, and the returned
 // results feed the exact same renderers the local path uses — so remote
-// and local output are byte-identical for the same spec.
+// and local output are byte-identical for the same spec. Requests go
+// through http.DefaultClient, which has no timeout: streams run as long as
+// their context allows.
 type Client struct {
 	// BaseURL is the daemon address, e.g. "http://127.0.0.1:8356".
 	BaseURL string
-	// HTTPClient defaults to http.DefaultClient. Streaming requests rely
-	// on the client's default (no) timeout; use context deadlines instead.
-	HTTPClient *http.Client
 	// Retry shapes transient-failure handling: connection errors, 5xx
 	// responses and dropped SSE streams are retried with capped
 	// exponential backoff and jitter (safe for every endpoint — study
 	// submission deduplicates on the spec's content hash). The zero value
 	// uses the defaults; see RetryPolicy.
 	Retry RetryPolicy
-}
-
-func (c *Client) httpc() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
 }
 
 func (c *Client) url(path string) string {
@@ -199,7 +191,7 @@ func (c *Client) streamOnce(ctx context.Context, id string, from int, fn func(Pr
 	if err != nil {
 		return "", 0, err
 	}
-	resp, err := c.httpc().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return "", 0, err
 	}

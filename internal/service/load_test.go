@@ -56,7 +56,7 @@ func slotsPerSec(srv *Server) float64 { return math.Float64frombits(srv.simRate.
 // queues, and the load gauges must track the whole episode — queue 1 and
 // inflight 1 while the slot is busy, all zero once both jobs finish.
 func TestQueuedJobLoadGauges(t *testing.T) {
-	srv, base := newLoadTestServer(t, Options{JobSlots: 1, Fault: faultinject.NewPlan(1).DelayJobs(300 * time.Millisecond)})
+	srv, base := newLoadTestServer(t, Options{JobSlots: 1, Fault: faultinject.NewPlan().DelayJobs(300 * time.Millisecond)})
 	spec := testSpec("queued-job-load")
 
 	post := func(rep int) chan *http.Response {

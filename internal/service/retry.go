@@ -117,7 +117,7 @@ func (c *Client) do(ctx context.Context, build func() (*http.Request, error)) (*
 		if err != nil {
 			return nil, err
 		}
-		resp, err := c.httpc().Do(req.WithContext(ctx))
+		resp, err := http.DefaultClient.Do(req.WithContext(ctx))
 		if err == nil {
 			if resp.StatusCode/100 == 2 {
 				return resp, nil

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"runtime"
 	"sort"
 	"sync"
@@ -114,10 +113,6 @@ type Options struct {
 	// SweepInterval (default 1m) whenever the bound is exceeded.
 	CacheMaxBytes int64
 	SweepInterval time.Duration
-
-	// PeerHTTP overrides the HTTP client used for worker→peer cache reads
-	// (tests inject fault transports here); nil means http.DefaultClient.
-	PeerHTTP *http.Client
 }
 
 // Server owns the daemon state: the result cache, the lifetime counters,
@@ -146,7 +141,6 @@ type Server struct {
 
 	cluster     *cluster.Coordinator
 	fault       *faultinject.Plan
-	peerHTTP    *http.Client
 	stopSweeper func()
 
 	// counters holds the work that is not attributable to one study: jobs
@@ -222,7 +216,6 @@ func New(opts Options) (*Server, error) {
 		hCachePut:  stats.NewHistogram("sprinklerd_cache_put_seconds", "Latency of result-cache writes (CAS stores)."),
 		cluster:    opts.Cluster,
 		fault:      opts.Fault,
-		peerHTTP:   opts.PeerHTTP,
 		jobSlots:   make(chan struct{}, slots),
 		baseCtx:    ctx,
 		baseCancel: cancel,

@@ -422,7 +422,7 @@ func TestRenderEndpoint(t *testing.T) {
 
 func httpGet(t *testing.T, c *Client, path string) string {
 	t.Helper()
-	resp, err := c.httpc().Get(c.url(path))
+	resp, err := http.DefaultClient.Get(c.url(path))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,7 +202,7 @@ func (s *Server) serveReplica(ctx context.Context, spec experiment.Spec, id resu
 		for len(*peers) > 0 {
 			peer := (*peers)[0]
 			pctx, cancel := context.WithTimeout(ctx, peerFillTimeout)
-			b, err := cluster.FetchCAS(pctx, s.peerClient(), peer, rkey)
+			b, err := cluster.FetchCAS(pctx, http.DefaultClient, peer, rkey)
 			cancel()
 			p, valid := experiment.Point{}, false
 			if err == nil && b != nil {
@@ -317,14 +317,6 @@ func (s *Server) simulate(ctx context.Context, spec experiment.Spec, key experim
 		s.hJobExec.Observe(time.Since(simStart))
 	}
 	return p, err
-}
-
-// peerClient is the HTTP client for worker→peer CAS reads.
-func (s *Server) peerClient() *http.Client {
-	if s.peerHTTP != nil {
-		return s.peerHTTP
-	}
-	return http.DefaultClient
 }
 
 // casKeyRe matches a content address (or replica key): lowercase sha256

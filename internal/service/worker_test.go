@@ -514,7 +514,7 @@ func TestJobEndpointRejectsRangePastReplicas(t *testing.T) {
 // during its chaos delay answers 503 and still ends the job span and
 // journals it, so the expired job shows up in the worker's trace.
 func TestExpiredChaosDelayJournalsSpans(t *testing.T) {
-	srv, err := New(Options{CacheDir: t.TempDir(), Fault: faultinject.NewPlan(1).DelayJobs(time.Second)})
+	srv, err := New(Options{CacheDir: t.TempDir(), Fault: faultinject.NewPlan().DelayJobs(time.Second)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,14 +31,3 @@ func ExampleNewBernoulli() {
 	// Output:
 	// arrivals over 10 slots at load 1.0: 40
 }
-
-// ExamplePhased shifts the workload mid-run while keeping per-flow
-// sequence numbers continuous — the input for adaptive-resizing studies.
-func ExamplePhased() {
-	src := traffic.NewPhased(8, rand.New(rand.NewSource(2))).
-		AddPhase(traffic.Uniform(8, 0.2), 1000).
-		AddPhase(traffic.Diagonal(8, 0.8), 1000)
-	fmt.Println("total slots:", src.TotalSlots())
-	// Output:
-	// total slots: 2000
-}

@@ -12,7 +12,7 @@ import (
 // TestSourcesNumberFlowsConsecutively checks the contract a switch's VOQ
 // relies on to derive a buffered packet's Seq from its queue position: every
 // source numbers each (In, Out) flow 0, 1, 2 … with no gap and no repeat,
-// across a matrix swap, a link failure and recovery, and a phase boundary.
+// across a matrix swap and a link failure and recovery.
 func TestSourcesNumberFlowsConsecutively(t *testing.T) {
 	const slots = 1500
 	for _, n := range []int{8, 32} {
@@ -31,9 +31,6 @@ func TestSourcesNumberFlowsConsecutively(t *testing.T) {
 			},
 			"dynamic-onoff": func(rng *rand.Rand) sim.Source {
 				return NewDynamic(Uniform(n, 0.6), events(), 4, rng)
-			},
-			"phased": func(rng *rand.Rand) sim.Source {
-				return NewPhased(n, rng).AddPhase(Uniform(n, 0.9), slots/2).AddPhase(Diagonal(n, 0.9), slots/2)
 			},
 		}
 		for name, build := range sources {

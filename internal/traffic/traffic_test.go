@@ -183,7 +183,6 @@ func TestMatrixRowHandlingIsDefensive(t *testing.T) {
 	before := m.Rows()
 	NewBernoulli(m, rand.New(rand.NewSource(1)))
 	NewOnOff(m, 8, rand.New(rand.NewSource(2)))
-	NewPhased(8, rand.New(rand.NewSource(3))).AddPhase(m, 100)
 	row := m.Row(2)
 	for j := range row {
 		row[j] = -1
@@ -257,34 +256,5 @@ func TestOnOffIsBursty(t *testing.T) {
 	mean := float64(runLen) / float64(runs)
 	if mean < 8 {
 		t.Errorf("mean burst length %v, want >= 8 for meanBurst=32", mean)
-	}
-}
-
-func TestPhasedSeqContinuity(t *testing.T) {
-	p := NewPhased(2, rand.New(rand.NewSource(21))).
-		AddPhase(Uniform(2, 0.8), 5000).
-		AddPhase(Uniform(2, 0.3), 5000)
-	if p.TotalSlots() != 10000 {
-		t.Fatalf("TotalSlots = %d", p.TotalSlots())
-	}
-	next := [2][2]uint64{}
-	var inPhase2 int
-	for tt := sim.Slot(0); tt < 12000; tt++ {
-		p.Next(tt, func(pkt sim.Packet) {
-			if tt >= 10000 {
-				t.Fatal("arrival beyond final phase")
-			}
-			if tt >= 5000 {
-				inPhase2++
-			}
-			if pkt.Seq != next[pkt.In][pkt.Out] {
-				t.Fatalf("flow (%d,%d) seq %d, want %d (phase boundary reset?)",
-					pkt.In, pkt.Out, pkt.Seq, next[pkt.In][pkt.Out])
-			}
-			next[pkt.In][pkt.Out]++
-		})
-	}
-	if inPhase2 == 0 {
-		t.Fatal("phase 2 produced no arrivals")
 	}
 }

@@ -76,6 +76,23 @@ func TestFacadeListsBuiltinScenarios(t *testing.T) {
 	}
 }
 
+// TestEveryProgramHasATest: a program tier-1 never runs can rot unseen and
+// still count as a production caller for the export gate, so every
+// package main under cmd/ and examples/ must have a _test.go file.
+func TestEveryProgramHasATest(t *testing.T) {
+	programs := goList(t, "-f",
+		`{{if eq .Name "main"}}{{.ImportPath}}:{{if or .TestGoFiles .XTestGoFiles}}tested{{end}}{{end}}`,
+		"./cmd/...", "./examples/...")
+	if len(programs) == 0 {
+		t.Fatal("found no package main under cmd/ or examples/")
+	}
+	for _, p := range programs {
+		if path, tested, _ := strings.Cut(p, ":"); tested == "" {
+			t.Errorf("%s has no _test.go file", path)
+		}
+	}
+}
+
 // goList runs `go list` with args and returns the import paths it prints.
 func goList(t *testing.T, args ...string) []string {
 	t.Helper()

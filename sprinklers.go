@@ -18,8 +18,8 @@
 //
 // The package is a facade: it re-exports the stable surface of the internal
 // packages so that a downstream user needs a single import. See the
-// examples/ directory for runnable programs and cmd/ for the experiment
-// binaries that regenerate every table and figure in the paper.
+// package examples for walkthroughs and cmd/ for the experiment binaries
+// that regenerate every table and figure in the paper.
 //
 // # Quick start
 //
