@@ -247,9 +247,10 @@ func TestResizeRecut(t *testing.T) {
 					if sched == GatedLSF {
 						seq = delivered
 					}
-					want := packet{In: 2, Out: 5, Seq: uint64(seq), StripeSize: int32(tc.size)}
-					if d.Packet != want || seen[seq] {
-						t.Fatalf("%v %+v: delivery %d is %+v, want %+v once", sched, tc, delivered, d.Packet, want)
+					want := packet{In: 2, Out: 5, Seq: uint64(seq)}
+					if d.Packet != want || int(sw.header) != tc.size || seen[seq] {
+						t.Fatalf("%v %+v: delivery %d is %+v with header %d, want %+v with header %d once",
+							sched, tc, delivered, d.Packet, sw.header, want, tc.size)
 					}
 					seen[seq] = true
 					delivered++

@@ -84,9 +84,8 @@ func (m *blockModel) send(i, out, k int, rng *rand.Rand) bool {
 	}
 	c := cell{
 		pkt: sim.Packet{Seq: m.seq[i*m.n+st.out], Arrival: sim.Slot(rng.Intn(1000)),
-			In: int32(i), Out: int32(st.out), StripeSize: int32(st.iv.Size)},
-		stripeID: st.id,
-		formed:   st.formed,
+			In: int32(i), Out: int32(st.out)},
+		formed: st.formed,
 	}
 	m.seq[i*m.n+st.out]++
 	l := st.iv.Start + st.sent
@@ -94,9 +93,9 @@ func (m *blockModel) send(i, out, k int, rng *rand.Rand) bool {
 		m.sw.mid.write(i, &stripe{id: st.id, iv: st.iv, formed: st.formed, out: int32(st.out), served: int32(st.sent)},
 			queue.Record{Arrival: c.pkt.Arrival}, c.pkt.Seq)
 	} else {
-		m.sw.mid.enqueue(l, c)
+		m.sw.mid.enqueue(l, 0, c)
 	}
-	m.ref.enqueue(l, c)
+	m.ref.enqueue(l, dyadic.Log2(st.iv.Size), c)
 	if st.sent == 0 && st.iv.Size > 1 {
 		b := m.sw.mid.sending[i]
 		k := dyadic.Log2(st.iv.Size)
@@ -123,10 +122,10 @@ func (m *blockModel) pop(j int) bool {
 		return false
 	}
 	wasServing := m.ref.grids[j]
-	got, gotOK := m.sw.mid.popOutputGated(j, sim.Slot((row-j+m.n)%m.n))
-	want, wantOK := m.ref.pop(j, row)
-	if got != want || gotOK != wantOK {
-		m.t.Fatalf("output %d row %d: departed %+v (%v), reference %+v (%v)", j, row, got, gotOK, want, wantOK)
+	got, gotSize := m.sw.mid.popOutputGated(j, sim.Slot((row-j+m.n)%m.n))
+	want, wantSize := m.ref.pop(j, row)
+	if got != want || gotSize != wantSize {
+		m.t.Fatalf("output %d row %d: departed %+v (size %d), reference %+v (size %d)", j, row, got, gotSize, want, wantSize)
 	}
 	if wasServing.serving && !m.ref.grids[j].serving {
 		m.live[dyadic.Log2(wasServing.iv.Size)]--

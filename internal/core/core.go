@@ -175,6 +175,11 @@ type Switch struct {
 
 	adaptive  *adaptiveState
 	breakdown breakdown
+
+	// header is the stripe-size header (Sec. 3.4.3) of the packet emit is
+	// delivering, set before the deliver callback runs. sim.Packet has no
+	// room for it, so the white-box tests read it here from their callbacks.
+	header int32
 }
 
 // New builds a Sprinklers switch from cfg.
@@ -300,12 +305,13 @@ func (s *Switch) Step(deliver sim.DeliverFunc) {
 	s.t++
 }
 
-// emit completes the departure of a cell popped from the intermediate
-// stage: delay accounting, adaptive clearance bookkeeping, and the caller's
-// delivery callback.
-func (s *Switch) emit(c cell, t sim.Slot, deliver sim.DeliverFunc) {
+// emit completes the departure of a cell of a stripe of the given size
+// popped from the intermediate stage: delay accounting, adaptive clearance
+// bookkeeping, and the caller's delivery callback.
+func (s *Switch) emit(c cell, size int, t sim.Slot, deliver sim.DeliverFunc) {
 	s.breakdown.record(c, t)
 	s.onDelivered(c.pkt)
+	s.header = int32(size)
 	if deliver != nil {
 		deliver(sim.Delivery{Packet: c.pkt, Depart: t})
 	}

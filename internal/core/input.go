@@ -9,18 +9,19 @@ import (
 	"sprinklers/internal/sim"
 )
 
-// cell is a packet annotated with the identity of the stripe it belongs to.
-// The stripe id exists only inside the switch; it powers the lockstep
-// assertions that prove the gated scheduler never interleaves stripes. Cells
-// are what the greedy scheduler and every size-1 stripe queue, at the inputs
-// and in the center stage. A packet of a gated multi-packet stripe is a cell
-// only where it leaves the switch (midStage.take): before that it is a
-// 8-byte record in its VOQ's chunk and then in its stripe's center-stage
-// block, and the queue position and the stripe know the rest.
+// cell is a packet annotated with the slot its stripe was completed, which
+// the delay breakdown reads. Cells are what the greedy scheduler and every
+// size-1 stripe queue, at the inputs and in the center stage. A packet of a
+// gated multi-packet stripe is a cell only where it leaves the switch
+// (midStage.take): before that it is a 8-byte record in its VOQ's chunk and
+// then in its stripe's center-stage block, and the queue position and the
+// stripe know the rest. The stripe-size header of Sec. 3.4.3 is not in the
+// cell: the queue a cell sits in is indexed by it, so whoever pops the cell
+// knows it. That keeps a cell at 2 fields and 32 bytes, which the compiler
+// passes and copies in registers.
 type cell struct {
-	pkt      sim.Packet
-	stripeID uint64
-	formed   sim.Slot // slot the packet's stripe was completed
+	pkt    sim.Packet
+	formed sim.Slot // slot the packet's stripe was completed
 }
 
 // inputPort holds one input port's VOQs, the chunk pool their packets are
@@ -122,9 +123,7 @@ func (in *inputPort) arrive(p sim.Packet) {
 		// descriptor and the voqState line itself. At large N nearly every
 		// VOQ stripes at size 1, which makes this the hottest branch in the
 		// simulator.
-		p.StripeSize = 1
-		c := cell{pkt: p, stripeID: in.nextStripeID, formed: in.sw.t}
-		in.nextStripeID++
+		c := cell{pkt: p, formed: in.sw.t}
 		if in.sw.adaptive != nil {
 			in.voqs[p.Out].committed++
 		}
@@ -184,17 +183,12 @@ func (in *inputPort) schedule(v *voqState, st stripe) {
 }
 
 // pop takes the packet at the head of v's queue and rebuilds it as the next
-// cell of stripe st. The packet is one literal, stripe-size header included:
-// Record.Packet followed by a store of the header copies the packet once
-// more, which BenchmarkStripedSwitchStep showed as 5 % of a slot when every
-// gated packet still came through here.
+// cell of stripe st.
 func (in *inputPort) pop(v *voqState, st *stripe) cell {
 	r, seq := v.q.Pop(&in.chunks)
 	return cell{
-		pkt: sim.Packet{Seq: seq, Arrival: r.Arrival,
-			In: int32(in.i), Out: st.out, StripeSize: int32(st.iv.Size)},
-		stripeID: st.id,
-		formed:   st.formed,
+		pkt:    sim.Packet{Seq: seq, Arrival: r.Arrival, In: int32(in.i), Out: st.out},
+		formed: st.formed,
 	}
 }
 
@@ -206,14 +200,14 @@ func (in *inputPort) pop(v *voqState, st *stripe) cell {
 func (in *inputPort) transmit(t sim.Slot, ms *midStage) {
 	l := in.sw.firstStage(in.i, t)
 	if in.sw.cfg.Scheduler != GatedLSF {
-		if c, ok := in.serveGreedy(l); ok {
-			ms.enqueue(l, c)
+		if c, k := in.serveGreedy(l); k >= 0 {
+			ms.enqueue(l, k, c)
 		}
 		return
 	}
 	switch in.pick(l) {
 	case sendSingle:
-		ms.enqueue(l, in.takeSingle(l))
+		ms.enqueue(l, 0, in.takeSingle(l))
 	case sendStriped:
 		r, seq := in.voqs[in.cur.out].q.Pop(&in.chunks)
 		ms.write(in.i, &in.cur, r, seq)
@@ -279,21 +273,24 @@ func (in *inputPort) advance() {
 	in.buffered--
 }
 
-func (in *inputPort) serveGreedy(l int) (cell, bool) {
+// serveGreedy pops the cell the greedy scheduler sends to intermediate port
+// l and returns it with log2 of its stripe's size, or k = -1 when the row is
+// empty.
+func (in *inputPort) serveGreedy(l int) (c cell, k int) {
 	bm := in.bitmap[l]
 	if bm == 0 {
-		return cell{}, false
+		return cell{}, -1
 	}
 	// "First one from the right" of Fig. 4: the largest stripe size with a
 	// packet queued for this row.
-	k := bits.Len64(bm) - 1
+	k = bits.Len64(bm) - 1
 	q := l*in.sw.levels + k
-	c := in.rows.Pop(q)
+	c = in.rows.Pop(q)
 	if in.rows.Empty(q) {
 		in.bitmap[l] &^= 1 << uint(k)
 	}
 	in.buffered--
-	return c, true
+	return c, k
 }
 
 // queuedStripes reports, for tests, the number of completed stripes waiting

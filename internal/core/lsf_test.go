@@ -56,8 +56,8 @@ func TestStripeHeaderSet(t *testing.T) {
 		sw.Step(func(d delivery) {
 			checked++
 			want := sw.StripeSizeOf(int(d.Packet.In), int(d.Packet.Out))
-			if int(d.Packet.StripeSize) != want {
-				t.Fatalf("packet header %d, VOQ stripe size %d", d.Packet.StripeSize, want)
+			if int(sw.header) != want {
+				t.Fatalf("packet header %d, VOQ stripe size %d", sw.header, want)
 			}
 		})
 	}

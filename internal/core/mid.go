@@ -16,8 +16,10 @@ import (
 // size) pair — the same data structure as the input ports, with each
 // instance's rows distributed across the N intermediate ports. The only
 // cross-port information used is the stripe size carried in each packet's
-// internal header, exactly the log2 log2 N bits the paper budgets; the
-// stripe id is carried alongside purely to power runtime assertions.
+// internal header, exactly the log2 log2 N bits the paper budgets. The
+// simulator carries it as the size index of the queue a packet sits in (the
+// k of enqueue) and the interval of the stripe a grid serves, not in the
+// packet, and hands it to Switch.emit with the departing cell.
 //
 // # Gated: a stripe is a block
 //
@@ -38,9 +40,11 @@ import (
 // next 2^k slots. What the packets of a stripe share — input, output, size,
 // stripe id, formation slot, and the Seq of packet 0, packet u's being u
 // more since a stripe is consecutive packets of one VOQ — is in the block's
-// header once and goes back into the cell where the output takes it
-// (midStage.take), as inputPort.pop does on the other side. A size-1 stripe
-// is its cell and stays one, in a queue.Bank[cell] of N queues per output.
+// header once; input, output, Seq and formation slot go back into the cell
+// where the output takes it (midStage.take), as inputPort.pop does on the
+// other side, and the stripe id powers the lockstep assertions. A size-1
+// stripe is its cell and stays one, in a queue.Bank[cell] of N queues per
+// output.
 //
 // The block is the simulator's bookkeeping, not state the ports share: slot
 // u holds exactly what port iv.Start+u's FIFO would, and the stripe-id and
@@ -125,11 +129,10 @@ func (ms *midStage) stripeQueue(j int, iv dyadic.Interval) int {
 	return j*(ms.n-1) + dyadic.Index(iv, ms.n)
 }
 
-// enqueue buffers a cell arriving at intermediate port l over the first
-// fabric: a greedy cell, or a gated size-1 stripe. A gated multi-packet
-// stripe's packets go through write.
-func (ms *midStage) enqueue(l int, c cell) {
-	k := dyadic.Log2(int(c.pkt.StripeSize))
+// enqueue buffers a cell of a size-2^k stripe arriving at intermediate port
+// l over the first fabric: a greedy cell, or a gated size-1 stripe (k = 0).
+// A gated multi-packet stripe's packets go through write.
+func (ms *midStage) enqueue(l, k int, c cell) {
 	j := int(c.pkt.Out)
 	ms.bank.Push((j*ms.n+l)*ms.cellLevels+k, c)
 	ms.bitmap[j*ms.n+l] |= 1 << uint(k)
@@ -168,24 +171,24 @@ func (ms *midStage) write(in int, st *stripe, r queue.Record, seq uint64) {
 func (ms *midStage) step(t sim.Slot, deliver sim.DeliverFunc) {
 	if ms.gated {
 		for j := 0; j < ms.n; j++ {
-			if c, ok := ms.popOutputGated(j, t); ok {
-				ms.sw.emit(c, t, deliver)
+			if c, size := ms.popOutputGated(j, t); size > 0 {
+				ms.sw.emit(c, size, t, deliver)
 			}
 		}
 		return
 	}
 	for m := 0; m < ms.n; m++ {
-		if c, ok := ms.popPortGreedy(m, t); ok {
-			ms.sw.emit(c, t, deliver)
+		if c, size := ms.popPortGreedy(m, t); size > 0 {
+			ms.sw.emit(c, size, t, deliver)
 		}
 	}
 }
 
 // popOutputGated advances output j's virtual grid by one slot and returns
-// the cell (if any) that departs. The fabric connects output j to
-// intermediate port m = (j + t) mod N, i.e. the service sweeps the grid
-// rows top to bottom, one per slot.
-func (ms *midStage) popOutputGated(j int, t sim.Slot) (cell, bool) {
+// the cell that departs with its stripe's size, or size 0 when none does.
+// The fabric connects output j to intermediate port m = (j + t) mod N, i.e.
+// the service sweeps the grid rows top to bottom, one per slot.
+func (ms *midStage) popOutputGated(j int, t sim.Slot) (c cell, size int) {
 	g := &ms.grids[j]
 	m := ms.sw.intermediateFor(j, t)
 	if !g.serving {
@@ -196,11 +199,11 @@ func (ms *midStage) popOutputGated(j int, t sim.Slot) (cell, bool) {
 		// set bit is the answer and the scan is one bit operation.
 		bm := ms.bitmap[j*ms.n+m]
 		if bm == 0 {
-			return cell{}, false
+			return cell{}, 0
 		}
 		k := bits.Len64(bm) - 1
 		if k == 0 {
-			return ms.pop(m, j, 0), true
+			return ms.pop(m, j, 0), 1
 		}
 		iv := dyadic.Interval{Start: m, Size: 1 << uint(k)}
 		q := ms.stripeQueue(j, iv)
@@ -214,12 +217,12 @@ func (ms *midStage) popOutputGated(j int, t sim.Slot) (cell, bool) {
 		panic(fmt.Sprintf("core: output %d grid lost lockstep: stripe %v next %d, connection %d",
 			j, g.iv, g.next, m))
 	}
-	c := ms.take(g, j)
+	c = ms.take(g, j)
 	if g.next++; g.next == g.iv.Size {
 		g.serving = false
 		ms.blocks.release(g.block, dyadic.Log2(g.iv.Size))
 	}
-	return c, true
+	return c, g.iv.Size
 }
 
 // take removes packet g.next of the stripe output j's grid is serving from
@@ -240,25 +243,23 @@ func (ms *midStage) take(g *outputGrid, j int) cell {
 	r := &ms.blocks.recs[int(h.off)+g.next]
 	ms.buffered--
 	return cell{
-		pkt: sim.Packet{Seq: h.seq0 + uint64(g.next), Arrival: r.Arrival,
-			In: h.in, Out: int32(j), StripeSize: int32(g.iv.Size)},
-		stripeID: h.id,
-		formed:   h.formed,
+		pkt:    sim.Packet{Seq: h.seq0 + uint64(g.next), Arrival: r.Arrival, In: h.in, Out: int32(j)},
+		formed: h.formed,
 	}
 }
 
 // popPortGreedy is the stripe-oblivious variant: intermediate port m scans
 // its own row of the connected output's grid, j = secondStage(m, t), from
 // largest stripe size to smallest and returns the first head-of-line packet
-// found.
-func (ms *midStage) popPortGreedy(m int, t sim.Slot) (cell, bool) {
+// found with its stripe's size, or size 0 when the row is empty.
+func (ms *midStage) popPortGreedy(m int, t sim.Slot) (c cell, size int) {
 	j := ms.sw.secondStage(m, t)
 	bm := ms.bitmap[j*ms.n+m]
 	if bm == 0 {
-		return cell{}, false
+		return cell{}, 0
 	}
 	k := bits.Len64(bm) - 1
-	return ms.pop(m, j, k), true
+	return ms.pop(m, j, k), 1 << uint(k)
 }
 
 func (ms *midStage) pop(m, j, k int) cell {

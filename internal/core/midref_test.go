@@ -29,11 +29,15 @@ type refMidStage struct {
 	overlaps int
 }
 
+// refGrid is one output's grid. The stripe in service is named by its first
+// packet, (In, Out, Seq) with Out the grid's output: a stripe is consecutive
+// packets of one VOQ, so its packet u is (in, out, seq0+u).
 type refGrid struct {
 	serving bool
 	iv      dyadic.Interval
 	next    int
-	id      uint64
+	in      int32
+	seq0    uint64
 }
 
 func newRefMidStage(n int) *refMidStage {
@@ -48,9 +52,9 @@ func newRefMidStage(n int) *refMidStage {
 	return r
 }
 
-func (r *refMidStage) enqueue(l int, c cell) {
-	j, size := int(c.pkt.Out), int(c.pkt.StripeSize)
-	k := dyadic.Log2(size)
+// enqueue queues c, a packet of a stripe of 2^k packets, at row l.
+func (r *refMidStage) enqueue(l, k int, c cell) {
+	j, size := int(c.pkt.Out), 1<<uint(k)
 	if size > 1 && l%size == 0 {
 		g := r.grids[j]
 		if len(r.q[l][j][k]) > 0 || g.serving && g.iv == (dyadic.Interval{Start: l, Size: size}) {
@@ -69,22 +73,25 @@ func (r *refMidStage) take(m, j, k int) cell {
 	return c
 }
 
-// pop is one slot of output j's grid, connected to row m.
-func (r *refMidStage) pop(j, m int) (cell, bool) {
+// pop is one slot of output j's grid, connected to row m. It returns the
+// cell that departs and its stripe's size, or size 0 when none does.
+func (r *refMidStage) pop(j, m int) (cell, int) {
 	g := &r.grids[j]
 	if g.serving {
 		if g.iv.Start+g.next != m {
 			panic(fmt.Sprintf("reference: output %d lost lockstep at row %d", j, m))
 		}
 		c := r.take(m, j, dyadic.Log2(g.iv.Size))
-		if c.stripeID != g.id {
-			panic(fmt.Sprintf("reference: output %d took stripe %d while serving %d", j, c.stripeID, g.id))
+		if p := c.pkt; p.In != g.in || int(p.Out) != j || p.Seq-uint64(g.next) != g.seq0 {
+			panic(fmt.Sprintf("reference: output %d took packet %+v as packet %d of the stripe (%d, %d, %d)",
+				j, p, g.next, g.in, j, g.seq0))
 		}
-		if g.next++; g.next == g.iv.Size {
+		size := g.iv.Size
+		if g.next++; g.next == size {
 			g.serving = false
 			r.stripes--
 		}
-		return c, true
+		return c, size
 	}
 	for k := r.levels - 1; k >= 0; k-- {
 		size := 1 << uint(k)
@@ -93,11 +100,12 @@ func (r *refMidStage) pop(j, m int) (cell, bool) {
 		}
 		c := r.take(m, j, k)
 		if size > 1 {
-			*g = refGrid{serving: true, iv: dyadic.Interval{Start: m, Size: size}, next: 1, id: c.stripeID}
+			*g = refGrid{serving: true, iv: dyadic.Interval{Start: m, Size: size}, next: 1,
+				in: c.pkt.In, seq0: c.pkt.Seq}
 		}
-		return c, true
+		return c, size
 	}
-	return cell{}, false
+	return cell{}, 0
 }
 
 func (r *refMidStage) queueLen(m, j int) int {
@@ -117,14 +125,14 @@ func refStep(sw *Switch, ref *refMidStage, deliver sim.DeliverFunc) {
 	sw.applyArrivals()
 	t := sw.t
 	for j := 0; j < sw.n; j++ {
-		if c, ok := ref.pop(j, sw.intermediateFor(j, t)); ok {
-			sw.emit(c, t, deliver)
+		if c, size := ref.pop(j, sw.intermediateFor(j, t)); size > 0 {
+			sw.emit(c, size, t, deliver)
 		}
 	}
 	for i := 0; i < sw.n; i++ {
 		l := sw.firstStage(i, t)
-		if c, ok := refServe(sw.inputs[i], l); ok {
-			ref.enqueue(l, c)
+		if c, k := refServe(sw.inputs[i], l); k >= 0 {
+			ref.enqueue(l, k, c)
 		}
 	}
 	if sw.adaptive != nil {
@@ -134,17 +142,19 @@ func refStep(sw *Switch, ref *refMidStage, deliver sim.DeliverFunc) {
 }
 
 // refServe is one gated first-fabric slot of input in, connected to port l:
-// what pick chose, as the cell the reference stage queues.
-func refServe(in *inputPort, l int) (cell, bool) {
+// what pick chose, as the cell the reference stage queues and log2 of its
+// stripe's size, or k = -1 when nothing is sent.
+func refServe(in *inputPort, l int) (c cell, k int) {
 	switch in.pick(l) {
 	case sendSingle:
-		return in.takeSingle(l), true
+		return in.takeSingle(l), 0
 	case sendStriped:
-		c := in.pop(&in.voqs[in.cur.out], &in.cur)
+		k = dyadic.Log2(in.cur.iv.Size)
+		c = in.pop(&in.voqs[in.cur.out], &in.cur)
 		in.advance()
-		return c, true
+		return c, k
 	}
-	return cell{}, false
+	return cell{}, -1
 }
 
 // centerStageCase is one workload of TestCenterStageMatchesReference.
@@ -160,7 +170,8 @@ type centerStageCase struct {
 // TestCenterStageMatchesReference runs the switch and a twin whose center
 // stage is refMidStage on one arrival sequence, slot by slot, and demands
 // the same deliveries in the same order every slot — every field of the
-// packet, so (Seq, Arrival, In, Out, StripeSize) and the departure slot — the
+// packet (Seq, Arrival, In, Out), its stripe-size header and the departure
+// slot — the
 // same DelayBreakdown, the same backlog and, at intervals, the same number
 // of cells at every (port, output) as midStage.queueLen counts them in its
 // bank, its queued blocks and the block in service. Under Eq. 1 the Zipf and
@@ -244,13 +255,17 @@ func runAgainstReference(t *testing.T, tc centerStageCase) {
 	ref := newRefMidStage(tc.n)
 	src := tc.source(rand.New(rand.NewSource(302)))
 
-	var got, want []delivery
+	type headed struct {
+		delivery
+		header int32
+	}
+	var got, want []headed
 	arrive := func(p packet) { sw.Arrive(p); twin.Arrive(p) }
 	for slot := 0; slot < tc.slots; slot++ {
 		src.Next(sw.Now(), arrive)
 		got, want = got[:0], want[:0]
-		sw.Step(func(d delivery) { got = append(got, d) })
-		refStep(twin, ref, func(d delivery) { want = append(want, d) })
+		sw.Step(func(d delivery) { got = append(got, headed{d, sw.header}) })
+		refStep(twin, ref, func(d delivery) { want = append(want, headed{d, twin.header}) })
 		if len(got) != len(want) {
 			t.Fatalf("slot %d: %d deliveries, reference %d", slot, len(got), len(want))
 		}

@@ -12,8 +12,9 @@ import (
 
 // TestDeliveryTracePins pins the full delivery trace of an adaptive switch
 // under both schedulers: an FNV-64a over every delivery's (ID, Seq, In,
-// Out, StripeSize, Depart), where ID is the packet's emission index, the
-// number the source stamped on it when the constants were recorded. The
+// Out, stripe-size header, Depart), where ID is the packet's emission
+// index, the number the source stamped on it when the constants were
+// recorded, and the header is the one emit sets beside the delivery. The
 // source flips between a Zipf and a diagonal matrix so VOQs resize in both
 // directions with packets waiting, which puts the resize re-cut
 // (adaptive.go) and the greedy scheduler's copy into its row bank
@@ -55,7 +56,7 @@ func TestDeliveryTracePins(t *testing.T) {
 				binary.LittleEndian.PutUint64(rec[8:], d.Packet.Seq)
 				binary.LittleEndian.PutUint32(rec[16:], uint32(d.Packet.In))
 				binary.LittleEndian.PutUint32(rec[20:], uint32(d.Packet.Out))
-				binary.LittleEndian.PutUint64(rec[24:], uint64(d.Packet.StripeSize))
+				binary.LittleEndian.PutUint64(rec[24:], uint64(sw.header))
 				binary.LittleEndian.PutUint64(rec[32:], uint64(d.Depart))
 				h.Write(rec[:])
 				delivered++

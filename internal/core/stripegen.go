@@ -31,9 +31,8 @@ type voqState struct {
 	// packets of stripes already cut and awaiting service (gated scheduler
 	// only; the greedy one copies them out as it cuts), then the ready
 	// packets accumulating toward the next stripe. A record keeps what
-	// differs between them; In, Out and the stripe-size header are rebuilt
-	// from the VOQ and the stripe on service (inputPort.pop), and Seq from
-	// the queue position.
+	// differs between them; In and Out are rebuilt from the VOQ on service
+	// (inputPort.pop), and Seq from the queue position.
 	q     queue.RecordFIFO
 	out   int32 // the VOQ's output port
 	ready int32

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -283,12 +284,18 @@ func TestQuickNoReorderRandomConfigs(t *testing.T) {
 
 // TestVOQStateLayout pins the per-VOQ footprint: a buffered packet is its
 // 8-byte arrival slot and a VOQ's state fits one 64-byte cache line, N² of
-// them per switch.
+// them per switch. It also holds a cell, which every departure is, to at
+// most 4 fields and 32 bytes: the bounds within which the Go compiler keeps
+// a struct in registers (ssa.CanSSA, as sim's TestPacketFitsRegisters
+// checks for Packet and Delivery).
 func TestVOQStateLayout(t *testing.T) {
 	if got := unsafe.Sizeof(queue.Record{}); got != 8 {
 		t.Errorf("queue.Record is %d bytes, want 8", got)
 	}
 	if got := unsafe.Sizeof(voqState{}); got > 64 {
 		t.Errorf("voqState is %d bytes, want at most 64", got)
+	}
+	if fields, size := reflect.TypeFor[cell]().NumField(), unsafe.Sizeof(cell{}); fields > 4 || size > 32 {
+		t.Errorf("cell has %d fields in %d bytes, want at most 4 in 32", fields, size)
 	}
 }

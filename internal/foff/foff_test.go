@@ -342,7 +342,7 @@ func TestFOFFSteadyState(t *testing.T) {
 
 // TestBufferLayout pins FOFF's output side: a held packet is its 8-byte
 // arrival slot in its flow's window, and a packet waiting for its output's
-// line is a 24-byte record, so a whole sim.Delivery (40 bytes) in either
+// line is a 24-byte record, so a whole sim.Delivery (32 bytes) in either
 // fails it. TestBufferLayout in internal/queue pins the center stage's node.
 func TestBufferLayout(t *testing.T) {
 	var s Switch

@@ -19,10 +19,14 @@ type Slot int64
 
 // Packet is a fixed-size cell transiting the switch. Packets are plain
 // values; switches may copy them freely. (In, Out, Seq) identifies a
-// packet: no two packets of a run share all three. The struct is packed
-// into 32 bytes — ports and the stripe header are int32, which comfortably
-// covers any switch size — so a 64-byte cache line holds two packets, or
-// one beside the annotations a queue bank keeps with it.
+// packet: no two packets of a run share all three. The struct is 24 bytes
+// in 4 fields (the ports are int32, which comfortably covers any switch
+// size), and both bounds matter: the Go compiler keeps a struct of at most
+// 4 fields and 32 bytes in registers (ssa.CanSSA), so a Packet, and a
+// Delivery built around it, is passed, returned and copied without a trip
+// through stack memory on every per-packet call. A switch that needs more
+// per packet, such as the Sprinklers stripe-size header of Sec. 3.4.3,
+// keeps it beside the packet in its own buffers.
 type Packet struct {
 	// Seq is the per-(In,Out) flow sequence number: a source numbers each
 	// flow 0, 1, 2 … with no gap and no repeat. The reordering detectors
@@ -37,10 +41,6 @@ type Packet struct {
 	In int32
 	// Out is the 0-based output port the packet is destined to.
 	Out int32
-	// StripeSize is the Sprinklers stripe-size header of Sec. 3.4.3 (the
-	// log2 log2 N-bit field carried across the first fabric). Zero for
-	// architectures that do not use striping.
-	StripeSize int32
 }
 
 // Delivery records a packet leaving the switch through its output port.

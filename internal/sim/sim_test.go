@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -91,11 +92,23 @@ func TestOutputSweepIncreasing(t *testing.T) {
 	}
 }
 
-// TestPacketSize: a Packet is 32 bytes, so a cache line holds two, or one
-// beside the annotations a bank that queues whole packets keeps with it.
-func TestPacketSize(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got != 32 {
-		t.Fatalf("sizeof(Packet) = %d, want 32", got)
+// TestPacketFitsRegisters: Packet and Delivery each have at most 4 fields
+// and 32 bytes, the bounds within which the Go compiler keeps a struct in
+// registers (ssa.CanSSA in cmd/compile/internal/ssa, MaxStruct = 4). One
+// field more and every per-packet pass, return and copy goes through stack
+// memory as 16-byte loads of bytes just stored, which the CPU cannot forward
+// from its store buffer and stalls on.
+func TestPacketFitsRegisters(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		size uintptr
+	}{
+		{reflect.TypeFor[Packet](), unsafe.Sizeof(Packet{})},
+		{reflect.TypeFor[Delivery](), unsafe.Sizeof(Delivery{})},
+	} {
+		if c.typ.NumField() > 4 || c.size > 32 {
+			t.Errorf("%v has %d fields in %d bytes, want at most 4 in 32", c.typ, c.typ.NumField(), c.size)
+		}
 	}
 }
 

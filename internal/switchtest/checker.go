@@ -80,13 +80,11 @@ func (c *Checker) Step(deliver sim.DeliverFunc) {
 			c.fail("slot %d: output %d used twice", now, d.Packet.Out)
 		}
 		outputsUsed[int(d.Packet.Out)] = true
-		got := d.Packet
-		got.StripeSize = 0
-		k := keyOf(got)
+		k := keyOf(d.Packet)
 		if want, ok := c.inFlight[k]; !ok {
 			c.fail("slot %d: packet %+v delivered but never offered (or twice)", now, k)
-		} else if got != want {
-			c.fail("slot %d: delivered %+v, offered as %+v", now, got, want)
+		} else if d.Packet != want {
+			c.fail("slot %d: delivered %+v, offered as %+v", now, d.Packet, want)
 		}
 		delete(c.inFlight, k)
 		c.delivered++

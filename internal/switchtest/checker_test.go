@@ -144,7 +144,7 @@ func TestCheckerRejectsDuplicateFlowSeq(t *testing.T) {
 		t.Fatalf("distinct packets flagged: %s", v)
 	}
 	c.Step(nil)
-	c.Arrive(sim.Packet{In: 1, Out: 2, Seq: 3, Arrival: 1, StripeSize: 2})
+	c.Arrive(sim.Packet{In: 1, Out: 2, Seq: 3, Arrival: 1})
 	if c.Violation() == "" {
 		t.Fatal("a second in-flight packet (1, 2, 3) was not detected")
 	}

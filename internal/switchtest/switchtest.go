@@ -13,8 +13,8 @@
 //     a packet;
 //   - every delivered packet was previously offered via Arrive, is
 //     delivered exactly once, and is the packet that was offered, field for
-//     field (a switch may queue less than a whole sim.Packet and rebuild it;
-//     only the stripe-size header is the switch's to write);
+//     field (a switch may queue less than a whole sim.Packet and rebuild
+//     it);
 //   - the backlog reported by the switch equals offered minus delivered.
 //
 // Violating any of these means a switch implementation is cheating the

@@ -3,7 +3,7 @@
 // Sec. 6) plus additional admissible patterns (hotspot, permutation, Zipf)
 // used by the extended experiments, and slot-level arrival processes
 // (Bernoulli i.i.d., as in the paper, plus bursty on/off, either one driven
-// through a mid-run event timeline by Dynamic, and fixed test traces). It
+// through a mid-run event timeline by Dynamic). It
 // registers the workloads (register.go) and the builtin dynamic scenarios
 // that perturb them (scenarios.go) in internal/registry.
 package traffic
