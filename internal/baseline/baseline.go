@@ -11,9 +11,9 @@
 // paths with different queueing delays. The test suite demonstrates the
 // reordering; the Sprinklers switch in internal/core eliminates it.
 //
-// Neither stage buffers a whole packet: an input queue mixes outputs, so it
-// holds 24-byte queue.PortRecords of Seq, Arrival and Out, and the center
-// stage (midstage.Stage) holds them with In in Out's place.
+// An input queue mixes outputs, so its index does not say where a packet is
+// going: it holds whole sim.Packets, as the center stage (midstage.Stage)
+// does.
 package baseline
 
 import (
@@ -27,10 +27,9 @@ type Switch struct {
 	n int
 	t sim.Slot
 	// One queue per input, outputs mixed: the queue's index does not say
-	// where a packet is going, so it holds queue.PortRecords (Seq,
-	// Arrival, Out) rather than the RecordFIFO records of the per-(input,
-	// output) VOQs elsewhere.
-	inputs []queue.FIFO[queue.PortRecord]
+	// where a packet is going, so it holds whole packets rather than the
+	// RecordFIFO records of the per-(input, output) VOQs elsewhere.
+	inputs []queue.FIFO[sim.Packet]
 	mid    *midstage.Stage
 	inBuf  int // packets at the input side
 }
@@ -39,7 +38,7 @@ type Switch struct {
 func New(n int) *Switch {
 	return &Switch{
 		n:      n,
-		inputs: make([]queue.FIFO[queue.PortRecord], n),
+		inputs: make([]queue.FIFO[sim.Packet], n),
 		mid:    midstage.New(n),
 	}
 }
@@ -55,7 +54,7 @@ func (s *Switch) Backlog() int { return s.inBuf + s.mid.Backlog() }
 
 // Arrive implements sim.Switch.
 func (s *Switch) Arrive(p sim.Packet) {
-	s.inputs[p.In].Push(queue.PortRecord{Seq: p.Seq, Arrival: p.Arrival, Port: p.Out})
+	s.inputs[p.In].Push(p)
 	s.inBuf++
 }
 
@@ -69,8 +68,7 @@ func (s *Switch) Step(deliver sim.DeliverFunc) {
 	for i := 0; i < s.n; i++ {
 		if q := &s.inputs[i]; !q.Empty() {
 			s.inBuf--
-			r := q.Pop()
-			s.mid.Enqueue(sim.FirstStage(i, t, s.n), sim.Packet{Seq: r.Seq, Arrival: r.Arrival, In: int32(i), Out: r.Port})
+			s.mid.Enqueue(sim.FirstStage(i, t, s.n), q.Pop())
 		}
 	}
 	s.t++

@@ -187,7 +187,7 @@ func (in *inputPort) schedule(v *voqState, st stripe) {
 func (in *inputPort) pop(v *voqState, st *stripe) cell {
 	r, seq := v.q.Pop(&in.chunks)
 	return cell{
-		pkt:    sim.Packet{Seq: seq, Arrival: r.Arrival, In: int32(in.i), Out: st.out},
+		pkt:    r.Packet(seq, in.i, int(st.out)),
 		formed: st.formed,
 	}
 }

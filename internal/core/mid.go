@@ -243,7 +243,7 @@ func (ms *midStage) take(g *outputGrid, j int) cell {
 	r := &ms.blocks.recs[int(h.off)+g.next]
 	ms.buffered--
 	return cell{
-		pkt:    sim.Packet{Seq: h.seq0 + uint64(g.next), Arrival: r.Arrival, In: h.in, Out: int32(j)},
+		pkt:    r.Packet(h.seq0+uint64(g.next), int(h.in), j),
 		formed: h.formed,
 	}
 }

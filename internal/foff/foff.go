@@ -15,11 +15,11 @@
 // phases, packets can still reach an output a bounded number of positions
 // out of order — the O(N^2) bound of the paper. The switch therefore embeds
 // per-output resequencing buffers; deliveries seen by the caller are always
-// in per-flow order with the resequencing wait charged to packet delay. No
-// buffer holds a whole packet: a VOQ keeps 8-byte arrival slots, the center
-// stage 24-byte records of Seq, Arrival and In (midstage.Stage), a flow's
-// resequencing window 8-byte arrival slots, and an output's pacing FIFO
-// 24-byte records; each rebuilds the packet from where it sits.
+// in per-flow order with the resequencing wait charged to packet delay. A
+// VOQ keeps 8-byte arrival slots and a flow's resequencing window 8-byte
+// arrival slots, each rebuilding the packet from where it sits; the center
+// stage (midstage.Stage) and an output's pacing FIFO hold whole 24-byte
+// packets.
 package foff
 
 import (
@@ -82,11 +82,11 @@ type Switch struct {
 
 	// The output side (see Step): a resequencing window per flow and a
 	// pacing FIFO per output, of releases waiting for the output's line.
-	flows   []reseqFlow                    // flow i*n+j
-	paced   []queue.FIFO[queue.PortRecord] // output j's, Port = In
-	held    int                            // packets in the windows
-	maxHeld int                            // high-water mark of held: the O(N²) bound, measured
-	pacing  int                            // packets in the pacing FIFOs
+	flows   []reseqFlow              // flow i*n+j
+	paced   []queue.FIFO[sim.Packet] // output j's
+	held    int                      // packets in the windows
+	maxHeld int                      // high-water mark of held: the O(N²) bound, measured
+	pacing  int                      // packets in the pacing FIFOs
 }
 
 // reseqFlow is one flow's resequencing window. A held packet with Seq s
@@ -117,7 +117,7 @@ func New(n int) *Switch {
 		rr:       make([]int, n),
 		mid:      midstage.New(n),
 		flows:    make([]reseqFlow, n*n),
-		paced:    make([]queue.FIFO[queue.PortRecord], n),
+		paced:    make([]queue.FIFO[sim.Packet], n),
 	}
 	// No VOQ has sent anything: every next port is 0.
 	for i := 0; i < n; i++ {
@@ -201,7 +201,7 @@ func (s *Switch) output(j, l int, t sim.Slot, deliver sim.DeliverFunc) {
 					deliver(sim.Delivery{Packet: p, Depart: t})
 				}
 			} else {
-				fifo.Push(queue.PortRecord{Seq: p.Seq, Arrival: p.Arrival, Port: p.In})
+				fifo.Push(p)
 				s.pacing++
 			}
 			f.next++
@@ -210,7 +210,7 @@ func (s *Switch) output(j, l int, t sim.Slot, deliver sim.DeliverFunc) {
 				if *h < 0 {
 					break
 				}
-				fifo.Push(queue.PortRecord{Seq: f.next, Arrival: *h, Port: p.In})
+				fifo.Push(sim.Packet{Seq: f.next, Arrival: *h, In: p.In, Out: p.Out})
 				*h = -1
 				f.next++
 				s.held--
@@ -219,10 +219,10 @@ func (s *Switch) output(j, l int, t sim.Slot, deliver sim.DeliverFunc) {
 		}
 	}
 	if !sent && !fifo.Empty() {
-		r := fifo.Pop()
+		p := fifo.Pop()
 		s.pacing--
 		if deliver != nil {
-			deliver(sim.Delivery{Packet: sim.Packet{Seq: r.Seq, Arrival: r.Arrival, In: r.Port, Out: int32(j)}, Depart: t})
+			deliver(sim.Delivery{Packet: p, Depart: t})
 		}
 	}
 }

@@ -342,8 +342,9 @@ func TestFOFFSteadyState(t *testing.T) {
 
 // TestBufferLayout pins FOFF's output side: a held packet is its 8-byte
 // arrival slot in its flow's window, and a packet waiting for its output's
-// line is a 24-byte record, so a whole sim.Delivery (32 bytes) in either
-// fails it. TestBufferLayout in internal/queue pins the center stage's node.
+// line is a 24-byte sim.Packet in its pacing FIFO, so a 32-byte sim.Delivery
+// there fails it. TestBufferLayout in internal/queue pins the center stage's
+// node.
 func TestBufferLayout(t *testing.T) {
 	var s Switch
 	var f reseqFlow
@@ -351,6 +352,6 @@ func TestBufferLayout(t *testing.T) {
 		t.Errorf("a resequencing window slot is %d bytes, want 8", got)
 	}
 	if got := unsafe.Sizeof(s.paced[0].Pop()); got != 24 {
-		t.Errorf("a pacing FIFO record is %d bytes, want 24", got)
+		t.Errorf("a pacing FIFO entry is %d bytes, want 24", got)
 	}
 }

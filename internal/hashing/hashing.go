@@ -9,10 +9,9 @@
 // benches demonstrate the instability under admissible traffic that
 // Sprinklers handles comfortably.
 //
-// Neither stage buffers a whole packet: an input's queue per intermediate
-// port mixes the outputs hashed to that port, so it holds 24-byte
-// queue.PortRecords of Seq, Arrival and Out, and the center stage
-// (midstage.Stage) holds them with In in Out's place.
+// An input's queue per intermediate port mixes the outputs hashed to that
+// port, so it holds whole sim.Packets, as the center stage (midstage.Stage)
+// does.
 package hashing
 
 import (
@@ -30,9 +29,8 @@ type Switch struct {
 	hash [][]int // hash[i][j]: intermediate port for VOQ (i,j)
 	// inputs[i][l]: packets at input i bound for intermediate l. Several
 	// outputs hash to one port, so a queue's index does not give Out and the
-	// queue holds queue.PortRecords (Seq, Arrival, Out), not RecordFIFO
-	// records.
-	inputs [][]queue.FIFO[queue.PortRecord]
+	// queue holds whole packets, not RecordFIFO records.
+	inputs [][]queue.FIFO[sim.Packet]
 	mid    *midstage.Stage
 	inBuf  int // packets at the input side
 }
@@ -44,7 +42,7 @@ func New(n int, rng *rand.Rand) *Switch {
 	s := &Switch{
 		n:      n,
 		hash:   make([][]int, n),
-		inputs: make([][]queue.FIFO[queue.PortRecord], n),
+		inputs: make([][]queue.FIFO[sim.Packet], n),
 		mid:    midstage.New(n),
 	}
 	for i := 0; i < n; i++ {
@@ -52,7 +50,7 @@ func New(n int, rng *rand.Rand) *Switch {
 		for j := range s.hash[i] {
 			s.hash[i][j] = rng.Intn(n)
 		}
-		s.inputs[i] = make([]queue.FIFO[queue.PortRecord], n)
+		s.inputs[i] = make([]queue.FIFO[sim.Packet], n)
 	}
 	return s
 }
@@ -68,7 +66,7 @@ func (s *Switch) Backlog() int { return s.inBuf + s.mid.Backlog() }
 
 // Arrive implements sim.Switch.
 func (s *Switch) Arrive(p sim.Packet) {
-	s.inputs[p.In][s.hash[p.In][p.Out]].Push(queue.PortRecord{Seq: p.Seq, Arrival: p.Arrival, Port: p.Out})
+	s.inputs[p.In][s.hash[p.In][p.Out]].Push(p)
 	s.inBuf++
 }
 
@@ -80,8 +78,7 @@ func (s *Switch) Step(deliver sim.DeliverFunc) {
 		l := sim.FirstStage(i, t, s.n)
 		if q := &s.inputs[i][l]; !q.Empty() {
 			s.inBuf--
-			r := q.Pop()
-			s.mid.Enqueue(l, sim.Packet{Seq: r.Seq, Arrival: r.Arrival, In: int32(i), Out: r.Port})
+			s.mid.Enqueue(l, q.Pop())
 		}
 	}
 	s.t++

@@ -13,28 +13,30 @@ import (
 // TestVOQBytesBudget bounds what one Fig. 6 point allocates (uniform 0.9,
 // 2 000 + 10 000 slots, seed 1) for every architecture, so that neither a
 // private ring per VOQ, nor a VOQ record that stores a packet ID again, nor
-// a whole packet in a buffer past the VOQs can come back unnoticed.
+// a buffer past the VOQs that spends more than a 24-byte sim.Packet on a
+// packet can come back unnoticed.
 // Measured, bytes of runtime.MemStats.TotalAlloc around RunPoint; the first
-// three columns hold whole packets past the VOQs, the fourth queue.PortRecords
-// in the center stage, the load-balanced and hashing input queues and FOFF's
-// pacing FIFOs, and 8-byte arrival slots in FOFF's resequencing windows:
+// three columns hold the wider packets of their day past the VOQs (40 bytes
+// in the third), the fourth 24-byte sim.Packets in the center stage, the
+// load-balanced and hashing input queues and FOFF's pacing FIFOs, and 8-byte
+// arrival slots in FOFF's resequencing windows:
 //
-//	                     VOQs as     16-byte VOQ     8-byte VOQ    records past
-//	                 packet rings        records        records        the VOQs      budget
+//	                     VOQs as     16-byte VOQ     8-byte VOQ  24-byte packets
+//	                 packet rings        records        records   past the VOQs      budget
 //	load-balanced N=32                                  790 904         657 400     723 000
-//	tcp-hashing   N=32                               17 286 200      13 277 224  14 600 000
+//	tcp-hashing   N=32                               17 286 200      13 271 800  14 600 000
 //	ufs           N=32  6 591 384        906 336        582 496         582 480     640 000
 //	pf            N=32  7 323 872        958 360        612 760         612 760     675 000
 //	foff          N=32  5 007 176      2 986 696      2 435 080       1 267 336   1 395 000
-//	cms           N=32                   810 456        641 384         624 616     710 000
-//	sprinklers    N=64                 6 918 176      4 482 232       4 482 624   4 930 000
+//	cms           N=32                   810 456        641 384         613 656     710 000
+//	sprinklers    N=64                 6 918 176      4 482 232       4 481 848   4 930 000
 //
-// Each budget is about 1.1 times the last figure (CMS's 1.14), which every
+// Each budget is about 1.1 times the last figure (CMS's 1.16), which every
 // figure before it exceeds; UFS, PF and Sprinklers keep no packet past their
 // VOQs, so their last two columns agree. The load-balanced and hashing
-// switches have no VOQs: their third column is whole packets in their input
-// queues and center stage. The test runs no subtest in parallel, so nothing
-// else allocates meanwhile.
+// switches have no VOQs: their third column is 40-byte packets in their
+// input queues and center stage. The test runs no subtest in parallel, so
+// nothing else allocates meanwhile.
 func TestVOQBytesBudget(t *testing.T) {
 	for _, c := range []struct {
 		alg    experiment.Algorithm

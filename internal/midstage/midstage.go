@@ -7,8 +7,8 @@
 //   - Stage serves each (port, output) queue in plain FIFO order: during
 //     slot t intermediate port l forwards the head of its queue for output
 //     SecondStage(l, t). The baseline, TCP-hashing, FOFF and CMS switches
-//     use it. A queued packet is a 24-byte queue.PortRecord (Seq, Arrival,
-//     In) in a 32-byte bank node; Out is the queue's own index.
+//     use it. A queued packet is a whole 24-byte sim.Packet in a 32-byte
+//     bank node.
 //   - The Spreader, the full-frame switches' (UFS and Padded Frames) core,
 //     serves frames atomically: it queues one descriptor per frame, and a
 //     frame's packets stay in their VOQ, as 8-byte arrival records in a
@@ -26,22 +26,20 @@ import (
 	"sprinklers/internal/sim"
 )
 
-// Stage is the FIFO-service center stage. A queue's index names the port and
-// the output, so a queued packet is a queue.PortRecord of Seq, Arrival and
-// In, and Take rebuilds it with Out from the index.
+// Stage is the FIFO-service center stage.
 type Stage struct {
 	n int
-	q *queue.Bank[queue.PortRecord] // queue l*n+j: packets at port l for output j
+	q *queue.Bank[sim.Packet] // queue l*n+j: packets at port l for output j
 }
 
 // New builds the center stage for an n-port switch.
 func New(n int) *Stage {
-	return &Stage{n: n, q: queue.NewBank[queue.PortRecord](n * n)}
+	return &Stage{n: n, q: queue.NewBank[sim.Packet](n * n)}
 }
 
 // Enqueue buffers p at intermediate port l.
 func (s *Stage) Enqueue(l int, p sim.Packet) {
-	s.q.Push(l*s.n+int(p.Out), queue.PortRecord{Seq: p.Seq, Arrival: p.Arrival, Port: p.In})
+	s.q.Push(l*s.n+int(p.Out), p)
 }
 
 // Take removes the head of intermediate port l's queue for output j; ok is
@@ -51,8 +49,7 @@ func (s *Stage) Take(l, j int) (p sim.Packet, ok bool) {
 	if s.q.Empty(q) {
 		return p, false
 	}
-	r := s.q.Pop(q)
-	return sim.Packet{Seq: r.Seq, Arrival: r.Arrival, In: r.Port, Out: int32(j)}, true
+	return s.q.Pop(q), true
 }
 
 // Step executes one slot of the second fabric: each intermediate port

@@ -33,15 +33,6 @@ func TestFIFOPerOutputService(t *testing.T) {
 	}
 }
 
-func TestQueueLen(t *testing.T) {
-	s := New(4)
-	s.Enqueue(1, sim.Packet{Out: 2})
-	s.Enqueue(1, sim.Packet{Out: 2, Seq: 1})
-	if got := s.q.QueueLen(1*4 + 2); got != 2 {
-		t.Fatalf("QueueLen = %d, want 2", got)
-	}
-}
-
 func TestStepReturnsRemovedCount(t *testing.T) {
 	const n = 2
 	s := New(n)
@@ -53,10 +44,9 @@ func TestStepReturnsRemovedCount(t *testing.T) {
 	}
 }
 
-// TestTakeRebuildsPacket: a queued packet is a record of Seq, Arrival and
-// In; Take gives it back whole, Out from the queue's index, and only from
-// that queue.
-func TestTakeRebuildsPacket(t *testing.T) {
+// TestTakeReturnsQueuedPacket: Take returns the packet Enqueue was given,
+// and only from that packet's (port, output) queue.
+func TestTakeReturnsQueuedPacket(t *testing.T) {
 	s := New(4)
 	p := sim.Packet{Seq: 7, Arrival: 41, In: 3, Out: 2}
 	s.Enqueue(1, p)

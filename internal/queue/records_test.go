@@ -218,16 +218,12 @@ func TestVOQQueueModel(t *testing.T) {
 	}
 }
 
-// TestBufferLayout pins what a packet costs in a queue whose index names one
-// of its ports: a PortRecord is 24 bytes (the baseline's and the hashing
-// switch's input queues, FOFF's pacing FIFOs), and in the center stage's
-// Bank it is a node of at most 32, which a whole sim.Packet's (40) is not.
-// TestBufferLayout in internal/foff pins FOFF's resequencing window slot.
+// TestBufferLayout pins what a packet costs in the center stage's Bank: a
+// whole sim.Packet (24 bytes, the same as the Seq, Arrival and one port a
+// queue whose index names only one port would otherwise keep) in a node of
+// at most 32. TestBufferLayout in internal/foff pins FOFF's output side.
 func TestBufferLayout(t *testing.T) {
-	if got := unsafe.Sizeof(PortRecord{}); got != 24 {
-		t.Errorf("PortRecord is %d bytes, want 24", got)
-	}
-	if got := unsafe.Sizeof(node[PortRecord]{}); got > 32 {
+	if got := unsafe.Sizeof(node[sim.Packet]{}); got > 32 {
 		t.Errorf("a center-stage Bank node is %d bytes, want at most 32", got)
 	}
 }
