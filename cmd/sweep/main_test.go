@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -232,5 +233,28 @@ func TestExitStatus(t *testing.T) {
 		if tc.args[0] == "-list" && !strings.Contains(stdout, "scenarios") {
 			t.Errorf("sweep -list prints no scenarios section:\n%s", stdout)
 		}
+	}
+}
+
+var updateList = flag.Bool("update", false, "rewrite testdata/list.txt from sweep -list")
+
+// TestListGolden pins `sweep -list` byte for byte: every registered
+// architecture, workload and scenario with its option schema, as a binary
+// that links only the real registrations prints it. Rerun with -update
+// only for an intended change to a registration or to the catalog format.
+func TestListGolden(t *testing.T) {
+	got := mustSweep(t, "-list")
+	path := filepath.Join("testdata", "list.txt")
+	if *updateList {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("sweep -list drifted from %s:\n%s", path, got)
 	}
 }
