@@ -40,7 +40,7 @@ func main() {
 	load := flag.Float64("load", 0.95, "total input-port load in (0, 1)")
 	traffic := flag.String("traffic", "adversarial",
 		"rate split: adversarial, or a workload with optional options as name:key=value,... ("+
-			strings.Join(registry.WorkloadNames(), ", ")+"); see -list for schemas")
+			strings.Join(registry.Workloads.Names(), ", ")+"); see -list for schemas")
 	trials := flag.Int("trials", 20000, "Monte-Carlo placements")
 	seed := flag.Int64("seed", 1, "random seed")
 	list := flag.Bool("list", false, "list registered architectures, workloads and scenarios with their options, then exit")
@@ -71,9 +71,9 @@ func main() {
 		}
 		rates = adversarialSplit(*n, *load)
 	} else {
-		if _, ok := registry.LookupWorkload(kind); !ok {
+		if _, ok := registry.Workloads.Lookup(kind); !ok {
 			fatal(fmt.Errorf("-traffic %q unknown: want adversarial or a registered workload (%s)",
-				kind, strings.Join(registry.WorkloadNames(), ", ")))
+				kind, strings.Join(registry.Workloads.Names(), ", ")))
 		}
 		rows, err := registry.WorkloadRates(kind, *n, *load,
 			rand.New(rand.NewSource(*seed)), topts)

@@ -60,7 +60,7 @@ func (s *oqSwitch) Step(deliver sim.DeliverFunc) {
 }
 
 func init() {
-	registry.RegisterArchitecture(registry.Architecture{
+	registry.Architectures.Register(registry.Architecture{
 		Name:            "toy-oq",
 		Description:     "idealized output-queued switch with a fixed pipeline latency (delay floor)",
 		OrderPreserving: true,
@@ -110,7 +110,7 @@ func run(w io.Writer, slots sim.Slot) error {
 	fmt.Fprintln(w)
 	experiment.RenderStudyCurves(w, results)
 	_, err = fmt.Fprintln(w, `
-"toy-oq" exists only in this program: one RegisterArchitecture call made it
+"toy-oq" exists only in this program: one Architectures.Register call made it
 a first-class citizen of the Spec language, with its "latency" option
 validated against the declared schema and the two variants kept apart by
 their "as" labels. Registering a real architecture works the same way —

@@ -6,7 +6,7 @@ import (
 )
 
 func init() {
-	registry.RegisterArchitecture(registry.Architecture{
+	registry.Architectures.Register(registry.Architecture{
 		Name:            "load-balanced",
 		Description:     "baseline Birkhoff–von Neumann load-balanced switch; minimal delay, no ordering guarantee",
 		OrderPreserving: false,

@@ -6,7 +6,7 @@ import (
 )
 
 func init() {
-	registry.RegisterArchitecture(registry.Architecture{
+	registry.Architectures.Register(registry.Architecture{
 		Name:            "cms",
 		Description:     "Concurrent Matching Switch: per-port token matching, frame-pipelined and reordering-free",
 		OrderPreserving: true,

@@ -47,7 +47,7 @@ func newSprinklers(sched Scheduler, cfg registry.ArchConfig) (sim.Switch, error)
 }
 
 func init() {
-	registry.RegisterArchitecture(registry.Architecture{
+	registry.Architectures.Register(registry.Architecture{
 		Name:            "sprinklers",
 		Description:     "randomized variable-size dyadic striping with gated Largest Stripe First scheduling",
 		OrderPreserving: true,
@@ -59,7 +59,7 @@ func init() {
 			return newSprinklers(GatedLSF, cfg)
 		},
 	})
-	registry.RegisterArchitecture(registry.Architecture{
+	registry.Architectures.Register(registry.Architecture{
 		Name:            "sprinklers-greedy",
 		Description:     "Sprinklers with the work-conserving greedy LSF scan (ablation); no ordering guarantee",
 		OrderPreserving: false,

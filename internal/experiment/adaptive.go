@@ -252,7 +252,7 @@ const twinMaxRho = 0.999
 // architecture name. Unknown names (and architectures without a Twin
 // entry) fall back to twinQueue with no cap.
 func twinModel(arch string) (model string, maxStable float64) {
-	a, ok := registry.LookupArchitecture(arch)
+	a, ok := registry.Architectures.Lookup(arch)
 	if !ok {
 		return twinQueue, 0
 	}

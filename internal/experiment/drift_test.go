@@ -14,7 +14,7 @@ import (
 
 func TestDriftAllAlgorithmsMatchRegistry(t *testing.T) {
 	algs := AllAlgorithms()
-	archs := registry.Architectures()
+	archs := registry.Architectures.All()
 	if len(algs) != len(archs) {
 		t.Fatalf("AllAlgorithms has %d entries, registry has %d", len(algs), len(archs))
 	}
@@ -27,21 +27,21 @@ func TestDriftAllAlgorithmsMatchRegistry(t *testing.T) {
 
 func TestDriftPaperConstantsAreRegistered(t *testing.T) {
 	for _, a := range Fig6Algorithms {
-		if _, ok := registry.LookupArchitecture(string(a)); !ok {
+		if _, ok := registry.Architectures.Lookup(string(a)); !ok {
 			t.Errorf("Fig6Algorithms member %q is not registered", a)
 		}
 	}
 	for _, a := range []Algorithm{
 		LoadBalanced, UFS, FOFF, PF, Sprinklers, SprinklersGreedy, TCPHashing, CMS,
 	} {
-		if _, ok := registry.LookupArchitecture(string(a)); !ok {
+		if _, ok := registry.Architectures.Lookup(string(a)); !ok {
 			t.Errorf("algorithm constant %q is not registered", a)
 		}
 	}
 	for _, k := range []TrafficKind{
 		UniformTraffic, DiagonalTraffic, HotspotTraffic, ZipfTraffic, PermutationTraffic,
 	} {
-		if _, ok := registry.LookupWorkload(string(k)); !ok {
+		if _, ok := registry.Workloads.Lookup(string(k)); !ok {
 			t.Errorf("traffic constant %q is not registered", k)
 		}
 	}
@@ -68,7 +68,7 @@ func TestDriftRendererLegendOrder(t *testing.T) {
 	if len(cols) == 0 || cols[0] != "load" {
 		t.Fatalf("unexpected header: %s", header)
 	}
-	want := registry.ArchitectureNames()
+	want := registry.Architectures.Names()
 	if got := cols[1:]; !reflect.DeepEqual(got, want) {
 		t.Fatalf("legend order differs from registry order:\ngot  %v\nwant %v", got, want)
 	}

@@ -56,7 +56,7 @@ var Fig6Algorithms = []Algorithm{LoadBalanced, UFS, FOFF, PF, Sprinklers}
 // registered after this package initializes — e.g. by a downstream program
 // extending the harness — are included.
 func AllAlgorithms() []Algorithm {
-	names := registry.ArchitectureNames()
+	names := registry.Architectures.Names()
 	out := make([]Algorithm, len(names))
 	for i, n := range names {
 		out[i] = Algorithm(n)
@@ -69,7 +69,7 @@ func AllAlgorithms() []Algorithm {
 // resequencer restores order). Unregistered names report true, the safe
 // default for the reordering assertions built on this.
 func (a Algorithm) OrderPreserving() bool {
-	if arch, ok := registry.LookupArchitecture(string(a)); ok {
+	if arch, ok := registry.Architectures.Lookup(string(a)); ok {
 		return arch.OrderPreserving
 	}
 	return true

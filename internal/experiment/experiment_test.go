@@ -34,7 +34,7 @@ func TestNewSwitchAllAlgorithms(t *testing.T) {
 
 func TestPatternKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, name := range registry.WorkloadNames() {
+	for _, name := range registry.Workloads.Names() {
 		kind := TrafficKind(name)
 		m, err := PatternOpts(kind, 16, 0.8, rng, nil)
 		if err != nil {

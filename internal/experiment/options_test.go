@@ -111,7 +111,7 @@ func TestSpecOptionsValidation(t *testing.T) {
 // survive Spec JSON marshal/parse unchanged, and (c) normalize idempotently
 // — the exact properties checkpoint-header comparison relies on.
 func TestAllSchemasRoundTripWithDefaults(t *testing.T) {
-	for _, arch := range registry.Architectures() {
+	for _, arch := range registry.Architectures.All() {
 		s := Spec{
 			Kind:       SimStudy,
 			Algorithms: []AlgorithmSpec{{Name: Algorithm(arch.Name)}},
@@ -141,7 +141,7 @@ func TestAllSchemasRoundTripWithDefaults(t *testing.T) {
 			t.Errorf("%s: normalization not idempotent", arch.Name)
 		}
 	}
-	for _, wl := range registry.Workloads() {
+	for _, wl := range registry.Workloads.All() {
 		s := Spec{
 			Kind:       SimStudy,
 			Algorithms: Algs(LoadBalanced),

@@ -17,7 +17,7 @@ import (
 // test changes; TestScenarioEventsWithinHorizon (internal/traffic) checks
 // that each one builds a non-empty timeline.
 func TestEveryRegisteredScenarioReplays(t *testing.T) {
-	for _, sc := range registry.Scenarios() {
+	for _, sc := range registry.Scenarios.All() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()

@@ -168,7 +168,7 @@ func TestScenarioResumeRejectsOptionDrift(t *testing.T) {
 // registered scenario.
 func TestDriftAllScenariosMatchRegistry(t *testing.T) {
 	for _, k := range []ScenarioKind{FlashCrowd, RateDrift, HotspotShift, LinkFail, LoadStep} {
-		if _, ok := registry.LookupScenario(string(k)); !ok {
+		if _, ok := registry.Scenarios.Lookup(string(k)); !ok {
 			t.Errorf("scenario constant %q is not registered", k)
 		}
 	}

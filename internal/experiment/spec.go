@@ -115,13 +115,18 @@ type seriesKind struct {
 	noun string // the noun of the unknown-name error
 	// wire is Series' object form with key as the name's JSON key, ahead
 	// of "as" and "options"; a Series converts to it field for field.
-	wire   reflect.Type
-	schema func(name string) (registry.Schema, bool)
-	names  func() []string
+	wire  reflect.Type
+	table seriesTable // the kind's registry table: its schemas and names
 }
 
-func newSeriesKind[K seriesName](key, noun string, schema func(string) (registry.Schema, bool), names func() []string) seriesKind {
-	return seriesKind{key: key, noun: noun, schema: schema, names: names, wire: reflect.StructOf([]reflect.StructField{
+// seriesTable is what a series reads of its kind's registry table.
+type seriesTable interface {
+	Schema(name string) (registry.Schema, bool)
+	Names() []string
+}
+
+func newSeriesKind[K seriesName](key, noun string, table seriesTable) seriesKind {
+	return seriesKind{key: key, noun: noun, table: table, wire: reflect.StructOf([]reflect.StructField{
 		{Name: "Name", Type: reflect.TypeFor[K](), Tag: reflect.StructTag(`json:"` + key + `"`)},
 		{Name: "As", Type: reflect.TypeFor[string](), Tag: `json:"as,omitempty"`},
 		{Name: "Options", Type: reflect.TypeFor[registry.Options](), Tag: `json:"options,omitempty"`},
@@ -129,18 +134,9 @@ func newSeriesKind[K seriesName](key, noun string, schema func(string) (registry
 }
 
 var (
-	algorithmKind = newSeriesKind[Algorithm]("algorithm", "algorithm", func(n string) (registry.Schema, bool) {
-		a, ok := registry.LookupArchitecture(n)
-		return a.Options, ok
-	}, registry.ArchitectureNames)
-	trafficKind = newSeriesKind[TrafficKind]("traffic", "traffic kind", func(n string) (registry.Schema, bool) {
-		w, ok := registry.LookupWorkload(n)
-		return w.Options, ok
-	}, registry.WorkloadNames)
-	scenarioKind = newSeriesKind[ScenarioKind]("scenario", "scenario", func(n string) (registry.Schema, bool) {
-		sc, ok := registry.LookupScenario(n)
-		return sc.Options, ok
-	}, registry.ScenarioNames)
+	algorithmKind = newSeriesKind[Algorithm]("algorithm", "algorithm", registry.Architectures)
+	trafficKind   = newSeriesKind[TrafficKind]("traffic", "traffic kind", registry.Workloads)
+	scenarioKind  = newSeriesKind[ScenarioKind]("scenario", "scenario", registry.Scenarios)
 )
 
 func (Algorithm) kind() *seriesKind    { return &algorithmKind }
@@ -201,7 +197,7 @@ func normalizeSeries[K seriesName](series []Series[K]) []Series[K] {
 	out := make([]Series[K], len(series))
 	for i, e := range series {
 		out[i] = e
-		if schema, ok := e.Name.kind().schema(string(e.Name)); ok {
+		if schema, ok := e.Name.kind().table.Schema(string(e.Name)); ok {
 			if norm, err := schema.Normalize(e.Options); err == nil {
 				out[i].Options = norm
 			}
@@ -217,10 +213,10 @@ func validateSeries[K seriesName](series []Series[K], check func(Series[K], regi
 	seen := map[K]bool{}
 	for _, e := range series {
 		k := e.Name.kind()
-		schema, ok := k.schema(string(e.Name))
+		schema, ok := k.table.Schema(string(e.Name))
 		if !ok {
 			return fmt.Errorf("experiment: unknown %s %q (registered: %s)",
-				k.noun, e.Name, strings.Join(k.names(), ", "))
+				k.noun, e.Name, strings.Join(k.table.Names(), ", "))
 		}
 		norm, err := schema.Normalize(e.Options)
 		if err != nil {
@@ -458,7 +454,7 @@ func (s Spec) Validate() error {
 	if err := validateSeries(s.Algorithms, func(a AlgorithmSpec, norm registry.Options) error {
 		// Size-coupled constraints (e.g. pf's threshold <= N) are checked
 		// against every grid size now, not mid-study.
-		arch, _ := registry.LookupArchitecture(string(a.Name))
+		arch, _ := registry.Architectures.Lookup(string(a.Name))
 		if arch.ValidateFor == nil {
 			return nil
 		}

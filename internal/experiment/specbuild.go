@@ -37,7 +37,7 @@ func parseSeries[K seriesName](entries []string) ([]Series[K], error) {
 	return out, nil
 }
 
-// SpecArgs is the flag surface shared by the study CLIs, in string form as
+// SpecArgs is the flag surface of the study CLI, sweep, in string form as
 // the flags deliver it. Zero values mean "not set".
 type SpecArgs struct {
 	// SpecPath loads a JSON spec file; Builtin resolves a named built-in
@@ -219,8 +219,8 @@ func FormatSeriesHelp(noun string) string {
 	return fmt.Sprintf("comma-separated %s series: name or name:key=value,key=value", noun)
 }
 
-// CancelMessage renders the shared post-cancellation line the study CLIs
-// print before exiting 2: how much was recorded, and whether a re-run can
+// CancelMessage renders the post-cancellation line the study CLI, sweep,
+// prints before exiting 2: how much was recorded, and whether a re-run can
 // resume it (a daemon resumes any resubmitted study from its result cache;
 // a local run resumes only from an -out checkpoint).
 func CancelMessage(recorded, total int, outPath string, remote bool) string {

@@ -26,7 +26,7 @@ func TestTwinModelSelection(t *testing.T) {
 }
 
 func TestEveryRegisteredTwinIsKnown(t *testing.T) {
-	for _, a := range registry.Architectures() {
+	for _, a := range registry.Architectures.All() {
 		if a.Twin != "" && a.Twin != twinMarkov && a.Twin != twinQueue {
 			t.Errorf("architecture %q registers unknown twin model %q", a.Name, a.Twin)
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 func init() {
-	registry.RegisterArchitecture(registry.Architecture{
+	registry.Architectures.Register(registry.Architecture{
 		Name:            "foff",
 		Description:     "Full Ordered Frames First: deterministic striping with output resequencers",
 		OrderPreserving: true, // the embedded resequencer restores order

@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	registry.RegisterArchitecture(registry.Architecture{
+	registry.Architectures.Register(registry.Architecture{
 		Name:            "tcp-hashing",
 		Description:     "per-VOQ hashing onto one intermediate port (AFBR); ordered but unstable under concentrated patterns",
 		OrderPreserving: true,

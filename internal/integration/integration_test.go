@@ -28,8 +28,8 @@ func TestAllSwitchesConformUnderAllTraffic(t *testing.T) {
 		n     = 16
 		slots = 30000
 	)
-	for _, arch := range registry.Architectures() {
-		for _, wl := range registry.Workloads() {
+	for _, arch := range registry.Architectures.All() {
+		for _, wl := range registry.Workloads.All() {
 			arch, wl := arch, wl
 			alg := experiment.Algorithm(arch.Name)
 			kind := experiment.TrafficKind(wl.Name)
@@ -79,7 +79,7 @@ func TestAllSwitchesConformUnderAllTraffic(t *testing.T) {
 // promise in-order delivery and are stable at the given load.
 func orderPreservingStable(load float64) []registry.Architecture {
 	var out []registry.Architecture
-	for _, arch := range registry.Architectures() {
+	for _, arch := range registry.Architectures.All() {
 		if arch.OrderPreserving && (arch.MaxStableLoad == 0 || arch.MaxStableLoad >= load) {
 			out = append(out, arch)
 		}

@@ -87,7 +87,7 @@ func TestLittlesLaw(t *testing.T) {
 		warmup = 2000
 		slots  = 20000
 	)
-	for _, arch := range registry.Architectures() {
+	for _, arch := range registry.Architectures.All() {
 		for _, kind := range []experiment.TrafficKind{experiment.UniformTraffic, experiment.DiagonalTraffic} {
 			for _, rho := range []float64{0.5, 0.9} {
 				load := rho

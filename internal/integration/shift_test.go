@@ -25,7 +25,7 @@ func TestConformanceAcrossMatrixShift(t *testing.T) {
 		n     = 16
 		slots = 20000
 	)
-	for _, arch := range registry.Architectures() {
+	for _, arch := range registry.Architectures.All() {
 		arch := arch
 		t.Run(arch.Name, func(t *testing.T) {
 			t.Parallel()

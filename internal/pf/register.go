@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	registry.RegisterArchitecture(registry.Architecture{
+	registry.Architectures.Register(registry.Architecture{
 		Name:            "pf",
 		Description:     "Padded Frames: full-frame spreading with threshold-triggered fake-cell padding",
 		OrderPreserving: true,

@@ -72,13 +72,13 @@ func TestOptionFlagAndParseOptionPairs(t *testing.T) {
 
 func TestCatalogMatchesRegistrations(t *testing.T) {
 	doc := Catalog()
-	if len(doc.Architectures) != len(Architectures()) {
-		t.Fatalf("catalog lists %d architectures, registry has %d", len(doc.Architectures), len(Architectures()))
+	if len(doc.Architectures) != len(Architectures.All()) {
+		t.Fatalf("catalog lists %d architectures, registry has %d", len(doc.Architectures), len(Architectures.All()))
 	}
-	if len(doc.Workloads) != len(Workloads()) || len(doc.Scenarios) != len(Scenarios()) {
+	if len(doc.Workloads) != len(Workloads.All()) || len(doc.Scenarios) != len(Scenarios.All()) {
 		t.Fatal("catalog workload/scenario counts drifted from the registry")
 	}
-	for i, a := range Architectures() {
+	for i, a := range Architectures.All() {
 		info := doc.Architectures[i]
 		if info.Name != a.Name || info.OrderPreserving != a.OrderPreserving || info.MaxStableLoad != a.MaxStableLoad {
 			t.Errorf("architecture %s metadata drifted: %+v", a.Name, info)

@@ -17,13 +17,13 @@ import (
 // them.
 func fuzzSchemas() map[string]registry.Schema {
 	out := map[string]registry.Schema{}
-	for _, a := range registry.Architectures() {
+	for _, a := range registry.Architectures.All() {
 		out["arch/"+a.Name] = a.Options
 	}
-	for _, w := range registry.Workloads() {
+	for _, w := range registry.Workloads.All() {
 		out["workload/"+w.Name] = w.Options
 	}
-	for _, s := range registry.Scenarios() {
+	for _, s := range registry.Scenarios.All() {
 		out["scenario/"+s.Name] = s.Options
 	}
 	return out

@@ -2,8 +2,9 @@ package registry
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -77,24 +78,6 @@ func (o Option) AtLeast(min float64) Option {
 func (o Option) OneOf(vals ...string) Option {
 	o.Enum = vals
 	return o
-}
-
-// describe renders the option for catalogs and error messages.
-func (o Option) describe() string {
-	def := o.Default
-	if f, ok := def.(float64); ok && o.Type == typeInt {
-		def = int(f)
-	}
-	s := fmt.Sprintf("%s (%s, default %v)", o.Name, o.Type, def)
-	if o.Bounded && o.Max != math.MaxFloat64 {
-		s += fmt.Sprintf(" in [%v, %v]", o.Min, o.Max)
-	} else if o.Bounded {
-		s += fmt.Sprintf(" >= %v", o.Min)
-	}
-	if len(o.Enum) > 0 {
-		s += fmt.Sprintf(" one of %s", strings.Join(o.Enum, "|"))
-	}
-	return s
 }
 
 // canonicalize converts v to the option's canonical representation,
@@ -175,7 +158,7 @@ func (s Schema) validate() error {
 		}
 		seen[o.Name] = true
 		if _, err := o.canonicalize(o.Default); err != nil {
-			return fmt.Errorf("default for %s: %v", o.describe(), err)
+			return fmt.Errorf("default for %s: %v", optionInfo(o).describe(), err)
 		}
 	}
 	return nil
@@ -203,12 +186,7 @@ type Options map[string]any
 func (s Schema) Normalize(in map[string]any) (Options, error) {
 	if len(s) == 0 {
 		if len(in) > 0 {
-			keys := make([]string, 0, len(in))
-			for k := range in {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			return nil, fmt.Errorf("takes no options, got %s", strings.Join(keys, ", "))
+			return nil, fmt.Errorf("takes no options, got %s", strings.Join(slices.Sorted(maps.Keys(in)), ", "))
 		}
 		return nil, nil
 	}
@@ -224,21 +202,15 @@ func (s Schema) Normalize(in map[string]any) (Options, error) {
 		out[o.Name] = d
 	}
 	for k, v := range in {
-		found := false
-		for _, o := range s {
-			if o.Name == k {
-				c, err := o.canonicalize(v)
-				if err != nil {
-					return nil, err
-				}
-				out[k] = c
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.IndexFunc(s, func(o Option) bool { return o.Name == k })
+		if i < 0 {
 			return nil, fmt.Errorf("unknown option %q (valid: %s)", k, strings.Join(s.names(), ", "))
 		}
+		c, err := s[i].canonicalize(v)
+		if err != nil {
+			return nil, err
+		}
+		out[k] = c
 	}
 	return out, nil
 }

@@ -1,20 +1,22 @@
-// Package registry is the harness's extension point: switch architectures
-// and traffic workloads register themselves under a stable name with
-// metadata and a typed option schema, and the experiment layer (specs,
-// runners, cmd tools, conformance suites) discovers them by lookup instead
-// of hard-wired switch statements. Adding an architecture or a workload is
-// one package with a Register call in an init function — every spec, cmd
-// tool and protocol test picks it up automatically.
+// Package registry is the harness's extension point: switch architectures,
+// traffic workloads and dynamic scenarios register themselves under a
+// stable name with metadata and a typed option schema, and the experiment
+// layer (specs, runners, cmd tools, conformance suites) discovers them by
+// lookup instead of hard-wired switch statements. Each kind has one Table —
+// Architectures, Workloads and Scenarios — and all three register, look
+// up, order and catalog their entries by the same code. Adding an entry of
+// any kind is one package with a Register call in an init function — every
+// spec, cmd tool and protocol test picks it up automatically.
 //
 // Registration happens in init functions only; after program start the
 // registry is read-only, so lookups are safe from any goroutine.
 package registry
 
 import (
+	"cmp"
 	"fmt"
-	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -97,117 +99,112 @@ type Workload struct {
 	Rates func(n int, load float64, rng *rand.Rand, opts Options) ([][]float64, error)
 }
 
+// entry is what a Table reads of the kind it holds.
+type entry interface{ head() head }
+
+// head is the part every kind shares: its catalog entry less the options,
+// its listing rank, its option schema, and whether its constructor is set.
+type head struct {
+	info   Info
+	rank   int
+	schema Schema
+	built  bool
+}
+
+func (a Architecture) head() head {
+	return head{Info{Name: a.Name, Description: a.Description, OrderPreserving: a.OrderPreserving,
+		MaxStableLoad: a.MaxStableLoad}, a.Rank, a.Options, a.New != nil}
+}
+
+func (w Workload) head() head {
+	return head{Info{Name: w.Name, Description: w.Description}, w.Rank, w.Options, w.Rates != nil}
+}
+
+// Table holds the registered entries of one kind under their names.
+type Table[T entry] struct {
+	noun    string // "architecture", "workload" or "scenario", for messages
+	mu      sync.RWMutex
+	entries map[string]T
+}
+
+// The tables every registration goes into, one per kind.
 var (
-	mu        sync.RWMutex
-	archs     = map[string]Architecture{}
-	workloads = map[string]Workload{}
+	Architectures = &Table[Architecture]{noun: "architecture", entries: map[string]Architecture{}}
+	Workloads     = &Table[Workload]{noun: "workload", entries: map[string]Workload{}}
+	Scenarios     = &Table[Scenario]{noun: "scenario", entries: map[string]Scenario{}}
 )
 
-// RegisterArchitecture adds a to the registry. It panics on a duplicate
-// name, a malformed schema, or a missing constructor — registration runs at
-// init time, where failing loudly beats limping on.
-func RegisterArchitecture(a Architecture) {
-	mu.Lock()
-	defer mu.Unlock()
-	if a.Name == "" || a.New == nil {
-		panic("registry: architecture needs a name and a constructor")
+// Register adds e to the table. It panics on a missing name or
+// constructor, a duplicate name, or a malformed schema — registration runs
+// at init time, where failing loudly beats limping on.
+func (t *Table[T]) Register(e T) {
+	h := e.head()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if h.info.Name == "" || !h.built {
+		panic(fmt.Sprintf("registry: %s needs a name and a constructor", t.noun))
 	}
-	if _, dup := archs[a.Name]; dup {
-		panic(fmt.Sprintf("registry: architecture %q registered twice", a.Name))
+	if _, dup := t.entries[h.info.Name]; dup {
+		panic(fmt.Sprintf("registry: %s %q registered twice", t.noun, h.info.Name))
 	}
-	if err := a.Options.validate(); err != nil {
-		panic(fmt.Sprintf("registry: architecture %q: %v", a.Name, err))
+	if err := h.schema.validate(); err != nil {
+		panic(fmt.Sprintf("registry: %s %q: %v", t.noun, h.info.Name, err))
 	}
-	archs[a.Name] = a
+	t.entries[h.info.Name] = e
 }
 
-// RegisterWorkload adds w to the registry, with the same panics as
-// RegisterArchitecture.
-func RegisterWorkload(w Workload) {
-	mu.Lock()
-	defer mu.Unlock()
-	if w.Name == "" || w.Rates == nil {
-		panic("registry: workload needs a name and a rates constructor")
-	}
-	if _, dup := workloads[w.Name]; dup {
-		panic(fmt.Sprintf("registry: workload %q registered twice", w.Name))
-	}
-	if err := w.Options.validate(); err != nil {
-		panic(fmt.Sprintf("registry: workload %q: %v", w.Name, err))
-	}
-	workloads[w.Name] = w
+// Lookup returns the named entry.
+func (t *Table[T]) Lookup(name string) (T, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	e, ok := t.entries[name]
+	return e, ok
 }
 
-// LookupArchitecture returns the named architecture.
-func LookupArchitecture(name string) (Architecture, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	a, ok := archs[name]
-	return a, ok
+// Schema returns the named entry's option schema.
+func (t *Table[T]) Schema(name string) (Schema, bool) {
+	e, ok := t.Lookup(name)
+	return e.head().schema, ok
 }
 
-// LookupWorkload returns the named workload.
-func LookupWorkload(name string) (Workload, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	w, ok := workloads[name]
-	return w, ok
-}
-
-// Architectures returns every registered architecture in canonical order
-// (ascending Rank, then name).
-func Architectures() []Architecture {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]Architecture, 0, len(archs))
-	for _, a := range archs {
-		out = append(out, a)
+// All returns every entry in canonical order: ascending Rank, then name.
+func (t *Table[T]) All() []T {
+	t.mu.RLock()
+	out := make([]T, 0, len(t.entries))
+	for _, e := range t.entries {
+		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
-		}
-		return out[i].Name < out[j].Name
+	t.mu.RUnlock()
+	slices.SortFunc(out, func(a, b T) int {
+		ha, hb := a.head(), b.head()
+		return cmp.Or(cmp.Compare(ha.rank, hb.rank), strings.Compare(ha.info.Name, hb.info.Name))
 	})
 	return out
 }
 
-// Workloads returns every registered workload in canonical order.
-func Workloads() []Workload {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]Workload, 0, len(workloads))
-	for _, w := range workloads {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// ArchitectureNames returns the registered architecture names in canonical
-// order.
-func ArchitectureNames() []string {
-	as := Architectures()
-	out := make([]string, len(as))
-	for i, a := range as {
-		out[i] = a.Name
+// Names returns the registered names in canonical order.
+func (t *Table[T]) Names() []string {
+	all := t.All()
+	out := make([]string, len(all))
+	for i, e := range all {
+		out[i] = e.head().info.Name
 	}
 	return out
 }
 
-// WorkloadNames returns the registered workload names in canonical order.
-func WorkloadNames() []string {
-	ws := Workloads()
-	out := make([]string, len(ws))
-	for i, w := range ws {
-		out[i] = w.Name
+// resolve returns the named entry and opts normalized against its schema
+// (nil opts selects every default).
+func (t *Table[T]) resolve(name string, opts map[string]any) (T, Options, error) {
+	e, ok := t.Lookup(name)
+	if !ok {
+		return e, nil, fmt.Errorf("registry: unknown %s %q (registered: %s)",
+			t.noun, name, strings.Join(t.Names(), ", "))
 	}
-	return out
+	norm, err := e.head().schema.Normalize(opts)
+	if err != nil {
+		return e, nil, fmt.Errorf("registry: %s %q: %v", t.noun, name, err)
+	}
+	return e, norm, nil
 }
 
 // NewArchitecture builds the named architecture after normalizing opts
@@ -216,14 +213,9 @@ func WorkloadNames() []string {
 // rate matrix; it must return storage the constructor may own. A nil rates
 // stands for "no rate estimate" even for NeedsRates architectures.
 func NewArchitecture(name string, n int, rates func() [][]float64, seed int64, opts map[string]any) (sim.Switch, error) {
-	a, ok := LookupArchitecture(name)
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown architecture %q (registered: %s)",
-			name, strings.Join(ArchitectureNames(), ", "))
-	}
-	norm, err := a.Options.Normalize(opts)
+	a, norm, err := Architectures.resolve(name, opts)
 	if err != nil {
-		return nil, fmt.Errorf("registry: architecture %q: %v", name, err)
+		return nil, err
 	}
 	if a.ValidateFor != nil {
 		if verr := a.ValidateFor(n, norm); verr != nil {
@@ -240,49 +232,9 @@ func NewArchitecture(name string, n int, rates func() [][]float64, seed int64, o
 // WorkloadRates builds the named workload's rate matrix after normalizing
 // opts against its schema (nil opts selects every default).
 func WorkloadRates(name string, n int, load float64, rng *rand.Rand, opts map[string]any) ([][]float64, error) {
-	w, ok := LookupWorkload(name)
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown workload %q (registered: %s)",
-			name, strings.Join(WorkloadNames(), ", "))
-	}
-	norm, err := w.Options.Normalize(opts)
+	w, norm, err := Workloads.resolve(name, opts)
 	if err != nil {
-		return nil, fmt.Errorf("registry: workload %q: %v", name, err)
+		return nil, err
 	}
 	return w.Rates(n, load, rng, norm)
-}
-
-// WriteCatalog renders the full registry — every architecture and workload
-// with its metadata and option schema — in canonical order. It backs the
-// -list flag shared by the cmd tools.
-func WriteCatalog(w io.Writer) {
-	fmt.Fprintln(w, "architectures:")
-	for _, a := range Architectures() {
-		tags := []string{}
-		if a.OrderPreserving {
-			tags = append(tags, "order-preserving")
-		}
-		if a.MaxStableLoad > 0 {
-			tags = append(tags, fmt.Sprintf("stable to load %.2g", a.MaxStableLoad))
-		}
-		suffix := ""
-		if len(tags) > 0 {
-			suffix = " [" + strings.Join(tags, ", ") + "]"
-		}
-		fmt.Fprintf(w, "  %-18s %s%s\n", a.Name, a.Description, suffix)
-		for _, o := range a.Options {
-			fmt.Fprintf(w, "      %-32s %s\n", o.describe(), o.Help)
-		}
-	}
-	fmt.Fprintln(w, "\nworkloads:")
-	for _, wl := range Workloads() {
-		fmt.Fprintf(w, "  %-18s %s\n", wl.Name, wl.Description)
-		for _, o := range wl.Options {
-			fmt.Fprintf(w, "      %-32s %s\n", o.describe(), o.Help)
-		}
-	}
-	if len(Scenarios()) > 0 {
-		fmt.Fprintln(w)
-		WriteScenarioCatalog(w)
-	}
 }

@@ -132,7 +132,7 @@ func TestHandBuiltOptionDefaultCanonicalized(t *testing.T) {
 	if v, ok := got["k"].(float64); !ok || v != 8 {
 		t.Fatalf("default not canonicalized: %#v", got["k"])
 	}
-	if d := s[0].describe(); !strings.Contains(d, "default 8") {
+	if d := optionInfo(s[0]).describe(); !strings.Contains(d, "default 8") {
 		t.Fatalf("describe: %q", d)
 	}
 }
@@ -157,42 +157,115 @@ func (s nullSwitch) Backlog() int         { return 0 }
 func (s nullSwitch) Arrive(sim.Packet)    {}
 func (s nullSwitch) Step(sim.DeliverFunc) {}
 
+// TestRegisterLookupAndOrder runs one table of cases over all three
+// tables: Register panics on a duplicate name, a missing name or
+// constructor, or a malformed schema, and keeps nothing of a refused
+// entry; Lookup and Schema find what it kept; All and Names list by rank,
+// then name.
 func TestRegisterLookupAndOrder(t *testing.T) {
-	names := []string{"zz-test-arch", "aa-test-arch", "mm-test-arch"}
-	for i, name := range names {
-		RegisterArchitecture(Architecture{
-			Name: name,
-			Rank: 1000, // after every real architecture, ordered by name
-			New: func(cfg ArchConfig) (sim.Switch, error) {
-				return nullSwitch{n: cfg.N}, nil
-			},
-			Description: "test-only",
-			Options:     Schema{Int("k", i, "test knob")},
+	events := func(ScenarioConfig) ([]Event, error) { return nil, nil }
+	t.Run("architectures", func(t *testing.T) {
+		checkTable(t, Architectures, func(name string, rank int, opts Schema, built bool) Architecture {
+			a := Architecture{Name: name, Rank: rank, Options: opts}
+			if built {
+				a.New = func(cfg ArchConfig) (sim.Switch, error) { return nullSwitch{n: cfg.N}, nil }
+			}
+			return a
 		})
-	}
-	defer func() {
-		mu.Lock()
-		for _, n := range names {
-			delete(archs, n)
-		}
-		mu.Unlock()
-	}()
+	})
+	t.Run("workloads", func(t *testing.T) {
+		checkTable(t, Workloads, func(name string, rank int, opts Schema, built bool) Workload {
+			w := Workload{Name: name, Rank: rank, Options: opts}
+			if built {
+				w.Rates = func(int, float64, *rand.Rand, Options) ([][]float64, error) { return nil, nil }
+			}
+			return w
+		})
+	})
+	t.Run("scenarios", func(t *testing.T) {
+		checkTable(t, Scenarios, func(name string, rank int, opts Schema, built bool) Scenario {
+			s := Scenario{Name: name, Rank: rank, Options: opts}
+			if built {
+				s.Events = events
+			}
+			return s
+		})
+	})
+}
 
-	if _, ok := LookupArchitecture("mm-test-arch"); !ok {
-		t.Fatal("registered architecture not found")
-	}
-	var got []string
-	for _, a := range Architectures() {
-		if a.Rank == 1000 {
-			got = append(got, a.Name)
-		}
-	}
-	want := []string{"aa-test-arch", "mm-test-arch", "zz-test-arch"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("rank-1000 order: got %v want %v", got, want)
+// checkTable registers test entries built by mk into table, checks them,
+// and unregisters them again.
+func checkTable[T entry](t *testing.T, table *Table[T], mk func(name string, rank int, opts Schema, built bool) T) {
+	// Rank 1000 sorts after every real registration; rank 999 before the
+	// rank-1000 entries whatever its name.
+	kept := []struct {
+		name string
+		rank int
+	}{{"zz-test-entry", 1000}, {"aa-test-entry", 1000}, {"mm-test-entry", 1000}, {"zz-first-test-entry", 999}}
+	for i, e := range kept {
+		table.Register(mk(e.name, e.rank, Schema{Int("k", i, "test knob")}, true))
+		t.Cleanup(func() { table.unregister(e.name) })
 	}
 
-	// None of the test architectures declare NeedsRates, so the rates
+	refused := []struct {
+		what string
+		e    T
+	}{
+		{"duplicate name", mk("mm-test-entry", 1000, nil, true)},
+		{"missing name", mk("", 1000, nil, true)},
+		{"missing constructor", mk("noctor-test-entry", 1000, nil, false)},
+		{"bad schema", mk("badschema-test-entry", 1000, Schema{Float("x", 5, "out of own bounds").Between(0, 1)}, true)},
+	}
+	for _, c := range refused {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a %s did not panic", table.noun, c.what)
+				}
+			}()
+			table.Register(c.e)
+		}()
+	}
+	for _, n := range []string{"noctor-test-entry", "badschema-test-entry"} {
+		if _, ok := table.Lookup(n); ok {
+			t.Errorf("refused %s %s was kept", table.noun, n)
+		}
+	}
+	if s, ok := table.Schema("mm-test-entry"); !ok || len(s) != 1 || s[0].Default != float64(2) {
+		t.Errorf("Schema(mm-test-entry) = %v %v, want its one knob defaulting to 2", s, ok)
+	}
+	if _, ok := table.Schema("no-such-entry"); ok {
+		t.Error("Schema found an unregistered name")
+	}
+
+	var got, all []string
+	for _, n := range table.Names() {
+		if strings.HasSuffix(n, "-test-entry") {
+			got = append(got, n)
+		}
+	}
+	for _, e := range table.All() {
+		if n := e.head().info.Name; strings.HasSuffix(n, "-test-entry") {
+			all = append(all, n)
+		}
+	}
+	want := []string{"zz-first-test-entry", "aa-test-entry", "mm-test-entry", "zz-test-entry"}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(all, want) {
+		t.Errorf("%s order: Names %v, All %v, want %v", table.noun, got, all, want)
+	}
+}
+
+func TestNewArchitecture(t *testing.T) {
+	Architectures.Register(Architecture{
+		Name: "aa-test-arch",
+		New: func(cfg ArchConfig) (sim.Switch, error) {
+			return nullSwitch{n: cfg.N}, nil
+		},
+		Options: Schema{Int("k", 1, "test knob")},
+	})
+	t.Cleanup(func() { Architectures.unregister("aa-test-arch") })
+
+	// The test architecture does not declare NeedsRates, so the rates
 	// thunk must never be invoked (it is an O(N^2) copy in real use).
 	rates := func() [][]float64 {
 		t.Error("rates materialized for a NeedsRates=false architecture")
@@ -214,27 +287,8 @@ func TestRegisterLookupAndOrder(t *testing.T) {
 	}
 }
 
-func TestRegisterPanicsOnDuplicate(t *testing.T) {
-	a := Architecture{
-		Name: "dup-test-arch",
-		New:  func(cfg ArchConfig) (sim.Switch, error) { return nullSwitch{}, nil },
-	}
-	RegisterArchitecture(a)
-	defer func() {
-		mu.Lock()
-		delete(archs, a.Name)
-		mu.Unlock()
-	}()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration should panic")
-		}
-	}()
-	RegisterArchitecture(a)
-}
-
 func TestWorkloadRates(t *testing.T) {
-	RegisterWorkload(Workload{
+	Workloads.Register(Workload{
 		Name:        "test-wl",
 		Rank:        1000,
 		Description: "test-only",
@@ -248,11 +302,7 @@ func TestWorkloadRates(t *testing.T) {
 			return rates, nil
 		},
 	})
-	defer func() {
-		mu.Lock()
-		delete(workloads, "test-wl")
-		mu.Unlock()
-	}()
+	t.Cleanup(func() { Workloads.unregister("test-wl") })
 	rates, err := WorkloadRates("test-wl", 4, 0.8, rand.New(rand.NewSource(1)), map[string]any{"spread": 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +325,8 @@ func TestWriteCatalog(t *testing.T) {
 	var b strings.Builder
 	WriteCatalog(&b)
 	out := b.String()
-	for _, want := range []string{"architectures:", "workloads:"} {
+	for _, want := range []string{"architectures:", "workloads:", "scenarios:",
+		"test-scn-basic", "factor (float, default 0.5) in [0, 1]"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("catalog missing %q:\n%s", want, out)
 		}

@@ -2,10 +2,8 @@ package registry
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"sprinklers/internal/sim"
 )
@@ -87,60 +85,8 @@ type Scenario struct {
 	Events func(cfg ScenarioConfig) ([]Event, error)
 }
 
-var scenarios = map[string]Scenario{}
-
-// RegisterScenario adds s to the registry, with the same panics as
-// RegisterArchitecture: registration runs at init time, where failing
-// loudly beats limping on.
-func RegisterScenario(s Scenario) {
-	mu.Lock()
-	defer mu.Unlock()
-	if s.Name == "" || s.Events == nil {
-		panic("registry: scenario needs a name and an events builder")
-	}
-	if _, dup := scenarios[s.Name]; dup {
-		panic(fmt.Sprintf("registry: scenario %q registered twice", s.Name))
-	}
-	if err := s.Options.validate(); err != nil {
-		panic(fmt.Sprintf("registry: scenario %q: %v", s.Name, err))
-	}
-	scenarios[s.Name] = s
-}
-
-// LookupScenario returns the named scenario.
-func LookupScenario(name string) (Scenario, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	s, ok := scenarios[name]
-	return s, ok
-}
-
-// Scenarios returns every registered scenario in canonical order
-// (ascending Rank, then name).
-func Scenarios() []Scenario {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]Scenario, 0, len(scenarios))
-	for _, s := range scenarios {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// ScenarioNames returns the registered scenario names in canonical order.
-func ScenarioNames() []string {
-	ss := Scenarios()
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = s.Name
-	}
-	return out
+func (s Scenario) head() head {
+	return head{Info{Name: s.Name, Description: s.Description}, s.Rank, s.Options, s.Events != nil}
 }
 
 // BuildScenario builds the named scenario's timeline after normalizing opts
@@ -150,14 +96,9 @@ func ScenarioNames() []string {
 // in range, slots within the horizon — and sorted by At (stable, so two
 // events at one slot apply in builder order).
 func BuildScenario(name string, cfg ScenarioConfig, opts map[string]any) ([]Event, error) {
-	s, ok := LookupScenario(name)
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown scenario %q (registered: %s)",
-			name, strings.Join(ScenarioNames(), ", "))
-	}
-	norm, err := s.Options.Normalize(opts)
+	s, norm, err := Scenarios.resolve(name, opts)
 	if err != nil {
-		return nil, fmt.Errorf("registry: scenario %q: %v", name, err)
+		return nil, err
 	}
 	cfg.Options = norm
 	events, err := s.Events(cfg)
@@ -199,16 +140,4 @@ func BuildScenario(name string, cfg ScenarioConfig, opts map[string]any) ([]Even
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	return events, nil
-}
-
-// WriteScenarioCatalog renders every registered scenario with its option
-// schema in canonical order; WriteCatalog prints it for sweep -list.
-func WriteScenarioCatalog(w io.Writer) {
-	fmt.Fprintln(w, "scenarios:")
-	for _, s := range Scenarios() {
-		fmt.Fprintf(w, "  %-18s %s\n", s.Name, s.Description)
-		for _, o := range s.Options {
-			fmt.Fprintf(w, "      %-32s %s\n", o.describe(), o.Help)
-		}
-	}
 }

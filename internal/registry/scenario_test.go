@@ -9,7 +9,7 @@ import (
 // The test scenarios are registered once for the whole package; names are
 // prefixed so they cannot collide with real registrations.
 func init() {
-	RegisterScenario(Scenario{
+	Scenarios.Register(Scenario{
 		Name:        "test-scn-basic",
 		Description: "swaps to a scaled matrix halfway through",
 		Rank:        1000,
@@ -32,7 +32,7 @@ func init() {
 			}, nil
 		},
 	})
-	RegisterScenario(Scenario{
+	Scenarios.Register(Scenario{
 		Name:        "test-scn-bad",
 		Description: "emits whatever event the options ask for (invalid on purpose)",
 		Rank:        1001,
@@ -119,69 +119,19 @@ func TestBuildScenarioRejections(t *testing.T) {
 	}
 }
 
-func TestScenarioRegistrationPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("missing builder", func() {
-		RegisterScenario(Scenario{Name: "test-scn-nobuilder"})
-	})
-	mustPanic("duplicate", func() {
-		RegisterScenario(Scenario{
-			Name:   "test-scn-basic",
-			Events: func(ScenarioConfig) ([]Event, error) { return nil, nil },
-		})
-	})
-	mustPanic("bad schema", func() {
-		RegisterScenario(Scenario{
-			Name:    "test-scn-badschema",
-			Options: Schema{Float("x", 5, "out of own bounds").Between(0, 1)},
-			Events:  func(ScenarioConfig) ([]Event, error) { return nil, nil },
-		})
-	})
-}
-
-func TestScenarioCatalogAndOrder(t *testing.T) {
-	names := ScenarioNames()
-	idx := map[string]int{}
-	for i, n := range names {
-		idx[n] = i
-	}
-	if _, ok := idx["test-scn-basic"]; !ok {
-		t.Fatal("test scenario missing from catalog")
-	}
-	if idx["test-scn-basic"] > idx["test-scn-bad"] {
-		t.Error("rank order not respected")
-	}
-	var b strings.Builder
-	WriteScenarioCatalog(&b)
-	if !strings.Contains(b.String(), "test-scn-basic") || !strings.Contains(b.String(), "factor (float, default 0.5)") {
-		t.Errorf("catalog missing scenario or schema:\n%s", b.String())
-	}
-	var full strings.Builder
-	WriteCatalog(&full)
-	if !strings.Contains(full.String(), "scenarios:") {
-		t.Error("WriteCatalog missing the scenarios section")
-	}
-}
-
 // TestBuildScenarioEventSlotRange pins the horizon contract: an event on
 // the last slot of the run is legal, one past it is not.
 func TestBuildScenarioEventSlotRange(t *testing.T) {
 	cfg := testScenarioConfig()
 	total := cfg.Warmup + cfg.Slots
-	RegisterScenario(Scenario{
+	Scenarios.Register(Scenario{
 		Name: "test-scn-lastslot",
 		Rank: 1002,
 		Events: func(cfg ScenarioConfig) ([]Event, error) {
 			return []Event{{At: cfg.Warmup + cfg.Slots - 1, Link: &LinkChange{Input: 0, Factor: 1}}}, nil
 		},
 	})
+	t.Cleanup(func() { Scenarios.unregister("test-scn-lastslot") })
 	events, err := BuildScenario("test-scn-lastslot", cfg, nil)
 	if err != nil {
 		t.Fatalf("event on last slot rejected: %v", err)

@@ -250,6 +250,28 @@ func TestCloseThenOpenSeesEverything(t *testing.T) {
 	}
 }
 
+// TestReopenCyclesKeepTwoSegments: each Open starts a segment of its own,
+// and replay deletes the ones that end up with no record, so 20 reopens
+// that write nothing leave the filled segment and the live store's own,
+// and the store holds only those open. Every entry survives each cycle.
+func TestReopenCyclesKeepTwoSegments(t *testing.T) {
+	dir := t.TempDir()
+	keys, vals := fillSegment(t, dir, 4)
+	for cycle := 0; cycle < 20; cycle++ {
+		s := checkReopened(t, dir, keys, vals, len(keys))
+		names, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(names) > 2 || len(s.segs) > 2 {
+			t.Fatalf("cycle %d: %d segment files, %d open, want at most 2: %v", cycle, len(names), len(s.segs), names)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestGetNeverSeesUnwrittenRecord: a reader polling keys as a writer puts
 // them must see each one either absent or complete — the index may point
 // at a record only once its write has returned.

@@ -30,9 +30,10 @@ import (
 // write returns, so a concurrent Get never observes a torn value. Open
 // replays every segment in name order: later records win, tombstones
 // delete, and a segment's replay stops at its first short or CRC-failing
-// record, which is where a kill -9 mid-append leaves one. Nothing is
-// fsynced: a crash loses at most the record being written, and every entry
-// is recomputable anyway. An exclusive flock on <dir>/LOCK keeps the
+// record, which is where a kill -9 mid-append leaves one; a segment with no
+// valid record, such as one an Open wrote nothing to, is deleted. Nothing
+// is fsynced: a crash loses at most the record being written, and every
+// entry is recomputable anyway. An exclusive flock on <dir>/LOCK keeps the
 // directory to one Store at a time; the kernel drops it when the process
 // dies. Per-file entries (xx/<key>.json) of the earlier layout are ignored.
 // A Store is safe for concurrent use by multiple goroutines.
@@ -173,7 +174,8 @@ func validKey(key string) error {
 // segName is the file name of segment seq; names sort in replay order.
 func segName(seq uint64) string { return fmt.Sprintf("%s%016x%s", segPrefix, seq, segSuffix) }
 
-// replay opens every segment in name order and rebuilds the index.
+// replay opens every segment in name order and rebuilds the index,
+// deleting the segments that hold no valid record.
 func (s *Store) replay() error {
 	names, err := filepath.Glob(filepath.Join(s.dir, segPrefix+"*"+segSuffix))
 	if err != nil {
@@ -190,10 +192,19 @@ func (s *Store) replay() error {
 		if err != nil {
 			return fmt.Errorf("resultcache: %w", err)
 		}
-		g := &segment{f: f, seq: seq}
+		g, disk := &segment{f: f, seq: seq}, s.disk
 		s.segs = append(s.segs, g)
 		if err := s.replaySegment(g); err != nil {
 			return fmt.Errorf("resultcache: replaying %s: %w", name, err)
+		}
+		if g.size == 0 {
+			// No valid record: an Open that wrote nothing, or a tear in the
+			// first record. Drop it, or every reopen would leave one more.
+			s.segs, s.disk = s.segs[:len(s.segs)-1], disk
+			f.Close()
+			if err := os.Remove(name); err != nil {
+				return fmt.Errorf("resultcache: %w", err)
+			}
 		}
 	}
 	return nil

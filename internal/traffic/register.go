@@ -10,7 +10,7 @@ import (
 // the exported Matrix constructors and hands back the deep-copied rate
 // rows, so registry consumers never alias package state.
 func init() {
-	registry.RegisterWorkload(registry.Workload{
+	registry.Workloads.Register(registry.Workload{
 		Name:        "uniform",
 		Description: "every input spreads its load evenly over all outputs (Sec. 6, Fig. 6)",
 		Rank:        10,
@@ -18,7 +18,7 @@ func init() {
 			return Uniform(n, load).Rows(), nil
 		},
 	})
-	registry.RegisterWorkload(registry.Workload{
+	registry.Workloads.Register(registry.Workload{
 		Name:        "diagonal",
 		Description: "half of each input's load on output j=i, the rest spread evenly (Sec. 6, Fig. 7)",
 		Rank:        20,
@@ -26,7 +26,7 @@ func init() {
 			return Diagonal(n, load).Rows(), nil
 		},
 	})
-	registry.RegisterWorkload(registry.Workload{
+	registry.Workloads.Register(registry.Workload{
 		Name:        "hotspot",
 		Description: "a tunable fraction of each input's load aimed at output (i+1) mod N, rest uniform",
 		Rank:        30,
@@ -38,7 +38,7 @@ func init() {
 			return Hotspot(n, load, opts.Float("fraction")).Rows(), nil
 		},
 	})
-	registry.RegisterWorkload(registry.Workload{
+	registry.Workloads.Register(registry.Workload{
 		Name:        "zipf",
 		Description: "heavy-tailed Zipf split over outputs ranked by (j-i) mod N; stresses rate-proportional striping",
 		Rank:        40,
@@ -50,7 +50,7 @@ func init() {
 			return Zipf(n, load, opts.Float("exponent")).Rows(), nil
 		},
 	})
-	registry.RegisterWorkload(registry.Workload{
+	registry.Workloads.Register(registry.Workload{
 		Name:        "permutation",
 		Description: "each input sends its whole load to one output of a seeded random permutation",
 		Rank:        50,

@@ -55,7 +55,7 @@ func measuredSlot(cfg registry.ScenarioConfig, frac float64) sim.Slot {
 }
 
 func init() {
-	registry.RegisterScenario(registry.Scenario{
+	registry.Scenarios.Register(registry.Scenario{
 		Name:        "flashcrowd",
 		Description: "a subset of inputs suddenly aims a surge of load at one hot output, then reverts",
 		Rank:        10,
@@ -123,7 +123,7 @@ func init() {
 		},
 	})
 
-	registry.RegisterScenario(registry.Scenario{
+	registry.Scenarios.Register(registry.Scenario{
 		Name:        "ratedrift",
 		Description: "the rate matrix drifts in steps from the base pattern toward its half-ring rotation",
 		Rank:        20,
@@ -149,7 +149,7 @@ func init() {
 		},
 	})
 
-	registry.RegisterScenario(registry.Scenario{
+	registry.Scenarios.Register(registry.Scenario{
 		Name:        "hotspotshift",
 		Description: "a hotspot pattern whose hot output migrates around the ring during the run",
 		Rank:        30,
@@ -178,7 +178,7 @@ func init() {
 		},
 	})
 
-	registry.RegisterScenario(registry.Scenario{
+	registry.Scenarios.Register(registry.Scenario{
 		Name:        "linkfail",
 		Description: "ingress fabric links degrade or fail mid-run, then recover to full capacity",
 		Rank:        40,
@@ -218,7 +218,7 @@ func init() {
 		},
 	})
 
-	registry.RegisterScenario(registry.Scenario{
+	registry.Scenarios.Register(registry.Scenario{
 		Name:        "loadstep",
 		Description: "the offered load square-waves between the nominal load and a reduced level",
 		Rank:        50,

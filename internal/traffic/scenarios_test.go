@@ -18,7 +18,7 @@ var builtinScenarios = []string{"flashcrowd", "ratedrift", "hotspotshift", "link
 // TestScenarioEventsWithinHorizon pins that every builtin places events on
 // the absolute clock inside [0, warmup+slots) for a variety of horizons.
 func TestScenarioEventsWithinHorizon(t *testing.T) {
-	for _, sc := range registry.Scenarios() {
+	for _, sc := range registry.Scenarios.All() {
 		for _, horizon := range []sim.Slot{100, 1000, 65536} {
 			base := make([][]float64, 4)
 			for i := range base {
@@ -108,7 +108,7 @@ func TestCatalogListsBuiltinScenarios(t *testing.T) {
 		t.Fatalf("catalog lists scenarios %v, want %v", names, builtinScenarios)
 	}
 	for _, name := range names {
-		sc, _ := registry.LookupScenario(name)
+		sc, _ := registry.Scenarios.Lookup(name)
 		var want []string
 		for _, o := range sc.Options {
 			want = append(want, o.Name)

@@ -6,7 +6,7 @@ import (
 )
 
 func init() {
-	registry.RegisterArchitecture(registry.Architecture{
+	registry.Architectures.Register(registry.Architecture{
 		Name:            "ufs",
 		Description:     "Uniform Frame Spreading: full-frame accumulation then one packet per intermediate port",
 		OrderPreserving: true,

@@ -15,12 +15,12 @@ import (
 )
 
 // TestEveryBinaryLinksEveryRegistration: a registration runs only in a
-// binary that links its package, so a package that calls registry.Register*
-// and that some program does not import leaves that program's -list and
-// specs short of what README promises ("valid in any spec and every tool's
-// -list"). Every non-test package under internal/ that calls a
-// registry.Register* function must be among the dependencies (`go list
-// -deps`) of the facade and of every command under cmd/.
+// binary that links its package, so a package that calls a registry
+// table's Register and that some program does not import leaves that
+// program's -list and specs short of what README promises ("valid in any
+// spec and every tool's -list"). Every non-test package under internal/
+// that calls a registry Register method must be among the dependencies
+// (`go list -deps`) of the facade and of every command under cmd/.
 func TestEveryBinaryLinksEveryRegistration(t *testing.T) {
 	m := loadModule(t)
 	registryPath := m.path + "/internal/registry"
@@ -48,7 +48,7 @@ func TestEveryBinaryLinksEveryRegistration(t *testing.T) {
 		}
 	}
 	if len(registering) == 0 {
-		t.Fatal("found no package that calls registry.Register*")
+		t.Fatal("found no package that calls a registry table's Register")
 	}
 	sort.Strings(registering)
 	t.Logf("registering packages: %v", registering)

@@ -134,15 +134,15 @@ var Run = sim.Run
 // anything the program registered itself. Each name is accepted by the
 // experiment harness and the cmd tools; run any cmd tool with -list for
 // the per-architecture option schemas.
-func Architectures() []string { return registry.ArchitectureNames() }
+func Architectures() []string { return registry.Architectures.Names() }
 
 // Workloads returns the name of every registered traffic workload in
 // canonical order, as accepted by the experiment harness and cmd tools.
-func Workloads() []string { return registry.WorkloadNames() }
+func Workloads() []string { return registry.Workloads.Names() }
 
 // Scenarios returns the name of every registered dynamic scenario in
 // canonical order, as accepted by experiment.Spec and sweep -scenarios.
-func Scenarios() []string { return registry.ScenarioNames() }
+func Scenarios() []string { return registry.Scenarios.Names() }
 
 // New builds a Sprinklers switch.
 func New(cfg Config) (*SprinklersSwitch, error) { return core.New(cfg) }
