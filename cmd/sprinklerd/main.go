@@ -22,12 +22,13 @@
 // replicas per lease (a point is cut into contiguous replica ranges when a
 // batch has fewer points left than -par), and each worker streams the
 // replicas back as they finish. A lease's deadline is -lease per replica it
-// carries. The coordinator retries transient failures with capped backoff
-// scaled by -heartbeat, keeps every replica a dead worker delivered and
-// re-dispatches the rest to healthy peers, and — with every worker down —
-// degrades to local execution (reported by /healthz and /metrics). Job
-// counters on /metrics count replicas; the dispatch-latency histogram
-// counts leases. A worker is just a plain daemon; -join makes it announce
+// carries. The coordinator retries every failed lease that a worker did not
+// refuse with a 4xx, with capped backoff scaled by -heartbeat (the rule
+// the sweep client follows too), keeps every replica a dead worker
+// delivered and re-dispatches the rest to healthy peers, and — with every
+// worker down — degrades to local execution (reported by /healthz and
+// /metrics). Job counters on /metrics count replicas; the dispatch-latency
+// histogram counts leases. A worker is just a plain daemon; -join makes it announce
 // itself to a coordinator and re-register every -heartbeat, so fleets can
 // also grow dynamically. The coordinator places each lease on the worker
 // with the fewest of its own outstanding leases, counted when the lease is

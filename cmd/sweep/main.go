@@ -14,8 +14,9 @@
 // progress streams back live, and the returned results are rendered by the
 // exact same code as local mode — remote and local output are
 // byte-identical for the same spec. The client rides through transient
-// daemon trouble on its own: failed requests are retried with capped
-// backoff, a dropped progress stream reconnects where it left off (each
+// daemon trouble on its own: a failed request is retried, up to 4 attempts
+// with capped backoff, unless the daemon answered 4xx or reported the study
+// failed; a dropped progress stream reconnects where it left off (each
 // event is printed exactly once), and if the daemon restarts mid-study the
 // spec is resubmitted — the daemon's cache turns the replay into reads.
 //

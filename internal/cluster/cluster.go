@@ -20,11 +20,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strings"
@@ -93,14 +91,6 @@ type jobLine struct {
 	JobTrailer
 }
 
-// permanentError marks a dispatch failure that retrying cannot fix (the
-// worker rejected the job as invalid); the coordinator propagates it
-// instead of burning the retry budget.
-type permanentError struct{ Err error }
-
-func (e *permanentError) Error() string { return e.Err.Error() }
-func (e *permanentError) Unwrap() error { return e.Err }
-
 // Options configures a Coordinator.
 type Options struct {
 	// Workers lists the worker daemon base URLs known at startup; more may
@@ -114,8 +104,8 @@ type Options struct {
 	// HeartbeatInterval is the probe period of the health loop (default
 	// 1s). A worker is probed at /healthz; suspectAfter consecutive
 	// failures (probe or dispatch) mark it suspect, and a later successful
-	// probe revives it. It also scales the backoff between retries of a
-	// lease (backoffCeiling).
+	// probe revives it. HeartbeatInterval/20 is also the base of the
+	// backoff between retries of a lease (Backoff).
 	HeartbeatInterval time.Duration
 	// Transport overrides the dispatch HTTP transport — the fault-
 	// injection hook (default http.DefaultTransport).
@@ -216,9 +206,6 @@ type Coordinator struct {
 	log          *slog.Logger
 	dispatchHist *stats.Histogram
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
 	// specPending counts speculative losers not yet reaped.
 	specPending atomic.Int64
 
@@ -253,7 +240,6 @@ func New(opts Options) *Coordinator {
 		httpc:    &http.Client{Transport: opts.Transport},
 		counters: &experiment.Counters{},
 		log:      slog.New(slog.DiscardHandler),
-		rng:      rand.New(rand.NewSource(1)),
 		// The latency percentile is tracked whether or not speculation is
 		// armed: slow-job warnings need it on every deployment, including
 		// single-worker ones where speculation would be pointless.
@@ -403,11 +389,11 @@ func (c *Coordinator) probe(ctx context.Context, url string) error {
 	if err != nil {
 		return err
 	}
+	if resp.StatusCode/100 != 2 {
+		return fmt.Errorf("healthz: %w", ReadError(resp))
+	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1024)) //nolint:errcheck
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("healthz: %s", resp.Status)
-	}
 	return nil
 }
 
@@ -471,38 +457,6 @@ const (
 	maxAttempts  = 6
 )
 
-// backoffCeiling is the backoff before retry attempt (1-based) at the
-// given heartbeat interval, before jitter: heartbeat/20, doubling per
-// attempt, capped at 2×heartbeat — 50ms and 2s at the 1s default. A
-// fleet probed more often retries sooner.
-func backoffCeiling(heartbeat time.Duration, attempt int) time.Duration {
-	d, ceil := heartbeat/20<<(attempt-1), 2*heartbeat
-	if d > ceil || d <= 0 {
-		return ceil
-	}
-	return d
-}
-
-// backoff sleeps the capped exponential backoff for the given retry
-// attempt (1-based), with full jitter drawn from the fixed-seed generator,
-// or returns early when ctx dies.
-func (c *Coordinator) backoff(ctx context.Context, attempt int) error {
-	d := backoffCeiling(c.opts.HeartbeatInterval, attempt)
-	c.rngMu.Lock()
-	// Half fixed, half jittered: retries spread out without ever being
-	// immediate.
-	d = d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
-	c.rngMu.Unlock()
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // lease is the coordinator's ledger of one range of a point's replicas:
 // replicas [first, first+done) have arrived, in order, into pts.
 type lease struct {
@@ -522,12 +476,13 @@ func (l *lease) take(p experiment.Point) {
 // RunReplicas executes replicas [first, first+n) of one point somewhere:
 // as one lease on a healthy worker, which streams the replicas back as
 // they finish; after a transient failure, the replicas not yet delivered
-// go to another worker, or to the same one after capped exponential
-// backoff with jitter; when no healthy worker remains or the retry budget
-// is spent, they run locally. Every replica that arrived is kept, so a
-// dead worker costs at most its in-flight replica. It is the
-// experiment.StudyConfig.RangeRunner of a cluster-mode study. Every job
-// counter counts replicas.
+// go to another worker, or to the same one after Backoff from a base of
+// HeartbeatInterval/20 (50 ms doubling to 2 s at the 1 s default); when no
+// healthy worker remains or the retry budget is spent, they run locally. A
+// failure Retryable refuses ends the lease with that error. Every replica
+// that arrived is kept, so a dead worker costs at most its in-flight
+// replica. It is the experiment.StudyConfig.RangeRunner of a cluster-mode
+// study. Every job counter counts replicas.
 func (c *Coordinator) RunReplicas(ctx context.Context, spec experiment.Spec, key experiment.PointKey, first, n int) ([]experiment.Point, error) {
 	// The dispatch span covers the lease's whole coordinator-side life —
 	// every attempt, backoff and speculative race — and parents the
@@ -539,6 +494,7 @@ func (c *Coordinator) RunReplicas(ctx context.Context, spec experiment.Spec, key
 	tc := trace.FromContext(ctx)
 	l := &lease{first: first, pts: make([]experiment.Point, n)}
 	var last *worker
+	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -558,7 +514,7 @@ func (c *Coordinator) RunReplicas(ctx context.Context, spec experiment.Spec, key
 				c.log.Info("cluster: job re-dispatched",
 					"job", key.String(), "rep", first+l.done, "reps", rest, "from", last.url, "to", w.url, "trace", tc.Trace)
 				tc.Event("redispatch", "job", key.String(), "from", last.url, "to", w.url)
-			} else if err := c.backoff(ctx, attempt); err != nil {
+			} else if err := Backoff(ctx, c.opts.HeartbeatInterval/20, attempt, lastErr); err != nil {
 				w.addOutstanding(-1) // picked, never sent
 				return nil, err
 			}
@@ -570,17 +526,13 @@ func (c *Coordinator) RunReplicas(ctx context.Context, spec experiment.Spec, key
 			dsp.Attr("worker", winner.url)
 			return l.pts, nil
 		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
+		if !Retryable(ctx, err) {
 			return nil, err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
 		}
 		if w.fail(suspectAfter) {
 			c.log.Warn("cluster: worker marked suspect", "worker", w.url, "cause", "dispatch", "err", err)
 		}
-		last = w
+		last, lastErr = w, err
 	}
 	// Degraded mode: the fleet is gone (or spent its retry budget) — the
 	// study must still finish, so the undelivered replicas run in-process.
@@ -599,8 +551,8 @@ func (c *Coordinator) RunReplicas(ctx context.Context, spec experiment.Spec, key
 
 // dispatch POSTs replicas [first, first+n) of one point to a worker under
 // the lease and hands each replica line to deliver as it arrives. It
-// returns nil once the trailer arrives after all n lines. Errors are
-// transient unless wrapped in permanentError; the replicas already
+// returns nil once the trailer arrives after all n lines. A request it
+// cannot build is Permanent, a 4xx an *APIError; the replicas already
 // delivered stay delivered. When ctx carries trace context, a lease span
 // wraps the attempt, its ID travels in the X-Sprinklerd-Span header so
 // worker-side spans parent under it, and the spans the worker attached to
@@ -624,11 +576,11 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, spec experiment.S
 		Peers:   c.peersOf(w.url),
 	})
 	if err != nil {
-		return &permanentError{err}
+		return Permanent(err)
 	}
 	req, err := http.NewRequestWithContext(jctx, http.MethodPost, w.url+"/api/v1/jobs", bytes.NewReader(body))
 	if err != nil {
-		return &permanentError{err}
+		return Permanent(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	trace.Inject(req.Header, lsp.SpanContext())
@@ -636,15 +588,10 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, spec experiment.S
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		err := fmt.Errorf("cluster: %s: %s: %s", w.url, resp.Status, strings.TrimSpace(string(msg)))
-		if resp.StatusCode/100 == 4 {
-			return &permanentError{err}
-		}
-		return err
+		return fmt.Errorf("cluster: %s: %w", w.url, ReadError(resp))
 	}
+	defer resp.Body.Close()
 	dec := json.NewDecoder(&cappedReader{r: resp.Body, left: maxPeerBodyBytes})
 	for rep := first; ; rep++ {
 		var ln jobLine
@@ -712,23 +659,24 @@ func (c *cappedReader) Read(b []byte) (int, error) {
 // FetchCAS reads one raw cache entry from a node's CAS endpoint. A missing
 // key returns (nil, nil) — a miss, not an error. An entry larger than
 // maxPeerBodyBytes is an error, which every caller counts as a miss too.
-func FetchCAS(ctx context.Context, httpc *http.Client, baseURL, key string) ([]byte, error) {
+func FetchCAS(ctx context.Context, baseURL, key string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		strings.TrimSuffix(baseURL, "/")+"/api/v1/cas/"+key, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := httpc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
+	switch {
+	case resp.StatusCode == http.StatusNotFound:
+		// A miss is every cold lease's first probe: drain it, nothing more.
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1024)) //nolint:errcheck
 		return nil, nil
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, fmt.Errorf("cluster: cas %s: %s", baseURL, resp.Status)
+	case resp.StatusCode/100 != 2:
+		return nil, fmt.Errorf("cluster: cas %s: %w", baseURL, ReadError(resp))
 	}
 	b, err := io.ReadAll(&cappedReader{r: resp.Body, left: maxPeerBodyBytes})
 	if err != nil {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -31,7 +30,7 @@ func oversizedPeer(t *testing.T) *httptest.Server {
 func TestOversizedCASBodyIsAMiss(t *testing.T) {
 	ts := oversizedPeer(t)
 	key := strings.Repeat("ab", 32)
-	b, err := FetchCAS(context.Background(), http.DefaultClient, ts.URL, key)
+	b, err := FetchCAS(context.Background(), ts.URL, key)
 	if err == nil || b != nil {
 		t.Fatalf("FetchCAS of a %d-byte body = %d bytes, err %v; want nil and an error", maxPeerBodyBytes+1, len(b), err)
 	}
@@ -53,8 +52,7 @@ func TestOversizedJobResponseIsTransient(t *testing.T) {
 	if err == nil {
 		t.Fatal("dispatch accepted an oversized job response")
 	}
-	var perm *permanentError
-	if errors.As(err, &perm) {
+	if !Retryable(context.Background(), err) {
 		t.Fatalf("oversized job response = %v, want a transient error", err)
 	}
 	if !strings.Contains(err.Error(), "cap") {

@@ -150,11 +150,11 @@ func TestBackoffScalesWithHeartbeat(t *testing.T) {
 		1: 50 * time.Millisecond, 2: 100 * time.Millisecond, 5: 800 * time.Millisecond,
 		6: 1600 * time.Millisecond, 7: 2 * time.Second, 60: 2 * time.Second,
 	} {
-		if got := backoffCeiling(hb, attempt); got != want {
+		if got := backoffDelay(hb/20, attempt); got != want {
 			t.Errorf("backoff before attempt %d at a %v heartbeat = %v, want %v", attempt, hb, got, want)
 		}
 	}
-	if got := backoffCeiling(25*time.Millisecond, 1); got != 1250*time.Microsecond {
+	if got := backoffDelay(25*time.Millisecond/20, 1); got != 1250*time.Microsecond {
 		t.Errorf("backoff at a 25ms heartbeat = %v, want 1.25ms", got)
 	}
 }

@@ -7,9 +7,9 @@
 // The package has two injection surfaces:
 //
 //   - Transport wraps http.DefaultTransport and fails every nth matching
-//     request with an injected connection error. Injected errors wrap
-//     syscall.ECONNREFUSED, so retry layers classify them exactly like a
-//     real dead peer.
+//     request with an injected connection error, which wraps
+//     syscall.ECONNREFUSED and reads exactly like a real dead peer. The
+//     retry rule (cluster.Retryable) retries any transport error.
 //   - Worker hooks: a sprinklerd worker configured with a Plan consults
 //     JobStarted before each replica it simulates; the returned Crash
 //     aborts that replica at a configured simulation slot (or on entry)
@@ -96,8 +96,7 @@ func (p *Plan) failNext() bool {
 }
 
 // errInjected is the terminal cause of every injected transport error. It
-// wraps ECONNREFUSED so errors.Is-based transient-failure classifiers treat
-// an injected fault exactly like a real refused connection.
+// wraps ECONNREFUSED, so it reads exactly like a real refused connection.
 var errInjected = fmt.Errorf("faultinject: injected fault: %w", syscall.ECONNREFUSED)
 
 // Transport applies a Plan's request faults around http.DefaultTransport.

@@ -80,13 +80,18 @@ func (s *Store) evict(over int64, st *sweepStats) error {
 // the write time when that is later or there was no read.
 func (e entry) recency() int64 { return max(e.read, e.written) }
 
+// maxSegments is how many segment files a store keeps before compacting
+// them into one: each Open that writes adds a segment, so without it a
+// daemon restarted often would hold ever more files open.
+const maxSegments = 4
+
 // compactIfSparse rewrites the live records into a fresh segment and
-// deletes every older one once dead bytes outweigh live ones. Old segments
-// go oldest first, so a crash part-way leaves a suffix of them, whose
-// replay under the new segment still yields the live set. Call with s.mu
-// held.
+// deletes every older one once dead bytes outweigh live ones or there are
+// more than maxSegments segments. Old segments go oldest first, so a crash
+// part-way leaves a suffix of them, whose replay under the new segment
+// still yields the live set. Call with s.mu held, or from Open.
 func (s *Store) compactIfSparse() error {
-	if s.disk-s.liveRc <= s.liveRc {
+	if s.disk-s.liveRc <= s.liveRc && len(s.segs) <= maxSegments {
 		return nil
 	}
 	old := s.segs

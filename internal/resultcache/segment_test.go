@@ -253,23 +253,37 @@ func TestCloseThenOpenSeesEverything(t *testing.T) {
 // TestReopenCyclesKeepTwoSegments: each Open starts a segment of its own,
 // and replay deletes the ones that end up with no record, so 20 reopens
 // that write nothing leave the filled segment and the live store's own,
-// and the store holds only those open. Every entry survives each cycle.
+// and the store holds only those open. 20 more reopens that each Put a
+// new key keep a segment each until Open compacts past maxSegments, so
+// the files stay bounded too. Every entry survives each cycle.
 func TestReopenCyclesKeepTwoSegments(t *testing.T) {
 	dir := t.TempDir()
 	keys, vals := fillSegment(t, dir, 4)
-	for cycle := 0; cycle < 20; cycle++ {
+	for cycle := 0; cycle < 40; cycle++ {
 		s := checkReopened(t, dir, keys, vals, len(keys))
 		names, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(names) > 2 || len(s.segs) > 2 {
-			t.Fatalf("cycle %d: %d segment files, %d open, want at most 2: %v", cycle, len(names), len(s.segs), names)
+		want := 2
+		if cycle >= 20 {
+			want = maxSegments
+		}
+		if len(names) > want || len(s.segs) > want {
+			t.Fatalf("cycle %d: %d segment files, %d open, want at most %d: %v", cycle, len(names), len(s.segs), want, names)
+		}
+		if cycle >= 20 {
+			keys = append(keys, keyN(len(keys)))
+			vals = append(vals, []byte(fmt.Sprintf(`{"cycle":%d}`, cycle)))
+			if err := s.Put(keys[len(keys)-1], vals[len(vals)-1]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	checkReopened(t, dir, keys, vals, len(keys)).Close()
 }
 
 // TestGetNeverSeesUnwrittenRecord: a reader polling keys as a writer puts

@@ -31,7 +31,8 @@ import (
 // replays every segment in name order: later records win, tombstones
 // delete, and a segment's replay stops at its first short or CRC-failing
 // record, which is where a kill -9 mid-append leaves one; a segment with no
-// valid record, such as one an Open wrote nothing to, is deleted. Nothing
+// valid record, such as one an Open wrote nothing to, is deleted, and once
+// more than maxSegments remain Open compacts them into one. Nothing
 // is fsynced: a crash loses at most the record being written, and every
 // entry is recomputable anyway. An exclusive flock on <dir>/LOCK keeps the
 // directory to one Store at a time; the kernel drops it when the process
@@ -103,8 +104,9 @@ const corruptDir = "corrupt"
 var errClosed = errors.New("resultcache: store is closed")
 
 // Open creates (if needed) the store rooted at dir, locks it against other
-// openers, replays its segments and starts a fresh segment for this
-// Store's writes. A directory another live Store holds is an error.
+// openers, replays its segments, starts a fresh segment for this Store's
+// writes and compacts (compactIfSparse). A directory another live Store
+// holds is an error.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("resultcache: empty cache directory")
@@ -129,6 +131,10 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	if err := s.addSegment(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	if err := s.compactIfSparse(); err != nil {
 		s.Close()
 		return nil, err
 	}

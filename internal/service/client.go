@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"sprinklers/internal/cluster"
 	"sprinklers/internal/experiment"
 )
 
@@ -20,45 +21,60 @@ import (
 // results feed the exact same renderers the local path uses — so remote
 // and local output are byte-identical for the same spec. Requests go
 // through http.DefaultClient, which has no timeout: streams run as long as
-// their context allows.
+// their context allows. A failed request is retried under cluster.Retryable,
+// up to retryAttempts in all, after cluster.Backoff from retryBase.
 type Client struct {
 	// BaseURL is the daemon address, e.g. "http://127.0.0.1:8356".
 	BaseURL string
-	// Retry shapes transient-failure handling: connection errors, 5xx
-	// responses and dropped SSE streams are retried with capped
-	// exponential backoff and jitter (safe for every endpoint — study
-	// submission deduplicates on the spec's content hash). The zero value
-	// uses the defaults; see RetryPolicy.
-	Retry RetryPolicy
 }
+
+// The client's one retry budget: attempts per request, per stream
+// failure run and per study in Run, and the base of the backoff between
+// them (100, 200 and 400 ms before jitter).
+const (
+	retryAttempts = 4
+	retryBase     = 100 * time.Millisecond
+)
 
 func (c *Client) url(path string) string {
 	return strings.TrimSuffix(c.BaseURL, "/") + path
 }
 
-// APIError is a non-2xx daemon response: the HTTP status plus the
-// {"error": ...} body. Callers branch on Status — the remote runner, for
-// one, treats a 404 mid-stream as "the daemon restarted and forgot the
-// study table" and resubmits.
-type APIError struct {
-	Status int
-	Msg    string
+// do issues requests built by build until one answers 2xx, one fails for
+// good (cluster.Retryable), or retryAttempts have failed. build makes a
+// fresh request on ctx per attempt (a consumed body cannot be replayed). A
+// non-2xx answer is consumed into a *cluster.APIError; a returned response
+// is a 2xx whose body the caller owns.
+//
+// Retrying is safe for every daemon endpoint: submissions deduplicate on
+// the spec's content hash (a replayed submit joins the first execution),
+// and everything else is a read or an idempotent cancel.
+func (c *Client) do(ctx context.Context, build func() (*http.Request, error)) (*http.Response, error) {
+	for attempt := 1; ; attempt++ {
+		req, err := build()
+		if err != nil {
+			return nil, err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			if resp.StatusCode/100 == 2 {
+				return resp, nil
+			}
+			err = cluster.ReadError(resp)
+		}
+		if attempt == retryAttempts || !cluster.Retryable(ctx, err) {
+			return nil, err
+		}
+		if err := cluster.Backoff(ctx, retryBase, attempt, err); err != nil {
+			return nil, err
+		}
+	}
 }
 
-func (e *APIError) Error() string { return e.Msg }
-
-// apiError consumes a non-2xx response into an *APIError.
-func apiError(resp *http.Response) error {
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(body, &e) == nil && e.Error != "" {
-		return &APIError{Status: resp.StatusCode, Msg: fmt.Sprintf("sprinklerd: %s (%s)", e.Error, resp.Status)}
-	}
-	return &APIError{Status: resp.StatusCode,
-		Msg: fmt.Sprintf("sprinklerd: %s: %s", resp.Status, strings.TrimSpace(string(body)))}
+// studyFailed is the daemon's report that study id failed: terminal, so
+// never retried.
+func studyFailed(id, msg string) error {
+	return cluster.Permanent(fmt.Errorf("sprinklerd: study %s failed: %s", id, msg))
 }
 
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
@@ -148,7 +164,7 @@ func (c *Client) Results(ctx context.Context, id string, wait bool) (State, []ex
 		return "", nil, err
 	}
 	if out.State == StateFailed {
-		return out.State, out.Results, fmt.Errorf("sprinklerd: study %s failed: %s", id, out.Error)
+		return out.State, out.Results, studyFailed(id, out.Error)
 	}
 	return out.State, out.Results, nil
 }
@@ -159,25 +175,22 @@ func (c *Client) Results(ctx context.Context, id string, wait bool) (State, []ex
 // A dropped stream — the daemon restarted, the connection reset mid-event
 // — is reconnected with ?from=<events consumed so far>, so across any
 // number of drops fn sees every event exactly once, in order. Reconnection
-// follows the client's RetryPolicy; the failure budget resets whenever a
-// connection makes progress.
+// follows the same rule, budget and backoff as every request (see do); the
+// budget resets whenever a connection makes progress.
 func (c *Client) Stream(ctx context.Context, id string, from int, fn func(ProgressEvent)) (State, error) {
-	pol := c.Retry.withDefaults()
-	fails := 0
-	for {
+	for fails := 1; ; fails++ {
 		state, n, err := c.streamOnce(ctx, id, from, fn)
 		from += n
 		if err == nil {
 			return state, nil
 		}
 		if n > 0 {
-			fails = 0
+			fails = 1
 		}
-		fails++
-		if ctx.Err() != nil || !retryable(err) || fails >= pol.MaxAttempts {
+		if fails == retryAttempts || !cluster.Retryable(ctx, err) {
 			return "", err
 		}
-		if serr := pol.sleep(ctx, fails); serr != nil {
+		if err := cluster.Backoff(ctx, retryBase, fails, err); err != nil {
 			return "", err
 		}
 	}
@@ -195,10 +208,10 @@ func (c *Client) streamOnce(ctx context.Context, id string, from int, fn func(Pr
 	if err != nil {
 		return "", 0, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return "", 0, apiError(resp)
+		return "", 0, cluster.ReadError(resp)
 	}
+	defer resp.Body.Close()
 	delivered := 0
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024) // trajectory-bearing points can be large
@@ -215,7 +228,7 @@ func (c *Client) streamOnce(ctx context.Context, id string, from int, fn func(Pr
 		}
 		if json.Unmarshal([]byte(data), &terminal) == nil && terminal.State != "" {
 			if terminal.State == StateFailed {
-				return terminal.State, delivered, fmt.Errorf("sprinklerd: study %s failed: %s", id, terminal.Error)
+				return terminal.State, delivered, studyFailed(id, terminal.Error)
 			}
 			return terminal.State, delivered, nil
 		}
@@ -258,7 +271,7 @@ func (c *Client) Run(ctx context.Context, spec experiment.Spec, progress func(Pr
 	}
 	var results []experiment.PointResult
 	var state State
-	for resubmits := 0; ; resubmits++ {
+	for attempt := 1; ; attempt++ {
 		state, err = c.Stream(ctx, status.ID, len(results), func(ev ProgressEvent) {
 			results = append(results, ev.Point)
 			if progress != nil {
@@ -287,8 +300,8 @@ func (c *Client) Run(ctx context.Context, spec experiment.Spec, progress func(Pr
 		// with no computed point recomputed — and the stream picks up at
 		// the accumulated event index, so the caller sees every point
 		// exactly once across the restart.
-		var ae *APIError
-		if err == nil || !errors.As(err, &ae) || ae.Status != http.StatusNotFound || resubmits == 3 {
+		var ae *cluster.APIError
+		if err == nil || !errors.As(err, &ae) || ae.Status != http.StatusNotFound || attempt == retryAttempts {
 			break
 		}
 		if status, err = c.Submit(ctx, spec); err != nil {

@@ -3,8 +3,12 @@ package service
 import (
 	"context"
 
+	"sprinklers/internal/cluster"
 	"sprinklers/internal/resultcache"
 )
+
+// APIError is the daemon's non-2xx answer, as the client returns it.
+type APIError = cluster.APIError
 
 // Cache returns the server's result cache store.
 func (s *Server) Cache() *resultcache.Store { return s.cache }

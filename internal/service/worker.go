@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"regexp"
-	"strings"
 	"time"
 
 	"sprinklers/internal/cluster"
@@ -202,7 +201,7 @@ func (s *Server) serveReplica(ctx context.Context, spec experiment.Spec, id resu
 		for len(*peers) > 0 {
 			peer := (*peers)[0]
 			pctx, cancel := context.WithTimeout(ctx, peerFillTimeout)
-			b, err := cluster.FetchCAS(pctx, http.DefaultClient, peer, rkey)
+			b, err := cluster.FetchCAS(pctx, peer, rkey)
 			cancel()
 			p, valid := experiment.Point{}, false
 			if err == nil && b != nil {
@@ -417,12 +416,12 @@ func (s *Server) JoinCluster(ctx context.Context, coordinatorURL, selfURL string
 			s.log.Warn("cluster join: registration failed", "coordinator", coordinatorURL, "err", err)
 			return
 		}
-		defer resp.Body.Close()
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		if resp.StatusCode/100 != 2 {
-			s.log.Warn("cluster join: registration refused", "coordinator", coordinatorURL,
-				"status", resp.Status, "body", strings.TrimSpace(string(msg)))
+			s.log.Warn("cluster join: registration refused", "coordinator", coordinatorURL, "err", cluster.ReadError(resp))
+			return
 		}
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
+		resp.Body.Close()
 	}
 	beat()
 	t := time.NewTicker(interval)

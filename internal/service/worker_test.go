@@ -238,7 +238,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	}))
 	t.Cleanup(proxy.Close)
 
-	client := &Client{BaseURL: proxy.URL, Retry: RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}}
+	client := &Client{BaseURL: proxy.URL}
 	if _, err := client.Submit(context.Background(), testSpec("retry")); err != nil {
 		t.Fatalf("submit through a flaky front: %v (after %d attempts)", err, submits)
 	}
@@ -300,7 +300,7 @@ func TestStreamReconnectsWithFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	client := &Client{BaseURL: front.URL, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}}
+	client := &Client{BaseURL: front.URL}
 	var got []int
 	state, err := client.Stream(context.Background(), status.ID, 0, func(ev ProgressEvent) {
 		got = append(got, ev.Done)
@@ -375,7 +375,7 @@ func TestRunResubmitsAfterDaemonRestart(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
-	client := &Client{BaseURL: ts.URL, Retry: RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}}
+	client := &Client{BaseURL: ts.URL}
 	var got []int
 	results, err := client.Run(context.Background(), spec, func(ev ProgressEvent) { got = append(got, ev.Done) })
 	if err != nil {
